@@ -17,11 +17,8 @@ from .core import (
     RealizedSystem,
     Stream,
     SystemConfig,
-    drift_beta,
-    drift_beta_finite,
     rate_moments,
     rng_stream,
-    sample_rates,
 )
 from .diffusion import (
     DiffusionParams,
@@ -75,14 +72,12 @@ from .ssc import (
 )
 from .staffing import (
     CostSpec,
-    LinearDelay,
     OptimizationResult,
     cost_aband,
     cost_no_aband,
     erlang_a,
     erlang_c,
     optimize_staffing,
-    waiting_cost_G,
 )
 
 __version__ = "0.1.0"

@@ -28,13 +28,11 @@ from .core import (
     Policy,
     RateDistribution,
     RealizedSystem,
-    Stream,
     SystemConfig,
     format_config,
     load_config_file,
     parse_config_text,
     rate_moments,
-    rng_stream,
 )
 from .errors import ConfigError, DomainError, HetqError
 from .sim import (
@@ -105,12 +103,6 @@ def _rates(values: dict) -> RateDistribution:
     return values.get("rates", RateDistribution.point(1.0))
 
 
-def _realize(config: SystemConfig, dist: RateDistribution, rep: int = 0) -> RealizedSystem:
-    if config.pools is not None:
-        return RealizedSystem.realize_pools(config)
-    return RealizedSystem.realize(config, dist, rng_stream(config.seed, rep, Stream.RATES))
-
-
 def _abandon_mode(values: dict) -> AbandonMode:
     name = str(values.get("abandon_mode", "none")).lower()
     try:
@@ -125,13 +117,10 @@ def _diffusion_params(values: dict) -> dfn.DiffusionParams:
     mu_bar = float(values.get("mu_bar", moments.mean))
     scv = float(values.get("arrival_scv", 1.0))
     sigma = float(values.get("sigma", math.sqrt(mu_bar * (scv + 1.0))))
-    policy = values.get("policy", Policy.LISF)
     if "gamma" in values:
         gamma = float(values["gamma"])
-    elif policy is Policy.FSF:
-        gamma = moments.gamma_fsf
     else:
-        gamma = moments.gamma_lisf
+        gamma = moments.idleness_coefficient(values.get("policy", Policy.LISF))
     if "beta" in values:
         beta = float(values["beta"])
     else:
@@ -155,7 +144,7 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
     grid_points = int(values.get("grid_points", 10_000))
     queue_cap = int(values.get("queue_cap", 1_000_000))
     if n_reps <= 1:
-        system = _realize(config, dist)
+        system = RealizedSystem.from_config(config, dist)
         path = run(
             config,
             system,
@@ -331,7 +320,7 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
     dist = _rates(values)
     horizon = float(values.get("horizon", 1000.0))
     n_bins = int(values.get("bins", 10))
-    system = _realize(config, dist)
+    system = RealizedSystem.from_config(config, dist)
     path = run(
         config,
         system,
@@ -364,7 +353,7 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
 def _cmd_couple(values: dict) -> Dict[str, bytes]:
     config = _system_config(values)
     dist = _rates(values)
-    system = _realize(config, dist)
+    system = RealizedSystem.from_config(config, dist)
     p_rate = float(values.get("p_rate", dist.p))
     q_rate = max(dist.q, float(system.mu.max()))
     events = int(values.get("skeleton_events", 10_000))

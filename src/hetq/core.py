@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "Policy",
@@ -25,9 +25,7 @@ __all__ = [
     "SystemConfig",
     "RealizedSystem",
     "rate_moments",
-    "sample_rates",
-    "drift_beta",
-    "drift_beta_finite",
+    "pool_sizes",
     "rng_stream",
     "Stream",
     "parse_config_text",
@@ -180,6 +178,14 @@ class RateMoments(NamedTuple):
     gamma_lisf: float
     gamma_fsf: float
 
+    def idleness_coefficient(self, policy: Policy) -> float:
+        """gamma of the limit diffusion: derived for LISF and FSF routing only."""
+        if policy is Policy.LISF:
+            return self.gamma_lisf
+        if policy is Policy.FSF:
+            return self.gamma_fsf
+        raise DomainError(f"no idleness coefficient is derived for {policy.name} routing")
+
 
 def rate_moments(dist: RateDistribution) -> RateMoments:
     """Moments plus the policy-dependent idleness coefficients.
@@ -199,19 +205,14 @@ def rate_moments(dist: RateDistribution) -> RateMoments:
     )
 
 
-def sample_rates(dist: RateDistribution, n: int, stream: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. service rates; deterministic given the stream state."""
-    return dist.sample(n, stream)
-
-
-def drift_beta(theta: float, zeta: float, mu_bar: float) -> float:
-    """Limit drift of the scaled headcount: -zeta - theta * mu_bar."""
-    return -zeta - theta * mu_bar
-
-
-def drift_beta_finite(n_servers: int, r: float, mu_bar: float, sum_mu: float, x: float) -> float:
-    """Finite-scale drift -(sum_mu - N*mu_bar)/sqrt(r) - x*mu_bar."""
-    return -(sum_mu - n_servers * mu_bar) / math.sqrt(r) - x * mu_bar
+def pool_sizes(pools: Sequence[tuple], n: int) -> tuple:
+    """Split n servers over pools ((beta_i, mu_i), ...) by largest remainder; sums to n."""
+    raw = [b * n for b, _ in pools]
+    sizes = [int(math.floor(x)) for x in raw]
+    order = sorted(range(len(raw)), key=lambda i: raw[i] - sizes[i], reverse=True)
+    for i in order[: n - sum(sizes)]:
+        sizes[i] += 1
+    return tuple(sizes)
 
 
 @dataclass(frozen=True)
@@ -345,7 +346,7 @@ class RealizedSystem:
     ) -> "RealizedSystem":
         """Draw i.i.d. rates from ``dist`` for the staffed server count."""
         n = config.resolve_staffing(dist.mean())
-        mu = sample_rates(dist, n, stream)
+        mu = dist.sample(n, stream)
         return cls(n_servers=n, mu=mu, mu_bar=dist.mean(), r=config.r, lambda_r=config.lambda_r)
 
     @classmethod
@@ -359,13 +360,7 @@ class RealizedSystem:
         dist = config.pool_distribution()
         mu_bar = dist.mean()
         n = config.resolve_staffing(mu_bar)
-        betas = [b for b, _ in config.pools]
-        raw = [b * n for b in betas]
-        sizes = [int(math.floor(x)) for x in raw]
-        short = n - sum(sizes)
-        order = sorted(range(len(betas)), key=lambda i: raw[i] - sizes[i], reverse=True)
-        for i in order[:short]:
-            sizes[i] += 1
+        sizes = pool_sizes(config.pools, n)
         if any(s < 1 for s in sizes):
             raise ConfigError(f"pool sizes {sizes} collapse at N={n}; increase the scale")
         mu = np.concatenate([np.full(s, m) for s, (_, m) in zip(sizes, config.pools)])
@@ -377,8 +372,15 @@ class RealizedSystem:
             r=config.r,
             lambda_r=config.lambda_r,
             pool_of=pool_of,
-            pool_sizes=tuple(sizes),
+            pool_sizes=sizes,
         )
+
+    @classmethod
+    def from_config(cls, config: SystemConfig, dist: RateDistribution, rep: int = 0):
+        """System of replication ``rep``: the config's pools, else rates drawn from ``dist``."""
+        if config.pools is not None:
+            return cls.realize_pools(config)
+        return cls.realize(config, dist, rng_stream(config.seed, rep, Stream.RATES))
 
 
 # --------------------------------------------------------------------------

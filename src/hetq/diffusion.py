@@ -11,6 +11,8 @@ integral over the random drift, which uses Gauss-Hermite quadrature.
 
 All normal-CDF ratios are evaluated in log space (scipy's erf-based
 ``ndtr``/``log_ndtr``), so the formulas stay accurate far into the tails.
+The closed forms in the drift take a float or an array of drifts; a float
+gives a float.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "stationary_no_aband",
     "stationary_aband",
     "expected_positive_part",
+    "expected_positive_part_aband",
     "ql_eps",
     "simulate_sde",
     "halfin_whitt_delay",
@@ -62,6 +65,9 @@ class DiffusionParams:
     nu: float = 0.0
 
     def __post_init__(self):
+        for key in ("sigma", "beta", "gamma", "nu"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         # sigma = 0 is admitted so the integrator can run noise-free ODE
         # reductions; the stationary-law operations insist on sigma > 0.
         if self.sigma < 0.0:
@@ -72,19 +78,35 @@ class DiffusionParams:
             raise ConfigError(f"nu must be >= 0, got {self.nu}")
 
 
-def prob_wait_no_aband(beta: float, sigma: float, gamma: float) -> float:
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _rho_no_aband(a):
+    """(1 + a*Phi(a)/phi(a))^-1, evaluated as a logistic of log terms."""
+    return expit(-(np.log(a) + log_ndtr(a) - _log_phi(a)))
+
+
+def _upper_normal_mean(m, s):
+    """E[X | X >= 0] for X ~ N(m, s^2): m + s*phi(m/s)/Phi(m/s)."""
+    a = m / s
+    return m + s * np.exp(_log_phi(a) - log_ndtr(a))
+
+
+def prob_wait_no_aband(beta, sigma: float, gamma: float):
     """P(xi(infty) >= 0) for the no-abandonment diffusion; needs beta < 0."""
-    if beta >= 0.0:
-        raise DomainError(f"no stationary law without abandonment unless beta < 0, got {beta}")
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta >= 0.0):
+        raise DomainError(
+            f"no stationary law without abandonment unless beta < 0, got {np.max(beta)}"
+        )
     if sigma <= 0.0:
         raise DomainError(f"stationary law needs sigma > 0, got {sigma}")
     a = math.sqrt(2.0) * (-beta) / (math.sqrt(gamma) * sigma)
-    # rho = (1 + a*Phi(a)/phi(a))^-1, evaluated as a logistic of log terms
-    t = math.log(a) + log_ndtr(a) - _log_phi(a)
-    return float(expit(-t))
+    return _float_or_array(_rho_no_aband(a))
 
 
-def prob_wait_aband(beta: float, sigma: float, gamma: float, nu: float) -> float:
+def prob_wait_aband(beta, sigma: float, gamma: float, nu: float):
     """P(xi(infty) >= 0) with abandonment; defined for any drift."""
     if nu <= 0.0:
         raise DomainError(f"abandonment rate must be > 0, got {nu}")
@@ -92,6 +114,7 @@ def prob_wait_aband(beta: float, sigma: float, gamma: float, nu: float) -> float
         raise DomainError(f"gamma must be > 0, got {gamma}")
     if sigma <= 0.0:
         raise DomainError(f"stationary law needs sigma > 0, got {sigma}")
+    beta = np.asarray(beta, dtype=float)
     a_nu = math.sqrt(2.0) * beta / (math.sqrt(nu) * sigma)
     a_ga = math.sqrt(2.0) * beta / (math.sqrt(gamma) * sigma)
     t = (
@@ -101,7 +124,14 @@ def prob_wait_aband(beta: float, sigma: float, gamma: float, nu: float) -> float
         + log_ndtr(-a_ga)
         - log_ndtr(a_nu)
     )
-    return float(expit(-t))
+    return _float_or_array(expit(-t))
+
+
+def expected_positive_part_aband(beta, sigma: float, gamma: float, nu: float):
+    """E[xi(infty)^+; xi(infty) >= 0] with abandonment; defined for any drift."""
+    rho = prob_wait_aband(beta, sigma, gamma, nu)
+    m = np.asarray(beta, dtype=float) / nu
+    return _float_or_array(rho * _upper_normal_mean(m, sigma / math.sqrt(2.0 * nu)))
 
 
 @dataclass(frozen=True)
@@ -143,11 +173,10 @@ class ConditionedNormalPiece:
         return out if out.ndim else float(out)
 
     def mean(self) -> float:
-        a = self.mean_ / self.sd
         if self.side == "upper":
-            # E[X | X >= 0] = m + s * phi(a)/Phi(a)
-            return self.mean_ + self.sd * math.exp(_log_phi(a) - log_ndtr(a))
-        return self.mean_ - self.sd * math.exp(_log_phi(a) - log_ndtr(-a))
+            return float(_upper_normal_mean(self.mean_, self.sd))
+        # the lower piece is the upper one mirrored by x -> -x
+        return -float(_upper_normal_mean(-self.mean_, self.sd))
 
     def density_at_zero(self) -> float:
         """One-sided limit of the conditioned density at the origin."""
@@ -223,34 +252,11 @@ def stationary_aband(params: DiffusionParams) -> SteadyStateDensity:
 def expected_positive_part(params: DiffusionParams) -> float:
     """E[xi(infty)^+; xi(infty) >= 0], the expected scaled queue length."""
     if params.nu > 0.0:
-        rho = prob_wait_aband(params.beta, params.sigma, params.gamma, params.nu)
-        m = params.beta / params.nu
-        s = params.sigma / math.sqrt(2.0 * params.nu)
-        cond_mean = m + s * math.exp(_log_phi(m / s) - log_ndtr(m / s))
-        return rho * cond_mean
+        return expected_positive_part_aband(params.beta, params.sigma, params.gamma, params.nu)
     if params.beta >= 0.0:
         raise DomainError("expected_positive_part with nu = 0 needs beta < 0")
     rho = prob_wait_no_aband(params.beta, params.sigma, params.gamma)
     return rho * params.sigma**2 / (-2.0 * params.beta)
-
-
-def _expected_positive_part_vec(beta, sigma, gamma, nu):
-    """Vectorized abandonment-case closed form, for quadrature over beta."""
-    beta = np.asarray(beta, dtype=float)
-    a_nu = math.sqrt(2.0) * beta / (math.sqrt(nu) * sigma)
-    a_ga = math.sqrt(2.0) * beta / (math.sqrt(gamma) * sigma)
-    t = (
-        0.5 * (math.log(nu) - math.log(gamma))
-        + _log_phi(a_nu)
-        - _log_phi(a_ga)
-        + log_ndtr(-a_ga)
-        - log_ndtr(a_nu)
-    )
-    rho = expit(-t)
-    m = beta / nu
-    s = sigma / math.sqrt(2.0 * nu)
-    cond_mean = m + s * np.exp(_log_phi(m / s) - log_ndtr(m / s))
-    return rho * cond_mean
 
 
 @lru_cache(maxsize=8)
@@ -301,7 +307,7 @@ def ql_eps(
     sd = eps / math.sqrt(3.0)
 
     def inner(beta):
-        return _expected_positive_part_vec(beta, sigma, gamma, nu)
+        return expected_positive_part_aband(beta, sigma, gamma, nu)
 
     prev = gauss_hermite_expectation(inner, mean, sd, 64)
     for nodes in (128, 256, 512):
@@ -316,8 +322,7 @@ def halfin_whitt_delay(theta: float) -> float:
     """Classical square-root-staffing delay probability (1 + theta*Phi/phi)^-1."""
     if theta <= 0.0:
         raise DomainError(f"theta must be > 0, got {theta}")
-    t = math.log(theta) + log_ndtr(theta) - _log_phi(theta)
-    return float(expit(-t))
+    return float(_rho_no_aband(theta))
 
 
 def simulate_sde(

@@ -55,39 +55,24 @@ class AbandonMode(Enum):
     PERTURBED = "perturbed"
 
 
-class _ExpDraws:
-    """Buffered unit-exponential draws from one generator."""
+class _Draws:
+    """Buffered draws from one generator's bound sampler.
 
-    __slots__ = ("_rng", "_buf", "_i")
+    ``sample`` is e.g. ``rng.standard_exponential`` (unit exponentials) or
+    ``rng.random`` (uniform(0,1)); it is called with the block size.
+    """
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf = rng.standard_exponential(_BLOCK).tolist()
+    __slots__ = ("_sample", "_buf", "_i")
+
+    def __init__(self, sample):
+        self._sample = sample
+        self._buf = sample(_BLOCK).tolist()
         self._i = 0
 
     def __call__(self) -> float:
         i = self._i
         if i == _BLOCK:
-            self._buf = self._rng.standard_exponential(_BLOCK).tolist()
-            i = 0
-        self._i = i + 1
-        return self._buf[i]
-
-
-class _UniformDraws:
-    """Buffered uniform(0,1) draws from one generator."""
-
-    __slots__ = ("_rng", "_buf", "_i")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf = rng.random(_BLOCK).tolist()
-        self._i = 0
-
-    def __call__(self) -> float:
-        i = self._i
-        if i == _BLOCK:
-            self._buf = self._rng.random(_BLOCK).tolist()
+            self._buf = self._sample(_BLOCK).tolist()
             i = 0
         self._i = i + 1
         return self._buf[i]
@@ -134,7 +119,7 @@ class PathRecord:
         return int(self.departures.sum())
 
 
-def _arrival_sampler(lam: float, scv: float, exp_draw: _ExpDraws):
+def _arrival_sampler(lam: float, scv: float, exp_draw: _Draws):
     """Inter-arrival sampler for a renewal stream with the requested SCV.
 
     SCV 1 is exponential; SCV in [0, 1) uses a deterministic-plus-exponential
@@ -194,10 +179,10 @@ def run(
     policy = config.policy
     seed = config.seed
 
-    arrival_exp = _ExpDraws(rng_stream(seed, rep, Stream.ARRIVAL))
-    service_exp = _ExpDraws(rng_stream(seed, rep, Stream.SERVICE))
-    abandon_exp = _ExpDraws(rng_stream(seed, rep, Stream.ABANDON))
-    routing_u = _UniformDraws(rng_stream(seed, rep, Stream.ROUTING))
+    arrival_exp = _Draws(rng_stream(seed, rep, Stream.ARRIVAL).standard_exponential)
+    service_exp = _Draws(rng_stream(seed, rep, Stream.SERVICE).standard_exponential)
+    abandon_exp = _Draws(rng_stream(seed, rep, Stream.ABANDON).standard_exponential)
+    routing_u = _Draws(rng_stream(seed, rep, Stream.ROUTING).random)
     next_inter = _arrival_sampler(lam, config.arrival_scv, arrival_exp) if lam > 0.0 else None
 
     per_customer = mode is AbandonMode.PER_CUSTOMER
@@ -564,11 +549,11 @@ def coupled_run(
     nu = config.abandon_rate
     master_rate = n * q_rate
 
-    arrival_exp = _ExpDraws(rng_stream(config.seed, rep, Stream.ARRIVAL))
-    skel_exp = _ExpDraws(rng_stream(config.seed, rep, Stream.SKELETON))
-    skel_u = _UniformDraws(rng_stream(config.seed, rep, Stream.SERVICE))
-    pick_u = _UniformDraws(rng_stream(config.seed, rep, Stream.ROUTING))
-    abandon_exp = _ExpDraws(rng_stream(config.seed, rep, Stream.ABANDON))
+    arrival_exp = _Draws(rng_stream(config.seed, rep, Stream.ARRIVAL).standard_exponential)
+    skel_exp = _Draws(rng_stream(config.seed, rep, Stream.SKELETON).standard_exponential)
+    skel_u = _Draws(rng_stream(config.seed, rep, Stream.SERVICE).random)
+    pick_u = _Draws(rng_stream(config.seed, rep, Stream.ROUTING).random)
+    abandon_exp = _Draws(rng_stream(config.seed, rep, Stream.ABANDON).standard_exponential)
 
     mu_l = mu.tolist()
     busy = [True] * n  # both systems start full: X(0) = N
@@ -670,10 +655,7 @@ class Replication:
 
 def _replicate_one(args) -> Replication:
     config, dist, rep, horizon, mode, warmup, grid_points, record_idle = args
-    if config.pools is not None:
-        system = RealizedSystem.realize_pools(config)
-    else:
-        system = RealizedSystem.realize(config, dist, rng_stream(config.seed, rep, Stream.RATES))
+    system = RealizedSystem.from_config(config, dist, rep)
     path = run(
         config,
         system,

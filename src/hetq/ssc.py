@@ -1,6 +1,6 @@
 """State-space-collapse diagnostics for inverted-V systems, plus fairness.
 
-The collapse function g(q, z) = |sum_i z_i mu_i - gamma(I) sum_i z_i|
+The collapse function g(z) = |sum_i z_i mu_i - gamma(I) sum_i z_i|
 vanishes exactly on a one-dimensional subspace; the theory says the
 diffusion-scaled pool occupancies are asymptotically confined there. The
 evidence produced here is empirical: per-scale Monte-Carlo tables of the
@@ -20,6 +20,7 @@ from .core import (
     RateDistribution,
     RealizedSystem,
     SystemConfig,
+    pool_sizes,
 )
 from .errors import ConfigError, DomainError, NoIdlenessError, WindowError
 from .sim import PathRecord, run
@@ -76,8 +77,8 @@ class SSCFunctionSpec:
         return cls(beta=tuple(b for b, _ in pools), mu=tuple(m for _, m in pools))
 
 
-def ssc_g(spec: SSCFunctionSpec, q, z) -> np.ndarray:
-    """|sum_i z_i mu_i - gamma(I) sum_i z_i|; q enters the signature only.
+def ssc_g(spec: SSCFunctionSpec, z) -> np.ndarray:
+    """|sum_i z_i mu_i - gamma(I) sum_i z_i|; the queue does not enter.
 
     ``z`` may be one pool vector or an array of them (last axis = pools).
     Homogeneous of degree one, and zero exactly on the kernel
@@ -91,12 +92,16 @@ def ssc_g(spec: SSCFunctionSpec, q, z) -> np.ndarray:
     return val if val.ndim else float(val)
 
 
+def _path_pool_sizes(path: PathRecord) -> np.ndarray:
+    """Server count N_i of each pool of the path's system."""
+    if path.pool_of is None:
+        return np.array([path.n_servers])
+    return np.bincount(path.pool_of, minlength=path.n_pools)
+
+
 def diffusion_scaled(path: PathRecord) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, Q_hat, Z_hat) with Q_hat = Q/sqrt(|N|), Z_hat_i = (Z_i - N_i)/sqrt(|N|)."""
-    if path.pool_of is None:
-        sizes = np.array([path.n_servers])
-    else:
-        sizes = np.bincount(path.pool_of, minlength=path.n_pools)
+    sizes = _path_pool_sizes(path)
     root = math.sqrt(path.n_servers)
     q_hat = path.grid_Q / root
     z_hat = (path.grid_Z - sizes[None, :]) / root
@@ -136,7 +141,7 @@ def ssc_convergence(
 
     All configs must share the same pool structure. Each replication runs
     the inverted-V system from the fully-busy state and records
-    ||g(Q_hat, Z_hat)||_T, (||Z_hat||_T v 1), and their ratio.
+    ||g(Z_hat)||_T, (||Z_hat||_T v 1), and their ratio.
     """
     if not configs:
         raise ConfigError("need at least one config")
@@ -161,9 +166,9 @@ def ssc_convergence(
                 record_idle=False,
                 rep=rep,
             )
-            t, q_hat, z_hat = diffusion_scaled(path)
+            t, _, z_hat = diffusion_scaled(path)
             win = t <= t_window
-            g_vals = ssc_g(spec, q_hat[win], z_hat[win])
+            g_vals = ssc_g(spec, z_hat[win])
             g_sup = float(np.max(g_vals))
             z_sup = float(np.max(np.abs(z_hat[win])))
             denom = max(z_sup, 1.0)
@@ -208,10 +213,7 @@ def hydro_scale(path: PathRecord, m: int, length: float) -> HydroScaledPath:
     if length <= 0.0:
         raise ConfigError(f"window length must be > 0, got {length}")
     n_total = path.n_servers
-    if path.pool_of is None:
-        sizes = np.array([n_total])
-    else:
-        sizes = np.bincount(path.pool_of, minlength=path.n_pools)
+    sizes = _path_pool_sizes(path)
     root_n = math.sqrt(n_total)
     t_start = m / root_n
     if t_start > path.end_time:
@@ -419,13 +421,7 @@ def inverted_v_config(
     if lambda_hat >= 0.0:
         raise ConfigError(f"heavy-traffic centering needs lambda_hat < 0, got {lambda_hat}")
     n_total = int(round(r))
-    betas = [b for b, _ in pools]
-    raw = [b * n_total for b in betas]
-    sizes = [int(math.floor(v)) for v in raw]
-    short = n_total - sum(sizes)
-    order = sorted(range(len(betas)), key=lambda i: raw[i] - sizes[i], reverse=True)
-    for i in order[:short]:
-        sizes[i] += 1
+    sizes = pool_sizes(pools, n_total)
     capacity = sum(s * m for s, (_, m) in zip(sizes, pools))
     lam = capacity + lambda_hat * math.sqrt(r)
     if lam <= 0.0:

@@ -15,26 +15,23 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, ndtr
 
 from .core import RateDistribution, SystemConfig, rate_moments
 from .diffusion import (
     DiffusionParams,
-    _expected_positive_part_vec,
-    _hermgauss,
     expected_positive_part,
+    expected_positive_part_aband,
+    gauss_hermite_expectation,
     prob_wait_no_aband,
 )
 from .errors import BracketError, ConfigError, DegenerateError, DomainError, UnstableError
 
 __all__ = [
-    "LinearDelay",
     "CostSpec",
     "OptimizationResult",
     "erlang_c",
     "erlang_a",
-    "waiting_cost_G",
     "cost_no_aband",
     "cost_aband",
     "optimize_staffing",
@@ -107,37 +104,11 @@ def erlang_a(n: int, lam: float, mu: float, nu: float) -> Tuple[float, float, fl
 
 
 @dataclass(frozen=True)
-class LinearDelay:
-    """Delay cost D(t) = c_w * t; its exponential transform is exact."""
-
-    c_w: float
-
-    def __call__(self, t):
-        return self.c_w * np.asarray(t, dtype=float)
-
-
-def waiting_cost_G(h: float, lam: float, delay_cost) -> float:
-    """Expected delay cost of a waiting customer when capacity is h.
-
-    Evaluates (h - lam) * int_0^inf D(t) exp(-(h - lam) t) dt, the mean of
-    D over an exponential wait with rate h - lam. Linear costs are closed
-    form; anything callable goes through adaptive quadrature.
-    """
-    if h <= lam:
-        raise DomainError(f"needs total service rate above arrival rate, got {h} <= {lam}")
-    rate = h - lam
-    if isinstance(delay_cost, LinearDelay):
-        return delay_cost.c_w / rate
-    val, _ = integrate.quad(lambda u: float(delay_cost(u / rate)) * math.exp(-u), 0.0, np.inf)
-    return val
-
-
-@dataclass(frozen=True)
 class CostSpec:
     """Cost coefficients; which term drives the trade-off depends on the model.
 
-    ``staffing_cost`` overrides the default linear form
-    F(x) = c_s * x * sqrt(lambda_r / mu_bar); it receives (x, config, dist).
+    The staffing cost is F(x) = c_s * x * sqrt(lambda_r / mu_bar); a waiting
+    customer costs c_w per unit time.
     """
 
     c_s: float = 1.0
@@ -145,7 +116,6 @@ class CostSpec:
     d: float = 1.0
     c_un: float = 0.0
     nu: float = 0.0
-    staffing_cost: Optional[Callable] = None
 
     def __post_init__(self):
         for name in ("c_s", "c_w", "d", "c_un"):
@@ -155,17 +125,17 @@ class CostSpec:
             raise ConfigError("nu must be >= 0")
 
     def staffing_term(self, x: float, config: SystemConfig, dist: RateDistribution) -> float:
-        if self.staffing_cost is not None:
-            return float(self.staffing_cost(x, config, dist))
         return self.c_s * x * math.sqrt(config.lambda_r / dist.mean())
 
 
-def _gamma_for(moments, policy) -> float:
-    if policy.name == "LISF":
-        return moments.gamma_lisf
-    if policy.name == "FSF":
-        return moments.gamma_fsf
-    raise DomainError(f"no idleness coefficient is derived for {policy.name} routing")
+def _drift_law(x: float, config: SystemConfig, dist: RateDistribution):
+    """(gamma, sigma, drift mean, drift sd) of the limit diffusion at safety x."""
+    if x <= 0.0:
+        raise DomainError(f"safety coefficient must be > 0, got {x}")
+    moments = rate_moments(dist)
+    gamma = moments.idleness_coefficient(config.policy)
+    sigma = math.sqrt(moments.mean * (config.arrival_scv + 1.0))
+    return gamma, sigma, -x * moments.mean, math.sqrt(moments.variance)
 
 
 @lru_cache(maxsize=8)
@@ -196,39 +166,30 @@ def cost_no_aband(
     (negative) region enters, normalized by P(beta < 0). The unstable mass
     contributes c_un * P(beta >= 0) additively.
 
-    Note the integrand behaves like 1/|beta| near zero for unbounded delay
-    costs, so the quadrature value is dominated by the stability boundary
-    whenever the drift law puts mass there; see the README for guidance.
+    The linear delay cost gives G = c_w / (-beta sqrt(r)), so the integrand
+    behaves like 1/|beta| near zero and the quadrature value is dominated by
+    the stability boundary whenever the drift law puts mass there; see the
+    README for guidance.
     """
-    if x <= 0.0:
-        raise DomainError(f"safety coefficient must be > 0, got {x}")
-    moments = rate_moments(dist)
-    mu_bar = moments.mean
-    gamma = _gamma_for(moments, config.policy)
-    sigma = math.sqrt(mu_bar * (config.arrival_scv + 1.0))
+    gamma, sigma, m, s = _drift_law(x, config, dist)
     sqrt_r = math.sqrt(config.r)
-    m = -x * mu_bar
-    s = math.sqrt(moments.variance)
     f_term = cost.staffing_term(x, config, dist)
-    delay = LinearDelay(cost.c_w)
 
     if s == 0.0:
-        if m >= 0.0:
-            raise DegenerateError("point rates with x <= 0 leave no stable region")
         p = prob_wait_no_aband(m, sigma, gamma)
-        g = waiting_cost_G(-m * sqrt_r + config.lambda_r, config.lambda_r, delay)
-        return f_term + config.lambda_r * p * g
+        capacity = -m * sqrt_r + config.lambda_r
+        if capacity <= config.lambda_r:
+            raise DomainError(f"needs capacity above the arrival rate, got {capacity}")
+        return f_term + config.lambda_r * p * (cost.c_w / (capacity - config.lambda_r))
 
     p_stable = float(ndtr((0.0 - m) / s))
     if p_stable < 1e-12:
         raise DegenerateError(f"P(beta < 0) = {p_stable:.3g}: all drift mass is unstable")
 
     def integrand(b):
-        b = np.asarray(b, dtype=float)
         dens = np.exp(-0.5 * ((b - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
-        pw = np.array([prob_wait_no_aband(bi, sigma, gamma) for bi in np.atleast_1d(b)])
         g = cost.c_w / (-b * sqrt_r)
-        return pw * g * dens
+        return prob_wait_no_aband(b, sigma, gamma) * g * dens
 
     lo = m - 8.0 * s
     hi = min(0.0, m + 8.0 * s)
@@ -256,25 +217,17 @@ def cost_aband(
     The sqrt(r) factor converts the scaled queue length into customers, so
     the variable term is an abandonment flow in customers per unit time.
     """
-    if x <= 0.0:
-        raise DomainError(f"safety coefficient must be > 0, got {x}")
+    gamma, sigma, m, s = _drift_law(x, config, dist)
     nu = cost.nu if cost.nu > 0.0 else config.abandon_rate
     if nu <= 0.0:
         raise DomainError("abandonment cost model needs nu > 0")
-    moments = rate_moments(dist)
-    mu_bar = moments.mean
-    gamma = _gamma_for(moments, config.policy)
-    sigma = math.sqrt(mu_bar * (config.arrival_scv + 1.0))
-    m = -x * mu_bar
-    s = math.sqrt(moments.variance)
     f_term = cost.staffing_term(x, config, dist)
     if s == 0.0:
         epp = expected_positive_part(DiffusionParams(sigma, m, gamma, nu))
     else:
-        gh_x, gh_w = _hermgauss(nodes)
-        betas = m + math.sqrt(2.0) * s * gh_x
-        vals = _expected_positive_part_vec(betas, sigma, gamma, nu)
-        epp = float(np.dot(gh_w, vals) / math.sqrt(math.pi))
+        epp = gauss_hermite_expectation(
+            lambda b: expected_positive_part_aband(b, sigma, gamma, nu), m, s, nodes
+        )
     return f_term + cost.d * nu * math.sqrt(config.r) * epp
 
 
@@ -328,16 +281,20 @@ def optimize_staffing(
     xs = np.linspace(lo, hi, curve_points)
     costs = np.empty(curve_points)
     failures = 0
+    first: Optional[Exception] = None
     for i, xi in enumerate(xs):
         try:
             costs[i] = cost_fn(float(xi))
-        except Exception:
+        except Exception as exc:
             costs[i] = np.nan
             failures += 1
+            if first is None:
+                first = exc
+    cause = "" if first is None else f"; first failure: {type(first).__name__}: {first}"
     if failures == curve_points or not np.isfinite(costs).any():
-        raise BracketError(f"cost evaluation failed across the bracket {bracket}")
+        raise BracketError(f"cost evaluation failed across the bracket {bracket}{cause}") from first
     if np.isnan(costs).any():
-        raise BracketError(f"cost evaluation failed at {failures} bracket points")
+        raise BracketError(f"cost evaluation failed at {failures} bracket points{cause}") from first
 
     interior_maxima = [
         i for i in range(1, curve_points - 1)

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hetq
 from hetq.cli import dispatch, main, rerun_manifest
 
 
@@ -56,6 +61,38 @@ class TestExitCodes:
             "--set", "beta=1.0", "--set", "sigma=2.0", "--set", "gamma=1.0",
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("setting", ["beta=nan", "sigma=inf"])
+    def test_non_finite_diffusion_coefficient_exits_2(self, tmp_path, capsys, setting):
+        rc = main(["analyze", "--out", str(tmp_path / "o"), "--set", setting])
+        assert rc == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+
+    def test_bracket_error_names_first_failure(self, tmp_path, capsys):
+        # abandonment cost model (the default) with no nu anywhere
+        rc = main(["staff", "--out", str(tmp_path / "o"), "--set", "lambda_r=100"])
+        assert rc == 3
+        assert "needs nu > 0" in capsys.readouterr().err
+
+    def test_analyze_random_needs_explicit_gamma(self, tmp_path, capsys):
+        args = ["analyze", "--set", "policy=RANDOM", "--set", "rates=uniform(0.5,1.5)"]
+        assert main([*args, "--out", str(tmp_path / "a")]) == 3
+        err = capsys.readouterr().err
+        assert "no idleness coefficient is derived for RANDOM routing" in err
+        assert main([*args, "--out", str(tmp_path / "b"), "--set", "gamma=1.2"]) == 0
+        info = json.loads((tmp_path / "b" / "analysis.json").read_text())
+        assert info["gamma"] == 1.2
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    env = dict(os.environ)
+    src = str(Path(hetq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, hetq.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestSimulateArtifacts:

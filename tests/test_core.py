@@ -14,13 +14,10 @@ from hetq.core import (
     RealizedSystem,
     Stream,
     SystemConfig,
-    drift_beta,
-    drift_beta_finite,
     format_config,
     parse_config_text,
     rate_moments,
     rng_stream,
-    sample_rates,
 )
 from hetq.errors import ConfigError
 
@@ -84,39 +81,29 @@ class TestRateDistribution:
 
 class TestSampling:
     def test_point_samples(self):
-        got = sample_rates(RateDistribution.point(1.0), 3, rng_stream(5, Stream.RATES))
+        got = RateDistribution.point(1.0).sample(3, rng_stream(5, Stream.RATES))
         np.testing.assert_array_equal(got, [1.0, 1.0, 1.0])
 
     def test_reproducible(self):
         d = RateDistribution.uniform(0.5, 1.5)
-        a = sample_rates(d, 1000, rng_stream(42, Stream.RATES))
-        b = sample_rates(d, 1000, rng_stream(42, Stream.RATES))
+        a = d.sample(1000, rng_stream(42, Stream.RATES))
+        b = d.sample(1000, rng_stream(42, Stream.RATES))
         np.testing.assert_array_equal(a, b)
-        c = sample_rates(d, 1000, rng_stream(43, Stream.RATES))
+        c = d.sample(1000, rng_stream(43, Stream.RATES))
         assert not np.array_equal(a, c)
 
     def test_clt_band(self):
         # empirical mean within 3*(eps/sqrt(3))/sqrt(N) of mu for uniform(0.5, 1.5)
         n = 10**5
         d = RateDistribution.uniform(0.5, 1.5)
-        got = sample_rates(d, n, rng_stream(7, Stream.RATES)).mean()
+        got = d.sample(n, rng_stream(7, Stream.RATES)).mean()
         band = 3.0 * (0.5 / math.sqrt(3.0)) / math.sqrt(n)
         assert abs(got - 1.0) < band
 
     def test_discrete_sampling_hits_atoms_only(self):
         d = RateDistribution.discrete([(1.0, 0.25), (2.0, 0.75)])
-        got = sample_rates(d, 500, rng_stream(1, Stream.RATES))
+        got = d.sample(500, rng_stream(1, Stream.RATES))
         assert set(np.unique(got)) == {1.0, 2.0}
-
-
-class TestDrift:
-    def test_trivial(self):
-        assert drift_beta(0.0, 0.0, 1.0) == 0.0
-        assert drift_beta(2.0, 0.0, 1.0) == -2.0
-
-    def test_finite_scale_hand_value(self):
-        # N=110, r=100, mu_bar=1, sum mu = 108, x=1 -> -(108-110)/10 - 1 = -0.8
-        assert drift_beta_finite(110, 100.0, 1.0, 108.0, 1.0) == pytest.approx(-0.8)
 
 
 class TestStaffing:

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
@@ -18,6 +20,7 @@ from hetq.diffusion import (
     DiffusionParams,
     ExponentialPiece,
     expected_positive_part,
+    expected_positive_part_aband,
     halfin_whitt_delay,
     prob_wait_aband,
     prob_wait_no_aband,
@@ -26,7 +29,7 @@ from hetq.diffusion import (
     stationary_aband,
     stationary_no_aband,
 )
-from hetq.errors import DomainError
+from hetq.errors import ConfigError, DomainError
 
 # frozen from the mpmath scale-density oracle
 RHO_NOAB_GOLDEN = 0.72093211340305466306  # (beta, sigma, gamma) = (-1, 4, 2)
@@ -95,6 +98,45 @@ class TestProbWaitAband:
         assert 1.0 - prob_wait_aband(15.0, 1.0, 2.0, 0.5) < 1e-6
         # beyond the double floor the value correctly rounds to 0, not NaN
         assert prob_wait_aband(-80.0, 1.0, 2.0, 0.5) == 0.0
+
+
+_drifts = st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=40)
+_coeff = st.floats(0.05, 10.0)
+
+
+class TestArrayKernels:
+    """An array of drifts gives exactly the scalar values, element by element."""
+
+    @given(_drifts, _coeff, _coeff)
+    @settings(max_examples=200, deadline=None)
+    def test_prob_wait_no_aband(self, drifts, sigma, gamma):
+        betas = -np.abs(np.array(drifts)) - 1e-9
+        got = prob_wait_no_aband(betas, sigma, gamma)
+        assert got.shape == betas.shape
+        want = [prob_wait_no_aband(float(b), sigma, gamma) for b in betas]
+        assert all(type(w) is float for w in want)
+        assert list(got) == want
+
+    @given(_drifts, _coeff, _coeff, _coeff)
+    @settings(max_examples=200, deadline=None)
+    def test_prob_wait_and_positive_part_aband(self, drifts, sigma, gamma, nu):
+        betas = np.array(drifts)
+        for fn in (prob_wait_aband, expected_positive_part_aband):
+            got = fn(betas, sigma, gamma, nu)
+            want = [fn(float(b), sigma, gamma, nu) for b in betas]
+            assert all(type(w) is float for w in want)
+            assert list(got) == want
+
+    def test_array_domain_error_names_drift(self):
+        with pytest.raises(DomainError, match="beta < 0"):
+            prob_wait_no_aband(np.array([-1.0, 0.5]), 1.0, 1.0)
+
+    @pytest.mark.parametrize("key", ["sigma", "beta", "gamma", "nu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite(self, key, bad):
+        values = {"sigma": 1.0, "beta": -1.0, "gamma": 1.0, "nu": 1.0, key: bad}
+        with pytest.raises(ConfigError, match=key):
+            DiffusionParams(**values)
 
 
 class TestStationaryDensities:
@@ -196,10 +238,10 @@ class TestQlEps:
         assert all(a - b > 1e-8 for a, b in zip(fsf, fsf[1:]))
 
     def test_node_convergence(self):
-        from hetq.diffusion import _expected_positive_part_vec, gauss_hermite_expectation
+        from hetq.diffusion import expected_positive_part_aband, gauss_hermite_expectation
 
         gamma = 1.0 + 0.3**2 / 3.0
-        fn = lambda b: _expected_positive_part_vec(b, 4.0, gamma, 2.0)
+        fn = lambda b: expected_positive_part_aband(b, 4.0, gamma, 2.0)
         v64 = gauss_hermite_expectation(fn, -2.0, 0.3 / math.sqrt(3.0), 64)
         v128 = gauss_hermite_expectation(fn, -2.0, 0.3 / math.sqrt(3.0), 128)
         assert abs(v64 - v128) <= 1e-6 * abs(v128)

@@ -38,14 +38,14 @@ class TestSSCFunction:
 
     def test_values(self):
         spec = SSCFunctionSpec(beta=(0.5, 0.5), mu=(1.0, 2.0))
-        assert ssc_g(spec, 0.0, [0.0, 0.0]) == 0.0
-        assert ssc_g(spec, 3.0, [1.0, 1.0]) == pytest.approx(1.0 / 3.0)
+        assert ssc_g(spec, [0.0, 0.0]) == 0.0
+        assert ssc_g(spec, [1.0, 1.0]) == pytest.approx(1.0 / 3.0)
 
     def test_single_pool_identity_collapse(self):
         spec = SSCFunctionSpec(beta=(1.0,), mu=(1.7,))
         assert spec.gamma_i == pytest.approx(1.7)
         for z in ([0.0], [3.0], [-2.5]):
-            assert ssc_g(spec, 1.0, z) == pytest.approx(0.0, abs=1e-12)
+            assert ssc_g(spec, z) == pytest.approx(0.0, abs=1e-12)
 
     @given(
         st.floats(0.0, 1.0),
@@ -56,8 +56,8 @@ class TestSSCFunction:
     def test_homogeneity_degree_one(self, alpha, z1, z2):
         spec = SSCFunctionSpec(beta=(0.5, 0.5), mu=(1.0, 2.0))
         z = np.array([z1, z2])
-        lhs = ssc_g(spec, 0.0, alpha * z)
-        rhs = alpha * ssc_g(spec, 0.0, z)
+        lhs = ssc_g(spec, alpha * z)
+        rhs = alpha * ssc_g(spec, z)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @given(st.floats(-10.0, 10.0))
@@ -68,12 +68,12 @@ class TestSSCFunction:
         g = spec.gamma_i
         z = t * np.array([g - 2.0, 1.0 - g])
         assert abs(sum(zi * (mi - g) for zi, mi in zip(z, spec.mu))) < 1e-12
-        assert ssc_g(spec, 0.0, z) == pytest.approx(0.0, abs=1e-10)
+        assert ssc_g(spec, z) == pytest.approx(0.0, abs=1e-10)
 
     def test_proportional_to_beta_not_in_kernel(self):
         # the pool-fraction direction itself does not null g for unequal rates
         spec = SSCFunctionSpec(beta=(0.5, 0.5), mu=(1.0, 2.0))
-        assert ssc_g(spec, 0.0, np.array(spec.beta)) > 0.1
+        assert ssc_g(spec, np.array(spec.beta)) > 0.1
 
 
 class TestSSCConvergence:

@@ -10,16 +10,14 @@ from scipy.stats import poisson
 
 from hetq.core import HalfinWhitt, Policy, RateDistribution, SystemConfig
 from hetq.diffusion import DiffusionParams, expected_positive_part, prob_wait_no_aband
-from hetq.errors import BracketError, DomainError, UnstableError
+from hetq.errors import BracketError, UnstableError
 from hetq.staffing import (
     CostSpec,
-    LinearDelay,
     cost_aband,
     cost_no_aband,
     erlang_a,
     erlang_c,
     optimize_staffing,
-    waiting_cost_G,
 )
 
 # frozen from an exhaustive 1e-4 grid scan of the abandonment cost at
@@ -93,22 +91,6 @@ class TestErlangA:
     def test_overloaded_still_converges(self):
         pw, mq, ab = erlang_a(50, 200.0, 1.0, 0.5)
         assert 0.0 < ab < 1.0 and mq > 0.0
-
-
-class TestWaitingCostG:
-    def test_zero_cost(self):
-        assert waiting_cost_G(3.0, 1.0, lambda t: 0.0) == 0.0
-
-    def test_linear_exact(self):
-        assert waiting_cost_G(3.0, 1.0, LinearDelay(3.0)) == pytest.approx(1.5, abs=1e-15)
-
-    def test_quadratic_gamma3(self):
-        # D(t) = t^2 against a unit-rate exponential wait: Gamma(3) = 2
-        assert waiting_cost_G(2.0, 1.0, lambda t: t * t) == pytest.approx(2.0, rel=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            waiting_cost_G(1.0, 1.0, LinearDelay(1.0))
 
 
 def _config(r=100.0, lam=100.0, policy=Policy.LISF, nu=0.0):
