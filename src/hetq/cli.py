@@ -111,6 +111,13 @@ def _abandon_mode(values: dict) -> AbandonMode:
         raise ConfigError(f"abandon_mode must be none/per_customer/perturbed, got {name!r}") from None
 
 
+def _reps(values: dict, default: int) -> int:
+    n_reps = int(values.get("reps", default))
+    if n_reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {n_reps}")
+    return n_reps
+
+
 def _diffusion_params(values: dict) -> dfn.DiffusionParams:
     dist = _rates(values)
     moments = rate_moments(dist)
@@ -140,7 +147,7 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
     horizon = float(values.get("horizon", 1000.0))
     warmup = float(values.get("warmup", 0.2))
     mode = _abandon_mode(values)
-    n_reps = int(values.get("reps", 1))
+    n_reps = _reps(values, 1)
     grid_points = int(values.get("grid_points", 10_000))
     queue_cap = int(values.get("queue_cap", 1_000_000))
     if n_reps <= 1:
@@ -291,7 +298,7 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
     r_values = values.get("r_values", (25.0, 100.0, 400.0))
     lambda_hat = float(values.get("lambda_hat", -3.0))
     horizon = float(values.get("ssc_horizon", 50.0))
-    n_reps = int(values.get("reps", 30))
+    n_reps = _reps(values, 30)
     seed = int(values.get("seed", 0))
     policy = values.get("policy", Policy.LISF)
     configs = [

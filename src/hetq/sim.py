@@ -7,17 +7,26 @@ customer, or the head-of-queue process that abandons at rate nu * Q(t).
 A run is strictly single-threaded and deterministic in (config, seed, rep).
 Counters (arrivals, departures, abandonments, busy time) are exact; the
 trajectory is additionally sampled on a uniform grid for trajectory output.
+
+The event core is one loop with the policy's idle set inlined (a LISF deque,
+an FSF heap keyed on -mu, a RANDOM swap list) and each random stream read
+through ``_draws``, a C-level iterator over blocks of 8192 draws. The order
+in which every stream is consumed is part of the determinism contract and
+is unchanged from earlier hetq versions, so their manifests rerun byte for
+byte (``tests/test_sim.py::TestStreamPinning`` pins it).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
-from typing import List, Optional, Tuple
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import chain
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,27 +64,18 @@ class AbandonMode(Enum):
     PERTURBED = "perturbed"
 
 
-class _Draws:
-    """Buffered draws from one generator's bound sampler.
+def _draws(sample) -> Callable[[], float]:
+    """Next-draw function over blocks of ``sample(8192)``, e.g. ``rng.random``.
 
-    ``sample`` is e.g. ``rng.standard_exponential`` (unit exponentials) or
-    ``rng.random`` (uniform(0,1)); it is called with the block size.
+    Blocks are drawn on demand and in order, so the values are those of
+    ``sample`` called repeatedly with the block size.
     """
+    return chain.from_iterable(iter(lambda: sample(_BLOCK).tolist(), None)).__next__
 
-    __slots__ = ("_sample", "_buf", "_i")
 
-    def __init__(self, sample):
-        self._sample = sample
-        self._buf = sample(_BLOCK).tolist()
-        self._i = 0
-
-    def __call__(self) -> float:
-        i = self._i
-        if i == _BLOCK:
-            self._buf = self._sample(_BLOCK).tolist()
-            i = 0
-        self._i = i + 1
-        return self._buf[i]
+def _check_horizon(horizon: float) -> None:
+    if not 0.0 < horizon < _INF:  # also false for NaN
+        raise ConfigError(f"horizon must be finite and > 0, got {horizon}")
 
 
 @dataclass
@@ -119,27 +119,6 @@ class PathRecord:
         return int(self.departures.sum())
 
 
-def _arrival_sampler(lam: float, scv: float, exp_draw: _Draws):
-    """Inter-arrival sampler for a renewal stream with the requested SCV.
-
-    SCV 1 is exponential; SCV in [0, 1) uses a deterministic-plus-exponential
-    inter-arrival d + m_e*E with m_e = sqrt(scv)/lam, which hits the SCV
-    exactly. Values above 1 are outside the simulator's renewal family.
-    """
-    if scv > 1.0 + 1e-12:
-        raise ConfigError(f"simulator supports arrival SCV in [0, 1], got {scv}")
-    if abs(scv - 1.0) <= 1e-12:
-        mean = 1.0 / lam
-        return lambda: mean * exp_draw()
-    if scv <= 0.0:
-        mean = 1.0 / lam
-        return lambda: mean
-    root = math.sqrt(scv)
-    det = (1.0 - root) / lam
-    m_e = root / lam
-    return lambda: det + m_e * exp_draw()
-
-
 def run(
     config: SystemConfig,
     system: RealizedSystem,
@@ -160,9 +139,13 @@ def run(
     run cleanly with the overflow flag set. With ``validate`` every event
     asserts flow conservation, work conservation, and the LISF selection
     rule.
+
+    Arrivals form a renewal stream with inter-arrival d + m_e*E, E unit
+    exponential: SCV 1 is exponential, SCV in [0, 1) takes
+    m_e = sqrt(scv)/lam, which hits the SCV exactly. Values above 1 are
+    outside the simulator's renewal family.
     """
-    if horizon <= 0.0:
-        raise ConfigError(f"horizon must be > 0, got {horizon}")
+    _check_horizon(horizon)
     if mode is not AbandonMode.NONE and config.abandon_rate <= 0.0:
         raise ConfigError(f"abandonment mode {mode.value} needs abandon_rate > 0")
     if grid_points < 2:
@@ -177,125 +160,88 @@ def run(
     lam = config.lambda_r
     nu = config.abandon_rate
     policy = config.policy
+    lisf = policy is Policy.LISF
+    fsf = policy is Policy.FSF
     seed = config.seed
-
-    arrival_exp = _Draws(rng_stream(seed, rep, Stream.ARRIVAL).standard_exponential)
-    service_exp = _Draws(rng_stream(seed, rep, Stream.SERVICE).standard_exponential)
-    abandon_exp = _Draws(rng_stream(seed, rep, Stream.ABANDON).standard_exponential)
-    routing_u = _Draws(rng_stream(seed, rep, Stream.ROUTING).random)
-    next_inter = _arrival_sampler(lam, config.arrival_scv, arrival_exp) if lam > 0.0 else None
-
     per_customer = mode is AbandonMode.PER_CUSTOMER
     perturbed = mode is AbandonMode.PERTURBED
 
-    # state
-    busy = [False] * n
-    busy_since = [0.0] * n
-    t_busy = [0.0] * n
-    d_count = [0] * n
-    z = [0] * n_pools
-    idle_since = [0.0] * n
-    dep_heap: List[Tuple[float, int]] = []
-
-    queue: deque = deque()
-    in_q: List[bool] = []
-    arr_t: List[float] = []
-    waited: List[bool] = []
-    waits: List[float] = []
-    abandoned: List[bool] = []
-    deadline_heap: List[Tuple[float, int]] = []
-
-    # idle-server structures (policy specific)
-    lisf_q: deque = deque()
-    fsf_heap: List[Tuple[float, int]] = []
-    rand_list: List[int] = []
-    rand_pos = [0] * n
-    idle_count = 0
-
-    def add_idle(k: int, t: float) -> None:
-        nonlocal idle_count
-        idle_count += 1
-        idle_since[k] = t
-        if policy is Policy.LISF:
-            lisf_q.append(k)
-        elif policy is Policy.FSF:
-            heappush(fsf_heap, (-mu[k], k))
+    scv = config.arrival_scv
+    det, m_e = 0.0, 0.0  # inter-arrival det + m_e * E
+    if lam > 0.0:
+        if scv > 1.0 + 1e-12:
+            raise ConfigError(f"simulator supports arrival SCV in [0, 1], got {scv}")
+        if abs(scv - 1.0) <= 1e-12:
+            m_e = 1.0 / lam
+        elif scv <= 0.0:
+            det = 1.0 / lam
         else:
-            rand_pos[k] = len(rand_list)
-            rand_list.append(k)
+            root = math.sqrt(scv)
+            det, m_e = (1.0 - root) / lam, root / lam
 
-    def pick_idle() -> int:
-        nonlocal idle_count
-        idle_count -= 1
-        if policy is Policy.LISF:
-            return lisf_q.popleft()
-        if policy is Policy.FSF:
-            while True:
-                _, k = heappop(fsf_heap)
-                if not busy[k]:
-                    return k
-        pos = int(routing_u() * len(rand_list))
-        if pos == len(rand_list):
-            pos -= 1
-        k = rand_list[pos]
-        last = rand_list[-1]
-        rand_list[pos] = last
-        rand_pos[last] = pos
-        rand_list.pop()
-        return k
+    arrival_exp = _draws(rng_stream(seed, rep, Stream.ARRIVAL).standard_exponential)
+    service_exp = _draws(rng_stream(seed, rep, Stream.SERVICE).standard_exponential)
+    abandon_exp = _draws(rng_stream(seed, rep, Stream.ABANDON).standard_exponential)
+    routing_u = _draws(rng_stream(seed, rep, Stream.ROUTING).random)
 
     # initial state: x0 in system, lowest-index servers busy first
     x = n if x0 is None else int(x0)
     if x < 0:
         raise ConfigError(f"x0 must be >= 0, got {x0}")
     n_busy0 = min(x, n)
-    for k in range(n):
-        if k < n_busy0:
-            busy[k] = True
-            z[pool_of[k]] += 1
-            heappush(dep_heap, (service_exp() / mu[k], k))
-        else:
-            add_idle(k, 0.0)
-    q = x - n_busy0
-    for _ in range(q):
-        cid = len(arr_t)
-        arr_t.append(0.0)
-        waited.append(True)
-        waits.append(math.nan)
-        abandoned.append(False)
-        in_q.append(True)
-        queue.append(cid)
-        if per_customer:
-            heappush(deadline_heap, (abandon_exp() / nu, cid))
-    n_seed_customers = len(arr_t)  # excluded from arrival statistics
+    busy = bytearray(n)  # 1 = busy; busy_view is its numpy view for the idle grid
+    busy[:n_busy0] = b"\x01" * n_busy0
+    busy_view = np.frombuffer(busy, dtype=np.uint8)
+    busy_since = [0.0] * n
+    t_busy = [0.0] * n
+    d_count = [0] * n
+    z = [0] * n_pools
+    for k in range(n_busy0):
+        z[pool_of[k]] += 1
+    # departure heap of unique (t, k) entries over a sentinel that never pops
+    dep_heap: List[Tuple[float, int]] = [(service_exp() / mu[k], k) for k in range(n_busy0)]
+    dep_heap.append((_INF, -1))
+    heapify(dep_heap)
 
-    busy_u8 = np.zeros(n, dtype=np.uint8)
-    busy_u8[:n_busy0] = 1
+    # idle set of the policy; the other two stay empty
+    idle_ids = range(n_busy0, n)
+    lisf_q: deque = deque(idle_ids if lisf else ())
+    fsf_heap = sorted((-mu[k], k) for k in idle_ids) if fsf else []  # sorted is a heap
+    rand_list = list(idle_ids) if not (lisf or fsf) else []
+    idle_since = [0.0] * n
+
+    # per-customer record; the x0 - N seed customers wait from time 0
+    q = x - n_busy0
+    queue: deque = deque(range(q))
+    in_q = [True] * q
+    arr_t = [0.0] * q
+    waited = [True] * q
+    waits = [math.nan] * q
+    abandoned = [False] * q
+    deadline_heap = [(abandon_exp() / nu, cid) for cid in range(q)] if per_customer else []
+    heapify(deadline_heap)
+    n_seed_customers = q  # excluded from arrival statistics
 
     grid_t = np.linspace(0.0, horizon, grid_points)
-    g_x = np.zeros(grid_points, dtype=np.int64)
-    g_q = np.zeros(grid_points, dtype=np.int64)
-    g_z = np.zeros((grid_points, n_pools), dtype=np.int64)
-    g_r = np.zeros(grid_points, dtype=np.int64)
-    g_a = np.zeros(grid_points, dtype=np.int64)
+    grid_list = grid_t.tolist() + [_INF]
+    grid = np.zeros((grid_points, 4 + n_pools), dtype=np.int64)  # X, Q, R, A, Z_1..
     idle_grid = np.zeros((grid_points, n), dtype=np.uint8) if record_idle else None
     gi = 0
+    t_grid = grid_list[0]
 
     a_count = 0
     r_count = 0
-    sum_d = 0
     x_init = x
-    next_arr = next_inter() if next_inter is not None else _INF
+    next_arr = det + m_e * arrival_exp() if lam > 0.0 else _INF
     hazard = abandon_exp() if perturbed else 0.0
     t_cur = 0.0
     overflowed = False
     end_time = horizon
-    grid_list = grid_t.tolist()
 
     while True:
-        t_dep = dep_heap[0][0] if dep_heap else _INF
+        t_dep = dep_heap[0][0]
         if perturbed:
-            t_ab = t_cur + max(hazard, 0.0) / (nu * q) if q > 0 else _INF
+            t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
         elif per_customer:
             while deadline_heap and not in_q[deadline_heap[0][1]]:
                 heappop(deadline_heap)
@@ -313,51 +259,48 @@ def run(
         if t_next > horizon:
             break
 
-        while gi < grid_points and grid_list[gi] < t_next:
-            g_x[gi] = x
-            g_q[gi] = q
-            g_r[gi] = r_count
-            g_a[gi] = a_count
-            for i in range(n_pools):
-                g_z[gi, i] = z[i]
+        if t_grid < t_next:
+            hi = bisect_left(grid_list, t_next, gi)
+            grid[gi:hi] = (x, q, r_count, a_count, *z)
             if record_idle:
-                idle_grid[gi] = busy_u8
-            gi += 1
+                idle_grid[gi:hi] = busy_view
+            gi = hi
+            t_grid = grid_list[gi]
 
         if perturbed and q > 0:
             hazard -= nu * q * (t_next - t_cur)
         t_cur = t_next
 
         if kind == 0:
-            # departure of server k
-            _, k = heappop(dep_heap)
+            # departure of server k; it takes the queue's head if anyone waits
+            k = dep_heap[0][1]
             x -= 1
             d_count[k] += 1
-            sum_d += 1
             t_busy[k] += t_cur - busy_since[k]
-            served = False
-            while queue:
+            if q:
                 cid = queue.popleft()
-                if in_q[cid]:
-                    in_q[cid] = False
-                    q -= 1
-                    waits[cid] = t_cur - arr_t[cid]
-                    busy_since[k] = t_cur
-                    heappush(dep_heap, (t_cur + service_exp() / mu[k], k))
-                    served = True
-                    break
-            if not served:
-                busy[k] = False
-                busy_u8[k] = 0
+                while not in_q[cid]:  # customers who abandoned while queued
+                    cid = queue.popleft()
+                in_q[cid] = False
+                q -= 1
+                waits[cid] = t_cur - arr_t[cid]
+                busy_since[k] = t_cur
+                heapreplace(dep_heap, (t_cur + service_exp() / mu[k], k))
+            else:
+                heappop(dep_heap)
+                busy[k] = 0
                 z[pool_of[k]] -= 1
-                add_idle(k, t_cur)
+                idle_since[k] = t_cur
+                if lisf:
+                    lisf_q.append(k)
+                elif fsf:
+                    heappush(fsf_heap, (-mu[k], k))
+                else:
+                    rand_list.append(k)
         elif kind == 1:
             # abandonment
             if perturbed:
-                while True:
-                    cid = queue.popleft()
-                    if in_q[cid]:
-                        break
+                cid = queue.popleft()  # the head; perturbed customers leave only from it
                 hazard = abandon_exp()
             else:
                 _, cid = heappop(deadline_heap)
@@ -374,16 +317,27 @@ def run(
             arr_t.append(t_cur)
             abandoned.append(False)
             x += 1
-            if idle_count > 0:
-                k = pick_idle()
-                if validate and policy is Policy.LISF:
+            if x <= n:
+                # an idle server exists: busy count is min(x, N)
+                if lisf:
+                    k = lisf_q.popleft()
+                elif fsf:
+                    k = heappop(fsf_heap)[1]
+                else:  # one routing uniform per pick
+                    m = len(rand_list)
+                    pos = int(routing_u() * m)
+                    if pos == m:
+                        pos -= 1
+                    k = rand_list[pos]
+                    rand_list[pos] = rand_list[-1]
+                    rand_list.pop()
+                if validate and lisf:
                     oldest = min(idle_since[j] for j in range(n) if not busy[j])
                     assert idle_since[k] == oldest, "LISF selection rule broken"
                 waited.append(False)
                 waits.append(0.0)
                 in_q.append(False)
-                busy[k] = True
-                busy_u8[k] = 1
+                busy[k] = 1
                 z[pool_of[k]] += 1
                 busy_since[k] = t_cur
                 heappush(dep_heap, (t_cur + service_exp() / mu[k], k))
@@ -399,30 +353,24 @@ def run(
                     overflowed = True
                     end_time = t_cur
                     break
-            next_arr = t_cur + next_inter()
+            next_arr = t_cur + (det + m_e * arrival_exp())
 
         if validate:
-            assert x == x_init + a_count - sum_d - r_count, "flow conservation broken"
+            idle_count = len(lisf_q) + len(fsf_heap) + len(rand_list)
+            assert x == x_init + a_count - sum(d_count) - r_count, "flow conservation broken"
             assert not (q > 0 and idle_count > 0), "work conservation broken"
             assert q == max(x - n, 0), "queue-headcount identity broken"
+            assert idle_count == n - sum(busy), "idle set out of step with busy flags"
 
     # fill the remaining grid with the terminal state
-    while gi < grid_points:
-        g_x[gi] = x
-        g_q[gi] = q
-        g_r[gi] = r_count
-        g_a[gi] = a_count
-        for i in range(n_pools):
-            g_z[gi, i] = z[i]
-        if record_idle:
-            idle_grid[gi] = busy_u8
-        gi += 1
+    grid[gi:] = (x, q, r_count, a_count, *z)
+    if record_idle:
+        idle_grid[gi:] = busy_view
+        idle_grid ^= 1  # stored busy flags; the record holds idle flags
     for k in range(n):
         if busy[k]:
             t_busy[k] += end_time - busy_since[k]
-
-    if record_idle:
-        idle_grid = (1 - idle_grid).astype(np.uint8)
+    g_x, g_q, g_r, g_a = grid[:, :4].T.copy()
 
     return PathRecord(
         r=config.r,
@@ -440,7 +388,7 @@ def run(
         grid_t=grid_t,
         grid_X=g_x,
         grid_Q=g_q,
-        grid_Z=g_z,
+        grid_Z=np.ascontiguousarray(grid[:, 4:]),
         grid_R=g_r,
         grid_A=g_a,
         idle_grid=idle_grid,
@@ -539,8 +487,7 @@ def coupled_run(
     n = system.n_servers
     if p_rate > float(mu.min()) + 1e-12:
         raise ConfigError(f"p_rate {p_rate} exceeds the minimum realized rate {mu.min()}")
-    if horizon <= 0.0:
-        raise ConfigError(f"horizon must be > 0, got {horizon}")
+    _check_horizon(horizon)
     if q_rate is None:
         q_rate = float(mu.max())
     elif q_rate < float(mu.max()):
@@ -549,15 +496,16 @@ def coupled_run(
     nu = config.abandon_rate
     master_rate = n * q_rate
 
-    arrival_exp = _Draws(rng_stream(config.seed, rep, Stream.ARRIVAL).standard_exponential)
-    skel_exp = _Draws(rng_stream(config.seed, rep, Stream.SKELETON).standard_exponential)
-    skel_u = _Draws(rng_stream(config.seed, rep, Stream.SERVICE).random)
-    pick_u = _Draws(rng_stream(config.seed, rep, Stream.ROUTING).random)
-    abandon_exp = _Draws(rng_stream(config.seed, rep, Stream.ABANDON).standard_exponential)
+    arrival_exp = _draws(rng_stream(config.seed, rep, Stream.ARRIVAL).standard_exponential)
+    skel_exp = _draws(rng_stream(config.seed, rep, Stream.SKELETON).standard_exponential)
+    skel_u = _draws(rng_stream(config.seed, rep, Stream.SERVICE).random)
+    pick_u = _draws(rng_stream(config.seed, rep, Stream.ROUTING).random)
+    abandon_exp = _draws(rng_stream(config.seed, rep, Stream.ABANDON).standard_exponential)
 
     mu_l = mu.tolist()
-    busy = [True] * n  # both systems start full: X(0) = N
-    x_het = n
+    busy_rate = np.array(mu, dtype=float)  # mu_k while busy, 0.0 while idle
+    running = np.empty(n)  # running totals of busy_rate
+    x_het = n  # both systems start full: X(0) = N
     x_hom = n
     sum_busy_mu = float(mu.sum())
     idle: deque = deque()  # LISF order for the heterogeneous twin
@@ -592,25 +540,18 @@ def coupled_run(
                     d_hom += 1
             # heterogeneous acceptance: realized busy rates
             if u <= sum_busy_mu / master_rate:
-                # free a busy server with probability proportional to its rate
+                # free a busy server with probability proportional to its rate:
+                # the first whose running rate total exceeds the target (the
+                # sum runs in index order and adds exact zeros for idle servers)
                 target = pick_u() * sum_busy_mu
-                acc = 0.0
-                freed = -1
-                for k in range(n):
-                    if busy[k]:
-                        acc += mu_l[k]
-                        if target < acc:
-                            freed = k
-                            break
-                if freed < 0:  # numerical edge: last busy server
-                    for k in range(n - 1, -1, -1):
-                        if busy[k]:
-                            freed = k
-                            break
+                np.add.accumulate(busy_rate, out=running)
+                freed = int(running.searchsorted(target, "right"))
+                if freed == n:  # numerical edge: last busy server
+                    freed = int(np.flatnonzero(busy_rate)[-1])
                 x_het -= 1
                 d_het += 1
                 if x_het < n:
-                    busy[freed] = False
+                    busy_rate[freed] = 0.0
                     sum_busy_mu -= mu_l[freed]
                     idle.append(freed)
                 # else: a queued customer takes the freed server immediately
@@ -630,7 +571,7 @@ def coupled_run(
             x_hom += 1
             if x_het <= n:
                 k = idle.popleft()
-                busy[k] = True
+                busy_rate[k] = mu_l[k]
                 sum_busy_mu += mu_l[k]
             next_arr = t_cur + arrival_exp() / lam
 
@@ -695,7 +636,13 @@ def replicate(
         (config, dist, rep, horizon, mode, warmup, grid_points, record_idle)
         for rep in range(n_reps)
     ]
-    threads = int(os.environ.get("HETQ_THREADS", "1"))
+    raw = os.environ.get("HETQ_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"HETQ_THREADS must be a positive integer, got {raw!r}")
     if threads > 1 and n_reps > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -83,6 +83,38 @@ class TestExitCodes:
         info = json.loads((tmp_path / "b" / "analysis.json").read_text())
         assert info["gamma"] == 1.2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_horizon_exits_2(self, cfg_file, tmp_path, capsys, value):
+        rc = main([
+            "simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o"),
+            "--set", f"horizon={value}",
+        ])
+        assert rc == 2
+        assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_exits_2(self, cfg_file, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("HETQ_THREADS", value)
+        rc = main([
+            "simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o"), "--reps", "2",
+        ])
+        assert rc == 2
+        assert "HETQ_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--set", "reps=0"], ["--reps", "-3"]])
+    def test_non_positive_reps_exits_2(self, cfg_file, tmp_path, capsys, args):
+        rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o"), *args])
+        assert rc == 2
+        assert "reps" in capsys.readouterr().err
+
+    def test_ssc_zero_reps_exits_2(self, tmp_path, capsys):
+        rc = main([
+            "ssc", "--out", str(tmp_path / "o"), "--set", "pools=0.5:1.0,0.5:2.0",
+            "--set", "r_values=4,9", "--set", "lambda_hat=-1", "--set", "reps=0",
+        ])
+        assert rc == 2
+        assert "reps" in capsys.readouterr().err
+
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     env = dict(os.environ)

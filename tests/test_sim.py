@@ -1,5 +1,6 @@
 """Event-engine behavior: invariants, oracles, coupling, replication."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -105,6 +106,14 @@ class TestRunBasics:
         cfg, s = homogeneous(2, 1.0, seed=1, nu=0.0)
         with pytest.raises(ConfigError):
             run(cfg, s, horizon=10.0, mode=AbandonMode.PERTURBED)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        cfg, s = homogeneous(3, 2.0, seed=1)
+        with pytest.raises(ConfigError, match="horizon"):
+            run(cfg, s, horizon=horizon)
+        with pytest.raises(ConfigError, match="horizon"):
+            coupled_run(cfg, 1.0, s, horizon)
 
     def test_scv_out_of_range(self):
         cfg = SystemConfig(r=2.0, lambda_r=1.0, seed=1, staffing=2, arrival_scv=2.5)
@@ -318,3 +327,112 @@ class TestExports:
         np.testing.assert_array_equal(
             path.grid_Z.sum(axis=1), np.minimum(path.grid_X, 20)
         )
+
+
+# --------------------------------------------------------------------------
+# Stream pinning: the engine must consume every random stream in a fixed
+# order, so manifests rerun byte for byte across engine rewrites. The digests
+# were computed with the engine that predates the inlined event core; a
+# change that alters them breaks every earlier manifest.
+# --------------------------------------------------------------------------
+
+_PATH_FIELDS = (
+    "grid_t", "grid_X", "grid_Q", "grid_Z", "grid_R", "grid_A", "idle_grid",
+    "arrival_t", "waits", "waited", "abandoned", "departures", "busy_time",
+)
+
+
+def _digest(arrays, scalars) -> str:
+    h = hashlib.sha256()
+    for name, a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{name}:{a.dtype.str}:{a.shape}".encode())
+        h.update(a.tobytes())
+    h.update(repr(scalars).encode())
+    return h.hexdigest()
+
+
+def _path_digest(path) -> str:
+    arrays = [(name, getattr(path, name)) for name in _PATH_FIELDS]
+    return _digest(arrays, (path.end_time, path.abandon_total, path.overflowed))
+
+
+def _pinned_path(policy, mode, *, pools=None, scv=1.0, x0=None, horizon=60.0):
+    nu = 0.0 if mode is AbandonMode.NONE else 0.6
+    cfg = SystemConfig(
+        r=30.0, lambda_r=30.0, seed=2024, staffing=HalfinWhitt(0.3),
+        arrival_scv=scv, abandon_rate=nu, policy=policy, pools=pools,
+    )
+    s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5), rep=3)
+    return run(
+        cfg, s, horizon=horizon, mode=mode, x0=x0, grid_points=301,
+        record_idle=True, rep=3, validate=True,
+    )
+
+
+_RUN_PINS = {
+    ("LISF", "none"): "8a046121fa58bf3f9d0a447b07195489b476ede9d785e755c21935abcca799ad",
+    ("LISF", "per_customer"): "43337843e9eee6be3b926dd95456d24a6444f56c63b8ef422ed6e17f9002416f",
+    ("LISF", "perturbed"): "6e0d75e44898a916758bcf0f34fda894668a263de34cca915e8bf47128f303b6",
+    ("FSF", "none"): "1b0eb57bcd57400a5a91b476c8b66fb7beb135f48b2345da5e4fe9f2c5695cbe",
+    ("FSF", "per_customer"): "dc675833dc7f79d89878600599964c55fed46fbabba99c649240deeeb03eced2",
+    ("FSF", "perturbed"): "15b99bf136b3a2970576299c1ce621f339e609a509e4dc7cec1399933e606a77",
+    ("RANDOM", "none"): "3c8898d7e484deb26938a6c1a172766499fdb4863e5db8d5850c39284d664d05",
+    ("RANDOM", "per_customer"): "f7d2442ef3ab7da0c37b78cb98bf4adfa2cc53599d56d144e853fbb6e520566f",
+    ("RANDOM", "perturbed"): "1ee9dffb7054ab3990e62bbff8eb9fe0b331707a70f6afd12614d854a035f526",
+}
+
+_VARIANT_PINS = {
+    "two_pools": "729daed4e21da4a61b4b0d6a7353a5aa2285443eefc0f4c74ee4f405bc43fc5b",
+    "scv_half": "4609bba6f44fcb3fa22cb5623b83d1b7a217c59c214bef8649f6e4bd63a63c58",
+    "scv_zero": "f7bb57a41d8c98277dfb595a6b664b91b3d9588f7916a71f4104b101d71b87d2",
+    "x0_above_n": "340b4f9774384bd43dc292dcd514f99b39c58ea7650a00a699337218d88d71f7",
+    "long_random": "b03cd309320092885a0428a692a0a88a5bc7c2b9e1f316b71040184a30b278cc",
+}
+
+_COUPLED_PINS = {
+    50: "80d452d1e8052aa205e8e310d35e2369d8088ed24f0c76f0f9910c470d6a06d6",
+    200: "94fe89bbc933092640cac02e8f998283ad27ed587ec1530a294955c2e9db4fc1",
+}
+
+
+def _variant_path(name):
+    if name == "two_pools":
+        return _pinned_path(
+            Policy.FSF, AbandonMode.PER_CUSTOMER, pools=((0.6, 0.8), (0.4, 1.4))
+        )
+    if name == "scv_half":
+        return _pinned_path(Policy.LISF, AbandonMode.PERTURBED, scv=0.5)
+    if name == "scv_zero":
+        return _pinned_path(Policy.RANDOM, AbandonMode.NONE, scv=0.0)
+    if name == "long_random":  # crosses draw-block boundaries on every stream
+        return _pinned_path(Policy.RANDOM, AbandonMode.PER_CUSTOMER, horizon=700.0)
+    return _pinned_path(Policy.LISF, AbandonMode.PER_CUSTOMER, x0=70)
+
+
+def _coupled_digest(n):
+    nu = 0.0 if n == 50 else 0.5
+    lam = 0.95 * n if n == 50 else 1.02 * n
+    cfg = SystemConfig(r=float(n), lambda_r=lam, seed=41, staffing=n, abandon_rate=nu)
+    s = RealizedSystem.realize(
+        cfg, RateDistribution.uniform(0.8, 1.2), rng_stream(41, 1, Stream.RATES)
+    )
+    cp = coupled_run(cfg, 0.8, s, 40.0, rep=1, q_rate=1.2)
+    return _digest(
+        [("t", cp.skeleton_t), ("hom", cp.d_hom), ("het", cp.d_het)], (cp.n_servers,)
+    )
+
+
+class TestStreamPinning:
+    @pytest.mark.parametrize("policy,mode", sorted(_RUN_PINS), ids=lambda v: v)
+    def test_run_policy_mode(self, policy, mode):
+        path = _pinned_path(Policy[policy], AbandonMode(mode))
+        assert _path_digest(path) == _RUN_PINS[(policy, mode)]
+
+    @pytest.mark.parametrize("name", sorted(_VARIANT_PINS))
+    def test_run_variant(self, name):
+        assert _path_digest(_variant_path(name)) == _VARIANT_PINS[name]
+
+    @pytest.mark.parametrize("n", sorted(_COUPLED_PINS))
+    def test_coupled_run(self, n):
+        assert _coupled_digest(n) == _COUPLED_PINS[n]

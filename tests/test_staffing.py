@@ -27,17 +27,27 @@ GOLDEN_COST = 28.299798127510865
 
 
 def birth_death_solve(n, lam, mu, nu=0.0, states=12000):
-    """Stationary law of the truncated birth-death chain by sparse linear solve."""
+    """Stationary law of the truncated birth-death chain by sparse linear solve.
+
+    The balance equation of state ``pin`` near the mode is replaced by
+    pi[pin] = 1, which keeps the matrix tridiagonal (no LU fill-in, unlike a
+    dense normalisation row) and pi within range (pinning pi[0] overflows at
+    large n); the solution is normalised afterwards.
+    """
     j = np.arange(states)
     birth = np.full(states, lam)
     birth[-1] = 0.0
     death = np.minimum(j, n) * mu + np.maximum(j - n, 0) * nu
-    diag = -(birth + death)
-    a = sparse.diags([death[1:], diag, birth[:-1]], offsets=[1, 0, -1], format="lil")
-    a[states - 1, :] = 1.0
+    upper, diag, lower = death[1:], -(birth + death), birth[:-1]  # views: not read again
+    pin = min(n, math.floor(lam))
+    upper[pin] = 0.0
+    diag[pin] = 1.0
+    if pin > 0:
+        lower[pin - 1] = 0.0
+    a = sparse.diags([upper, diag, lower], offsets=[1, 0, -1], format="csc")
     rhs = np.zeros(states)
-    rhs[-1] = 1.0
-    pi = spsolve(sparse.csc_matrix(a), rhs)
+    rhs[pin] = 1.0
+    pi = spsolve(a, rhs)
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     p_wait = pi[n:].sum()
