@@ -364,11 +364,13 @@ def _cmd_couple(values: dict) -> Dict[str, bytes]:
     p_rate = float(values.get("p_rate", dist.p))
     q_rate = max(dist.q, float(system.mu.max()))
     events = int(values.get("skeleton_events", 10_000))
+    if events < 1:
+        raise ConfigError(f"skeleton_events must be >= 1, got {events}")
     horizon = events / (system.n_servers * q_rate)
     cp = coupled_run(config, p_rate, system, horizon, q_rate=q_rate)
-    rows = [
-        (_f(t), str(int(h)), str(int(g)))
-        for t, h, g in zip(cp.skeleton_t, cp.d_hom, cp.d_het)
+    lines = ["t,D_hom,D_het"] + [
+        f"{t!r},{h},{g}"  # repr of a float is _f
+        for t, h, g in zip(cp.skeleton_t.tolist(), cp.d_hom.tolist(), cp.d_het.tolist())
     ]
     info = {
         "ordered_everywhere": cp.ordered_everywhere(),
@@ -378,7 +380,7 @@ def _cmd_couple(values: dict) -> Dict[str, bytes]:
         "final_gap": int(cp.d_het[-1] - cp.d_hom[-1]) if cp.skeleton_t.size else 0,
     }
     return {
-        "couple.csv": _csv(rows, ["t", "D_hom", "D_het"]).encode(),
+        "couple.csv": ("\n".join(lines) + "\n").encode(),
         "couple.json": _json_bytes(info),
     }
 

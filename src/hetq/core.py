@@ -248,14 +248,17 @@ class SystemConfig:
     pools: Optional[tuple] = None  # ((beta_i, mu_i), ...), mu strictly increasing
 
     def __post_init__(self):
-        if self.r <= 0.0:
-            raise ConfigError(f"scale index r must be > 0, got {self.r}")
-        if self.lambda_r < 0.0:
-            raise ConfigError(f"arrival rate must be >= 0, got {self.lambda_r}")
-        if self.arrival_scv < 0.0:
-            raise ConfigError(f"arrival SCV must be >= 0, got {self.arrival_scv}")
-        if self.abandon_rate < 0.0:
-            raise ConfigError(f"abandonment rate must be >= 0, got {self.abandon_rate}")
+        # chained compares are false for NaN, so these also reject it
+        if not 0.0 < self.r < math.inf:
+            raise ConfigError(f"scale index r must be finite and > 0, got {self.r}")
+        if not 0.0 <= self.lambda_r < math.inf:
+            raise ConfigError(f"arrival rate lambda_r must be finite and >= 0, got {self.lambda_r}")
+        if not 0.0 <= self.arrival_scv < math.inf:
+            raise ConfigError(f"arrival_scv must be finite and >= 0, got {self.arrival_scv}")
+        if not 0.0 <= self.abandon_rate < math.inf:
+            raise ConfigError(f"abandon_rate must be finite and >= 0, got {self.abandon_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.staffing, int):
             if self.staffing < 1:
                 raise ConfigError(f"explicit staffing must be >= 1, got {self.staffing}")

@@ -13,13 +13,17 @@ an FSF heap keyed on -mu, a RANDOM swap list) and each random stream read
 through ``_draws``, a C-level iterator over blocks of 8192 draws. The order
 in which every stream is consumed is part of the determinism contract and
 is unchanged from earlier hetq versions, so their manifests rerun byte for
-byte (``tests/test_sim.py::TestStreamPinning`` pins it).
+byte (``tests/test_sim.py::TestStreamPinning`` pins it). The per-customer
+record (arrival time, wait, waited and abandoned flags) is kept in typed
+buffers, about 19 bytes per arrival; it still grows with the number of
+arrivals, and ``PathRecord`` views it without a copy.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -210,14 +214,14 @@ def run(
     rand_list = list(idle_ids) if not (lisf or fsf) else []
     idle_since = [0.0] * n
 
-    # per-customer record; the x0 - N seed customers wait from time 0
+    # per-customer record in typed buffers; the x0 - N seed customers wait
+    # from time 0. A customer is queued exactly while its wait is NaN.
     q = x - n_busy0
     queue: deque = deque(range(q))
-    in_q = [True] * q
-    arr_t = [0.0] * q
-    waited = [True] * q
-    waits = [math.nan] * q
-    abandoned = [False] * q
+    arr_t = array("d", [0.0]) * q
+    waited = bytearray(b"\x01") * q
+    waits = array("d", [math.nan]) * q
+    abandoned = bytearray(q)
     deadline_heap = [(abandon_exp() / nu, cid) for cid in range(q)] if per_customer else []
     heapify(deadline_heap)
     n_seed_customers = q  # excluded from arrival statistics
@@ -243,8 +247,8 @@ def run(
         if perturbed:
             t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
         elif per_customer:
-            while deadline_heap and not in_q[deadline_heap[0][1]]:
-                heappop(deadline_heap)
+            while deadline_heap and waits[deadline_heap[0][1]] == waits[deadline_heap[0][1]]:
+                heappop(deadline_heap)  # already served
             t_ab = deadline_heap[0][0] if deadline_heap else _INF
         else:
             t_ab = _INF
@@ -279,9 +283,8 @@ def run(
             t_busy[k] += t_cur - busy_since[k]
             if q:
                 cid = queue.popleft()
-                while not in_q[cid]:  # customers who abandoned while queued
+                while waits[cid] == waits[cid]:  # customers who abandoned while queued
                     cid = queue.popleft()
-                in_q[cid] = False
                 q -= 1
                 waits[cid] = t_cur - arr_t[cid]
                 busy_since[k] = t_cur
@@ -304,18 +307,17 @@ def run(
                 hazard = abandon_exp()
             else:
                 _, cid = heappop(deadline_heap)
-            in_q[cid] = False
             q -= 1
             x -= 1
             r_count += 1
             waits[cid] = t_cur - arr_t[cid]
-            abandoned[cid] = True
+            abandoned[cid] = 1
         else:
             # arrival
             a_count += 1
             cid = len(arr_t)
             arr_t.append(t_cur)
-            abandoned.append(False)
+            abandoned.append(0)
             x += 1
             if x <= n:
                 # an idle server exists: busy count is min(x, N)
@@ -334,17 +336,15 @@ def run(
                 if validate and lisf:
                     oldest = min(idle_since[j] for j in range(n) if not busy[j])
                     assert idle_since[k] == oldest, "LISF selection rule broken"
-                waited.append(False)
+                waited.append(0)
                 waits.append(0.0)
-                in_q.append(False)
                 busy[k] = 1
                 z[pool_of[k]] += 1
                 busy_since[k] = t_cur
                 heappush(dep_heap, (t_cur + service_exp() / mu[k], k))
             else:
-                waited.append(True)
+                waited.append(1)
                 waits.append(math.nan)
-                in_q.append(True)
                 queue.append(cid)
                 q += 1
                 if per_customer:
@@ -392,10 +392,10 @@ def run(
         grid_R=g_r,
         grid_A=g_a,
         idle_grid=idle_grid,
-        arrival_t=np.asarray(arr_t[n_seed_customers:], dtype=float),
-        waits=np.asarray(waits[n_seed_customers:], dtype=float),
-        waited=np.asarray(waited[n_seed_customers:], dtype=bool),
-        abandoned=np.asarray(abandoned[n_seed_customers:], dtype=bool),
+        arrival_t=np.frombuffer(arr_t, dtype=float)[n_seed_customers:],
+        waits=np.frombuffer(waits, dtype=float)[n_seed_customers:],
+        waited=np.frombuffer(waited, dtype=bool)[n_seed_customers:],
+        abandoned=np.frombuffer(abandoned, dtype=bool)[n_seed_customers:],
         abandon_total=r_count,
         departures=np.asarray(d_count, dtype=np.int64),
         busy_time=np.asarray(t_busy, dtype=float),
@@ -485,6 +485,8 @@ def coupled_run(
     """
     mu = system.mu
     n = system.n_servers
+    if not 0.0 < p_rate < _INF:  # also false for NaN
+        raise ConfigError(f"p_rate must be finite and > 0, got {p_rate}")
     if p_rate > float(mu.min()) + 1e-12:
         raise ConfigError(f"p_rate {p_rate} exceeds the minimum realized rate {mu.min()}")
     _check_horizon(horizon)

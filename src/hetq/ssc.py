@@ -360,9 +360,10 @@ def fairness_estimate(
     theory = eta_theory(dist, edges, path.policy) if dist is not None else None
     sup = None
     if theory is not None and path.idle_grid is not None:
-        member = np.zeros((path.n_servers, n_bins))
-        member[np.arange(path.n_servers), which] = 1.0
-        per_bin = path.idle_grid.astype(float) @ member  # (grid, bins)
+        # exact integer idle counts per bin, without a float copy of the grid
+        per_bin = np.empty((path.idle_grid.shape[0], n_bins))
+        for b in range(n_bins):
+            per_bin[:, b] = path.idle_grid[:, which == b].sum(axis=1)
         idle_tot = path.idle_grid.sum(axis=1).astype(float)
         dev = np.abs(per_bin - theory[None, :] * idle_tot[:, None])
         sup = float(dev.max() / math.sqrt(path.n_servers))

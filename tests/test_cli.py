@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hetq
-from hetq.cli import dispatch, main, rerun_manifest
+from hetq.cli import _csv, _f, dispatch, main, rerun_manifest
 
 
 def read(path):
@@ -106,6 +106,26 @@ class TestExitCodes:
         rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o"), *args])
         assert rc == 2
         assert "reps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting", ["lambda_r=nan", "r=inf", "arrival_scv=nan", "abandon_rate=inf", "seed=-5"]
+    )
+    def test_bad_system_config_exits_2(self, cfg_file, tmp_path, capsys, setting):
+        rc = main([
+            "simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o"),
+            "--set", setting,
+        ])
+        assert rc == 2
+        assert setting.split("=")[0] + " must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["p_rate=-1", "p_rate=0", "skeleton_events=0"])
+    def test_bad_couple_setting_exits_2(self, tmp_path, capsys, setting):
+        rc = main([
+            "couple", "--out", str(tmp_path / "o"), "--set", "lambda_r=5.0",
+            "--set", "skeleton_events=200", "--set", setting,
+        ])
+        assert rc == 2
+        assert setting.split("=")[0] + " must" in capsys.readouterr().err
 
     def test_ssc_zero_reps_exits_2(self, tmp_path, capsys):
         rc = main([
@@ -229,6 +249,32 @@ class TestOtherCommands:
         assert info["ordered_everywhere"] is True
         header = (tmp_path / "o" / "couple.csv").read_text().splitlines()[0]
         assert header == "t,D_hom,D_het"
+
+    def test_couple_csv_matches_per_row_formatting(self, tmp_path, monkeypatch):
+        runs = []
+        coupled_run = hetq.cli.coupled_run
+
+        def spy(*args, **kwargs):
+            runs.append(coupled_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(hetq.cli, "coupled_run", spy)
+        rc = main([
+            "couple", "--out", str(tmp_path / "o"),
+            "--set", "lambda_r=20.0", "--set", "r=20.0", "--set", "staffing=20",
+            "--set", "rates=uniform(0.8,1.2)", "--set", "p_rate=0.8",
+            "--set", "skeleton_events=400",
+        ])
+        assert rc == 0
+        (cp,) = runs
+        # reference: one tuple of _f/str cells per skeleton point, joined by _csv
+        rows = [
+            (_f(t), str(int(h)), str(int(g)))
+            for t, h, g in zip(cp.skeleton_t, cp.d_hom, cp.d_het)
+        ]
+        expected = _csv(rows, ["t", "D_hom", "D_het"]).encode()
+        assert read(tmp_path / "o" / "couple.csv") == expected
+        assert len(rows) > 300
 
     def test_fairness_outputs(self, tmp_path):
         rc = main([

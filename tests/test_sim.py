@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,10 @@ class TestRunBasics:
         assert path.abandon_total == 0
         assert path.grid_X[-1] == 0
         assert path.departures_total == 10
+        # the empty per-customer record keeps its dtypes
+        assert path.arrival_t.dtype == np.float64 and path.waits.dtype == np.float64
+        assert path.waited.dtype == np.bool_ and path.abandoned.dtype == np.bool_
+        assert path.arrival_t.size == path.waits.size == path.waited.size == 0
 
     def test_constant_path_estimates(self):
         cfg, s = homogeneous(5, 0.0)
@@ -261,6 +266,42 @@ class TestCoupledRun:
         s = RealizedSystem.realize(cfg, d, rng_stream(3, 0, Stream.RATES))
         with pytest.raises(ConfigError):
             coupled_run(cfg, 1.1, s, 50.0)
+
+    @pytest.mark.parametrize("p_rate", [0.0, -1.0, math.nan, math.inf])
+    def test_p_rate_must_be_finite_and_positive(self, p_rate):
+        cfg, s = homogeneous(10, 8.0)
+        with pytest.raises(ConfigError, match="p_rate"):
+            coupled_run(cfg, p_rate, s, 50.0)
+
+
+class TestMemory:
+    # the typed per-customer record costs about 19 bytes per arrival; Python
+    # lists of per-customer objects (pointer plus object each) exceed the bound
+    @pytest.mark.parametrize(
+        "policy,mode",
+        [
+            (Policy.LISF, AbandonMode.NONE),
+            (Policy.FSF, AbandonMode.PER_CUSTOMER),
+            (Policy.RANDOM, AbandonMode.PERTURBED),
+        ],
+        ids=lambda v: v.value,
+    )
+    def test_peak_bytes_per_arrival(self, policy, mode):
+        nu = 0.0 if mode is AbandonMode.NONE else 0.5
+        cfg = SystemConfig(
+            r=100.0, lambda_r=100.0, seed=5, staffing=HalfinWhitt(0.5),
+            abandon_rate=nu, policy=policy,
+        )
+        s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            path = run(cfg, s, horizon=1000.0, mode=mode, grid_points=100, record_idle=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert path.arrivals_total > 90_000
+        assert peak / path.arrivals_total <= 40.0
 
 
 class TestReplicate:

@@ -224,6 +224,25 @@ class TestFairness:
         assert fe.eta_theory[0] == 1.0
         assert fe.eta_hat[0] >= 0.95
 
+    def test_sup_discrepancy_equals_matmul_reference(self):
+        d = RateDistribution.uniform(0.5, 1.5)
+        cfg = SystemConfig(r=20.0, lambda_r=17.0, seed=6, staffing=20, policy=Policy.LISF)
+        s = RealizedSystem.realize(cfg, d, rng_stream(6, 0, Stream.RATES))
+        path = run(cfg, s, horizon=80.0, grid_points=400, record_idle=True)
+        edges = default_bins(d, 40)
+        fe = fairness_estimate(path, s.mu, edges, dist=d)
+        n_bins = edges.size - 1
+        which = np.clip(np.searchsorted(edges, s.mu, side="right") - 1, 0, n_bins - 1)
+        assert np.bincount(which, minlength=n_bins).min() == 0  # an empty bin
+        # reference: a float copy of the idle grid times a bin-membership matrix
+        member = np.zeros((path.n_servers, n_bins))
+        member[np.arange(path.n_servers), which] = 1.0
+        per_bin = path.idle_grid.astype(float) @ member
+        idle_tot = path.idle_grid.sum(axis=1).astype(float)
+        dev = np.abs(per_bin - fe.eta_theory[None, :] * idle_tot[:, None])
+        assert fe.sup_discrepancy == float(dev.max() / math.sqrt(path.n_servers))
+        assert fe.sup_discrepancy > 0.0
+
     def test_no_idleness(self):
         cfg = SystemConfig(r=3.0, lambda_r=50.0, seed=1, staffing=3)
         s = RealizedSystem(n_servers=3, mu=np.ones(3), mu_bar=1.0, r=3.0, lambda_r=50.0)
