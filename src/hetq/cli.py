@@ -90,7 +90,7 @@ def _system_config(values: dict, need_lambda=True) -> SystemConfig:
     return SystemConfig(
         r=r,
         lambda_r=lambda_r,
-        seed=int(values.get("seed", 0)),
+        seed=int(values["seed"]),
         staffing=values.get("staffing", HalfinWhitt(1.0)),
         arrival_scv=float(values.get("arrival_scv", 1.0)),
         abandon_rate=float(values.get("abandon_rate", 0.0)),
@@ -104,15 +104,15 @@ def _rates(values: dict) -> RateDistribution:
 
 
 def _abandon_mode(values: dict) -> AbandonMode:
-    name = str(values.get("abandon_mode", "none")).lower()
+    name = str(values["abandon_mode"]).lower()
     try:
         return AbandonMode(name)
     except ValueError:
         raise ConfigError(f"abandon_mode must be none/per_customer/perturbed, got {name!r}") from None
 
 
-def _reps(values: dict, default: int) -> int:
-    n_reps = int(values.get("reps", default))
+def _reps(values: dict) -> int:
+    n_reps = int(values["reps"])
     if n_reps < 1:
         raise ConfigError(f"reps must be >= 1, got {n_reps}")
     return n_reps
@@ -144,12 +144,12 @@ def _diffusion_params(values: dict) -> dfn.DiffusionParams:
 def _cmd_simulate(values: dict) -> Dict[str, bytes]:
     config = _system_config(values)
     dist = _rates(values)
-    horizon = float(values.get("horizon", 1000.0))
-    warmup = float(values.get("warmup", 0.2))
+    horizon = float(values["horizon"])
+    warmup = float(values["warmup"])
     mode = _abandon_mode(values)
-    n_reps = _reps(values, 1)
-    grid_points = int(values.get("grid_points", 10_000))
-    queue_cap = int(values.get("queue_cap", 1_000_000))
+    n_reps = _reps(values)
+    grid_points = int(values["grid_points"])
+    queue_cap = int(values["queue_cap"])
     if n_reps <= 1:
         system = RealizedSystem.from_config(config, dist)
         path = run(
@@ -160,7 +160,6 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
             x0=values.get("x0"),
             grid_points=grid_points,
             queue_cap=queue_cap,
-            record_idle=bool(values.get("record_idle", True)),
         )
         est = steady_estimates(path, warmup)
         summary = path_summary(path)
@@ -200,13 +199,15 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
 
 
 def _cmd_analyze(values: dict) -> Dict[str, bytes]:
+    points = int(values["density_points"])
+    if points < 2:
+        raise ConfigError(f"density_points must be >= 2, got {points}")
     params = _diffusion_params(values)
     if params.nu > 0.0:
         dens = dfn.stationary_aband(params)
     else:
         dens = dfn.stationary_no_aband(params)
     epp = dfn.expected_positive_part(params)
-    points = int(values.get("density_points", 401))
     span = values.get("density_span")
     if span is None:
         upper_scale = dens.upper.mean() if params.nu == 0.0 else abs(params.beta / params.nu) + params.sigma
@@ -234,12 +235,12 @@ def _cmd_analyze(values: dict) -> Dict[str, bytes]:
 def _cmd_staff(values: dict) -> Dict[str, bytes]:
     config = _system_config(values)
     dist = _rates(values)
-    model = str(values.get("cost_model", "abandon")).lower()
+    model = str(values["cost_model"]).lower()
     cost = CostSpec(
-        c_s=float(values.get("c_s", 1.0)),
-        c_w=float(values.get("c_w", 1.0)),
-        d=float(values.get("d", 1.0)),
-        c_un=float(values.get("c_un", 0.0)),
+        c_s=float(values["c_s"]),
+        c_w=float(values["c_w"]),
+        d=float(values["d"]),
+        c_un=float(values["c_un"]),
         nu=float(values.get("nu", values.get("abandon_rate", 0.0))),
     )
     if model == "abandon":
@@ -248,8 +249,8 @@ def _cmd_staff(values: dict) -> Dict[str, bytes]:
         fn = lambda x: cost_no_aband(x, config, dist, cost)
     else:
         raise ConfigError(f"cost_model must be 'waiting' or 'abandon', got {model!r}")
-    bracket = (float(values.get("bracket_lo", 0.05)), float(values.get("bracket_hi", 6.0)))
-    tol = float(values.get("opt_tol", 1e-4))
+    bracket = (float(values["bracket_lo"]), float(values["bracket_hi"]))
+    tol = float(values["opt_tol"])
     res = optimize_staffing(fn, bracket, tol=tol)
     offered = config.lambda_r / dist.mean()
     n_star = math.ceil(offered + res.x_star * math.sqrt(offered))
@@ -275,13 +276,15 @@ def _cmd_staff(values: dict) -> Dict[str, bytes]:
 
 
 def _cmd_ql_sweep(values: dict) -> Dict[str, bytes]:
-    sigma = float(values.get("sigma", 4.0))
-    theta = float(values.get("theta", 2.0))
-    nu = float(values.get("nu", 2.0))
-    mu_bar = float(values.get("mu_bar", 1.0))
-    lo = float(values.get("eps_min", 0.05))
-    hi = float(values.get("eps_max", 0.5))
-    steps = int(values.get("eps_steps", 10))
+    sigma = float(values["sigma"])
+    theta = float(values["theta"])
+    nu = float(values["nu"])
+    mu_bar = float(values["mu_bar"])
+    lo = float(values["eps_min"])
+    hi = float(values["eps_max"])
+    steps = int(values["eps_steps"])
+    if steps < 1:
+        raise ConfigError(f"eps_steps must be >= 1, got {steps}")
     eps_grid = np.linspace(lo, hi, steps)
     rows = []
     for eps in eps_grid:
@@ -295,11 +298,11 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
     pools = values.get("pools")
     if pools is None:
         raise ConfigError("ssc needs the 'pools' key (inverted-V structure)")
-    r_values = values.get("r_values", (25.0, 100.0, 400.0))
-    lambda_hat = float(values.get("lambda_hat", -3.0))
-    horizon = float(values.get("ssc_horizon", 50.0))
-    n_reps = _reps(values, 30)
-    seed = int(values.get("seed", 0))
+    r_values = values["r_values"]
+    lambda_hat = float(values["lambda_hat"])
+    horizon = float(values["ssc_horizon"])
+    n_reps = _reps(values)
+    seed = int(values["seed"])
     policy = values.get("policy", Policy.LISF)
     configs = [
         ssc_mod.inverted_v_config(rv, pools, lambda_hat, seed=seed, policy=policy)
@@ -325,17 +328,15 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
 def _cmd_fairness(values: dict) -> Dict[str, bytes]:
     config = _system_config(values)
     dist = _rates(values)
-    horizon = float(values.get("horizon", 1000.0))
-    n_bins = int(values.get("bins", 10))
-    system = RealizedSystem.from_config(config, dist)
-    path = run(
-        config,
-        system,
-        horizon,
-        record_idle=bool(values.get("record_idle", True)),
-        grid_points=int(values.get("grid_points", 10_000)),
-    )
+    n_bins = int(values["bins"])
+    if n_bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {n_bins}")
     edges = ssc_mod.default_bins(dist, n_bins)
+    system = RealizedSystem.from_config(config, dist)
+    # servers grouped by rate bin: the busy counts per group give the idle
+    # counts per bin that the sup discrepancy needs
+    by_bin = system.grouped(ssc_mod.rate_bin(system.mu, edges), edges.size - 1)
+    path = run(config, by_bin, float(values["horizon"]), grid_points=int(values["grid_points"]))
     fe = ssc_mod.fairness_estimate(path, system.mu, edges, dist=dist)
     rows = []
     for b in range(edges.size - 1):
@@ -344,7 +345,7 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
     info = {
         "policy": config.policy.value,
         "total_idle_time": fe.total_idle_time,
-        "sup_discrepancy": fe.sup_discrepancy,
+        "sup_discrepancy": fe.sup_discrepancy if values["record_idle"] else None,
         "sup_abs_error": (
             float(np.abs(fe.eta_hat - fe.eta_theory).max())
             if fe.eta_theory is not None
@@ -363,7 +364,7 @@ def _cmd_couple(values: dict) -> Dict[str, bytes]:
     system = RealizedSystem.from_config(config, dist)
     p_rate = float(values.get("p_rate", dist.p))
     q_rate = max(dist.q, float(system.mu.max()))
-    events = int(values.get("skeleton_events", 10_000))
+    events = int(values["skeleton_events"])
     if events < 1:
         raise ConfigError(f"skeleton_events must be >= 1, got {events}")
     horizon = events / (system.n_servers * q_rate)
@@ -400,8 +401,7 @@ _HANDLERS = {
 _DEFAULTS = {
     "simulate": {
         "seed": 0, "horizon": 1000.0, "warmup": 0.2, "abandon_mode": "none",
-        "grid_points": 10_000, "queue_cap": 1_000_000, "record_idle": True,
-        "reps": 1,
+        "grid_points": 10_000, "queue_cap": 1_000_000, "reps": 1,
     },
     "analyze": {"density_points": 401},
     "staff": {
@@ -459,7 +459,10 @@ def dispatch(command: str, values: dict, out_dir, fmt: str = "csv") -> dict:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the output directory: {exc.strerror}") from None
     values = {**_DEFAULTS.get(command, {}), **values}
     artifacts = _HANDLERS[command](values)
     if fmt == "json":
@@ -502,8 +505,16 @@ def dispatch(command: str, values: dict, out_dir, fmt: str = "csv") -> dict:
 
 def rerun_manifest(manifest_path, out_dir) -> dict:
     """Replay a manifest; artifact bytes must reproduce exactly."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read manifest {manifest_path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"manifest {manifest_path} is not JSON: {exc}") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and "command" in manifest):
+        raise ConfigError(f"manifest {manifest_path} needs a 'command' and a 'config' object")
     text = "\n".join(f"{k} = {v}" for k, v in manifest["config"].items())
     values = parse_config_text(text)
     return dispatch(manifest["command"], values, out_dir, fmt=manifest.get("format", "csv"))

@@ -9,7 +9,7 @@ threads. Randomness is handled through named streams derived from a single
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -151,7 +151,9 @@ class RateDistribution:
         if self.kind == "uniform":
             # E[X^2] = (lo^2 + lo*hi + hi^2) / 3 for uniform(lo, hi)
             return (self.lo * self.lo + self.lo * self.hi + self.hi * self.hi) / 3.0
-        return sum(r * r * pr for r, pr in self.atoms)
+        # centred form m^2 + sum p*(r - m)^2: rounding cannot push it below m^2
+        m = self.mean()
+        return m * m + sum(pr * (r - m) ** 2 for r, pr in self.atoms)
 
     def variance(self) -> float:
         m = self.mean()
@@ -301,6 +303,10 @@ class RealizedSystem:
 
     ``zeta_hat`` is the CLT-centered total rate (sum_mu - N*mu_bar)/sqrt(r);
     it is the finite-scale stand-in for the limit drift's random part.
+
+    ``pool_of`` puts each server in a group whose busy servers the engine
+    counts, and ``pool_sizes`` holds the group sizes: the inverted-V pools,
+    rate bins (see ``grouped``) or one group per server. None is one group.
     """
 
     n_servers: int
@@ -339,6 +345,11 @@ class RealizedSystem:
     @property
     def n_pools(self) -> int:
         return 1 if self.pool_sizes is None else len(self.pool_sizes)
+
+    def grouped(self, group_of, n_groups: int = 0) -> "RealizedSystem":
+        """The same servers, counted in groups: server k in ``group_of[k]``."""
+        sizes = np.bincount(group_of, minlength=n_groups)
+        return replace(self, pool_of=group_of, pool_sizes=tuple(sizes.tolist()))
 
     @classmethod
     def realize(
@@ -425,22 +436,12 @@ def _parse_staffing(text: str) -> Staffing:
         raise ConfigError(f"staffing must be an integer or hw(theta), got {text!r}") from None
 
 
-def _format_staffing(st: Staffing) -> str:
-    if isinstance(st, HalfinWhitt):
-        return f"hw({st.theta!r})"
-    return str(st)
-
-
 def _parse_pools(text: str):
     pools = []
     for part in text.split(","):
         beta, mu = part.split(":")
         pools.append((float(beta), float(mu)))
     return tuple(pools)
-
-
-def _format_pools(pools) -> str:
-    return ",".join(f"{b!r}:{m!r}" for b, m in pools)
 
 
 def _parse_policy(text: str) -> Policy:
@@ -473,65 +474,66 @@ def _fmt(value) -> str:
     if isinstance(value, (int, float, str)):
         return repr(value) if isinstance(value, float) else str(value)
     if isinstance(value, HalfinWhitt):
-        return _format_staffing(value)
+        return f"hw({value.theta!r})"
     if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return _format_pools(value)
+        if value and isinstance(value[0], tuple):  # pools
+            return ",".join(f"{b!r}:{m!r}" for b, m in value)
         return ",".join(repr(float(v)) for v in value)
     raise ConfigError(f"cannot format config value {value!r}")
 
 
-# key -> (parser, formatter). Keys mirror SystemConfig plus the knobs of the
-# individual subcommands; everything is optional and validated at use time.
+# key -> parser; ``_fmt`` renders every value. Keys mirror SystemConfig plus
+# the knobs of the individual subcommands; everything is optional and
+# validated at use time.
 CONFIG_KEYS: dict = {
     # system
-    "r": (float, None),
-    "lambda_r": (float, None),
-    "seed": (int, None),
-    "arrival_scv": (float, None),
-    "staffing": (_parse_staffing, _format_staffing),
-    "abandon_rate": (float, None),
-    "policy": (_parse_policy, lambda p: p.value),
-    "rates": (_parse_rates, _format_rates),
-    "pools": (_parse_pools, _format_pools),
+    "r": float,
+    "lambda_r": float,
+    "seed": int,
+    "arrival_scv": float,
+    "staffing": _parse_staffing,
+    "abandon_rate": float,
+    "policy": _parse_policy,
+    "rates": _parse_rates,
+    "pools": _parse_pools,
     # simulation
-    "horizon": (float, None),
-    "warmup": (float, None),
-    "abandon_mode": (str, None),
-    "x0": (int, None),
-    "grid_points": (int, None),
-    "queue_cap": (int, None),
-    "record_idle": (_parse_bool, _fmt),
-    "reps": (int, None),
+    "horizon": float,
+    "warmup": float,
+    "abandon_mode": str,
+    "x0": int,
+    "grid_points": int,
+    "queue_cap": int,
+    "record_idle": _parse_bool,
+    "reps": int,
     # staffing costs
-    "c_s": (float, None),
-    "c_w": (float, None),
-    "d": (float, None),
-    "c_un": (float, None),
-    "cost_model": (str, None),
-    "bracket_lo": (float, None),
-    "bracket_hi": (float, None),
-    "opt_tol": (float, None),
+    "c_s": float,
+    "c_w": float,
+    "d": float,
+    "c_un": float,
+    "cost_model": str,
+    "bracket_lo": float,
+    "bracket_hi": float,
+    "opt_tol": float,
     # diffusion analytics
-    "beta": (float, None),
-    "sigma": (float, None),
-    "gamma": (float, None),
-    "nu": (float, None),
-    "theta": (float, None),
-    "mu_bar": (float, None),
-    "density_points": (int, None),
-    "density_span": (float, None),
+    "beta": float,
+    "sigma": float,
+    "gamma": float,
+    "nu": float,
+    "theta": float,
+    "mu_bar": float,
+    "density_points": int,
+    "density_span": float,
     # ql sweep
-    "eps_min": (float, None),
-    "eps_max": (float, None),
-    "eps_steps": (int, None),
+    "eps_min": float,
+    "eps_max": float,
+    "eps_steps": int,
     # ssc / fairness / coupling
-    "r_values": (_parse_floats, _fmt),
-    "ssc_horizon": (float, None),
-    "lambda_hat": (float, None),
-    "bins": (int, None),
-    "p_rate": (float, None),
-    "skeleton_events": (int, None),
+    "r_values": _parse_floats,
+    "ssc_horizon": float,
+    "lambda_hat": float,
+    "bins": int,
+    "p_rate": float,
+    "skeleton_events": int,
 }
 
 
@@ -549,7 +551,7 @@ def parse_config_text(text: str) -> dict:
         val = val.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        parser = CONFIG_KEYS[key][0]
+        parser = CONFIG_KEYS[key]
         try:
             values[key] = parser(val)
         except ConfigError:
@@ -570,7 +572,5 @@ def format_config(values: dict) -> str:
     for key in sorted(values):
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        formatter = CONFIG_KEYS[key][1]
-        value = values[key]
-        lines.append(f"{key} = {formatter(value) if formatter else _fmt(value)}")
+        lines.append(f"{key} = {_fmt(values[key])}")
     return "\n".join(lines) + "\n"

@@ -51,10 +51,6 @@ def _log_phi(x):
     return -0.5 * np.square(x) - _LOG_SQRT_2PI
 
 
-def _phi(x):
-    return np.exp(_log_phi(x))
-
-
 @dataclass(frozen=True)
 class DiffusionParams:
     """Coefficients (sigma, beta, gamma, nu) of the limit SDE."""
@@ -209,10 +205,6 @@ class SteadyStateDensity:
         left = (1.0 - self.varrho) * self.lower.density_at_zero()
         right = self.varrho * self.upper.density_at_zero()
         return abs(left - right) / right
-
-    def mean_positive_part(self) -> float:
-        """E[xi^+; xi >= 0] = varrho * E[upper]."""
-        return self.varrho * self.upper.mean()
 
 
 def stationary_no_aband(params: DiffusionParams) -> SteadyStateDensity:

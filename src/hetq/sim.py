@@ -7,6 +7,9 @@ customer, or the head-of-queue process that abandons at rate nu * Q(t).
 A run is strictly single-threaded and deterministic in (config, seed, rep).
 Counters (arrivals, departures, abandonments, busy time) are exact; the
 trajectory is additionally sampled on a uniform grid for trajectory output.
+Occupancy is recorded as one busy count per server group
+(``RealizedSystem.pool_of``): the inverted-V pools, rate bins for the
+fairness statistic, or one group per server.
 
 The event core is one loop with the policy's idle set inlined (a LISF deque,
 an FSF heap keyed on -mu, a RANDOM swap list) and each random stream read
@@ -101,10 +104,9 @@ class PathRecord:
     grid_t: np.ndarray
     grid_X: np.ndarray
     grid_Q: np.ndarray
-    grid_Z: np.ndarray  # (grid, pools)
+    grid_Z: np.ndarray  # (grid, groups) busy servers per pool_of group
     grid_R: np.ndarray
     grid_A: np.ndarray
-    idle_grid: Optional[np.ndarray]  # (grid, servers) 1 = idle
     arrival_t: np.ndarray
     waits: np.ndarray  # NaN when unresolved at end_time
     waited: np.ndarray
@@ -131,7 +133,6 @@ def run(
     x0: Optional[int] = None,
     grid_points: int = 10_000,
     queue_cap: int = 1_000_000,
-    record_idle: bool = True,
     rep: int = 0,
     validate: bool = False,
 ) -> PathRecord:
@@ -154,6 +155,8 @@ def run(
         raise ConfigError(f"abandonment mode {mode.value} needs abandon_rate > 0")
     if grid_points < 2:
         raise ConfigError("need at least two grid points")
+    if queue_cap < 0:
+        raise ConfigError(f"queue_cap must be >= 0, got {queue_cap}")
 
     n = system.n_servers
     mu = system.mu.tolist()
@@ -193,9 +196,8 @@ def run(
     if x < 0:
         raise ConfigError(f"x0 must be >= 0, got {x0}")
     n_busy0 = min(x, n)
-    busy = bytearray(n)  # 1 = busy; busy_view is its numpy view for the idle grid
+    busy = bytearray(n)  # 1 = busy
     busy[:n_busy0] = b"\x01" * n_busy0
-    busy_view = np.frombuffer(busy, dtype=np.uint8)
     busy_since = [0.0] * n
     t_busy = [0.0] * n
     d_count = [0] * n
@@ -229,7 +231,6 @@ def run(
     grid_t = np.linspace(0.0, horizon, grid_points)
     grid_list = grid_t.tolist() + [_INF]
     grid = np.zeros((grid_points, 4 + n_pools), dtype=np.int64)  # X, Q, R, A, Z_1..
-    idle_grid = np.zeros((grid_points, n), dtype=np.uint8) if record_idle else None
     gi = 0
     t_grid = grid_list[0]
 
@@ -266,8 +267,6 @@ def run(
         if t_grid < t_next:
             hi = bisect_left(grid_list, t_next, gi)
             grid[gi:hi] = (x, q, r_count, a_count, *z)
-            if record_idle:
-                idle_grid[gi:hi] = busy_view
             gi = hi
             t_grid = grid_list[gi]
 
@@ -364,9 +363,6 @@ def run(
 
     # fill the remaining grid with the terminal state
     grid[gi:] = (x, q, r_count, a_count, *z)
-    if record_idle:
-        idle_grid[gi:] = busy_view
-        idle_grid ^= 1  # stored busy flags; the record holds idle flags
     for k in range(n):
         if busy[k]:
             t_busy[k] += end_time - busy_since[k]
@@ -391,7 +387,6 @@ def run(
         grid_Z=np.ascontiguousarray(grid[:, 4:]),
         grid_R=g_r,
         grid_A=g_a,
-        idle_grid=idle_grid,
         arrival_t=np.frombuffer(arr_t, dtype=float)[n_seed_customers:],
         waits=np.frombuffer(waits, dtype=float)[n_seed_customers:],
         waited=np.frombuffer(waited, dtype=bool)[n_seed_customers:],
@@ -408,7 +403,6 @@ class SteadyEstimates:
     p_wait: float
     mean_Q: float
     abandon_rate: float
-    scaled_X: np.ndarray
     window: Tuple[float, float]
     n_arrivals: int
     mean_scaled_queue: float
@@ -418,8 +412,7 @@ def steady_estimates(path: PathRecord, warmup_fraction: float) -> SteadyEstimate
     """Post-warmup summary statistics of one path.
 
     ``p_wait`` is the fraction of post-warmup arrivals that found every
-    server busy; queue statistics are grid averages over the same window;
-    ``scaled_X`` is (X - N)/sqrt(r) at the window's sample times.
+    server busy; queue statistics are grid averages over the same window.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError(f"warmup fraction must be in [0, 1), got {warmup_fraction}")
@@ -435,13 +428,11 @@ def steady_estimates(path: PathRecord, warmup_fraction: float) -> SteadyEstimate
     r_window = path.grid_R[mask]
     span = float(tw[-1] - tw[0])
     ab_rate = float(r_window[-1] - r_window[0]) / span if span > 0.0 else 0.0
-    scaled = (path.grid_X[mask] - path.n_servers) / math.sqrt(path.r)
     scaled_q = np.maximum(path.grid_Q[mask], 0) / math.sqrt(path.r)
     return SteadyEstimates(
         p_wait=p_wait,
         mean_Q=mean_q,
         abandon_rate=ab_rate,
-        scaled_X=scaled,
         window=(float(t0), float(path.end_time)),
         n_arrivals=n_arr,
         mean_scaled_queue=float(scaled_q.mean()),
@@ -591,27 +582,17 @@ def coupled_run(
 class Replication:
     rep: int
     zeta_hat: float
-    sum_mu: float
     stable: bool
     estimates: SteadyEstimates
 
 
 def _replicate_one(args) -> Replication:
-    config, dist, rep, horizon, mode, warmup, grid_points, record_idle = args
+    config, dist, rep, horizon, mode, warmup, grid_points = args
     system = RealizedSystem.from_config(config, dist, rep)
-    path = run(
-        config,
-        system,
-        horizon,
-        mode=mode,
-        grid_points=grid_points,
-        record_idle=record_idle,
-        rep=rep,
-    )
+    path = run(config, system, horizon, mode=mode, grid_points=grid_points, rep=rep)
     return Replication(
         rep=rep,
         zeta_hat=system.zeta_hat,
-        sum_mu=system.sum_mu,
         stable=system.stable,
         estimates=steady_estimates(path, warmup),
     )
@@ -625,7 +606,6 @@ def replicate(
     mode: AbandonMode = AbandonMode.NONE,
     warmup: float = 0.2,
     grid_points: int = 10_000,
-    record_idle: bool = False,
 ) -> List[Replication]:
     """Independent replications with fresh rate draws; streams split by rep.
 
@@ -634,10 +614,7 @@ def replicate(
     """
     if n_reps < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
-    jobs = [
-        (config, dist, rep, horizon, mode, warmup, grid_points, record_idle)
-        for rep in range(n_reps)
-    ]
+    jobs = [(config, dist, rep, horizon, mode, warmup, grid_points) for rep in range(n_reps)]
     raw = os.environ.get("HETQ_THREADS", "1")
     try:
         threads = int(raw)

@@ -38,6 +38,7 @@ __all__ = [
     "almost_lipschitz_check",
     "fairness_estimate",
     "default_bins",
+    "rate_bin",
     "eta_theory",
     "static_planning_inverted_v",
     "inverted_v_config",
@@ -158,14 +159,7 @@ def ssc_convergence(
     for cfg in configs:
         system = RealizedSystem.realize_pools(cfg)
         for rep in range(n_reps):
-            path = run(
-                cfg,
-                system,
-                horizon,
-                grid_points=grid_points,
-                record_idle=False,
-                rep=rep,
-            )
+            path = run(cfg, system, horizon, grid_points=grid_points, rep=rep)
             t, _, z_hat = diffusion_scaled(path)
             win = t <= t_window
             g_vals = ssc_g(spec, z_hat[win])
@@ -293,15 +287,19 @@ def default_bins(dist: RateDistribution, n_bins: int = 10) -> np.ndarray:
     return np.linspace(dist.p, dist.q, n_bins + 1)
 
 
+def rate_bin(rates: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin index of each rate; rates outside the edges go to the end bins."""
+    n_bins = np.asarray(edges).size - 1
+    return np.clip(np.searchsorted(edges, rates, side="right") - 1, 0, n_bins - 1)
+
+
 def eta_theory(dist: RateDistribution, edges: np.ndarray, policy: Policy) -> Optional[np.ndarray]:
     """Fairness measure of each bin: size-biased law for LISF, min-rate atom for FSF."""
     edges = np.asarray(edges, dtype=float)
     n_bins = edges.size - 1
     if policy is Policy.FSF:
         out = np.zeros(n_bins)
-        k = int(np.searchsorted(edges, dist.p, side="right") - 1)
-        k = min(max(k, 0), n_bins - 1)
-        out[k] = 1.0
+        out[rate_bin(dist.p, edges)] = 1.0
         return out
     if policy is not Policy.LISF:
         return None
@@ -337,9 +335,12 @@ def fairness_estimate(
 ) -> FairnessEstimate:
     """Share of idleness mass per rate bin, plus the scaled sup-norm discrepancy.
 
-    The share uses exact per-server idle-time integrals over the run; the
-    discrepancy statistic needs the recorded idle indicators and the
-    policy's theoretical measure (available for LISF and FSF).
+    The share uses exact per-server idle-time integrals over the run. The
+    discrepancy statistic needs the policy's theoretical measure (LISF and
+    FSF) and a path whose server groups are the rate bins
+    (``system.grouped(rate_bin(system.mu, bins), n_bins)``), so that the
+    recorded busy counts per group give the idle counts per bin; it is None
+    otherwise.
     """
     rates = np.asarray(rates, dtype=float)
     edges = np.asarray(bins, dtype=float)
@@ -352,19 +353,18 @@ def fairness_estimate(
     if total_idle <= 0.0:
         raise NoIdlenessError("path carries no idleness")
     n_bins = edges.size - 1
-    which = np.clip(np.searchsorted(edges, rates, side="right") - 1, 0, n_bins - 1)
+    which = rate_bin(rates, edges)
     eta_hat = np.zeros(n_bins)
     np.add.at(eta_hat, which, idle_time)
     eta_hat /= total_idle
 
     theory = eta_theory(dist, edges, path.policy) if dist is not None else None
     sup = None
-    if theory is not None and path.idle_grid is not None:
-        # exact integer idle counts per bin, without a float copy of the grid
-        per_bin = np.empty((path.idle_grid.shape[0], n_bins))
-        for b in range(n_bins):
-            per_bin[:, b] = path.idle_grid[:, which == b].sum(axis=1)
-        idle_tot = path.idle_grid.sum(axis=1).astype(float)
+    pool_of = path.pool_of if path.pool_of is not None else np.zeros(path.n_servers, int)
+    if theory is not None and path.n_pools == n_bins and np.array_equal(pool_of, which):
+        # exact integer idle counts per bin
+        per_bin = (_path_pool_sizes(path) - path.grid_Z).astype(float)
+        idle_tot = per_bin.sum(axis=1)
         dev = np.abs(per_bin - theory[None, :] * idle_tot[:, None])
         sup = float(dev.max() / math.sqrt(path.n_servers))
     return FairnessEstimate(

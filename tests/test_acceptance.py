@@ -62,7 +62,7 @@ def test_criterion_1_erlang_consistency():
     cfg = SystemConfig(r=100.0, lambda_r=90.0, seed=12, staffing=100)
     sysh = RealizedSystem(n_servers=100, mu=np.ones(100), mu_bar=1.0, r=100.0, lambda_r=90.0)
     horizon = 1_000_000 / 90.0
-    path = run(cfg, sysh, horizon=horizon, record_idle=False)
+    path = run(cfg, sysh, horizon=horizon)
     pw, lq, _ = erlang_c(100, 90.0, 1.0)
     keep = path.arrival_t >= 0.2 * horizon
     p_hat, p_se = _batch_se(path.waited[keep].astype(float))
@@ -104,7 +104,7 @@ def test_criterion_2_halfin_whitt_reduction():
         n = math.ceil(r + math.sqrt(r))
         cfg = SystemConfig(r=float(r), lambda_r=float(r), seed=29, staffing=n)
         s = RealizedSystem(n_servers=n, mu=np.ones(n), mu_bar=1.0, r=float(r), lambda_r=float(r))
-        path = run(cfg, s, horizon=horizon, record_idle=False, grid_points=2000)
+        path = run(cfg, s, horizon=horizon, grid_points=2000)
         est = steady_estimates(path, 0.1)
         errs.append(abs(est.p_wait - hw1))
     sim_ok = errs[0] > errs[1] > errs[2] and errs[2] < 0.02
@@ -214,7 +214,7 @@ def test_criterion_8_fairness():
     dist = RateDistribution.uniform(0.5, 1.5)
     cfg = SystemConfig(r=400.0, lambda_r=380.0, seed=1, staffing=400, policy=Policy.LISF)
     s = RealizedSystem.realize(cfg, dist, rng_stream(1, 0, Stream.RATES))
-    path = run(cfg, s, horizon=1500.0, record_idle=False)
+    path = run(cfg, s, horizon=1500.0)
     fe = fairness_estimate(path, s.mu, default_bins(dist, 10), dist=dist)
     lisf_sup = float(np.abs(fe.eta_hat - fe.eta_theory).max())
 
@@ -222,7 +222,7 @@ def test_criterion_8_fairness():
     dd = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
     cfg2 = SystemConfig(r=400.0, lambda_r=530.0, seed=1, staffing=400, policy=Policy.FSF)
     s2 = RealizedSystem.realize(cfg2, dd, rng_stream(1, 0, Stream.RATES))
-    path2 = run(cfg2, s2, horizon=1000.0, record_idle=False)
+    path2 = run(cfg2, s2, horizon=1000.0)
     fe2 = fairness_estimate(path2, s2.mu, default_bins(dd), dist=dd)
     slow_mass = float(fe2.eta_hat[0])
     detail = f"LISF sup {lisf_sup:.4f} (<=0.03), FSF slow mass {slow_mass:.4f} (>=0.95)"
@@ -236,7 +236,7 @@ def test_criterion_9_abandonment_mode_equivalence():
     horizon = 20_000.0
     samples = {}
     for mode in (AbandonMode.PER_CUSTOMER, AbandonMode.PERTURBED):
-        p = run(cfg, s, horizon=horizon, mode=mode, record_idle=False)
+        p = run(cfg, s, horizon=horizon, mode=mode)
         samples[mode] = p.grid_Q[p.grid_t >= 0.2 * horizon]
     ks = stats.ks_2samp(samples[AbandonMode.PER_CUSTOMER], samples[AbandonMode.PERTURBED])
     detail = f"KS distance {ks.statistic:.4f} (<0.03), matched arrival/service streams"

@@ -127,6 +127,42 @@ class TestExitCodes:
         assert rc == 2
         assert setting.split("=")[0] + " must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,setting",
+        [
+            ("simulate", "queue_cap=-1"),
+            ("analyze", "density_points=0"),
+            ("ql-sweep", "eps_steps=0"),
+            ("fairness", "bins=0"),
+        ],
+    )
+    def test_out_of_range_setting_exits_2(self, tmp_path, capsys, command, setting):
+        rc = main([
+            command, "--out", str(tmp_path / "o"), "--set", "lambda_r=20.0",
+            "--set", "horizon=50.0", "--set", setting,
+        ])
+        assert rc == 2
+        assert setting.split("=")[0] + " must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", '{"command": "simulate"}'],
+        ids=["missing", "not_json", "no_config"],
+    )
+    def test_bad_manifest_exits_2(self, tmp_path, capsys, content):
+        manifest = tmp_path / "manifest.json"
+        if content is not None:
+            manifest.write_text(content, encoding="utf-8")
+        rc = main(["rerun", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert str(manifest) in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        rc = main(["ql-sweep", "--out", str(out), "--set", "eps_steps=2"])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+
     def test_ssc_zero_reps_exits_2(self, tmp_path, capsys):
         rc = main([
             "ssc", "--out", str(tmp_path / "o"), "--set", "pools=0.5:1.0,0.5:2.0",

@@ -64,7 +64,7 @@ class TestRunBasics:
 
     def test_mm1_delay_probability(self):
         cfg, s = homogeneous(1, 0.5, seed=11)
-        path = run(cfg, s, horizon=150_000.0, x0=0, record_idle=False)
+        path = run(cfg, s, horizon=150_000.0, x0=0)
         est = steady_estimates(path, 0.1)
         se = math.sqrt(0.5 * 0.5 / est.n_arrivals) * 3.0  # wide: arrivals correlate
         assert abs(est.p_wait - 0.5) < max(3 * se, 0.01)
@@ -76,11 +76,12 @@ class TestRunBasics:
         np.testing.assert_array_equal(
             path.grid_Z[:, 0], np.minimum(path.grid_X, 20)
         )
-        # idle indicators complement the busy counts at sample times
-        assert path.idle_grid is not None
-        np.testing.assert_array_equal(
-            20 - path.idle_grid.sum(axis=1), path.grid_Z[:, 0]
-        )
+        # per-server busy flags, from the same run with one group per
+        # server, sum to the busy count at sample times
+        per_server = run(cfg, s.grouped(np.arange(20)), horizon=300.0, validate=True)
+        assert per_server.grid_Z.shape == (path.grid_t.size, 20)
+        assert set(np.unique(per_server.grid_Z)) <= {0, 1}
+        np.testing.assert_array_equal(per_server.grid_Z.sum(axis=1), path.grid_Z[:, 0])
 
     def test_flow_conservation_totals(self):
         cfg, s = homogeneous(20, 15.0, seed=9, nu=0.5)
@@ -137,7 +138,7 @@ class TestRunBasics:
 class TestSteadyEstimates:
     def test_erlang_c_match(self):
         cfg, s = homogeneous(100, 90.0, seed=5)
-        path = run(cfg, s, horizon=11_111.0, record_idle=False)
+        path = run(cfg, s, horizon=11_111.0)
         est = steady_estimates(path, 0.2)
         pw, lq, _ = erlang_c(100, 90.0, 1.0)
         assert abs(est.p_wait - pw) < 0.02
@@ -148,7 +149,7 @@ class TestSteadyEstimates:
         d = RateDistribution.uniform(0.7, 1.3)
         cfg = SystemConfig(r=100.0, lambda_r=92.0, seed=21, staffing=100)
         s = RealizedSystem.realize(cfg, d, rng_stream(21, 0, Stream.RATES))
-        path = run(cfg, s, horizon=4000.0, record_idle=False)
+        path = run(cfg, s, horizon=4000.0)
         keep = (
             (path.arrival_t > 400.0)
             & path.waited
@@ -215,7 +216,7 @@ class TestAbandonment:
         cfg, s = homogeneous(110, 100.0, r=100.0, seed=31, nu=1.0)
         qs = {}
         for mode in (AbandonMode.PER_CUSTOMER, AbandonMode.PERTURBED):
-            p = run(cfg, s, horizon=8000.0, mode=mode, record_idle=False)
+            p = run(cfg, s, horizon=8000.0, mode=mode)
             m = p.grid_t >= 0.2 * 8000.0
             qs[mode] = p.grid_Q[m]
         ks = stats.ks_2samp(qs[AbandonMode.PER_CUSTOMER], qs[AbandonMode.PERTURBED])
@@ -296,12 +297,25 @@ class TestMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            path = run(cfg, s, horizon=1000.0, mode=mode, grid_points=100, record_idle=False)
+            path = run(cfg, s, horizon=1000.0, mode=mode, grid_points=100)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert path.arrivals_total > 90_000
         assert peak / path.arrivals_total <= 40.0
+
+    def test_default_run_peak_bounded(self):
+        # the default 10k-point grid holds busy counts per group, not a
+        # (grid, N) matrix of per-server flags (20 MB at N=2000)
+        cfg, s = homogeneous(2000, 1900.0, seed=5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(cfg, s, horizon=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestReplicate:
@@ -310,7 +324,7 @@ class TestReplicate:
         d = RateDistribution.uniform(0.8, 1.2)
         reps = replicate(cfg, d, 1, horizon=200.0, warmup=0.2)
         s = RealizedSystem.realize(cfg, d, rng_stream(15, 0, Stream.RATES))
-        path = run(cfg, s, horizon=200.0, record_idle=False)
+        path = run(cfg, s, horizon=200.0)
         est = steady_estimates(path, 0.2)
         assert reps[0].zeta_hat == pytest.approx(s.zeta_hat)
         assert reps[0].estimates.p_wait == est.p_wait
@@ -377,6 +391,9 @@ class TestExports:
 # change that alters them breaks every earlier manifest.
 # --------------------------------------------------------------------------
 
+# "idle_grid" is rebuilt: the pins date from an engine that recorded an idle
+# flag per server and grid point, 1 minus the busy counts of a run with one
+# group per server
 _PATH_FIELDS = (
     "grid_t", "grid_X", "grid_Q", "grid_Z", "grid_R", "grid_A", "idle_grid",
     "arrival_t", "waits", "waited", "abandoned", "departures", "busy_time",
@@ -393,21 +410,30 @@ def _digest(arrays, scalars) -> str:
     return h.hexdigest()
 
 
-def _path_digest(path) -> str:
-    arrays = [(name, getattr(path, name)) for name in _PATH_FIELDS]
+def _path_digest(paths) -> str:
+    path, per_server = paths
+    idle_grid = (1 - per_server.grid_Z).astype(np.uint8)
+    arrays = [
+        (name, idle_grid if name == "idle_grid" else getattr(path, name))
+        for name in _PATH_FIELDS
+    ]
     return _digest(arrays, (path.end_time, path.abandon_total, path.overflowed))
 
 
 def _pinned_path(policy, mode, *, pools=None, scv=1.0, x0=None, horizon=60.0):
+    """The pinned run, and the same run with one server group per server."""
     nu = 0.0 if mode is AbandonMode.NONE else 0.6
     cfg = SystemConfig(
         r=30.0, lambda_r=30.0, seed=2024, staffing=HalfinWhitt(0.3),
         arrival_scv=scv, abandon_rate=nu, policy=policy, pools=pools,
     )
     s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5), rep=3)
-    return run(
-        cfg, s, horizon=horizon, mode=mode, x0=x0, grid_points=301,
-        record_idle=True, rep=3, validate=True,
+    return tuple(
+        run(
+            cfg, system, horizon=horizon, mode=mode, x0=x0, grid_points=301,
+            rep=3, validate=True,
+        )
+        for system in (s, s.grouped(np.arange(s.n_servers)))
     )
 
 

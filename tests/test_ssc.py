@@ -19,6 +19,7 @@ from hetq.ssc import (
     fairness_estimate,
     hydro_scale,
     inverted_v_config,
+    rate_bin,
     ssc_convergence,
     ssc_g,
     static_planning_inverted_v,
@@ -105,7 +106,7 @@ class TestHydroScale:
     def _two_pool_path(self, horizon=40.0, seed=3):
         cfg = inverted_v_config(400, POOLS, -1.5, seed=seed)
         system = RealizedSystem.realize_pools(cfg)
-        return cfg, run(cfg, system, horizon=horizon, record_idle=False, grid_points=20000)
+        return cfg, run(cfg, system, horizon=horizon, grid_points=20000)
 
     def test_all_busy_window(self):
         # Z identically N across the window start: x_rm = |N| and Z^{r,m}(0) = 0
@@ -156,7 +157,7 @@ class TestAlmostLipschitz:
     def _windows(self):
         cfg = inverted_v_config(400, POOLS, -1.5, seed=3)
         system = RealizedSystem.realize_pools(cfg)
-        path = run(cfg, system, horizon=40.0, record_idle=False, grid_points=40000)
+        path = run(cfg, system, horizon=40.0, grid_points=40000)
         n_windows = int(math.sqrt(400))
         return cfg, [hydro_scale(path, m, 1.0) for m in range(n_windows)]
 
@@ -166,7 +167,7 @@ class TestAlmostLipschitz:
         quiet = SystemConfig(
             r=100.0, lambda_r=1e-9, seed=1, staffing=100, pools=POOLS
         )
-        path = run(quiet, system, horizon=40.0, x0=0, record_idle=False)
+        path = run(quiet, system, horizon=40.0, x0=0)
         assert np.all(path.grid_Q == 0)
         sp = hydro_scale(path, 0, 1.0)
         assert almost_lipschitz_check([sp], 1.0, 0.0) == 0.0
@@ -187,7 +188,7 @@ class TestFairness:
         d = RateDistribution.uniform(0.5, 1.5)
         cfg = SystemConfig(r=50.0, lambda_r=45.0, seed=2, staffing=50)
         s = RealizedSystem.realize(cfg, d, rng_stream(2, 0, Stream.RATES))
-        path = run(cfg, s, horizon=100.0, record_idle=False)
+        path = run(cfg, s, horizon=100.0)
         fe = fairness_estimate(path, s.mu, np.array([0.5, 1.5]), dist=d)
         assert fe.eta_hat[0] == pytest.approx(1.0)
 
@@ -195,7 +196,7 @@ class TestFairness:
         d = RateDistribution.uniform(0.5, 1.5)
         cfg = SystemConfig(r=100.0, lambda_r=92.0, seed=4, staffing=100)
         s = RealizedSystem.realize(cfg, d, rng_stream(4, 0, Stream.RATES))
-        path = run(cfg, s, horizon=150.0, record_idle=False)
+        path = run(cfg, s, horizon=150.0)
         coarse = fairness_estimate(path, s.mu, default_bins(d, 5), dist=d)
         fine = fairness_estimate(path, s.mu, default_bins(d, 20), dist=d)
         assert coarse.eta_hat.sum() == pytest.approx(1.0, abs=1e-9)
@@ -207,8 +208,9 @@ class TestFairness:
         d = RateDistribution.uniform(0.5, 1.5)
         cfg = SystemConfig(r=400.0, lambda_r=380.0, seed=1, staffing=400, policy=Policy.LISF)
         s = RealizedSystem.realize(cfg, d, rng_stream(1, 0, Stream.RATES))
-        path = run(cfg, s, horizon=1200.0, record_idle=True)
-        fe = fairness_estimate(path, s.mu, default_bins(d, 10), dist=d)
+        edges = default_bins(d, 10)
+        path = run(cfg, s.grouped(rate_bin(s.mu, edges), 10), horizon=1200.0)
+        fe = fairness_estimate(path, s.mu, edges, dist=d)
         assert np.abs(fe.eta_hat - fe.eta_theory).max() < 0.03
         # the [1.0, 1.5] half carries int_1^1.5 x dx / int_0.5^1.5 x dx = 0.625
         upper = fe.eta_hat[fe.bin_edges[:-1] >= 1.0 - 1e-9].sum()
@@ -219,7 +221,7 @@ class TestFairness:
         d = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
         cfg = SystemConfig(r=400.0, lambda_r=530.0, seed=1, staffing=400, policy=Policy.FSF)
         s = RealizedSystem.realize(cfg, d, rng_stream(1, 0, Stream.RATES))
-        path = run(cfg, s, horizon=600.0, record_idle=False)
+        path = run(cfg, s, horizon=600.0)
         fe = fairness_estimate(path, s.mu, default_bins(d), dist=d)
         assert fe.eta_theory[0] == 1.0
         assert fe.eta_hat[0] >= 0.95
@@ -228,25 +230,31 @@ class TestFairness:
         d = RateDistribution.uniform(0.5, 1.5)
         cfg = SystemConfig(r=20.0, lambda_r=17.0, seed=6, staffing=20, policy=Policy.LISF)
         s = RealizedSystem.realize(cfg, d, rng_stream(6, 0, Stream.RATES))
-        path = run(cfg, s, horizon=80.0, grid_points=400, record_idle=True)
         edges = default_bins(d, 40)
-        fe = fairness_estimate(path, s.mu, edges, dist=d)
         n_bins = edges.size - 1
         which = np.clip(np.searchsorted(edges, s.mu, side="right") - 1, 0, n_bins - 1)
         assert np.bincount(which, minlength=n_bins).min() == 0  # an empty bin
-        # reference: a float copy of the idle grid times a bin-membership matrix
+        path = run(cfg, s.grouped(which, n_bins), horizon=80.0, grid_points=400)
+        fe = fairness_estimate(path, s.mu, edges, dist=d)
+        # reference: a float copy of the per-server idle flags, taken from the
+        # same run with one group per server, times a bin-membership matrix
+        per_server = run(cfg, s.grouped(np.arange(20)), horizon=80.0, grid_points=400)
+        idle_grid = 1 - per_server.grid_Z
         member = np.zeros((path.n_servers, n_bins))
         member[np.arange(path.n_servers), which] = 1.0
-        per_bin = path.idle_grid.astype(float) @ member
-        idle_tot = path.idle_grid.sum(axis=1).astype(float)
+        per_bin = idle_grid.astype(float) @ member
+        idle_tot = idle_grid.sum(axis=1).astype(float)
         dev = np.abs(per_bin - fe.eta_theory[None, :] * idle_tot[:, None])
         assert fe.sup_discrepancy == float(dev.max() / math.sqrt(path.n_servers))
         assert fe.sup_discrepancy > 0.0
+        # servers not grouped by bin carry no per-bin idle counts
+        ungrouped = run(cfg, s, horizon=80.0, grid_points=400)
+        assert fairness_estimate(ungrouped, s.mu, edges, dist=d).sup_discrepancy is None
 
     def test_no_idleness(self):
         cfg = SystemConfig(r=3.0, lambda_r=50.0, seed=1, staffing=3)
         s = RealizedSystem(n_servers=3, mu=np.ones(3), mu_bar=1.0, r=3.0, lambda_r=50.0)
-        path = run(cfg, s, horizon=5.0, record_idle=False)
+        path = run(cfg, s, horizon=5.0)
         with pytest.raises(NoIdlenessError):
             fairness_estimate(path, s.mu, np.array([0.5, 1.5]))
 
@@ -288,7 +296,7 @@ class TestDiffusionScaled:
     def test_pools_centering(self):
         cfg = inverted_v_config(100, POOLS, -1.5, seed=5)
         system = RealizedSystem.realize_pools(cfg)
-        path = run(cfg, system, horizon=10.0, record_idle=False)
+        path = run(cfg, system, horizon=10.0)
         t, q_hat, z_hat = diffusion_scaled(path)
         assert q_hat.min() >= 0.0
         # all busy at t = 0 means the scaled occupancy starts at zero
