@@ -28,7 +28,6 @@ from .diffusion import (
     prob_wait_aband,
     prob_wait_no_aband,
     ql_eps,
-    simulate_sde,
     stationary_aband,
     stationary_no_aband,
 )
@@ -59,7 +58,6 @@ from .sim import (
 from .ssc import (
     FairnessEstimate,
     HydroScaledPath,
-    SPPResult,
     SSCFunctionSpec,
     almost_lipschitz_check,
     default_bins,
@@ -68,7 +66,6 @@ from .ssc import (
     inverted_v_config,
     ssc_convergence,
     ssc_g,
-    static_planning_inverted_v,
 )
 from .staffing import (
     CostSpec,

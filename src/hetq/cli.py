@@ -160,6 +160,7 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
             x0=values.get("x0"),
             grid_points=grid_points,
             queue_cap=queue_cap,
+            warmup=warmup,
         )
         est = steady_estimates(path, warmup)
         summary = path_summary(path)
@@ -213,6 +214,8 @@ def _cmd_analyze(values: dict) -> Dict[str, bytes]:
         upper_scale = dens.upper.mean() if params.nu == 0.0 else abs(params.beta / params.nu) + params.sigma
         lower_scale = abs(params.beta / params.gamma) + params.sigma
         span = 5.0 * max(upper_scale, lower_scale, 1.0)
+    elif not 0.0 < span < math.inf:  # also false for NaN
+        raise ConfigError(f"density_span must be finite and > 0, got {span}")
     xs = np.linspace(-span, span, points)
     pdf = dens.pdf(xs)
     rows = [(_f(x), _f(v)) for x, v in zip(xs, pdf)]

@@ -289,13 +289,6 @@ class SystemConfig:
             return self.staffing.resolve(self.lambda_r, mu_bar)
         return self.staffing
 
-    def theta_equivalent(self, mu_bar: float) -> float:
-        """Safety coefficient implied by the staffing rule at this load."""
-        if isinstance(self.staffing, HalfinWhitt):
-            return self.staffing.theta
-        offered = self.lambda_r / mu_bar
-        return (self.staffing - offered) / math.sqrt(offered)
-
 
 @dataclass(frozen=True)
 class RealizedSystem:

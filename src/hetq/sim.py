@@ -5,21 +5,25 @@ RANDOM routing, and two abandonment constructions: independent patience per
 customer, or the head-of-queue process that abandons at rate nu * Q(t).
 
 A run is strictly single-threaded and deterministic in (config, seed, rep).
-Counters (arrivals, departures, abandonments, busy time) are exact; the
-trajectory is additionally sampled on a uniform grid for trajectory output.
-Occupancy is recorded as one busy count per server group
-(``RealizedSystem.pool_of``): the inverted-V pools, rate bins for the
-fairness statistic, or one group per server.
+Counters (arrivals, departures, abandonments, busy time, and the arrivals
+and waited arrivals after the warmup time) are exact; the trajectory is
+additionally sampled on a uniform grid for trajectory output. Occupancy is
+recorded as one busy count per server group (``RealizedSystem.pool_of``):
+the inverted-V pools, rate bins for the fairness statistic, or one group per
+server.
 
 The event core is one loop with the policy's idle set inlined (a LISF deque,
 an FSF heap keyed on -mu, a RANDOM swap list) and each random stream read
 through ``_draws``, a C-level iterator over blocks of 8192 draws. The order
 in which every stream is consumed is part of the determinism contract and
 is unchanged from earlier hetq versions, so their manifests rerun byte for
-byte (``tests/test_sim.py::TestStreamPinning`` pins it). The per-customer
-record (arrival time, wait, waited and abandoned flags) is kept in typed
-buffers, about 19 bytes per arrival; it still grows with the number of
-arrivals, and ``PathRecord`` views it without a copy.
+byte (``tests/test_sim.py::TestStreamPinning`` pins it).
+
+By default a run keeps counters only, and its memory does not depend on the
+horizon. The per-customer record (arrival time, wait, waited and abandoned
+flags) is opt-in (``run(..., record_customers=True)``); it is kept in typed
+buffers, about 19 bytes per arrival, and ``PathRecord`` views it without a
+copy.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ __all__ = [
 
 _INF = math.inf
 _BLOCK = 8192
+_MAX_GRID_POINTS = 1_000_000  # 10^6 samples keep the grid's memory bounded
 
 
 class AbandonMode(Enum):
@@ -85,9 +90,19 @@ def _check_horizon(horizon: float) -> None:
         raise ConfigError(f"horizon must be finite and > 0, got {horizon}")
 
 
+def _check_warmup(warmup: float) -> None:
+    if not 0.0 <= warmup < 1.0:  # also false for NaN
+        raise ConfigError(f"warmup must be in [0, 1), got {warmup}")
+
+
 @dataclass
 class PathRecord:
-    """Everything a run produced: grid trajectory plus exact counters."""
+    """Everything a run produced: grid trajectory plus exact counters.
+
+    ``window_arrivals`` counts arrivals at t >= warmup * horizon, and
+    ``window_waited`` those of them who found every server busy. The
+    per-customer arrays are None unless the run recorded customers.
+    """
 
     r: float
     n_servers: int
@@ -107,18 +122,18 @@ class PathRecord:
     grid_Z: np.ndarray  # (grid, groups) busy servers per pool_of group
     grid_R: np.ndarray
     grid_A: np.ndarray
-    arrival_t: np.ndarray
-    waits: np.ndarray  # NaN when unresolved at end_time
-    waited: np.ndarray
-    abandoned: np.ndarray
+    warmup: float
+    arrivals_total: int
+    window_arrivals: int
+    window_waited: int
+    arrival_t: Optional[np.ndarray]
+    waits: Optional[np.ndarray]  # NaN when unresolved at end_time
+    waited: Optional[np.ndarray]
+    abandoned: Optional[np.ndarray]
     abandon_total: int
     departures: np.ndarray
     busy_time: np.ndarray
     overflowed: bool
-
-    @property
-    def arrivals_total(self) -> int:
-        return int(self.arrival_t.size)
 
     @property
     def departures_total(self) -> int:
@@ -135,6 +150,8 @@ def run(
     queue_cap: int = 1_000_000,
     rep: int = 0,
     validate: bool = False,
+    warmup: float = 0.2,
+    record_customers: bool = False,
 ) -> PathRecord:
     """Simulate one path on [0, horizon].
 
@@ -143,7 +160,14 @@ def run(
     abandonment, arrival. A queue exceeding ``queue_cap`` terminates the
     run cleanly with the overflow flag set. With ``validate`` every event
     asserts flow conservation, work conservation, and the LISF selection
-    rule.
+    rule. ``grid_points`` is at most 10^6.
+
+    Arrivals at or after ``warmup * horizon`` are counted for
+    ``steady_estimates``. The per-customer record is kept only with
+    ``record_customers``. A run that overflows ends before the horizon, so
+    its window [warmup * end_time, end_time] is not known while counting:
+    without the record it is replayed once with it, and since the streams
+    are deterministic the replay is the same run.
 
     Arrivals form a renewal stream with inter-arrival d + m_e*E, E unit
     exponential: SCV 1 is exponential, SCV in [0, 1) takes
@@ -151,10 +175,11 @@ def run(
     outside the simulator's renewal family.
     """
     _check_horizon(horizon)
+    _check_warmup(warmup)
     if mode is not AbandonMode.NONE and config.abandon_rate <= 0.0:
         raise ConfigError(f"abandonment mode {mode.value} needs abandon_rate > 0")
-    if grid_points < 2:
-        raise ConfigError("need at least two grid points")
+    if not 2 <= grid_points <= _MAX_GRID_POINTS:
+        raise ConfigError(f"grid_points must be in [2, {_MAX_GRID_POINTS}], got {grid_points}")
     if queue_cap < 0:
         raise ConfigError(f"queue_cap must be >= 0, got {queue_cap}")
 
@@ -172,6 +197,8 @@ def run(
     seed = config.seed
     per_customer = mode is AbandonMode.PER_CUSTOMER
     perturbed = mode is AbandonMode.PERTURBED
+    record = record_customers
+    track = record or per_customer  # keep the ids of waiting customers
 
     scv = config.arrival_scv
     det, m_e = 0.0, 0.0  # inter-arrival det + m_e * E
@@ -216,17 +243,22 @@ def run(
     rand_list = list(idle_ids) if not (lisf or fsf) else []
     idle_since = [0.0] * n
 
-    # per-customer record in typed buffers; the x0 - N seed customers wait
-    # from time 0. A customer is queued exactly while its wait is NaN.
-    q = x - n_busy0
-    queue: deque = deque(range(q))
-    arr_t = array("d", [0.0]) * q
-    waited = bytearray(b"\x01") * q
-    waits = array("d", [math.nan]) * q
-    abandoned = bytearray(q)
+    # customers are numbered in arrival order after the x0 - N seed customers,
+    # who wait from time 0 and are left out of the arrival statistics
+    q = n_seed = x - n_busy0
+    queue: deque = deque(range(q) if track else ())
+    gone = set()  # ids that abandoned while queued and are still in `queue`
+    served_upto = -1  # highest id taken from the queue
+    if record:
+        arr_t = array("d", [0.0]) * q
+        waited = bytearray(b"\x01") * q
+        waits = array("d", [math.nan]) * q
+        abandoned = bytearray(q)
+    # patience deadlines over a sentinel; FIFO service makes an entry stale
+    # exactly when its id is at most served_upto
     deadline_heap = [(abandon_exp() / nu, cid) for cid in range(q)] if per_customer else []
+    deadline_heap.append((_INF, _INF))
     heapify(deadline_heap)
-    n_seed_customers = q  # excluded from arrival statistics
 
     grid_t = np.linspace(0.0, horizon, grid_points)
     grid_list = grid_t.tolist() + [_INF]
@@ -236,6 +268,8 @@ def run(
 
     a_count = 0
     r_count = 0
+    t_warm = warmup * horizon
+    win_a = win_w = 0  # arrivals, and waited arrivals, at t >= t_warm
     x_init = x
     next_arr = det + m_e * arrival_exp() if lam > 0.0 else _INF
     hazard = abandon_exp() if perturbed else 0.0
@@ -248,9 +282,9 @@ def run(
         if perturbed:
             t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
         elif per_customer:
-            while deadline_heap and waits[deadline_heap[0][1]] == waits[deadline_heap[0][1]]:
+            while deadline_heap[0][1] <= served_upto:
                 heappop(deadline_heap)  # already served
-            t_ab = deadline_heap[0][0] if deadline_heap else _INF
+            t_ab = deadline_heap[0][0]
         else:
             t_ab = _INF
 
@@ -281,11 +315,15 @@ def run(
             d_count[k] += 1
             t_busy[k] += t_cur - busy_since[k]
             if q:
-                cid = queue.popleft()
-                while waits[cid] == waits[cid]:  # customers who abandoned while queued
+                if track:
                     cid = queue.popleft()
+                    while cid in gone:
+                        gone.remove(cid)
+                        cid = queue.popleft()
+                    served_upto = cid
+                    if record:
+                        waits[cid] = t_cur - arr_t[cid]
                 q -= 1
-                waits[cid] = t_cur - arr_t[cid]
                 busy_since[k] = t_cur
                 heapreplace(dep_heap, (t_cur + service_exp() / mu[k], k))
             else:
@@ -302,22 +340,29 @@ def run(
         elif kind == 1:
             # abandonment
             if perturbed:
-                cid = queue.popleft()  # the head; perturbed customers leave only from it
                 hazard = abandon_exp()
+                if record:
+                    cid = queue.popleft()  # perturbed customers leave only from the head
             else:
-                _, cid = heappop(deadline_heap)
+                cid = heappop(deadline_heap)[1]
+                gone.add(cid)
             q -= 1
             x -= 1
             r_count += 1
-            waits[cid] = t_cur - arr_t[cid]
-            abandoned[cid] = 1
+            if record:
+                waits[cid] = t_cur - arr_t[cid]
+                abandoned[cid] = 1
         else:
             # arrival
             a_count += 1
-            cid = len(arr_t)
-            arr_t.append(t_cur)
-            abandoned.append(0)
             x += 1
+            if t_cur >= t_warm:
+                win_a += 1
+            if record:
+                arr_t.append(t_cur)
+                abandoned.append(0)
+                waited.append(x > n)
+                waits.append(math.nan if x > n else 0.0)
             if x <= n:
                 # an idle server exists: busy count is min(x, N)
                 if lisf:
@@ -335,19 +380,19 @@ def run(
                 if validate and lisf:
                     oldest = min(idle_since[j] for j in range(n) if not busy[j])
                     assert idle_since[k] == oldest, "LISF selection rule broken"
-                waited.append(0)
-                waits.append(0.0)
                 busy[k] = 1
                 z[pool_of[k]] += 1
                 busy_since[k] = t_cur
                 heappush(dep_heap, (t_cur + service_exp() / mu[k], k))
             else:
-                waited.append(1)
-                waits.append(math.nan)
-                queue.append(cid)
                 q += 1
-                if per_customer:
-                    heappush(deadline_heap, (t_cur + abandon_exp() / nu, cid))
+                if t_cur >= t_warm:
+                    win_w += 1
+                if track:
+                    cid = n_seed + a_count - 1
+                    queue.append(cid)
+                    if per_customer:
+                        heappush(deadline_heap, (t_cur + abandon_exp() / nu, cid))
                 if q > queue_cap:
                     overflowed = True
                     end_time = t_cur
@@ -360,6 +405,13 @@ def run(
             assert not (q > 0 and idle_count > 0), "work conservation broken"
             assert q == max(x - n, 0), "queue-headcount identity broken"
             assert idle_count == n - sum(busy), "idle set out of step with busy flags"
+            assert len(queue) - len(gone) == (q if track else 0), "queue ids out of step"
+
+    if overflowed and not record:
+        return run(
+            config, system, horizon, mode, x0, grid_points, queue_cap, rep, validate,
+            warmup, record_customers=True,
+        )
 
     # fill the remaining grid with the terminal state
     grid[gi:] = (x, q, r_count, a_count, *z)
@@ -367,6 +419,12 @@ def run(
         if busy[k]:
             t_busy[k] += end_time - busy_since[k]
     g_x, g_q, g_r, g_a = grid[:, :4].T.copy()
+    customers = [None] * 4
+    if record:
+        customers = [
+            np.frombuffer(buf, dtype=dtype)[n_seed:]
+            for buf, dtype in ((arr_t, float), (waits, float), (waited, bool), (abandoned, bool))
+        ]
 
     return PathRecord(
         r=config.r,
@@ -387,10 +445,14 @@ def run(
         grid_Z=np.ascontiguousarray(grid[:, 4:]),
         grid_R=g_r,
         grid_A=g_a,
-        arrival_t=np.frombuffer(arr_t, dtype=float)[n_seed_customers:],
-        waits=np.frombuffer(waits, dtype=float)[n_seed_customers:],
-        waited=np.frombuffer(waited, dtype=bool)[n_seed_customers:],
-        abandoned=np.frombuffer(abandoned, dtype=bool)[n_seed_customers:],
+        warmup=warmup,
+        arrivals_total=a_count,
+        window_arrivals=win_a,
+        window_waited=win_w,
+        arrival_t=customers[0],
+        waits=customers[1],
+        waited=customers[2],
+        abandoned=customers[3],
         abandon_total=r_count,
         departures=np.asarray(d_count, dtype=np.int64),
         busy_time=np.asarray(t_busy, dtype=float),
@@ -413,17 +475,27 @@ def steady_estimates(path: PathRecord, warmup_fraction: float) -> SteadyEstimate
 
     ``p_wait`` is the fraction of post-warmup arrivals that found every
     server busy; queue statistics are grid averages over the same window.
+    Without a per-customer record the arrival counts are the run's own, so
+    ``warmup_fraction`` must be the run's ``warmup``.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigError(f"warmup fraction must be in [0, 1), got {warmup_fraction}")
+    _check_warmup(warmup_fraction)
+    if path.waited is None and warmup_fraction != path.warmup:
+        raise ConfigError(
+            f"warmup {warmup_fraction} differs from the run's warmup {path.warmup}; "
+            "run with that warmup, or with record_customers=True"
+        )
     t0 = warmup_fraction * path.end_time
     mask = (path.grid_t >= t0) & (path.grid_t <= path.end_time)
     if not mask.any():
         raise EmptyWindowError(f"no samples in ({t0}, {path.end_time}]")
     tw = path.grid_t[mask]
-    arrivals = (path.arrival_t >= t0) & (path.arrival_t <= path.end_time)
-    n_arr = int(arrivals.sum())
-    p_wait = float(path.waited[arrivals].mean()) if n_arr else 0.0
+    if path.waited is None:
+        n_arr = path.window_arrivals
+        p_wait = path.window_waited / n_arr if n_arr else 0.0
+    else:
+        arrivals = (path.arrival_t >= t0) & (path.arrival_t <= path.end_time)
+        n_arr = int(arrivals.sum())
+        p_wait = float(path.waited[arrivals].mean()) if n_arr else 0.0
     mean_q = float(path.grid_Q[mask].mean())
     r_window = path.grid_R[mask]
     span = float(tw[-1] - tw[0])
@@ -589,7 +661,7 @@ class Replication:
 def _replicate_one(args) -> Replication:
     config, dist, rep, horizon, mode, warmup, grid_points = args
     system = RealizedSystem.from_config(config, dist, rep)
-    path = run(config, system, horizon, mode=mode, grid_points=grid_points, rep=rep)
+    path = run(config, system, horizon, mode=mode, grid_points=grid_points, rep=rep, warmup=warmup)
     return Replication(
         rep=rep,
         zeta_hat=system.zeta_hat,
@@ -635,14 +707,13 @@ def replicate(
 def path_to_csv(path: PathRecord) -> str:
     """Fixed-layout trajectory table: t,X,Q,Z_1..Z_I,R plus a trailing A."""
     cols = ["t", "X", "Q"] + [f"Z_{i+1}" for i in range(path.n_pools)] + ["R", "A"]
+    z_cells = [",".join(map(str, row)) for row in path.grid_Z.tolist()]
+    rows = zip(
+        path.grid_t.tolist(), path.grid_X.tolist(), path.grid_Q.tolist(), z_cells,
+        path.grid_R.tolist(), path.grid_A.tolist(),
+    )
     lines = [",".join(cols)]
-    ts = path.grid_t.tolist()
-    for j in range(len(ts)):
-        z = ",".join(str(int(path.grid_Z[j, i])) for i in range(path.n_pools))
-        lines.append(
-            f"{ts[j]!r},{int(path.grid_X[j])},{int(path.grid_Q[j])},"
-            f"{z},{int(path.grid_R[j])},{int(path.grid_A[j])}"
-        )
+    lines += [f"{t!r},{x},{q},{z},{r},{a}" for t, x, q, z, r, a in rows]
     return "\n".join(lines) + "\n"
 
 

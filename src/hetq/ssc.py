@@ -29,7 +29,6 @@ __all__ = [
     "SSCFunctionSpec",
     "HydroScaledPath",
     "FairnessEstimate",
-    "SPPResult",
     "ssc_g",
     "diffusion_scaled",
     "ssc_convergence",
@@ -40,7 +39,6 @@ __all__ = [
     "default_bins",
     "rate_bin",
     "eta_theory",
-    "static_planning_inverted_v",
     "inverted_v_config",
 ]
 
@@ -373,37 +371,6 @@ def fairness_estimate(
         eta_theory=None if theory is None else np.asarray(theory),
         sup_discrepancy=sup,
         total_idle_time=total_idle,
-    )
-
-
-@dataclass(frozen=True)
-class SPPResult:
-    rho_star: float
-    x_star: Tuple[float, ...]
-    heavy_traffic: bool
-
-
-def static_planning_inverted_v(
-    beta: Sequence[float], mu: Sequence[float], lam: float
-) -> SPPResult:
-    """Utilization-minimizing allocation for one class over I pools.
-
-    Every pool can serve the class, so the bottleneck utilization is
-    minimized by loading all pools equally: rho* = lam / sum_i beta_i mu_i
-    and x*_i = rho*. The heavy-traffic flag marks rho* = 1.
-    """
-    beta = tuple(float(b) for b in beta)
-    mu = tuple(float(m) for m in mu)
-    if lam < 0.0:
-        raise ConfigError(f"arrival rate must be >= 0, got {lam}")
-    capacity = sum(b * m for b, m in zip(beta, mu))
-    if capacity <= 0.0:
-        raise ConfigError("total capacity must be positive")
-    rho = lam / capacity
-    return SPPResult(
-        rho_star=rho,
-        x_star=tuple(rho for _ in beta),
-        heavy_traffic=abs(rho - 1.0) < 1e-9,
     )
 
 

@@ -273,11 +273,14 @@ def optimize_staffing(
 
     Samples a coarse curve first; a clean unimodal curve goes straight to
     golden-section search, anything with interior local maxima falls back
-    to grid-then-refine and is flagged.
+    to grid-then-refine and is flagged. ``tol`` (the ``opt_tol`` config
+    key) must be finite and > 0.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ConfigError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    if not 0.0 < tol < math.inf:  # also false for NaN; golden section never ends otherwise
+        raise ConfigError(f"opt_tol must be finite and > 0, got {tol}")
     xs = np.linspace(lo, hi, curve_points)
     costs = np.empty(curve_points)
     failures = 0

@@ -62,7 +62,7 @@ def test_criterion_1_erlang_consistency():
     cfg = SystemConfig(r=100.0, lambda_r=90.0, seed=12, staffing=100)
     sysh = RealizedSystem(n_servers=100, mu=np.ones(100), mu_bar=1.0, r=100.0, lambda_r=90.0)
     horizon = 1_000_000 / 90.0
-    path = run(cfg, sysh, horizon=horizon)
+    path = run(cfg, sysh, horizon=horizon, record_customers=True)
     pw, lq, _ = erlang_c(100, 90.0, 1.0)
     keep = path.arrival_t >= 0.2 * horizon
     p_hat, p_se = _batch_se(path.waited[keep].astype(float))
@@ -104,7 +104,7 @@ def test_criterion_2_halfin_whitt_reduction():
         n = math.ceil(r + math.sqrt(r))
         cfg = SystemConfig(r=float(r), lambda_r=float(r), seed=29, staffing=n)
         s = RealizedSystem(n_servers=n, mu=np.ones(n), mu_bar=1.0, r=float(r), lambda_r=float(r))
-        path = run(cfg, s, horizon=horizon, grid_points=2000)
+        path = run(cfg, s, horizon=horizon, grid_points=2000, warmup=0.1)
         est = steady_estimates(path, 0.1)
         errs.append(abs(est.p_wait - hw1))
     sim_ok = errs[0] > errs[1] > errs[2] and errs[2] < 0.02

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,35 @@ class TestExitCodes:
             command, "--out", str(tmp_path / "o"), "--set", "lambda_r=20.0",
             "--set", "horizon=50.0", "--set", setting,
         ])
+        assert rc == 2
+        assert setting.split("=")[0] + " must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,setting",
+        [
+            ("staff", "opt_tol=-1"),
+            ("staff", "opt_tol=0"),
+            ("staff", "opt_tol=nan"),
+            ("analyze", "density_span=nan"),
+            ("analyze", "density_span=-3"),
+            ("simulate", "grid_points=1000001"),
+        ],
+    )
+    def test_range_checked_where_the_value_enters(self, tmp_path, capsys, command, setting):
+        # a negative or zero opt_tol once made the golden-section search loop forever
+        def timeout(*_):
+            pytest.fail(f"{command} --set {setting} did not return")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(30)
+        try:
+            rc = main([
+                command, "--out", str(tmp_path / "o"), "--set", "lambda_r=20.0",
+                "--set", "nu=1.0", "--set", "horizon=5.0", "--set", setting,
+            ])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert rc == 2
         assert setting.split("=")[0] + " must" in capsys.readouterr().err
 

@@ -157,10 +157,6 @@ class TestSystemConfig:
         assert sysv.n_pools == 2
         assert sysv.mu[sysv.pool_of == 1].min() == 2.0
 
-    def test_theta_equivalent_roundtrip(self):
-        cfg = SystemConfig(r=100.0, lambda_r=100.0, seed=1, staffing=110)
-        assert cfg.theta_equivalent(1.0) == pytest.approx(1.0)
-
 
 class TestConfigFormat:
     def test_roundtrip(self):

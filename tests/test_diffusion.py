@@ -25,11 +25,11 @@ from hetq.diffusion import (
     prob_wait_aband,
     prob_wait_no_aband,
     ql_eps,
-    simulate_sde,
     stationary_aband,
     stationary_no_aband,
 )
 from hetq.errors import ConfigError, DomainError
+from sde_oracle import simulate_sde
 
 # frozen from the mpmath scale-density oracle
 RHO_NOAB_GOLDEN = 0.72093211340305466306  # (beta, sigma, gamma) = (-1, 4, 2)

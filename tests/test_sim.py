@@ -44,7 +44,7 @@ def homogeneous(n, lam, r=None, seed=0, nu=0.0, policy=Policy.LISF):
 class TestRunBasics:
     def test_no_arrivals_drains(self):
         cfg, s = homogeneous(10, 0.0)
-        path = run(cfg, s, horizon=200.0, validate=True)
+        path = run(cfg, s, horizon=200.0, validate=True, record_customers=True)
         assert path.arrivals_total == 0
         assert path.abandon_total == 0
         assert path.grid_X[-1] == 0
@@ -56,7 +56,7 @@ class TestRunBasics:
 
     def test_constant_path_estimates(self):
         cfg, s = homogeneous(5, 0.0)
-        path = run(cfg, s, horizon=1.0, x0=0)
+        path = run(cfg, s, horizon=1.0, x0=0, warmup=0.0)
         est = steady_estimates(path, 0.0)
         assert est.p_wait == 0.0
         assert est.mean_Q == 0.0
@@ -64,7 +64,7 @@ class TestRunBasics:
 
     def test_mm1_delay_probability(self):
         cfg, s = homogeneous(1, 0.5, seed=11)
-        path = run(cfg, s, horizon=150_000.0, x0=0)
+        path = run(cfg, s, horizon=150_000.0, x0=0, warmup=0.1)
         est = steady_estimates(path, 0.1)
         se = math.sqrt(0.5 * 0.5 / est.n_arrivals) * 3.0  # wide: arrivals correlate
         assert abs(est.p_wait - 0.5) < max(3 * se, 0.01)
@@ -130,9 +130,53 @@ class TestRunBasics:
     def test_deterministic_arrivals_scv_zero(self):
         cfg = SystemConfig(r=4.0, lambda_r=2.0, seed=1, staffing=4, arrival_scv=0.0)
         s = RealizedSystem(n_servers=4, mu=np.ones(4), mu_bar=1.0, r=4.0, lambda_r=2.0)
-        path = run(cfg, s, horizon=100.0, x0=0, validate=True)
+        path = run(cfg, s, horizon=100.0, x0=0, validate=True, record_customers=True)
         gaps = np.diff(path.arrival_t)
         np.testing.assert_allclose(gaps, 0.5, rtol=1e-12)
+
+
+class TestWindowCounters:
+    # the window counters give the per-customer record's statistics bit for bit
+    @pytest.mark.parametrize("mode", list(AbandonMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("variant", ["plain", "x0_above_n", "scv_zero", "overflow"])
+    def test_counters_match_record(self, mode, variant):
+        nu = 0.0 if mode is AbandonMode.NONE else 0.8
+        cfg = SystemConfig(
+            r=20.0, lambda_r=60.0 if variant == "overflow" else 19.0, seed=17, staffing=20,
+            abandon_rate=nu, arrival_scv=0.0 if variant == "scv_zero" else 1.0,
+        )
+        s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5))
+        kwargs = dict(
+            horizon=300.0, mode=mode, warmup=0.3, grid_points=3000,
+            x0=35 if variant == "x0_above_n" else None,
+            queue_cap=25 if variant == "overflow" else 1_000_000,
+        )
+        counted = run(cfg, s, **kwargs)
+        recorded = run(cfg, s, record_customers=True, **kwargs)
+        assert counted.overflowed == recorded.overflowed == (variant == "overflow")
+        a = steady_estimates(counted, 0.3)
+        b = steady_estimates(recorded, 0.3)
+        assert (a.p_wait, a.n_arrivals) == (b.p_wait, b.n_arrivals)
+        assert counted.arrivals_total == recorded.arrivals_total == recorded.arrival_t.size
+        assert 0 < a.n_arrivals
+        if variant != "overflow":
+            assert counted.waited is None
+            assert a.p_wait == float(recorded.waited[recorded.arrival_t >= 90.0].mean())
+
+    def test_other_warmup_needs_the_record(self):
+        cfg, s = homogeneous(5, 4.5, seed=3)
+        path = run(cfg, s, horizon=50.0)
+        steady_estimates(path, 0.2)
+        with pytest.raises(ConfigError, match="warmup"):
+            steady_estimates(path, 0.3)
+        recorded = run(cfg, s, horizon=50.0, record_customers=True)
+        assert steady_estimates(recorded, 0.3).window == (15.0, 50.0)
+
+    @pytest.mark.parametrize("warmup", [math.nan, math.inf, -0.1, 1.0])
+    def test_warmup_checked_at_entry(self, warmup):
+        cfg, s = homogeneous(3, 2.0, seed=1)
+        with pytest.raises(ConfigError, match="warmup"):
+            run(cfg, s, horizon=10.0, warmup=warmup)
 
 
 class TestSteadyEstimates:
@@ -149,7 +193,7 @@ class TestSteadyEstimates:
         d = RateDistribution.uniform(0.7, 1.3)
         cfg = SystemConfig(r=100.0, lambda_r=92.0, seed=21, staffing=100)
         s = RealizedSystem.realize(cfg, d, rng_stream(21, 0, Stream.RATES))
-        path = run(cfg, s, horizon=4000.0)
+        path = run(cfg, s, horizon=4000.0, record_customers=True)
         keep = (
             (path.arrival_t > 400.0)
             & path.waited
@@ -163,7 +207,7 @@ class TestSteadyEstimates:
 
     def test_abandon_rate_identity(self):
         cfg, s = homogeneous(10, 12.0, seed=13, nu=1.0)
-        path = run(cfg, s, horizon=500.0, mode=AbandonMode.PER_CUSTOMER)
+        path = run(cfg, s, horizon=500.0, mode=AbandonMode.PER_CUSTOMER, warmup=0.25)
         est = steady_estimates(path, 0.25)
         mask = (path.grid_t >= est.window[0]) & (path.grid_t <= est.window[1])
         r_w = path.grid_R[mask]
@@ -297,12 +341,37 @@ class TestMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            path = run(cfg, s, horizon=1000.0, mode=mode, grid_points=100)
+            path = run(cfg, s, horizon=1000.0, mode=mode, grid_points=100, record_customers=True)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert path.arrivals_total > 90_000
         assert peak / path.arrivals_total <= 40.0
+
+    def test_counting_run_peak_independent_of_horizon(self):
+        # without the per-customer record nothing is kept per arrival: four
+        # times the horizon (about 400k arrivals) leaves the peak where it
+        # was. Per-customer patience is the mode that still keeps ids, of
+        # waiting customers only; one mode keeps the test's time down, since
+        # tracing slows the run about tenfold.
+        mode = AbandonMode.PER_CUSTOMER
+        cfg = SystemConfig(
+            r=100.0, lambda_r=100.0, seed=5, staffing=HalfinWhitt(0.5),
+            abandon_rate=0.5, policy=Policy.FSF,
+        )
+        s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5))
+        peaks = []
+        for horizon in (1000.0, 4000.0):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                path = run(cfg, s, horizon=horizon, mode=mode, grid_points=100)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert path.arrivals_total > 350_000
+        assert peaks[1] < 2 * 2**20
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_default_run_peak_bounded(self):
         # the default 10k-point grid holds busy counts per group, not a
@@ -369,6 +438,21 @@ class TestExports:
         a_col = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
         assert set(a_col) == {"0"}
 
+    @pytest.mark.parametrize("pools", [None, ((0.5, 1.0), (0.5, 2.0))])
+    def test_csv_matches_per_row_formatting(self, pools):
+        cfg = SystemConfig(r=20.0, lambda_r=20.0, seed=3, staffing=20, pools=pools)
+        s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.8, 1.2))
+        path = run(cfg, s, horizon=30.0, grid_points=3000)
+        # reference: one formatted line per grid row, cell by cell
+        lines = [path_to_csv(path).splitlines()[0]]
+        for j in range(path.grid_t.size):
+            z = ",".join(str(int(path.grid_Z[j, i])) for i in range(path.n_pools))
+            lines.append(
+                f"{float(path.grid_t[j])!r},{int(path.grid_X[j])},{int(path.grid_Q[j])},"
+                f"{z},{int(path.grid_R[j])},{int(path.grid_A[j])}"
+            )
+        assert path_to_csv(path) == "\n".join(lines) + "\n"
+
     def test_csv_pools_columns(self):
         cfg = SystemConfig(
             r=20.0, lambda_r=20.0, seed=1, staffing=20,
@@ -431,7 +515,7 @@ def _pinned_path(policy, mode, *, pools=None, scv=1.0, x0=None, horizon=60.0):
     return tuple(
         run(
             cfg, system, horizon=horizon, mode=mode, x0=x0, grid_points=301,
-            rep=3, validate=True,
+            rep=3, validate=True, record_customers=True,
         )
         for system in (s, s.grouped(np.arange(s.n_servers)))
     )

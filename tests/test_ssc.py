@@ -1,4 +1,4 @@
-"""Collapse function, hydrodynamic windows, fairness, static planning."""
+"""Collapse function, hydrodynamic windows, fairness."""
 
 import math
 
@@ -22,7 +22,6 @@ from hetq.ssc import (
     rate_bin,
     ssc_convergence,
     ssc_g,
-    static_planning_inverted_v,
 )
 
 POOLS = ((0.5, 1.0), (0.5, 2.0))
@@ -264,32 +263,6 @@ class TestFairness:
         eta = eta_theory(d, edges, Policy.FSF)
         assert eta[0] == 1.0 and eta[1:].sum() == 0.0
         assert eta_theory(d, edges, Policy.RANDOM) is None
-
-
-class TestStaticPlanning:
-    def test_heavy_traffic_flag(self):
-        res = static_planning_inverted_v((0.5, 0.5), (1.0, 2.0), 1.5)
-        assert res.rho_star == pytest.approx(1.0)
-        assert res.heavy_traffic
-        assert res.x_star == tuple([res.rho_star] * 2)
-
-    def test_zero_arrivals(self):
-        res = static_planning_inverted_v((0.5, 0.5), (1.0, 2.0), 0.0)
-        assert res.rho_star == 0.0 and not res.heavy_traffic
-
-    def test_hand_value(self):
-        res = static_planning_inverted_v((0.5, 0.5), (1.0, 2.0), 1.2)
-        assert res.rho_star == pytest.approx(0.8)
-
-    @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
-    @settings(max_examples=100, deadline=None)
-    def test_homogeneity(self, scale_lam, scale_mu):
-        base = static_planning_inverted_v((0.5, 0.5), (1.0, 2.0), 1.2)
-        up = static_planning_inverted_v((0.5, 0.5), (1.0, 2.0), 1.2 * scale_lam)
-        assert up.rho_star == pytest.approx(base.rho_star * scale_lam, rel=1e-12)
-        mu2 = (1.0 * scale_mu, 2.0 * scale_mu)
-        down = static_planning_inverted_v((0.5, 0.5), mu2, 1.2)
-        assert down.rho_star == pytest.approx(base.rho_star / scale_mu, rel=1e-12)
 
 
 class TestDiffusionScaled:
