@@ -332,10 +332,12 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
     config = _system_config(values)
     dist = _rates(values)
     n_bins = int(values["bins"])
-    if n_bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {n_bins}")
-    edges = ssc_mod.default_bins(dist, n_bins)
     system = RealizedSystem.from_config(config, dist)
+    if not 1 <= n_bins <= system.n_servers:
+        raise ConfigError(
+            f"bins must be in [1, {system.n_servers}] (the server count), got {n_bins}"
+        )
+    edges = ssc_mod.default_bins(dist, n_bins)
     # servers grouped by rate bin: the busy counts per group give the idle
     # counts per bin that the sup discrepancy needs
     by_bin = system.grouped(ssc_mod.rate_bin(system.mu, edges), edges.size - 1)

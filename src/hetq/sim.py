@@ -14,10 +14,19 @@ server.
 
 The event core is one loop with the policy's idle set inlined (a LISF deque,
 an FSF heap keyed on -mu, a RANDOM swap list) and each random stream read
-through ``_draws``, a C-level iterator over blocks of 8192 draws. The order
-in which every stream is consumed is part of the determinism contract and
-is unchanged from earlier hetq versions, so their manifests rerun byte for
-byte (``tests/test_sim.py::TestStreamPinning`` pins it).
+through ``_draws``, a C-level iterator over blocks that grow from 64 to 8192
+draws, so a short run does not draw values it never reads. A stream's
+generator is built on its first draw: abandonment draws under mode ``none``
+and routing draws under LISF/FSF are never built. The order in which every
+stream is consumed is part of the determinism contract and is unchanged
+from earlier hetq versions, so their manifests rerun byte for byte
+(``tests/test_sim.py::TestStreamPinning`` pins it).
+
+An event that passes grid times stages one row (last grid index, X, Q, R,
+A, Z_1..) in a flat list; every ~4k staged values are written into the
+preallocated grid at once, each row repeated over the grid points it
+covers. Short runs cross a grid time at almost every event, and one list
+extend costs far less than a numpy slice assignment per crossing.
 
 By default a run keeps counters only, and its memory does not depend on the
 horizon. The per-customer record (arrival time, wait, waited and abandoned
@@ -66,7 +75,9 @@ __all__ = [
 ]
 
 _INF = math.inf
+_FIRST_BLOCK = 64
 _BLOCK = 8192
+_STAGE = 4096  # staged grid values written at once
 _MAX_GRID_POINTS = 1_000_000  # 10^6 samples keep the grid's memory bounded
 
 
@@ -76,13 +87,36 @@ class AbandonMode(Enum):
     PERTURBED = "perturbed"
 
 
-def _draws(sample) -> Callable[[], float]:
-    """Next-draw function over blocks of ``sample(8192)``, e.g. ``rng.random``.
+def _draws(seed: int, rep: int, stream: Stream, method: str) -> Callable[[], float]:
+    """Next-draw function of one stream's ``method``, e.g. ``"random"``.
 
-    Blocks are drawn on demand and in order, so the values are those of
-    ``sample`` called repeatedly with the block size.
+    The stream's generator is built on the first draw. Blocks of 64, 128,
+    ... up to 8192 draws follow on demand and in order; numpy's ``random``
+    and ``standard_exponential`` give the same values however the draws are
+    split into calls, so the values are those of one long call.
     """
-    return chain.from_iterable(iter(lambda: sample(_BLOCK).tolist(), None)).__next__
+
+    def blocks():
+        sample = getattr(rng_stream(seed, rep, stream), method)
+        size = _FIRST_BLOCK
+        while True:
+            yield sample(size).tolist()
+            size = min(2 * size, _BLOCK)
+
+    return chain.from_iterable(blocks()).__next__
+
+
+def _fill(grid: np.ndarray, g0: int, stage: list) -> int:
+    """Write staged rows (hi, X, Q, R, A, Z_1..) into ``grid`` from row ``g0``.
+
+    Each row's state fills the grid up to, not including, its ``hi``, which
+    is the next row's start. Empties ``stage`` and returns the last ``hi``.
+    """
+    rows = np.array(stage, dtype=np.int64).reshape(-1, grid.shape[1] + 1)
+    his = rows[:, 0]
+    grid[g0:his[-1]] = np.repeat(rows[:, 1:], np.diff(his, prepend=g0), axis=0)
+    stage.clear()
+    return int(his[-1])
 
 
 def _check_horizon(horizon: float) -> None:
@@ -213,10 +247,10 @@ def run(
             root = math.sqrt(scv)
             det, m_e = (1.0 - root) / lam, root / lam
 
-    arrival_exp = _draws(rng_stream(seed, rep, Stream.ARRIVAL).standard_exponential)
-    service_exp = _draws(rng_stream(seed, rep, Stream.SERVICE).standard_exponential)
-    abandon_exp = _draws(rng_stream(seed, rep, Stream.ABANDON).standard_exponential)
-    routing_u = _draws(rng_stream(seed, rep, Stream.ROUTING).random)
+    arrival_exp = _draws(seed, rep, Stream.ARRIVAL, "standard_exponential")
+    service_exp = _draws(seed, rep, Stream.SERVICE, "standard_exponential")
+    abandon_exp = _draws(seed, rep, Stream.ABANDON, "standard_exponential")
+    routing_u = _draws(seed, rep, Stream.ROUTING, "random")
 
     # initial state: x0 in system, lowest-index servers busy first
     x = n if x0 is None else int(x0)
@@ -263,8 +297,9 @@ def run(
     grid_t = np.linspace(0.0, horizon, grid_points)
     grid_list = grid_t.tolist() + [_INF]
     grid = np.zeros((grid_points, 4 + n_pools), dtype=np.int64)  # X, Q, R, A, Z_1..
-    gi = 0
+    gi = g0 = 0  # grid points below gi are passed, those below g0 written
     t_grid = grid_list[0]
+    stage = []
 
     a_count = 0
     r_count = 0
@@ -299,9 +334,10 @@ def run(
             break
 
         if t_grid < t_next:
-            hi = bisect_left(grid_list, t_next, gi)
-            grid[gi:hi] = (x, q, r_count, a_count, *z)
-            gi = hi
+            gi = bisect_left(grid_list, t_next, gi)
+            stage += (gi, x, q, r_count, a_count, *z)
+            if len(stage) >= _STAGE:
+                g0 = _fill(grid, g0, stage)
             t_grid = grid_list[gi]
 
         if perturbed and q > 0:
@@ -414,6 +450,8 @@ def run(
         )
 
     # fill the remaining grid with the terminal state
+    if stage:
+        _fill(grid, g0, stage)
     grid[gi:] = (x, q, r_count, a_count, *z)
     for k in range(n):
         if busy[k]:
@@ -561,11 +599,12 @@ def coupled_run(
     nu = config.abandon_rate
     master_rate = n * q_rate
 
-    arrival_exp = _draws(rng_stream(config.seed, rep, Stream.ARRIVAL).standard_exponential)
-    skel_exp = _draws(rng_stream(config.seed, rep, Stream.SKELETON).standard_exponential)
-    skel_u = _draws(rng_stream(config.seed, rep, Stream.SERVICE).random)
-    pick_u = _draws(rng_stream(config.seed, rep, Stream.ROUTING).random)
-    abandon_exp = _draws(rng_stream(config.seed, rep, Stream.ABANDON).standard_exponential)
+    seed = config.seed
+    arrival_exp = _draws(seed, rep, Stream.ARRIVAL, "standard_exponential")
+    skel_exp = _draws(seed, rep, Stream.SKELETON, "standard_exponential")
+    skel_u = _draws(seed, rep, Stream.SERVICE, "random")
+    pick_u = _draws(seed, rep, Stream.ROUTING, "random")
+    abandon_exp = _draws(seed, rep, Stream.ABANDON, "standard_exponential")
 
     mu_l = mu.tolist()
     busy_rate = np.array(mu, dtype=float)  # mu_k while busy, 0.0 while idle
@@ -577,7 +616,7 @@ def coupled_run(
 
     next_arr = (arrival_exp() / lam) if lam > 0.0 else _INF
     next_skel = skel_exp() / master_rate
-    hazard = abandon_exp()
+    hazard = abandon_exp() if nu > 0.0 else 0.0  # read only while nu > 0
     t_cur = 0.0
 
     times: List[float] = []

@@ -388,6 +388,10 @@ def inverted_v_config(
     """
     if lambda_hat >= 0.0:
         raise ConfigError(f"heavy-traffic centering needs lambda_hat < 0, got {lambda_hat}")
+    if not (math.isfinite(r) and round(r) >= 1):
+        raise ConfigError(
+            f"r_values must be finite and give at least one server (round(r) >= 1), got {r}"
+        )
     n_total = int(round(r))
     sizes = pool_sizes(pools, n_total)
     capacity = sum(s * m for s, (_, m) in zip(sizes, pools))

@@ -201,6 +201,26 @@ class TestExitCodes:
         assert rc == 2
         assert "reps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r_values", ["25,-5", "25,inf", "nan", "0.4"])
+    def test_ssc_bad_r_value_exits_2(self, tmp_path, capsys, r_values):
+        # -5 and nan were a math domain error, inf an OverflowError
+        rc = main([
+            "ssc", "--out", str(tmp_path / "o"), "--set", "pools=0.5:1.0,0.5:2.0",
+            "--set", f"r_values={r_values}", "--set", "reps=1", "--set", "ssc_horizon=1.0",
+        ])
+        assert rc == 2
+        assert "r_values" in capsys.readouterr().err
+
+    def test_fairness_bins_above_server_count_exits_2(self, tmp_path, capsys):
+        # more bins than servers used to run; a large count ran out of memory
+        rc = main([
+            "fairness", "--out", str(tmp_path / "o"), "--set", "lambda_r=45.0",
+            "--set", "r=50.0", "--set", "staffing=50", "--set", "horizon=5.0",
+            "--set", "grid_points=100", "--set", "bins=51",
+        ])
+        assert rc == 2
+        assert "bins must" in capsys.readouterr().err
+
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     env = dict(os.environ)

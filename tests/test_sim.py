@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import hetq.sim
 from hetq.core import (
     HalfinWhitt,
     Policy,
@@ -28,6 +29,8 @@ from hetq.sim import (
     steady_estimates,
 )
 from hetq.staffing import erlang_c
+
+from grid_reference import reference_grid
 
 
 def homogeneous(n, lam, r=None, seed=0, nu=0.0, policy=Policy.LISF):
@@ -177,6 +180,98 @@ class TestWindowCounters:
         cfg, s = homogeneous(3, 2.0, seed=1)
         with pytest.raises(ConfigError, match="warmup"):
             run(cfg, s, horizon=10.0, warmup=warmup)
+
+
+def _grid_case(name):
+    """(config, system, run kwargs) of one reference-grid case."""
+    nu = 0.0 if name in ("dense", "sparse", "flushes", "overflow", "no_arrivals") else 0.7
+    lam = {"overflow": 60.0, "no_arrivals": 0.0}.get(name, 19.0)
+    cfg = SystemConfig(
+        r=20.0, lambda_r=lam, seed=31, staffing=20, abandon_rate=nu,
+        policy=Policy.RANDOM if name.startswith("mode_") else Policy.LISF,
+    )
+    s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5))
+    kwargs = dict(horizon=40.0, grid_points=500)
+    if name == "dense":  # about 60 grid points per event
+        kwargs.update(horizon=2.0, grid_points=5000)
+    elif name == "sparse":  # about 150 events per grid point
+        kwargs.update(horizon=200.0, grid_points=50)
+    elif name == "flushes":
+        kwargs.update(horizon=300.0, grid_points=8000)
+    elif name == "overflow":
+        kwargs.update(queue_cap=15, horizon=100.0, grid_points=2000)
+    elif name == "x0_above_n":
+        kwargs.update(x0=45, mode=AbandonMode.PER_CUSTOMER)
+    elif name == "per_server":
+        s = s.grouped(np.arange(s.n_servers))
+        kwargs.update(mode=AbandonMode.PERTURBED, grid_points=2000)
+    elif name.startswith("mode_"):
+        kwargs.update(mode=AbandonMode(name[5:]))
+    return cfg, s, kwargs
+
+
+_GRID_CASES = [
+    "dense", "sparse", "flushes", "overflow", "no_arrivals", "x0_above_n", "per_server",
+    "mode_none", "mode_per_customer", "mode_perturbed",
+]
+
+
+class TestGridReference:
+    # staged grid writes give the grid of one slice write per crossing
+    @pytest.mark.parametrize("name", _GRID_CASES)
+    def test_grid_matches_slice_fill(self, name, monkeypatch):
+        cfg, s, kwargs = _grid_case(name)
+        fills = []
+        fill = hetq.sim._fill
+        monkeypatch.setattr(hetq.sim, "_fill", lambda *a: fills.append(1) or fill(*a))
+        path = run(cfg, s, **kwargs)
+        ref = reference_grid(cfg, s, **kwargs)
+        assert path.overflowed == (name == "overflow")
+        assert np.array_equal(path.grid_X, ref[:, 0])
+        assert np.array_equal(path.grid_Q, ref[:, 1])
+        assert np.array_equal(path.grid_R, ref[:, 2])
+        assert np.array_equal(path.grid_A, ref[:, 3])
+        assert np.array_equal(path.grid_Z, ref[:, 4:])
+        if name == "flushes":
+            assert len(fills) >= 5
+        if name == "no_arrivals":
+            assert path.arrivals_total == 0 and ref[-1, 0] == 0
+
+
+class TestDraws:
+    @pytest.mark.parametrize("method", ["standard_exponential", "random"])
+    def test_growing_blocks_give_one_call_values(self, method):
+        draw = hetq.sim._draws(9, 4, Stream.SERVICE, method)
+        got = [draw() for _ in range(20_000)]
+        assert got == getattr(rng_stream(9, 4, Stream.SERVICE), method)(20_000).tolist()
+
+    @pytest.mark.parametrize(
+        "policy,mode,streams",
+        [
+            (Policy.LISF, AbandonMode.NONE, {Stream.ARRIVAL, Stream.SERVICE}),
+            (
+                Policy.FSF, AbandonMode.PER_CUSTOMER,
+                {Stream.ARRIVAL, Stream.SERVICE, Stream.ABANDON},
+            ),
+            (
+                Policy.RANDOM, AbandonMode.PERTURBED,
+                {Stream.ARRIVAL, Stream.SERVICE, Stream.ABANDON, Stream.ROUTING},
+            ),
+        ],
+        ids=lambda v: getattr(v, "value", None),
+    )
+    def test_streams_built_on_first_draw(self, policy, mode, streams, monkeypatch):
+        built = []
+
+        def counting(seed, *key):
+            built.append(key[-1])
+            return rng_stream(seed, *key)
+
+        monkeypatch.setattr(hetq.sim, "rng_stream", counting)
+        nu = 0.0 if mode is AbandonMode.NONE else 0.5
+        cfg, s = homogeneous(10, 9.5, seed=4, nu=nu, policy=policy)
+        run(cfg, s, horizon=50.0, mode=mode)
+        assert len(built) == len(streams) and set(built) == streams
 
 
 class TestSteadyEstimates:
@@ -371,6 +466,25 @@ class TestMemory:
                 tracemalloc.stop()
         assert path.arrivals_total > 350_000
         assert peaks[1] < 2 * 2**20
+        assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_grid_peak_independent_of_horizon(self):
+        # staged grid rows are written every few thousand values, so the
+        # peak is the grid and its Z copy whatever the number of crossings
+        cfg, s = homogeneous(400, 390.0, seed=8)
+        per_server = s.grouped(np.arange(400))
+        grid_bytes = 10_000 * (4 + 400) * 8
+        peaks = []
+        for horizon in (2.0, 200.0):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                path = run(cfg, per_server, horizon=horizon, grid_points=10_000)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            del path
+        assert max(peaks) <= 2.25 * grid_bytes
         assert peaks[1] <= 1.05 * peaks[0]
 
     def test_default_run_peak_bounded(self):
