@@ -4,7 +4,10 @@ Every command resolves its configuration (file plus ``--set`` overrides),
 writes its data artifacts into ``--out``, and finishes with a
 ``manifest.json`` recording the fully resolved config, the seed, and a
 sha256 per artifact. ``hetq rerun manifest.json`` replays a manifest and
-reproduces the artifacts byte for byte.
+checks that the artifacts reproduce byte for byte. A command whose random
+streams are consumed differently from earlier hetq versions is listed in
+``_STREAM_LAYOUT``; its manifests carry the layout number, and a manifest
+of another layout is refused instead of rerun to different bytes.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-domain error.
 """
@@ -47,6 +50,12 @@ from .sim import (
 from .staffing import CostSpec, cost_aband, cost_no_aband, optimize_staffing
 
 COMMANDS = ("simulate", "analyze", "staff", "ql-sweep", "ssc", "fairness", "couple")
+
+# stream layout per command; a command not listed is layout 1. couple is 2
+# since coupled_run picks the freed server by rejection, reading its
+# ROUTING stream a variable number of times per pick.
+_STREAM_LAYOUT = {"couple": 2}
+_MAX_SKELETON_EVENTS = 1_000_000  # a few seconds of coupling, with three lists that long
 
 
 def _f(x) -> str:
@@ -364,14 +373,16 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
 
 
 def _cmd_couple(values: dict) -> Dict[str, bytes]:
+    events = int(values["skeleton_events"])
+    if not 1 <= events <= _MAX_SKELETON_EVENTS:
+        raise ConfigError(
+            f"skeleton_events must be in [1, {_MAX_SKELETON_EVENTS}], got {events}"
+        )
     config = _system_config(values)
     dist = _rates(values)
     system = RealizedSystem.from_config(config, dist)
     p_rate = float(values.get("p_rate", dist.p))
     q_rate = max(dist.q, float(system.mu.max()))
-    events = int(values["skeleton_events"])
-    if events < 1:
-        raise ConfigError(f"skeleton_events must be >= 1, got {events}")
     horizon = events / (system.n_servers * q_rate)
     cp = coupled_run(config, p_rate, system, horizon, q_rate=q_rate)
     lines = ["t,D_hom,D_het"] + [
@@ -504,12 +515,19 @@ def dispatch(command: str, values: dict, out_dir, fmt: str = "csv") -> dict:
         "config": config_map,
         "artifacts": checksums,
     }
+    if command in _STREAM_LAYOUT:
+        manifest["stream_layout"] = _STREAM_LAYOUT[command]
     (out / "manifest.json").write_bytes(_json_bytes(manifest))
     return manifest
 
 
 def rerun_manifest(manifest_path, out_dir) -> dict:
-    """Replay a manifest; artifact bytes must reproduce exactly."""
+    """Replay a manifest; artifact bytes must reproduce exactly.
+
+    A manifest of another stream layout is refused before anything runs. The
+    replay writes its artifacts, then each sha256 is compared with the
+    manifest's; the first that differs is named in a ``ConfigError``.
+    """
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -518,11 +536,29 @@ def rerun_manifest(manifest_path, out_dir) -> dict:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"manifest {manifest_path} is not JSON: {exc}") from None
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
-            and "command" in manifest):
-        raise ConfigError(f"manifest {manifest_path} needs a 'command' and a 'config' object")
+            and isinstance(manifest.get("artifacts"), dict) and "command" in manifest):
+        raise ConfigError(
+            f"manifest {manifest_path} needs a 'command', a 'config' and an 'artifacts' object"
+        )
+    command = manifest["command"]
+    layout = manifest.get("stream_layout", 1)
+    current = _STREAM_LAYOUT.get(command, 1)
+    if layout != current:
+        raise ConfigError(
+            f"manifest {manifest_path} has stream_layout {layout}, but {command} now uses "
+            f"stream_layout {current}; its artifacts cannot be reproduced"
+        )
     text = "\n".join(f"{k} = {v}" for k, v in manifest["config"].items())
     values = parse_config_text(text)
-    return dispatch(manifest["command"], values, out_dir, fmt=manifest.get("format", "csv"))
+    result = dispatch(command, values, out_dir, fmt=manifest.get("format", "csv"))
+    expected, got = manifest["artifacts"], result["artifacts"]
+    for name in sorted(expected.keys() | got.keys()):
+        if expected.get(name) != got.get(name):
+            raise ConfigError(
+                f"rerun of {manifest_path} did not reproduce artifact {name}: sha256 "
+                f"{got.get(name)} against the manifest's {expected.get(name)}"
+            )
+    return result
 
 
 def main(argv=None) -> int:

@@ -4,35 +4,25 @@ One pool or several (inverted-V), FIFO non-preemptive service, LISF / FSF /
 RANDOM routing, and two abandonment constructions: independent patience per
 customer, or the head-of-queue process that abandons at rate nu * Q(t).
 
-A run is strictly single-threaded and deterministic in (config, seed, rep).
-Counters (arrivals, departures, abandonments, busy time, and the arrivals
-and waited arrivals after the warmup time) are exact; the trajectory is
-additionally sampled on a uniform grid for trajectory output. Occupancy is
-recorded as one busy count per server group (``RealizedSystem.pool_of``):
-the inverted-V pools, rate bins for the fairness statistic, or one group per
-server.
+A run is single-threaded and deterministic in (config, seed, rep). Its
+counters (arrivals, departures, abandonments, busy time, and the arrivals
+and waited arrivals after the warmup time) are exact, and its memory does
+not depend on the horizon: the per-customer record is opt-in
+(``record_customers``; typed buffers, about 19 bytes per arrival). The
+trajectory is sampled on a uniform grid, occupancy as one busy count per
+server group (``RealizedSystem.pool_of``). Short runs cross a grid time at
+almost every event, so a crossing stages one row in a flat list, and every
+~4k staged values are written into the grid at once.
 
-The event core is one loop with the policy's idle set inlined (a LISF deque,
-an FSF heap keyed on -mu, a RANDOM swap list) and each random stream read
-through ``_draws``, a C-level iterator over blocks that grow from 64 to 8192
-draws, so a short run does not draw values it never reads. A stream's
-generator is built on its first draw: abandonment draws under mode ``none``
-and routing draws under LISF/FSF are never built. The order in which every
-stream is consumed is part of the determinism contract and is unchanged
-from earlier hetq versions, so their manifests rerun byte for byte
-(``tests/test_sim.py::TestStreamPinning`` pins it).
-
-An event that passes grid times stages one row (last grid index, X, Q, R,
-A, Z_1..) in a flat list; every ~4k staged values are written into the
-preallocated grid at once, each row repeated over the grid points it
-covers. Short runs cross a grid time at almost every event, and one list
-extend costs far less than a numpy slice assignment per crossing.
-
-By default a run keeps counters only, and its memory does not depend on the
-horizon. The per-customer record (arrival time, wait, waited and abandoned
-flags) is opt-in (``run(..., record_customers=True)``); it is kept in typed
-buffers, about 19 bytes per arrival, and ``PathRecord`` views it without a
-copy.
+The event loop inlines the policy's idle set (a LISF deque, an FSF heap
+keyed on -mu, a RANDOM swap list) and reads each random stream through
+``_draws``, a C-level iterator over blocks that grow from 64 to 8192 draws;
+a stream's generator is built on its first draw, so unread streams cost
+nothing. The order in which each stream is consumed is part of the
+determinism contract (``tests/test_sim.py::TestStreamPinning`` pins it).
+``run``'s is unchanged from earlier hetq versions; ``coupled_run``'s changed
+with its rejection pick, which ``hetq.cli`` stamps as ``couple`` stream
+layout 2.
 """
 
 from __future__ import annotations
@@ -106,15 +96,17 @@ def _draws(seed: int, rep: int, stream: Stream, method: str) -> Callable[[], flo
     return chain.from_iterable(blocks()).__next__
 
 
-def _fill(grid: np.ndarray, g0: int, stage: list) -> int:
-    """Write staged rows (hi, X, Q, R, A, Z_1..) into ``grid`` from row ``g0``.
+def _fill(xqra: np.ndarray, grid_z: np.ndarray, g0: int, stage: list) -> int:
+    """Write staged rows (hi, X, Q, R, A, Z_1..) into ``xqra``, ``grid_z`` from ``g0``.
 
-    Each row's state fills the grid up to, not including, its ``hi``, which
+    Each row's state fills the grids up to, not including, its ``hi``, which
     is the next row's start. Empties ``stage`` and returns the last ``hi``.
     """
-    rows = np.array(stage, dtype=np.int64).reshape(-1, grid.shape[1] + 1)
+    rows = np.array(stage, dtype=np.int64).reshape(-1, grid_z.shape[1] + 5)
     his = rows[:, 0]
-    grid[g0:his[-1]] = np.repeat(rows[:, 1:], np.diff(his, prepend=g0), axis=0)
+    counts = np.diff(his, prepend=g0)
+    xqra[:, g0:his[-1]] = np.repeat(rows[:, 1:5].T, counts, axis=1)
+    grid_z[g0:his[-1]] = np.repeat(rows[:, 5:], counts, axis=0)
     stage.clear()
     return int(his[-1])
 
@@ -219,9 +211,7 @@ def run(
 
     n = system.n_servers
     mu = system.mu.tolist()
-    pool_of = (
-        system.pool_of.tolist() if system.pool_of is not None else [0] * n
-    )
+    pool_of = system.pool_of.tolist() if system.pool_of is not None else [0] * n
     n_pools = system.n_pools
     lam = config.lambda_r
     nu = config.abandon_rate
@@ -296,7 +286,8 @@ def run(
 
     grid_t = np.linspace(0.0, horizon, grid_points)
     grid_list = grid_t.tolist() + [_INF]
-    grid = np.zeros((grid_points, 4 + n_pools), dtype=np.int64)  # X, Q, R, A, Z_1..
+    xqra = np.zeros((4, grid_points), dtype=np.int64)  # X, Q, R, A; rows are the outputs
+    grid_z = np.zeros((grid_points, n_pools), dtype=np.int64)
     gi = g0 = 0  # grid points below gi are passed, those below g0 written
     t_grid = grid_list[0]
     stage = []
@@ -337,7 +328,7 @@ def run(
             gi = bisect_left(grid_list, t_next, gi)
             stage += (gi, x, q, r_count, a_count, *z)
             if len(stage) >= _STAGE:
-                g0 = _fill(grid, g0, stage)
+                g0 = _fill(xqra, grid_z, g0, stage)
             t_grid = grid_list[gi]
 
         if perturbed and q > 0:
@@ -451,12 +442,12 @@ def run(
 
     # fill the remaining grid with the terminal state
     if stage:
-        _fill(grid, g0, stage)
-    grid[gi:] = (x, q, r_count, a_count, *z)
+        _fill(xqra, grid_z, g0, stage)
+    xqra[:, gi:] = [[x], [q], [r_count], [a_count]]
+    grid_z[gi:] = z
     for k in range(n):
         if busy[k]:
             t_busy[k] += end_time - busy_since[k]
-    g_x, g_q, g_r, g_a = grid[:, :4].T.copy()
     customers = [None] * 4
     if record:
         customers = [
@@ -478,11 +469,11 @@ def run(
         mu=system.mu,
         pool_of=system.pool_of,
         grid_t=grid_t,
-        grid_X=g_x,
-        grid_Q=g_q,
-        grid_Z=np.ascontiguousarray(grid[:, 4:]),
-        grid_R=g_r,
-        grid_A=g_a,
+        grid_X=xqra[0],
+        grid_Q=xqra[1],
+        grid_Z=grid_z,
+        grid_R=xqra[2],
+        grid_A=xqra[3],
         warmup=warmup,
         arrivals_total=a_count,
         window_arrivals=win_a,
@@ -556,6 +547,7 @@ class CoupledPaths:
     skeleton_t: np.ndarray
     d_hom: np.ndarray
     d_het: np.ndarray
+    departures: np.ndarray  # heterogeneous departures per server
     p_rate: float
     q_rate: float
     n_servers: int
@@ -579,10 +571,12 @@ def coupled_run(
     uniforms: the homogeneous system accepts a point when
     U <= (X_hom ^ N)*p/(N*q), the heterogeneous one when U is below the
     ratio of its busy-rate total to N*q, freeing a busy server chosen with
-    probability proportional to its rate. Arrivals (and, when nu > 0,
-    abandonment epochs driven by the heterogeneous queue) are shared, so
-    the homogeneous departure count can never overtake the heterogeneous
-    one.
+    probability proportional to its rate by rejection (Slepoy, Thompson &
+    Plimpton 2008): a uniform busy server k is kept when V*q <= mu_k, V a
+    second uniform, else drawn again, so a try is O(1) and at most q/p
+    tries are expected. Arrivals (and, when nu > 0, abandonment epochs
+    driven by the heterogeneous queue) are shared, so the homogeneous
+    departure count can never overtake the heterogeneous one.
     """
     mu = system.mu
     n = system.n_servers
@@ -607,10 +601,9 @@ def coupled_run(
     abandon_exp = _draws(seed, rep, Stream.ABANDON, "standard_exponential")
 
     mu_l = mu.tolist()
-    busy_rate = np.array(mu, dtype=float)  # mu_k while busy, 0.0 while idle
-    running = np.empty(n)  # running totals of busy_rate
-    x_het = n  # both systems start full: X(0) = N
-    x_hom = n
+    busy = list(range(n))  # swap list of the heterogeneous twin's busy servers
+    d_count = [0] * n
+    x_het = x_hom = n  # both systems start full: X(0) = N
     sum_busy_mu = float(mu.sum())
     idle: deque = deque()  # LISF order for the heterogeneous twin
 
@@ -622,48 +615,54 @@ def coupled_run(
     times: List[float] = []
     hom_counts: List[int] = []
     het_counts: List[int] = []
-    d_hom = 0
-    d_het = 0
+    d_hom = d_het = 0
 
     while True:
-        q_het = max(x_het - n, 0)
-        t_ab = t_cur + max(hazard, 0.0) / (nu * q_het) if (nu > 0.0 and q_het > 0) else _INF
-        t_next = min(next_skel, t_ab, next_arr)
+        q_het = x_het - n if nu > 0.0 and x_het > n else 0
+        t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q_het) if q_het else _INF
+        # tie order: skeleton point, abandonment, arrival
+        if next_skel <= t_ab and next_skel <= next_arr:
+            t_next, kind = next_skel, 0
+        elif t_ab <= next_arr:
+            t_next, kind = t_ab, 1
+        else:
+            t_next, kind = next_arr, 2
         if t_next > horizon:
             break
-        if nu > 0.0 and q_het > 0:
+        if q_het:
             hazard -= nu * q_het * (t_next - t_cur)
         t_cur = t_next
 
-        if t_next == next_skel:
+        if kind == 0:
             u = skel_u()
             # homogeneous acceptance: all busy servers work at rate p
-            if u <= (min(x_hom, n) * p_rate) / master_rate:
-                if x_hom > 0:
-                    x_hom -= 1
-                    d_hom += 1
-            # heterogeneous acceptance: realized busy rates
-            if u <= sum_busy_mu / master_rate:
-                # free a busy server with probability proportional to its rate:
-                # the first whose running rate total exceeds the target (the
-                # sum runs in index order and adds exact zeros for idle servers)
-                target = pick_u() * sum_busy_mu
-                np.add.accumulate(busy_rate, out=running)
-                freed = int(running.searchsorted(target, "right"))
-                if freed == n:  # numerical edge: last busy server
-                    freed = int(np.flatnonzero(busy_rate)[-1])
+            if x_hom > 0 and u <= ((x_hom if x_hom < n else n) * p_rate) / master_rate:
+                x_hom -= 1
+                d_hom += 1
+            # heterogeneous acceptance: realized busy rates; an empty system frees none
+            if u <= sum_busy_mu / master_rate and x_het > 0:
+                m = len(busy)
+                while True:  # a uniform busy server, kept with probability mu_k/q
+                    i = int(pick_u() * m)
+                    if i == m:  # u * m can round up to m
+                        i -= 1
+                    k = busy[i]
+                    if pick_u() * q_rate <= mu_l[k]:
+                        break
                 x_het -= 1
                 d_het += 1
+                d_count[k] += 1
                 if x_het < n:
-                    busy_rate[freed] = 0.0
-                    sum_busy_mu -= mu_l[freed]
-                    idle.append(freed)
+                    busy[i] = busy[-1]
+                    busy.pop()
+                    sum_busy_mu -= mu_l[k]
+                    idle.append(k)
                 # else: a queued customer takes the freed server immediately
             times.append(t_cur)
             hom_counts.append(d_hom)
             het_counts.append(d_het)
             next_skel = t_cur + skel_exp() / master_rate
-        elif t_next == t_ab:
+        elif kind == 1:
             # shared abandonment epoch: heterogeneous queue loses its head,
             # the (longer) homogeneous queue loses one as well
             x_het -= 1
@@ -675,7 +674,7 @@ def coupled_run(
             x_hom += 1
             if x_het <= n:
                 k = idle.popleft()
-                busy_rate[k] = mu_l[k]
+                busy.append(k)
                 sum_busy_mu += mu_l[k]
             next_arr = t_cur + arrival_exp() / lam
 
@@ -683,6 +682,7 @@ def coupled_run(
         skeleton_t=np.asarray(times),
         d_hom=np.asarray(hom_counts, dtype=np.int64),
         d_het=np.asarray(het_counts, dtype=np.int64),
+        departures=np.asarray(d_count, dtype=np.int64),
         p_rate=p_rate,
         q_rate=q_rate,
         n_servers=n,

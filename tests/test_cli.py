@@ -154,10 +154,12 @@ class TestExitCodes:
             ("analyze", "density_span=nan"),
             ("analyze", "density_span=-3"),
             ("simulate", "grid_points=1000001"),
+            ("couple", "skeleton_events=1000000000"),
         ],
     )
     def test_range_checked_where_the_value_enters(self, tmp_path, capsys, command, setting):
-        # a negative or zero opt_tol once made the golden-section search loop forever
+        # a negative or zero opt_tol once made the golden-section search loop
+        # forever, and 10^9 skeleton events ran for over an hour
         def timeout(*_):
             pytest.fail(f"{command} --set {setting} did not return")
 
@@ -283,6 +285,33 @@ class TestManifest:
         for name in ("path.csv", "summary.json", "manifest.json"):
             assert read(out1 / name) == read(out2 / name)
 
+    def _edited_rerun(self, tmp_path, args, edit):
+        """Exit code of a rerun of the manifest that ``args`` wrote, after ``edit``."""
+        out = tmp_path / "o"
+        assert main([*args, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        edit(manifest)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        return main(["rerun", str(path), "--out", str(tmp_path / "o2")])
+
+    def test_rerun_refuses_another_stream_layout(self, tmp_path, capsys):
+        # a couple manifest written before the rejection pick has no stamp
+        args = ["couple", "--set", "lambda_r=20.0", "--set", "skeleton_events=200"]
+        rc = self._edited_rerun(tmp_path, args, lambda m: m.pop("stream_layout"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stream_layout 1" in err and "stream_layout 2" in err
+        assert not (tmp_path / "o2").exists()
+
+    def test_rerun_checks_artifact_checksums(self, cfg_file, tmp_path, capsys):
+        def edit(manifest):
+            manifest["artifacts"]["summary.json"] = "0" * 64
+
+        rc = self._edited_rerun(tmp_path, ["simulate", "--config", str(cfg_file)], edit)
+        assert rc == 2
+        assert "summary.json" in capsys.readouterr().err
+
     def test_overrides_recorded(self, cfg_file, tmp_path):
         out = tmp_path / "o"
         main([
@@ -401,3 +430,4 @@ class TestOtherCommands:
             m1 = json.loads((out1 / "manifest.json").read_text())
             m2 = json.loads((out2 / "manifest.json").read_text())
             assert m1["artifacts"] == m2["artifacts"]
+            assert m1.get("stream_layout") == (2 if cmd == "couple" else None)
