@@ -90,9 +90,9 @@ def _resolve_values(config_path: Optional[str], overrides, seed, reps) -> dict:
     return values
 
 
-def _system_config(values: dict, need_lambda=True) -> SystemConfig:
+def _system_config(values: dict) -> SystemConfig:
     try:
-        lambda_r = float(values["lambda_r"]) if need_lambda else float(values.get("lambda_r", 1.0))
+        lambda_r = float(values["lambda_r"])
     except KeyError:
         raise ConfigError("missing required key 'lambda_r'") from None
     r = float(values.get("r", lambda_r if lambda_r > 0 else 1.0))
@@ -171,7 +171,7 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
             queue_cap=queue_cap,
             warmup=warmup,
         )
-        est = steady_estimates(path, warmup)
+        est = steady_estimates(path)
         summary = path_summary(path)
         summary["estimates"] = {
             "p_wait": est.p_wait,
@@ -264,11 +264,9 @@ def _cmd_staff(values: dict) -> Dict[str, bytes]:
     bracket = (float(values["bracket_lo"]), float(values["bracket_hi"]))
     tol = float(values["opt_tol"])
     res = optimize_staffing(fn, bracket, tol=tol)
-    offered = config.lambda_r / dist.mean()
-    n_star = math.ceil(offered + res.x_star * math.sqrt(offered))
     info = {
         "x_star": res.x_star,
-        "N_star": int(n_star),
+        "N_star": HalfinWhitt(res.x_star).resolve(config.lambda_r, dist.mean()),
         "cost_at_optimum": res.cost_at_optimum,
         "bracket": list(res.bracket),
         "tol": res.tol,
@@ -320,7 +318,7 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
         ssc_mod.inverted_v_config(rv, pools, lambda_hat, seed=seed, policy=policy)
         for rv in r_values
     ]
-    table = ssc_mod.ssc_convergence(configs, horizon, horizon, n_reps=n_reps)
+    table = ssc_mod.ssc_convergence(configs, horizon, n_reps=n_reps)
     rows = [
         (
             _f(row["r"]),
@@ -351,7 +349,7 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
     # counts per bin that the sup discrepancy needs
     by_bin = system.grouped(ssc_mod.rate_bin(system.mu, edges), edges.size - 1)
     path = run(config, by_bin, float(values["horizon"]), grid_points=int(values["grid_points"]))
-    fe = ssc_mod.fairness_estimate(path, system.mu, edges, dist=dist)
+    fe = ssc_mod.fairness_estimate(path, edges, dist=dist)
     rows = []
     for b in range(edges.size - 1):
         theory = _f(fe.eta_theory[b]) if fe.eta_theory is not None else ""

@@ -265,6 +265,9 @@ def gauss_hermite_expectation(fn, mean: float, sd: float, nodes: int) -> float:
     return float(np.dot(w, vals) / math.sqrt(math.pi))
 
 
+_QL_REL_TOL = 1e-6  # successive Gauss-Hermite rules agree to this
+
+
 def ql_eps(
     eps: float,
     mu_bar: float,
@@ -272,7 +275,6 @@ def ql_eps(
     theta: float,
     nu: float,
     policy: Policy = Policy.LISF,
-    rel_tol: float = 1e-6,
 ) -> float:
     """Expected scaled queue length when rates are uniform(mu_bar-eps, mu_bar+eps).
 
@@ -280,7 +282,7 @@ def ql_eps(
     mu_bar + eps^2/(3*mu_bar) under LISF or mu_bar - eps under FSF. The
     inner integral over the state is closed form; only the drift integral
     is numeric, with the node count escalated until two successive
-    Gauss-Hermite rules agree to ``rel_tol``.
+    Gauss-Hermite rules agree to a relative 1e-6.
     """
     if not 0.0 < eps < mu_bar:
         raise DomainError(f"eps must lie in (0, mu_bar), got {eps}")
@@ -303,10 +305,10 @@ def ql_eps(
     prev = gauss_hermite_expectation(inner, mean, sd, 64)
     for nodes in (128, 256, 512):
         cur = gauss_hermite_expectation(inner, mean, sd, nodes)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= _QL_REL_TOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
-    raise DomainError(f"ql_eps quadrature did not converge to {rel_tol} at eps={eps}")
+    raise DomainError(f"ql_eps quadrature did not converge to {_QL_REL_TOL} at eps={eps}")
 
 
 def halfin_whitt_delay(theta: float) -> float:

@@ -10,52 +10,34 @@ to exit codes 2 and 3 respectively.
 class HetqError(Exception):
     """Base class for all package errors."""
 
-    code = "ERROR"
-
 
 class ConfigError(HetqError):
     """Invalid configuration: unknown key, bad value, inconsistent setup."""
-
-    code = "CONFIG_ERROR"
 
 
 class DomainError(HetqError):
     """Operation requested outside its mathematical domain."""
 
-    code = "DOMAIN"
-
 
 class UnstableError(DomainError):
     """Offered load meets or exceeds capacity where stability is required."""
-
-    code = "UNSTABLE"
 
 
 class DegenerateError(DomainError):
     """Conditioning event has (numerically) zero probability."""
 
-    code = "DEGENERATE"
-
 
 class EmptyWindowError(DomainError):
     """The post-warmup observation window contains no samples."""
-
-    code = "EMPTY_WINDOW"
 
 
 class NoIdlenessError(DomainError):
     """A saturated path carries no idleness to build a fairness estimate on."""
 
-    code = "NO_IDLENESS"
-
 
 class WindowError(DomainError):
     """A recorded path is too short for the requested scaling window."""
 
-    code = "WINDOW_ERROR"
-
 
 class BracketError(DomainError):
     """Optimizer could not evaluate the objective across its bracket."""
-
-    code = "BRACKET_ERROR"

@@ -6,9 +6,11 @@ customer, or the head-of-queue process that abandons at rate nu * Q(t).
 
 A run is single-threaded and deterministic in (config, seed, rep). Its
 counters (arrivals, departures, abandonments, busy time, and the arrivals
-and waited arrivals after the warmup time) are exact, and its memory does
-not depend on the horizon: the per-customer record is opt-in
-(``record_customers``; typed buffers, about 19 bytes per arrival). The
+and waited arrivals in the steady-state window [warmup * end_time,
+end_time]) are exact, and its memory does not depend on the horizon: the
+per-customer record is opt-in (``record_customers``; typed buffers, about
+19 bytes per arrival) and no estimator reads it. A run that overflows ends
+early, so ``run`` replays it once, counting from warmup * end_time. The
 trajectory is sampled on a uniform grid, occupancy as one busy count per
 server group (``RealizedSystem.pool_of``). Short runs cross a grid time at
 almost every event, so a crossing stages one row in a flat list, and every
@@ -116,18 +118,15 @@ def _check_horizon(horizon: float) -> None:
         raise ConfigError(f"horizon must be finite and > 0, got {horizon}")
 
 
-def _check_warmup(warmup: float) -> None:
-    if not 0.0 <= warmup < 1.0:  # also false for NaN
-        raise ConfigError(f"warmup must be in [0, 1), got {warmup}")
-
-
 @dataclass
 class PathRecord:
     """Everything a run produced: grid trajectory plus exact counters.
 
-    ``window_arrivals`` counts arrivals at t >= warmup * horizon, and
-    ``window_waited`` those of them who found every server busy. The
-    per-customer arrays are None unless the run recorded customers.
+    ``window_arrivals`` counts the arrivals in the steady-state window
+    [warmup * end_time, end_time], and ``window_waited`` those of them who
+    found every server busy; ``end_time`` is the horizon unless the run
+    overflowed. The per-customer arrays are None unless the run recorded
+    customers.
     """
 
     r: float
@@ -188,12 +187,12 @@ def run(
     asserts flow conservation, work conservation, and the LISF selection
     rule. ``grid_points`` is at most 10^6.
 
-    Arrivals at or after ``warmup * horizon`` are counted for
-    ``steady_estimates``. The per-customer record is kept only with
-    ``record_customers``. A run that overflows ends before the horizon, so
-    its window [warmup * end_time, end_time] is not known while counting:
-    without the record it is replayed once with it, and since the streams
-    are deterministic the replay is the same run.
+    Arrivals in the window [warmup * end_time, end_time] are counted for
+    ``steady_estimates``. A run that overflows ends before the horizon, so
+    its window is not known while counting: it is replayed once, counting
+    from warmup * end_time, and since the streams are deterministic the
+    replay is the same run. The per-customer record is kept only with
+    ``record_customers``; it is an output, not an input to any estimate.
 
     Arrivals form a renewal stream with inter-arrival d + m_e*E, E unit
     exponential: SCV 1 is exponential, SCV in [0, 1) takes
@@ -201,14 +200,27 @@ def run(
     outside the simulator's renewal family.
     """
     _check_horizon(horizon)
-    _check_warmup(warmup)
+    if not 0.0 <= warmup < 1.0:  # also false for NaN
+        raise ConfigError(f"warmup must be in [0, 1), got {warmup}")
     if mode is not AbandonMode.NONE and config.abandon_rate <= 0.0:
         raise ConfigError(f"abandonment mode {mode.value} needs abandon_rate > 0")
     if not 2 <= grid_points <= _MAX_GRID_POINTS:
         raise ConfigError(f"grid_points must be in [2, {_MAX_GRID_POINTS}], got {grid_points}")
     if queue_cap < 0:
         raise ConfigError(f"queue_cap must be >= 0, got {queue_cap}")
+    args = (config, system, horizon, mode, x0, grid_points, queue_cap, rep, validate, warmup)
+    path = _simulate(*args, warmup * horizon, record_customers)
+    if path.overflowed:
+        t_warm, path = warmup * path.end_time, None  # free the first pass's grid first
+        path = _simulate(*args, t_warm, record_customers)
+    return path
 
+
+def _simulate(
+    config, system, horizon, mode, x0, grid_points, queue_cap, rep, validate, warmup,
+    t_warm: float, record: bool,
+) -> PathRecord:
+    """One pass of ``run``'s event loop, counting arrivals at t >= ``t_warm``."""
     n = system.n_servers
     mu = system.mu.tolist()
     pool_of = system.pool_of.tolist() if system.pool_of is not None else [0] * n
@@ -221,7 +233,6 @@ def run(
     seed = config.seed
     per_customer = mode is AbandonMode.PER_CUSTOMER
     perturbed = mode is AbandonMode.PERTURBED
-    record = record_customers
     track = record or per_customer  # keep the ids of waiting customers
 
     scv = config.arrival_scv
@@ -294,7 +305,6 @@ def run(
 
     a_count = 0
     r_count = 0
-    t_warm = warmup * horizon
     win_a = win_w = 0  # arrivals, and waited arrivals, at t >= t_warm
     x_init = x
     next_arr = det + m_e * arrival_exp() if lam > 0.0 else _INF
@@ -434,12 +444,6 @@ def run(
             assert idle_count == n - sum(busy), "idle set out of step with busy flags"
             assert len(queue) - len(gone) == (q if track else 0), "queue ids out of step"
 
-    if overflowed and not record:
-        return run(
-            config, system, horizon, mode, x0, grid_points, queue_cap, rep, validate,
-            warmup, record_customers=True,
-        )
-
     # fill the remaining grid with the terminal state
     if stage:
         _fill(xqra, grid_z, g0, stage)
@@ -499,32 +503,20 @@ class SteadyEstimates:
     mean_scaled_queue: float
 
 
-def steady_estimates(path: PathRecord, warmup_fraction: float) -> SteadyEstimates:
-    """Post-warmup summary statistics of one path.
+def steady_estimates(path: PathRecord) -> SteadyEstimates:
+    """Summary statistics of one path over its window [warmup * end_time, end_time].
 
-    ``p_wait`` is the fraction of post-warmup arrivals that found every
-    server busy; queue statistics are grid averages over the same window.
-    Without a per-customer record the arrival counts are the run's own, so
-    ``warmup_fraction`` must be the run's ``warmup``.
+    ``p_wait`` is the run's count of window arrivals that found every server
+    busy over its count of window arrivals; queue statistics are grid
+    averages over the same window.
     """
-    _check_warmup(warmup_fraction)
-    if path.waited is None and warmup_fraction != path.warmup:
-        raise ConfigError(
-            f"warmup {warmup_fraction} differs from the run's warmup {path.warmup}; "
-            "run with that warmup, or with record_customers=True"
-        )
-    t0 = warmup_fraction * path.end_time
+    t0 = path.warmup * path.end_time
     mask = (path.grid_t >= t0) & (path.grid_t <= path.end_time)
     if not mask.any():
         raise EmptyWindowError(f"no samples in ({t0}, {path.end_time}]")
     tw = path.grid_t[mask]
-    if path.waited is None:
-        n_arr = path.window_arrivals
-        p_wait = path.window_waited / n_arr if n_arr else 0.0
-    else:
-        arrivals = (path.arrival_t >= t0) & (path.arrival_t <= path.end_time)
-        n_arr = int(arrivals.sum())
-        p_wait = float(path.waited[arrivals].mean()) if n_arr else 0.0
+    n_arr = path.window_arrivals
+    p_wait = path.window_waited / n_arr if n_arr else 0.0
     mean_q = float(path.grid_Q[mask].mean())
     r_window = path.grid_R[mask]
     span = float(tw[-1] - tw[0])
@@ -576,7 +568,9 @@ def coupled_run(
     second uniform, else drawn again, so a try is O(1) and at most q/p
     tries are expected. Arrivals (and, when nu > 0, abandonment epochs
     driven by the heterogeneous queue) are shared, so the homogeneous
-    departure count can never overtake the heterogeneous one.
+    departure count can never overtake the heterogeneous one. Arrivals are
+    Poisson and idle servers are taken in LISF order, so a config with
+    another ``arrival_scv`` or ``policy`` is refused.
     """
     mu = system.mu
     n = system.n_servers
@@ -585,6 +579,10 @@ def coupled_run(
     if p_rate > float(mu.min()) + 1e-12:
         raise ConfigError(f"p_rate {p_rate} exceeds the minimum realized rate {mu.min()}")
     _check_horizon(horizon)
+    if config.arrival_scv != 1.0:
+        raise ConfigError(f"arrival_scv must be 1 (Poisson) to couple, got {config.arrival_scv}")
+    if config.policy is not Policy.LISF:
+        raise ConfigError(f"policy must be LISF to couple, got {config.policy.value}")
     if q_rate is None:
         q_rate = float(mu.max())
     elif q_rate < float(mu.max()):
@@ -705,7 +703,7 @@ def _replicate_one(args) -> Replication:
         rep=rep,
         zeta_hat=system.zeta_hat,
         stable=system.stable,
-        estimates=steady_estimates(path, warmup),
+        estimates=steady_estimates(path),
     )
 
 

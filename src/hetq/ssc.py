@@ -42,6 +42,9 @@ __all__ = [
     "inverted_v_config",
 ]
 
+_SSC_GRID_POINTS = 2_000
+_LIPSCHITZ_PAIRS = 200  # grid times probed per window
+
 
 @dataclass(frozen=True)
 class SSCFunctionSpec:
@@ -49,7 +52,6 @@ class SSCFunctionSpec:
 
     beta: Tuple[float, ...]
     mu: Tuple[float, ...]
-    gamma_i: float = 0.0
 
     def __post_init__(self):
         beta = tuple(float(b) for b in self.beta)
@@ -60,12 +62,14 @@ class SSCFunctionSpec:
             raise ConfigError(f"pool fractions sum to {sum(beta)!r}, expected 1")
         if any(m2 <= m1 for m1, m2 in zip(mu, mu[1:])) or mu[0] <= 0.0:
             raise ConfigError(f"pool rates must be positive and strictly increasing, got {mu}")
-        want = sum(b * m * m for b, m in zip(beta, mu)) / sum(b * m for b, m in zip(beta, mu))
-        if self.gamma_i and abs(self.gamma_i - want) > 1e-9 * want:
-            raise ConfigError(f"gamma(I) {self.gamma_i} disagrees with pools ({want})")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "gamma_i", want)
+
+    @property
+    def gamma_i(self) -> float:
+        """sum_i beta_i mu_i^2 / sum_i beta_i mu_i."""
+        pairs = list(zip(self.beta, self.mu))
+        return sum(b * m * m for b, m in pairs) / sum(b * m for b, m in pairs)
 
     @property
     def n_pools(self) -> int:
@@ -132,15 +136,14 @@ class SSCTable:
 def ssc_convergence(
     configs: Sequence[SystemConfig],
     horizon: float,
-    t_window: float,
     n_reps: int = 30,
-    grid_points: int = 2_000,
 ) -> SSCTable:
     """Monte-Carlo table of the multiplicative collapse ratio per scale.
 
     All configs must share the same pool structure. Each replication runs
-    the inverted-V system from the fully-busy state and records
-    ||g(Z_hat)||_T, (||Z_hat||_T v 1), and their ratio.
+    the inverted-V system from the fully-busy state on 2,000 grid points
+    and records ||g(Z_hat)||_T, (||Z_hat||_T v 1), and their ratio, with
+    T the horizon.
     """
     if not configs:
         raise ConfigError("need at least one config")
@@ -150,19 +153,15 @@ def ssc_convergence(
     for cfg in configs:
         if cfg.pools != pools0:
             raise ConfigError("pool structures differ across scales")
-    if t_window > horizon:
-        raise ConfigError(f"statistic window {t_window} exceeds horizon {horizon}")
     spec = SSCFunctionSpec.from_pools(pools0)
     rows = []
     for cfg in configs:
         system = RealizedSystem.realize_pools(cfg)
         for rep in range(n_reps):
-            path = run(cfg, system, horizon, grid_points=grid_points, rep=rep)
-            t, _, z_hat = diffusion_scaled(path)
-            win = t <= t_window
-            g_vals = ssc_g(spec, z_hat[win])
-            g_sup = float(np.max(g_vals))
-            z_sup = float(np.max(np.abs(z_hat[win])))
+            path = run(cfg, system, horizon, grid_points=_SSC_GRID_POINTS, rep=rep)
+            _, _, z_hat = diffusion_scaled(path)
+            g_sup = float(np.max(ssc_g(spec, z_hat)))
+            z_sup = float(np.max(np.abs(z_hat)))
             denom = max(z_sup, 1.0)
             rows.append(
                 {
@@ -235,12 +234,11 @@ def almost_lipschitz_check(
     scaled_paths: Sequence[HydroScaledPath],
     n_const: float,
     eps: float,
-    max_pairs: int = 200,
 ) -> float:
     """Fraction of (m, t1, t2) grid pairs violating |X(t2)-X(t1)| <= N|t2-t1| + eps.
 
     The state is the max norm over (q, z components). Each window is probed
-    on at most ``max_pairs`` evenly-spaced grid times; purely diagnostic.
+    on at most 200 evenly-spaced grid times; purely diagnostic.
     """
     total = 0
     exceed = 0
@@ -248,7 +246,7 @@ def almost_lipschitz_check(
         k = sp.t.size
         if k < 2:
             continue
-        idx = np.unique(np.linspace(0, k - 1, min(max_pairs, k)).astype(int))
+        idx = np.unique(np.linspace(0, k - 1, min(_LIPSCHITZ_PAIRS, k)).astype(int))
         state = np.column_stack([sp.q[idx], sp.z[idx]])
         tt = sp.t[idx]
         for a in range(len(idx)):
@@ -327,23 +325,19 @@ def eta_theory(dist: RateDistribution, edges: np.ndarray, policy: Policy) -> Opt
 
 def fairness_estimate(
     path: PathRecord,
-    rates: np.ndarray,
     bins: np.ndarray,
     dist: Optional[RateDistribution] = None,
 ) -> FairnessEstimate:
     """Share of idleness mass per rate bin, plus the scaled sup-norm discrepancy.
 
-    The share uses exact per-server idle-time integrals over the run. The
-    discrepancy statistic needs the policy's theoretical measure (LISF and
-    FSF) and a path whose server groups are the rate bins
-    (``system.grouped(rate_bin(system.mu, bins), n_bins)``), so that the
-    recorded busy counts per group give the idle counts per bin; it is None
-    otherwise.
+    The share uses exact per-server idle-time integrals over the run, binned
+    by the realized rates ``path.mu``. The discrepancy statistic needs the
+    policy's theoretical measure (LISF and FSF) and a path whose server
+    groups are the rate bins (``system.grouped(rate_bin(system.mu, bins),
+    n_bins)``), so that the recorded busy counts per group give the idle
+    counts per bin; it is None otherwise.
     """
-    rates = np.asarray(rates, dtype=float)
     edges = np.asarray(bins, dtype=float)
-    if rates.size != path.n_servers:
-        raise ConfigError("rate vector does not match the path's server count")
     if edges.size < 2 or np.any(np.diff(edges) <= 0.0):
         raise ConfigError("bins must be strictly increasing edges")
     idle_time = path.end_time - path.busy_time
@@ -351,7 +345,7 @@ def fairness_estimate(
     if total_idle <= 0.0:
         raise NoIdlenessError("path carries no idleness")
     n_bins = edges.size - 1
-    which = rate_bin(rates, edges)
+    which = rate_bin(path.mu, edges)
     eta_hat = np.zeros(n_bins)
     np.add.at(eta_hat, which, idle_time)
     eta_hat /= total_idle

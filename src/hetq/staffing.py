@@ -244,6 +244,7 @@ class OptimizationResult:
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CURVE_POINTS = 64  # coarse cost curve sampled before the search
 
 
 def _golden_section(fn, lo: float, hi: float, tol: float) -> Tuple[float, float]:
@@ -267,13 +268,12 @@ def optimize_staffing(
     cost_fn: Callable[[float], float],
     bracket: Tuple[float, float] = (0.05, 6.0),
     tol: float = 1e-4,
-    curve_points: int = 64,
 ) -> OptimizationResult:
     """One-dimensional minimization of a staffing cost over the safety range.
 
-    Samples a coarse curve first; a clean unimodal curve goes straight to
-    golden-section search, anything with interior local maxima falls back
-    to grid-then-refine and is flagged. ``tol`` (the ``opt_tol`` config
+    Samples a coarse curve of 64 points first; a clean unimodal curve goes
+    straight to golden-section search, anything with interior local maxima
+    falls back to grid-then-refine and is flagged. ``tol`` (the ``opt_tol`` config
     key) must be finite and > 0.
     """
     lo, hi = bracket
@@ -281,8 +281,8 @@ def optimize_staffing(
         raise ConfigError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
     if not 0.0 < tol < math.inf:  # also false for NaN; golden section never ends otherwise
         raise ConfigError(f"opt_tol must be finite and > 0, got {tol}")
-    xs = np.linspace(lo, hi, curve_points)
-    costs = np.empty(curve_points)
+    xs = np.linspace(lo, hi, _CURVE_POINTS)
+    costs = np.empty(_CURVE_POINTS)
     failures = 0
     first: Optional[Exception] = None
     for i, xi in enumerate(xs):
@@ -294,13 +294,13 @@ def optimize_staffing(
             if first is None:
                 first = exc
     cause = "" if first is None else f"; first failure: {type(first).__name__}: {first}"
-    if failures == curve_points or not np.isfinite(costs).any():
+    if failures == _CURVE_POINTS or not np.isfinite(costs).any():
         raise BracketError(f"cost evaluation failed across the bracket {bracket}{cause}") from first
     if np.isnan(costs).any():
         raise BracketError(f"cost evaluation failed at {failures} bracket points{cause}") from first
 
     interior_maxima = [
-        i for i in range(1, curve_points - 1)
+        i for i in range(1, _CURVE_POINTS - 1)
         if costs[i] > costs[i - 1] and costs[i] > costs[i + 1]
     ]
     unimodal = not interior_maxima
@@ -311,7 +311,7 @@ def optimize_staffing(
     else:
         k = int(np.argmin(costs))
         sub_lo = xs[max(k - 1, 0)]
-        sub_hi = xs[min(k + 1, curve_points - 1)]
+        sub_hi = xs[min(k + 1, _CURVE_POINTS - 1)]
         x_star, f_star = _golden_section(cost_fn, float(sub_lo), float(sub_hi), tol)
         used_grid = True
 

@@ -105,7 +105,7 @@ def test_criterion_2_halfin_whitt_reduction():
         cfg = SystemConfig(r=float(r), lambda_r=float(r), seed=29, staffing=n)
         s = RealizedSystem(n_servers=n, mu=np.ones(n), mu_bar=1.0, r=float(r), lambda_r=float(r))
         path = run(cfg, s, horizon=horizon, grid_points=2000, warmup=0.1)
-        est = steady_estimates(path, 0.1)
+        est = steady_estimates(path)
         errs.append(abs(est.p_wait - hw1))
     sim_ok = errs[0] > errs[1] > errs[2] and errs[2] < 0.02
     detail = f"identity {'ok' if ident_ok else 'BAD'}, errors {[round(e, 4) for e in errs]}"
@@ -200,7 +200,7 @@ def test_criterion_7_ssc_convergence():
     t0 = time.time()
     pools = ((0.5, 1.0), (0.5, 2.0))
     configs = [inverted_v_config(r, pools, lambda_hat=-3.0, seed=42) for r in (25, 100, 400)]
-    table = ssc_convergence(configs, horizon=50.0, t_window=50.0, n_reps=30)
+    table = ssc_convergence(configs, horizon=50.0, n_reps=30)
     med = {row["r"]: row["median_ratio"] for row in table.medians()}
     dec = med[25.0] > med[100.0] > med[400.0]
     halved = med[400.0] < 0.5 * med[25.0]
@@ -215,7 +215,7 @@ def test_criterion_8_fairness():
     cfg = SystemConfig(r=400.0, lambda_r=380.0, seed=1, staffing=400, policy=Policy.LISF)
     s = RealizedSystem.realize(cfg, dist, rng_stream(1, 0, Stream.RATES))
     path = run(cfg, s, horizon=1500.0)
-    fe = fairness_estimate(path, s.mu, default_bins(dist, 10), dist=dist)
+    fe = fairness_estimate(path, default_bins(dist, 10), dist=dist)
     lisf_sup = float(np.abs(fe.eta_hat - fe.eta_theory).max())
 
     # FSF: idleness concentrates on the slowest atom
@@ -223,7 +223,7 @@ def test_criterion_8_fairness():
     cfg2 = SystemConfig(r=400.0, lambda_r=530.0, seed=1, staffing=400, policy=Policy.FSF)
     s2 = RealizedSystem.realize(cfg2, dd, rng_stream(1, 0, Stream.RATES))
     path2 = run(cfg2, s2, horizon=1000.0)
-    fe2 = fairness_estimate(path2, s2.mu, default_bins(dd), dist=dd)
+    fe2 = fairness_estimate(path2, default_bins(dd), dist=dd)
     slow_mass = float(fe2.eta_hat[0])
     detail = f"LISF sup {lisf_sup:.4f} (<=0.03), FSF slow mass {slow_mass:.4f} (>=0.95)"
     _check(8, "fairness", lisf_sup <= 0.03 and slow_mass >= 0.95, detail, 300.0, time.time() - t0)

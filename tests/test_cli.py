@@ -119,7 +119,11 @@ class TestExitCodes:
         assert rc == 2
         assert setting.split("=")[0] + " must" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["p_rate=-1", "p_rate=0", "skeleton_events=0"])
+    # couple draws Poisson arrivals in LISF order, so it refuses other laws and policies
+    @pytest.mark.parametrize(
+        "setting",
+        ["p_rate=-1", "p_rate=0", "skeleton_events=0", "arrival_scv=0.0", "policy=FSF"],
+    )
     def test_bad_couple_setting_exits_2(self, tmp_path, capsys, setting):
         rc = main([
             "couple", "--out", str(tmp_path / "o"), "--set", "lambda_r=5.0",

@@ -60,7 +60,7 @@ class TestRunBasics:
     def test_constant_path_estimates(self):
         cfg, s = homogeneous(5, 0.0)
         path = run(cfg, s, horizon=1.0, x0=0, warmup=0.0)
-        est = steady_estimates(path, 0.0)
+        est = steady_estimates(path)
         assert est.p_wait == 0.0
         assert est.mean_Q == 0.0
         assert est.abandon_rate == 0.0
@@ -68,7 +68,7 @@ class TestRunBasics:
     def test_mm1_delay_probability(self):
         cfg, s = homogeneous(1, 0.5, seed=11)
         path = run(cfg, s, horizon=150_000.0, x0=0, warmup=0.1)
-        est = steady_estimates(path, 0.1)
+        est = steady_estimates(path)
         se = math.sqrt(0.5 * 0.5 / est.n_arrivals) * 3.0  # wide: arrivals correlate
         assert abs(est.p_wait - 0.5) < max(3 * se, 0.01)
 
@@ -139,7 +139,8 @@ class TestRunBasics:
 
 
 class TestWindowCounters:
-    # the window counters give the per-customer record's statistics bit for bit
+    # the window counters give the per-customer record's statistics bit for
+    # bit, over [warmup * end_time, end_time] also when the run overflows
     @pytest.mark.parametrize("mode", list(AbandonMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("variant", ["plain", "x0_above_n", "scv_zero", "overflow"])
     def test_counters_match_record(self, mode, variant):
@@ -157,23 +158,17 @@ class TestWindowCounters:
         counted = run(cfg, s, **kwargs)
         recorded = run(cfg, s, record_customers=True, **kwargs)
         assert counted.overflowed == recorded.overflowed == (variant == "overflow")
-        a = steady_estimates(counted, 0.3)
-        b = steady_estimates(recorded, 0.3)
+        a = steady_estimates(counted)
+        b = steady_estimates(recorded)
         assert (a.p_wait, a.n_arrivals) == (b.p_wait, b.n_arrivals)
         assert counted.arrivals_total == recorded.arrivals_total == recorded.arrival_t.size
+        assert counted.end_time == recorded.end_time
         assert 0 < a.n_arrivals
-        if variant != "overflow":
-            assert counted.waited is None
-            assert a.p_wait == float(recorded.waited[recorded.arrival_t >= 90.0].mean())
-
-    def test_other_warmup_needs_the_record(self):
-        cfg, s = homogeneous(5, 4.5, seed=3)
-        path = run(cfg, s, horizon=50.0)
-        steady_estimates(path, 0.2)
-        with pytest.raises(ConfigError, match="warmup"):
-            steady_estimates(path, 0.3)
-        recorded = run(cfg, s, horizon=50.0, record_customers=True)
-        assert steady_estimates(recorded, 0.3).window == (15.0, 50.0)
+        assert counted.waited is None
+        # oracle: the record over the window, which starts at 90 unless the run overflowed
+        window = recorded.arrival_t >= 0.3 * recorded.end_time
+        assert a.n_arrivals == int(window.sum())
+        assert a.p_wait == float(recorded.waited[window].mean())
 
     @pytest.mark.parametrize("warmup", [math.nan, math.inf, -0.1, 1.0])
     def test_warmup_checked_at_entry(self, warmup):
@@ -278,7 +273,7 @@ class TestSteadyEstimates:
     def test_erlang_c_match(self):
         cfg, s = homogeneous(100, 90.0, seed=5)
         path = run(cfg, s, horizon=11_111.0)
-        est = steady_estimates(path, 0.2)
+        est = steady_estimates(path)
         pw, lq, _ = erlang_c(100, 90.0, 1.0)
         assert abs(est.p_wait - pw) < 0.02
         assert abs(est.mean_Q - lq) / lq < 0.05
@@ -303,7 +298,7 @@ class TestSteadyEstimates:
     def test_abandon_rate_identity(self):
         cfg, s = homogeneous(10, 12.0, seed=13, nu=1.0)
         path = run(cfg, s, horizon=500.0, mode=AbandonMode.PER_CUSTOMER, warmup=0.25)
-        est = steady_estimates(path, 0.25)
+        est = steady_estimates(path)
         mask = (path.grid_t >= est.window[0]) & (path.grid_t <= est.window[1])
         r_w = path.grid_R[mask]
         span = path.grid_t[mask][-1] - path.grid_t[mask][0]
@@ -312,12 +307,10 @@ class TestSteadyEstimates:
     def test_empty_window(self):
         # an overflow stop between grid samples leaves the window empty
         cfg, s = homogeneous(2, 2000.0, seed=1)
-        path = run(cfg, s, horizon=1000.0, queue_cap=3)
+        path = run(cfg, s, horizon=1000.0, queue_cap=3, warmup=0.5)
         assert path.overflowed
         with pytest.raises(EmptyWindowError):
-            steady_estimates(path, 0.5)
-        with pytest.raises(ConfigError):
-            steady_estimates(path, 1.0)
+            steady_estimates(path)
 
 
 class TestPolicies:
@@ -484,6 +477,32 @@ class TestMemory:
         assert peaks[1] < 2 * 2**20
         assert peaks[1] <= 1.05 * peaks[0]
 
+    def test_overflow_replay_peak_independent_of_queue_cap(self):
+        # an overflowed run is replayed once with counters, not with the
+        # per-customer record: four times the queue cap (about four times
+        # the arrivals) leaves the peak where it was, and the window counts
+        # equal those of the record over [warmup * end_time, end_time]. One
+        # server at load 100 keeps the events down to about one per arrival,
+        # and 9k arrivals already fill the largest draw block.
+        cfg, s = homogeneous(1, 100.0, seed=3)
+        peaks = []
+        for cap in (9_000, 36_000):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                path = run(cfg, s, horizon=1e6, queue_cap=cap, grid_points=100, warmup=0.3)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
+        assert path.overflowed and path.waited is None
+        recorded = run(cfg, s, horizon=1e6, queue_cap=36_000, grid_points=100, warmup=0.3,
+                       record_customers=True)
+        assert recorded.end_time == path.end_time and recorded.arrivals_total > 36_000
+        window = recorded.arrival_t >= 0.3 * recorded.end_time
+        assert path.window_arrivals == int(window.sum())
+        assert path.window_waited == int(recorded.waited[window].sum())
+
     def test_grid_peak_independent_of_horizon(self):
         # staged grid rows are written every few thousand values, and the
         # busy counts are returned without a copy, so the peak is about one
@@ -525,7 +544,7 @@ class TestReplicate:
         reps = replicate(cfg, d, 1, horizon=200.0, warmup=0.2)
         s = RealizedSystem.realize(cfg, d, rng_stream(15, 0, Stream.RATES))
         path = run(cfg, s, horizon=200.0)
-        est = steady_estimates(path, 0.2)
+        est = steady_estimates(path)
         assert reps[0].zeta_hat == pytest.approx(s.zeta_hat)
         assert reps[0].estimates.p_wait == est.p_wait
         assert reps[0].estimates.mean_Q == est.mean_Q

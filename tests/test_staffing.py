@@ -221,7 +221,7 @@ class TestCostAband:
             n_servers=n_star, mu=np.ones(n_star), mu_bar=1.0, r=400.0, lambda_r=400.0
         )
         path = run(cfg2, system, horizon=3000.0, mode=AbandonMode.PERTURBED)
-        est = steady_estimates(path, 0.2)
+        est = steady_estimates(path)
         sim_cost = cost.d * est.abandon_rate + cost.c_s * res.x_star * 20.0
         assert abs(sim_cost - res.cost_at_optimum) / res.cost_at_optimum < 0.05
 
