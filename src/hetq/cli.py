@@ -184,7 +184,8 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
         summary["zeta_hat"] = system.zeta_hat
         return {"path.csv": path_to_csv(path).encode(), "summary.json": _json_bytes(summary)}
     reps = replicate(
-        config, dist, n_reps, horizon, mode=mode, warmup=warmup, grid_points=grid_points
+        config, dist, n_reps, horizon, mode=mode, warmup=warmup, grid_points=grid_points,
+        x0=values.get("x0"), queue_cap=queue_cap,
     )
     rows = [
         (

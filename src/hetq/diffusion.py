@@ -11,6 +11,9 @@ integral over the random drift, which uses Gauss-Hermite quadrature.
 
 All normal-CDF ratios are evaluated in log space (scipy's erf-based
 ``ndtr``/``log_ndtr``), so the formulas stay accurate far into the tails.
+Those functions are read through ``special``, which imports
+``scipy.special`` on first use: the analytics load it, and importing hetq
+or running the simulator never does.
 The closed forms in the drift take a float or an array of drifts; a float
 gives a float.
 """
@@ -23,7 +26,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import expit, log_ndtr
 
 from .core import Policy
 from .errors import ConfigError, DomainError
@@ -44,6 +46,24 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+class _LazySpecial:
+    """``scipy.special``, imported on the first attribute read.
+
+    Each function is cached on the instance when first fetched, so every
+    later read is a plain attribute lookup.
+    """
+
+    def __getattr__(self, name):
+        import scipy.special
+
+        func = getattr(scipy.special, name)
+        setattr(self, name, func)
+        return func
+
+
+special = _LazySpecial()
 
 
 def _log_phi(x):
@@ -79,13 +99,13 @@ def _float_or_array(x):
 
 def _rho_no_aband(a):
     """(1 + a*Phi(a)/phi(a))^-1, evaluated as a logistic of log terms."""
-    return expit(-(np.log(a) + log_ndtr(a) - _log_phi(a)))
+    return special.expit(-(np.log(a) + special.log_ndtr(a) - _log_phi(a)))
 
 
 def _upper_normal_mean(m, s):
     """E[X | X >= 0] for X ~ N(m, s^2): m + s*phi(m/s)/Phi(m/s)."""
     a = m / s
-    return m + s * np.exp(_log_phi(a) - log_ndtr(a))
+    return m + s * np.exp(_log_phi(a) - special.log_ndtr(a))
 
 
 def prob_wait_no_aband(beta, sigma: float, gamma: float):
@@ -116,10 +136,10 @@ def prob_wait_aband(beta, sigma: float, gamma: float, nu: float):
         0.5 * (math.log(nu) - math.log(gamma))
         + _log_phi(a_nu)
         - _log_phi(a_ga)
-        + log_ndtr(-a_ga)
-        - log_ndtr(a_nu)
+        + special.log_ndtr(-a_ga)
+        - special.log_ndtr(a_nu)
     )
-    return _float_or_array(expit(-t))
+    return _float_or_array(special.expit(-t))
 
 
 def expected_positive_part_aband(beta, sigma: float, gamma: float, nu: float):
@@ -157,7 +177,7 @@ class ConditionedNormalPiece:
 
     def _log_mass(self) -> float:
         a = self.mean_ / self.sd
-        return float(log_ndtr(a if self.side == "upper" else -a))
+        return float(special.log_ndtr(a if self.side == "upper" else -a))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

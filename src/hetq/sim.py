@@ -50,7 +50,7 @@ from .core import (
     SystemConfig,
     rng_stream,
 )
-from .errors import ConfigError, EmptyWindowError
+from .errors import ConfigError, DomainError, EmptyWindowError
 
 __all__ = [
     "AbandonMode",
@@ -696,9 +696,16 @@ class Replication:
 
 
 def _replicate_one(args) -> Replication:
-    config, dist, rep, horizon, mode, warmup, grid_points = args
+    config, dist, rep, horizon, mode, warmup, grid_points, x0, queue_cap = args
     system = RealizedSystem.from_config(config, dist, rep)
-    path = run(config, system, horizon, mode=mode, grid_points=grid_points, rep=rep, warmup=warmup)
+    path = run(
+        config, system, horizon, mode=mode, x0=x0, grid_points=grid_points,
+        queue_cap=queue_cap, rep=rep, warmup=warmup,
+    )
+    if path.overflowed:
+        raise DomainError(
+            f"replication {rep}: queue exceeded queue_cap={queue_cap} at t={path.end_time:.6g}"
+        )
     return Replication(
         rep=rep,
         zeta_hat=system.zeta_hat,
@@ -715,15 +722,23 @@ def replicate(
     mode: AbandonMode = AbandonMode.NONE,
     warmup: float = 0.2,
     grid_points: int = 10_000,
+    x0: Optional[int] = None,
+    queue_cap: int = 1_000_000,
 ) -> List[Replication]:
     """Independent replications with fresh rate draws; streams split by rep.
 
-    Fan-out across processes is capped by HETQ_THREADS (default: in-process
-    sequential). Results are keyed by replication index either way.
+    Each replication is one ``run`` with these arguments. A replication
+    whose queue exceeds ``queue_cap`` raises DomainError, since its
+    estimates would cover a truncated run. Fan-out across processes is
+    capped by HETQ_THREADS (default: in-process sequential). Results are
+    keyed by replication index either way.
     """
     if n_reps < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
-    jobs = [(config, dist, rep, horizon, mode, warmup, grid_points) for rep in range(n_reps)]
+    jobs = [
+        (config, dist, rep, horizon, mode, warmup, grid_points, x0, queue_cap)
+        for rep in range(n_reps)
+    ]
     raw = os.environ.get("HETQ_THREADS", "1")
     try:
         threads = int(raw)

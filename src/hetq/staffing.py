@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .core import RateDistribution, SystemConfig, rate_moments
 from .diffusion import (
@@ -24,6 +23,7 @@ from .diffusion import (
     expected_positive_part_aband,
     gauss_hermite_expectation,
     prob_wait_no_aband,
+    special,
 )
 from .errors import BracketError, ConfigError, DegenerateError, DomainError, UnstableError
 
@@ -73,7 +73,7 @@ def erlang_a(n: int, lam: float, mu: float, nu: float) -> Tuple[float, float, fl
         raise ConfigError("all rates must be positive")
     log_a = math.log(lam) - math.log(mu)
     j = np.arange(n + 1)
-    log_below = j * log_a - gammaln(j + 1.0)
+    log_below = j * log_a - special.gammaln(j + 1.0)
     peak = float(log_below.max())
 
     # tail beyond N, in chunks; each block multiplies in lam/(N mu + k nu)
@@ -182,7 +182,7 @@ def cost_no_aband(
             raise DomainError(f"needs capacity above the arrival rate, got {capacity}")
         return f_term + config.lambda_r * p * (cost.c_w / (capacity - config.lambda_r))
 
-    p_stable = float(ndtr((0.0 - m) / s))
+    p_stable = float(special.ndtr((0.0 - m) / s))
     if p_stable < 1e-12:
         raise DegenerateError(f"P(beta < 0) = {p_stable:.3g}: all drift mass is unstable")
 

@@ -102,6 +102,17 @@ class TestExitCodes:
         assert rc == 2
         assert "HETQ_THREADS" in capsys.readouterr().err
 
+    def test_overflowing_replication_exits_3(self, tmp_path, capsys):
+        # --reps used to drop x0 and queue_cap, and reps.csv cannot flag an overflow
+        rc = main([
+            "simulate", "--out", str(tmp_path / "o"), "--reps", "2",
+            "--set", "lambda_r=20", "--set", "r=10", "--set", "staffing=10",
+            "--set", "horizon=20", "--set", "queue_cap=0", "--set", "x0=500",
+        ])
+        assert rc == 3
+        assert "replication 0: queue exceeded queue_cap=0" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "reps.csv").exists()
+
     @pytest.mark.parametrize("args", [["--set", "reps=0"], ["--reps", "-3"]])
     def test_non_positive_reps_exits_2(self, cfg_file, tmp_path, capsys, args):
         rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o"), *args])
@@ -228,15 +239,41 @@ class TestExitCodes:
         assert "bins must" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+_IMPORT_BOUNDARY = """
+import sys
+import hetq, hetq.cli, hetq.staffing
+from hetq.cli import main
+
+out = sys.argv[1]
+small = ["--set", "lambda_r=45.0", "--set", "r=50.0", "--set", "staffing=50",
+         "--set", "horizon=5.0", "--set", "grid_points=100"]
+commands = [
+    ["simulate", *small],
+    ["simulate", "--reps", "2", *small],
+    ["ssc", "--set", "pools=0.5:1.0,0.5:2.0", "--set", "r_values=16,25", "--set", "reps=1",
+     "--set", "ssc_horizon=1.0"],
+    ["fairness", *small],
+    ["couple", *small, "--set", "skeleton_events=1000"],
+]
+for i, args in enumerate(commands):
+    assert main([args[0], "--out", f"{out}/{i}", *args[1:]]) == 0, args
+print("scipy.integrate" in sys.modules, "scipy.special" in sys.modules)
+assert main(["analyze", "--out", f"{out}/analyze"]) == 0
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # only the analytics load scipy.special; importing hetq and every
+    # simulation command leave it (and scipy.integrate) unloaded
     env = dict(os.environ)
     src = str(Path(hetq.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, hetq.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _IMPORT_BOUNDARY, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 class TestSimulateArtifacts:

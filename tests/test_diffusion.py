@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import norm
 
+from hetq import diffusion
 from hetq.core import Policy
 from hetq.diffusion import (
     ConditionedNormalPiece,
@@ -41,6 +42,18 @@ def quad_normalization(density):
     val, _ = integrate.quad(density.pdf, -np.inf, 0.0, limit=400)
     val2, _ = integrate.quad(density.pdf, 0.0, np.inf, limit=400)
     return val + val2
+
+
+class TestLazySpecial:
+    @pytest.mark.parametrize("name", ["expit", "log_ndtr", "ndtr", "gammaln"])
+    def test_same_functions_as_scipy(self, name):
+        import scipy.special
+
+        assert getattr(diffusion.special, name) is getattr(scipy.special, name)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="not_a_function"):
+            diffusion.special.not_a_function
 
 
 class TestProbWaitNoAband:

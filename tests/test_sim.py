@@ -18,7 +18,7 @@ from hetq.core import (
     SystemConfig,
     rng_stream,
 )
-from hetq.errors import ConfigError, EmptyWindowError
+from hetq.errors import ConfigError, DomainError, EmptyWindowError
 from hetq.sim import (
     AbandonMode,
     coupled_run,
@@ -548,6 +548,20 @@ class TestReplicate:
         assert reps[0].zeta_hat == pytest.approx(s.zeta_hat)
         assert reps[0].estimates.p_wait == est.p_wait
         assert reps[0].estimates.mean_Q == est.mean_Q
+
+    def test_x0_and_queue_cap_reach_each_run(self):
+        cfg = SystemConfig(r=10.0, lambda_r=9.0, seed=3, staffing=HalfinWhitt(1.0))
+        d = RateDistribution.uniform(0.8, 1.2)
+        reps = replicate(cfg, d, 2, horizon=10.0, x0=60, queue_cap=100)
+        for rr in reps:
+            s = RealizedSystem.from_config(cfg, d, rr.rep)
+            path = run(cfg, s, horizon=10.0, x0=60, queue_cap=100, rep=rr.rep)
+            assert not path.overflowed
+            assert rr.estimates.mean_Q == steady_estimates(path).mean_Q
+        default = replicate(cfg, d, 2, horizon=10.0)
+        assert [rr.estimates.mean_Q for rr in default] != [rr.estimates.mean_Q for rr in reps]
+        with pytest.raises(DomainError, match="replication 0: .*queue_cap=0"):
+            replicate(cfg, d, 2, horizon=10.0, x0=60, queue_cap=0)
 
     def test_point_distribution_zero_zeta(self):
         cfg = SystemConfig(r=16.0, lambda_r=16.0, seed=5, staffing=HalfinWhitt(1.0))
