@@ -56,6 +56,8 @@ COMMANDS = ("simulate", "analyze", "staff", "ql-sweep", "ssc", "fairness", "coup
 # ROUTING stream a variable number of times per pick.
 _STREAM_LAYOUT = {"couple": 2}
 _MAX_SKELETON_EVENTS = 1_000_000  # a few seconds of coupling, with three lists that long
+_MAX_DENSITY_POINTS = 1_000_000  # the bound of the simulator's grid_points
+_MAX_EPS_STEPS = 10_000  # about 2 ms a step
 
 
 def _f(x) -> str:
@@ -180,7 +182,7 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
             "mean_scaled_queue": est.mean_scaled_queue,
             "warmup_fraction": warmup,
         }
-        summary["realized_rates_head"] = [float(v) for v in path.mu[:32]]
+        summary["realized_rates_head"] = [float(v) for v in system.mu[:32]]
         summary["zeta_hat"] = system.zeta_hat
         return {"path.csv": path_to_csv(path).encode(), "summary.json": _json_bytes(summary)}
     reps = replicate(
@@ -211,8 +213,8 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
 
 def _cmd_analyze(values: dict) -> Dict[str, bytes]:
     points = int(values["density_points"])
-    if points < 2:
-        raise ConfigError(f"density_points must be >= 2, got {points}")
+    if not 2 <= points <= _MAX_DENSITY_POINTS:
+        raise ConfigError(f"density_points must be in [2, {_MAX_DENSITY_POINTS}], got {points}")
     params = _diffusion_params(values)
     if params.nu > 0.0:
         dens = dfn.stationary_aband(params)
@@ -294,8 +296,8 @@ def _cmd_ql_sweep(values: dict) -> Dict[str, bytes]:
     lo = float(values["eps_min"])
     hi = float(values["eps_max"])
     steps = int(values["eps_steps"])
-    if steps < 1:
-        raise ConfigError(f"eps_steps must be >= 1, got {steps}")
+    if not 1 <= steps <= _MAX_EPS_STEPS:
+        raise ConfigError(f"eps_steps must be in [1, {_MAX_EPS_STEPS}], got {steps}")
     eps_grid = np.linspace(lo, hi, steps)
     rows = []
     for eps in eps_grid:

@@ -54,7 +54,6 @@ class Stream(Enum):
     ABANDON = 3
     ROUTING = 4
     SKELETON = 5
-    SDE = 6
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -71,22 +70,19 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 class RateDistribution:
     """Law of a single server's service rate, supported on [p, q].
 
-    Three shapes cover the artifact's needs: a point mass, a uniform
-    interval, and a finite discrete mixture. Construct through the
-    classmethods; the constructor validates support and probabilities.
+    Two shapes cover the artifact's needs: a uniform interval and a finite
+    discrete mixture; a point mass is the one-atom discrete law. Construct
+    through the classmethods; the constructor validates support and
+    probabilities.
     """
 
     kind: str
-    rate: float = 0.0
     lo: float = 0.0
     hi: float = 0.0
     atoms: tuple = ()
 
     def __post_init__(self):
-        if self.kind == "point":
-            if not (0.0 < self.rate < math.inf):
-                raise ConfigError(f"point rate must be in (0, inf), got {self.rate}")
-        elif self.kind == "uniform":
+        if self.kind == "uniform":
             if not (0.0 < self.lo < self.hi < math.inf):
                 raise ConfigError(f"uniform needs 0 < lo < hi, got ({self.lo}, {self.hi})")
         elif self.kind == "discrete":
@@ -106,7 +102,7 @@ class RateDistribution:
 
     @classmethod
     def point(cls, rate: float) -> "RateDistribution":
-        return cls(kind="point", rate=float(rate))
+        return cls.discrete(((rate, 1.0),))
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "RateDistribution":
@@ -123,8 +119,6 @@ class RateDistribution:
     @property
     def p(self) -> float:
         """Lower support bound (essential infimum)."""
-        if self.kind == "point":
-            return self.rate
         if self.kind == "uniform":
             return self.lo
         return min(r for r, pr in self.atoms if pr > 0.0)
@@ -132,22 +126,16 @@ class RateDistribution:
     @property
     def q(self) -> float:
         """Upper support bound (essential supremum)."""
-        if self.kind == "point":
-            return self.rate
         if self.kind == "uniform":
             return self.hi
         return max(r for r, pr in self.atoms if pr > 0.0)
 
     def mean(self) -> float:
-        if self.kind == "point":
-            return self.rate
         if self.kind == "uniform":
             return 0.5 * (self.lo + self.hi)
         return sum(r * pr for r, pr in self.atoms)
 
     def second_moment(self) -> float:
-        if self.kind == "point":
-            return self.rate * self.rate
         if self.kind == "uniform":
             # E[X^2] = (lo^2 + lo*hi + hi^2) / 3 for uniform(lo, hi)
             return (self.lo * self.lo + self.lo * self.hi + self.hi * self.hi) / 3.0
@@ -162,8 +150,6 @@ class RateDistribution:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
             raise ConfigError(f"sample size must be >= 1, got {n}")
-        if self.kind == "point":
-            return np.full(n, self.rate)
         if self.kind == "uniform":
             return rng.uniform(self.lo, self.hi, size=n)
         rates = np.array([r for r, _ in self.atoms])
@@ -224,8 +210,8 @@ class HalfinWhitt:
     theta: float
 
     def __post_init__(self):
-        if self.theta < 0.0:
-            raise ConfigError(f"safety coefficient must be >= 0, got {self.theta}")
+        if not 0.0 <= self.theta < math.inf:  # also false for NaN
+            raise ConfigError(f"staffing hw(theta) needs a finite theta >= 0, got {self.theta}")
 
     def resolve(self, lambda_r: float, mu_bar: float) -> int:
         offered = lambda_r / mu_bar
@@ -299,7 +285,8 @@ class RealizedSystem:
 
     ``pool_of`` puts each server in a group whose busy servers the engine
     counts, and ``pool_sizes`` holds the group sizes: the inverted-V pools,
-    rate bins (see ``grouped``) or one group per server. None is one group.
+    rate bins (see ``grouped``) or one group per server. Left out, they
+    make all servers one group.
     """
 
     n_servers: int
@@ -307,8 +294,8 @@ class RealizedSystem:
     mu_bar: float
     r: float
     lambda_r: float
-    pool_of: Optional[np.ndarray] = None
-    pool_sizes: Optional[tuple] = None
+    pool_of: np.ndarray = None
+    pool_sizes: tuple = None
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -318,10 +305,12 @@ class RealizedSystem:
             raise ConfigError("all service rates must be positive and finite")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
-        if self.pool_of is not None:
-            pool_of = np.asarray(self.pool_of, dtype=np.int64)
-            pool_of.setflags(write=False)
-            object.__setattr__(self, "pool_of", pool_of)
+        if self.pool_of is None:
+            object.__setattr__(self, "pool_of", np.zeros(self.n_servers))
+            object.__setattr__(self, "pool_sizes", (self.n_servers,))
+        pool_of = np.asarray(self.pool_of, dtype=np.int64)
+        pool_of.setflags(write=False)
+        object.__setattr__(self, "pool_of", pool_of)
 
     @property
     def sum_mu(self) -> float:
@@ -337,7 +326,7 @@ class RealizedSystem:
 
     @property
     def n_pools(self) -> int:
-        return 1 if self.pool_sizes is None else len(self.pool_sizes)
+        return len(self.pool_sizes)
 
     def grouped(self, group_of, n_groups: int = 0) -> "RealizedSystem":
         """The same servers, counted in groups: server k in ``group_of[k]``."""
@@ -411,8 +400,8 @@ def _parse_rates(text: str) -> RateDistribution:
 
 
 def _format_rates(dist: RateDistribution) -> str:
-    if dist.kind == "point":
-        return f"point({dist.rate!r})"
+    if dist.atoms == ((dist.p, 1.0),):
+        return f"point({dist.p!r})"
     if dist.kind == "uniform":
         return f"uniform({dist.lo!r},{dist.hi!r})"
     parts = ",".join(f"{r!r}:{p!r}" for r, p in dist.atoms)

@@ -126,25 +126,19 @@ class PathRecord:
     [warmup * end_time, end_time], and ``window_waited`` those of them who
     found every server busy; ``end_time`` is the horizon unless the run
     overflowed. The per-customer arrays are None unless the run recorded
-    customers.
+    customers. ``config`` and ``system`` are the ones the run was given.
     """
 
-    r: float
-    n_servers: int
-    n_pools: int
+    config: SystemConfig
+    system: RealizedSystem
     horizon: float
     end_time: float
-    seed: int
     rep: int
-    policy: Policy
     abandon_mode: AbandonMode
-    lambda_r: float
-    mu: np.ndarray
-    pool_of: Optional[np.ndarray]
     grid_t: np.ndarray
     grid_X: np.ndarray
     grid_Q: np.ndarray
-    grid_Z: np.ndarray  # (grid, groups) busy servers per pool_of group
+    grid_Z: np.ndarray  # (grid, groups) busy servers per system.pool_of group
     grid_R: np.ndarray
     grid_A: np.ndarray
     warmup: float
@@ -223,13 +217,12 @@ def _simulate(
     """One pass of ``run``'s event loop, counting arrivals at t >= ``t_warm``."""
     n = system.n_servers
     mu = system.mu.tolist()
-    pool_of = system.pool_of.tolist() if system.pool_of is not None else [0] * n
+    pool_of = system.pool_of.tolist()
     n_pools = system.n_pools
     lam = config.lambda_r
     nu = config.abandon_rate
-    policy = config.policy
-    lisf = policy is Policy.LISF
-    fsf = policy is Policy.FSF
+    lisf = config.policy is Policy.LISF
+    fsf = config.policy is Policy.FSF
     seed = config.seed
     per_customer = mode is AbandonMode.PER_CUSTOMER
     perturbed = mode is AbandonMode.PERTURBED
@@ -276,7 +269,6 @@ def _simulate(
     lisf_q: deque = deque(idle_ids if lisf else ())
     fsf_heap = sorted((-mu[k], k) for k in idle_ids) if fsf else []  # sorted is a heap
     rand_list = list(idle_ids) if not (lisf or fsf) else []
-    idle_since = [0.0] * n
 
     # customers are numbered in arrival order after the x0 - N seed customers,
     # who wait from time 0 and are left out of the arrival statistics
@@ -351,6 +343,7 @@ def _simulate(
             x -= 1
             d_count[k] += 1
             t_busy[k] += t_cur - busy_since[k]
+            busy_since[k] = t_cur  # while idle: the time it went idle
             if q:
                 if track:
                     cid = queue.popleft()
@@ -361,13 +354,11 @@ def _simulate(
                     if record:
                         waits[cid] = t_cur - arr_t[cid]
                 q -= 1
-                busy_since[k] = t_cur
                 heapreplace(dep_heap, (t_cur + service_exp() / mu[k], k))
             else:
                 heappop(dep_heap)
                 busy[k] = 0
                 z[pool_of[k]] -= 1
-                idle_since[k] = t_cur
                 if lisf:
                     lisf_q.append(k)
                 elif fsf:
@@ -415,8 +406,8 @@ def _simulate(
                     rand_list[pos] = rand_list[-1]
                     rand_list.pop()
                 if validate and lisf:
-                    oldest = min(idle_since[j] for j in range(n) if not busy[j])
-                    assert idle_since[k] == oldest, "LISF selection rule broken"
+                    oldest = min(busy_since[j] for j in range(n) if not busy[j])
+                    assert busy_since[k] == oldest, "LISF selection rule broken"
                 busy[k] = 1
                 z[pool_of[k]] += 1
                 busy_since[k] = t_cur
@@ -460,18 +451,12 @@ def _simulate(
         ]
 
     return PathRecord(
-        r=config.r,
-        n_servers=n,
-        n_pools=n_pools,
+        config=config,
+        system=system,
         horizon=horizon,
         end_time=end_time,
-        seed=seed,
         rep=rep,
-        policy=policy,
         abandon_mode=mode,
-        lambda_r=lam,
-        mu=system.mu,
-        pool_of=system.pool_of,
         grid_t=grid_t,
         grid_X=xqra[0],
         grid_Q=xqra[1],
@@ -521,7 +506,7 @@ def steady_estimates(path: PathRecord) -> SteadyEstimates:
     r_window = path.grid_R[mask]
     span = float(tw[-1] - tw[0])
     ab_rate = float(r_window[-1] - r_window[0]) / span if span > 0.0 else 0.0
-    scaled_q = np.maximum(path.grid_Q[mask], 0) / math.sqrt(path.r)
+    scaled_q = np.maximum(path.grid_Q[mask], 0) / math.sqrt(path.config.r)
     return SteadyEstimates(
         p_wait=p_wait,
         mean_Q=mean_q,
@@ -758,7 +743,7 @@ def replicate(
 
 def path_to_csv(path: PathRecord) -> str:
     """Fixed-layout trajectory table: t,X,Q,Z_1..Z_I,R plus a trailing A."""
-    cols = ["t", "X", "Q"] + [f"Z_{i+1}" for i in range(path.n_pools)] + ["R", "A"]
+    cols = ["t", "X", "Q"] + [f"Z_{i+1}" for i in range(path.system.n_pools)] + ["R", "A"]
     z_cells = [",".join(map(str, row)) for row in path.grid_Z.tolist()]
     rows = zip(
         path.grid_t.tolist(), path.grid_X.tolist(), path.grid_Q.tolist(), z_cells,
@@ -771,22 +756,23 @@ def path_to_csv(path: PathRecord) -> str:
 
 def path_summary(path: PathRecord) -> dict:
     """JSON-ready run summary: counts, realized rates, seed, flags."""
+    config, system = path.config, path.system
     return {
-        "seed": path.seed,
+        "seed": config.seed,
         "rep": path.rep,
-        "r": path.r,
-        "n_servers": path.n_servers,
-        "n_pools": path.n_pools,
-        "policy": path.policy.value,
+        "r": config.r,
+        "n_servers": system.n_servers,
+        "n_pools": system.n_pools,
+        "policy": config.policy.value,
         "abandon_mode": path.abandon_mode.value,
-        "lambda_r": path.lambda_r,
+        "lambda_r": config.lambda_r,
         "horizon": path.horizon,
         "end_time": path.end_time,
         "overflowed": path.overflowed,
         "arrivals": path.arrivals_total,
         "departures": path.departures_total,
         "abandonments": path.abandon_total,
-        "sum_mu": float(path.mu.sum()),
-        "mu_min": float(path.mu.min()),
-        "mu_max": float(path.mu.max()),
+        "sum_mu": float(system.mu.sum()),
+        "mu_min": float(system.mu.min()),
+        "mu_max": float(system.mu.max()),
     }

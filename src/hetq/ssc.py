@@ -95,19 +95,11 @@ def ssc_g(spec: SSCFunctionSpec, z) -> np.ndarray:
     return val if val.ndim else float(val)
 
 
-def _path_pool_sizes(path: PathRecord) -> np.ndarray:
-    """Server count N_i of each pool of the path's system."""
-    if path.pool_of is None:
-        return np.array([path.n_servers])
-    return np.bincount(path.pool_of, minlength=path.n_pools)
-
-
 def diffusion_scaled(path: PathRecord) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, Q_hat, Z_hat) with Q_hat = Q/sqrt(|N|), Z_hat_i = (Z_i - N_i)/sqrt(|N|)."""
-    sizes = _path_pool_sizes(path)
-    root = math.sqrt(path.n_servers)
+    root = math.sqrt(path.system.n_servers)
     q_hat = path.grid_Q / root
-    z_hat = (path.grid_Z - sizes[None, :]) / root
+    z_hat = (path.grid_Z - np.array(path.system.pool_sizes)) / root
     return path.grid_t, q_hat, z_hat
 
 
@@ -203,8 +195,8 @@ def hydro_scale(path: PathRecord, m: int, length: float) -> HydroScaledPath:
         raise ConfigError(f"window index must be >= 0, got {m}")
     if length <= 0.0:
         raise ConfigError(f"window length must be > 0, got {length}")
-    n_total = path.n_servers
-    sizes = _path_pool_sizes(path)
+    n_total = path.system.n_servers
+    sizes = np.array(path.system.pool_sizes)
     root_n = math.sqrt(n_total)
     t_start = m / root_n
     if t_start > path.end_time:
@@ -223,10 +215,10 @@ def hydro_scale(path: PathRecord, m: int, length: float) -> HydroScaledPath:
     scale = 1.0 / math.sqrt(x_rm)
     scaled_t = (tt - t_start) * n_total / math.sqrt(x_rm)
     q = path.grid_Q[sel] * scale
-    z = (path.grid_Z[sel] - sizes[None, :]) * scale
+    z = (path.grid_Z[sel] - sizes) * scale
     x_scaled = (path.grid_X[sel] - n_total) * scale
     return HydroScaledPath(
-        r=path.r, m=m, x_rm=x_rm, t=scaled_t, q=q, z=z, x_scaled=x_scaled
+        r=path.config.r, m=m, x_rm=x_rm, t=scaled_t, q=q, z=z, x_scaled=x_scaled
     )
 
 
@@ -278,8 +270,6 @@ def default_bins(dist: RateDistribution, n_bins: int = 10) -> np.ndarray:
             return np.array([atoms[0] - 0.5, atoms[0] + 0.5])
         mids = 0.5 * (atoms[:-1] + atoms[1:])
         return np.concatenate([[atoms[0] - 0.5], mids, [atoms[-1] + 0.5]])
-    if dist.p == dist.q:
-        return np.array([dist.p - 0.5, dist.q + 0.5])
     return np.linspace(dist.p, dist.q, n_bins + 1)
 
 
@@ -309,12 +299,8 @@ def eta_theory(dist: RateDistribution, edges: np.ndarray, policy: Policy) -> Opt
             if c > a:
                 out[b] = (c * c - a * a) / 2.0 / total
         return out
-    if dist.kind == "point":
-        atoms = ((dist.rate, 1.0),)
-    else:
-        atoms = dist.atoms
-    total = sum(r * p for r, p in atoms)
-    for rate, prob in atoms:
+    total = sum(r * p for r, p in dist.atoms)
+    for rate, prob in dist.atoms:
         b = int(np.searchsorted(edges, rate, side="right") - 1)
         if b == n_bins:  # rate sits on the top edge
             b -= 1
@@ -331,7 +317,7 @@ def fairness_estimate(
     """Share of idleness mass per rate bin, plus the scaled sup-norm discrepancy.
 
     The share uses exact per-server idle-time integrals over the run, binned
-    by the realized rates ``path.mu``. The discrepancy statistic needs the
+    by the realized rates ``path.system.mu``. The discrepancy statistic needs the
     policy's theoretical measure (LISF and FSF) and a path whose server
     groups are the rate bins (``system.grouped(rate_bin(system.mu, bins),
     n_bins)``), so that the recorded busy counts per group give the idle
@@ -345,20 +331,20 @@ def fairness_estimate(
     if total_idle <= 0.0:
         raise NoIdlenessError("path carries no idleness")
     n_bins = edges.size - 1
-    which = rate_bin(path.mu, edges)
+    system = path.system
+    which = rate_bin(system.mu, edges)
     eta_hat = np.zeros(n_bins)
     np.add.at(eta_hat, which, idle_time)
     eta_hat /= total_idle
 
-    theory = eta_theory(dist, edges, path.policy) if dist is not None else None
+    theory = eta_theory(dist, edges, path.config.policy) if dist is not None else None
     sup = None
-    pool_of = path.pool_of if path.pool_of is not None else np.zeros(path.n_servers, int)
-    if theory is not None and path.n_pools == n_bins and np.array_equal(pool_of, which):
+    if theory is not None and system.n_pools == n_bins and np.array_equal(system.pool_of, which):
         # exact integer idle counts per bin
-        per_bin = (_path_pool_sizes(path) - path.grid_Z).astype(float)
+        per_bin = (np.array(system.pool_sizes) - path.grid_Z).astype(float)
         idle_tot = per_bin.sum(axis=1)
         dev = np.abs(per_bin - theory[None, :] * idle_tot[:, None])
-        sup = float(dev.max() / math.sqrt(path.n_servers))
+        sup = float(dev.max() / math.sqrt(system.n_servers))
     return FairnessEstimate(
         bin_edges=edges,
         eta_hat=eta_hat,

@@ -108,7 +108,8 @@ class CostSpec:
     """Cost coefficients; which term drives the trade-off depends on the model.
 
     The staffing cost is F(x) = c_s * x * sqrt(lambda_r / mu_bar); a waiting
-    customer costs c_w per unit time.
+    customer costs c_w per unit time. ``nu`` is the abandonment rate of the
+    abandonment model. Every field must be finite and >= 0.
     """
 
     c_s: float = 1.0
@@ -118,11 +119,10 @@ class CostSpec:
     nu: float = 0.0
 
     def __post_init__(self):
-        for name in ("c_s", "c_w", "d", "c_un"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.nu < 0.0:
-            raise ConfigError("nu must be >= 0")
+        for name in ("c_s", "c_w", "d", "c_un", "nu"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also false for NaN
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
     def staffing_term(self, x: float, config: SystemConfig, dist: RateDistribution) -> float:
         return self.c_s * x * math.sqrt(config.lambda_r / dist.mean())
@@ -216,9 +216,10 @@ def cost_aband(
     outer one over beta ~ N(-x*mu_bar, Var) uses Gauss-Hermite quadrature.
     The sqrt(r) factor converts the scaled queue length into customers, so
     the variable term is an abandonment flow in customers per unit time.
+    The abandonment rate is ``cost.nu``; ``config.abandon_rate`` is not read.
     """
     gamma, sigma, m, s = _drift_law(x, config, dist)
-    nu = cost.nu if cost.nu > 0.0 else config.abandon_rate
+    nu = cost.nu
     if nu <= 0.0:
         raise DomainError("abandonment cost model needs nu > 0")
     f_term = cost.staffing_term(x, config, dist)

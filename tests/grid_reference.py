@@ -32,7 +32,7 @@ def reference_grid(config, system, horizon, mode=AbandonMode.NONE, x0=None,
     """Grid rows (X, Q, R, A, Z_1..) of the run ``run`` makes with these arguments."""
     n = system.n_servers
     mu = system.mu.tolist()
-    pool_of = system.pool_of.tolist() if system.pool_of is not None else [0] * n
+    pool_of = system.pool_of.tolist()
     lam = config.lambda_r
     nu = config.abandon_rate
     lisf = config.policy is Policy.LISF

@@ -170,6 +170,8 @@ class TestExitCodes:
             ("analyze", "density_span=-3"),
             ("simulate", "grid_points=1000001"),
             ("couple", "skeleton_events=1000000000"),
+            ("analyze", "density_points=1000001"),
+            ("ql-sweep", "eps_steps=10001"),
         ],
     )
     def test_range_checked_where_the_value_enters(self, tmp_path, capsys, command, setting):
@@ -227,6 +229,34 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "r_values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["nu=nan", "c_s=nan", "d=inf"])
+    def test_bad_cost_coefficient_exits_2(self, tmp_path, capsys, setting):
+        # nu=nan used to fall back to abandon_rate and exit 0
+        rc = main([
+            "staff", "--out", str(tmp_path / "o"), "--set", "lambda_r=100",
+            "--set", "abandon_rate=1", "--set", setting,
+        ])
+        assert rc == 2
+        assert setting.split("=")[0] + " must" in capsys.readouterr().err
+
+    def test_staff_nu_zero_is_not_replaced_by_abandon_rate(self, tmp_path, capsys):
+        rc = main([
+            "staff", "--out", str(tmp_path / "o"), "--set", "lambda_r=100",
+            "--set", "abandon_rate=1", "--set", "nu=0",
+        ])
+        assert rc == 3
+        assert "needs nu > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-1"])
+    def test_bad_halfin_whitt_theta_exits_2(self, tmp_path, capsys, theta):
+        # nan ended in a ValueError traceback and inf in an OverflowError
+        rc = main([
+            "simulate", "--out", str(tmp_path / "o"), "--set", "lambda_r=20",
+            "--set", "horizon=5", "--set", f"staffing=hw({theta})",
+        ])
+        assert rc == 2
+        assert "staffing" in capsys.readouterr().err
 
     def test_fairness_bins_above_server_count_exits_2(self, tmp_path, capsys):
         # more bins than servers used to run; a large count ran out of memory
@@ -472,3 +502,128 @@ class TestOtherCommands:
             m2 = json.loads((out2 / "manifest.json").read_text())
             assert m1["artifacts"] == m2["artifacts"]
             assert m1.get("stream_layout") == (2 if cmd == "couple" else None)
+
+
+# --------------------------------------------------------------------------
+# Command-output pins: the sha256 of every artifact, and of the manifest,
+# from small runs of all seven commands. A change that alters any of them
+# breaks the byte-identical rerun of earlier manifests.
+# --------------------------------------------------------------------------
+
+_SMALL = [
+    "--set", "lambda_r=45.0", "--set", "r=50.0", "--set", "staffing=50",
+    "--set", "horizon=5.0", "--set", "grid_points=100", "--seed", "11",
+]
+
+_COMMAND_JOBS = {
+    "simulate_point": ["simulate", *_SMALL, "--set", "rates=point(1.0)"],
+    "simulate_uniform": [
+        "simulate", *_SMALL, "--set", "rates=uniform(0.8,1.2)", "--set", "policy=FSF",
+        "--set", "abandon_mode=per_customer", "--set", "abandon_rate=0.5",
+    ],
+    "simulate_discrete": [
+        "simulate", *_SMALL, "--set", "rates=discrete(0.5:0.25,1.0:0.5,1.5:0.25)",
+        "--set", "policy=RANDOM",
+    ],
+    "simulate_pools": [
+        "simulate", *_SMALL, "--set", "pools=0.5:0.8,0.5:1.2",
+        "--set", "abandon_mode=perturbed", "--set", "abandon_rate=1.0",
+    ],
+    "simulate_reps": ["simulate", *_SMALL, "--set", "rates=uniform(0.8,1.2)", "--reps", "3"],
+    "analyze": ["analyze", "--set", "density_points=21"],
+    "staff_abandon": [
+        "staff", "--set", "lambda_r=100.0", "--set", "rates=uniform(0.8,1.2)",
+        "--set", "nu=1.0", "--set", "cost_model=abandon",
+    ],
+    "staff_waiting": [
+        "staff", "--set", "lambda_r=100.0", "--set", "rates=point(1.0)",
+        "--set", "cost_model=waiting", "--set", "bracket_lo=0.2",
+    ],
+    "ql_sweep": ["ql-sweep", "--set", "eps_steps=4"],
+    "ssc": [
+        "ssc", "--set", "pools=0.5:1.0,0.5:2.0", "--set", "r_values=16,25",
+        "--set", "reps=2", "--set", "ssc_horizon=2.0",
+    ],
+    "fairness_uniform": ["fairness", *_SMALL, "--set", "rates=uniform(0.5,1.5)"],
+    "fairness_point": ["fairness", *_SMALL, "--set", "rates=point(1.0)"],
+    "couple": [
+        "couple", *_SMALL, "--set", "rates=uniform(0.8,1.2)", "--set", "skeleton_events=300",
+    ],
+}
+
+_COMMAND_PINS = {
+    "analyze": {
+        "analysis.json": "9d6894477736190537835139842e1be20c91ef8f2adc0eda06f0d6eb7a5150fd",
+        "density.csv": "9afca5acf878d0989fcab0833e936917e561db83f900448128f789004248409e",
+        "manifest.json": "365379f0989172419c07cfdba8030a1474a4d1bc99142d6b4e52617e0de3ebef",
+    },
+    "couple": {
+        "couple.csv": "8a9dbd5495505b32dff92ca39f664e0fa826d0e68c459f647777690e39613568",
+        "couple.json": "ee0e2aae7281f63c753015dc62bc74aaae3367841dac90dbd47518d8720af5e5",
+        "manifest.json": "64e22b75b98334c4c288553dd10e49f41ced1b9a0fc4ef72ce03f37d4097fb40",
+    },
+    "fairness_point": {
+        "fairness.csv": "223760b0db787117a0001452068d1d3eed5f3ccfeb3391c4b5e2de6c1d92a578",
+        "fairness.json": "cbf8b4951d121e0843c66b5f85e7fb4a5aad035a22d3b622f07f73b6384242e0",
+        "manifest.json": "2a539958d899c3bbd3510c399aa73f249c9f90078331f0309bd63bca1c599c12",
+    },
+    "fairness_uniform": {
+        "fairness.csv": "383ca013403c056f1fababac453c06cacebf7a35e422341c97eacf63cfbacfa7",
+        "fairness.json": "30de6a86f8eb6378a6da255cd34efb1b1d06d24c5a87e9e8a85c54be98198f60",
+        "manifest.json": "6a0cf6635ae0b88d1a4f4c3364bc44acb73642abf605634e7257531307c3a456",
+    },
+    "ql_sweep": {
+        "ql.csv": "2983a4302b782481846ce43d7923e2614060e11d2401f69521be744984a02292",
+        "manifest.json": "0a21c5fab175920a7db79d2dc6a6b49585493c2aac0ec2a4b14c73f7662364dd",
+    },
+    "simulate_discrete": {
+        "path.csv": "95804a14272f339f38679128d8af6c490f82ebb2401951f7624ada11d0713d7e",
+        "summary.json": "251a4b49180efba03b191863e21ae6c4b2364d1f95ff16d4018304dbb3fa0723",
+        "manifest.json": "0d05a607d3ef043c39932e96da59d3f4475bbc980efdf6ee8a7897d8b2b016e5",
+    },
+    "simulate_point": {
+        "path.csv": "e5ed86aef73b8472ae1182cf9a051fd97ec2bca02243e39cf0b328c034f0c6f2",
+        "summary.json": "b5c5d119dfab66200110948266f895b2ada57960533ba9678eca40636396434c",
+        "manifest.json": "792a353a2598d89223d4b31a16c658705a4d997b85ca44692756665ec591eb5f",
+    },
+    "simulate_pools": {
+        "path.csv": "16e1fa0facacb37d9796be98e9c31c1dc6d3c9f57fa4cf76c8fa5d08645fc320",
+        "summary.json": "634154c13d486fe985c625f1825d7801a05f3dff120bdcd6dced9e3e60ada600",
+        "manifest.json": "cb9f6b918c56ab476a7e29d94cceb25a1d9c8c8b1ee2aadd5389b31ea680cd39",
+    },
+    "simulate_reps": {
+        "reps.csv": "ff06e690874daf90a321643dff6901b22939f791de7ec2dd962e5c4d7111b27d",
+        "summary.json": "a630fdb70c3bb3d4711a461a39bab9cd32291598e5d514f175731398ea8ee7f2",
+        "manifest.json": "3ce7d7a6fa509b242b435e0fa90f790f357ee1a0a498709591ce6451cde050a3",
+    },
+    "simulate_uniform": {
+        "path.csv": "61abcdf6c274383da0239f5e37bfb090cae64f4e487cd90e95a693732e865299",
+        "summary.json": "f0757496301ec26b048027ee6f7ff076190f83411206bf686b4b0826014b7192",
+        "manifest.json": "9a483d8066e9d4f2999a25891df56bd2677fc877bf80e140dca1b59e11e6b575",
+    },
+    "ssc": {
+        "ssc.csv": "e8c5befcb6e2d82007c4cd1e75da04ad800ccd89cd2308ac799338bed2e6eb73",
+        "ssc_summary.json": "3d34ff617bff71d8854470eb96f8b17bdcc6f973a3f153579a72649eff25ae57",
+        "manifest.json": "b45ca55f7448454327cb10e01061288a1a24c4681973809fcb815fc045751266",
+    },
+    "staff_abandon": {
+        "curve.csv": "62034f99a75d7fede9a84e2ab8fcd373b71bd3411e3c84b7c0e300a007f1d2ac",
+        "staffing.json": "76db21bfc416df1033c828e55b7a8141a387f96fea0f1e9041441fd11c55cea0",
+        "manifest.json": "9579820195f5671f6b2ecac57ad6af9737885929663351fb0c6c2f7fe711472e",
+    },
+    "staff_waiting": {
+        "curve.csv": "3c28eb4bfb8cc138f73c9cd9c18a460de71ccd20303f7b6ead4d418d1b174561",
+        "staffing.json": "3857c4693d0869b522c2516d11fbe396f98af3e9dc064acefefadde9f30e6523",
+        "manifest.json": "68b4f4c4cffddfb00d2a6debcc2d1dc764b88b4bba4b904b9eb4b9a722b77bce",
+    },
+}
+
+
+class TestCommandPins:
+    @pytest.mark.parametrize("job", sorted(_COMMAND_JOBS))
+    def test_artifact_bytes(self, tmp_path, job):
+        command, *args = _COMMAND_JOBS[job]
+        assert main([command, "--out", str(tmp_path), *args]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        got = {name: sha(tmp_path / name) for name in [*manifest["artifacts"], "manifest.json"]}
+        assert got == _COMMAND_PINS[job]

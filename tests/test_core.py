@@ -157,6 +157,11 @@ class TestSystemConfig:
         assert sysv.n_pools == 2
         assert sysv.mu[sysv.pool_of == 1].min() == 2.0
 
+    def test_system_without_pools_is_one_group(self):
+        s = RealizedSystem(n_servers=3, mu=[1.0, 2.0, 3.0], mu_bar=2.0, r=3.0, lambda_r=2.0)
+        assert s.pool_of.tolist() == [0, 0, 0] and s.pool_of.dtype == np.int64
+        assert s.pool_sizes == (3,) and s.n_pools == 1
+
 
 class TestConfigFormat:
     def test_roundtrip(self):
@@ -186,6 +191,13 @@ class TestConfigFormat:
         with pytest.raises(ConfigError) as err:
             parse_config_text("bogus_key = 3")
         assert "bogus_key" in str(err.value)
+
+    def test_point_is_the_one_atom_discrete_law(self):
+        values = parse_config_text("rates = point(2.5)")
+        assert values["rates"] == RateDistribution.discrete([(2.5, 1.0)])
+        assert format_config(values) == "rates = point(2.5)\n"
+        two = parse_config_text("rates = discrete(2.5:0.5,3.0:0.5)")
+        assert format_config(two) == "rates = discrete(2.5:0.5,3.0:0.5)\n"
 
     def test_discrete_rates_and_int_staffing(self):
         values = parse_config_text("rates = discrete(1.0:0.5,2.0:0.5)\nstaffing = 120")

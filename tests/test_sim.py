@@ -610,7 +610,7 @@ class TestExports:
         # reference: one formatted line per grid row, cell by cell
         lines = [path_to_csv(path).splitlines()[0]]
         for j in range(path.grid_t.size):
-            z = ",".join(str(int(path.grid_Z[j, i])) for i in range(path.n_pools))
+            z = ",".join(str(int(path.grid_Z[j, i])) for i in range(path.system.n_pools))
             lines.append(
                 f"{float(path.grid_t[j])!r},{int(path.grid_X[j])},{int(path.grid_Q[j])},"
                 f"{z},{int(path.grid_R[j])},{int(path.grid_A[j])}"

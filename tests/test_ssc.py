@@ -123,8 +123,8 @@ class TestHydroScale:
     def test_hand_recompute(self):
         cfg, path = self._two_pool_path()
         m = 7
-        n_total = path.n_servers
-        sizes = np.bincount(path.pool_of, minlength=2)
+        n_total = path.system.n_servers
+        sizes = np.bincount(path.system.pool_of, minlength=2)
         t_start = m / math.sqrt(n_total)
         j0 = int(np.searchsorted(path.grid_t, t_start, side="right") - 1)
         dev = np.max(np.abs(path.grid_Z[j0] - sizes))
@@ -237,12 +237,12 @@ class TestFairness:
         # same run with one group per server, times a bin-membership matrix
         per_server = run(cfg, s.grouped(np.arange(20)), horizon=80.0, grid_points=400)
         idle_grid = 1 - per_server.grid_Z
-        member = np.zeros((path.n_servers, n_bins))
-        member[np.arange(path.n_servers), which] = 1.0
+        member = np.zeros((path.system.n_servers, n_bins))
+        member[np.arange(path.system.n_servers), which] = 1.0
         per_bin = idle_grid.astype(float) @ member
         idle_tot = idle_grid.sum(axis=1).astype(float)
         dev = np.abs(per_bin - fe.eta_theory[None, :] * idle_tot[:, None])
-        assert fe.sup_discrepancy == float(dev.max() / math.sqrt(path.n_servers))
+        assert fe.sup_discrepancy == float(dev.max() / math.sqrt(path.system.n_servers))
         assert fe.sup_discrepancy > 0.0
         # servers not grouped by bin carry no per-bin idle counts
         ungrouped = run(cfg, s, horizon=80.0, grid_points=400)
