@@ -314,6 +314,8 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
     r_values = values["r_values"]
     lambda_hat = float(values["lambda_hat"])
     horizon = float(values["ssc_horizon"])
+    if not 0.0 < horizon < math.inf:  # also false for NaN
+        raise ConfigError(f"ssc_horizon must be finite and > 0, got {horizon}")
     n_reps = _reps(values)
     seed = int(values["seed"])
     policy = values.get("policy", Policy.LISF)

@@ -278,11 +278,17 @@ def _hermgauss(nodes: int):
     return x, w
 
 
-def gauss_hermite_expectation(fn, mean: float, sd: float, nodes: int) -> float:
-    """E[fn(X)] for X ~ N(mean, sd^2) by Gauss-Hermite quadrature."""
+def gauss_hermite_expectation(fn, mean, sd: float, nodes: int):
+    """E[fn(X)] for X ~ N(mean, sd^2) by Gauss-Hermite quadrature.
+
+    ``mean`` is a float or an array. ``fn`` gets one row of nodes per mean,
+    and each row is reduced by its own dot, so every entry equals the
+    expectation at that mean alone, bit for bit; a float gives a float.
+    """
     x, w = _hermgauss(nodes)
-    vals = fn(mean + math.sqrt(2.0) * sd * x)
-    return float(np.dot(w, vals) / math.sqrt(math.pi))
+    vals = fn(np.asarray(mean)[..., None] + math.sqrt(2.0) * sd * x)
+    sums = [np.dot(w, row) for row in vals.reshape(-1, nodes)]
+    return _float_or_array(np.reshape(sums, np.shape(mean)) / math.sqrt(math.pi))
 
 
 _QL_REL_TOL = 1e-6  # successive Gauss-Hermite rules agree to this

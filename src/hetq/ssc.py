@@ -366,8 +366,10 @@ def inverted_v_config(
     The server count is round(r) split across pools by largest remainder,
     so the heavy-traffic centering is exact for the realized pool sizes.
     """
-    if lambda_hat >= 0.0:
-        raise ConfigError(f"heavy-traffic centering needs lambda_hat < 0, got {lambda_hat}")
+    if not -math.inf < lambda_hat < 0.0:  # also false for NaN
+        raise ConfigError(
+            f"heavy-traffic centering needs a finite lambda_hat < 0, got {lambda_hat}"
+        )
     if not (math.isfinite(r) and round(r) >= 1):
         raise ConfigError(
             f"r_values must be finite and give at least one server (round(r) >= 1), got {r}"

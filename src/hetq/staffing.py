@@ -12,14 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .core import RateDistribution, SystemConfig, rate_moments
 from .diffusion import (
-    DiffusionParams,
-    expected_positive_part,
+    _float_or_array,
     expected_positive_part_aband,
     gauss_hermite_expectation,
     prob_wait_no_aband,
@@ -124,14 +123,23 @@ class CostSpec:
             if not 0.0 <= value < math.inf:  # also false for NaN
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
-    def staffing_term(self, x: float, config: SystemConfig, dist: RateDistribution) -> float:
+    def staffing_term(self, x, config: SystemConfig, dist: RateDistribution):
         return self.c_s * x * math.sqrt(config.lambda_r / dist.mean())
 
 
-def _drift_law(x: float, config: SystemConfig, dist: RateDistribution):
-    """(gamma, sigma, drift mean, drift sd) of the limit diffusion at safety x."""
-    if x <= 0.0:
-        raise DomainError(f"safety coefficient must be > 0, got {x}")
+def _first(values, bad) -> float:
+    """The first entry of ``values`` (a float or an array) where ``bad`` holds."""
+    return float(np.asarray(values)[bad][0])
+
+
+def _drift_law(x, config: SystemConfig, dist: RateDistribution):
+    """(gamma, sigma, drift mean, drift sd) of the limit diffusion at safety x.
+
+    ``x`` is a float or an array; the drift mean has its shape.
+    """
+    bad = ~((np.asarray(x) > 0.0) & np.isfinite(x))
+    if bad.any():
+        raise DomainError(f"safety coefficient must be finite and > 0, got {_first(x, bad)}")
     moments = rate_moments(dist)
     gamma = moments.idleness_coefficient(config.policy)
     sigma = math.sqrt(moments.mean * (config.arrival_scv + 1.0))
@@ -146,20 +154,28 @@ def _leggauss(nodes: int):
     return x, w
 
 
-def _gauss_legendre(fn, lo: float, hi: float, nodes: int) -> float:
+def _gauss_legendre(fn, lo, hi, nodes: int):
+    """Integral of fn over [lo, hi] by Gauss-Legendre quadrature.
+
+    ``lo`` and ``hi`` are floats or arrays of one shape. ``fn`` gets one row
+    of nodes per interval, and each row is reduced by its own dot, so every
+    entry equals the integral over that interval alone, bit for bit.
+    """
     x, w = _leggauss(nodes)
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    return half * float(np.dot(w, fn(mid + half * x)))
+    vals = fn(np.asarray(mid)[..., None] + np.asarray(half)[..., None] * x)
+    sums = [np.dot(w, row) for row in vals.reshape(-1, nodes)]
+    return half * np.reshape(sums, np.shape(half))
 
 
 def cost_no_aband(
-    x: float,
+    x,
     config: SystemConfig,
     dist: RateDistribution,
     cost: CostSpec,
     nodes: int = 128,
-) -> float:
+):
     """Approximate cost F(x) + lambda_r * E[P(beta) G(-beta sqrt(r)) | beta < 0].
 
     The drift is beta ~ N(-x*mu_bar, Var of the rate law); only its stable
@@ -170,6 +186,9 @@ def cost_no_aband(
     behaves like 1/|beta| near zero and the quadrature value is dominated by
     the stability boundary whenever the drift law puts mass there; see the
     README for guidance.
+
+    ``x`` is a float or a 1-D array of safety values; a float gives a float,
+    and each entry of an array equals the call at that value, bit for bit.
     """
     gamma, sigma, m, s = _drift_law(x, config, dist)
     sqrt_r = math.sqrt(config.r)
@@ -178,25 +197,34 @@ def cost_no_aband(
     if s == 0.0:
         p = prob_wait_no_aband(m, sigma, gamma)
         capacity = -m * sqrt_r + config.lambda_r
-        if capacity <= config.lambda_r:
-            raise DomainError(f"needs capacity above the arrival rate, got {capacity}")
-        return f_term + config.lambda_r * p * (cost.c_w / (capacity - config.lambda_r))
+        bad = np.asarray(capacity <= config.lambda_r)
+        if bad.any():
+            raise DomainError(
+                f"needs capacity above the arrival rate, got {_first(capacity, bad)}"
+            )
+        return _float_or_array(
+            f_term + config.lambda_r * p * (cost.c_w / (capacity - config.lambda_r))
+        )
 
-    p_stable = float(special.ndtr((0.0 - m) / s))
-    if p_stable < 1e-12:
-        raise DegenerateError(f"P(beta < 0) = {p_stable:.3g}: all drift mass is unstable")
+    p_stable = special.ndtr((0.0 - m) / s)
+    bad = p_stable < 1e-12
+    if bad.any():
+        raise DegenerateError(
+            f"P(beta < 0) = {_first(p_stable, bad):.3g}: all drift mass is unstable"
+        )
+    m_row = np.asarray(m)[..., None]  # one drift mean per row of nodes
 
     def integrand(b):
-        dens = np.exp(-0.5 * ((b - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        dens = np.exp(-0.5 * ((b - m_row) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
         g = cost.c_w / (-b * sqrt_r)
         return prob_wait_no_aband(b, sigma, gamma) * g * dens
 
     lo = m - 8.0 * s
-    hi = min(0.0, m + 8.0 * s)
-    if hi <= lo:
+    hi = np.minimum(0.0, m + 8.0 * s)
+    if np.any(hi <= lo):
         raise DegenerateError("stable region lies outside the 8-sigma drift window")
     integral = _gauss_legendre(integrand, lo, hi, nodes)
-    return (
+    return _float_or_array(
         f_term
         + config.lambda_r * integral / p_stable
         + cost.c_un * (1.0 - p_stable)
@@ -204,12 +232,12 @@ def cost_no_aband(
 
 
 def cost_aband(
-    x: float,
+    x,
     config: SystemConfig,
     dist: RateDistribution,
     cost: CostSpec,
     nodes: int = 128,
-) -> float:
+):
     """Approximate cost F(x) + d * nu * sqrt(r) * E_beta[E[xi(infty)^+; xi >= 0]].
 
     The inner expectation over the stationary state is closed form; the
@@ -217,6 +245,9 @@ def cost_aband(
     The sqrt(r) factor converts the scaled queue length into customers, so
     the variable term is an abandonment flow in customers per unit time.
     The abandonment rate is ``cost.nu``; ``config.abandon_rate`` is not read.
+
+    ``x`` is a float or a 1-D array of safety values; a float gives a float,
+    and each entry of an array equals the call at that value, bit for bit.
     """
     gamma, sigma, m, s = _drift_law(x, config, dist)
     nu = cost.nu
@@ -224,12 +255,12 @@ def cost_aband(
         raise DomainError("abandonment cost model needs nu > 0")
     f_term = cost.staffing_term(x, config, dist)
     if s == 0.0:
-        epp = expected_positive_part(DiffusionParams(sigma, m, gamma, nu))
+        epp = expected_positive_part_aband(m, sigma, gamma, nu)
     else:
         epp = gauss_hermite_expectation(
             lambda b: expected_positive_part_aband(b, sigma, gamma, nu), m, s, nodes
         )
-    return f_term + cost.d * nu * math.sqrt(config.r) * epp
+    return _float_or_array(f_term + cost.d * nu * math.sqrt(config.r) * epp)
 
 
 @dataclass(frozen=True)
@@ -266,39 +297,43 @@ def _golden_section(fn, lo: float, hi: float, tol: float) -> Tuple[float, float]
 
 
 def optimize_staffing(
-    cost_fn: Callable[[float], float],
+    cost_fn: Callable,
     bracket: Tuple[float, float] = (0.05, 6.0),
     tol: float = 1e-4,
 ) -> OptimizationResult:
     """One-dimensional minimization of a staffing cost over the safety range.
 
-    Samples a coarse curve of 64 points first; a clean unimodal curve goes
-    straight to golden-section search, anything with interior local maxima
-    falls back to grid-then-refine and is flagged. ``tol`` (the ``opt_tol`` config
-    key) must be finite and > 0.
+    ``cost_fn`` takes a float or a 1-D array of safety values and returns a
+    float or an array of costs of the same shape. The coarse curve of 64
+    points is one call on the array; a clean unimodal curve goes straight
+    to golden-section search, which calls ``cost_fn`` on floats, and
+    anything with interior local maxima falls back to grid-then-refine and
+    is flagged. The bracket ends (the ``bracket_lo`` and ``bracket_hi``
+    config keys) must be finite with 0 < lo < hi; ``tol`` (``opt_tol``)
+    must be finite and > 0.
     """
     lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise ConfigError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    if not 0.0 < lo < math.inf:  # also false for NaN
+        raise ConfigError(f"bracket_lo must be finite and > 0, got {lo}")
+    if not lo < hi < math.inf:
+        raise ConfigError(f"bracket_hi must be finite and > bracket_lo = {lo}, got {hi}")
     if not 0.0 < tol < math.inf:  # also false for NaN; golden section never ends otherwise
         raise ConfigError(f"opt_tol must be finite and > 0, got {tol}")
     xs = np.linspace(lo, hi, _CURVE_POINTS)
-    costs = np.empty(_CURVE_POINTS)
-    failures = 0
-    first: Optional[Exception] = None
-    for i, xi in enumerate(xs):
-        try:
-            costs[i] = cost_fn(float(xi))
-        except Exception as exc:
-            costs[i] = np.nan
-            failures += 1
-            if first is None:
-                first = exc
-    cause = "" if first is None else f"; first failure: {type(first).__name__}: {first}"
-    if failures == _CURVE_POINTS or not np.isfinite(costs).any():
-        raise BracketError(f"cost evaluation failed across the bracket {bracket}{cause}") from first
-    if np.isnan(costs).any():
-        raise BracketError(f"cost evaluation failed at {failures} bracket points{cause}") from first
+    try:
+        costs = np.array(cost_fn(xs), dtype=float)
+    except Exception as exc:
+        raise BracketError(
+            f"cost evaluation failed across the bracket {bracket}; "
+            f"first failure: {type(exc).__name__}: {exc}"
+        ) from exc
+    if costs.shape != xs.shape:
+        raise TypeError(f"cost_fn must return one cost per point, got shape {costs.shape}")
+    if not np.isfinite(costs).any():
+        raise BracketError(f"cost evaluation failed across the bracket {bracket}")
+    failures = int(np.isnan(costs).sum())
+    if failures:
+        raise BracketError(f"cost evaluation failed at {failures} bracket points")
 
     interior_maxima = [
         i for i in range(1, _CURVE_POINTS - 1)

@@ -75,6 +75,28 @@ class TestExitCodes:
         assert rc == 3
         assert "needs nu > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "settings,failure",
+        [
+            (["policy=RANDOM"],
+             "DomainError: no idleness coefficient is derived for RANDOM routing"),
+            (["lambda_r=1e300", "cost_model=waiting"],
+             "DomainError: needs capacity above the arrival rate, got 1e+300"),
+        ],
+        ids=["random", "capacity"],
+    )
+    def test_curve_failing_everywhere_names_the_first_point(
+        self, tmp_path, capsys, settings, failure
+    ):
+        # the curve is one array call; the message is still the first point's
+        args = ["staff", "--out", str(tmp_path / "o"), "--set", "lambda_r=100"]
+        rc = main(args + [a for s in settings for a in ("--set", s)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "domain error: cost evaluation failed across the bracket (0.05, 6.0); "
+            f"first failure: {failure}\n"
+        )
+
     def test_analyze_random_needs_explicit_gamma(self, tmp_path, capsys):
         args = ["analyze", "--set", "policy=RANDOM", "--set", "rates=uniform(0.5,1.5)"]
         assert main([*args, "--out", str(tmp_path / "a")]) == 3
@@ -166,6 +188,8 @@ class TestExitCodes:
             ("staff", "opt_tol=-1"),
             ("staff", "opt_tol=0"),
             ("staff", "opt_tol=nan"),
+            ("staff", "bracket_lo=nan"),
+            ("staff", "bracket_hi=inf"),
             ("analyze", "density_span=nan"),
             ("analyze", "density_span=-3"),
             ("simulate", "grid_points=1000001"),
@@ -229,6 +253,17 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "r_values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["lambda_hat=nan", "ssc_horizon=nan"])
+    def test_ssc_non_finite_key_exits_2(self, tmp_path, capsys, setting):
+        # NaN passed the checks and failed later, naming lambda_r or horizon
+        rc = main([
+            "ssc", "--out", str(tmp_path / "o"), "--set", "pools=0.5:1.0,0.5:2.0",
+            "--set", "r_values=16", "--set", "reps=1", "--set", "ssc_horizon=1.0",
+            "--set", setting,
+        ])
+        assert rc == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["nu=nan", "c_s=nan", "d=inf"])
     def test_bad_cost_coefficient_exits_2(self, tmp_path, capsys, setting):

@@ -10,7 +10,7 @@ from scipy.stats import poisson
 
 from hetq.core import HalfinWhitt, Policy, RateDistribution, SystemConfig
 from hetq.diffusion import DiffusionParams, expected_positive_part, prob_wait_no_aband
-from hetq.errors import BracketError, UnstableError
+from hetq.errors import BracketError, DomainError, UnstableError
 from hetq.staffing import (
     CostSpec,
     cost_aband,
@@ -226,6 +226,58 @@ class TestCostAband:
         assert abs(sim_cost - res.cost_at_optimum) / res.cost_at_optimum < 0.05
 
 
+_LAWS = {
+    "uniform": RateDistribution.uniform(0.8, 1.2),
+    "discrete": RateDistribution.discrete(((0.5, 0.3), (1.0, 0.4), (2.0, 0.3))),
+    "point": RateDistribution.point(1.0),
+}
+
+
+class TestArrayCurve:
+    """An array of safety values gives the per-point scalar costs exactly."""
+
+    @pytest.mark.parametrize("r", [16.0, 6400.0])
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    @pytest.mark.parametrize("policy", [Policy.LISF, Policy.FSF])
+    @pytest.mark.parametrize("cost_fn", [cost_aband, cost_no_aband])
+    def test_array_equals_scalar_calls(self, cost_fn, policy, law, r):
+        cfg = _config(r=r, lam=r, policy=policy, nu=1.0)
+        cost = CostSpec(c_s=1.3, c_w=0.7, d=2.5, c_un=0.4, nu=1.1)
+        xs = np.linspace(0.05, 6.0, 64)
+        scalar = [cost_fn(float(x), cfg, _LAWS[law], cost) for x in xs]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(cost_fn(xs, cfg, _LAWS[law], cost), scalar)
+
+    def test_curve_is_one_array_call_before_the_search(self):
+        cfg = _config(nu=1.0)
+        dist = RateDistribution.uniform(0.8, 1.2)
+        cost = CostSpec(c_s=1.0, d=5.0, nu=1.0)
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return cost_aband(x, cfg, dist, cost)
+
+        res = optimize_staffing(fn, (0.05, 6.0), tol=1e-4)
+        first, *search = calls
+        assert isinstance(first, np.ndarray)
+        assert np.array_equal(first, np.linspace(0.05, 6.0, 64))
+        assert search and all(type(x) is float for x in search)
+        assert np.array_equal(res.curve_cost, cost_aband(first, cfg, dist, cost))
+
+    def test_curve_needs_one_cost_per_point(self):
+        with pytest.raises(TypeError, match="one cost per point"):
+            optimize_staffing(lambda x: 1.0, (0.1, 5.0))
+
+    def test_safety_values_must_be_finite_and_positive(self):
+        cfg = _config(nu=1.0)
+        cost = CostSpec(nu=1.0)
+        for law in _LAWS.values():
+            for x in (0.0, math.nan, math.inf, np.array([1.0, math.nan])):
+                with pytest.raises(DomainError, match="safety coefficient"):
+                    cost_aband(x, cfg, law, cost)
+
+
 class TestOptimizer:
     def test_quadratic(self):
         res = optimize_staffing(lambda x: (x - 2.0) ** 2, (0.1, 5.0), tol=1e-6)
@@ -244,7 +296,7 @@ class TestOptimizer:
         assert res.cost_at_optimum <= res.curve_cost.min() + 1e-12
 
     def test_non_unimodal_flagged(self):
-        fn = lambda x: math.sin(3.0 * x) + 0.05 * x
+        fn = lambda x: np.sin(3.0 * x) + 0.05 * x
         res = optimize_staffing(fn, (0.1, 6.0), tol=1e-6)
         assert not res.unimodal
         assert res.used_grid_fallback
