@@ -53,8 +53,11 @@ COMMANDS = ("simulate", "analyze", "staff", "ql-sweep", "ssc", "fairness", "coup
 
 # stream layout per command; a command not listed is layout 1. couple is 2
 # since coupled_run picks the freed server by rejection, reading its
-# ROUTING stream a variable number of times per pick.
-_STREAM_LAYOUT = {"couple": 2}
+# ROUTING stream a variable number of times per pick. simulate, ssc and
+# fairness are 2 since run() takes departures from a rate-sum-mu skeleton
+# (SKELETON exponentials, SERVICE uniforms) instead of one SERVICE
+# exponential per customer.
+_STREAM_LAYOUT = {"simulate": 2, "ssc": 2, "fairness": 2, "couple": 2}
 _MAX_SKELETON_EVENTS = 1_000_000  # a few seconds of coupling, with three lists that long
 _MAX_DENSITY_POINTS = 1_000_000  # the bound of the simulator's grid_points
 _MAX_EPS_STEPS = 10_000  # about 2 ms a step

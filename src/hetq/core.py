@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+_MAX_SERVERS = 1_000_000  # the event engine keeps a few Python lists of N entries
 
 
 class Policy(Enum):
@@ -46,7 +47,13 @@ class Policy(Enum):
 
 
 class Stream(Enum):
-    """Named sub-stream purposes; keeps replications and uses independent."""
+    """Named sub-stream purposes; keeps replications and uses independent.
+
+    SKELETON gives the exponential gaps of the departure skeleton that
+    ``hetq.sim.run`` and ``hetq.sim.coupled_run`` thin. SERVICE gives one
+    uniform per skeleton point: in ``run`` it names the server, in
+    ``coupled_run`` it decides whether the point is a departure.
+    """
 
     RATES = 0
     ARRIVAL = 1
@@ -333,6 +340,20 @@ class RealizedSystem:
         sizes = np.bincount(group_of, minlength=n_groups)
         return replace(self, pool_of=group_of, pool_sizes=tuple(sizes.tolist()))
 
+    @staticmethod
+    def _server_count(config: SystemConfig, mu_bar: float) -> int:
+        # square-root staffing gives N >= lambda_r / mu_bar, so that is
+        # checked first: near 1e308 the staffing rule overflows
+        hw = isinstance(config.staffing, HalfinWhitt)
+        if (config.lambda_r / mu_bar if hw else config.staffing) <= _MAX_SERVERS:
+            n = config.resolve_staffing(mu_bar)
+            if n <= _MAX_SERVERS:
+                return n
+        raise ConfigError(
+            f"lambda_r {config.lambda_r!r} and staffing {_fmt(config.staffing)} give more "
+            f"than the {_MAX_SERVERS} servers a system may have"
+        )
+
     @classmethod
     def realize(
         cls,
@@ -340,8 +361,8 @@ class RealizedSystem:
         dist: RateDistribution,
         stream: np.random.Generator,
     ) -> "RealizedSystem":
-        """Draw i.i.d. rates from ``dist`` for the staffed server count."""
-        n = config.resolve_staffing(dist.mean())
+        """Draw i.i.d. rates from ``dist`` for the staffed server count (at most 10^6)."""
+        n = cls._server_count(config, dist.mean())
         mu = dist.sample(n, stream)
         return cls(n_servers=n, mu=mu, mu_bar=dist.mean(), r=config.r, lambda_r=config.lambda_r)
 
@@ -355,7 +376,7 @@ class RealizedSystem:
             raise ConfigError("realize_pools needs a config with pools")
         dist = config.pool_distribution()
         mu_bar = dist.mean()
-        n = config.resolve_staffing(mu_bar)
+        n = cls._server_count(config, mu_bar)
         sizes = pool_sizes(config.pools, n)
         if any(s < 1 for s in sizes):
             raise ConfigError(f"pool sizes {sizes} collapse at N={n}; increase the scale")

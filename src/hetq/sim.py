@@ -17,14 +17,16 @@ almost every event, so a crossing stages one row in a flat list, and every
 ~4k staged values are written into the grid at once.
 
 The event loop inlines the policy's idle set (a LISF deque, an FSF heap
-keyed on -mu, a RANDOM swap list) and reads each random stream through
-``_draws``, a C-level iterator over blocks that grow from 64 to 8192 draws;
-a stream's generator is built on its first draw, so unread streams cost
-nothing. The order in which each stream is consumed is part of the
-determinism contract (``tests/test_sim.py::TestStreamPinning`` pins it).
-``run``'s is unchanged from earlier hetq versions; ``coupled_run``'s changed
-with its rejection pick, which ``hetq.cli`` stamps as ``couple`` stream
-layout 2.
+keyed on -mu, a RANDOM swap list). Service is exponential, so it keeps no
+departure times: departures thin one Poisson skeleton of rate sum mu, whose
+points name a server through a Walker alias table and are discarded when it
+is idle. Each random stream is read through ``_draws``, a C-level iterator
+over blocks that grow from 64 to 8192 draws; a stream's generator is built
+on its first draw, so unread streams cost nothing. The order in which each
+stream is consumed is part of the determinism contract
+(``tests/test_sim.py::TestStreamPinning`` pins it). ``run``'s changed with
+the skeleton, and ``coupled_run``'s with its rejection pick; ``hetq.cli``
+stamps both as stream layout 2.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Callable, List, Optional, Tuple
 
@@ -71,6 +73,9 @@ _FIRST_BLOCK = 64
 _BLOCK = 8192
 _STAGE = 4096  # staged grid values written at once
 _MAX_GRID_POINTS = 1_000_000  # 10^6 samples keep the grid's memory bounded
+# a run makes about (lambda_r + sum mu) * horizon loop passes; criterion 2's
+# largest run makes 5.2e7
+_MAX_EXPECTED_EVENTS = 1e9
 
 
 class AbandonMode(Enum):
@@ -118,6 +123,29 @@ def _check_horizon(horizon: float) -> None:
         raise ConfigError(f"horizon must be finite and > 0, got {horizon}")
 
 
+def _alias_table(weights: List[float]) -> Tuple[List[float], List[int]]:
+    """Walker's alias table (Walker 1977) of ``weights``, built in O(n) (Vose 1991).
+
+    With u = U * n for one uniform U, column i = int(u) is kept when
+    u - i < cut[i] and is replaced by alias[i] otherwise, which picks k with
+    probability weights[k] / sum(weights). A last column, cut 0, catches
+    the int(u) == n that rounding could give.
+    """
+    n = len(weights)
+    total = math.fsum(weights)
+    scaled = [w * n / total for w in weights]
+    cut = [1.0] * n + [0.0]
+    alias = list(range(n)) + [n - 1]
+    small = [k for k in range(n) if scaled[k] < 1.0]
+    large = [k for k in range(n) if scaled[k] >= 1.0]
+    while small and large:
+        s, l = small.pop(), large.pop()
+        cut[s], alias[s] = scaled[s], l
+        scaled[l] -= 1.0 - scaled[s]
+        (small if scaled[l] < 1.0 else large).append(l)
+    return cut, alias  # columns left over keep cut 1: rounding residue only
+
+
 @dataclass
 class PathRecord:
     """Everything a run produced: grid trajectory plus exact counters.
@@ -127,6 +155,8 @@ class PathRecord:
     found every server busy; ``end_time`` is the horizon unless the run
     overflowed. The per-customer arrays are None unless the run recorded
     customers. ``config`` and ``system`` are the ones the run was given.
+    ``discarded_points`` counts the departure skeleton's points that named
+    an idle server.
     """
 
     config: SystemConfig
@@ -153,6 +183,7 @@ class PathRecord:
     departures: np.ndarray
     busy_time: np.ndarray
     overflowed: bool
+    discarded_points: int
 
     @property
     def departures_total(self) -> int:
@@ -175,11 +206,21 @@ def run(
     """Simulate one path on [0, horizon].
 
     The initial state holds ``x0`` customers (default N: all servers busy,
-    empty queue). Simultaneous events process in the fixed order departure,
-    abandonment, arrival. A queue exceeding ``queue_cap`` terminates the
-    run cleanly with the overflow flag set. With ``validate`` every event
-    asserts flow conservation, work conservation, and the LISF selection
-    rule. ``grid_points`` is at most 10^6.
+    empty queue), at most N + ``queue_cap``. Simultaneous events process in
+    the fixed order departure, abandonment, arrival. A queue exceeding
+    ``queue_cap`` terminates the run cleanly with the overflow flag set.
+    With ``validate`` every event asserts flow conservation, work
+    conservation, and the LISF selection rule. ``grid_points`` is at most
+    10^6. With arrivals, (lambda_r + sum mu) * horizon, about the number of
+    events, is at most 10^9; without them the run ends once it drains.
+
+    Service is exponential, so departures thin one Poisson skeleton of rate
+    sum mu (Lewis & Shedler 1979): each point names server k with
+    probability mu_k / sum mu, through a Walker alias table, and is server
+    k's departure if k is busy; a point that names an idle server is
+    discarded. While no server is busy the skeleton is off; it restarts
+    from a fresh exponential when one becomes busy, which by memorylessness
+    is the same law.
 
     Arrivals in the window [warmup * end_time, end_time] are counted for
     ``steady_estimates``. A run that overflows ends before the horizon, so
@@ -202,6 +243,15 @@ def run(
         raise ConfigError(f"grid_points must be in [2, {_MAX_GRID_POINTS}], got {grid_points}")
     if queue_cap < 0:
         raise ConfigError(f"queue_cap must be >= 0, got {queue_cap}")
+    n = system.n_servers
+    if x0 is not None and not 0 <= x0 <= n + queue_cap:
+        raise ConfigError(f"x0 must be in [0, N + queue_cap] = [0, {n + queue_cap}], got {x0}")
+    events = (config.lambda_r + system.sum_mu) * horizon
+    if config.lambda_r > 0.0 and events > _MAX_EXPECTED_EVENTS:
+        raise ConfigError(
+            f"horizon {horizon:.6g} and lambda_r {config.lambda_r:.6g} give about {events:.3g} "
+            f"events, over the {_MAX_EXPECTED_EVENTS:.0e} a run may make; lower either"
+        )
     args = (config, system, horizon, mode, x0, grid_points, queue_cap, rep, validate, warmup)
     path = _simulate(*args, warmup * horizon, record_customers)
     if path.overflowed:
@@ -242,14 +292,13 @@ def _simulate(
             det, m_e = (1.0 - root) / lam, root / lam
 
     arrival_exp = _draws(seed, rep, Stream.ARRIVAL, "standard_exponential")
-    service_exp = _draws(seed, rep, Stream.SERVICE, "standard_exponential")
+    skel_exp = _draws(seed, rep, Stream.SKELETON, "standard_exponential")
+    pick_u = _draws(seed, rep, Stream.SERVICE, "random")
     abandon_exp = _draws(seed, rep, Stream.ABANDON, "standard_exponential")
     routing_u = _draws(seed, rep, Stream.ROUTING, "random")
 
     # initial state: x0 in system, lowest-index servers busy first
     x = n if x0 is None else int(x0)
-    if x < 0:
-        raise ConfigError(f"x0 must be >= 0, got {x0}")
     n_busy0 = min(x, n)
     busy = bytearray(n)  # 1 = busy
     busy[:n_busy0] = b"\x01" * n_busy0
@@ -259,10 +308,11 @@ def _simulate(
     z = [0] * n_pools
     for k in range(n_busy0):
         z[pool_of[k]] += 1
-    # departure heap of unique (t, k) entries over a sentinel that never pops
-    dep_heap: List[Tuple[float, int]] = [(service_exp() / mu[k], k) for k in range(n_busy0)]
-    dep_heap.append((_INF, -1))
-    heapify(dep_heap)
+    # departure skeleton of rate sum mu, off while no server is busy; fsum is
+    # exactly rounded, so the rate does not depend on a summation order
+    sum_mu = math.fsum(mu)
+    cut, alias = _alias_table(mu)
+    t_dep = skel_exp() / sum_mu if n_busy0 else _INF
 
     # idle set of the policy; the other two stay empty
     idle_ids = range(n_busy0, n)
@@ -297,6 +347,7 @@ def _simulate(
 
     a_count = 0
     r_count = 0
+    discards = 0
     win_a = win_w = 0  # arrivals, and waited arrivals, at t >= t_warm
     x_init = x
     next_arr = det + m_e * arrival_exp() if lam > 0.0 else _INF
@@ -306,7 +357,6 @@ def _simulate(
     end_time = horizon
 
     while True:
-        t_dep = dep_heap[0][0]
         if perturbed:
             t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
         elif per_customer:
@@ -338,33 +388,38 @@ def _simulate(
         t_cur = t_next
 
         if kind == 0:
-            # departure of server k; it takes the queue's head if anyone waits
-            k = dep_heap[0][1]
-            x -= 1
-            d_count[k] += 1
-            t_busy[k] += t_cur - busy_since[k]
-            busy_since[k] = t_cur  # while idle: the time it went idle
-            if q:
-                if track:
-                    cid = queue.popleft()
-                    while cid in gone:
-                        gone.remove(cid)
+            # skeleton point naming server k: if k is busy it departs and
+            # takes the queue's head if anyone waits; if idle, nothing moves
+            u = pick_u() * n
+            i = int(u)
+            k = i if u - i < cut[i] else alias[i]
+            if busy[k]:
+                x -= 1
+                d_count[k] += 1
+                t_busy[k] += t_cur - busy_since[k]
+                busy_since[k] = t_cur  # while idle: the time it went idle
+                if q:
+                    if track:
                         cid = queue.popleft()
-                    served_upto = cid
-                    if record:
-                        waits[cid] = t_cur - arr_t[cid]
-                q -= 1
-                heapreplace(dep_heap, (t_cur + service_exp() / mu[k], k))
-            else:
-                heappop(dep_heap)
-                busy[k] = 0
-                z[pool_of[k]] -= 1
-                if lisf:
-                    lisf_q.append(k)
-                elif fsf:
-                    heappush(fsf_heap, (-mu[k], k))
+                        while cid in gone:
+                            gone.remove(cid)
+                            cid = queue.popleft()
+                        served_upto = cid
+                        if record:
+                            waits[cid] = t_cur - arr_t[cid]
+                    q -= 1
                 else:
-                    rand_list.append(k)
+                    busy[k] = 0
+                    z[pool_of[k]] -= 1
+                    if lisf:
+                        lisf_q.append(k)
+                    elif fsf:
+                        heappush(fsf_heap, (-mu[k], k))
+                    else:
+                        rand_list.append(k)
+            else:
+                discards += 1
+            t_dep = t_cur + skel_exp() / sum_mu if x else _INF
         elif kind == 1:
             # abandonment
             if perturbed:
@@ -411,7 +466,8 @@ def _simulate(
                 busy[k] = 1
                 z[pool_of[k]] += 1
                 busy_since[k] = t_cur
-                heappush(dep_heap, (t_cur + service_exp() / mu[k], k))
+                if x == 1:  # the first busy server restarts the skeleton
+                    t_dep = t_cur + skel_exp() / sum_mu
             else:
                 q += 1
                 if t_cur >= t_warm:
@@ -434,6 +490,7 @@ def _simulate(
             assert q == max(x - n, 0), "queue-headcount identity broken"
             assert idle_count == n - sum(busy), "idle set out of step with busy flags"
             assert len(queue) - len(gone) == (q if track else 0), "queue ids out of step"
+            assert (t_dep == _INF) == (x == 0), "skeleton on with no server busy"
 
     # fill the remaining grid with the terminal state
     if stage:
@@ -475,6 +532,7 @@ def _simulate(
         departures=np.asarray(d_count, dtype=np.int64),
         busy_time=np.asarray(t_busy, dtype=float),
         overflowed=overflowed,
+        discarded_points=discards,
     )
 
 

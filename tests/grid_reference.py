@@ -2,23 +2,25 @@
 
 A frozen copy of the event loop of ``hetq.sim.run`` as it was before the
 grid writes were staged, with the per-customer record, validation and
-window counters left out. Each event that passes grid times writes the
-state before the event into ``grid[gi:hi]`` at once, and every stream is
-read in eager blocks of 8192 draws from a generator built up front. The
-grid it returns is the one ``run`` must reproduce exactly
+window counters left out. Departures come from the run's rate-sum-mu
+skeleton: a point names server k with probability mu_k / sum mu through an
+alias table, and departs k if k is busy. Each event that passes grid times
+writes the state before the event into ``grid[gi:hi]`` at once, and every
+stream is read in eager blocks of 8192 draws from a generator built up
+front. The grid it returns is the one ``run`` must reproduce exactly
 (``tests/test_sim.py::TestGridReference``).
 """
 
 import math
 from bisect import bisect_left
 from collections import deque
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from itertools import chain
 
 import numpy as np
 
 from hetq.core import Policy, Stream, rng_stream
-from hetq.sim import AbandonMode
+from hetq.sim import AbandonMode, _alias_table
 
 _INF = math.inf
 
@@ -53,7 +55,8 @@ def reference_grid(config, system, horizon, mode=AbandonMode.NONE, x0=None,
             det, m_e = (1.0 - root) / lam, root / lam
 
     arrival_exp = _draws(rng_stream(seed, rep, Stream.ARRIVAL).standard_exponential)
-    service_exp = _draws(rng_stream(seed, rep, Stream.SERVICE).standard_exponential)
+    skel_exp = _draws(rng_stream(seed, rep, Stream.SKELETON).standard_exponential)
+    pick_u = _draws(rng_stream(seed, rep, Stream.SERVICE).random)
     abandon_exp = _draws(rng_stream(seed, rep, Stream.ABANDON).standard_exponential)
     routing_u = _draws(rng_stream(seed, rep, Stream.ROUTING).random)
 
@@ -62,9 +65,10 @@ def reference_grid(config, system, horizon, mode=AbandonMode.NONE, x0=None,
     z = [0] * system.n_pools
     for k in range(n_busy0):
         z[pool_of[k]] += 1
-    dep_heap = [(service_exp() / mu[k], k) for k in range(n_busy0)]
-    dep_heap.append((_INF, -1))
-    heapify(dep_heap)
+    busy = [k < n_busy0 for k in range(n)]
+    sum_mu = math.fsum(mu)
+    cut, alias = _alias_table(mu)
+    t_dep = skel_exp() / sum_mu if n_busy0 else _INF
     idle_ids = range(n_busy0, n)
     lisf_q = deque(idle_ids if lisf else ())
     fsf_heap = sorted((-mu[k], k) for k in idle_ids) if fsf else []
@@ -88,7 +92,6 @@ def reference_grid(config, system, horizon, mode=AbandonMode.NONE, x0=None,
     t_cur = 0.0
 
     while True:
-        t_dep = dep_heap[0][0]
         if perturbed:
             t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
         elif per_customer:
@@ -117,26 +120,29 @@ def reference_grid(config, system, horizon, mode=AbandonMode.NONE, x0=None,
         t_cur = t_next
 
         if kind == 0:
-            k = dep_heap[0][1]
-            x -= 1
-            if q:
-                if per_customer:
-                    cid = queue.popleft()
-                    while cid in gone:
-                        gone.remove(cid)
+            u = pick_u() * n
+            i = int(u)
+            k = i if u - i < cut[i] else alias[i]
+            if busy[k]:
+                x -= 1
+                if q:
+                    if per_customer:
                         cid = queue.popleft()
-                    served_upto = cid
-                q -= 1
-                heapreplace(dep_heap, (t_cur + service_exp() / mu[k], k))
-            else:
-                heappop(dep_heap)
-                z[pool_of[k]] -= 1
-                if lisf:
-                    lisf_q.append(k)
-                elif fsf:
-                    heappush(fsf_heap, (-mu[k], k))
+                        while cid in gone:
+                            gone.remove(cid)
+                            cid = queue.popleft()
+                        served_upto = cid
+                    q -= 1
                 else:
-                    rand_list.append(k)
+                    busy[k] = False
+                    z[pool_of[k]] -= 1
+                    if lisf:
+                        lisf_q.append(k)
+                    elif fsf:
+                        heappush(fsf_heap, (-mu[k], k))
+                    else:
+                        rand_list.append(k)
+            t_dep = t_cur + skel_exp() / sum_mu if x else _INF
         elif kind == 1:
             if perturbed:
                 hazard = abandon_exp()
@@ -161,8 +167,10 @@ def reference_grid(config, system, horizon, mode=AbandonMode.NONE, x0=None,
                     k = rand_list[pos]
                     rand_list[pos] = rand_list[-1]
                     rand_list.pop()
+                busy[k] = True
                 z[pool_of[k]] += 1
-                heappush(dep_heap, (t_cur + service_exp() / mu[k], k))
+                if x == 1:
+                    t_dep = t_cur + skel_exp() / sum_mu
             else:
                 q += 1
                 if per_customer:

@@ -22,6 +22,20 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def main_within(args, seconds=30):
+    """``main(args)``, failing the test if it has not returned after ``seconds``."""
+    def timeout(*_):
+        pytest.fail(f"{args} did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        return main(args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 BASE_CFG = """
 r = 50.0
 lambda_r = 45.0
@@ -125,14 +139,15 @@ class TestExitCodes:
         assert "HETQ_THREADS" in capsys.readouterr().err
 
     def test_overflowing_replication_exits_3(self, tmp_path, capsys):
-        # --reps used to drop x0 and queue_cap, and reps.csv cannot flag an overflow
+        # --reps used to drop x0 and queue_cap, and reps.csv cannot flag an
+        # overflow; x0 = N + queue_cap starts with the queue at its cap
         rc = main([
             "simulate", "--out", str(tmp_path / "o"), "--reps", "2",
             "--set", "lambda_r=20", "--set", "r=10", "--set", "staffing=10",
-            "--set", "horizon=20", "--set", "queue_cap=0", "--set", "x0=500",
+            "--set", "horizon=20", "--set", "queue_cap=490", "--set", "x0=500",
         ])
         assert rc == 3
-        assert "replication 0: queue exceeded queue_cap=0" in capsys.readouterr().err
+        assert "replication 0: queue exceeded queue_cap=490" in capsys.readouterr().err
         assert not (tmp_path / "o" / "reps.csv").exists()
 
     @pytest.mark.parametrize("args", [["--set", "reps=0"], ["--reps", "-3"]])
@@ -201,19 +216,10 @@ class TestExitCodes:
     def test_range_checked_where_the_value_enters(self, tmp_path, capsys, command, setting):
         # a negative or zero opt_tol once made the golden-section search loop
         # forever, and 10^9 skeleton events ran for over an hour
-        def timeout(*_):
-            pytest.fail(f"{command} --set {setting} did not return")
-
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(30)
-        try:
-            rc = main([
-                command, "--out", str(tmp_path / "o"), "--set", "lambda_r=20.0",
-                "--set", "nu=1.0", "--set", "horizon=5.0", "--set", setting,
-            ])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        rc = main_within([
+            command, "--out", str(tmp_path / "o"), "--set", "lambda_r=20.0",
+            "--set", "nu=1.0", "--set", "horizon=5.0", "--set", setting,
+        ])
         assert rc == 2
         assert setting.split("=")[0] + " must" in capsys.readouterr().err
 
@@ -302,6 +308,32 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "bins must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,keys",
+        [
+            # a SystemError from deque while seeding 10^12 queued customers
+            (["simulate", "--set", "lambda_r=50", "--set", "r=50",
+              "--set", "abandon_mode=per_customer", "--set", "abandon_rate=1",
+              "--set", "x0=1000000000000"], ["x0"]),
+            # an OverflowError drawing 10^300 rates, or from the staffing rule
+            (["simulate", "--set", "lambda_r=1e300"], ["lambda_r"]),
+            (["simulate", "--set", "lambda_r=1e308", "--set", "rates=point(0.1)"], ["lambda_r"]),
+            (["simulate", "--set", "lambda_r=1e300", "--set", "pools=0.5:1.0,0.5:2.0"],
+             ["lambda_r"]),
+            # these ran without end
+            (["simulate", "--set", "lambda_r=20", "--set", "horizon=1e300"],
+             ["horizon", "lambda_r"]),
+            (["fairness", "--set", "lambda_r=45", "--set", "r=50", "--set", "staffing=50",
+              "--set", "horizon=1e300"], ["horizon", "lambda_r"]),
+        ],
+        ids=["x0", "lambda_r", "lambda_r_overflow", "lambda_r_pools", "horizon", "fairness_horizon"],
+    )
+    def test_unbounded_run_input_exits_2(self, tmp_path, capsys, args, keys):
+        rc = main_within([args[0], "--out", str(tmp_path / "o"), *args[1:]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
 
 
 _IMPORT_BOUNDARY = """
@@ -401,9 +433,20 @@ class TestManifest:
         path.write_text(json.dumps(manifest), encoding="utf-8")
         return main(["rerun", str(path), "--out", str(tmp_path / "o2")])
 
-    def test_rerun_refuses_another_stream_layout(self, tmp_path, capsys):
-        # a couple manifest written before the rejection pick has no stamp
-        args = ["couple", "--set", "lambda_r=20.0", "--set", "skeleton_events=200"]
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--set", "lambda_r=20.0", "--set", "horizon=5.0"],
+            ["ssc", "--set", "pools=0.5:1.0,0.5:2.0", "--set", "r_values=16", "--set", "reps=1",
+             "--set", "ssc_horizon=1.0"],
+            ["fairness", "--set", "lambda_r=20.0", "--set", "horizon=5.0"],
+            ["couple", "--set", "lambda_r=20.0", "--set", "skeleton_events=200"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_rerun_refuses_another_stream_layout(self, tmp_path, capsys, args):
+        # a manifest written before the skeleton departures (simulate, ssc,
+        # fairness) or the rejection pick (couple) has no stamp
         rc = self._edited_rerun(tmp_path, args, lambda m: m.pop("stream_layout"))
         assert rc == 2
         err = capsys.readouterr().err
@@ -521,6 +564,7 @@ class TestOtherCommands:
 
     def test_rerun_every_command(self, tmp_path):
         jobs = {
+            "simulate": ["--set", "lambda_r=20.0", "--set", "horizon=5.0"],
             "analyze": ["--set", "beta=-1.0", "--set", "sigma=4.0", "--set", "gamma=2.0",
                         "--set", "nu=2.0"],
             "ql-sweep": ["--set", "eps_steps=3"],
@@ -536,7 +580,7 @@ class TestOtherCommands:
             m1 = json.loads((out1 / "manifest.json").read_text())
             m2 = json.loads((out2 / "manifest.json").read_text())
             assert m1["artifacts"] == m2["artifacts"]
-            assert m1.get("stream_layout") == (2 if cmd == "couple" else None)
+            assert m1.get("stream_layout") == (2 if cmd in ("simulate", "couple") else None)
 
 
 # --------------------------------------------------------------------------
@@ -598,48 +642,48 @@ _COMMAND_PINS = {
         "manifest.json": "64e22b75b98334c4c288553dd10e49f41ced1b9a0fc4ef72ce03f37d4097fb40",
     },
     "fairness_point": {
-        "fairness.csv": "223760b0db787117a0001452068d1d3eed5f3ccfeb3391c4b5e2de6c1d92a578",
-        "fairness.json": "cbf8b4951d121e0843c66b5f85e7fb4a5aad035a22d3b622f07f73b6384242e0",
-        "manifest.json": "2a539958d899c3bbd3510c399aa73f249c9f90078331f0309bd63bca1c599c12",
+        "fairness.csv": "7299143446f08918e8e3d54a0539308ef9a07492ab809aec3ec9954eb300cb20",
+        "fairness.json": "c08b0132d5ced96d6417a78eb4ba2203b26ae36a3a5c4e365b45e158e370748d",
+        "manifest.json": "4624743d6e5a8bc920e961ed0b451c2fff3cc63239d8cb970cf5982b07ed8bf5",
     },
     "fairness_uniform": {
-        "fairness.csv": "383ca013403c056f1fababac453c06cacebf7a35e422341c97eacf63cfbacfa7",
-        "fairness.json": "30de6a86f8eb6378a6da255cd34efb1b1d06d24c5a87e9e8a85c54be98198f60",
-        "manifest.json": "6a0cf6635ae0b88d1a4f4c3364bc44acb73642abf605634e7257531307c3a456",
+        "fairness.csv": "0dbec219d262d659fa2987b63e2a587a417b673005755ab2fa4b927ef967e29c",
+        "fairness.json": "64c8d274dab6cf94bb83d83cf91f4171226502a0339e5923c601b8e0b0fc640f",
+        "manifest.json": "4c346aa614cd100bdb15ab40c344e6b744a49e4c61661e1d0d42b730398f81d5",
     },
     "ql_sweep": {
         "ql.csv": "2983a4302b782481846ce43d7923e2614060e11d2401f69521be744984a02292",
         "manifest.json": "0a21c5fab175920a7db79d2dc6a6b49585493c2aac0ec2a4b14c73f7662364dd",
     },
     "simulate_discrete": {
-        "path.csv": "95804a14272f339f38679128d8af6c490f82ebb2401951f7624ada11d0713d7e",
-        "summary.json": "251a4b49180efba03b191863e21ae6c4b2364d1f95ff16d4018304dbb3fa0723",
-        "manifest.json": "0d05a607d3ef043c39932e96da59d3f4475bbc980efdf6ee8a7897d8b2b016e5",
+        "path.csv": "8cd31a17018295d46f05ca38dcf3033c77dadd15ba9223312ef06d8ec672dc79",
+        "summary.json": "b920e51af266b33bbea2a4f7d1ace12bbccc80d6427d479e250b19a20c6cd3cf",
+        "manifest.json": "a6580c5d15f5cebba006283d517f20f8465d3f226ae11ac9f715daf02d276583",
     },
     "simulate_point": {
-        "path.csv": "e5ed86aef73b8472ae1182cf9a051fd97ec2bca02243e39cf0b328c034f0c6f2",
-        "summary.json": "b5c5d119dfab66200110948266f895b2ada57960533ba9678eca40636396434c",
-        "manifest.json": "792a353a2598d89223d4b31a16c658705a4d997b85ca44692756665ec591eb5f",
+        "path.csv": "d9c531700c474802829dd6a5797a124495f5082db858f26e69a26d287f243747",
+        "summary.json": "0dea02c6d5ff0f4730d96d34646d5ec0248b2f2b0f79f91a02a99b87691ec83a",
+        "manifest.json": "2f5eebb879b4485bc092a24e76943eb83469d27317f866b8afcc44442d7f3271",
     },
     "simulate_pools": {
-        "path.csv": "16e1fa0facacb37d9796be98e9c31c1dc6d3c9f57fa4cf76c8fa5d08645fc320",
-        "summary.json": "634154c13d486fe985c625f1825d7801a05f3dff120bdcd6dced9e3e60ada600",
-        "manifest.json": "cb9f6b918c56ab476a7e29d94cceb25a1d9c8c8b1ee2aadd5389b31ea680cd39",
+        "path.csv": "85e5dbe9a854fc11e424df76bca53b5b7083a8d77dce95615199c14bbaeffc81",
+        "summary.json": "7c4aea257ca86dd6cffec68519898c3f89e180ec2877e09148ae791bdccece21",
+        "manifest.json": "d4af13c6d0777deb09bb0602ddc66358e1f4956ec80295ae94ea6f1b24969e67",
     },
     "simulate_reps": {
-        "reps.csv": "ff06e690874daf90a321643dff6901b22939f791de7ec2dd962e5c4d7111b27d",
-        "summary.json": "a630fdb70c3bb3d4711a461a39bab9cd32291598e5d514f175731398ea8ee7f2",
-        "manifest.json": "3ce7d7a6fa509b242b435e0fa90f790f357ee1a0a498709591ce6451cde050a3",
+        "reps.csv": "b175112f91a62276e9fabf19c5772a4c4926e103fd72aa120d835b22bfa151ec",
+        "summary.json": "e89480aa8b50ed42bd72f502c09247ca72ab5125f8310e6f48448ff39c81c6bb",
+        "manifest.json": "2fdf0c41a6eec0892a1d560e559125ae63655ef2884f37bc2c4633b4a7e5df1f",
     },
     "simulate_uniform": {
-        "path.csv": "61abcdf6c274383da0239f5e37bfb090cae64f4e487cd90e95a693732e865299",
-        "summary.json": "f0757496301ec26b048027ee6f7ff076190f83411206bf686b4b0826014b7192",
-        "manifest.json": "9a483d8066e9d4f2999a25891df56bd2677fc877bf80e140dca1b59e11e6b575",
+        "path.csv": "55505bb488f98f5eef25ab424e84e1297da1be5cfcba0ae651b3c7c656fa1938",
+        "summary.json": "ddacd182d05c7685d4538097555d770e114049a2aa577273ac9365f674f4b410",
+        "manifest.json": "1f6e9014aecb54ddc062fd965d05742a2d828f9377dafcb7d5e9e8b637fa1a36",
     },
     "ssc": {
-        "ssc.csv": "e8c5befcb6e2d82007c4cd1e75da04ad800ccd89cd2308ac799338bed2e6eb73",
-        "ssc_summary.json": "3d34ff617bff71d8854470eb96f8b17bdcc6f973a3f153579a72649eff25ae57",
-        "manifest.json": "b45ca55f7448454327cb10e01061288a1a24c4681973809fcb815fc045751266",
+        "ssc.csv": "fbc3236d3eeab7f18db9f200b735d03b94c68ffe934d13d7a6a3dbc3de41eabd",
+        "ssc_summary.json": "936e5cc3cd5f9a400caaf02e2e35c4ac321c04877032011685a1b5cf90b85f5e",
+        "manifest.json": "edc421037e65975e9c7c37e216efb358d2684b44ba93ca252e0986926344b603",
     },
     "staff_abandon": {
         "curve.csv": "62034f99a75d7fede9a84e2ab8fcd373b71bd3411e3c84b7c0e300a007f1d2ac",

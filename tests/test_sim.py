@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,9 +29,11 @@ from hetq.sim import (
     run,
     steady_estimates,
 )
-from hetq.staffing import erlang_c
+from hetq.staffing import erlang_a, erlang_c
 
+from ctmc_oracle import ctmc_solve
 from grid_reference import reference_grid
+from test_acceptance import _batch_se
 
 
 def homogeneous(n, lam, r=None, seed=0, nu=0.0, policy=Policy.LISF):
@@ -243,14 +246,17 @@ class TestDraws:
     @pytest.mark.parametrize(
         "policy,mode,streams",
         [
-            (Policy.LISF, AbandonMode.NONE, {Stream.ARRIVAL, Stream.SERVICE}),
+            (Policy.LISF, AbandonMode.NONE, {Stream.ARRIVAL, Stream.SKELETON, Stream.SERVICE}),
             (
                 Policy.FSF, AbandonMode.PER_CUSTOMER,
-                {Stream.ARRIVAL, Stream.SERVICE, Stream.ABANDON},
+                {Stream.ARRIVAL, Stream.SKELETON, Stream.SERVICE, Stream.ABANDON},
             ),
             (
                 Policy.RANDOM, AbandonMode.PERTURBED,
-                {Stream.ARRIVAL, Stream.SERVICE, Stream.ABANDON, Stream.ROUTING},
+                {
+                    Stream.ARRIVAL, Stream.SKELETON, Stream.SERVICE, Stream.ABANDON,
+                    Stream.ROUTING,
+                },
             ),
         ],
         ids=lambda v: getattr(v, "value", None),
@@ -269,14 +275,102 @@ class TestDraws:
         assert len(built) == len(streams) and set(built) == streams
 
 
+class TestSkeleton:
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0] * 7, [0.5, 1.0, 2.0], [3.0, 1e-9, 1.0, 1.0, 0.25],
+         np.random.default_rng(3).uniform(0.5, 1.5, 1640).tolist()],
+        ids=["equal", "three", "spread", "n1640"],
+    )
+    def test_alias_table_gives_the_weights(self, weights):
+        # column i is kept with probability cut[i] and gives alias[i]
+        # otherwise, so each of the n columns adds cut[i] / n to i and
+        # (1 - cut[i]) / n to alias[i]
+        n = len(weights)
+        cut, alias = hetq.sim._alias_table(weights)
+        got = np.zeros(n)
+        for i in range(n):
+            got[i] += cut[i] / n
+            got[alias[i]] += (1.0 - cut[i]) / n
+        np.testing.assert_allclose(got, np.asarray(weights) / sum(weights), rtol=0, atol=1e-12)
+
+    def test_discards_match_idle_capacity(self):
+        # criterion 2's shape: the skeleton names an idle server at rate
+        # sum over idle k of mu_k, so the discards are a Poisson count whose
+        # compensator is sum_k mu_k (end_time - busy_time_k); per departure
+        # they are about the idle share (N - lambda) / lambda = 0.025
+        r, n = 1600, 1640
+        cfg = SystemConfig(r=float(r), lambda_r=float(r), seed=29, staffing=n)
+        s = RealizedSystem(n_servers=n, mu=np.ones(n), mu_bar=1.0, r=float(r), lambda_r=float(r))
+        path = run(cfg, s, horizon=200.0, grid_points=2000)
+        compensator = float(np.dot(s.mu, path.end_time - path.busy_time))
+        assert abs(path.discarded_points - compensator) < 4.0 * math.sqrt(compensator)
+        assert path.discarded_points / path.departures_total == pytest.approx(0.025, rel=0.3)
+
+    def test_drained_run_ends_at_once(self):
+        # with no server busy the skeleton is off, so an empty system with a
+        # huge horizon makes no more loop passes
+        cfg = SystemConfig(r=50.0, lambda_r=0.0, seed=8, staffing=50)
+        s = RealizedSystem.realize(
+            cfg, RateDistribution.uniform(0.5, 1.5), rng_stream(8, 0, Stream.RATES)
+        )
+        t0 = time.perf_counter()
+        path = run(cfg, s, horizon=1e12, x0=50, validate=True)
+        assert time.perf_counter() - t0 < 1.0
+        assert path.departures_total == 50 and path.grid_X[-1] == 0
+        assert path.end_time == 1e12 and np.all(path.busy_time < 100.0)
+
+
+_ORACLE_MU = (0.5, 1.0, 2.0)
+
+
+class TestExactOracle:
+    # per-server utilisation and p_wait of a three-server system against the
+    # exact stationary law of tests/ctmc_oracle.py, one case per policy and
+    # abandonment mode; each of 16 independent replications is one batch
+    @pytest.mark.parametrize("mode", list(AbandonMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+    def test_utilisation_and_p_wait(self, policy, mode):
+        nu = 0.0 if mode is AbandonMode.NONE else 0.7
+        seed = 100 + 3 * list(Policy).index(policy) + list(AbandonMode).index(mode)
+        cfg = SystemConfig(r=3.0, lambda_r=2.8, seed=seed, staffing=3, abandon_rate=nu,
+                           policy=policy)
+        s = RealizedSystem(n_servers=3, mu=np.array(_ORACLE_MU), mu_bar=3.5 / 3, r=3.0,
+                           lambda_r=2.8)
+        util, p_wait = ctmc_solve(_ORACLE_MU, 2.8, policy, nu)
+        reps = []
+        for rep in range(16):
+            path = run(cfg, s, horizon=10_000.0, mode=mode, rep=rep, grid_points=2)
+            reps.append([*(path.busy_time / path.end_time), steady_estimates(path).p_wait])
+        reps = np.asarray(reps)
+        se = reps.std(axis=0, ddof=1) / 4.0
+        np.testing.assert_array_less(np.abs(reps.mean(axis=0) - [*util, p_wait]), 4.0 * se)
+
+    @pytest.mark.parametrize("policy", list(Policy), ids=lambda p: p.value)
+    @pytest.mark.parametrize("nu", [0.0, 0.7])
+    def test_oracle_reduces_to_erlang(self, policy, nu):
+        # equal rates: every policy gives the M/M/3(+M) birth-death chain,
+        # and the busy servers carry the throughput lambda (1 - P(abandon))
+        util, p_wait = ctmc_solve((1.2, 1.2, 1.2), 2.8, policy, nu)
+        want, _, abandon = erlang_a(3, 2.8, 1.2, nu) if nu else (*erlang_c(3, 2.8, 1.2)[:2], 0.0)
+        assert p_wait == pytest.approx(want, abs=1e-9)
+        assert 1.2 * util.sum() == pytest.approx(2.8 * (1.0 - abandon), abs=1e-9)
+
+
 class TestSteadyEstimates:
     def test_erlang_c_match(self):
+        # the window's mean queue has a relative SD of about 6-8 % across
+        # seeds at this length, so it is held to 3 batch-means SE (as in
+        # criterion 1), not to a fixed relative bound; 0.02 is about 3 SD
+        # of p_wait
         cfg, s = homogeneous(100, 90.0, seed=5)
         path = run(cfg, s, horizon=11_111.0)
         est = steady_estimates(path)
         pw, lq, _ = erlang_c(100, 90.0, 1.0)
         assert abs(est.p_wait - pw) < 0.02
-        assert abs(est.mean_Q - lq) / lq < 0.05
+        q_hat, q_se = _batch_se(path.grid_Q[path.grid_t >= est.window[0]])
+        assert q_hat == pytest.approx(est.mean_Q)
+        assert abs(q_hat - lq) < 3.0 * q_se
 
     def test_wait_tail_exponential(self):
         # conditional wait, given waiting, is Exp(H - lambda) for realized H
@@ -337,7 +431,7 @@ class TestPolicies:
         assert (idle_time > 0).sum() == 25  # every server idles at some point
 
     def test_nonpreemption(self):
-        # departures only end busy periods: busy time equals sum of service draws
+        # departures only end busy periods; validate checks the flow identities
         cfg, s = homogeneous(3, 2.5, seed=8)
         path = run(cfg, s, horizon=60.0, validate=True)
         assert path.departures_total > 0
@@ -560,8 +654,9 @@ class TestReplicate:
             assert rr.estimates.mean_Q == steady_estimates(path).mean_Q
         default = replicate(cfg, d, 2, horizon=10.0)
         assert [rr.estimates.mean_Q for rr in default] != [rr.estimates.mean_Q for rr in reps]
-        with pytest.raises(DomainError, match="replication 0: .*queue_cap=0"):
-            replicate(cfg, d, 2, horizon=10.0, x0=60, queue_cap=0)
+        # x0 = N + queue_cap = 12 + 48 starts with the queue at its cap
+        with pytest.raises(DomainError, match="replication 0: .*queue_cap=48"):
+            replicate(cfg, d, 2, horizon=10.0, x0=60, queue_cap=48)
 
     def test_point_distribution_zero_zeta(self):
         cfg = SystemConfig(r=16.0, lambda_r=16.0, seed=5, staffing=HalfinWhitt(1.0))
@@ -634,17 +729,18 @@ class TestExports:
 
 # --------------------------------------------------------------------------
 # Stream pinning: the engine must consume every random stream in a fixed
-# order, so manifests rerun byte for byte across engine rewrites. The run()
-# digests were computed with the engine that predates the inlined event core;
-# a change that alters them breaks every earlier manifest. The coupled_run
-# digests were frozen again when its pick became a rejection draw, which
-# reads the ROUTING stream a variable number of times (``couple`` stream
-# layout 2 in hetq.cli, so older couple manifests are refused, not rerun).
+# order, so manifests rerun byte for byte across engine rewrites; a change
+# that alters a digest breaks every earlier manifest. The run() digests were
+# frozen again when departures moved from one SERVICE exponential per
+# customer to the rate-sum-mu skeleton (SKELETON exponentials, SERVICE
+# uniforms), and the coupled_run digests when its pick became a rejection
+# draw, which reads the ROUTING stream a variable number of times. Both are
+# stream layout 2 in hetq.cli, so older manifests are refused, not rerun.
 # --------------------------------------------------------------------------
 
-# "idle_grid" is rebuilt: the pins date from an engine that recorded an idle
-# flag per server and grid point, 1 minus the busy counts of a run with one
-# group per server
+# "idle_grid" is rebuilt, which keeps the digest layout of an engine that
+# recorded an idle flag per server and grid point: 1 minus the busy counts
+# of a run with one group per server
 _PATH_FIELDS = (
     "grid_t", "grid_X", "grid_Q", "grid_Z", "grid_R", "grid_A", "idle_grid",
     "arrival_t", "waits", "waited", "abandoned", "departures", "busy_time",
@@ -689,23 +785,23 @@ def _pinned_path(policy, mode, *, pools=None, scv=1.0, x0=None, horizon=60.0):
 
 
 _RUN_PINS = {
-    ("LISF", "none"): "8a046121fa58bf3f9d0a447b07195489b476ede9d785e755c21935abcca799ad",
-    ("LISF", "per_customer"): "43337843e9eee6be3b926dd95456d24a6444f56c63b8ef422ed6e17f9002416f",
-    ("LISF", "perturbed"): "6e0d75e44898a916758bcf0f34fda894668a263de34cca915e8bf47128f303b6",
-    ("FSF", "none"): "1b0eb57bcd57400a5a91b476c8b66fb7beb135f48b2345da5e4fe9f2c5695cbe",
-    ("FSF", "per_customer"): "dc675833dc7f79d89878600599964c55fed46fbabba99c649240deeeb03eced2",
-    ("FSF", "perturbed"): "15b99bf136b3a2970576299c1ce621f339e609a509e4dc7cec1399933e606a77",
-    ("RANDOM", "none"): "3c8898d7e484deb26938a6c1a172766499fdb4863e5db8d5850c39284d664d05",
-    ("RANDOM", "per_customer"): "f7d2442ef3ab7da0c37b78cb98bf4adfa2cc53599d56d144e853fbb6e520566f",
-    ("RANDOM", "perturbed"): "1ee9dffb7054ab3990e62bbff8eb9fe0b331707a70f6afd12614d854a035f526",
+    ("LISF", "none"): "88d591b616350ce7891a2504afdf6968e2a83a32877dee349eef8be013cf3f97",
+    ("LISF", "per_customer"): "4f9db86b913ddd517ec8a169b6ae6b7fccf4a469fc1a1d7947afbc38e357e57c",
+    ("LISF", "perturbed"): "283993a355e2bf0a330c7246e0030df293719380e51018939ebc9a3e6f119eb1",
+    ("FSF", "none"): "9bf5b3acaf162896dbaee54a140b3e2da0c3d61fd7a46e13f08f0f302bbebf0c",
+    ("FSF", "per_customer"): "957314d1b692a0f8596d230a2dba28e16155d26c970aaa4f65ced75cba0903ae",
+    ("FSF", "perturbed"): "5f049f8a13b504cc2345a45b616ecbbd4c6c16f36a1608204897a45c87a8ad4a",
+    ("RANDOM", "none"): "9b401dca962baebf9ab1a260f15f2e63b79b4e2da831b2d06b7fba189b053c8c",
+    ("RANDOM", "per_customer"): "c2ba32bfe3b194e529ffd83ed8a197a1a9c7270e17c6ec15bb793c071b246864",
+    ("RANDOM", "perturbed"): "f4f94311f52517564137c3e0a0062b27457ba8654c8ed52729b9eb61db12991f",
 }
 
 _VARIANT_PINS = {
-    "two_pools": "729daed4e21da4a61b4b0d6a7353a5aa2285443eefc0f4c74ee4f405bc43fc5b",
-    "scv_half": "4609bba6f44fcb3fa22cb5623b83d1b7a217c59c214bef8649f6e4bd63a63c58",
-    "scv_zero": "f7bb57a41d8c98277dfb595a6b664b91b3d9588f7916a71f4104b101d71b87d2",
-    "x0_above_n": "340b4f9774384bd43dc292dcd514f99b39c58ea7650a00a699337218d88d71f7",
-    "long_random": "b03cd309320092885a0428a692a0a88a5bc7c2b9e1f316b71040184a30b278cc",
+    "two_pools": "f20c7670941ef70ba45bc9cee207869b86772a8e0da2150d80afc5ddf3e2b173",
+    "scv_half": "06bccf753bdc2e59592100cb2725c46f634235bd8bfb3403a4e969ad9738e4ba",
+    "scv_zero": "332098c75bf19d9de1a71dcf18cc19e7ea5dd074188eb5bee8d861a3e836d223",
+    "x0_above_n": "426d71672ef45d27eafff7306865e02863270bc3c1f1d129104b5b6b536b8425",
+    "long_random": "fca3abd7051e82a49b14d98b828d3d87f3659a66a04e9ba77136be0e7920741d",
 }
 
 _COUPLED_PINS = {
