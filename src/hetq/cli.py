@@ -39,6 +39,7 @@ from .core import (
 )
 from .errors import ConfigError, DomainError, HetqError
 from .sim import (
+    MAX_EXPECTED_EVENTS,
     AbandonMode,
     coupled_run,
     path_summary,
@@ -326,6 +327,15 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
         ssc_mod.inverted_v_config(rv, pools, lambda_hat, seed=seed, policy=policy)
         for rv in r_values
     ]
+    # run() bounds its expected events too, but would name horizon and lambda_r
+    for cfg in configs:
+        events = (cfg.lambda_r + RealizedSystem.realize_pools(cfg).sum_mu) * horizon
+        if events > MAX_EXPECTED_EVENTS:
+            raise ConfigError(
+                f"ssc_horizon {horizon:.6g} at r = {cfg.r:.6g} gives about {events:.3g} "
+                f"events, over the {MAX_EXPECTED_EVENTS:.0e} a run may make; "
+                "lower ssc_horizon or r_values"
+            )
     table = ssc_mod.ssc_convergence(configs, horizon, n_reps=n_reps)
     rows = [
         (

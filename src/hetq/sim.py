@@ -55,6 +55,7 @@ from .core import (
 from .errors import ConfigError, DomainError, EmptyWindowError
 
 __all__ = [
+    "MAX_EXPECTED_EVENTS",
     "AbandonMode",
     "PathRecord",
     "SteadyEstimates",
@@ -75,7 +76,7 @@ _STAGE = 4096  # staged grid values written at once
 _MAX_GRID_POINTS = 1_000_000  # 10^6 samples keep the grid's memory bounded
 # a run makes about (lambda_r + sum mu) * horizon loop passes; criterion 2's
 # largest run makes 5.2e7
-_MAX_EXPECTED_EVENTS = 1e9
+MAX_EXPECTED_EVENTS = 1e9
 
 
 class AbandonMode(Enum):
@@ -247,10 +248,10 @@ def run(
     if x0 is not None and not 0 <= x0 <= n + queue_cap:
         raise ConfigError(f"x0 must be in [0, N + queue_cap] = [0, {n + queue_cap}], got {x0}")
     events = (config.lambda_r + system.sum_mu) * horizon
-    if config.lambda_r > 0.0 and events > _MAX_EXPECTED_EVENTS:
+    if config.lambda_r > 0.0 and events > MAX_EXPECTED_EVENTS:
         raise ConfigError(
             f"horizon {horizon:.6g} and lambda_r {config.lambda_r:.6g} give about {events:.3g} "
-            f"events, over the {_MAX_EXPECTED_EVENTS:.0e} a run may make; lower either"
+            f"events, over the {MAX_EXPECTED_EVENTS:.0e} a run may make; lower either"
         )
     args = (config, system, horizon, mode, x0, grid_points, queue_cap, rep, validate, warmup)
     path = _simulate(*args, warmup * horizon, record_customers)

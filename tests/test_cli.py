@@ -271,6 +271,17 @@ class TestExitCodes:
         assert rc == 2
         assert setting.split("=")[0] in capsys.readouterr().err
 
+    def test_ssc_horizon_over_the_event_bound_names_ssc_keys(self, tmp_path, capsys):
+        # the bound in run() named horizon and lambda_r, keys ssc does not take
+        rc = main([
+            "ssc", "--out", str(tmp_path / "o"), "--set", "pools=0.5:1.0,0.5:2.0",
+            "--set", "r_values=16", "--set", "reps=1", "--set", "ssc_horizon=1e300",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ssc_horizon 1e+300 at r = 16 gives about" in err
+        assert "lambda_r" not in err
+
     @pytest.mark.parametrize("setting", ["nu=nan", "c_s=nan", "d=inf"])
     def test_bad_cost_coefficient_exits_2(self, tmp_path, capsys, setting):
         # nu=nan used to fall back to abandon_rate and exit 0
