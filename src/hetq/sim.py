@@ -16,14 +16,18 @@ server group (``RealizedSystem.pool_of``). Short runs cross a grid time at
 almost every event, so a crossing stages one row in a flat list, and every
 ~4k staged values are written into the grid at once.
 
-The event loop inlines the policy's idle set (a LISF deque, an FSF heap
-keyed on -mu, a RANDOM swap list). Service is exponential, so it keeps no
-departure times: departures thin one Poisson skeleton of rate sum mu, whose
-points name a server through a Walker alias table and are discarded when it
-is idle. Each random stream is read through ``_draws``, a C-level iterator
-over blocks that grow from 64 to 8192 draws; a stream's generator is built
-on its first draw, so unread streams cost nothing. The order in which each
-stream is consumed is part of the determinism contract
+The event loop inlines the policy's idle set (a LISF deque, an FSF heap of
+int ranks in (-mu, k) order, a RANDOM swap list). Service is exponential, so
+it keeps no departure times: departures thin one Poisson skeleton of rate
+sum mu, whose points name a server through a Walker alias table and are
+discarded when it is idle. Each random stream is read through ``_draws``, a
+C-level iterator over blocks that grow from 64 to 8192 draws; a stream's
+generator is built on its first draw, so unread streams cost nothing. The
+arithmetic on each draw is done once per block, in numpy, with the same
+IEEE operations in the same order as the scalar expression: the loop reads
+ready skeleton and inter-arrival gaps, alias-picked server ids and, with
+per-customer patience, patience times. The order in which each stream is
+consumed is part of the determinism contract
 (``tests/test_sim.py::TestStreamPinning`` pins it). ``run``'s changed with
 the skeleton, and ``coupled_run``'s with its rejection pick; ``hetq.cli``
 stamps both as stream layout 2.
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -74,9 +78,11 @@ _FIRST_BLOCK = 64
 _BLOCK = 8192
 _STAGE = 4096  # staged grid values written at once
 _MAX_GRID_POINTS = 1_000_000  # 10^6 samples keep the grid's memory bounded
+_MAX_QUEUE_CAP = 10_000_000  # 10x the default; waiting ids cost ~160 B each
 # a run makes about (lambda_r + sum mu) * horizon loop passes; criterion 2's
 # largest run makes 5.2e7
 MAX_EXPECTED_EVENTS = 1e9
+_Transform = Callable[[np.ndarray], np.ndarray]  # maps one block of draws
 
 
 class AbandonMode(Enum):
@@ -85,20 +91,28 @@ class AbandonMode(Enum):
     PERTURBED = "perturbed"
 
 
-def _draws(seed: int, rep: int, stream: Stream, method: str) -> Callable[[], float]:
+def _draws(
+    seed: int, rep: int, stream: Stream, method: str, transform: Optional[_Transform] = None
+) -> Callable[[], Union[float, int]]:
     """Next-draw function of one stream's ``method``, e.g. ``"random"``.
 
     The stream's generator is built on the first draw. Blocks of 64, 128,
     ... up to 8192 draws follow on demand and in order; numpy's ``random``
     and ``standard_exponential`` give the same values however the draws are
     split into calls, so the values are those of one long call.
+    ``transform``, if given, maps each block before it is listed, so the
+    arithmetic a draw needs (a scale, a shift, an alias pick, which gives
+    ints) is done once per block and a draw stays one C-level call. Each
+    transform does the same IEEE operations, in the same order, as the
+    scalar expression it replaces, so the values are bit for bit the same.
     """
 
     def blocks():
         sample = getattr(rng_stream(seed, rep, stream), method)
         size = _FIRST_BLOCK
         while True:
-            yield sample(size).tolist()
+            block = sample(size)
+            yield (block if transform is None else transform(block)).tolist()
             size = min(2 * size, _BLOCK)
 
     return chain.from_iterable(blocks()).__next__
@@ -124,7 +138,7 @@ def _check_horizon(horizon: float) -> None:
         raise ConfigError(f"horizon must be finite and > 0, got {horizon}")
 
 
-def _alias_table(weights: List[float]) -> Tuple[List[float], List[int]]:
+def _alias_table(weights: List[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Walker's alias table (Walker 1977) of ``weights``, built in O(n) (Vose 1991).
 
     With u = U * n for one uniform U, column i = int(u) is kept when
@@ -144,7 +158,47 @@ def _alias_table(weights: List[float]) -> Tuple[List[float], List[int]]:
         cut[s], alias[s] = scaled[s], l
         scaled[l] -= 1.0 - scaled[s]
         (small if scaled[l] < 1.0 else large).append(l)
-    return cut, alias  # columns left over keep cut 1: rounding residue only
+    # columns left over keep cut 1: rounding residue only
+    return np.array(cut), np.array(alias, dtype=np.int64)
+
+
+def _alias_pick(weights: List[float]) -> _Transform:
+    """Block transform of uniforms into the indices ``_alias_table`` picks.
+
+    Per element it is the scalar u = U * n; i = int(u);
+    i if u - i < cut[i] else alias[i]: the product and the difference are
+    the same IEEE operations, and U < 1 truncates like ``int``.
+    """
+    cut, alias = _alias_table(weights)
+    n = len(weights)
+
+    def pick(block: np.ndarray) -> np.ndarray:
+        u = block * n
+        i = u.astype(np.int64)
+        return np.where(u - i < cut[i], i, alias[i])
+
+    return pick
+
+
+def _over(rate: float) -> _Transform:
+    """Block transform E -> E / rate; a product with 1 / rate would round differently."""
+    return lambda e: e / rate
+
+
+def _interarrival(lam: float, scv: float) -> _Transform:
+    """Block transform of unit exponentials E into inter-arrival gaps det + m_e * E."""
+    det, m_e = 0.0, 0.0
+    if lam > 0.0:
+        if scv > 1.0 + 1e-12:
+            raise ConfigError(f"simulator supports arrival SCV in [0, 1], got {scv}")
+        if abs(scv - 1.0) <= 1e-12:
+            m_e = 1.0 / lam
+        elif scv <= 0.0:
+            det = 1.0 / lam
+        else:
+            root = math.sqrt(scv)
+            det, m_e = (1.0 - root) / lam, root / lam
+    return lambda e: det + m_e * e
 
 
 @dataclass
@@ -210,6 +264,10 @@ def run(
     empty queue), at most N + ``queue_cap``. Simultaneous events process in
     the fixed order departure, abandonment, arrival. A queue exceeding
     ``queue_cap`` terminates the run cleanly with the overflow flag set.
+    ``queue_cap`` is at most 10^7: with per-customer patience or the record
+    each waiting customer holds an id in the queue, and per-customer
+    patience a deadline entry as well, about 160 bytes in all (about 60
+    with the record alone), so a full queue stays near 1.6 GB.
     With ``validate`` every event asserts flow conservation, work
     conservation, and the LISF selection rule. ``grid_points`` is at most
     10^6. With arrivals, (lambda_r + sum mu) * horizon, about the number of
@@ -242,8 +300,8 @@ def run(
         raise ConfigError(f"abandonment mode {mode.value} needs abandon_rate > 0")
     if not 2 <= grid_points <= _MAX_GRID_POINTS:
         raise ConfigError(f"grid_points must be in [2, {_MAX_GRID_POINTS}], got {grid_points}")
-    if queue_cap < 0:
-        raise ConfigError(f"queue_cap must be >= 0, got {queue_cap}")
+    if not 0 <= queue_cap <= _MAX_QUEUE_CAP:
+        raise ConfigError(f"queue_cap must be in [0, {_MAX_QUEUE_CAP}], got {queue_cap}")
     n = system.n_servers
     if x0 is not None and not 0 <= x0 <= n + queue_cap:
         raise ConfigError(f"x0 must be in [0, N + queue_cap] = [0, {n + queue_cap}], got {x0}")
@@ -279,23 +337,19 @@ def _simulate(
     perturbed = mode is AbandonMode.PERTURBED
     track = record or per_customer  # keep the ids of waiting customers
 
-    scv = config.arrival_scv
-    det, m_e = 0.0, 0.0  # inter-arrival det + m_e * E
-    if lam > 0.0:
-        if scv > 1.0 + 1e-12:
-            raise ConfigError(f"simulator supports arrival SCV in [0, 1], got {scv}")
-        if abs(scv - 1.0) <= 1e-12:
-            m_e = 1.0 / lam
-        elif scv <= 0.0:
-            det = 1.0 / lam
-        else:
-            root = math.sqrt(scv)
-            det, m_e = (1.0 - root) / lam, root / lam
-
-    arrival_exp = _draws(seed, rep, Stream.ARRIVAL, "standard_exponential")
-    skel_exp = _draws(seed, rep, Stream.SKELETON, "standard_exponential")
-    pick_u = _draws(seed, rep, Stream.SERVICE, "random")
-    abandon_exp = _draws(seed, rep, Stream.ABANDON, "standard_exponential")
+    # departure skeleton of rate sum mu, off while no server is busy; fsum is
+    # exactly rounded, so the rate does not depend on a summation order
+    sum_mu = math.fsum(mu)
+    # each stream's arithmetic is done once per block: arrival and skeleton
+    # gaps, the server a skeleton point names, and per-customer patience;
+    # perturbed abandonment reads unit hazards
+    std_exp = "standard_exponential"
+    arrival_gap = _draws(
+        seed, rep, Stream.ARRIVAL, std_exp, _interarrival(lam, config.arrival_scv)
+    )
+    skel_gap = _draws(seed, rep, Stream.SKELETON, std_exp, _over(sum_mu))
+    pick = _draws(seed, rep, Stream.SERVICE, "random", _alias_pick(mu))
+    abandon_draw = _draws(seed, rep, Stream.ABANDON, std_exp, _over(nu) if per_customer else None)
     routing_u = _draws(seed, rep, Stream.ROUTING, "random")
 
     # initial state: x0 in system, lowest-index servers busy first
@@ -309,16 +363,17 @@ def _simulate(
     z = [0] * n_pools
     for k in range(n_busy0):
         z[pool_of[k]] += 1
-    # departure skeleton of rate sum mu, off while no server is busy; fsum is
-    # exactly rounded, so the rate does not depend on a summation order
-    sum_mu = math.fsum(mu)
-    cut, alias = _alias_table(mu)
-    t_dep = skel_exp() / sum_mu if n_busy0 else _INF
+    t_dep = skel_gap() if n_busy0 else _INF
 
     # idle set of the policy; the other two stay empty
     idle_ids = range(n_busy0, n)
     lisf_q: deque = deque(idle_ids if lisf else ())
-    fsf_heap = sorted((-mu[k], k) for k in idle_ids) if fsf else []  # sorted is a heap
+    # FSF's heap holds ranks in (-mu, k) order, so it compares ints: order[r]
+    # is the server of rank r, rank[k] the rank of server k; equal rates give
+    # the lowest index first
+    order = sorted(range(n), key=lambda k: (-mu[k], k)) if fsf else []
+    rank = np.argsort(order).tolist()
+    fsf_heap = sorted(rank[k] for k in idle_ids) if fsf else []  # sorted is a heap
     rand_list = list(idle_ids) if not (lisf or fsf) else []
 
     # customers are numbered in arrival order after the x0 - N seed customers,
@@ -334,7 +389,7 @@ def _simulate(
         abandoned = bytearray(q)
     # patience deadlines over a sentinel; FIFO service makes an entry stale
     # exactly when its id is at most served_upto
-    deadline_heap = [(abandon_exp() / nu, cid) for cid in range(q)] if per_customer else []
+    deadline_heap = [(abandon_draw(), cid) for cid in range(q)] if per_customer else []
     deadline_heap.append((_INF, _INF))
     heapify(deadline_heap)
 
@@ -351,8 +406,8 @@ def _simulate(
     discards = 0
     win_a = win_w = 0  # arrivals, and waited arrivals, at t >= t_warm
     x_init = x
-    next_arr = det + m_e * arrival_exp() if lam > 0.0 else _INF
-    hazard = abandon_exp() if perturbed else 0.0
+    next_arr = arrival_gap() if lam > 0.0 else _INF
+    hazard = abandon_draw() if perturbed else 0.0
     t_cur = 0.0
     overflowed = False
     end_time = horizon
@@ -391,9 +446,7 @@ def _simulate(
         if kind == 0:
             # skeleton point naming server k: if k is busy it departs and
             # takes the queue's head if anyone waits; if idle, nothing moves
-            u = pick_u() * n
-            i = int(u)
-            k = i if u - i < cut[i] else alias[i]
+            k = pick()
             if busy[k]:
                 x -= 1
                 d_count[k] += 1
@@ -415,16 +468,16 @@ def _simulate(
                     if lisf:
                         lisf_q.append(k)
                     elif fsf:
-                        heappush(fsf_heap, (-mu[k], k))
+                        heappush(fsf_heap, rank[k])
                     else:
                         rand_list.append(k)
             else:
                 discards += 1
-            t_dep = t_cur + skel_exp() / sum_mu if x else _INF
+            t_dep = t_cur + skel_gap() if x else _INF
         elif kind == 1:
             # abandonment
             if perturbed:
-                hazard = abandon_exp()
+                hazard = abandon_draw()
                 if record:
                     cid = queue.popleft()  # perturbed customers leave only from the head
             else:
@@ -452,7 +505,7 @@ def _simulate(
                 if lisf:
                     k = lisf_q.popleft()
                 elif fsf:
-                    k = heappop(fsf_heap)[1]
+                    k = order[heappop(fsf_heap)]
                 else:  # one routing uniform per pick
                     m = len(rand_list)
                     pos = int(routing_u() * m)
@@ -468,7 +521,7 @@ def _simulate(
                 z[pool_of[k]] += 1
                 busy_since[k] = t_cur
                 if x == 1:  # the first busy server restarts the skeleton
-                    t_dep = t_cur + skel_exp() / sum_mu
+                    t_dep = t_cur + skel_gap()
             else:
                 q += 1
                 if t_cur >= t_warm:
@@ -477,12 +530,12 @@ def _simulate(
                     cid = n_seed + a_count - 1
                     queue.append(cid)
                     if per_customer:
-                        heappush(deadline_heap, (t_cur + abandon_exp() / nu, cid))
+                        heappush(deadline_heap, (t_cur + abandon_draw(), cid))
                 if q > queue_cap:
                     overflowed = True
                     end_time = t_cur
                     break
-            next_arr = t_cur + (det + m_e * arrival_exp())
+            next_arr = t_cur + arrival_gap()
 
         if validate:
             idle_count = len(lisf_q) + len(fsf_heap) + len(rand_list)
@@ -636,8 +689,8 @@ def coupled_run(
     master_rate = n * q_rate
 
     seed = config.seed
-    arrival_exp = _draws(seed, rep, Stream.ARRIVAL, "standard_exponential")
-    skel_exp = _draws(seed, rep, Stream.SKELETON, "standard_exponential")
+    arrival_gap = _draws(seed, rep, Stream.ARRIVAL, "standard_exponential", _over(lam))
+    skel_gap = _draws(seed, rep, Stream.SKELETON, "standard_exponential", _over(master_rate))
     skel_u = _draws(seed, rep, Stream.SERVICE, "random")
     pick_u = _draws(seed, rep, Stream.ROUTING, "random")
     abandon_exp = _draws(seed, rep, Stream.ABANDON, "standard_exponential")
@@ -649,8 +702,8 @@ def coupled_run(
     sum_busy_mu = float(mu.sum())
     idle: deque = deque()  # LISF order for the heterogeneous twin
 
-    next_arr = (arrival_exp() / lam) if lam > 0.0 else _INF
-    next_skel = skel_exp() / master_rate
+    next_arr = arrival_gap() if lam > 0.0 else _INF
+    next_skel = skel_gap()
     hazard = abandon_exp() if nu > 0.0 else 0.0  # read only while nu > 0
     t_cur = 0.0
 
@@ -703,7 +756,7 @@ def coupled_run(
             times.append(t_cur)
             hom_counts.append(d_hom)
             het_counts.append(d_het)
-            next_skel = t_cur + skel_exp() / master_rate
+            next_skel = t_cur + skel_gap()
         elif kind == 1:
             # shared abandonment epoch: heterogeneous queue loses its head,
             # the (longer) homogeneous queue loses one as well
@@ -718,7 +771,7 @@ def coupled_run(
                 k = idle.popleft()
                 busy.append(k)
                 sum_busy_mu += mu_l[k]
-            next_arr = t_cur + arrival_exp() / lam
+            next_arr = t_cur + arrival_gap()
 
     return CoupledPaths(
         skeleton_t=np.asarray(times),

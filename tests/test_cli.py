@@ -327,6 +327,10 @@ class TestExitCodes:
             (["simulate", "--set", "lambda_r=50", "--set", "r=50",
               "--set", "abandon_mode=per_customer", "--set", "abandon_rate=1",
               "--set", "x0=1000000000000"], ["x0"]),
+            # the same SystemError once queue_cap is raised to admit that x0
+            (["simulate", "--set", "lambda_r=50", "--set", "r=50",
+              "--set", "abandon_mode=per_customer", "--set", "abandon_rate=1",
+              "--set", "queue_cap=1000000000000", "--set", "x0=1000000000000"], ["queue_cap"]),
             # an OverflowError drawing 10^300 rates, or from the staffing rule
             (["simulate", "--set", "lambda_r=1e300"], ["lambda_r"]),
             (["simulate", "--set", "lambda_r=1e308", "--set", "rates=point(0.1)"], ["lambda_r"]),
@@ -338,7 +342,10 @@ class TestExitCodes:
             (["fairness", "--set", "lambda_r=45", "--set", "r=50", "--set", "staffing=50",
               "--set", "horizon=1e300"], ["horizon", "lambda_r"]),
         ],
-        ids=["x0", "lambda_r", "lambda_r_overflow", "lambda_r_pools", "horizon", "fairness_horizon"],
+        ids=[
+            "x0", "queue_cap", "lambda_r", "lambda_r_overflow", "lambda_r_pools", "horizon",
+            "fairness_horizon",
+        ],
     )
     def test_unbounded_run_input_exits_2(self, tmp_path, capsys, args, keys):
         rc = main_within([args[0], "--out", str(tmp_path / "o"), *args[1:]])

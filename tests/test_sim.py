@@ -236,6 +236,26 @@ class TestGridReference:
             assert path.arrivals_total == 0 and ref[-1, 0] == 0
 
 
+# TestSkeleton's alias-table weights that are not all equal
+_PICK_WEIGHTS = {
+    "three": [0.5, 1.0, 2.0],
+    "spread": [3.0, 1e-9, 1.0, 1.0, 0.25],
+    "n1640": np.random.default_rng(3).uniform(0.5, 1.5, 1640).tolist(),
+}
+
+
+def _scalar_pick(weights, uniforms):
+    """The alias pick of each uniform, one Python-float expression at a time."""
+    cut, alias = (a.tolist() for a in hetq.sim._alias_table(weights))
+    n = len(weights)
+    picks = []
+    for U in uniforms:
+        u = U * n
+        i = int(u)
+        picks.append(i if u - i < cut[i] else alias[i])
+    return picks
+
+
 class TestDraws:
     @pytest.mark.parametrize("method", ["standard_exponential", "random"])
     def test_growing_blocks_give_one_call_values(self, method):
@@ -273,6 +293,51 @@ class TestDraws:
         cfg, s = homogeneous(10, 9.5, seed=4, nu=nu, policy=policy)
         run(cfg, s, horizon=50.0, mode=mode)
         assert len(built) == len(streams) and set(built) == streams
+
+    # each stream run() reads through a block transform gives, bit for bit,
+    # the scalar expression the event loop used to evaluate per draw
+    @pytest.mark.parametrize("name", sorted(_PICK_WEIGHTS))
+    def test_alias_pick_equals_scalar_pick(self, name):
+        weights = _PICK_WEIGHTS[name]
+        draw = hetq.sim._draws(9, 4, Stream.SERVICE, "random", hetq.sim._alias_pick(weights))
+        got = [draw() for _ in range(20_000)]
+        uniforms = rng_stream(9, 4, Stream.SERVICE).random(20_000).tolist()
+        assert got == _scalar_pick(weights, uniforms)
+        assert all(type(k) is int for k in got)
+
+    @pytest.mark.parametrize("n", [3, 1640])
+    def test_alias_pick_at_the_ends_of_the_unit_interval(self, n):
+        # in round-to-nearest (1 - 2^-53) * n stays below n for every n
+        # below 2e5, and the guard column n would catch it if it did not
+        weights = np.random.default_rng(n).uniform(0.5, 1.5, n).tolist()
+        ends = [0.0, 1.0 - 2.0**-53]
+        got = hetq.sim._alias_pick(weights)(np.array(ends)).tolist()
+        assert got == _scalar_pick(weights, ends)
+        assert (1.0 - 2.0**-53) * n < n
+
+    @pytest.mark.parametrize("scv", [0.0, 0.5, 1.0])
+    def test_interarrival_gaps_equal_scalar_gaps(self, scv):
+        lam = 37.0
+        det, m_e = 0.0, 1.0 / lam
+        if scv == 0.0:
+            det, m_e = 1.0 / lam, 0.0
+        elif scv < 1.0:
+            root = math.sqrt(scv)
+            det, m_e = (1.0 - root) / lam, root / lam
+        transform = hetq.sim._interarrival(lam, scv)
+        draw = hetq.sim._draws(9, 4, Stream.ARRIVAL, "standard_exponential", transform)
+        got = [draw() for _ in range(20_000)]
+        exps = rng_stream(9, 4, Stream.ARRIVAL).standard_exponential(20_000).tolist()
+        assert got == [det + m_e * e for e in exps]
+
+    @pytest.mark.parametrize("rate", [0.7, 1640.0 * 1.0137])
+    def test_scaled_exponentials_equal_scalar_quotients(self, rate):
+        # patience e / nu, and skeleton gaps e / sum_mu; at these rates
+        # e * (1 / rate) differs from e / rate in over 10 % of the draws
+        draw = hetq.sim._draws(9, 4, Stream.ABANDON, "standard_exponential", hetq.sim._over(rate))
+        got = [draw() for _ in range(20_000)]
+        exps = rng_stream(9, 4, Stream.ABANDON).standard_exponential(20_000).tolist()
+        assert got == [e / rate for e in exps]
 
 
 class TestSkeleton:
@@ -423,6 +488,24 @@ class TestPolicies:
         slow = idle_time[s.mu == 1.0].sum()
         fast = idle_time[s.mu == 2.0].sum()
         assert slow > 3.0 * fast
+
+    def test_fsf_hands_out_equal_rates_lowest_index_first(self):
+        # FSF's idle heap holds int ranks in (-mu, k) order; among idle
+        # servers of equal rate it must take the lowest index first, as the
+        # (-mu, k) tuple heap of grid_reference.py does. With one group per
+        # server the grid shows which servers are busy at each sample.
+        d = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
+        cfg = SystemConfig(r=20.0, lambda_r=14.0, seed=5, staffing=20, policy=Policy.FSF)
+        s = RealizedSystem.realize(cfg, d, rng_stream(5, 0, Stream.RATES))
+        s = s.grouped(np.arange(s.n_servers))
+        kwargs = dict(horizon=100.0, x0=0, grid_points=5000)
+        path = run(cfg, s, validate=True, **kwargs)
+        ref = reference_grid(cfg, s, **kwargs)
+        # at most samples at least two idle servers share each rate
+        idle = 1 - path.grid_Z
+        ties = (idle[:, s.mu == 1.0].sum(axis=1) >= 2) & (idle[:, s.mu == 2.0].sum(axis=1) >= 2)
+        assert ties.mean() > 0.5
+        assert np.array_equal(path.grid_Z, ref[:, 4:])
 
     def test_random_policy_runs_and_spreads(self):
         cfg, s = homogeneous(25, 20.0, seed=6, policy=Policy.RANDOM)
