@@ -8,29 +8,32 @@ A run is single-threaded and deterministic in (config, seed, rep). Its
 counters (arrivals, departures, abandonments, busy time, and the arrivals
 and waited arrivals in the steady-state window [warmup * end_time,
 end_time]) are exact, and its memory does not depend on the horizon: the
-per-customer record is opt-in (``record_customers``; typed buffers, about
-19 bytes per arrival) and no estimator reads it. A run that overflows ends
+per-customer record is opt-in (``record_customers``; typed buffers, about 19
+bytes per arrival) and no estimator reads it. A run that overflows ends
 early, so ``run`` replays it once, counting from warmup * end_time. The
 trajectory is sampled on a uniform grid, occupancy as one busy count per
-server group (``RealizedSystem.pool_of``). Short runs cross a grid time at
-almost every event, so a crossing stages one row in a flat list, and every
-~4k staged values are written into the grid at once.
+server group (``RealizedSystem.pool_of``); one group's count is min(X, N) by
+work conservation, filled from X after the loop. Short runs cross a grid
+time at almost every event, so a crossing stages one row in a flat list, and
+every ~4k staged values are written into the grid at once. The last grid
+time is the horizon, so the loop tests the horizon only at a crossing.
 
 The event loop inlines the policy's idle set (a LISF deque, an FSF heap of
 int ranks in (-mu, k) order, a RANDOM swap list). Service is exponential, so
 it keeps no departure times: departures thin one Poisson skeleton of rate
 sum mu, whose points name a server through a Walker alias table and are
-discarded when it is idle. Each random stream is read through ``_draws``, a
-C-level iterator over blocks that grow from 64 to 8192 draws; a stream's
-generator is built on its first draw, so unread streams cost nothing. The
-arithmetic on each draw is done once per block, in numpy, with the same
-IEEE operations in the same order as the scalar expression: the loop reads
-ready skeleton and inter-arrival gaps, alias-picked server ids and, with
-per-customer patience, patience times. The order in which each stream is
-consumed is part of the determinism contract
-(``tests/test_sim.py::TestStreamPinning`` pins it). ``run``'s changed with
-the skeleton, and ``coupled_run``'s with its rejection pick; ``hetq.cli``
-stamps both as stream layout 2.
+discarded when it is idle. With per-customer patience the next abandonment
+time is kept current and read from the deadline heap only when the waiting
+set changes. Each random stream is read through ``_draws``, a C-level
+iterator over blocks that grow from 64 to 8192 draws; a stream's generator
+is built on its first draw, so unread streams cost nothing. The arithmetic
+on each draw is done once per block, in numpy, with the same IEEE operations
+in the same order as the scalar expression: the loop reads ready skeleton
+and inter-arrival gaps, alias-picked server ids and, with per-customer
+patience, patience times. The order in which each stream is consumed is part
+of the determinism contract (``tests/test_sim.py::TestStreamPinning`` pins
+it). ``run``'s changed with the skeleton, and ``coupled_run``'s with its
+rejection pick; ``hetq.cli`` stamps both as stream layout 2.
 """
 
 from __future__ import annotations
@@ -328,6 +331,7 @@ def _simulate(
     mu = system.mu.tolist()
     pool_of = system.pool_of.tolist()
     n_pools = system.n_pools
+    multi = n_pools > 1  # one group's busy count is filled from X after the loop
     lam = config.lambda_r
     nu = config.abandon_rate
     lisf = config.policy is Policy.LISF
@@ -412,15 +416,12 @@ def _simulate(
     overflowed = False
     end_time = horizon
 
+    # per_customer keeps t_ab current, reading the heap only where the waiting set
+    # changes (a served head, an abandonment, a waiting arrival); none keeps INF
+    t_ab = deadline_heap[0][0]
     while True:
-        if perturbed:
+        if perturbed:  # the hazard left is spent at rate nu * q, so recompute each pass
             t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
-        elif per_customer:
-            while deadline_heap[0][1] <= served_upto:
-                heappop(deadline_heap)  # already served
-            t_ab = deadline_heap[0][0]
-        else:
-            t_ab = _INF
 
         # tie order: departure, abandonment, arrival
         if t_dep <= t_ab and t_dep <= next_arr:
@@ -429,10 +430,11 @@ def _simulate(
             t_next, kind = t_ab, 1
         else:
             t_next, kind = next_arr, 2
-        if t_next > horizon:
-            break
-
+        # t_grid <= horizon always (linspace ends at it; gi stops at the first grid
+        # time >= t_next), so a t_next past the horizon also crosses a grid time
         if t_grid < t_next:
+            if t_next > horizon:
+                break
             gi = bisect_left(grid_list, t_next, gi)
             stage += (gi, x, q, r_count, a_count, *z)
             if len(stage) >= _STAGE:
@@ -461,10 +463,14 @@ def _simulate(
                         served_upto = cid
                         if record:
                             waits[cid] = t_cur - arr_t[cid]
+                        while deadline_heap[0][1] <= served_upto:
+                            heappop(deadline_heap)  # already served; only per_customer has any
+                        t_ab = deadline_heap[0][0]
                     q -= 1
                 else:
                     busy[k] = 0
-                    z[pool_of[k]] -= 1
+                    if multi:
+                        z[pool_of[k]] -= 1
                     if lisf:
                         lisf_q.append(k)
                     elif fsf:
@@ -483,6 +489,9 @@ def _simulate(
             else:
                 cid = heappop(deadline_heap)[1]
                 gone.add(cid)
+                while deadline_heap[0][1] <= served_upto:
+                    heappop(deadline_heap)
+                t_ab = deadline_heap[0][0]
             q -= 1
             x -= 1
             r_count += 1
@@ -508,7 +517,7 @@ def _simulate(
                     k = order[heappop(fsf_heap)]
                 else:  # one routing uniform per pick
                     m = len(rand_list)
-                    pos = int(routing_u() * m)
+                    pos = math.trunc(routing_u() * m)
                     if pos == m:
                         pos -= 1
                     k = rand_list[pos]
@@ -518,7 +527,8 @@ def _simulate(
                     oldest = min(busy_since[j] for j in range(n) if not busy[j])
                     assert busy_since[k] == oldest, "LISF selection rule broken"
                 busy[k] = 1
-                z[pool_of[k]] += 1
+                if multi:
+                    z[pool_of[k]] += 1
                 busy_since[k] = t_cur
                 if x == 1:  # the first busy server restarts the skeleton
                     t_dep = t_cur + skel_gap()
@@ -531,6 +541,7 @@ def _simulate(
                     queue.append(cid)
                     if per_customer:
                         heappush(deadline_heap, (t_cur + abandon_draw(), cid))
+                        t_ab = deadline_heap[0][0]  # the top was not stale before
                 if q > queue_cap:
                     overflowed = True
                     end_time = t_cur
@@ -545,12 +556,16 @@ def _simulate(
             assert idle_count == n - sum(busy), "idle set out of step with busy flags"
             assert len(queue) - len(gone) == (q if track else 0), "queue ids out of step"
             assert (t_dep == _INF) == (x == 0), "skeleton on with no server busy"
+            if per_customer:  # the earliest deadline of a customer still waiting
+                assert t_ab == min(d for d, c in deadline_heap if c > served_upto), "stale t_ab"
 
     # fill the remaining grid with the terminal state
     if stage:
         _fill(xqra, grid_z, g0, stage)
     xqra[:, gi:] = [[x], [q], [r_count], [a_count]]
     grid_z[gi:] = z
+    if not multi:  # work conservation: one group's busy count is min(X, N)
+        np.minimum(xqra[0], n, out=grid_z[:, 0])
     for k in range(n):
         if busy[k]:
             t_busy[k] += end_time - busy_since[k]
@@ -738,7 +753,7 @@ def coupled_run(
             if u <= sum_busy_mu / master_rate and x_het > 0:
                 m = len(busy)
                 while True:  # a uniform busy server, kept with probability mu_k/q
-                    i = int(pick_u() * m)
+                    i = math.trunc(pick_u() * m)
                     if i == m:  # u * m can round up to m
                         i -= 1
                     k = busy[i]
