@@ -59,9 +59,6 @@ COMMANDS = ("simulate", "analyze", "staff", "ql-sweep", "ssc", "fairness", "coup
 # (SKELETON exponentials, SERVICE uniforms) instead of one SERVICE
 # exponential per customer.
 _STREAM_LAYOUT = {"simulate": 2, "ssc": 2, "fairness": 2, "couple": 2}
-_MAX_SKELETON_EVENTS = 1_000_000  # a few seconds of coupling, with three lists that long
-_MAX_DENSITY_POINTS = 1_000_000  # the bound of the simulator's grid_points
-_MAX_EPS_STEPS = 10_000  # about 2 ms a step
 
 
 def _f(x) -> str:
@@ -84,15 +81,13 @@ def _sha256(data: bytes) -> str:
 
 
 def _resolve_values(config_path: Optional[str], overrides, seed, reps) -> dict:
+    """The config file's values, then ``--set``, ``--seed`` and ``--reps``, each parsed."""
     values = load_config_file(config_path) if config_path else {}
-    for item in overrides or ():
+    flags = [f"{key}={v}" for key, v in (("seed", seed), ("reps", reps)) if v is not None]
+    for item in [*(overrides or ()), *flags]:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         values.update(parse_config_text(item))
-    if seed is not None:
-        values["seed"] = int(seed)
-    if reps is not None:
-        values["reps"] = int(reps)
     return values
 
 
@@ -116,21 +111,6 @@ def _system_config(values: dict) -> SystemConfig:
 
 def _rates(values: dict) -> RateDistribution:
     return values.get("rates", RateDistribution.point(1.0))
-
-
-def _abandon_mode(values: dict) -> AbandonMode:
-    name = str(values["abandon_mode"]).lower()
-    try:
-        return AbandonMode(name)
-    except ValueError:
-        raise ConfigError(f"abandon_mode must be none/per_customer/perturbed, got {name!r}") from None
-
-
-def _reps(values: dict) -> int:
-    n_reps = int(values["reps"])
-    if n_reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {n_reps}")
-    return n_reps
 
 
 def _diffusion_params(values: dict) -> dfn.DiffusionParams:
@@ -161,11 +141,11 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
     dist = _rates(values)
     horizon = float(values["horizon"])
     warmup = float(values["warmup"])
-    mode = _abandon_mode(values)
-    n_reps = _reps(values)
+    mode = AbandonMode(values["abandon_mode"])
+    n_reps = values["reps"]
     grid_points = int(values["grid_points"])
     queue_cap = int(values["queue_cap"])
-    if n_reps <= 1:
+    if n_reps == 1:
         system = RealizedSystem.from_config(config, dist)
         path = run(
             config,
@@ -216,9 +196,6 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
 
 
 def _cmd_analyze(values: dict) -> Dict[str, bytes]:
-    points = int(values["density_points"])
-    if not 2 <= points <= _MAX_DENSITY_POINTS:
-        raise ConfigError(f"density_points must be in [2, {_MAX_DENSITY_POINTS}], got {points}")
     params = _diffusion_params(values)
     if params.nu > 0.0:
         dens = dfn.stationary_aband(params)
@@ -230,9 +207,7 @@ def _cmd_analyze(values: dict) -> Dict[str, bytes]:
         upper_scale = dens.upper.mean() if params.nu == 0.0 else abs(params.beta / params.nu) + params.sigma
         lower_scale = abs(params.beta / params.gamma) + params.sigma
         span = 5.0 * max(upper_scale, lower_scale, 1.0)
-    elif not 0.0 < span < math.inf:  # also false for NaN
-        raise ConfigError(f"density_span must be finite and > 0, got {span}")
-    xs = np.linspace(-span, span, points)
+    xs = np.linspace(-span, span, values["density_points"])
     pdf = dens.pdf(xs)
     rows = [(_f(x), _f(v)) for x, v in zip(xs, pdf)]
     info = {
@@ -254,7 +229,7 @@ def _cmd_analyze(values: dict) -> Dict[str, bytes]:
 def _cmd_staff(values: dict) -> Dict[str, bytes]:
     config = _system_config(values)
     dist = _rates(values)
-    model = str(values["cost_model"]).lower()
+    model = values["cost_model"]
     cost = CostSpec(
         c_s=float(values["c_s"]),
         c_w=float(values["c_w"]),
@@ -262,15 +237,10 @@ def _cmd_staff(values: dict) -> Dict[str, bytes]:
         c_un=float(values["c_un"]),
         nu=float(values.get("nu", values.get("abandon_rate", 0.0))),
     )
-    if model == "abandon":
-        fn = lambda x: cost_aband(x, config, dist, cost)
-    elif model == "waiting":
-        fn = lambda x: cost_no_aband(x, config, dist, cost)
-    else:
-        raise ConfigError(f"cost_model must be 'waiting' or 'abandon', got {model!r}")
+    cost_fn = cost_aband if model == "abandon" else cost_no_aband
     bracket = (float(values["bracket_lo"]), float(values["bracket_hi"]))
     tol = float(values["opt_tol"])
-    res = optimize_staffing(fn, bracket, tol=tol)
+    res = optimize_staffing(lambda x: cost_fn(x, config, dist, cost), bracket, tol=tol)
     info = {
         "x_star": res.x_star,
         "N_star": HalfinWhitt(res.x_star).resolve(config.lambda_r, dist.mean()),
@@ -299,10 +269,7 @@ def _cmd_ql_sweep(values: dict) -> Dict[str, bytes]:
     mu_bar = float(values["mu_bar"])
     lo = float(values["eps_min"])
     hi = float(values["eps_max"])
-    steps = int(values["eps_steps"])
-    if not 1 <= steps <= _MAX_EPS_STEPS:
-        raise ConfigError(f"eps_steps must be in [1, {_MAX_EPS_STEPS}], got {steps}")
-    eps_grid = np.linspace(lo, hi, steps)
+    eps_grid = np.linspace(lo, hi, values["eps_steps"])
     rows = []
     for eps in eps_grid:
         lisf = dfn.ql_eps(float(eps), mu_bar, sigma, theta, nu, policy=Policy.LISF)
@@ -318,9 +285,7 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
     r_values = values["r_values"]
     lambda_hat = float(values["lambda_hat"])
     horizon = float(values["ssc_horizon"])
-    if not 0.0 < horizon < math.inf:  # also false for NaN
-        raise ConfigError(f"ssc_horizon must be finite and > 0, got {horizon}")
-    n_reps = _reps(values)
+    n_reps = values["reps"]
     seed = int(values["seed"])
     policy = values.get("policy", Policy.LISF)
     configs = [
@@ -358,10 +323,8 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
     dist = _rates(values)
     n_bins = int(values["bins"])
     system = RealizedSystem.from_config(config, dist)
-    if not 1 <= n_bins <= system.n_servers:
-        raise ConfigError(
-            f"bins must be in [1, {system.n_servers}] (the server count), got {n_bins}"
-        )
+    if n_bins > system.n_servers:
+        raise ConfigError(f"bins must be at most the server count {system.n_servers}, got {n_bins}")
     edges = ssc_mod.default_bins(dist, n_bins)
     # servers grouped by rate bin: the busy counts per group give the idle
     # counts per bin that the sup discrepancy needs
@@ -390,10 +353,6 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
 
 def _cmd_couple(values: dict) -> Dict[str, bytes]:
     events = int(values["skeleton_events"])
-    if not 1 <= events <= _MAX_SKELETON_EVENTS:
-        raise ConfigError(
-            f"skeleton_events must be in [1, {_MAX_SKELETON_EVENTS}], got {events}"
-        )
     config = _system_config(values)
     dist = _rates(values)
     system = RealizedSystem.from_config(config, dist)
@@ -455,35 +414,6 @@ _DEFAULTS = {
     "couple": {"seed": 0, "skeleton_events": 10_000},
 }
 
-_PLOT_STUB = """\
-# Minimal plotting stub for the '{command}' artifacts in this directory.
-# Reads the CSV next to this script; tweak to taste.
-import csv
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-
-here = Path(__file__).resolve().parent.parent
-for name in {names!r}:
-    with open(here / name, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        continue
-    keys = list(rows[0])
-    xs = [float(r[keys[0]]) for r in rows]
-    plt.figure()
-    for col in keys[1:]:
-        try:
-            plt.plot(xs, [float(r[col] or "nan") for r in rows], label=col)
-        except ValueError:
-            continue
-    plt.xlabel(keys[0])
-    plt.legend()
-    plt.title(name)
-plt.show()
-"""
-
-
 def dispatch(command: str, values: dict, out_dir, fmt: str = "csv") -> dict:
     """Run one command and write its artifacts plus manifest into out_dir."""
     if command not in _HANDLERS:
@@ -514,12 +444,6 @@ def dispatch(command: str, values: dict, out_dir, fmt: str = "csv") -> dict:
     for name, data in sorted(artifacts.items()):
         (out / name).write_bytes(data)
         checksums[name] = _sha256(data)
-    csv_names = [n for n in artifacts if n.endswith(".csv")]
-    if csv_names:
-        stub_dir = out / "plots"
-        stub_dir.mkdir(exist_ok=True)
-        stub = _PLOT_STUB.format(command=command, names=sorted(csv_names)).encode()
-        (stub_dir / f"plot_{command.replace('-', '_')}.py").write_bytes(stub)
     config_map = {}
     for line in format_config(values).strip().splitlines():
         key, _, rendered = line.partition(" = ")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -229,6 +229,16 @@ class HalfinWhitt:
 Staffing = Union[int, HalfinWhitt]
 
 
+def _valid_pools(pools) -> bool:
+    """Fractions > 0 summing to 1, rates finite, > 0 and increasing; false for NaN."""
+    betas = [b for b, _ in pools]
+    mus = [m for _, m in pools]
+    return (
+        bool(pools) and all(b > 0.0 for b in betas) and abs(sum(betas) - 1.0) <= _PROB_TOL
+        and 0.0 < mus[0] and mus[-1] < math.inf and all(a < b for a, b in zip(mus, mus[1:]))
+    )
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Scale index, arrival law, staffing rule, policy, and seed for one system."""
@@ -259,15 +269,8 @@ class SystemConfig:
                 raise ConfigError(f"explicit staffing must be >= 1, got {self.staffing}")
         elif not isinstance(self.staffing, HalfinWhitt):
             raise ConfigError(f"staffing must be an int or HalfinWhitt, got {self.staffing!r}")
-        if self.pools is not None:
-            betas = [b for b, _ in self.pools]
-            mus = [m for _, m in self.pools]
-            if abs(sum(betas) - 1.0) > _PROB_TOL:
-                raise ConfigError(f"pool fractions sum to {sum(betas)!r}, expected 1")
-            if any(b <= 0.0 for b in betas):
-                raise ConfigError("pool fractions must be > 0")
-            if any(m2 <= m1 for m1, m2 in zip(mus, mus[1:])) or any(m <= 0.0 for m in mus):
-                raise ConfigError(f"pool rates must be positive and strictly increasing, got {mus}")
+        if self.pools is not None and not _valid_pools(self.pools):
+            raise ConfigError(f"pools must be {_POOLS.text}, got {_fmt(self.pools)}")
 
     def pool_distribution(self) -> RateDistribution:
         """Discrete rate law implied by the pool structure."""
@@ -404,6 +407,40 @@ class RealizedSystem:
 # Flat key = value configuration files
 # --------------------------------------------------------------------------
 
+MAX_GRID_POINTS = 1_000_000  # grid samples of a run; 10^6 keep its memory bounded
+MAX_QUEUE_CAP = 10_000_000  # 10x the default; waiting ids cost ~160 B each
+
+
+class Domain(NamedTuple):
+    """The values a config key accepts: ``text`` names them, ``holds`` tests a parsed one.
+
+    A key whose parser refuses everything outside its domain keeps the
+    default ``holds``.
+    """
+
+    text: str
+    holds: Callable[[object], bool] = lambda value: True
+
+
+# chained compares are false for NaN, so these also refuse it
+_FINITE = Domain("finite", math.isfinite)
+_POSITIVE = Domain("finite, > 0", lambda v: 0.0 < v < math.inf)
+_NON_NEGATIVE = Domain("finite, >= 0", lambda v: 0.0 <= v < math.inf)
+_POOLS = Domain("beta:mu,... with beta > 0 summing to 1, mu finite, > 0, increasing", _valid_pools)
+
+
+def _at_least(lo: int) -> Domain:
+    return Domain(f">= {lo}", lambda v: v >= lo)
+
+
+def _between(lo: int, hi: int) -> Domain:
+    return Domain(f"in [{lo}, {hi}]", lambda v: lo <= v <= hi)
+
+
+def _one_of(*words: str) -> Domain:
+    return Domain("one of " + "/".join(words), lambda v: v in words)
+
+
 def _parse_rates(text: str) -> RateDistribution:
     text = text.strip()
     if text.startswith("point(") and text.endswith(")"):
@@ -417,7 +454,7 @@ def _parse_rates(text: str) -> RateDistribution:
             rate, prob = part.split(":")
             atoms.append((float(rate), float(prob)))
         return RateDistribution.discrete(atoms)
-    raise ConfigError(f"cannot parse rate distribution {text!r}")
+    raise ValueError(text)
 
 
 def _format_rates(dist: RateDistribution) -> str:
@@ -433,10 +470,7 @@ def _parse_staffing(text: str) -> Staffing:
     text = text.strip()
     if text.startswith("hw(") and text.endswith(")"):
         return HalfinWhitt(float(text[3:-1]))
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"staffing must be an integer or hw(theta), got {text!r}") from None
+    return int(text)
 
 
 def _parse_pools(text: str):
@@ -448,10 +482,11 @@ def _parse_pools(text: str):
 
 
 def _parse_policy(text: str) -> Policy:
-    try:
-        return Policy[text.strip().upper()]
-    except KeyError:
-        raise ConfigError(f"policy must be one of LISF/FSF/RANDOM, got {text!r}") from None
+    return Policy[text.strip().upper()]
+
+
+def _parse_word(text: str) -> str:
+    return text.strip().lower()
 
 
 def _parse_bool(text: str) -> bool:
@@ -460,7 +495,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"cannot parse boolean {text!r}")
+    raise ValueError(text)
 
 
 def _parse_floats(text: str):
@@ -485,63 +520,79 @@ def _fmt(value) -> str:
     raise ConfigError(f"cannot format config value {value!r}")
 
 
-# key -> parser; ``_fmt`` renders every value. Keys mirror SystemConfig plus
-# the knobs of the individual subcommands; everything is optional and
-# validated at use time.
+# key -> (parser, domain); ``_fmt`` renders every value. Keys mirror
+# SystemConfig plus the knobs of the individual subcommands, and all are
+# optional. ``parse_config_text`` checks each value against its domain where
+# it enters, so a domain holds what every command reading the key needs.
+# Checks that depend on another key or on the realized system (bins <= N,
+# x0 <= N + queue_cap, bracket_lo < bracket_hi, eps < mu_bar, nu > 0 under
+# the abandonment model, beta < 0 without abandonment) stay where they are made.
 CONFIG_KEYS: dict = {
     # system
-    "r": float,
-    "lambda_r": float,
-    "seed": int,
-    "arrival_scv": float,
-    "staffing": _parse_staffing,
-    "abandon_rate": float,
-    "policy": _parse_policy,
-    "rates": _parse_rates,
-    "pools": _parse_pools,
+    "r": (float, _POSITIVE),
+    "lambda_r": (float, _NON_NEGATIVE),
+    "seed": (int, _at_least(0)),
+    "arrival_scv": (float, _NON_NEGATIVE),
+    "staffing": (_parse_staffing, Domain(
+        "an integer >= 1 or hw(theta), theta finite, >= 0",
+        lambda v: isinstance(v, HalfinWhitt) or v >= 1,
+    )),
+    "abandon_rate": (float, _NON_NEGATIVE),
+    "policy": (_parse_policy, Domain("one of LISF/FSF/RANDOM")),
+    "rates": (_parse_rates, Domain(
+        "point(mu), uniform(lo,hi) or discrete(mu:p,...), rates finite, > 0"
+    )),
+    "pools": (_parse_pools, _POOLS),
     # simulation
-    "horizon": float,
-    "warmup": float,
-    "abandon_mode": str,
-    "x0": int,
-    "grid_points": int,
-    "queue_cap": int,
-    "record_idle": _parse_bool,
-    "reps": int,
+    "horizon": (float, _POSITIVE),
+    "warmup": (float, Domain("in [0, 1)", lambda v: 0.0 <= v < 1.0)),
+    "abandon_mode": (_parse_word, _one_of("none", "per_customer", "perturbed")),
+    "x0": (int, _at_least(0)),
+    "grid_points": (int, _between(2, MAX_GRID_POINTS)),
+    "queue_cap": (int, _between(0, MAX_QUEUE_CAP)),
+    "record_idle": (_parse_bool, Domain("true or false")),
+    "reps": (int, _at_least(1)),
     # staffing costs
-    "c_s": float,
-    "c_w": float,
-    "d": float,
-    "c_un": float,
-    "cost_model": str,
-    "bracket_lo": float,
-    "bracket_hi": float,
-    "opt_tol": float,
+    "c_s": (float, _NON_NEGATIVE),
+    "c_w": (float, _NON_NEGATIVE),
+    "d": (float, _NON_NEGATIVE),
+    "c_un": (float, _NON_NEGATIVE),
+    "cost_model": (_parse_word, _one_of("waiting", "abandon")),
+    "bracket_lo": (float, _POSITIVE),
+    "bracket_hi": (float, _POSITIVE),
+    "opt_tol": (float, _POSITIVE),
     # diffusion analytics
-    "beta": float,
-    "sigma": float,
-    "gamma": float,
-    "nu": float,
-    "theta": float,
-    "mu_bar": float,
-    "density_points": int,
-    "density_span": float,
+    "beta": (float, _FINITE),
+    "sigma": (float, _NON_NEGATIVE),
+    "gamma": (float, _POSITIVE),
+    "nu": (float, _NON_NEGATIVE),
+    "theta": (float, _FINITE),
+    "mu_bar": (float, _POSITIVE),
+    "density_points": (int, _between(2, MAX_GRID_POINTS)),
+    "density_span": (float, _POSITIVE),
     # ql sweep
-    "eps_min": float,
-    "eps_max": float,
-    "eps_steps": int,
+    "eps_min": (float, _POSITIVE),
+    "eps_max": (float, _POSITIVE),
+    "eps_steps": (int, _between(1, 10_000)),  # about 2 ms a step
     # ssc / fairness / coupling
-    "r_values": _parse_floats,
-    "ssc_horizon": float,
-    "lambda_hat": float,
-    "bins": int,
-    "p_rate": float,
-    "skeleton_events": int,
+    "r_values": (_parse_floats, Domain(
+        "each finite, > 0.5", lambda v: all(0.5 < x < math.inf for x in v)
+    )),
+    "ssc_horizon": (float, _POSITIVE),
+    "lambda_hat": (float, Domain("finite, < 0", lambda v: -math.inf < v < 0.0)),
+    "bins": (int, _at_least(1)),
+    "p_rate": (float, _POSITIVE),
+    # a few seconds of coupling, with three lists that long
+    "skeleton_events": (int, _between(1, 1_000_000)),
 }
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines (UTF-8, ``#`` comments) into typed values."""
+    """Parse ``key = value`` lines (UTF-8, ``#`` comments) into typed values.
+
+    A value that does not parse, or parses outside its key's domain, raises
+    ``ConfigError("<key> must be <domain>, got <value>")``.
+    """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -554,13 +605,14 @@ def parse_config_text(text: str) -> dict:
         val = val.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        parser = CONFIG_KEYS[key]
+        parser, domain = CONFIG_KEYS[key]
         try:
             values[key] = parser(val)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"bad value for {key!r}: {val!r} ({exc})") from None
+        except (ConfigError, KeyError, ValueError) as exc:  # unparsed is outside the domain
+            why = f" ({exc})" if isinstance(exc, ConfigError) else ""
+            raise ConfigError(f"{key} must be {domain.text}, got {val}{why}") from None
+        if not domain.holds(values[key]):
+            raise ConfigError(f"{key} must be {domain.text}, got {val}")
     return values
 
 

@@ -52,6 +52,8 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .core import (
+    MAX_GRID_POINTS,
+    MAX_QUEUE_CAP,
     Policy,
     RateDistribution,
     RealizedSystem,
@@ -80,8 +82,6 @@ _INF = math.inf
 _FIRST_BLOCK = 64
 _BLOCK = 8192
 _STAGE = 4096  # staged grid values written at once
-_MAX_GRID_POINTS = 1_000_000  # 10^6 samples keep the grid's memory bounded
-_MAX_QUEUE_CAP = 10_000_000  # 10x the default; waiting ids cost ~160 B each
 # a run makes about (lambda_r + sum mu) * horizon loop passes; criterion 2's
 # largest run makes 5.2e7
 MAX_EXPECTED_EVENTS = 1e9
@@ -121,17 +121,20 @@ def _draws(
     return chain.from_iterable(blocks()).__next__
 
 
-def _fill(xqra: np.ndarray, grid_z: np.ndarray, g0: int, stage: list) -> int:
+def _fill(xqra: np.ndarray, grid_z: np.ndarray, g0: int, stage: list, width: int) -> int:
     """Write staged rows (hi, X, Q, R, A, Z_1..) into ``xqra``, ``grid_z`` from ``g0``.
 
-    Each row's state fills the grids up to, not including, its ``hi``, which
-    is the next row's start. Empties ``stage`` and returns the last ``hi``.
+    Rows hold ``width`` values; with one server group they stop at A, since
+    its busy count is filled from X after the loop. Each row's state fills
+    the grids up to, not including, its ``hi``, which is the next row's
+    start. Empties ``stage`` and returns the last ``hi``.
     """
-    rows = np.array(stage, dtype=np.int64).reshape(-1, grid_z.shape[1] + 5)
+    rows = np.array(stage, dtype=np.int64).reshape(-1, width)
     his = rows[:, 0]
     counts = np.diff(his, prepend=g0)
     xqra[:, g0:his[-1]] = np.repeat(rows[:, 1:5].T, counts, axis=1)
-    grid_z[g0:his[-1]] = np.repeat(rows[:, 5:], counts, axis=0)
+    if width > 5:
+        grid_z[g0:his[-1]] = np.repeat(rows[:, 5:], counts, axis=0)
     stage.clear()
     return int(his[-1])
 
@@ -301,10 +304,10 @@ def run(
         raise ConfigError(f"warmup must be in [0, 1), got {warmup}")
     if mode is not AbandonMode.NONE and config.abandon_rate <= 0.0:
         raise ConfigError(f"abandonment mode {mode.value} needs abandon_rate > 0")
-    if not 2 <= grid_points <= _MAX_GRID_POINTS:
-        raise ConfigError(f"grid_points must be in [2, {_MAX_GRID_POINTS}], got {grid_points}")
-    if not 0 <= queue_cap <= _MAX_QUEUE_CAP:
-        raise ConfigError(f"queue_cap must be in [0, {_MAX_QUEUE_CAP}], got {queue_cap}")
+    if not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"grid_points must be in [2, {MAX_GRID_POINTS}], got {grid_points}")
+    if not 0 <= queue_cap <= MAX_QUEUE_CAP:
+        raise ConfigError(f"queue_cap must be in [0, {MAX_QUEUE_CAP}], got {queue_cap}")
     n = system.n_servers
     if x0 is not None and not 0 <= x0 <= n + queue_cap:
         raise ConfigError(f"x0 must be in [0, N + queue_cap] = [0, {n + queue_cap}], got {x0}")
@@ -364,9 +367,8 @@ def _simulate(
     busy_since = [0.0] * n
     t_busy = [0.0] * n
     d_count = [0] * n
-    z = [0] * n_pools
-    for k in range(n_busy0):
-        z[pool_of[k]] += 1
+    # busy count per group; none kept for one group, staged rows then end at A
+    z = np.bincount(system.pool_of[:n_busy0], minlength=n_pools).tolist() if multi else []
     t_dep = skel_gap() if n_busy0 else _INF
 
     # idle set of the policy; the other two stay empty
@@ -404,6 +406,7 @@ def _simulate(
     gi = g0 = 0  # grid points below gi are passed, those below g0 written
     t_grid = grid_list[0]
     stage = []
+    width = 5 + len(z)
 
     a_count = 0
     r_count = 0
@@ -438,7 +441,7 @@ def _simulate(
             gi = bisect_left(grid_list, t_next, gi)
             stage += (gi, x, q, r_count, a_count, *z)
             if len(stage) >= _STAGE:
-                g0 = _fill(xqra, grid_z, g0, stage)
+                g0 = _fill(xqra, grid_z, g0, stage, width)
             t_grid = grid_list[gi]
 
         if perturbed and q > 0:
@@ -561,10 +564,11 @@ def _simulate(
 
     # fill the remaining grid with the terminal state
     if stage:
-        _fill(xqra, grid_z, g0, stage)
+        _fill(xqra, grid_z, g0, stage, width)
     xqra[:, gi:] = [[x], [q], [r_count], [a_count]]
-    grid_z[gi:] = z
-    if not multi:  # work conservation: one group's busy count is min(X, N)
+    if multi:
+        grid_z[gi:] = z
+    else:  # work conservation: one group's busy count is min(X, N)
         np.minimum(xqra[0], n, out=grid_z[:, 0])
     for k in range(n):
         if busy[k]:

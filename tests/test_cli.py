@@ -224,6 +224,24 @@ class TestExitCodes:
         assert setting.split("=")[0] + " must" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command,setting",
+        [
+            ("analyze", "mu_bar=-1"),
+            ("analyze", "arrival_scv=-2"),
+            ("analyze", "theta=nan"),
+            ("ql-sweep", "sigma=nan"),
+        ],
+    )
+    def test_value_outside_its_domain_names_the_key(self, tmp_path, capsys, command, setting):
+        # mu_bar=-1 and arrival_scv=-2 were a math domain error traceback,
+        # theta=nan blamed beta, and sigma=nan ran the quadrature to 512
+        # nodes and exited 3 naming no key
+        rc = main_within([command, "--out", str(tmp_path / "o"), "--set", setting])
+        assert rc == 2
+        key = setting.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+    @pytest.mark.parametrize(
         "content", [None, "{not json", '{"command": "simulate"}'],
         ids=["missing", "not_json", "no_config"],
     )
