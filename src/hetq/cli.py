@@ -27,6 +27,7 @@ import numpy as np
 from . import diffusion as dfn
 from . import ssc as ssc_mod
 from .core import (
+    MAX_DENSITY_SPAN,
     HalfinWhitt,
     Policy,
     RateDistribution,
@@ -207,6 +208,11 @@ def _cmd_analyze(values: dict) -> Dict[str, bytes]:
         upper_scale = dens.upper.mean() if params.nu == 0.0 else abs(params.beta / params.nu) + params.sigma
         lower_scale = abs(params.beta / params.gamma) + params.sigma
         span = 5.0 * max(upper_scale, lower_scale, 1.0)
+        if not span <= MAX_DENSITY_SPAN:  # also true for NaN
+            raise DomainError(
+                f"the density span {span!r} derived from sigma, beta, gamma and nu "
+                f"exceeds {MAX_DENSITY_SPAN!r}; set density_span"
+            )
     xs = np.linspace(-span, span, values["density_points"])
     pdf = dens.pdf(xs)
     rows = [(_f(x), _f(v)) for x, v in zip(xs, pdf)]

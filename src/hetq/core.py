@@ -9,6 +9,7 @@ threads. Randomness is handled through named streams derived from a single
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -32,6 +33,7 @@ __all__ = [
     "load_config_file",
     "format_config",
     "CONFIG_KEYS",
+    "check_domains",
 ]
 
 _PROB_TOL = 1e-12
@@ -253,24 +255,12 @@ class SystemConfig:
     pools: Optional[tuple] = None  # ((beta_i, mu_i), ...), mu strictly increasing
 
     def __post_init__(self):
-        # chained compares are false for NaN, so these also reject it
-        if not 0.0 < self.r < math.inf:
-            raise ConfigError(f"scale index r must be finite and > 0, got {self.r}")
-        if not 0.0 <= self.lambda_r < math.inf:
-            raise ConfigError(f"arrival rate lambda_r must be finite and >= 0, got {self.lambda_r}")
-        if not 0.0 <= self.arrival_scv < math.inf:
-            raise ConfigError(f"arrival_scv must be finite and >= 0, got {self.arrival_scv}")
-        if not 0.0 <= self.abandon_rate < math.inf:
-            raise ConfigError(f"abandon_rate must be finite and >= 0, got {self.abandon_rate}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if isinstance(self.staffing, int):
-            if self.staffing < 1:
-                raise ConfigError(f"explicit staffing must be >= 1, got {self.staffing}")
-        elif not isinstance(self.staffing, HalfinWhitt):
-            raise ConfigError(f"staffing must be an int or HalfinWhitt, got {self.staffing!r}")
-        if self.pools is not None and not _valid_pools(self.pools):
-            raise ConfigError(f"pools must be {_POOLS.text}, got {_fmt(self.pools)}")
+        check_domains(
+            r=self.r, lambda_r=self.lambda_r, seed=self.seed, arrival_scv=self.arrival_scv,
+            staffing=self.staffing, abandon_rate=self.abandon_rate,
+        )
+        if self.pools is not None:
+            check_domains(pools=self.pools)
 
     def pool_distribution(self) -> RateDistribution:
         """Discrete rate law implied by the pool structure."""
@@ -409,6 +399,7 @@ class RealizedSystem:
 
 MAX_GRID_POINTS = 1_000_000  # grid samples of a run; 10^6 keep its memory bounded
 MAX_QUEUE_CAP = 10_000_000  # 10x the default; waiting ids cost ~160 B each
+MAX_DENSITY_SPAN = sys.float_info.max / 2  # a grid on [-span, span] has a finite width
 
 
 class Domain(NamedTuple):
@@ -426,7 +417,6 @@ class Domain(NamedTuple):
 _FINITE = Domain("finite", math.isfinite)
 _POSITIVE = Domain("finite, > 0", lambda v: 0.0 < v < math.inf)
 _NON_NEGATIVE = Domain("finite, >= 0", lambda v: 0.0 <= v < math.inf)
-_POOLS = Domain("beta:mu,... with beta > 0 summing to 1, mu finite, > 0, increasing", _valid_pools)
 
 
 def _at_least(lo: int) -> Domain:
@@ -523,7 +513,8 @@ def _fmt(value) -> str:
 # key -> (parser, domain); ``_fmt`` renders every value. Keys mirror
 # SystemConfig plus the knobs of the individual subcommands, and all are
 # optional. ``parse_config_text`` checks each value against its domain where
-# it enters, so a domain holds what every command reading the key needs.
+# it enters, so a domain holds what every command reading the key needs, and
+# the library's entry points check their arguments through ``check_domains``.
 # Checks that depend on another key or on the realized system (bins <= N,
 # x0 <= N + queue_cap, bracket_lo < bracket_hi, eps < mu_bar, nu > 0 under
 # the abandonment model, beta < 0 without abandonment) stay where they are made.
@@ -535,14 +526,16 @@ CONFIG_KEYS: dict = {
     "arrival_scv": (float, _NON_NEGATIVE),
     "staffing": (_parse_staffing, Domain(
         "an integer >= 1 or hw(theta), theta finite, >= 0",
-        lambda v: isinstance(v, HalfinWhitt) or v >= 1,
+        lambda v: isinstance(v, HalfinWhitt) or (isinstance(v, int) and v >= 1),
     )),
     "abandon_rate": (float, _NON_NEGATIVE),
     "policy": (_parse_policy, Domain("one of LISF/FSF/RANDOM")),
     "rates": (_parse_rates, Domain(
         "point(mu), uniform(lo,hi) or discrete(mu:p,...), rates finite, > 0"
     )),
-    "pools": (_parse_pools, _POOLS),
+    "pools": (_parse_pools, Domain(
+        "beta:mu,... with beta > 0 summing to 1, mu finite, > 0, increasing", _valid_pools
+    )),
     # simulation
     "horizon": (float, _POSITIVE),
     "warmup": (float, Domain("in [0, 1)", lambda v: 0.0 <= v < 1.0)),
@@ -569,7 +562,9 @@ CONFIG_KEYS: dict = {
     "theta": (float, _FINITE),
     "mu_bar": (float, _POSITIVE),
     "density_points": (int, _between(2, MAX_GRID_POINTS)),
-    "density_span": (float, _POSITIVE),
+    "density_span": (float, Domain(
+        f"in (0, {MAX_DENSITY_SPAN!r}]", lambda v: 0.0 < v <= MAX_DENSITY_SPAN
+    )),
     # ql sweep
     "eps_min": (float, _POSITIVE),
     "eps_max": (float, _POSITIVE),
@@ -585,6 +580,18 @@ CONFIG_KEYS: dict = {
     # a few seconds of coupling, with three lists that long
     "skeleton_events": (int, _between(1, 1_000_000)),
 }
+
+
+def check_domains(**values) -> None:
+    """Refuse the first keyword value outside the domain of the key it names.
+
+    The ``ConfigError`` is ``parse_config_text``'s, ``"<key> must be
+    <domain>, got <value>"``, with the value's repr.
+    """
+    for key, value in values.items():
+        domain = CONFIG_KEYS[key][1]
+        if not domain.holds(value):
+            raise ConfigError(f"{key} must be {domain.text}, got {value!r}")
 
 
 def parse_config_text(text: str) -> dict:

@@ -27,8 +27,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import Policy
-from .errors import ConfigError, DomainError
+from .core import Policy, check_domains
+from .errors import DomainError
 
 __all__ = [
     "DiffusionParams",
@@ -80,17 +80,9 @@ class DiffusionParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        for key in ("sigma", "beta", "gamma", "nu"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         # sigma = 0 is admitted so the integrator can run noise-free ODE
         # reductions; the stationary-law operations insist on sigma > 0.
-        if self.sigma < 0.0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
-        if not self.gamma > 0.0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if self.nu < 0.0:
-            raise ConfigError(f"nu must be >= 0, got {self.nu}")
+        check_domains(sigma=self.sigma, beta=self.beta, gamma=self.gamma, nu=self.nu)
 
 
 def _float_or_array(x):
@@ -226,38 +218,59 @@ class SteadyStateDensity:
         return abs(left - right) / right
 
 
+def _glued(params: DiffusionParams, build) -> SteadyStateDensity:
+    """The law ``build()`` returns, refused when double precision cannot hold it.
+
+    The density is positive and continuous at zero for every admissible
+    coefficient set. At extreme ones a closed form overflows, or a side of
+    the density at zero rounds to 0 or infinity, so the residual is 1 or more.
+    """
+    try:
+        dens = build()
+        if dens.continuity_residual() < 1.0:  # false for NaN
+            return dens
+    except ArithmeticError:  # OverflowError, ZeroDivisionError
+        pass
+    raise DomainError(
+        f"the stationary law at sigma={params.sigma!r}, beta={params.beta!r}, "
+        f"gamma={params.gamma!r}, nu={params.nu!r} is not representable in double precision"
+    )
+
+
 def stationary_no_aband(params: DiffusionParams) -> SteadyStateDensity:
     """Exponential piece above zero, conditioned normal below; nu must be 0."""
     if params.nu != 0.0:
         raise DomainError("stationary_no_aband needs nu = 0")
     if params.beta >= 0.0:
         raise DomainError(f"stationary law needs beta < 0, got {params.beta}")
-    varrho = prob_wait_no_aband(params.beta, params.sigma, params.gamma)
-    upper = ExponentialPiece(rate=-2.0 * params.beta / params.sigma**2)
-    lower = ConditionedNormalPiece(
-        mean_=params.beta / params.gamma,
-        sd=params.sigma / math.sqrt(2.0 * params.gamma),
-        side="lower",
-    )
-    return SteadyStateDensity(varrho=varrho, upper=upper, lower=lower)
+    return _glued(params, lambda: SteadyStateDensity(
+        varrho=prob_wait_no_aband(params.beta, params.sigma, params.gamma),
+        upper=ExponentialPiece(rate=-2.0 * params.beta / params.sigma**2),
+        lower=ConditionedNormalPiece(
+            mean_=params.beta / params.gamma,
+            sd=params.sigma / math.sqrt(2.0 * params.gamma),
+            side="lower",
+        ),
+    ))
 
 
 def stationary_aband(params: DiffusionParams) -> SteadyStateDensity:
     """Two conditioned-normal pieces glued at zero; needs nu > 0."""
     if params.nu <= 0.0:
         raise DomainError("stationary_aband needs nu > 0")
-    varrho = prob_wait_aband(params.beta, params.sigma, params.gamma, params.nu)
-    upper = ConditionedNormalPiece(
-        mean_=params.beta / params.nu,
-        sd=params.sigma / math.sqrt(2.0 * params.nu),
-        side="upper",
-    )
-    lower = ConditionedNormalPiece(
-        mean_=params.beta / params.gamma,
-        sd=params.sigma / math.sqrt(2.0 * params.gamma),
-        side="lower",
-    )
-    return SteadyStateDensity(varrho=varrho, upper=upper, lower=lower)
+    return _glued(params, lambda: SteadyStateDensity(
+        varrho=prob_wait_aband(params.beta, params.sigma, params.gamma, params.nu),
+        upper=ConditionedNormalPiece(
+            mean_=params.beta / params.nu,
+            sd=params.sigma / math.sqrt(2.0 * params.nu),
+            side="upper",
+        ),
+        lower=ConditionedNormalPiece(
+            mean_=params.beta / params.gamma,
+            sd=params.sigma / math.sqrt(2.0 * params.gamma),
+            side="lower",
+        ),
+    ))
 
 
 def expected_positive_part(params: DiffusionParams) -> float:
@@ -270,25 +283,37 @@ def expected_positive_part(params: DiffusionParams) -> float:
     return rho * params.sigma**2 / (-2.0 * params.beta)
 
 
-@lru_cache(maxsize=8)
-def _hermgauss(nodes: int):
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+@lru_cache(maxsize=16)
+def _gauss_rule(rule, nodes: int):
+    """Read-only (nodes, weights) of a numpy Gauss rule such as ``leggauss``."""
+    x, w = rule(nodes)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
+def _gauss_sum(fn, centre, half, rule, nodes: int):
+    """sum_k w_k fn(centre + half * x_k) over the Gauss rule ``rule``'s nodes.
+
+    ``centre`` and ``half`` are floats or arrays that broadcast to
+    ``centre``'s shape. ``fn`` gets one row of nodes per centre, and each
+    row is reduced by its own dot, so every entry equals the sum at that
+    centre alone, bit for bit.
+    """
+    x, w = _gauss_rule(rule, nodes)
+    vals = fn(np.asarray(centre)[..., None] + np.asarray(half)[..., None] * x)
+    sums = [np.dot(w, row) for row in vals.reshape(-1, nodes)]
+    return np.reshape(sums, np.shape(centre))
+
+
 def gauss_hermite_expectation(fn, mean, sd: float, nodes: int):
     """E[fn(X)] for X ~ N(mean, sd^2) by Gauss-Hermite quadrature.
 
-    ``mean`` is a float or an array. ``fn`` gets one row of nodes per mean,
-    and each row is reduced by its own dot, so every entry equals the
-    expectation at that mean alone, bit for bit; a float gives a float.
+    ``mean`` is a float or an array; each entry equals the expectation at
+    that mean alone, bit for bit, and a float gives a float.
     """
-    x, w = _hermgauss(nodes)
-    vals = fn(np.asarray(mean)[..., None] + math.sqrt(2.0) * sd * x)
-    sums = [np.dot(w, row) for row in vals.reshape(-1, nodes)]
-    return _float_or_array(np.reshape(sums, np.shape(mean)) / math.sqrt(math.pi))
+    sums = _gauss_sum(fn, mean, math.sqrt(2.0) * sd, np.polynomial.hermite.hermgauss, nodes)
+    return _float_or_array(sums / math.sqrt(math.pi))
 
 
 _QL_REL_TOL = 1e-6  # successive Gauss-Hermite rules agree to this

@@ -52,13 +52,12 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .core import (
-    MAX_GRID_POINTS,
-    MAX_QUEUE_CAP,
     Policy,
     RateDistribution,
     RealizedSystem,
     Stream,
     SystemConfig,
+    check_domains,
     rng_stream,
 )
 from .errors import ConfigError, DomainError, EmptyWindowError
@@ -137,11 +136,6 @@ def _fill(xqra: np.ndarray, grid_z: np.ndarray, g0: int, stage: list, width: int
         grid_z[g0:his[-1]] = np.repeat(rows[:, 5:], counts, axis=0)
     stage.clear()
     return int(his[-1])
-
-
-def _check_horizon(horizon: float) -> None:
-    if not 0.0 < horizon < _INF:  # also false for NaN
-        raise ConfigError(f"horizon must be finite and > 0, got {horizon}")
 
 
 def _alias_table(weights: List[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -299,15 +293,9 @@ def run(
     m_e = sqrt(scv)/lam, which hits the SCV exactly. Values above 1 are
     outside the simulator's renewal family.
     """
-    _check_horizon(horizon)
-    if not 0.0 <= warmup < 1.0:  # also false for NaN
-        raise ConfigError(f"warmup must be in [0, 1), got {warmup}")
+    check_domains(horizon=horizon, warmup=warmup, grid_points=grid_points, queue_cap=queue_cap)
     if mode is not AbandonMode.NONE and config.abandon_rate <= 0.0:
         raise ConfigError(f"abandonment mode {mode.value} needs abandon_rate > 0")
-    if not 2 <= grid_points <= MAX_GRID_POINTS:
-        raise ConfigError(f"grid_points must be in [2, {MAX_GRID_POINTS}], got {grid_points}")
-    if not 0 <= queue_cap <= MAX_QUEUE_CAP:
-        raise ConfigError(f"queue_cap must be in [0, {MAX_QUEUE_CAP}], got {queue_cap}")
     n = system.n_servers
     if x0 is not None and not 0 <= x0 <= n + queue_cap:
         raise ConfigError(f"x0 must be in [0, N + queue_cap] = [0, {n + queue_cap}], got {x0}")
@@ -690,11 +678,9 @@ def coupled_run(
     """
     mu = system.mu
     n = system.n_servers
-    if not 0.0 < p_rate < _INF:  # also false for NaN
-        raise ConfigError(f"p_rate must be finite and > 0, got {p_rate}")
+    check_domains(p_rate=p_rate, horizon=horizon)
     if p_rate > float(mu.min()) + 1e-12:
         raise ConfigError(f"p_rate {p_rate} exceeds the minimum realized rate {mu.min()}")
-    _check_horizon(horizon)
     if config.arrival_scv != 1.0:
         raise ConfigError(f"arrival_scv must be 1 (Poisson) to couple, got {config.arrival_scv}")
     if config.policy is not Policy.LISF:
@@ -849,8 +835,7 @@ def replicate(
     capped by HETQ_THREADS (default: in-process sequential). Results are
     keyed by replication index either way.
     """
-    if n_reps < 1:
-        raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
+    check_domains(reps=n_reps)
     jobs = [
         (config, dist, rep, horizon, mode, warmup, grid_points, x0, queue_cap)
         for rep in range(n_reps)

@@ -20,6 +20,7 @@ from .core import (
     RateDistribution,
     RealizedSystem,
     SystemConfig,
+    check_domains,
     pool_sizes,
 )
 from .errors import ConfigError, DomainError, NoIdlenessError, WindowError
@@ -56,12 +57,9 @@ class SSCFunctionSpec:
     def __post_init__(self):
         beta = tuple(float(b) for b in self.beta)
         mu = tuple(float(m) for m in self.mu)
-        if len(beta) != len(mu) or not beta:
-            raise ConfigError("pool fractions and rates must align and be nonempty")
-        if abs(sum(beta) - 1.0) > 1e-12:
-            raise ConfigError(f"pool fractions sum to {sum(beta)!r}, expected 1")
-        if any(m2 <= m1 for m1, m2 in zip(mu, mu[1:])) or mu[0] <= 0.0:
-            raise ConfigError(f"pool rates must be positive and strictly increasing, got {mu}")
+        if len(beta) != len(mu):
+            raise ConfigError(f"{len(beta)} pool fractions and {len(mu)} pool rates do not align")
+        check_domains(pools=tuple(zip(beta, mu)))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "mu", mu)
 
@@ -137,6 +135,7 @@ def ssc_convergence(
     and records ||g(Z_hat)||_T, (||Z_hat||_T v 1), and their ratio, with
     T the horizon.
     """
+    check_domains(reps=n_reps)
     if not configs:
         raise ConfigError("need at least one config")
     pools0 = configs[0].pools
@@ -366,14 +365,7 @@ def inverted_v_config(
     The server count is round(r) split across pools by largest remainder,
     so the heavy-traffic centering is exact for the realized pool sizes.
     """
-    if not -math.inf < lambda_hat < 0.0:  # also false for NaN
-        raise ConfigError(
-            f"heavy-traffic centering needs a finite lambda_hat < 0, got {lambda_hat}"
-        )
-    if not (math.isfinite(r) and round(r) >= 1):
-        raise ConfigError(
-            f"r_values must be finite and give at least one server (round(r) >= 1), got {r}"
-        )
+    check_domains(lambda_hat=lambda_hat, r_values=(r,))  # r > 0.5 gives round(r) >= 1
     n_total = int(round(r))
     sizes = pool_sizes(pools, n_total)
     capacity = sum(s * m for s, (_, m) in zip(sizes, pools))

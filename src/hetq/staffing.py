@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import RateDistribution, SystemConfig, rate_moments
+from .core import RateDistribution, SystemConfig, check_domains, rate_moments
 from .diffusion import (
     _float_or_array,
+    _gauss_sum,
     expected_positive_part_aband,
     gauss_hermite_expectation,
     prob_wait_no_aband,
@@ -118,10 +118,7 @@ class CostSpec:
     nu: float = 0.0
 
     def __post_init__(self):
-        for name in ("c_s", "c_w", "d", "c_un", "nu"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # also false for NaN
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        check_domains(c_s=self.c_s, c_w=self.c_w, d=self.d, c_un=self.c_un, nu=self.nu)
 
     def staffing_term(self, x, config: SystemConfig, dist: RateDistribution):
         return self.c_s * x * math.sqrt(config.lambda_r / dist.mean())
@@ -144,29 +141,6 @@ def _drift_law(x, config: SystemConfig, dist: RateDistribution):
     gamma = moments.idleness_coefficient(config.policy)
     sigma = math.sqrt(moments.mean * (config.arrival_scv + 1.0))
     return gamma, sigma, -x * moments.mean, math.sqrt(moments.variance)
-
-
-@lru_cache(maxsize=8)
-def _leggauss(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _gauss_legendre(fn, lo, hi, nodes: int):
-    """Integral of fn over [lo, hi] by Gauss-Legendre quadrature.
-
-    ``lo`` and ``hi`` are floats or arrays of one shape. ``fn`` gets one row
-    of nodes per interval, and each row is reduced by its own dot, so every
-    entry equals the integral over that interval alone, bit for bit.
-    """
-    x, w = _leggauss(nodes)
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    vals = fn(np.asarray(mid)[..., None] + np.asarray(half)[..., None] * x)
-    sums = [np.dot(w, row) for row in vals.reshape(-1, nodes)]
-    return half * np.reshape(sums, np.shape(half))
 
 
 def cost_no_aband(
@@ -223,7 +197,10 @@ def cost_no_aband(
     hi = np.minimum(0.0, m + 8.0 * s)
     if np.any(hi <= lo):
         raise DegenerateError("stable region lies outside the 8-sigma drift window")
-    integral = _gauss_legendre(integrand, lo, hi, nodes)
+    half = 0.5 * (hi - lo)  # Gauss-Legendre over [lo, hi], one interval per drift mean
+    integral = half * _gauss_sum(
+        integrand, 0.5 * (hi + lo), half, np.polynomial.legendre.leggauss, nodes
+    )
     return _float_or_array(
         f_term
         + config.lambda_r * integral / p_stable
@@ -313,12 +290,9 @@ def optimize_staffing(
     must be finite and > 0.
     """
     lo, hi = bracket
-    if not 0.0 < lo < math.inf:  # also false for NaN
-        raise ConfigError(f"bracket_lo must be finite and > 0, got {lo}")
+    check_domains(bracket_lo=lo, opt_tol=tol)  # golden section never ends for tol <= 0
     if not lo < hi < math.inf:
         raise ConfigError(f"bracket_hi must be finite and > bracket_lo = {lo}, got {hi}")
-    if not 0.0 < tol < math.inf:  # also false for NaN; golden section never ends otherwise
-        raise ConfigError(f"opt_tol must be finite and > 0, got {tol}")
     xs = np.linspace(lo, hi, _CURVE_POINTS)
     try:
         costs = np.array(cost_fn(xs), dtype=float)

@@ -242,6 +242,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: {key} must be")
 
     @pytest.mark.parametrize(
+        "setting", ["nu=1e-300", "sigma=1e-300", "gamma=1e-300", "beta=-1e300", "beta=-1e-300"]
+    )
+    def test_law_lost_in_double_precision_exits_3(self, tmp_path, capsys, setting):
+        # each value lies in its domain; the first four were an OverflowError or
+        # ZeroDivisionError traceback, and beta=-1e-300 exited 0 reporting a
+        # continuity residual of 1.0 for a law that is continuous
+        rc = main(["analyze", "--out", str(tmp_path / "o"), "--set", setting])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: the stationary law at sigma=")
+        assert all(f"{key}=" in err for key in ("sigma", "beta", "gamma", "nu"))
+        assert not any((tmp_path / "o").iterdir())
+
+    def test_density_grid_wider_than_a_double_is_refused(self, tmp_path, capsys):
+        # np.linspace(-span, span, n) once wrote nan and inf x values
+        span = ["--set", "density_span=1e308", "--set", "density_points=5"]
+        assert main(["analyze", "--out", str(tmp_path / "a"), *span]) == 2
+        assert capsys.readouterr().err.startswith("config error: density_span must be")
+        derived = ["--set", "beta=-1e307", "--set", "sigma=1e307", "--set", "nu=1"]
+        assert main(["analyze", "--out", str(tmp_path / "b"), *derived]) == 3
+        assert "derived from sigma, beta, gamma and nu" in capsys.readouterr().err
+        assert not any((tmp_path / "b").iterdir())
+
+    @pytest.mark.parametrize(
         "content", [None, "{not json", '{"command": "simulate"}'],
         ids=["missing", "not_json", "no_config"],
     )

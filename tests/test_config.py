@@ -1,12 +1,25 @@
 """The configuration surface: every key's declared domain, its defaults and its docs."""
 
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hetq.cli import _DEFAULTS
-from hetq.core import CONFIG_KEYS, format_config, parse_config_text
+from hetq.core import (
+    CONFIG_KEYS,
+    RateDistribution,
+    RealizedSystem,
+    SystemConfig,
+    format_config,
+    parse_config_text,
+)
+from hetq.diffusion import DiffusionParams
 from hetq.errors import ConfigError
+from hetq.sim import coupled_run, replicate, run
+from hetq.ssc import SSCFunctionSpec, inverted_v_config, ssc_convergence
+from hetq.staffing import CostSpec, optimize_staffing
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -82,3 +95,103 @@ def test_readme_key_list_gives_each_domain():
             rows[cells[0].strip("`")] = cells[1]
     for key, (_, domain) in CONFIG_KEYS.items():
         assert rows.get(key) == domain.text, key
+
+
+_SYSTEM = {"r": 2.0, "lambda_r": 1.0, "seed": 1, "staffing": 2}
+_POOLS = ((0.5, 1.0), (0.5, 2.0))
+
+
+def _two_servers():
+    return RealizedSystem(n_servers=2, mu=np.ones(2), mu_bar=1.0, r=2.0, lambda_r=1.0)
+
+
+# library entry point -> (call with one argument replaced by the keyword it
+# checks as, the keys it checks); no call gets as far as a simulation
+_ENTRY_POINTS = {
+    "SystemConfig": (
+        lambda **kw: SystemConfig(**{**_SYSTEM, **kw}),
+        ("r", "lambda_r", "seed", "arrival_scv", "staffing", "abandon_rate", "pools"),
+    ),
+    "run": (
+        lambda **kw: run(SystemConfig(**_SYSTEM), _two_servers(), **{"horizon": 1.0, **kw}),
+        ("horizon", "warmup", "grid_points", "queue_cap"),
+    ),
+    "coupled_run": (
+        lambda p_rate=1.0, horizon=1.0: coupled_run(
+            SystemConfig(**_SYSTEM), p_rate, _two_servers(), horizon
+        ),
+        ("p_rate", "horizon"),
+    ),
+    "replicate": (
+        lambda reps: replicate(SystemConfig(**_SYSTEM), RateDistribution.point(1.0), reps, 1.0),
+        ("reps",),
+    ),
+    "ssc_convergence": (
+        lambda reps: ssc_convergence(
+            [inverted_v_config(25.0, _POOLS, -1.0, seed=0)], 1.0, n_reps=reps
+        ),
+        ("reps",),
+    ),
+    "DiffusionParams": (
+        lambda **kw: DiffusionParams(**{"sigma": 1.0, "beta": -1.0, "gamma": 1.0, **kw}),
+        ("sigma", "beta", "gamma", "nu"),
+    ),
+    "CostSpec": (lambda **kw: CostSpec(**kw), ("c_s", "c_w", "d", "c_un", "nu")),
+    "optimize_staffing": (
+        lambda bracket_lo=0.05, opt_tol=1e-4: optimize_staffing(
+            lambda x: x, (bracket_lo, 6.0), tol=opt_tol
+        ),
+        ("bracket_lo", "opt_tol"),
+    ),
+    "inverted_v_config": (
+        lambda lambda_hat=-1.0, r_values=(25.0,): inverted_v_config(
+            r_values[0], _POOLS, lambda_hat, seed=0
+        ),
+        ("lambda_hat", "r_values"),
+    ),
+    "SSCFunctionSpec": (SSCFunctionSpec.from_pools, ("pools",)),
+}
+
+# key -> values just outside its domain; NaN is added for every scalar key
+_JUST_OUTSIDE = {
+    "r": [0.0, math.inf],
+    "lambda_r": [-5e-324, math.inf],
+    "seed": [-1],
+    "arrival_scv": [-5e-324],
+    "staffing": [0, 2.5],
+    "abandon_rate": [-5e-324],
+    "pools": [((0.5, 1.0), (0.5, math.nan)), ((0.0, 1.0), (1.0, 2.0)), ((0.5, 2.0), (0.5, 1.0))],
+    "horizon": [0.0, math.inf],
+    "warmup": [1.0, -5e-324],
+    "grid_points": [1, 1_000_001],
+    "queue_cap": [-1, 10_000_001],
+    "p_rate": [0.0, math.inf],
+    "reps": [0],
+    "sigma": [-5e-324, math.inf],
+    "beta": [math.inf, -math.inf],
+    "gamma": [0.0],
+    "nu": [-5e-324],
+    "c_s": [-5e-324],
+    "c_w": [-5e-324],
+    "d": [-5e-324, math.inf],
+    "c_un": [-5e-324],
+    "bracket_lo": [0.0, math.inf],
+    "opt_tol": [0.0],
+    "lambda_hat": [0.0, -math.inf],
+    "r_values": [(0.5,), (math.inf,), (math.nan,)],
+}
+
+
+@pytest.mark.parametrize(
+    "entry,key",
+    [(entry, key) for entry, (_, keys) in _ENTRY_POINTS.items() for key in keys],
+)
+def test_entry_points_refuse_values_outside_the_key_domain(entry, key):
+    # SSCFunctionSpec once took a NaN pool rate and a zero pool fraction, and
+    # ssc_convergence with 0 reps returned a table whose medians raised IndexError
+    call, _ = _ENTRY_POINTS[entry]
+    text = CONFIG_KEYS[key][1].text
+    for value in _JUST_OUTSIDE[key] + ([] if key in ("pools", "r_values") else [math.nan]):
+        with pytest.raises(ConfigError) as err:
+            call(**{key: value})
+        assert str(err.value).startswith(f"{key} must be {text}, got "), (value, str(err.value))
