@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# largest continuity residual of a law that is written out; well-posed laws
+# round to about 1e-15
+_CONTINUITY_TOL = 1e-6
 
 
 class _LazySpecial:
@@ -222,12 +225,14 @@ def _glued(params: DiffusionParams, build) -> SteadyStateDensity:
     """The law ``build()`` returns, refused when double precision cannot hold it.
 
     The density is positive and continuous at zero for every admissible
-    coefficient set. At extreme ones a closed form overflows, or a side of
-    the density at zero rounds to 0 or infinity, so the residual is 1 or more.
+    coefficient set. At extreme ones a closed form overflows, a side of the
+    density at zero rounds to 0 or infinity (a residual of 1 or more), or
+    the lower piece's weight 1 - varrho is lost next to varrho ~ 1, so the
+    residual exceeds ``_CONTINUITY_TOL``.
     """
     try:
         dens = build()
-        if dens.continuity_residual() < 1.0:  # false for NaN
+        if dens.continuity_residual() <= _CONTINUITY_TOL:  # false for NaN
             return dens
     except ArithmeticError:  # OverflowError, ZeroDivisionError
         pass

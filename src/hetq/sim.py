@@ -13,10 +13,19 @@ bytes per arrival) and no estimator reads it. A run that overflows ends
 early, so ``run`` replays it once, counting from warmup * end_time. The
 trajectory is sampled on a uniform grid, occupancy as one busy count per
 server group (``RealizedSystem.pool_of``); one group's count is min(X, N) by
-work conservation, filled from X after the loop. Short runs cross a grid
-time at almost every event, so a crossing stages one row in a flat list, and
-every ~4k staged values are written into the grid at once. The last grid
-time is the horizon, so the loop tests the horizon only at a crossing.
+work conservation, filled from X after the loop. Two recorders fill the
+grid, bit for bit alike. A run that expects fewer than ``_DENSE`` (4) events
+per grid point, as short runs on the default 10k-point grid do, would cross
+a grid time at almost every event: the dense recorder logs each event's time
+by kind (arrival, skeleton point, abandonment, discard, and with several
+groups each busy or idle change) in typed buffers, tallies them into
+per-point counts every ~2k expected events, and rebuilds X = x0 + A -
+departures - R, Q and the busy counts from their sums. Other runs take the
+sparse recorder: a crossing stages the state in a flat list, and every ~4k
+staged values are written into the grid at once. The rule is a constant, not
+an option, since only the cost depends on it; it sits near the measured
+break-even. The last grid time is the horizon, so the loop tests the horizon
+only where a recorder does its work: at a crossing, or at a due tally.
 
 The event loop inlines the policy's idle set (a LISF deque, an FSF heap of
 int ranks in (-mu, k) order, a RANDOM swap list). Service is exponential, so
@@ -80,7 +89,11 @@ __all__ = [
 _INF = math.inf
 _FIRST_BLOCK = 64
 _BLOCK = 8192
-_STAGE = 4096  # staged grid values written at once
+_STAGE = 4096  # staged grid values written at once (sparse recorder)
+# a run with fewer expected events than _DENSE per grid point takes the dense
+# recorder; about where the two cost the same (BENCH_18.json)
+_DENSE = 4.0
+_TALLY = 2048  # expected events between two tallies of the dense recorder's logs
 # a run makes about (lambda_r + sum mu) * horizon loop passes; criterion 2's
 # largest run makes 5.2e7
 MAX_EXPECTED_EVENTS = 1e9
@@ -136,6 +149,23 @@ def _fill(xqra: np.ndarray, grid_z: np.ndarray, g0: int, stage: list, width: int
         grid_z[g0:his[-1]] = np.repeat(rows[:, 5:], counts, axis=0)
     stage.clear()
     return int(his[-1])
+
+
+def _tally(grid_t: np.ndarray, logs: list) -> None:
+    """Add the dense recorder's logged events into grid counts; empties the logs.
+
+    ``logs`` holds (times, keys, counts, sign). An event at time t adds
+    ``sign`` to ``counts[g]``, or to ``counts[g, key]`` when the log has
+    keys, where g is the first grid point at or after t: the grid samples
+    the state after every event at or before its time.
+    """
+    for times, keys, counts, sign in logs:
+        g = grid_t.searchsorted(np.frombuffer(times))
+        del times[:]
+        if keys is not None:
+            g = (g, np.array(keys))
+            del keys[:]
+        np.add.at(counts, g, sign)
 
 
 def _alias_table(weights: List[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -355,7 +385,8 @@ def _simulate(
     busy_since = [0.0] * n
     t_busy = [0.0] * n
     d_count = [0] * n
-    # busy count per group; none kept for one group, staged rows then end at A
+    # busy count per group; none kept for one group, staged rows then end at A,
+    # and kept only by the sparse recorder
     z = np.bincount(system.pool_of[:n_busy0], minlength=n_pools).tolist() if multi else []
     t_dep = skel_gap() if n_busy0 else _INF
 
@@ -388,13 +419,34 @@ def _simulate(
     heapify(deadline_heap)
 
     grid_t = np.linspace(0.0, horizon, grid_points)
-    grid_list = grid_t.tolist() + [_INF]
     xqra = np.zeros((4, grid_points), dtype=np.int64)  # X, Q, R, A; rows are the outputs
     grid_z = np.zeros((grid_points, n_pools), dtype=np.int64)
-    gi = g0 = 0  # grid points below gi are passed, those below g0 written
-    t_grid = grid_list[0]
-    stage = []
-    width = 5 + len(z)
+    # below _DENSE expected events per grid point nearly every event crosses a
+    # grid time, so the dense recorder logs event times and tallies them; else
+    # the sparse one stages the state at crossings. A constant, not an option:
+    # both give the same grid, only the cost moves
+    expected = (lam + sum_mu) * horizon
+    dense = expected < _DENSE * grid_points
+    if dense:
+        skel_log, ab_log, arr_log, disc_log = (array("d") for _ in range(4))
+        log_event = (skel_log.append, ab_log.append, arr_log.append)  # by kind
+        # X counts -1 per skeleton point, +1 per discard; +A - R come after the loop
+        logs = [(skel_log, None, xqra[0], -1), (disc_log, None, xqra[0], 1),
+                (ab_log, None, xqra[2], 1), (arr_log, None, xqra[3], 1)]
+        if multi:  # busy and idle transitions, keyed by group
+            up_t, up_g, down_t, down_g = array("d"), array("q"), array("d"), array("q")
+            logs += [(up_t, up_g, grid_z, 1), (down_t, down_g, grid_z, -1)]
+        # the hook fires at every event; logs are tallied every ~_TALLY expected
+        # events, and the tally time never passes the horizon, which is tested there
+        t_grid = -_INF
+        tally_step = horizon * _TALLY / expected
+        t_tally = min(tally_step, horizon)
+    else:
+        grid_list = grid_t.tolist() + [_INF]
+        t_grid = grid_list[0]
+        gi = g0 = 0  # grid points below gi are passed, those below g0 written
+        stage = []
+        width = 5 + len(z)
 
     a_count = 0
     r_count = 0
@@ -422,15 +474,24 @@ def _simulate(
         else:
             t_next, kind = next_arr, 2
         # t_grid <= horizon always (linspace ends at it; gi stops at the first grid
-        # time >= t_next), so a t_next past the horizon also crosses a grid time
+        # time >= t_next; the dense recorder keeps -inf, so every event logs), so a
+        # t_next past the horizon enters here too, and passes t_tally <= horizon
         if t_grid < t_next:
-            if t_next > horizon:
-                break
-            gi = bisect_left(grid_list, t_next, gi)
-            stage += (gi, x, q, r_count, a_count, *z)
-            if len(stage) >= _STAGE:
-                g0 = _fill(xqra, grid_z, g0, stage, width)
-            t_grid = grid_list[gi]
+            if dense:
+                if t_next > t_tally:
+                    if t_next > horizon:
+                        break
+                    _tally(grid_t, logs)
+                    t_tally = min(t_next + tally_step, horizon)
+                log_event[kind](t_next)
+            else:
+                if t_next > horizon:
+                    break
+                gi = bisect_left(grid_list, t_next, gi)
+                stage += (gi, x, q, r_count, a_count, *z)
+                if len(stage) >= _STAGE:
+                    g0 = _fill(xqra, grid_z, g0, stage, width)
+                t_grid = grid_list[gi]
 
         if perturbed and q > 0:
             hazard -= nu * q * (t_next - t_cur)
@@ -461,7 +522,11 @@ def _simulate(
                 else:
                     busy[k] = 0
                     if multi:
-                        z[pool_of[k]] -= 1
+                        if dense:
+                            down_t.append(t_cur)
+                            down_g.append(pool_of[k])
+                        else:
+                            z[pool_of[k]] -= 1
                     if lisf:
                         lisf_q.append(k)
                     elif fsf:
@@ -470,6 +535,8 @@ def _simulate(
                         rand_list.append(k)
             else:
                 discards += 1
+                if dense:
+                    disc_log.append(t_cur)
             t_dep = t_cur + skel_gap() if x else _INF
         elif kind == 1:
             # abandonment
@@ -519,7 +586,11 @@ def _simulate(
                     assert busy_since[k] == oldest, "LISF selection rule broken"
                 busy[k] = 1
                 if multi:
-                    z[pool_of[k]] += 1
+                    if dense:
+                        up_t.append(t_cur)
+                        up_g.append(pool_of[k])
+                    else:
+                        z[pool_of[k]] += 1
                 busy_since[k] = t_cur
                 if x == 1:  # the first busy server restarts the skeleton
                     t_dep = t_cur + skel_gap()
@@ -550,13 +621,24 @@ def _simulate(
             if per_customer:  # the earliest deadline of a customer still waiting
                 assert t_ab == min(d for d, c in deadline_heap if c > served_upto), "stale t_ab"
 
-    # fill the remaining grid with the terminal state
-    if stage:
-        _fill(xqra, grid_z, g0, stage, width)
-    xqra[:, gi:] = [[x], [q], [r_count], [a_count]]
-    if multi:
-        grid_z[gi:] = z
-    else:  # work conservation: one group's busy count is min(X, N)
+    if dense:  # cumulate the counts: X = x0 + A - (S - discards) - R, Q = (X - N)^+
+        _tally(grid_t, logs)
+        np.cumsum(xqra, axis=1, out=xqra)
+        xqra[0] += xqra[3]  # in place, so no temporary row
+        xqra[0] -= xqra[2]
+        xqra[0] += x_init
+        np.subtract(xqra[0], n, out=xqra[1])
+        np.maximum(xqra[1], 0, out=xqra[1])
+        if multi:
+            np.cumsum(grid_z, axis=0, out=grid_z)
+            grid_z += z  # still the initial counts: the loop logged the changes
+    else:  # fill the remaining grid with the terminal state
+        if stage:
+            _fill(xqra, grid_z, g0, stage, width)
+        xqra[:, gi:] = [[x], [q], [r_count], [a_count]]
+        if multi:
+            grid_z[gi:] = z
+    if not multi:  # work conservation: one group's busy count is min(X, N)
         np.minimum(xqra[0], n, out=grid_z[:, 0])
     for k in range(n):
         if busy[k]:

@@ -242,13 +242,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: {key} must be")
 
     @pytest.mark.parametrize(
-        "setting", ["nu=1e-300", "sigma=1e-300", "gamma=1e-300", "beta=-1e300", "beta=-1e-300"]
+        "setting",
+        [
+            "nu=1e-300", "sigma=1e-300", "gamma=1e-300", "beta=-1e300", "beta=-1e-300",
+            "sigma=1e-8,beta=3,gamma=3,nu=1e300", "sigma=1e200,beta=1e100,gamma=1e20,nu=1e-8",
+        ],
     )
     def test_law_lost_in_double_precision_exits_3(self, tmp_path, capsys, setting):
         # each value lies in its domain; the first four were an OverflowError or
-        # ZeroDivisionError traceback, and beta=-1e-300 exited 0 reporting a
-        # continuity residual of 1.0 for a law that is continuous
-        rc = main(["analyze", "--out", str(tmp_path / "o"), "--set", setting])
+        # ZeroDivisionError traceback, beta=-1e-300 exited 0 reporting a
+        # continuity residual of 1.0 for a law that is continuous, and the last
+        # two exited 0 with residuals 0.084 and 8.0e-4
+        sets = [arg for kv in setting.split(",") for arg in ("--set", kv)]
+        rc = main(["analyze", "--out", str(tmp_path / "o"), *sets])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("domain error: the stationary law at sigma=")
@@ -758,11 +764,22 @@ _COMMAND_PINS = {
 }
 
 
+def _artifact_shas(job, out):
+    command, *args = _COMMAND_JOBS[job]
+    assert main([command, "--out", str(out), *args]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {name: sha(out / name) for name in [*manifest["artifacts"], "manifest.json"]}
+
+
 class TestCommandPins:
     @pytest.mark.parametrize("job", sorted(_COMMAND_JOBS))
     def test_artifact_bytes(self, tmp_path, job):
-        command, *args = _COMMAND_JOBS[job]
-        assert main([command, "--out", str(tmp_path), *args]) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        got = {name: sha(tmp_path / name) for name in [*manifest["artifacts"], "manifest.json"]}
-        assert got == _COMMAND_PINS[job]
+        assert _artifact_shas(job, tmp_path) == _COMMAND_PINS[job]
+
+    @pytest.mark.parametrize(
+        "job", sorted(j for j, (cmd, *_) in _COMMAND_JOBS.items()
+                      if cmd in ("simulate", "ssc", "fairness"))
+    )
+    def test_artifact_bytes_with_each_recorder(self, tmp_path, job, recorders):
+        for recorder in recorders():
+            assert _artifact_shas(job, tmp_path / recorder) == _COMMAND_PINS[job], recorder

@@ -182,10 +182,12 @@ class TestWindowCounters:
 
 def _grid_case(name):
     """(config, system, run kwargs) of one reference-grid case."""
-    nu = 0.0 if name in ("dense", "sparse", "flushes", "overflow", "no_arrivals") else 0.7
-    lam = {"overflow": 60.0, "no_arrivals": 0.0}.get(name, 19.0)
+    nu = 0.0 if name in ("dense", "sparse", "flushes", "sparse_flushes", "overflow",
+                         "no_arrivals", "on_grid") else 0.7
+    lam = {"overflow": 60.0, "no_arrivals": 0.0, "on_grid": 16.0}.get(name, 19.0)
     cfg = SystemConfig(
         r=20.0, lambda_r=lam, seed=31, staffing=20, abandon_rate=nu,
+        arrival_scv=0.0 if name == "on_grid" else 1.0,
         policy=Policy.RANDOM if name.startswith("mode_") else Policy.LISF,
     )
     s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5))
@@ -194,10 +196,14 @@ def _grid_case(name):
         kwargs.update(horizon=2.0, grid_points=5000)
     elif name == "sparse":  # about 150 events per grid point
         kwargs.update(horizon=200.0, grid_points=50)
-    elif name == "flushes":
+    elif name == "flushes":  # about 1.5 events per grid point: the dense recorder
         kwargs.update(horizon=300.0, grid_points=8000)
+    elif name == "sparse_flushes":  # about 7.8 events per grid point: the sparse one
+        kwargs.update(horizon=1000.0, grid_points=5000)
     elif name == "overflow":
         kwargs.update(queue_cap=15, horizon=100.0, grid_points=2000)
+    elif name == "on_grid":  # arrivals every 1/16 land exactly on grid times k/16
+        kwargs.update(grid_points=641)
     elif name == "x0_above_n":
         kwargs.update(x0=45, mode=AbandonMode.PER_CUSTOMER)
     elif name == "per_server":
@@ -209,31 +215,58 @@ def _grid_case(name):
 
 
 _GRID_CASES = [
-    "dense", "sparse", "flushes", "overflow", "no_arrivals", "x0_above_n", "per_server",
-    "mode_none", "mode_per_customer", "mode_perturbed",
+    "dense", "sparse", "flushes", "sparse_flushes", "overflow", "no_arrivals", "on_grid",
+    "x0_above_n", "per_server", "mode_none", "mode_per_customer", "mode_perturbed",
 ]
 
 
+def _count_flushes(monkeypatch):
+    """Count the calls of each recorder's flush: ``_fill`` (sparse), ``_tally`` (dense)."""
+    calls = {"_fill": 0, "_tally": 0}
+    for name in calls:
+        flush = getattr(hetq.sim, name)
+
+        def counted(*args, name=name, flush=flush):
+            calls[name] += 1
+            return flush(*args)
+
+        monkeypatch.setattr(hetq.sim, name, counted)
+    return calls
+
+
 class TestGridReference:
-    # staged grid writes give the grid of one slice write per crossing
+    # both recorders, staged rows and tallied event logs, give the grid of one
+    # slice write per crossing
     @pytest.mark.parametrize("name", _GRID_CASES)
-    def test_grid_matches_slice_fill(self, name, monkeypatch):
+    def test_grid_matches_slice_fill(self, name, monkeypatch, recorders):
         cfg, s, kwargs = _grid_case(name)
-        fills = []
-        fill = hetq.sim._fill
-        monkeypatch.setattr(hetq.sim, "_fill", lambda *a: fills.append(1) or fill(*a))
-        path = run(cfg, s, **kwargs)
         ref = reference_grid(cfg, s, **kwargs)
-        assert path.overflowed == (name == "overflow")
-        assert np.array_equal(path.grid_X, ref[:, 0])
-        assert np.array_equal(path.grid_Q, ref[:, 1])
-        assert np.array_equal(path.grid_R, ref[:, 2])
-        assert np.array_equal(path.grid_A, ref[:, 3])
-        assert np.array_equal(path.grid_Z, ref[:, 4:])
-        if name == "flushes":
-            assert len(fills) >= 5
+        calls = _count_flushes(monkeypatch)
+        for recorder in recorders():
+            calls.update(_fill=0, _tally=0)
+            path = run(cfg, s, **kwargs)
+            assert path.overflowed == (name == "overflow"), recorder
+            assert np.array_equal(path.grid_X, ref[:, 0]), recorder
+            assert np.array_equal(path.grid_Q, ref[:, 1]), recorder
+            assert np.array_equal(path.grid_R, ref[:, 2]), recorder
+            assert np.array_equal(path.grid_A, ref[:, 3]), recorder
+            assert np.array_equal(path.grid_Z, ref[:, 4:]), recorder
+            if name.endswith("flushes"):  # several flushes, so their joins are tested
+                assert calls["_fill" if recorder == "sparse" else "_tally"] >= 5, recorder
         if name == "no_arrivals":
             assert path.arrivals_total == 0 and ref[-1, 0] == 0
+
+    @pytest.mark.parametrize(
+        "name,recorder",
+        [("dense", "_tally"), ("flushes", "_tally"), ("sparse", "_fill"),
+         ("sparse_flushes", "_fill")],
+    )
+    def test_density_rule_picks_the_recorder(self, name, recorder, monkeypatch):
+        # fewer than _DENSE expected events per grid point log event times
+        cfg, s, kwargs = _grid_case(name)
+        calls = _count_flushes(monkeypatch)
+        run(cfg, s, **kwargs)
+        assert calls[recorder] >= 1 and sum(calls.values()) == calls[recorder]
 
 
 # TestSkeleton's alias-table weights that are not all equal
@@ -922,13 +955,15 @@ def _coupled_digest(n):
 
 class TestStreamPinning:
     @pytest.mark.parametrize("policy,mode", sorted(_RUN_PINS), ids=lambda v: v)
-    def test_run_policy_mode(self, policy, mode):
-        path = _pinned_path(Policy[policy], AbandonMode(mode))
-        assert _path_digest(path) == _RUN_PINS[(policy, mode)]
+    def test_run_policy_mode(self, policy, mode, recorders):
+        for recorder in recorders():
+            path = _pinned_path(Policy[policy], AbandonMode(mode))
+            assert _path_digest(path) == _RUN_PINS[(policy, mode)], recorder
 
     @pytest.mark.parametrize("name", sorted(_VARIANT_PINS))
-    def test_run_variant(self, name):
-        assert _path_digest(_variant_path(name)) == _VARIANT_PINS[name]
+    def test_run_variant(self, name, recorders):
+        for recorder in recorders():
+            assert _path_digest(_variant_path(name)) == _VARIANT_PINS[name], recorder
 
     @pytest.mark.parametrize("n", sorted(_COUPLED_PINS))
     def test_coupled_run(self, n):
