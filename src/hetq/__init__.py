@@ -13,11 +13,9 @@ from .core import (
     HalfinWhitt,
     Policy,
     RateDistribution,
-    RateMoments,
     RealizedSystem,
     Stream,
     SystemConfig,
-    rate_moments,
     rng_stream,
 )
 from .diffusion import (

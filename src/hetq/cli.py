@@ -36,11 +36,9 @@ from .core import (
     format_config,
     load_config_file,
     parse_config_text,
-    rate_moments,
 )
 from .errors import ConfigError, DomainError, HetqError
 from .sim import (
-    MAX_EXPECTED_EVENTS,
     AbandonMode,
     coupled_run,
     path_summary,
@@ -116,14 +114,13 @@ def _rates(values: dict) -> RateDistribution:
 
 def _diffusion_params(values: dict) -> dfn.DiffusionParams:
     dist = _rates(values)
-    moments = rate_moments(dist)
-    mu_bar = float(values.get("mu_bar", moments.mean))
+    mu_bar = float(values.get("mu_bar", dist.mean()))
     scv = float(values.get("arrival_scv", 1.0))
     sigma = float(values.get("sigma", math.sqrt(mu_bar * (scv + 1.0))))
     if "gamma" in values:
         gamma = float(values["gamma"])
     else:
-        gamma = moments.idleness_coefficient(values.get("policy", Policy.LISF))
+        gamma = dist.idleness_coefficient(values.get("policy", Policy.LISF))
     if "beta" in values:
         beta = float(values["beta"])
     else:
@@ -298,15 +295,6 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
         ssc_mod.inverted_v_config(rv, pools, lambda_hat, seed=seed, policy=policy)
         for rv in r_values
     ]
-    # run() bounds its expected events too, but would name horizon and lambda_r
-    for cfg in configs:
-        events = (cfg.lambda_r + RealizedSystem.realize_pools(cfg).sum_mu) * horizon
-        if events > MAX_EXPECTED_EVENTS:
-            raise ConfigError(
-                f"ssc_horizon {horizon:.6g} at r = {cfg.r:.6g} gives about {events:.3g} "
-                f"events, over the {MAX_EXPECTED_EVENTS:.0e} a run may make; "
-                "lower ssc_horizon or r_values"
-            )
     table = ssc_mod.ssc_convergence(configs, horizon, n_reps=n_reps)
     rows = [
         (

@@ -21,11 +21,9 @@ from .errors import ConfigError, DomainError
 __all__ = [
     "Policy",
     "RateDistribution",
-    "RateMoments",
     "HalfinWhitt",
     "SystemConfig",
     "RealizedSystem",
-    "rate_moments",
     "pool_sizes",
     "rng_stream",
     "Stream",
@@ -156,6 +154,19 @@ class RateDistribution:
         m = self.mean()
         return max(self.second_moment() - m * m, 0.0)
 
+    def idleness_coefficient(self, policy: Policy) -> float:
+        """gamma of the limit diffusion, derived for LISF and FSF routing only.
+
+        Under LISF it is the size-biased mean E[mu^2]/E[mu]; under FSF the
+        lower support bound, the rate that retains all idleness when the
+        fastest idle server is taken first.
+        """
+        if policy is Policy.LISF:
+            return self.second_moment() / self.mean()
+        if policy is Policy.FSF:
+            return self.p
+        raise DomainError(f"no idleness coefficient is derived for {policy.name} routing")
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
             raise ConfigError(f"sample size must be >= 1, got {n}")
@@ -166,40 +177,6 @@ class RateDistribution:
         probs = probs / probs.sum()
         idx = rng.choice(len(rates), size=n, p=probs)
         return rates[idx]
-
-
-class RateMoments(NamedTuple):
-    mean: float
-    variance: float
-    second_moment: float
-    gamma_lisf: float
-    gamma_fsf: float
-
-    def idleness_coefficient(self, policy: Policy) -> float:
-        """gamma of the limit diffusion: derived for LISF and FSF routing only."""
-        if policy is Policy.LISF:
-            return self.gamma_lisf
-        if policy is Policy.FSF:
-            return self.gamma_fsf
-        raise DomainError(f"no idleness coefficient is derived for {policy.name} routing")
-
-
-def rate_moments(dist: RateDistribution) -> RateMoments:
-    """Moments plus the policy-dependent idleness coefficients.
-
-    gamma_lisf is the size-biased mean E[mu^2]/E[mu]; gamma_fsf is the
-    lower support bound, the rate that retains all idleness under
-    fastest-server-first routing.
-    """
-    m = dist.mean()
-    m2 = dist.second_moment()
-    return RateMoments(
-        mean=m,
-        variance=max(m2 - m * m, 0.0),
-        second_moment=m2,
-        gamma_lisf=m2 / m,
-        gamma_fsf=dist.p,
-    )
 
 
 def pool_sizes(pools: Sequence[tuple], n: int) -> tuple:

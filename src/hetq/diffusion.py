@@ -92,9 +92,9 @@ def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _rho_no_aband(a):
-    """(1 + a*Phi(a)/phi(a))^-1, evaluated as a logistic of log terms."""
-    return special.expit(-(np.log(a) + special.log_ndtr(a) - _log_phi(a)))
+def _logit_no_aband(a):
+    """log(a*Phi(a)/phi(a)), whose expit(-.) is (1 + a*Phi(a)/phi(a))^-1."""
+    return np.log(a) + special.log_ndtr(a) - _log_phi(a)
 
 
 def _upper_normal_mean(m, s):
@@ -105,6 +105,11 @@ def _upper_normal_mean(m, s):
 
 def prob_wait_no_aband(beta, sigma: float, gamma: float):
     """P(xi(infty) >= 0) for the no-abandonment diffusion; needs beta < 0."""
+    return _float_or_array(special.expit(-_wait_logit_no_aband(beta, sigma, gamma)))
+
+
+def _wait_logit_no_aband(beta, sigma: float, gamma: float):
+    """t with ``prob_wait_no_aband`` = expit(-t)."""
     beta = np.asarray(beta, dtype=float)
     if np.any(beta >= 0.0):
         raise DomainError(
@@ -113,11 +118,16 @@ def prob_wait_no_aband(beta, sigma: float, gamma: float):
     if sigma <= 0.0:
         raise DomainError(f"stationary law needs sigma > 0, got {sigma}")
     a = math.sqrt(2.0) * (-beta) / (math.sqrt(gamma) * sigma)
-    return _float_or_array(_rho_no_aband(a))
+    return _logit_no_aband(a)
 
 
 def prob_wait_aband(beta, sigma: float, gamma: float, nu: float):
     """P(xi(infty) >= 0) with abandonment; defined for any drift."""
+    return _float_or_array(special.expit(-_wait_logit_aband(beta, sigma, gamma, nu)))
+
+
+def _wait_logit_aband(beta, sigma: float, gamma: float, nu: float):
+    """t with ``prob_wait_aband`` = expit(-t)."""
     if nu <= 0.0:
         raise DomainError(f"abandonment rate must be > 0, got {nu}")
     if gamma <= 0.0:
@@ -127,14 +137,13 @@ def prob_wait_aband(beta, sigma: float, gamma: float, nu: float):
     beta = np.asarray(beta, dtype=float)
     a_nu = math.sqrt(2.0) * beta / (math.sqrt(nu) * sigma)
     a_ga = math.sqrt(2.0) * beta / (math.sqrt(gamma) * sigma)
-    t = (
+    return (
         0.5 * (math.log(nu) - math.log(gamma))
         + _log_phi(a_nu)
         - _log_phi(a_ga)
         + special.log_ndtr(-a_ga)
         - special.log_ndtr(a_nu)
     )
-    return _float_or_array(special.expit(-t))
 
 
 def expected_positive_part_aband(beta, sigma: float, gamma: float, nu: float):
@@ -177,7 +186,8 @@ class ConditionedNormalPiece:
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         z = (x - self.mean_) / self.sd
-        logpdf = _log_phi(z) - math.log(self.sd) - self._log_mass()
+        with np.errstate(over="ignore"):  # z*z overflows to inf far out, where exp gives 0
+            logpdf = _log_phi(z) - math.log(self.sd) - self._log_mass()
         inside = x >= 0.0 if self.side == "upper" else x < 0.0
         out = np.where(inside, np.exp(logpdf), 0.0)
         return out if out.ndim else float(out)
@@ -199,9 +209,10 @@ Piece = Union[ExponentialPiece, ConditionedNormalPiece]
 
 @dataclass(frozen=True)
 class SteadyStateDensity:
-    """Stationary law of xi glued at zero: varrho*upper + (1-varrho)*lower."""
+    """Stationary law of xi glued at zero: varrho*upper + lower_weight*lower."""
 
     varrho: float
+    lower_weight: float  # 1 - varrho, as expit(t) so it keeps its digits near varrho = 1
     upper: Piece
     lower: Piece
 
@@ -210,30 +221,35 @@ class SteadyStateDensity:
         out = np.where(
             x >= 0.0,
             self.varrho * self.upper.pdf(np.maximum(x, 0.0)),
-            (1.0 - self.varrho) * self.lower.pdf(np.minimum(x, 0.0)),
+            self.lower_weight * self.lower.pdf(np.minimum(x, 0.0)),
         )
         return out if out.ndim else float(out)
 
     def continuity_residual(self) -> float:
         """|f(0-) - f(0+)| relative to f(0+); analytically zero."""
-        left = (1.0 - self.varrho) * self.lower.density_at_zero()
+        left = self.lower_weight * self.lower.density_at_zero()
         right = self.varrho * self.upper.density_at_zero()
         return abs(left - right) / right
 
 
 def _glued(params: DiffusionParams, build) -> SteadyStateDensity:
-    """The law ``build()`` returns, refused when double precision cannot hold it.
+    """The law of ``build()``'s (t, upper, lower), refused when double precision cannot hold it.
+
+    varrho = expit(-t) and the lower weight is expit(t), not 1 - varrho,
+    which cancels once varrho is near 1.
 
     The density is positive and continuous at zero for every admissible
-    coefficient set. At extreme ones a closed form overflows, a side of the
-    density at zero rounds to 0 or infinity (a residual of 1 or more), or
-    the lower piece's weight 1 - varrho is lost next to varrho ~ 1, so the
-    residual exceeds ``_CONTINUITY_TOL``.
+    coefficient set. At extreme ones a closed form overflows, or a side of
+    the density at zero rounds to 0 or infinity (a residual of 1 or more),
+    or a piece loses its digits, so the residual exceeds ``_CONTINUITY_TOL``.
     """
     try:
-        dens = build()
-        if dens.continuity_residual() <= _CONTINUITY_TOL:  # false for NaN
-            return dens
+        with np.errstate(over="ignore"):  # an overflowed square gives inf or NaN, refused below
+            t, upper, lower = build()
+            varrho = float(special.expit(-t))
+            dens = SteadyStateDensity(varrho, float(special.expit(t)), upper, lower)
+            if dens.continuity_residual() <= _CONTINUITY_TOL:  # false for NaN
+                return dens
     except ArithmeticError:  # OverflowError, ZeroDivisionError
         pass
     raise DomainError(
@@ -248,10 +264,10 @@ def stationary_no_aband(params: DiffusionParams) -> SteadyStateDensity:
         raise DomainError("stationary_no_aband needs nu = 0")
     if params.beta >= 0.0:
         raise DomainError(f"stationary law needs beta < 0, got {params.beta}")
-    return _glued(params, lambda: SteadyStateDensity(
-        varrho=prob_wait_no_aband(params.beta, params.sigma, params.gamma),
-        upper=ExponentialPiece(rate=-2.0 * params.beta / params.sigma**2),
-        lower=ConditionedNormalPiece(
+    return _glued(params, lambda: (
+        _wait_logit_no_aband(params.beta, params.sigma, params.gamma),
+        ExponentialPiece(rate=-2.0 * params.beta / params.sigma**2),
+        ConditionedNormalPiece(
             mean_=params.beta / params.gamma,
             sd=params.sigma / math.sqrt(2.0 * params.gamma),
             side="lower",
@@ -263,14 +279,14 @@ def stationary_aband(params: DiffusionParams) -> SteadyStateDensity:
     """Two conditioned-normal pieces glued at zero; needs nu > 0."""
     if params.nu <= 0.0:
         raise DomainError("stationary_aband needs nu > 0")
-    return _glued(params, lambda: SteadyStateDensity(
-        varrho=prob_wait_aband(params.beta, params.sigma, params.gamma, params.nu),
-        upper=ConditionedNormalPiece(
+    return _glued(params, lambda: (
+        _wait_logit_aband(params.beta, params.sigma, params.gamma, params.nu),
+        ConditionedNormalPiece(
             mean_=params.beta / params.nu,
             sd=params.sigma / math.sqrt(2.0 * params.nu),
             side="upper",
         ),
-        lower=ConditionedNormalPiece(
+        ConditionedNormalPiece(
             mean_=params.beta / params.gamma,
             sd=params.sigma / math.sqrt(2.0 * params.gamma),
             side="lower",
@@ -371,4 +387,4 @@ def halfin_whitt_delay(theta: float) -> float:
     """Classical square-root-staffing delay probability (1 + theta*Phi/phi)^-1."""
     if theta <= 0.0:
         raise DomainError(f"theta must be > 0, got {theta}")
-    return float(_rho_no_aband(theta))
+    return float(special.expit(-_logit_no_aband(theta)))

@@ -12,20 +12,22 @@ per-customer record is opt-in (``record_customers``; typed buffers, about 19
 bytes per arrival) and no estimator reads it. A run that overflows ends
 early, so ``run`` replays it once, counting from warmup * end_time. The
 trajectory is sampled on a uniform grid, occupancy as one busy count per
-server group (``RealizedSystem.pool_of``); one group's count is min(X, N) by
-work conservation, filled from X after the loop. Two recorders fill the
-grid, bit for bit alike. A run that expects fewer than ``_DENSE`` (4) events
-per grid point, as short runs on the default 10k-point grid do, would cross
-a grid time at almost every event: the dense recorder logs each event's time
-by kind (arrival, skeleton point, abandonment, discard, and with several
-groups each busy or idle change) in typed buffers, tallies them into
-per-point counts every ~2k expected events, and rebuilds X = x0 + A -
-departures - R, Q and the busy counts from their sums. Other runs take the
-sparse recorder: a crossing stages the state in a flat list, and every ~4k
-staged values are written into the grid at once. The rule is a constant, not
-an option, since only the cost depends on it; it sits near the measured
-break-even. The last grid time is the horizon, so the loop tests the horizon
-only where a recorder does its work: at a crossing, or at a due tally.
+server group (``RealizedSystem.pool_of``). The loop keeps the headcount X
+and no queue length: Q = (X - N)^+ is filled from X's grid after the loop,
+and so is one group's busy count, min(X, N) by work conservation. Two
+recorders fill the grid, bit for bit alike. A run that expects fewer than
+``_DENSE`` (4) events per grid point, as short runs on the default 10k-point
+grid do, would cross a grid time at almost every event: the dense recorder
+logs each event's time by kind (arrival, skeleton point, abandonment,
+discard, and with several groups each busy or idle change) in typed
+buffers, tallies them into per-point counts every ~2k expected events, and
+rebuilds X = x0 + A - departures - R and the busy counts from their sums.
+Other runs take the sparse recorder: a crossing stages X, R, A and several
+groups' busy counts in a flat list, and every ~4k staged values are written
+into the grid at once. The rule is a constant, not an option, since only
+the cost depends on it; it sits near the measured break-even. The last grid
+time is the horizon, so the loop tests the horizon only where a recorder
+does its work: at a crossing, or at a due tally.
 
 The event loop inlines the policy's idle set (a LISF deque, an FSF heap of
 int ranks in (-mu, k) order, a RANDOM swap list). Service is exponential, so
@@ -133,20 +135,21 @@ def _draws(
     return chain.from_iterable(blocks()).__next__
 
 
-def _fill(xqra: np.ndarray, grid_z: np.ndarray, g0: int, stage: list, width: int) -> int:
-    """Write staged rows (hi, X, Q, R, A, Z_1..) into ``xqra``, ``grid_z`` from ``g0``.
+def _fill(xraq: np.ndarray, grid_z: np.ndarray, g0: int, stage: list, width: int) -> int:
+    """Write staged rows (hi, X, R, A, Z_1..) into ``xraq``, ``grid_z`` from ``g0``.
 
     Rows hold ``width`` values; with one server group they stop at A, since
-    its busy count is filled from X after the loop. Each row's state fills
-    the grids up to, not including, its ``hi``, which is the next row's
-    start. Empties ``stage`` and returns the last ``hi``.
+    its busy count is filled from X after the loop. Q is not staged: it is
+    (X - N)^+, filled after the loop too. Each row's state fills the grids
+    up to, not including, its ``hi``, which is the next row's start.
+    Empties ``stage`` and returns the last ``hi``.
     """
     rows = np.array(stage, dtype=np.int64).reshape(-1, width)
     his = rows[:, 0]
     counts = np.diff(his, prepend=g0)
-    xqra[:, g0:his[-1]] = np.repeat(rows[:, 1:5].T, counts, axis=1)
-    if width > 5:
-        grid_z[g0:his[-1]] = np.repeat(rows[:, 5:], counts, axis=0)
+    xraq[:3, g0:his[-1]] = np.repeat(rows[:, 1:4].T, counts, axis=1)
+    if width > 4:
+        grid_z[g0:his[-1]] = np.repeat(rows[:, 4:], counts, axis=0)
     stage.clear()
     return int(his[-1])
 
@@ -403,23 +406,23 @@ def _simulate(
 
     # customers are numbered in arrival order after the x0 - N seed customers,
     # who wait from time 0 and are left out of the arrival statistics
-    q = n_seed = x - n_busy0
-    queue: deque = deque(range(q) if track else ())
+    n_seed = x - n_busy0
+    queue: deque = deque(range(n_seed) if track else ())
     gone = set()  # ids that abandoned while queued and are still in `queue`
     served_upto = -1  # highest id taken from the queue
     if record:
-        arr_t = array("d", [0.0]) * q
-        waited = bytearray(b"\x01") * q
-        waits = array("d", [math.nan]) * q
-        abandoned = bytearray(q)
+        arr_t = array("d", [0.0]) * n_seed
+        waited = bytearray(b"\x01") * n_seed
+        waits = array("d", [math.nan]) * n_seed
+        abandoned = bytearray(n_seed)
     # patience deadlines over a sentinel; FIFO service makes an entry stale
     # exactly when its id is at most served_upto
-    deadline_heap = [(abandon_draw(), cid) for cid in range(q)] if per_customer else []
+    deadline_heap = [(abandon_draw(), cid) for cid in range(n_seed)] if per_customer else []
     deadline_heap.append((_INF, _INF))
     heapify(deadline_heap)
 
     grid_t = np.linspace(0.0, horizon, grid_points)
-    xqra = np.zeros((4, grid_points), dtype=np.int64)  # X, Q, R, A; rows are the outputs
+    xraq = np.zeros((4, grid_points), dtype=np.int64)  # X, R, A, Q; rows are the outputs
     grid_z = np.zeros((grid_points, n_pools), dtype=np.int64)
     # below _DENSE expected events per grid point nearly every event crosses a
     # grid time, so the dense recorder logs event times and tallies them; else
@@ -431,8 +434,8 @@ def _simulate(
         skel_log, ab_log, arr_log, disc_log = (array("d") for _ in range(4))
         log_event = (skel_log.append, ab_log.append, arr_log.append)  # by kind
         # X counts -1 per skeleton point, +1 per discard; +A - R come after the loop
-        logs = [(skel_log, None, xqra[0], -1), (disc_log, None, xqra[0], 1),
-                (ab_log, None, xqra[2], 1), (arr_log, None, xqra[3], 1)]
+        logs = [(skel_log, None, xraq[0], -1), (disc_log, None, xraq[0], 1),
+                (ab_log, None, xraq[1], 1), (arr_log, None, xraq[2], 1)]
         if multi:  # busy and idle transitions, keyed by group
             up_t, up_g, down_t, down_g = array("d"), array("q"), array("d"), array("q")
             logs += [(up_t, up_g, grid_z, 1), (down_t, down_g, grid_z, -1)]
@@ -446,7 +449,7 @@ def _simulate(
         t_grid = grid_list[0]
         gi = g0 = 0  # grid points below gi are passed, those below g0 written
         stage = []
-        width = 5 + len(z)
+        width = 4 + len(z)
 
     a_count = 0
     r_count = 0
@@ -463,7 +466,8 @@ def _simulate(
     # changes (a served head, an abandonment, a waiting arrival); none keeps INF
     t_ab = deadline_heap[0][0]
     while True:
-        if perturbed:  # the hazard left is spent at rate nu * q, so recompute each pass
+        if perturbed:  # the hazard left is spent at rate nu * Q, so recompute each pass
+            q = x - n  # Q where positive; the loop keeps X only
             t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
 
         # tie order: departure, abandonment, arrival
@@ -488,9 +492,9 @@ def _simulate(
                 if t_next > horizon:
                     break
                 gi = bisect_left(grid_list, t_next, gi)
-                stage += (gi, x, q, r_count, a_count, *z)
+                stage += (gi, x, r_count, a_count, *z)
                 if len(stage) >= _STAGE:
-                    g0 = _fill(xqra, grid_z, g0, stage, width)
+                    g0 = _fill(xraq, grid_z, g0, stage, width)
                 t_grid = grid_list[gi]
 
         if perturbed and q > 0:
@@ -498,15 +502,15 @@ def _simulate(
         t_cur = t_next
 
         if kind == 0:
-            # skeleton point naming server k: if k is busy it departs and
-            # takes the queue's head if anyone waits; if idle, nothing moves
+            # skeleton point naming server k: if k is busy it departs and takes
+            # the queue's head if anyone waits (X >= N after it); if idle, nothing moves
             k = pick()
             if busy[k]:
                 x -= 1
                 d_count[k] += 1
                 t_busy[k] += t_cur - busy_since[k]
                 busy_since[k] = t_cur  # while idle: the time it went idle
-                if q:
+                if x >= n:
                     if track:
                         cid = queue.popleft()
                         while cid in gone:
@@ -518,7 +522,6 @@ def _simulate(
                         while deadline_heap[0][1] <= served_upto:
                             heappop(deadline_heap)  # already served; only per_customer has any
                         t_ab = deadline_heap[0][0]
-                    q -= 1
                 else:
                     busy[k] = 0
                     if multi:
@@ -550,7 +553,6 @@ def _simulate(
                 while deadline_heap[0][1] <= served_upto:
                     heappop(deadline_heap)
                 t_ab = deadline_heap[0][0]
-            q -= 1
             x -= 1
             r_count += 1
             if record:
@@ -595,7 +597,6 @@ def _simulate(
                 if x == 1:  # the first busy server restarts the skeleton
                     t_dep = t_cur + skel_gap()
             else:
-                q += 1
                 if t_cur >= t_warm:
                     win_w += 1
                 if track:
@@ -604,7 +605,7 @@ def _simulate(
                     if per_customer:
                         heappush(deadline_heap, (t_cur + abandon_draw(), cid))
                         t_ab = deadline_heap[0][0]  # the top was not stale before
-                if q > queue_cap:
+                if x > n + queue_cap:
                     overflowed = True
                     end_time = t_cur
                     break
@@ -613,33 +614,33 @@ def _simulate(
         if validate:
             idle_count = len(lisf_q) + len(fsf_heap) + len(rand_list)
             assert x == x_init + a_count - sum(d_count) - r_count, "flow conservation broken"
-            assert not (q > 0 and idle_count > 0), "work conservation broken"
-            assert q == max(x - n, 0), "queue-headcount identity broken"
+            assert not (x > n and idle_count > 0), "work conservation broken"
             assert idle_count == n - sum(busy), "idle set out of step with busy flags"
-            assert len(queue) - len(gone) == (q if track else 0), "queue ids out of step"
+            waiting = max(x - n, 0) if track else 0  # ids held only when tracked
+            assert len(queue) - len(gone) == waiting, "queue ids out of step"
             assert (t_dep == _INF) == (x == 0), "skeleton on with no server busy"
             if per_customer:  # the earliest deadline of a customer still waiting
                 assert t_ab == min(d for d, c in deadline_heap if c > served_upto), "stale t_ab"
 
-    if dense:  # cumulate the counts: X = x0 + A - (S - discards) - R, Q = (X - N)^+
+    if dense:  # cumulate the counts: X = x0 + A - (S - discards) - R
         _tally(grid_t, logs)
-        np.cumsum(xqra, axis=1, out=xqra)
-        xqra[0] += xqra[3]  # in place, so no temporary row
-        xqra[0] -= xqra[2]
-        xqra[0] += x_init
-        np.subtract(xqra[0], n, out=xqra[1])
-        np.maximum(xqra[1], 0, out=xqra[1])
+        np.cumsum(xraq[:3], axis=1, out=xraq[:3])
+        xraq[0] += xraq[2]  # in place, so no temporary row
+        xraq[0] -= xraq[1]
+        xraq[0] += x_init
         if multi:
             np.cumsum(grid_z, axis=0, out=grid_z)
             grid_z += z  # still the initial counts: the loop logged the changes
     else:  # fill the remaining grid with the terminal state
         if stage:
-            _fill(xqra, grid_z, g0, stage, width)
-        xqra[:, gi:] = [[x], [q], [r_count], [a_count]]
+            _fill(xraq, grid_z, g0, stage, width)
+        xraq[:3, gi:] = [[x], [r_count], [a_count]]
         if multi:
             grid_z[gi:] = z
+    np.subtract(xraq[0], n, out=xraq[3])  # Q = (X - N)^+ in place, whichever recorder ran
+    np.maximum(xraq[3], 0, out=xraq[3])
     if not multi:  # work conservation: one group's busy count is min(X, N)
-        np.minimum(xqra[0], n, out=grid_z[:, 0])
+        np.minimum(xraq[0], n, out=grid_z[:, 0])
     for k in range(n):
         if busy[k]:
             t_busy[k] += end_time - busy_since[k]
@@ -658,11 +659,11 @@ def _simulate(
         rep=rep,
         abandon_mode=mode,
         grid_t=grid_t,
-        grid_X=xqra[0],
-        grid_Q=xqra[1],
+        grid_X=xraq[0],
+        grid_Q=xraq[3],
         grid_Z=grid_z,
-        grid_R=xqra[2],
-        grid_A=xqra[3],
+        grid_R=xraq[1],
+        grid_A=xraq[2],
         warmup=warmup,
         arrivals_total=a_count,
         window_arrivals=win_a,
@@ -707,7 +708,7 @@ def steady_estimates(path: PathRecord) -> SteadyEstimates:
     r_window = path.grid_R[mask]
     span = float(tw[-1] - tw[0])
     ab_rate = float(r_window[-1] - r_window[0]) / span if span > 0.0 else 0.0
-    scaled_q = np.maximum(path.grid_Q[mask], 0) / math.sqrt(path.config.r)
+    scaled_q = path.grid_Q[mask] / math.sqrt(path.config.r)
     return SteadyEstimates(
         p_wait=p_wait,
         mean_Q=mean_q,

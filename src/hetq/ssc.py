@@ -24,7 +24,7 @@ from .core import (
     pool_sizes,
 )
 from .errors import ConfigError, DomainError, NoIdlenessError, WindowError
-from .sim import PathRecord, run
+from .sim import MAX_EXPECTED_EVENTS, PathRecord, run
 
 __all__ = [
     "SSCFunctionSpec",
@@ -133,7 +133,8 @@ def ssc_convergence(
     All configs must share the same pool structure. Each replication runs
     the inverted-V system from the fully-busy state on 2,000 grid points
     and records ||g(Z_hat)||_T, (||Z_hat||_T v 1), and their ratio, with
-    T the horizon.
+    T the horizon. Every scale's expected events are checked against
+    ``MAX_EXPECTED_EVENTS`` before the first run, naming the ``ssc`` keys.
     """
     check_domains(reps=n_reps)
     if not configs:
@@ -145,9 +146,19 @@ def ssc_convergence(
         if cfg.pools != pools0:
             raise ConfigError("pool structures differ across scales")
     spec = SSCFunctionSpec.from_pools(pools0)
+    systems = [RealizedSystem.realize_pools(cfg) for cfg in configs]
+    # run() bounds its expected events too, but would name horizon and lambda_r,
+    # and only once the smaller scales had run
+    for cfg, system in zip(configs, systems):
+        events = (cfg.lambda_r + system.sum_mu) * horizon
+        if events > MAX_EXPECTED_EVENTS:
+            raise ConfigError(
+                f"ssc_horizon {horizon:.6g} at r = {cfg.r:.6g} gives about {events:.3g} "
+                f"events, over the {MAX_EXPECTED_EVENTS:.0e} a run may make; "
+                "lower ssc_horizon or r_values"
+            )
     rows = []
-    for cfg in configs:
-        system = RealizedSystem.realize_pools(cfg)
+    for cfg, system in zip(configs, systems):
         for rep in range(n_reps):
             path = run(cfg, system, horizon, grid_points=_SSC_GRID_POINTS, rep=rep)
             _, _, z_hat = diffusion_scaled(path)

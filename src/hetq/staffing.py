@@ -15,7 +15,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import RateDistribution, SystemConfig, check_domains, rate_moments
+from .core import RateDistribution, SystemConfig, check_domains
 from .diffusion import (
     _float_or_array,
     _gauss_sum,
@@ -24,7 +24,9 @@ from .diffusion import (
     prob_wait_no_aband,
     special,
 )
-from .errors import BracketError, ConfigError, DegenerateError, DomainError, UnstableError
+from .errors import (
+    BracketError, ConfigError, DegenerateError, DomainError, HetqError, UnstableError,
+)
 
 __all__ = [
     "CostSpec",
@@ -137,10 +139,10 @@ def _drift_law(x, config: SystemConfig, dist: RateDistribution):
     bad = ~((np.asarray(x) > 0.0) & np.isfinite(x))
     if bad.any():
         raise DomainError(f"safety coefficient must be finite and > 0, got {_first(x, bad)}")
-    moments = rate_moments(dist)
-    gamma = moments.idleness_coefficient(config.policy)
-    sigma = math.sqrt(moments.mean * (config.arrival_scv + 1.0))
-    return gamma, sigma, -x * moments.mean, math.sqrt(moments.variance)
+    gamma = dist.idleness_coefficient(config.policy)
+    mean = dist.mean()
+    sigma = math.sqrt(mean * (config.arrival_scv + 1.0))
+    return gamma, sigma, -x * mean, math.sqrt(dist.variance())
 
 
 def cost_no_aband(
@@ -287,7 +289,8 @@ def optimize_staffing(
     anything with interior local maxima falls back to grid-then-refine and
     is flagged. The bracket ends (the ``bracket_lo`` and ``bracket_hi``
     config keys) must be finite with 0 < lo < hi; ``tol`` (``opt_tol``)
-    must be finite and > 0.
+    must be finite and > 0. A ``HetqError`` from the coarse curve becomes a
+    ``BracketError`` naming it; any other exception is a defect and propagates.
     """
     lo, hi = bracket
     check_domains(bracket_lo=lo, opt_tol=tol)  # golden section never ends for tol <= 0
@@ -296,7 +299,7 @@ def optimize_staffing(
     xs = np.linspace(lo, hi, _CURVE_POINTS)
     try:
         costs = np.array(cost_fn(xs), dtype=float)
-    except Exception as exc:
+    except HetqError as exc:
         raise BracketError(
             f"cost evaluation failed across the bracket {bracket}; "
             f"first failure: {type(exc).__name__}: {exc}"

@@ -22,7 +22,6 @@ from hetq.core import (
     RealizedSystem,
     Stream,
     SystemConfig,
-    rate_moments,
     rng_stream,
 )
 from hetq.diffusion import (
@@ -115,7 +114,7 @@ def test_criterion_2_halfin_whitt_reduction():
 def test_criterion_3_diffusion_steady_state_match():
     t0 = time.time()
     dist = RateDistribution.uniform(0.8, 1.2)
-    mom = rate_moments(dist)
+    gamma_lisf = dist.idleness_coefficient(Policy.LISF)
     sigma = math.sqrt(2.0)
     cfg = SystemConfig(
         r=400.0, lambda_r=400.0, seed=10, staffing=HalfinWhitt(1.0), abandon_rate=1.0
@@ -129,7 +128,7 @@ def test_criterion_3_diffusion_steady_state_match():
         np.mean(
             [
                 expected_positive_part(
-                    DiffusionParams(sigma, -rr.zeta_hat - 1.0, mom.gamma_lisf, 1.0)
+                    DiffusionParams(sigma, -rr.zeta_hat - 1.0, gamma_lisf, 1.0)
                 )
                 for rr in reps
             ]

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hetq
@@ -244,15 +247,13 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "setting",
         [
-            "nu=1e-300", "sigma=1e-300", "gamma=1e-300", "beta=-1e300", "beta=-1e-300",
-            "sigma=1e-8,beta=3,gamma=3,nu=1e300", "sigma=1e200,beta=1e100,gamma=1e20,nu=1e-8",
+            "nu=1e-300", "sigma=1e-300", "gamma=1e-300", "beta=-1e300",
+            "sigma=1e-8,beta=3,gamma=3,nu=1e300",
         ],
     )
     def test_law_lost_in_double_precision_exits_3(self, tmp_path, capsys, setting):
         # each value lies in its domain; the first four were an OverflowError or
-        # ZeroDivisionError traceback, beta=-1e-300 exited 0 reporting a
-        # continuity residual of 1.0 for a law that is continuous, and the last
-        # two exited 0 with residuals 0.084 and 8.0e-4
+        # ZeroDivisionError traceback, and the last exited 0 with residual 0.084
         sets = [arg for kv in setting.split(",") for arg in ("--set", kv)]
         rc = main(["analyze", "--out", str(tmp_path / "o"), *sets])
         assert rc == 3
@@ -260,6 +261,36 @@ class TestExitCodes:
         assert err.startswith("domain error: the stationary law at sigma=")
         assert all(f"{key}=" in err for key in ("sigma", "beta", "gamma", "nu"))
         assert not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "sigma=2.52,beta=2.24,gamma=585,nu=0.0262",
+            "sigma=1e200,beta=1e100,gamma=1e20,nu=1e-8", "beta=-1e-300",
+        ],
+    )
+    def test_law_with_wait_near_1_exits_0(self, tmp_path, setting):
+        # varrho rounds to 1 or within a few ulps of it: the lower weight taken as
+        # 1 - varrho gave residuals 0.135, 8.0e-4 and 1.0, so the first law was
+        # refused, the second was written with a residual above 1e-9, and beta=-1e-300
+        # was written with residual 1.0 and later refused
+        sets = [arg for kv in setting.split(",") for arg in ("--set", kv)]
+        assert main(["analyze", "--out", str(tmp_path / "o"), *sets]) == 0
+        info = json.loads((tmp_path / "o" / "analysis.json").read_text(encoding="utf-8"))
+        assert info["continuity_residual"] < 1e-9
+
+    def test_law_with_wait_near_1_writes_its_mass_without_warnings(self, tmp_path):
+        # beta=-1e-300: the exponential piece's mean is 1e300, the grid spans five of
+        # them, and the lower piece's weight is about 1e-300; squares of standardized
+        # points in the lower tail overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["analyze", "--out", str(tmp_path / "o"), "--set", "beta=-1e-300"])
+        assert rc == 0
+        grid = json.loads((tmp_path / "o" / "analysis.json").read_text(encoding="utf-8"))["density_grid"]
+        half = len(grid["x"]) // 2  # x = 0, where the density jumps from ~0 to its upper side
+        mass = np.trapezoid(grid["pdf"][half:], grid["x"][half:])
+        assert mass == pytest.approx(1.0 - math.exp(-5.0), rel=1e-3)
 
     def test_density_grid_wider_than_a_double_is_refused(self, tmp_path, capsys):
         # np.linspace(-span, span, n) once wrote nan and inf x values

@@ -16,35 +16,35 @@ from hetq.core import (
     SystemConfig,
     format_config,
     parse_config_text,
-    rate_moments,
     rng_stream,
 )
-from hetq.errors import ConfigError
+from hetq.errors import ConfigError, DomainError
 
 
 class TestRateDistribution:
     def test_point_moments(self):
-        m = rate_moments(RateDistribution.point(2.0))
-        assert m.mean == 2.0
-        assert m.gamma_lisf == 2.0
-        assert m.gamma_fsf == 2.0
-        assert m.variance == 0.0
+        d = RateDistribution.point(2.0)
+        assert d.mean() == 2.0
+        assert d.idleness_coefficient(Policy.LISF) == 2.0
+        assert d.idleness_coefficient(Policy.FSF) == 2.0
+        assert d.variance() == 0.0
+        with pytest.raises(DomainError, match="no idleness coefficient is derived for RANDOM"):
+            d.idleness_coefficient(Policy.RANDOM)
 
     def test_uniform_moments_match_eps_formula(self):
         # uniform(mu-eps, mu+eps): variance eps^2/3, gamma = mu + eps^2/(3 mu)
         mu, eps = 1.0, 0.5
         d = RateDistribution.uniform(mu - eps, mu + eps)
-        m = rate_moments(d)
-        assert m.variance == pytest.approx(eps**2 / 3.0, abs=1e-15)
-        assert m.gamma_lisf == pytest.approx(mu + eps**2 / (3.0 * mu), abs=1e-15)
-        assert m.gamma_fsf == mu - eps
+        assert d.variance() == pytest.approx(eps**2 / 3.0, abs=1e-15)
+        gamma_lisf = d.idleness_coefficient(Policy.LISF)
+        assert gamma_lisf == pytest.approx(mu + eps**2 / (3.0 * mu), abs=1e-15)
+        assert d.idleness_coefficient(Policy.FSF) == mu - eps
 
     def test_discrete_moments_by_hand(self):
         d = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
-        m = rate_moments(d)
-        assert m.mean == 1.5
-        assert m.second_moment == 2.5
-        assert m.gamma_lisf == pytest.approx(5.0 / 3.0, abs=1e-15)
+        assert d.mean() == 1.5
+        assert d.second_moment() == 2.5
+        assert d.idleness_coefficient(Policy.LISF) == pytest.approx(5.0 / 3.0, abs=1e-15)
         assert (d.p, d.q) == (1.0, 2.0)
 
     def test_validation(self):
@@ -72,11 +72,11 @@ class TestRateDistribution:
         total = sum(p for _, p in raw_atoms)
         atoms = [(r, p / total) for r, p in raw_atoms]
         d = RateDistribution.discrete(atoms)
-        m = rate_moments(d)
-        assert m.gamma_lisf >= m.mean - 1e-12
+        mean = d.mean()
+        assert d.idleness_coefficient(Policy.LISF) >= mean - 1e-12
         # support brackets the mean up to the probability-sum tolerance
-        assert d.p - 1e-12 * d.p <= m.mean <= d.q + 1e-12 * d.q
-        assert m.second_moment >= m.mean**2 - 1e-12
+        assert d.p - 1e-12 * d.p <= mean <= d.q + 1e-12 * d.q
+        assert d.second_moment() >= mean**2 - 1e-12
 
 
 class TestSampling:

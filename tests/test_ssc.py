@@ -92,6 +92,17 @@ class TestSSCConvergence:
         with pytest.raises(ConfigError):
             ssc_convergence([a, b], horizon=5.0, n_reps=2)
 
+    def test_event_bound_checked_at_every_scale_before_any_run(self, monkeypatch):
+        # only r = 400 passes the bound (44e7 events at r = 16, 1.18e10 at r = 400);
+        # run() would have named horizon and lambda_r, after every rep at r = 16
+        def spy(*args, **kwargs):
+            raise AssertionError("ssc_convergence ran a path before checking every scale")
+
+        monkeypatch.setattr("hetq.ssc.run", spy)
+        cfgs = [inverted_v_config(r, POOLS, -1.0, seed=1) for r in (16, 400)]
+        with pytest.raises(ConfigError, match=r"ssc_horizon 1e\+07 at r = 400 gives about"):
+            ssc_convergence(cfgs, horizon=1e7, n_reps=2)
+
     def test_ratio_decreases_in_scale(self):
         cfgs = [inverted_v_config(r, POOLS, -3.0, seed=42) for r in (25, 100, 400)]
         table = ssc_convergence(cfgs, horizon=50.0, n_reps=30)

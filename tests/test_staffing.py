@@ -291,6 +291,14 @@ class TestOptimizer:
         res = optimize_staffing(lambda x: cost_aband(x, cfg, dist, cost), (0.05, 6.0), tol=1e-4)
         assert res.x_star < 0.06
 
+    def test_curve_error_outside_hetq_is_not_a_bracket_error(self):
+        # only a HetqError means the cost is undefined there; anything else is a defect
+        def cost_fn(x):
+            raise ZeroDivisionError("division by zero")
+
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            optimize_staffing(cost_fn, (0.1, 5.0), tol=1e-4)
+
     def test_cost_at_optimum_below_curve(self):
         res = optimize_staffing(lambda x: (x - 2.0) ** 2, (0.1, 5.0), tol=1e-4)
         assert res.cost_at_optimum <= res.curve_cost.min() + 1e-12
@@ -305,7 +313,7 @@ class TestOptimizer:
 
     def test_bracket_error(self):
         def bad(x):
-            raise ValueError("boom")
+            raise DomainError("boom")
 
         with pytest.raises(BracketError):
             optimize_staffing(bad, (0.1, 5.0))
