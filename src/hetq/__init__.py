@@ -56,7 +56,6 @@ from .sim import (
 from .ssc import (
     FairnessEstimate,
     HydroScaledPath,
-    SSCFunctionSpec,
     almost_lipschitz_check,
     default_bins,
     fairness_estimate,

@@ -270,9 +270,14 @@ def _cmd_ql_sweep(values: dict) -> Dict[str, bytes]:
     theta = float(values["theta"])
     nu = float(values["nu"])
     mu_bar = float(values["mu_bar"])
-    lo = float(values["eps_min"])
-    hi = float(values["eps_max"])
-    eps_grid = np.linspace(lo, hi, values["eps_steps"])
+    for key in ("eps_min", "eps_max"):  # ql_eps checks each eps too, but names no key
+        eps = values[key]
+        if not 0.0 < mu_bar - eps < mu_bar + eps < math.inf:
+            raise DomainError(
+                f"{key} must lie in (0, mu_bar) with mu_bar +- {key} distinct finite "
+                f"doubles; mu_bar = {mu_bar!r}, got {eps!r}"
+            )
+    eps_grid = np.linspace(values["eps_min"], values["eps_max"], values["eps_steps"])
     rows = []
     for eps in eps_grid:
         lisf = dfn.ql_eps(float(eps), mu_bar, sigma, theta, nu, policy=Policy.LISF)

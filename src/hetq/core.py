@@ -106,6 +106,8 @@ class RateDistribution:
                 raise ConfigError(f"atom probabilities sum to {total!r}, expected 1")
         else:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
+        if not math.isfinite(self.second_moment()):  # gamma and the drift law need it
+            raise ConfigError("the law's second moment E[mu^2] overflows a double")
 
     @classmethod
     def point(cls, rate: float) -> "RateDistribution":
@@ -142,17 +144,17 @@ class RateDistribution:
             return 0.5 * (self.lo + self.hi)
         return sum(r * pr for r, pr in self.atoms)
 
-    def second_moment(self) -> float:
-        if self.kind == "uniform":
-            # E[X^2] = (lo^2 + lo*hi + hi^2) / 3 for uniform(lo, hi)
-            return (self.lo * self.lo + self.lo * self.hi + self.hi * self.hi) / 3.0
-        # centred form m^2 + sum p*(r - m)^2: rounding cannot push it below m^2
-        m = self.mean()
-        return m * m + sum(pr * (r - m) ** 2 for r, pr in self.atoms)
-
     def variance(self) -> float:
+        """Exact centred form, so a narrow law keeps its digits: no E[X^2] - m^2."""
+        # products, not ** 2: a float power raises OverflowError where a product gives inf
+        if self.kind == "uniform":
+            return (self.hi - self.lo) * (self.hi - self.lo) / 12.0
         m = self.mean()
-        return max(self.second_moment() - m * m, 0.0)
+        return sum(pr * ((r - m) * (r - m)) for r, pr in self.atoms)
+
+    def second_moment(self) -> float:
+        m = self.mean()
+        return m * m + self.variance()
 
     def idleness_coefficient(self, policy: Policy) -> float:
         """gamma of the limit diffusion, derived for LISF and FSF routing only.
@@ -508,7 +510,7 @@ CONFIG_KEYS: dict = {
     "abandon_rate": (float, _NON_NEGATIVE),
     "policy": (_parse_policy, Domain("one of LISF/FSF/RANDOM")),
     "rates": (_parse_rates, Domain(
-        "point(mu), uniform(lo,hi) or discrete(mu:p,...), rates finite, > 0"
+        "point(mu), uniform(lo,hi) or discrete(mu:p,...), rates finite, > 0, E[mu^2] finite"
     )),
     "pools": (_parse_pools, Domain(
         "beta:mu,... with beta > 0 summing to 1, mu finite, > 0, increasing", _valid_pools

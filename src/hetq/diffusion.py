@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Policy, check_domains
+from .core import Policy, RateDistribution, check_domains
 from .errors import DomainError
 
 __all__ = [
@@ -350,26 +350,25 @@ def ql_eps(
 ) -> float:
     """Expected scaled queue length when rates are uniform(mu_bar-eps, mu_bar+eps).
 
-    The drift is N(-theta*mu_bar, eps^2/3) and the idleness coefficient is
-    mu_bar + eps^2/(3*mu_bar) under LISF or mu_bar - eps under FSF. The
-    inner integral over the state is closed form; only the drift integral
-    is numeric, with the node count escalated until two successive
-    Gauss-Hermite rules agree to a relative 1e-6.
+    The drift is N(-theta*mu_bar, Var mu) and gamma is the law's idleness
+    coefficient under ``policy`` (LISF or FSF). The inner integral over the
+    state is closed form; only the drift integral is numeric, with the node
+    count escalated until two successive Gauss-Hermite rules agree to a
+    relative 1e-6.
     """
-    if not 0.0 < eps < mu_bar:
-        raise DomainError(f"eps must lie in (0, mu_bar), got {eps}")
+    if not 0.0 < mu_bar - eps < mu_bar + eps < math.inf:  # the law's support; false for NaN
+        raise DomainError(
+            f"eps must lie in (0, mu_bar) with mu_bar +- eps distinct finite doubles, "
+            f"got eps = {eps!r}, mu_bar = {mu_bar!r}"
+        )
     if nu <= 0.0:
         raise DomainError(f"ql_eps needs nu > 0, got {nu}")
     if theta <= 0.0:
         raise DomainError(f"ql_eps needs theta > 0, got {theta}")
-    if policy is Policy.LISF:
-        gamma = mu_bar + eps * eps / (3.0 * mu_bar)
-    elif policy is Policy.FSF:
-        gamma = mu_bar - eps
-    else:
-        raise DomainError(f"ql_eps is defined for LISF and FSF only, got {policy}")
+    law = RateDistribution.uniform(mu_bar - eps, mu_bar + eps)
+    gamma = law.idleness_coefficient(policy)
     mean = -theta * mu_bar
-    sd = eps / math.sqrt(3.0)
+    sd = math.sqrt(law.variance())
 
     def inner(beta):
         return expected_positive_part_aband(beta, sigma, gamma, nu)

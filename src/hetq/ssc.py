@@ -27,7 +27,6 @@ from .errors import ConfigError, DomainError, NoIdlenessError, WindowError
 from .sim import MAX_EXPECTED_EVENTS, PathRecord, run
 
 __all__ = [
-    "SSCFunctionSpec",
     "HydroScaledPath",
     "FairnessEstimate",
     "ssc_g",
@@ -47,49 +46,21 @@ _SSC_GRID_POINTS = 2_000
 _LIPSCHITZ_PAIRS = 200  # grid times probed per window
 
 
-@dataclass(frozen=True)
-class SSCFunctionSpec:
-    """Pool fractions, pool rates, and the idleness coefficient gamma(I)."""
+def ssc_g(pools: Sequence[Tuple[float, float]], z) -> np.ndarray:
+    """|sum_i z_i mu_i - gamma(I) sum_i z_i| for pools ((beta_i, mu_i), ...).
 
-    beta: Tuple[float, ...]
-    mu: Tuple[float, ...]
-
-    def __post_init__(self):
-        beta = tuple(float(b) for b in self.beta)
-        mu = tuple(float(m) for m in self.mu)
-        if len(beta) != len(mu):
-            raise ConfigError(f"{len(beta)} pool fractions and {len(mu)} pool rates do not align")
-        check_domains(pools=tuple(zip(beta, mu)))
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "mu", mu)
-
-    @property
-    def gamma_i(self) -> float:
-        """sum_i beta_i mu_i^2 / sum_i beta_i mu_i."""
-        pairs = list(zip(self.beta, self.mu))
-        return sum(b * m * m for b, m in pairs) / sum(b * m for b, m in pairs)
-
-    @property
-    def n_pools(self) -> int:
-        return len(self.beta)
-
-    @classmethod
-    def from_pools(cls, pools: Sequence[Tuple[float, float]]) -> "SSCFunctionSpec":
-        return cls(beta=tuple(b for b, _ in pools), mu=tuple(m for _, m in pools))
-
-
-def ssc_g(spec: SSCFunctionSpec, z) -> np.ndarray:
-    """|sum_i z_i mu_i - gamma(I) sum_i z_i|; the queue does not enter.
-
-    ``z`` may be one pool vector or an array of them (last axis = pools).
-    Homogeneous of degree one, and zero exactly on the kernel
+    gamma(I) is the LISF idleness coefficient of the pool law. ``z`` may be
+    one pool vector or an array of them (last axis = pools); the queue does
+    not enter. Homogeneous of degree one, and zero exactly on the kernel
     {z : sum_i z_i (mu_i - gamma(I)) = 0}.
     """
+    check_domains(pools=pools)
     z = np.asarray(z, dtype=float)
-    if z.shape[-1] != spec.n_pools:
-        raise ConfigError(f"z has {z.shape[-1]} pools, spec has {spec.n_pools}")
-    mu = np.asarray(spec.mu)
-    val = np.abs(z @ mu - spec.gamma_i * z.sum(axis=-1))
+    if z.shape[-1] != len(pools):
+        raise ConfigError(f"z has {z.shape[-1]} pools, pools has {len(pools)}")
+    gamma = RateDistribution.discrete([(m, b) for b, m in pools]).idleness_coefficient(Policy.LISF)
+    mu = np.array([m for _, m in pools], dtype=float)
+    val = np.abs(z @ mu - gamma * z.sum(axis=-1))
     return val if val.ndim else float(val)
 
 
@@ -145,7 +116,6 @@ def ssc_convergence(
     for cfg in configs:
         if cfg.pools != pools0:
             raise ConfigError("pool structures differ across scales")
-    spec = SSCFunctionSpec.from_pools(pools0)
     systems = [RealizedSystem.realize_pools(cfg) for cfg in configs]
     # run() bounds its expected events too, but would name horizon and lambda_r,
     # and only once the smaller scales had run
@@ -162,7 +132,7 @@ def ssc_convergence(
         for rep in range(n_reps):
             path = run(cfg, system, horizon, grid_points=_SSC_GRID_POINTS, rep=rep)
             _, _, z_hat = diffusion_scaled(path)
-            g_sup = float(np.max(ssc_g(spec, z_hat)))
+            g_sup = float(np.max(ssc_g(pools0, z_hat)))
             z_sup = float(np.max(np.abs(z_hat)))
             denom = max(z_sup, 1.0)
             rows.append(

@@ -262,7 +262,9 @@ def _golden_section(fn, lo: float, hi: float, tol: float) -> Tuple[float, float]
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
+    # a tol below the doubles' spacing near the optimum stalls the bracket a few
+    # ulps wide, with the probes on its ends; stop there too
+    while hi - lo > tol and lo < x1 < x2 < hi:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)

@@ -7,14 +7,18 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hetq
 from hetq.cli import _csv, _f, dispatch, main, rerun_manifest
+from hetq.core import CONFIG_KEYS
 
 
 def read(path):
@@ -243,6 +247,38 @@ class TestExitCodes:
         assert rc == 2
         key = setting.split("=")[0]
         assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+    @pytest.mark.parametrize(
+        "setting,key,mu_bar",
+        [
+            ("eps_max=1.5", "eps_max", 1.0),
+            ("mu_bar=0.01", "eps_min", 0.01),
+            ("eps_min=1e-300", "eps_min", 1.0),
+        ],
+    )
+    def test_ql_sweep_eps_outside_mu_bar_names_the_key(
+        self, tmp_path, capsys, setting, key, mu_bar
+    ):
+        # the first two said only "eps must lie in (0, mu_bar), got 1.0166666666666666"
+        # and "got 0.05"; at 1e-300 the law's ends mu_bar +- eps round to one double
+        rc = main_within(["ql-sweep", "--out", str(tmp_path / "o"), "--set", setting])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"domain error: {key} must lie in (0, mu_bar)")
+        assert f"mu_bar = {mu_bar!r}" in err
+        assert not any((tmp_path / "o").iterdir())
+
+    def test_opt_tol_below_the_double_spacing_ends(self, tmp_path):
+        # opt_tol=1e-17 lies in its domain; the golden-section bracket once stalled
+        # an ulp wide, its probes flipping between the ends, and never returned
+        rc = main_within([
+            "staff", "--out", str(tmp_path / "o"), "--set", "lambda_r=400",
+            "--set", "abandon_rate=1", "--set", "rates=uniform(0.8,1.2)", "--set", "d=5",
+            "--set", "nu=1", "--set", "opt_tol=1e-17",
+        ], seconds=5)
+        assert rc == 0
+        info = json.loads((tmp_path / "o" / "staffing.json").read_text(encoding="utf-8"))
+        assert info["x_star"] == pytest.approx(0.8497399, abs=1e-6)
 
     @pytest.mark.parametrize(
         "setting",
@@ -783,9 +819,9 @@ _COMMAND_PINS = {
         "manifest.json": "edc421037e65975e9c7c37e216efb358d2684b44ba93ca252e0986926344b603",
     },
     "staff_abandon": {
-        "curve.csv": "62034f99a75d7fede9a84e2ab8fcd373b71bd3411e3c84b7c0e300a007f1d2ac",
-        "staffing.json": "76db21bfc416df1033c828e55b7a8141a387f96fea0f1e9041441fd11c55cea0",
-        "manifest.json": "9579820195f5671f6b2ecac57ad6af9737885929663351fb0c6c2f7fe711472e",
+        "curve.csv": "94defdb1246d5c50f0c74ac5386812e6c6dc0dcdbd89fd9c6ef8a9dfd8689bb2",
+        "staffing.json": "63f9ff1c56c4fef0d4fc76237416988663dec36ef4af7bade8afc457d4bf4656",
+        "manifest.json": "1ad3dc7e83120db6dc899ca9808524c088ae01d55441f934916a679a959b85f4",
     },
     "staff_waiting": {
         "curve.csv": "3c28eb4bfb8cc138f73c9cd9c18a460de71ccd20303f7b6ead4d418d1b174561",
@@ -814,3 +850,103 @@ class TestCommandPins:
     def test_artifact_bytes_with_each_recorder(self, tmp_path, job, recorders):
         for recorder in recorders():
             assert _artifact_shas(job, tmp_path / recorder) == _COMMAND_PINS[job], recorder
+
+
+# --------------------------------------------------------------------------
+# fuzz of the analytics commands over each key's domain and its complement
+# --------------------------------------------------------------------------
+
+_EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300]
+_FLOATS = st.sampled_from(_EXTREMES) | st.floats(-1e3, 1e3)
+# counts stay small inside their domains: a run's time grows with them, and
+# the domain's upper bound is what keeps it finite (eps_steps=10^4 takes 20 s)
+_INTS = st.integers(-2, 64) | st.sampled_from([10_001, 1_000_001, 2**63])
+_WORDS = {
+    "policy": ["LISF", "FSF", "RANDOM", "fastest"],
+    "cost_model": ["waiting", "abandon", "none"],
+}
+_TEXT = {
+    "rates": st.one_of(
+        st.builds("point({!r})".format, _FLOATS),
+        st.builds("uniform({!r},{!r})".format, _FLOATS, _FLOATS),
+        st.builds(
+            lambda a, b, p: f"discrete({a!r}:{p!r},{b!r}:{1.0 - p!r})",
+            _FLOATS, _FLOATS, st.floats(0.0, 1.0),
+        ),
+    ),
+    "pools": st.builds(
+        lambda b, m1, m2: f"{b!r}:{m1!r},{1.0 - b!r}:{m2!r}", st.floats(0.0, 1.0), _FLOATS, _FLOATS
+    ),
+    "staffing": st.builds(str, _INTS) | st.builds("hw({!r})".format, _FLOATS),
+}
+
+# the keys each command reads, and settings that let most draws reach the analytics
+_FUZZ = {
+    "analyze": (
+        ["rates", "mu_bar", "arrival_scv", "sigma", "gamma", "policy", "beta", "theta",
+         "nu", "abandon_rate", "density_span", "density_points"],
+        [],
+    ),
+    "staff": (
+        ["lambda_r", "r", "seed", "staffing", "arrival_scv", "abandon_rate", "policy",
+         "pools", "rates", "cost_model", "c_s", "c_w", "d", "c_un", "nu", "bracket_lo",
+         "bracket_hi", "opt_tol"],
+        ["lambda_r=100", "nu=1", "rates=uniform(0.8,1.2)"],
+    ),
+    "ql-sweep": (["sigma", "theta", "nu", "mu_bar", "eps_min", "eps_max", "eps_steps"], []),
+}
+
+
+def _setting(key):
+    """``key=value`` text, the value drawn inside the key's domain or outside it."""
+    if key in _TEXT:
+        return _TEXT[key].map(lambda text: f"{key}={text}")
+    if key in _WORDS:
+        return st.sampled_from(_WORDS[key]).map(lambda word: f"{key}={word}")
+    parser, domain = CONFIG_KEYS[key]
+    pool = _INTS if parser is int else _FLOATS
+    inside = pool.filter(domain.holds)
+    outside = pool.filter(lambda v: not domain.holds(v))
+    return st.one_of(inside, inside, outside).map(lambda v: f"{key}={v!r}")
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite {name} in an artifact")
+
+
+def _assert_finite_artifacts(out):
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".csv":
+            for line in text.splitlines()[1:]:
+                assert all(math.isfinite(float(v)) for v in line.split(",")), (path.name, line)
+        else:
+            json.loads(text, parse_constant=_refuse_constant)
+
+
+class TestAnalyticsFuzz:
+    """Every draw ends in exit 0, 2 or 3 within 10 s; exit 0 writes only finite numbers."""
+
+    @pytest.mark.parametrize(
+        "command,examples", [("analyze", 250), ("staff", 200), ("ql-sweep", 250)]
+    )
+    def test_exit_code_and_finite_artifacts(self, command, examples):
+        keys, base = _FUZZ[command]
+
+        @given(st.data())
+        @settings(
+            max_examples=examples, derandomize=True, database=None, deadline=None,
+            suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+        )
+        def case(data):
+            chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+            sets = [*base, *(data.draw(_setting(key), label=key) for key in chosen)]
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "o"
+                args = [arg for kv in sets for arg in ("--set", kv)]
+                rc = main_within([command, "--out", str(out), *args], seconds=10)
+                assert rc in (0, 2, 3), sets
+                if rc == 0:
+                    _assert_finite_artifacts(out)
+
+        case()

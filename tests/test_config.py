@@ -18,7 +18,7 @@ from hetq.core import (
 from hetq.diffusion import DiffusionParams
 from hetq.errors import ConfigError
 from hetq.sim import coupled_run, replicate, run
-from hetq.ssc import SSCFunctionSpec, inverted_v_config, ssc_convergence
+from hetq.ssc import inverted_v_config, ssc_convergence, ssc_g
 from hetq.staffing import CostSpec, optimize_staffing
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -149,7 +149,7 @@ _ENTRY_POINTS = {
         ),
         ("lambda_hat", "r_values"),
     ),
-    "SSCFunctionSpec": (SSCFunctionSpec.from_pools, ("pools",)),
+    "ssc_g": (lambda pools: ssc_g(pools, (0.0, 0.0)), ("pools",)),
 }
 
 # key -> values just outside its domain; NaN is added for every scalar key
@@ -187,7 +187,7 @@ _JUST_OUTSIDE = {
     [(entry, key) for entry, (_, keys) in _ENTRY_POINTS.items() for key in keys],
 )
 def test_entry_points_refuse_values_outside_the_key_domain(entry, key):
-    # SSCFunctionSpec once took a NaN pool rate and a zero pool fraction, and
+    # the collapse function once took a NaN pool rate and a zero pool fraction, and
     # ssc_convergence with 0 reps returned a table whose medians raised IndexError
     call, _ = _ENTRY_POINTS[entry]
     text = CONFIG_KEYS[key][1].text

@@ -40,6 +40,27 @@ class TestRateDistribution:
         assert gamma_lisf == pytest.approx(mu + eps**2 / (3.0 * mu), abs=1e-15)
         assert d.idleness_coefficient(Policy.FSF) == mu - eps
 
+    @pytest.mark.parametrize("half", [1e-8, 1e-6, 0.2])
+    def test_uniform_variance_is_exact(self, half):
+        # E[X^2] - m^2 cancelled: 0.0 at half-width 1e-8, 1.3e-4 off at 1e-6
+        lo, hi = 1.0 - half, 1.0 + half
+        want = (hi - lo) ** 2 / 12.0
+        assert abs(RateDistribution.uniform(lo, hi).variance() - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            lambda: RateDistribution.uniform(1e-300, 1e300),
+            lambda: RateDistribution.discrete([(1e-300, 0.5), (1e300, 0.5)]),
+            lambda: RateDistribution.point(1e200),
+        ],
+        ids=["uniform", "discrete", "point"],
+    )
+    def test_law_whose_second_moment_overflows_is_refused(self, law):
+        # the discrete law's (r - m) ** 2 raised OverflowError; the others gave gamma = inf
+        with pytest.raises(ConfigError, match="second moment"):
+            law()
+
     def test_discrete_moments_by_hand(self):
         d = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
         assert d.mean() == 1.5

@@ -15,7 +15,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from hetq import diffusion
-from hetq.core import Policy
+from hetq.core import Policy, RateDistribution
 from hetq.diffusion import (
     ConditionedNormalPiece,
     DiffusionParams,
@@ -256,10 +256,11 @@ class TestQlEps:
     def test_node_convergence(self):
         from hetq.diffusion import expected_positive_part_aband, gauss_hermite_expectation
 
-        gamma = 1.0 + 0.3**2 / 3.0
+        law = RateDistribution.uniform(1.0 - 0.3, 1.0 + 0.3)
+        gamma, sd = law.idleness_coefficient(Policy.LISF), math.sqrt(law.variance())
         fn = lambda b: expected_positive_part_aband(b, 4.0, gamma, 2.0)
-        v64 = gauss_hermite_expectation(fn, -2.0, 0.3 / math.sqrt(3.0), 64)
-        v128 = gauss_hermite_expectation(fn, -2.0, 0.3 / math.sqrt(3.0), 128)
+        v64 = gauss_hermite_expectation(fn, -2.0, sd, 64)
+        v128 = gauss_hermite_expectation(fn, -2.0, sd, 128)
         assert abs(v64 - v128) <= 1e-6 * abs(v128)
 
     def test_domain_errors(self):

@@ -11,7 +11,6 @@ from hetq.core import Policy, RateDistribution, RealizedSystem, Stream, SystemCo
 from hetq.errors import ConfigError, NoIdlenessError, WindowError
 from hetq.sim import run
 from hetq.ssc import (
-    SSCFunctionSpec,
     almost_lipschitz_check,
     default_bins,
     diffusion_scaled,
@@ -29,21 +28,21 @@ POOLS = ((0.5, 1.0), (0.5, 2.0))
 
 class TestSSCFunction:
     def test_gamma_recomputed_and_checked(self):
-        spec = SSCFunctionSpec(beta=(0.5, 0.5), mu=(1.0, 2.0))
-        assert spec.gamma_i == pytest.approx(5.0 / 3.0)
+        law = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
+        assert law.idleness_coefficient(Policy.LISF) == pytest.approx(5.0 / 3.0)
+        assert ssc_g(POOLS, [1.0, 0.0]) == pytest.approx(abs(1.0 - 5.0 / 3.0))
         with pytest.raises(ConfigError):
-            SSCFunctionSpec(beta=(0.5, 0.5), mu=(2.0, 1.0))
+            ssc_g(((0.5, 2.0), (0.5, 1.0)), [0.0, 0.0])
 
     def test_values(self):
-        spec = SSCFunctionSpec(beta=(0.5, 0.5), mu=(1.0, 2.0))
-        assert ssc_g(spec, [0.0, 0.0]) == 0.0
-        assert ssc_g(spec, [1.0, 1.0]) == pytest.approx(1.0 / 3.0)
+        assert ssc_g(POOLS, [0.0, 0.0]) == 0.0
+        assert ssc_g(POOLS, [1.0, 1.0]) == pytest.approx(1.0 / 3.0)
 
     def test_single_pool_identity_collapse(self):
-        spec = SSCFunctionSpec(beta=(1.0,), mu=(1.7,))
-        assert spec.gamma_i == pytest.approx(1.7)
+        law = RateDistribution.discrete([(1.7, 1.0)])
+        assert law.idleness_coefficient(Policy.LISF) == pytest.approx(1.7)
         for z in ([0.0], [3.0], [-2.5]):
-            assert ssc_g(spec, z) == pytest.approx(0.0, abs=1e-12)
+            assert ssc_g(((1.0, 1.7),), z) == pytest.approx(0.0, abs=1e-12)
 
     @given(
         st.floats(0.0, 1.0),
@@ -52,26 +51,23 @@ class TestSSCFunction:
     )
     @settings(max_examples=200, deadline=None)
     def test_homogeneity_degree_one(self, alpha, z1, z2):
-        spec = SSCFunctionSpec(beta=(0.5, 0.5), mu=(1.0, 2.0))
         z = np.array([z1, z2])
-        lhs = ssc_g(spec, alpha * z)
-        rhs = alpha * ssc_g(spec, z)
+        lhs = ssc_g(POOLS, alpha * z)
+        rhs = alpha * ssc_g(POOLS, z)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @given(st.floats(-10.0, 10.0))
     @settings(max_examples=100, deadline=None)
     def test_kernel_membership(self, t):
         # {z : sum z_i (mu_i - gamma) = 0} is where g vanishes
-        spec = SSCFunctionSpec(beta=(0.5, 0.5), mu=(1.0, 2.0))
-        g = spec.gamma_i
+        g = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)]).idleness_coefficient(Policy.LISF)
         z = t * np.array([g - 2.0, 1.0 - g])
-        assert abs(sum(zi * (mi - g) for zi, mi in zip(z, spec.mu))) < 1e-12
-        assert ssc_g(spec, z) == pytest.approx(0.0, abs=1e-10)
+        assert abs(sum(zi * (mi - g) for zi, (_, mi) in zip(z, POOLS))) < 1e-12
+        assert ssc_g(POOLS, z) == pytest.approx(0.0, abs=1e-10)
 
     def test_proportional_to_beta_not_in_kernel(self):
         # the pool-fraction direction itself does not null g for unequal rates
-        spec = SSCFunctionSpec(beta=(0.5, 0.5), mu=(1.0, 2.0))
-        assert ssc_g(spec, np.array(spec.beta)) > 0.1
+        assert ssc_g(POOLS, np.array([b for b, _ in POOLS])) > 0.1
 
 
 class TestSSCConvergence:

@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 from scipy.stats import poisson
 
+from hetq import staffing
 from hetq.core import HalfinWhitt, Policy, RateDistribution, SystemConfig
 from hetq.diffusion import DiffusionParams, expected_positive_part, prob_wait_no_aband
 from hetq.errors import BracketError, DomainError, UnstableError
@@ -168,6 +169,20 @@ class TestCostNoAband:
         dist = RateDistribution.uniform(0.8, 1.2)
         cost = CostSpec(c_s=1.0, c_w=1.0)
         assert cost_no_aband(1.0, cfg, dist, cost) == cost_no_aband(1.0, cfg, dist, cost)
+
+    def test_narrow_uniform_law_takes_the_quadrature(self, monkeypatch):
+        # its variance once cancelled to 0.0, so the point-law branch priced it
+        calls = []
+        gauss_sum = staffing._gauss_sum
+        monkeypatch.setattr(
+            staffing, "_gauss_sum", lambda *args: calls.append(args) or gauss_sum(*args)
+        )
+        cfg = _config()
+        cost = CostSpec(c_s=1.0, c_w=1.0)
+        narrow = cost_no_aband(1.0, cfg, RateDistribution.uniform(1.0 - 1e-8, 1.0 + 1e-8), cost)
+        assert calls
+        point = cost_no_aband(1.0, cfg, RateDistribution.point(1.0), cost)
+        assert narrow == pytest.approx(point, rel=1e-8)
 
 
 class TestCostAband:
