@@ -15,7 +15,8 @@ Those functions are read through ``special``, which imports
 ``scipy.special`` on first use: the analytics load it, and importing hetq
 or running the simulator never does.
 The closed forms in the drift take a float or an array of drifts; a float
-gives a float.
+gives a float. Each drift average is one numpy pass over its nodes, and a
+value that double precision cannot hold is refused, naming its coefficients.
 """
 
 from __future__ import annotations
@@ -89,7 +90,28 @@ class DiffusionParams:
 
 
 def _float_or_array(x):
-    return float(x) if np.ndim(x) == 0 else x
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _first(values, bad) -> float:
+    """The first entry of ``values`` (a float or an array) where ``bad`` holds."""
+    return float(np.asarray(values)[bad][0])
+
+
+def _finite(value, at: str, points, **law):
+    """``value``, one result per entry of ``points``, as a float or an array.
+
+    A result that is not finite is refused, naming the first such point
+    ``at`` and the coefficients ``law`` of a law double precision cannot hold.
+    """
+    value = _float_or_array(value)
+    if math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all():
+        return value
+    coefs = ", ".join(f"{key}={v!r}" for key, v in law.items())
+    raise DomainError(
+        f"{at} = {_first(points, ~np.isfinite(value))!r} is not finite: the law with {coefs} "
+        "is not representable in double precision"
+    )
 
 
 def _logit_no_aband(a):
@@ -111,10 +133,8 @@ def prob_wait_no_aband(beta, sigma: float, gamma: float):
 def _wait_logit_no_aband(beta, sigma: float, gamma: float):
     """t with ``prob_wait_no_aband`` = expit(-t)."""
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta >= 0.0):
-        raise DomainError(
-            f"no stationary law without abandonment unless beta < 0, got {np.max(beta)}"
-        )
+    if (beta >= 0.0).any():
+        raise DomainError(f"no stationary law without abandonment unless beta < 0, got {beta.max()}")
     if sigma <= 0.0:
         raise DomainError(f"stationary law needs sigma > 0, got {sigma}")
     a = math.sqrt(2.0) * (-beta) / (math.sqrt(gamma) * sigma)
@@ -129,14 +149,14 @@ def prob_wait_aband(beta, sigma: float, gamma: float, nu: float):
 def _wait_logit_aband(beta, sigma: float, gamma: float, nu: float):
     """t with ``prob_wait_aband`` = expit(-t)."""
     if nu <= 0.0:
-        raise DomainError(f"abandonment rate must be > 0, got {nu}")
+        raise DomainError(f"abandonment rate nu must be > 0, got {nu}")
     if gamma <= 0.0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
     if sigma <= 0.0:
         raise DomainError(f"stationary law needs sigma > 0, got {sigma}")
-    beta = np.asarray(beta, dtype=float)
-    a_nu = math.sqrt(2.0) * beta / (math.sqrt(nu) * sigma)
-    a_ga = math.sqrt(2.0) * beta / (math.sqrt(gamma) * sigma)
+    b = math.sqrt(2.0) * np.asarray(beta, dtype=float)
+    a_nu = b / (math.sqrt(nu) * sigma)
+    a_ga = b / (math.sqrt(gamma) * sigma)
     return (
         0.5 * (math.log(nu) - math.log(gamma))
         + _log_phi(a_nu)
@@ -262,8 +282,6 @@ def stationary_no_aband(params: DiffusionParams) -> SteadyStateDensity:
     """Exponential piece above zero, conditioned normal below; nu must be 0."""
     if params.nu != 0.0:
         raise DomainError("stationary_no_aband needs nu = 0")
-    if params.beta >= 0.0:
-        raise DomainError(f"stationary law needs beta < 0, got {params.beta}")
     return _glued(params, lambda: (
         _wait_logit_no_aband(params.beta, params.sigma, params.gamma),
         ExponentialPiece(rate=-2.0 * params.beta / params.sigma**2),
@@ -277,8 +295,6 @@ def stationary_no_aband(params: DiffusionParams) -> SteadyStateDensity:
 
 def stationary_aband(params: DiffusionParams) -> SteadyStateDensity:
     """Two conditioned-normal pieces glued at zero; needs nu > 0."""
-    if params.nu <= 0.0:
-        raise DomainError("stationary_aband needs nu > 0")
     return _glued(params, lambda: (
         _wait_logit_aband(params.beta, params.sigma, params.gamma, params.nu),
         ConditionedNormalPiece(
@@ -298,8 +314,6 @@ def expected_positive_part(params: DiffusionParams) -> float:
     """E[xi(infty)^+; xi(infty) >= 0], the expected scaled queue length."""
     if params.nu > 0.0:
         return expected_positive_part_aband(params.beta, params.sigma, params.gamma, params.nu)
-    if params.beta >= 0.0:
-        raise DomainError("expected_positive_part with nu = 0 needs beta < 0")
     rho = prob_wait_no_aband(params.beta, params.sigma, params.gamma)
     return rho * params.sigma**2 / (-2.0 * params.beta)
 
@@ -322,9 +336,10 @@ def _gauss_sum(fn, centre, half, rule, nodes: int):
     centre alone, bit for bit.
     """
     x, w = _gauss_rule(rule, nodes)
+    if isinstance(centre, float):  # one row, whose reshaping would cost more than its dot
+        return np.dot(w, fn(centre + half * x))
     vals = fn(np.asarray(centre)[..., None] + np.asarray(half)[..., None] * x)
-    sums = [np.dot(w, row) for row in vals.reshape(-1, nodes)]
-    return np.reshape(sums, np.shape(centre))
+    return np.reshape([np.dot(w, row) for row in vals.reshape(-1, nodes)], np.shape(centre))
 
 
 def gauss_hermite_expectation(fn, mean, sd: float, nodes: int):
@@ -353,16 +368,14 @@ def ql_eps(
     The drift is N(-theta*mu_bar, Var mu) and gamma is the law's idleness
     coefficient under ``policy`` (LISF or FSF). The inner integral over the
     state is closed form; only the drift integral is numeric, with the node
-    count escalated until two successive Gauss-Hermite rules agree to a
-    relative 1e-6.
+    count escalated from 64 to 256 until two successive Gauss-Hermite rules
+    agree to a relative 1e-6 (numpy's 512-node rule has NaN weights).
     """
     if not 0.0 < mu_bar - eps < mu_bar + eps < math.inf:  # the law's support; false for NaN
         raise DomainError(
             f"eps must lie in (0, mu_bar) with mu_bar +- eps distinct finite doubles, "
             f"got eps = {eps!r}, mu_bar = {mu_bar!r}"
         )
-    if nu <= 0.0:
-        raise DomainError(f"ql_eps needs nu > 0, got {nu}")
     if theta <= 0.0:
         raise DomainError(f"ql_eps needs theta > 0, got {theta}")
     law = RateDistribution.uniform(mu_bar - eps, mu_bar + eps)
@@ -373,9 +386,10 @@ def ql_eps(
     def inner(beta):
         return expected_positive_part_aband(beta, sigma, gamma, nu)
 
-    prev = gauss_hermite_expectation(inner, mean, sd, 64)
-    for nodes in (128, 256, 512):
-        cur = gauss_hermite_expectation(inner, mean, sd, nodes)
+    prev = math.nan  # agrees with no rule, so the 64-node one is never returned
+    for nodes in (64, 128, 256):
+        value = gauss_hermite_expectation(inner, mean, sd, nodes)
+        cur = _finite(value, "ql_eps at eps", eps, sigma=sigma, theta=theta, nu=nu, gamma=gamma)
         if abs(cur - prev) <= _QL_REL_TOL * max(abs(cur), 1e-300):
             return cur
         prev = cur

@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import RateDistribution, SystemConfig, check_domains
 from .diffusion import (
-    _float_or_array,
+    _finite,
+    _first,
     _gauss_sum,
     expected_positive_part_aband,
     gauss_hermite_expectation,
@@ -126,19 +127,15 @@ class CostSpec:
         return self.c_s * x * math.sqrt(config.lambda_r / dist.mean())
 
 
-def _first(values, bad) -> float:
-    """The first entry of ``values`` (a float or an array) where ``bad`` holds."""
-    return float(np.asarray(values)[bad][0])
-
-
 def _drift_law(x, config: SystemConfig, dist: RateDistribution):
     """(gamma, sigma, drift mean, drift sd) of the limit diffusion at safety x.
 
     ``x`` is a float or an array; the drift mean has its shape.
     """
-    bad = ~((np.asarray(x) > 0.0) & np.isfinite(x))
-    if bad.any():
-        raise DomainError(f"safety coefficient must be finite and > 0, got {_first(x, bad)}")
+    # a float takes Python's comparison, a tenth the time of numpy's checks on it
+    ok = (x > 0.0) & (x < math.inf) if isinstance(x, np.ndarray) else np.bool_(0.0 < x < math.inf)
+    if not ok.all():
+        raise DomainError(f"safety coefficient must be finite and > 0, got {_first(x, ~ok)}")
     gamma = dist.idleness_coefficient(config.policy)
     mean = dist.mean()
     sigma = math.sqrt(mean * (config.arrival_scv + 1.0))
@@ -178,9 +175,8 @@ def cost_no_aband(
             raise DomainError(
                 f"needs capacity above the arrival rate, got {_first(capacity, bad)}"
             )
-        return _float_or_array(
-            f_term + config.lambda_r * p * (cost.c_w / (capacity - config.lambda_r))
-        )
+        total = f_term + config.lambda_r * p * (cost.c_w / (capacity - config.lambda_r))
+        return _finite(total, "the cost at safety x", x, sigma=sigma, gamma=gamma)
 
     p_stable = special.ndtr((0.0 - m) / s)
     bad = p_stable < 1e-12
@@ -197,17 +193,14 @@ def cost_no_aband(
 
     lo = m - 8.0 * s
     hi = np.minimum(0.0, m + 8.0 * s)
-    if np.any(hi <= lo):
+    if (hi <= lo).any():
         raise DegenerateError("stable region lies outside the 8-sigma drift window")
     half = 0.5 * (hi - lo)  # Gauss-Legendre over [lo, hi], one interval per drift mean
     integral = half * _gauss_sum(
         integrand, 0.5 * (hi + lo), half, np.polynomial.legendre.leggauss, nodes
     )
-    return _float_or_array(
-        f_term
-        + config.lambda_r * integral / p_stable
-        + cost.c_un * (1.0 - p_stable)
-    )
+    total = f_term + config.lambda_r * integral / p_stable + cost.c_un * (1.0 - p_stable)
+    return _finite(total, "the cost at safety x", x, sigma=sigma, gamma=gamma)
 
 
 def cost_aband(
@@ -239,7 +232,8 @@ def cost_aband(
         epp = gauss_hermite_expectation(
             lambda b: expected_positive_part_aband(b, sigma, gamma, nu), m, s, nodes
         )
-    return _float_or_array(f_term + cost.d * nu * math.sqrt(config.r) * epp)
+    total = f_term + cost.d * nu * math.sqrt(config.r) * epp
+    return _finite(total, "the cost at safety x", x, sigma=sigma, gamma=gamma, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -291,8 +285,9 @@ def optimize_staffing(
     anything with interior local maxima falls back to grid-then-refine and
     is flagged. The bracket ends (the ``bracket_lo`` and ``bracket_hi``
     config keys) must be finite with 0 < lo < hi; ``tol`` (``opt_tol``)
-    must be finite and > 0. A ``HetqError`` from the coarse curve becomes a
-    ``BracketError`` naming it; any other exception is a defect and propagates.
+    must be finite and > 0. A ``HetqError`` from the coarse curve, or its first
+    cost that is not finite, becomes a ``BracketError`` naming it; any other
+    exception is a defect and propagates.
     """
     lo, hi = bracket
     check_domains(bracket_lo=lo, opt_tol=tol)  # golden section never ends for tol <= 0
@@ -303,16 +298,17 @@ def optimize_staffing(
         costs = np.array(cost_fn(xs), dtype=float)
     except HetqError as exc:
         raise BracketError(
-            f"cost evaluation failed across the bracket {bracket}; "
+            f"cost evaluation failed across the bracket (bracket_lo, bracket_hi) = {bracket}; "
             f"first failure: {type(exc).__name__}: {exc}"
         ) from exc
     if costs.shape != xs.shape:
         raise TypeError(f"cost_fn must return one cost per point, got shape {costs.shape}")
-    if not np.isfinite(costs).any():
-        raise BracketError(f"cost evaluation failed across the bracket {bracket}")
-    failures = int(np.isnan(costs).sum())
-    if failures:
-        raise BracketError(f"cost evaluation failed at {failures} bracket points")
+    bad = ~np.isfinite(costs)
+    if bad.any():
+        raise BracketError(
+            f"cost is not finite across the bracket (bracket_lo, bracket_hi) = {bracket}, "
+            f"first at x = {_first(xs, bad)!r}"
+        )
 
     interior_maxima = [
         i for i in range(1, _CURVE_POINTS - 1)

@@ -114,7 +114,8 @@ class TestExitCodes:
         rc = main(args + [a for s in settings for a in ("--set", s)])
         assert rc == 3
         assert capsys.readouterr().err == (
-            "domain error: cost evaluation failed across the bracket (0.05, 6.0); "
+            "domain error: cost evaluation failed across the bracket "
+            "(bracket_lo, bracket_hi) = (0.05, 6.0); "
             f"first failure: {failure}\n"
         )
 
@@ -296,6 +297,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("domain error: the stationary law at sigma=")
         assert all(f"{key}=" in err for key in ("sigma", "beta", "gamma", "nu"))
+        assert not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize(
+        "command,settings,named",
+        [
+            ("staff", ["lambda_r=100", "rates=uniform(0.8,1.2)", "nu=1e-300"], "nu=1e-300"),
+            ("staff", ["lambda_r=100", "rates=uniform(0.8,1.2)", "nu=1", "bracket_hi=1e300"],
+             "bracket_hi"),
+            ("ql-sweep", ["sigma=1e-300"], "sigma=1e-300"),
+            ("ql-sweep", ["nu=1e-300"], "nu=1e-300"),
+            ("ql-sweep", ["theta=1e300"], "theta=1e+300"),
+        ],
+        ids=["staff-nu", "staff-bracket_hi", "ql-sweep-sigma", "ql-sweep-nu", "ql-sweep-theta"],
+    )
+    def test_drift_average_lost_in_double_precision_names_the_key(
+        self, tmp_path, capsys, command, settings, named
+    ):
+        # each value lies in its domain, and each drift average came out NaN: staff
+        # said only "cost evaluation failed across the bracket (0.05, 6.0)" or "at
+        # 63 bracket points", and ql-sweep "did not converge" after 512 nodes
+        sets = [arg for kv in settings for arg in ("--set", kv)]
+        rc = main_within([command, "--out", str(tmp_path / "o"), *sets])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert named in err
+        assert "is not finite: the law with sigma=" in err
         assert not any((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize(

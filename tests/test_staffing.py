@@ -1,5 +1,6 @@
 """Erlang formulas vs linear-solve oracle, cost functionals, optimizer."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -203,6 +204,24 @@ class TestCostAband:
         want = x * math.sqrt(cfg.lambda_r) + 3.0 * 2.0 * math.sqrt(cfg.r) * epp
         assert cost_aband(x, cfg, dist, cost) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the NaN nodes
+    def test_law_lost_in_double_precision_is_refused_by_name(self):
+        # every node gave NaN, and so did the cost, without an exception
+        cfg = _config(nu=1.0)
+        dist = RateDistribution.uniform(0.8, 1.2)
+        with pytest.raises(DomainError, match=r"safety x = 1.0 is not finite: .*nu=1e-300"):
+            cost_aband(1.0, cfg, dist, CostSpec(nu=1e-300))
+        xs = np.array([1.0, 1e300, 2e300])
+        with pytest.raises(DomainError, match=r"safety x = 1e\+300 is not finite: .*nu=1.0"):
+            cost_aband(xs, cfg, dist, CostSpec(nu=1.0))
+
+    def test_underflow_to_zero_passes(self):
+        # far from the stability boundary the abandonment flow underflows to 0
+        cfg = _config(nu=1.0)
+        dist = RateDistribution.uniform(0.8, 1.2)
+        cost = CostSpec(c_s=1.0, d=5.0, nu=1.0)
+        assert cost_aband(1e3, cfg, dist, cost) == cost.staffing_term(1e3, cfg, dist)
+
     def test_linear_in_d(self):
         cfg = _config(nu=1.0)
         dist = RateDistribution.uniform(0.8, 1.2)
@@ -293,6 +312,37 @@ class TestArrayCurve:
                     cost_aband(x, cfg, law, cost)
 
 
+# the 64 curve points of the default bracket and 25 floats off that grid, where
+# the golden-section search evaluates
+_PIN_X = np.concatenate([
+    np.linspace(0.05, 6.0, 64),
+    [0.05 + 5.95 * ((k * 0.6180339887498949) % 1.0) for k in range(1, 26)],
+])
+# sha256 of the float64 bytes of each cost over _PIN_X, one array call and then
+# one call per float, for every law, policy and r below; taken before the cost
+# kernels were flattened into one numpy pass per evaluation
+_COST_PINS = {
+    "cost_aband": "57190e4a3954853b21fb65bb936e25db3088f742cfb19b3221ba190e16a3c7fb",
+    "cost_no_aband": "0f52bfc9fee069de31deeef18d893f93ea2694eb760f1d6568bd1938e0b114e3",
+}
+
+
+class TestCostBytes:
+    @pytest.mark.parametrize("cost_fn", [cost_aband, cost_no_aband])
+    def test_costs_keep_their_bytes(self, cost_fn):
+        cost = CostSpec(c_s=1.3, c_w=0.7, d=2.5, c_un=0.4, nu=1.1)
+        digest = hashlib.sha256()
+        for law in sorted(_LAWS):
+            for policy in (Policy.LISF, Policy.FSF):
+                for r in (16.0, 6400.0):
+                    cfg = _config(r=r, lam=r, policy=policy, nu=1.0)
+                    curve = cost_fn(_PIN_X, cfg, _LAWS[law], cost)
+                    points = [cost_fn(float(x), cfg, _LAWS[law], cost) for x in _PIN_X]
+                    digest.update(np.asarray(curve, dtype=np.float64).tobytes())
+                    digest.update(np.array(points, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == _COST_PINS[cost_fn.__name__]
+
+
 class TestOptimizer:
     def test_quadratic(self):
         res = optimize_staffing(lambda x: (x - 2.0) ** 2, (0.1, 5.0), tol=1e-6)
@@ -325,6 +375,14 @@ class TestOptimizer:
         assert res.used_grid_fallback
         xs = np.linspace(0.1, 6.0, 2000)
         assert res.cost_at_optimum <= min(fn(float(x)) for x in xs) + 1e-4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_curve_names_its_first_point(self, bad):
+        # NaN costs were counted and an infinite one passed; both are refused at x[40]
+        xs = np.linspace(0.1, 5.0, 64)
+        first = rf"\(0.1, 5.0\), first at x = {float(xs[40])!r}$"
+        with pytest.raises(BracketError, match=first):
+            optimize_staffing(lambda x: np.where(x > xs[39], bad, x), (0.1, 5.0))
 
     def test_bracket_error(self):
         def bad(x):
