@@ -193,6 +193,7 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
     return {"reps.csv": csv.encode(), "summary.json": _json_bytes(summary)}
 
 
+@np.errstate(all="ignore")  # a law lost to overflow is refused by name, not warned about
 def _cmd_analyze(values: dict) -> Dict[str, bytes]:
     params = _diffusion_params(values)
     if params.nu > 0.0:

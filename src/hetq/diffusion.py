@@ -47,9 +47,10 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# largest continuity residual of a law that is written out; well-posed laws
-# round to about 1e-15
+# largest continuity residual of a law that is written out (well-posed laws
+# round to about 1e-15), and largest rounding error of a wait logit
 _CONTINUITY_TOL = 1e-6
+_FAR_TAIL = 40.0  # -m/s from which ``_upper_normal_mean`` takes its continued fraction
 
 
 class _LazySpecial:
@@ -120,9 +121,21 @@ def _logit_no_aband(a):
 
 
 def _upper_normal_mean(m, s):
-    """E[X | X >= 0] for X ~ N(m, s^2): m + s*phi(m/s)/Phi(m/s)."""
-    a = m / s
-    return m + s * np.exp(_log_phi(a) - special.log_ndtr(a))
+    """E[X | X >= 0] for X ~ N(m, s^2): m + s*phi(m/s)/Phi(m/s).
+
+    For m/s < 0 that form cancels (relative error about eps*(m/s)^4/2, 3e-10
+    at -40); below -_FAR_TAIL it is s/(t + 2/(t + 3/(t + ...))), t = -m/s,
+    the Mills ratio's continued fraction, exact in doubles at six terms.
+    """
+    a = np.asarray(m) / s
+    mean = m + s * np.exp(_log_phi(a) - special.log_ndtr(a))
+    if a.min() < -_FAR_TAIL:
+        t = np.maximum(-a, _FAR_TAIL)  # keeps the fraction finite where it is not used
+        frac = t
+        for k in (7.0, 6.0, 5.0, 4.0, 3.0, 2.0):
+            frac = t + k / frac
+        mean = np.where(a < -_FAR_TAIL, s / frac, mean)
+    return mean
 
 
 def prob_wait_no_aband(beta, sigma: float, gamma: float):
@@ -157,13 +170,21 @@ def _wait_logit_aband(beta, sigma: float, gamma: float, nu: float):
     b = math.sqrt(2.0) * np.asarray(beta, dtype=float)
     a_nu = b / (math.sqrt(nu) * sigma)
     a_ga = b / (math.sqrt(gamma) * sigma)
-    return (
+    log_phi_nu, log_phi_ga = _log_phi(a_nu), _log_phi(a_ga)
+    t = (
         0.5 * (math.log(nu) - math.log(gamma))
-        + _log_phi(a_nu)
-        - _log_phi(a_ga)
+        + log_phi_nu
+        - log_phi_ga
         + special.log_ndtr(-a_ga)
         - special.log_ndtr(a_nu)
     )
+    # far in a tail, log phi - log Phi is a small difference of two huge terms,
+    # off by a few of their ulps; t is NaN where that leaves expit(-t) no digits
+    # and |t| is short of 750, beyond which expit saturates either way
+    err = -2.0**-49 * (log_phi_nu + log_phi_ga)  # eight ulps of the two (negative) terms
+    if err.max() > _CONTINUITY_TOL:
+        t = np.where((err > _CONTINUITY_TOL) & (np.abs(t) < 750.0 + err), np.nan, t)
+    return t
 
 
 def expected_positive_part_aband(beta, sigma: float, gamma: float, nu: float):
@@ -322,6 +343,8 @@ def expected_positive_part(params: DiffusionParams) -> float:
 def _gauss_rule(rule, nodes: int):
     """Read-only (nodes, weights) of a numpy Gauss rule such as ``leggauss``."""
     x, w = rule(nodes)
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):  # hermgauss(400) has NaN weights
+        raise DomainError(f"nodes = {nodes} is too many: numpy's {rule.__name__} is not finite")
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -331,15 +354,12 @@ def _gauss_sum(fn, centre, half, rule, nodes: int):
     """sum_k w_k fn(centre + half * x_k) over the Gauss rule ``rule``'s nodes.
 
     ``centre`` and ``half`` are floats or arrays that broadcast to
-    ``centre``'s shape. ``fn`` gets one row of nodes per centre, and each
-    row is reduced by its own dot, so every entry equals the sum at that
-    centre alone, bit for bit.
+    ``centre``'s shape. ``fn`` gets one row of nodes per centre, and
+    ``np.vecdot`` reduces each row by its own dot (``vals @ w`` need not),
+    so every entry equals the sum at that centre alone, bit for bit.
     """
     x, w = _gauss_rule(rule, nodes)
-    if isinstance(centre, float):  # one row, whose reshaping would cost more than its dot
-        return np.dot(w, fn(centre + half * x))
-    vals = fn(np.asarray(centre)[..., None] + np.asarray(half)[..., None] * x)
-    return np.reshape([np.dot(w, row) for row in vals.reshape(-1, nodes)], np.shape(centre))
+    return np.vecdot(fn(np.asarray(centre)[..., None] + np.asarray(half)[..., None] * x), w)
 
 
 def gauss_hermite_expectation(fn, mean, sd: float, nodes: int):
@@ -355,6 +375,7 @@ def gauss_hermite_expectation(fn, mean, sd: float, nodes: int):
 _QL_REL_TOL = 1e-6  # successive Gauss-Hermite rules agree to this
 
 
+@np.errstate(all="ignore")  # a law lost to overflow is refused by name, not warned about
 def ql_eps(
     eps: float,
     mu_bar: float,

@@ -9,6 +9,7 @@ calls are bit-identical.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -271,6 +272,51 @@ def _golden_section(fn, lo: float, hi: float, tol: float) -> Tuple[float, float]
     return x, fn(x)
 
 
+def _parabola(points):
+    """The parabola through the three lowest-cost (x, cost) ``points``; NaN if they repeat an x."""
+    (a, fa), (b, fb), (c, fc) = heapq.nsmallest(3, points, key=lambda p: p[1])
+    try:
+        wa, wb, wc = fa / ((a - b) * (a - c)), fb / ((b - a) * (b - c)), fc / ((c - a) * (c - b))
+    except ZeroDivisionError:
+        return lambda x: math.nan
+    return lambda x: wa * (x - b) * (x - c) + wb * (x - a) * (x - c) + wc * (x - a) * (x - b)
+
+
+def _prefetched_golden_section(cost_fn, lo: float, hi: float, tol: float, curve):
+    """``_golden_section(cost_fn, lo, hi, tol)``, its probes fetched in a few array calls.
+
+    It replays the search on the costs fetched so far, with the parabola
+    through the lowest known ones (``curve``'s (x, cost) pairs too) standing
+    in for the rest, and fetches those in one call. The first of them is the
+    probe the search needs next: a batch that raises ``HetqError`` is
+    retried as that one, on a float, so a refusal names the same x.
+    """
+    exact, lowest = {}, heapq.nsmallest(3, curve, key=lambda p: p[1])
+    while True:
+        model, guess = _parabola([*lowest, *exact.items()]), {}
+
+        def cost(x):
+            if x in exact:
+                return exact[x]
+            f = guess[x] = model(x)
+            if not math.isfinite(f):
+                raise KeyError(x)  # no stand-in: fetch the path up to x
+            return f
+
+        try:
+            result = _golden_section(cost, lo, hi, tol)
+        except KeyError:
+            pass
+        if not guess:
+            return result
+        batch = list(guess)
+        try:
+            exact.update(zip(batch, np.asarray(cost_fn(np.array(batch)), dtype=float).tolist()))
+        except HetqError:
+            exact[batch[0]] = cost_fn(batch[0])
+
+
+@np.errstate(all="ignore")  # a cost that overflows is refused by name, not warned about
 def optimize_staffing(
     cost_fn: Callable,
     bracket: Tuple[float, float] = (0.05, 6.0),
@@ -281,13 +327,15 @@ def optimize_staffing(
     ``cost_fn`` takes a float or a 1-D array of safety values and returns a
     float or an array of costs of the same shape. The coarse curve of 64
     points is one call on the array; a clean unimodal curve goes straight
-    to golden-section search, which calls ``cost_fn`` on floats, and
-    anything with interior local maxima falls back to grid-then-refine and
-    is flagged. The bracket ends (the ``bracket_lo`` and ``bracket_hi``
-    config keys) must be finite with 0 < lo < hi; ``tol`` (``opt_tol``)
-    must be finite and > 0. A ``HetqError`` from the coarse curve, or its first
-    cost that is not finite, becomes a ``BracketError`` naming it; any other
-    exception is a defect and propagates.
+    to golden-section search, and anything with interior local maxima falls
+    back to grid-then-refine and is flagged. The search fetches its probes
+    in a few array calls, so it relies on each array entry being equal to
+    the float call, as it is for ``cost_aband`` and ``cost_no_aband``. The
+    bracket ends (the ``bracket_lo`` and ``bracket_hi`` config keys) must be
+    finite with 0 < lo < hi; ``tol`` (``opt_tol``) must be finite and > 0.
+    A ``HetqError`` from the coarse curve, or its first cost that is not
+    finite, becomes a ``BracketError`` naming it; any other exception is a
+    defect and propagates.
     """
     lo, hi = bracket
     check_domains(bracket_lo=lo, opt_tol=tol)  # golden section never ends for tol <= 0
@@ -316,18 +364,13 @@ def optimize_staffing(
     ]
     unimodal = not interior_maxima
 
-    if unimodal:
-        x_star, f_star = _golden_section(cost_fn, lo, hi, tol)
-        used_grid = False
-    else:
-        k = int(np.argmin(costs))
-        sub_lo = xs[max(k - 1, 0)]
-        sub_hi = xs[min(k + 1, _CURVE_POINTS - 1)]
-        x_star, f_star = _golden_section(cost_fn, float(sub_lo), float(sub_hi), tol)
-        used_grid = True
+    k = int(np.argmin(costs))
+    grid = xs.tolist()
+    # grid-then-refine searches between the lowest curve point's neighbours
+    sub = (lo, hi) if unimodal else (grid[max(k - 1, 0)], grid[min(k + 1, _CURVE_POINTS - 1)])
+    x_star, f_star = _prefetched_golden_section(cost_fn, *sub, tol, [*zip(grid, costs.tolist())])
 
     # the reported optimum must never sit above any sampled curve value
-    k = int(np.argmin(costs))
     if costs[k] < f_star:
         x_star, f_star = float(xs[k]), float(costs[k])
     return OptimizationResult(
@@ -338,5 +381,5 @@ def optimize_staffing(
         bracket=(lo, hi),
         tol=tol,
         unimodal=unimodal,
-        used_grid_fallback=used_grid,
+        used_grid_fallback=not unimodal,
     )

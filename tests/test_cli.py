@@ -326,6 +326,32 @@ class TestExitCodes:
         assert not any((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize(
+        "command,settings",
+        [
+            ("staff", ["lambda_r=100", "rates=uniform(0.8,1.2)", "nu=1", "bracket_hi=1e300"]),
+            ("ql-sweep", ["sigma=1e-300"]),
+            ("analyze", ["sigma=1e-300"]),
+        ],
+        ids=["staff", "ql-sweep", "analyze"],
+    )
+    def test_refusal_comes_without_runtime_warnings(self, tmp_path, command, settings):
+        # the kernels' overflows used to print numpy RuntimeWarnings before the refusal
+        sets = [arg for kv in settings for arg in ("--set", kv)]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main_within([command, "--out", str(tmp_path / "o"), *sets]) == 3
+        assert not [str(w.message) for w in seen if w.category is RuntimeWarning]
+
+    def test_far_safety_values_have_a_finite_cost(self, tmp_path):
+        # the curve reaches x = 1.9e9, where the abandonment term tends to 0; the
+        # upper normal mean cancelled there, and the cost came out NaN (exit 3)
+        out = tmp_path / "o"
+        sets = ["lambda_r=100", "rates=uniform(0.8,1.2)", "nu=1", "bracket_hi=1e10"]
+        assert main_within(["staff", "--out", str(out), *(a for kv in sets for a in ("--set", kv))]) == 0
+        info = json.loads((out / "staffing.json").read_text(encoding="utf-8"))
+        assert all(map(math.isfinite, [info["cost_at_optimum"], *info["curve"]["cost"]]))
+
+    @pytest.mark.parametrize(
         "setting",
         [
             "sigma=2.52,beta=2.24,gamma=585,nu=0.0262",
@@ -952,7 +978,8 @@ def _assert_finite_artifacts(out):
 
 
 class TestAnalyticsFuzz:
-    """Every draw ends in exit 0, 2 or 3 within 10 s; exit 0 writes only finite numbers."""
+    """Every draw ends in exit 0, 2 or 3 within 10 s, with no RuntimeWarning from
+    hetq's own code; exit 0 writes only finite numbers."""
 
     @pytest.mark.parametrize(
         "command,examples", [("analyze", 250), ("staff", 200), ("ql-sweep", 250)]
@@ -968,11 +995,15 @@ class TestAnalyticsFuzz:
         def case(data):
             chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
             sets = [*base, *(data.draw(_setting(key), label=key) for key in chosen)]
-            with tempfile.TemporaryDirectory() as tmp:
+            with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
                 out = Path(tmp) / "o"
                 args = [arg for kv in sets for arg in ("--set", kv)]
                 rc = main_within([command, "--out", str(out), *args], seconds=10)
                 assert rc in (0, 2, 3), sets
+                ours = [str(w.message) for w in seen
+                        if w.category is RuntimeWarning and Path(w.filename).parent.name == "hetq"]
+                assert not ours, (sets, ours)
                 if rc == 0:
                     _assert_finite_artifacts(out)
 

@@ -238,6 +238,36 @@ class TestExpectedPositivePart:
             expected_positive_part(DiffusionParams(1.0, 0.5, 1.0, 0.0))
 
 
+class TestFarTail:
+    """Far below zero, log phi - log Phi is a small difference of two huge terms."""
+
+    @pytest.mark.parametrize("a", [-41.0, -1e4, -1e6, -1e9])
+    @pytest.mark.parametrize("s", [1.0, 0.3])
+    def test_upper_normal_mean_matches_mpmath(self, a, s):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        x = mpmath.mpf(a)
+        want = float(s * (x + mpmath.npdf(x) / mpmath.ncdf(x)))
+        assert diffusion._upper_normal_mean(a * s, s) == pytest.approx(want, rel=1e-12)
+
+    def test_upper_normal_mean_is_continuous_at_the_switch(self):
+        edge = -diffusion._FAR_TAIL
+        near, far = diffusion._upper_normal_mean(np.array([edge, np.nextafter(edge, -math.inf)]), 1.0)
+        assert far == pytest.approx(near, rel=1e-9)  # the closed form is off by 3e-10 there
+
+    def test_positive_part_of_a_far_drift_is_zero_not_nan(self):
+        # the wait probability underflows to 0, and the mean no longer overflows
+        assert expected_positive_part_aband(-1.9e9, math.sqrt(2.0), 1.0, 1.0) == 0.0
+
+    def test_wait_probability_without_digits_is_nan(self):
+        # nu = 1e-300: log phi and log Phi near -5e299 should differ by about 345,
+        # their ulps are 1e284, so no digit of the probability is left
+        assert math.isnan(prob_wait_aband(-1.0, math.sqrt(2.0), 1.0, 1e-300))
+        assert prob_wait_aband(-1.0, math.sqrt(2.0), 1.0, 1e-3) == pytest.approx(
+            prob_wait_aband(-1.0, math.sqrt(2.0), 1.0, 1e-4), rel=0.1
+        )
+
+
 class TestQlEps:
     def test_eps_to_zero_limit(self):
         # degenerate drift law: both policies agree with the point evaluation

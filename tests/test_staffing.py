@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 from scipy.stats import poisson
@@ -215,6 +217,14 @@ class TestCostAband:
         with pytest.raises(DomainError, match=r"safety x = 1e\+300 is not finite: .*nu=1.0"):
             cost_aband(xs, cfg, dist, CostSpec(nu=1.0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, building hermgauss(400)
+    def test_quadrature_rule_with_nan_weights_is_refused_by_name(self):
+        cfg = _config(nu=1.0)
+        cost = CostSpec(c_s=1.0, d=5.0, nu=1.0)
+        assert math.isfinite(cost_aband(1.0, cfg, _LAWS["uniform"], cost, nodes=364))
+        with pytest.raises(DomainError, match=r"^nodes = 400 is too many"):
+            cost_aband(1.0, cfg, _LAWS["uniform"], cost, nodes=400)
+
     def test_underflow_to_zero_passes(self):
         # far from the stability boundary the abandonment flow underflows to 0
         cfg = _config(nu=1.0)
@@ -296,8 +306,10 @@ class TestArrayCurve:
         first, *search = calls
         assert isinstance(first, np.ndarray)
         assert np.array_equal(first, np.linspace(0.05, 6.0, 64))
-        assert search and all(type(x) is float for x in search)
+        assert search and all(isinstance(x, np.ndarray) for x in search)
         assert np.array_equal(res.curve_cost, cost_aband(first, cfg, dist, cost))
+        want = _sequential_golden_section(lambda x: cost_aband(x, cfg, dist, cost), 0.05, 6.0, 1e-4)
+        assert (res.x_star, res.cost_at_optimum) == want
 
     def test_curve_needs_one_cost_per_point(self):
         with pytest.raises(TypeError, match="one cost per point"):
@@ -341,6 +353,111 @@ class TestCostBytes:
                     digest.update(np.asarray(curve, dtype=np.float64).tobytes())
                     digest.update(np.array(points, dtype=np.float64).tobytes())
         assert digest.hexdigest() == _COST_PINS[cost_fn.__name__]
+
+
+def _sequential_golden_section(fn, lo, hi, tol):
+    """The golden-section search with one float call per probe, as it ran
+    before its probes were fetched in batches: the reference for the batched one."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > tol and lo < x1 < x2 < hi:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = fn(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = fn(x2)
+    x = 0.5 * (lo + hi)
+    return x, fn(x)
+
+
+def _each(g):
+    """A cost_fn applying the float function ``g`` to a float or to each array entry."""
+    return lambda x: np.array([g(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else g(x)
+
+
+def _curve(fn, lo, hi):
+    xs = np.linspace(lo, hi, 64)
+    return list(zip(xs.tolist(), fn(xs).tolist()))
+
+
+# cost shapes the parabola model predicts well, badly or not at all
+_SHAPES = {
+    "constant": lambda c, k: lambda x: c,
+    "step": lambda c, k: lambda x: 1.0 if x > c else 0.0,
+    "quadratic": lambda c, k: lambda x: k * (x - c) * (x - c),
+    "kink": lambda c, k: lambda x: math.sqrt(abs(x - c)) + k * x,
+    "wavy": lambda c, k: lambda x: math.sin(k * x) + 0.01 * (x - c) * (x - c),
+}
+
+
+class TestPrefetchedSearch:
+    """The batched search gives the one-float-at-a-time search's result and refusals."""
+
+    @given(
+        shape=st.sampled_from(sorted(_SHAPES)),
+        c=st.floats(0.0, 8.0),
+        k=st.floats(0.1, 20.0),
+        lo=st.floats(0.01, 5.0),
+        width=st.sampled_from([1e-9, 1e-3, 0.5, 6.0]),
+        tol=st.sampled_from([1e-17, 1e-12, 1e-6, 1e-4, 0.1, 10.0]),
+    )
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_same_result_as_sequential_search(self, shape, c, k, lo, width, tol):
+        g = _SHAPES[shape](c, k)
+        fn = _each(g)
+        hi = lo + width
+        got = staffing._prefetched_golden_section(fn, lo, hi, tol, _curve(fn, lo, hi))
+        assert got == _sequential_golden_section(g, lo, hi, tol)
+
+    def test_refusal_off_the_true_path_is_not_seen(self):
+        g = _SHAPES["kink"](2.0, 0.1)
+        path = []
+        want = _sequential_golden_section(lambda x: path.append(x) or g(x), 0.1, 5.0, 1e-8)
+        refused = []
+
+        def fn(x):
+            off_path = [v for v in np.atleast_1d(x).tolist() if v not in path]
+            if off_path:
+                refused.append(off_path[0])
+                raise DomainError(f"cost refused at x = {off_path[0]!r}")
+            return _each(g)(x)
+
+        got = staffing._prefetched_golden_section(fn, 0.1, 5.0, 1e-8, _curve(_each(g), 0.1, 5.0))
+        assert refused and got == want
+
+    @pytest.mark.parametrize("step", [0, 1, 10, -1])
+    def test_refusal_on_the_true_path_is_the_float_calls(self, step):
+        g = _SHAPES["kink"](2.0, 0.1)
+        path = []
+        _sequential_golden_section(lambda x: path.append(x) or g(x), 0.1, 5.0, 1e-8)
+        bad = path[step]
+
+        def fn(x):
+            if bad in np.atleast_1d(x).tolist():
+                raise DomainError(f"cost refused at x = {bad!r} in a {type(x).__name__}")
+            return _each(g)(x)
+
+        with pytest.raises(DomainError) as want:
+            _sequential_golden_section(fn, 0.1, 5.0, 1e-8)
+        with pytest.raises(DomainError) as got:
+            staffing._prefetched_golden_section(fn, 0.1, 5.0, 1e-8, _curve(_each(g), 0.1, 5.0))
+        assert str(got.value) == str(want.value)
+
+    def test_criterion_10_solve_makes_few_calls(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return cost_aband(x, _config(r=400.0, lam=400.0, nu=1.0), _LAWS["uniform"],
+                              CostSpec(c_s=1.0, d=5.0, nu=1.0))
+
+        optimize_staffing(fn, (0.05, 6.0), tol=1e-4)
+        assert len(calls) <= 4
 
 
 class TestOptimizer:
