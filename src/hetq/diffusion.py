@@ -47,8 +47,8 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# largest continuity residual of a law that is written out (well-posed laws
-# round to about 1e-15), and largest rounding error of a wait logit
+# largest continuity residual of a law that is written out; well-posed laws
+# round to about 1e-15
 _CONTINUITY_TOL = 1e-6
 _FAR_TAIL = 40.0  # -m/s from which ``_upper_normal_mean`` takes its continued fraction
 
@@ -179,11 +179,11 @@ def _wait_logit_aband(beta, sigma: float, gamma: float, nu: float):
         - special.log_ndtr(a_nu)
     )
     # far in a tail, log phi - log Phi is a small difference of two huge terms,
-    # off by a few of their ulps; t is NaN where that leaves expit(-t) no digits
-    # and |t| is short of 750, beyond which expit saturates either way
+    # off by a few of their ulps; t is NaN where that error exceeds 1, so expit(-t)
+    # has no digit left, and |t| is short of 750, beyond which expit saturates
     err = -2.0**-49 * (log_phi_nu + log_phi_ga)  # eight ulps of the two (negative) terms
-    if err.max() > _CONTINUITY_TOL:
-        t = np.where((err > _CONTINUITY_TOL) & (np.abs(t) < 750.0 + err), np.nan, t)
+    if err.max() > 1.0:
+        t = np.where((err > 1.0) & (np.abs(t) < 750.0 + err), np.nan, t)
     return t
 
 

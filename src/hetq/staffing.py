@@ -287,9 +287,9 @@ def _prefetched_golden_section(cost_fn, lo: float, hi: float, tol: float, curve)
 
     It replays the search on the costs fetched so far, with the parabola
     through the lowest known ones (``curve``'s (x, cost) pairs too) standing
-    in for the rest, and fetches those in one call. The first of them is the
-    probe the search needs next: a batch that raises ``HetqError`` is
-    retried as that one, on a float, so a refusal names the same x.
+    in for the rest, and fetches those in one call. After a batch that
+    raises ``HetqError`` the search goes on one float at a time, so a
+    refusal names the same x.
     """
     exact, lowest = {}, heapq.nsmallest(3, curve, key=lambda p: p[1])
     while True:
@@ -313,7 +313,7 @@ def _prefetched_golden_section(cost_fn, lo: float, hi: float, tol: float, curve)
         try:
             exact.update(zip(batch, np.asarray(cost_fn(np.array(batch)), dtype=float).tolist()))
         except HetqError:
-            exact[batch[0]] = cost_fn(batch[0])
+            return _golden_section(lambda x: exact[x] if x in exact else cost_fn(x), lo, hi, tol)
 
 
 @np.errstate(all="ignore")  # a cost that overflows is refused by name, not warned about

@@ -352,6 +352,19 @@ class TestExitCodes:
         assert all(map(math.isfinite, [info["cost_at_optimum"], *info["curve"]["cost"]]))
 
     @pytest.mark.parametrize(
+        "nu,cost", [("1e-8", 0.7514047042281541), ("1e-12", 0.751398972577932)]
+    )
+    def test_small_nu_is_solved(self, tmp_path, nu, cost):
+        # the far drift nodes' wait logits lose digits as 1/nu grows, but keep some
+        # here, so these laws are solved, not refused; the costs are the same
+        # Gauss-Hermite sums with every node's E[xi+; xi >= 0] taken in mpmath
+        out = tmp_path / "o"
+        sets = ["lambda_r=100", "rates=uniform(0.8,1.2)", f"nu={nu}"]
+        assert main_within(["staff", "--out", str(out), *(a for kv in sets for a in ("--set", kv))]) == 0
+        info = json.loads((out / "staffing.json").read_text(encoding="utf-8"))
+        assert info["cost_at_optimum"] == pytest.approx(cost, rel=1e-12)
+
+    @pytest.mark.parametrize(
         "setting",
         [
             "sigma=2.52,beta=2.24,gamma=585,nu=0.0262",

@@ -428,7 +428,7 @@ class TestPrefetchedSearch:
             return _each(g)(x)
 
         got = staffing._prefetched_golden_section(fn, 0.1, 5.0, 1e-8, _curve(_each(g), 0.1, 5.0))
-        assert refused and got == want
+        assert len(refused) == 1 and got == want  # later probes come one float at a time
 
     @pytest.mark.parametrize("step", [0, 1, 10, -1])
     def test_refusal_on_the_true_path_is_the_float_calls(self, step):
