@@ -397,8 +397,8 @@ def ql_eps(
             f"eps must lie in (0, mu_bar) with mu_bar +- eps distinct finite doubles, "
             f"got eps = {eps!r}, mu_bar = {mu_bar!r}"
         )
-    if theta <= 0.0:
-        raise DomainError(f"ql_eps needs theta > 0, got {theta}")
+    if not 0.0 < theta < math.inf:  # false for NaN
+        raise DomainError(f"ql_eps needs theta finite and > 0, got {theta!r}")
     law = RateDistribution.uniform(mu_bar - eps, mu_bar + eps)
     gamma = law.idleness_coefficient(policy)
     mean = -theta * mu_bar
@@ -419,6 +419,6 @@ def ql_eps(
 
 def halfin_whitt_delay(theta: float) -> float:
     """Classical square-root-staffing delay probability (1 + theta*Phi/phi)^-1."""
-    if theta <= 0.0:
-        raise DomainError(f"theta must be > 0, got {theta}")
+    if not 0.0 < theta < math.inf:  # false for NaN
+        raise DomainError(f"theta must be finite and > 0, got {theta!r}")
     return float(special.expit(-_logit_no_aband(theta)))

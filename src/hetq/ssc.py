@@ -171,10 +171,10 @@ def hydro_scale(path: PathRecord, m: int, length: float) -> HydroScaledPath:
     The scaling factor is x_{r,m} = |Z(m/sqrt(|N|)) - N|^2 v |N| (max norm
     over pools, |N| the total server count), taken at the window start.
     """
-    if m < 0:
-        raise ConfigError(f"window index must be >= 0, got {m}")
-    if length <= 0.0:
-        raise ConfigError(f"window length must be > 0, got {length}")
+    if not 0 <= m < math.inf:  # false for NaN
+        raise ConfigError(f"window index must be finite and >= 0, got {m!r}")
+    if not 0.0 < length < math.inf:  # false for NaN
+        raise ConfigError(f"window length must be finite and > 0, got {length!r}")
     n_total = path.system.n_servers
     sizes = np.array(path.system.pool_sizes)
     root_n = math.sqrt(n_total)
@@ -212,6 +212,8 @@ def almost_lipschitz_check(
     The state is the max norm over (q, z components). Each window is probed
     on at most 200 evenly-spaced grid times; purely diagnostic.
     """
+    if not (0.0 <= n_const < math.inf and 0.0 <= eps < math.inf):  # false for NaN
+        raise ConfigError(f"n_const and eps must be finite and >= 0, got {n_const!r}, {eps!r}")
     total = 0
     exceed = 0
     for sp in scaled_paths:

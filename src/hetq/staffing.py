@@ -41,69 +41,54 @@ __all__ = [
 ]
 
 
-def erlang_c(n: int, lam: float, mu: float) -> Tuple[float, float, float]:
-    """Classical M/M/N delay quantities: (p_wait, mean_Q, mean_W).
+_MAX_STATES = 10_000_000  # states of the M/M/N(+M) law below N, and in its queue tail
 
-    Uses the Erlang-B recursion, so it is overflow-free up to very large N.
-    """
-    if n < 1:
-        raise ConfigError(f"need at least one server, got {n}")
-    if lam <= 0.0 or mu <= 0.0:
-        raise ConfigError("rates must be positive")
-    if lam >= n * mu:
-        raise UnstableError(f"offered load {lam/mu:.6g} needs more than {n} servers")
-    a = lam / mu
-    rho = a / n
-    b = 1.0
-    for j in range(1, n + 1):
-        b = a * b / (j + a * b)
-    p_wait = b / (1.0 - rho * (1.0 - b))
-    mean_q = p_wait * rho / (1.0 - rho)
-    mean_w = mean_q / lam
-    return p_wait, mean_q, mean_w
+
+def erlang_c(n: int, lam: float, mu: float) -> Tuple[float, float, float]:
+    """M/M/N delay quantities (p_wait, mean_Q, mean_W): ``erlang_a``'s law and refusals, nu = 0."""
+    p_wait, mean_q = _mmn_law(n, lam, mu, 0.0)
+    return p_wait, mean_q, mean_q / lam
 
 
 def erlang_a(n: int, lam: float, mu: float, nu: float) -> Tuple[float, float, float]:
     """M/M/N+M stationary quantities: (p_wait, mean_Q, abandon_prob).
 
-    Stationary weights are (lam/mu)^j/j! up to N, extended beyond N with
-    factors lam/(N*mu + k*nu). Everything is accumulated in log space and
-    the queue tail is summed until it is exhausted at double precision.
+    ``erlang_c`` is this law at nu = 0 (lam < n mu). Relative error against 40-digit references:
+    about 1e-14 to N = 1e5. Refused: n not an integer in [1, 1e7], a rate not finite and > 0 or
+    n mu / lam = inf (``ConfigError``); a nu leaving queue weight past 1e7 states (``DomainError``).
     """
-    if n < 1:
-        raise ConfigError(f"need at least one server, got {n}")
-    if lam <= 0.0 or mu <= 0.0 or nu <= 0.0:
-        raise ConfigError("all rates must be positive")
-    log_a = math.log(lam) - math.log(mu)
-    j = np.arange(n + 1)
-    log_below = j * log_a - special.gammaln(j + 1.0)
-    peak = float(log_below.max())
+    if not 0.0 < nu < math.inf:
+        raise ConfigError(f"nu must be finite, > 0, got {nu!r}")
+    p_wait, mean_q = _mmn_law(n, lam, mu, nu)
+    return p_wait, mean_q, min(p_wait, nu * mean_q / lam)  # only waiting customers abandon
 
-    # tail beyond N, in chunks; each block multiplies in lam/(N mu + k nu)
-    log_tail = []
-    log_cur = float(log_below[-1])
-    k = 0
-    while True:
-        ks = np.arange(k + 1, k + 4097, dtype=float)
-        incr = np.cumsum(math.log(lam) - np.log(n * mu + ks * nu))
-        block = log_cur + incr
-        log_tail.append(block)
-        log_cur = float(block[-1])
-        k += 4096
-        peak = max(peak, float(block.max()))
-        # stop once both the mass and the (j-N)-weighted mass are negligible
-        if block[-1] + math.log1p(k) < peak - 750.0:
-            break
-    log_tail = np.concatenate(log_tail)
 
-    below = np.exp(log_below - peak)
-    tail = np.exp(log_tail - peak)
-    total = below.sum() + tail.sum()
-    kk = np.arange(1, log_tail.size + 1, dtype=float)
-    p_wait = (below[-1] + tail.sum()) / total
-    mean_q = float((kk * tail).sum()) / total
-    abandon_prob = nu * mean_q / lam
-    return p_wait, mean_q, abandon_prob
+@np.errstate(over="ignore", divide="ignore")  # k nu = inf or j mu / lam = 0 only zero a weight
+def _mmn_law(n: int, lam: float, mu: float, nu: float) -> Tuple[float, float]:
+    """(p_wait, mean_Q) of M/M/N+M (M/M/N at nu = 0) from log weights relative to pi_N."""
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= _MAX_STATES and 0.0 < lam < math.inf
+            and 0.0 < mu < math.inf and n * mu / lam < math.inf):  # false for NaN
+        raise ConfigError("need an integer n in [1, 1e7] and lam, mu, n mu / lam finite, > 0, "
+                          f"got (n, lam, mu) = {(n, lam, mu)}")
+    cap = n * mu
+    if nu == 0.0 and lam >= cap:
+        raise UnstableError(f"offered load {lam/mu:.6g} needs more than {n} servers")
+    log_below = np.cumsum(np.log(np.arange(n, 0, -1) * mu / lam))  # pi_{N-1}, ..., pi_0
+    ref = max(0.0, float(log_below.max()))  # the largest log weight so far; sums are scaled by it
+    below, tail, tail_q, log_w = float(np.exp(log_below - ref).sum()), math.exp(-ref), 0.0, 0.0
+    if nu == 0.0:  # sum_k rho^k = 1/(1 - rho), sum_k k rho^k = rho/(1 - rho)^2
+        tail *= cap / (cap - lam)
+        return tail / (below + tail), tail * (lam / (cap - lam)) / (below + tail)
+    for start in range(0, _MAX_STATES, 4096):  # blocks of log(lam / (N mu + k nu)) above N
+        k = np.arange(start + 1.0, start + 4097.0)
+        block = log_w + np.cumsum(np.log(lam / (cap + k * nu)))
+        peak, log_w = max(ref, float(block.max())), float(block[-1])
+        w, shrink, ref = np.exp(block - peak), math.exp(ref - peak), peak  # 1 past the mode
+        below, tail, tail_q = below * shrink, tail * shrink + w.sum(), tail_q * shrink + w @ k
+        if log_w + math.log1p(k[-1]) < ref - 750.0:  # k pi_{N+k} is e^-750 of the largest
+            return float(tail / (below + tail)), float(tail_q / (below + tail))
+    raise DomainError(f"nu = {nu!r} leaves queue weight past {_MAX_STATES} states "
+                      f"at n = {n}, lam = {lam!r}, mu = {mu!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Shared pytest plumbing: the acceptance suite's per-criterion report, and
-a fixture that runs a test body under each of the engine's grid recorders."""
+"""Shared pytest plumbing: the acceptance suite's per-criterion report, a
+fixture that runs a test body under each of the engine's grid recorders, and
+a call that fails its test if it does not return in time."""
 
 import math
+import signal
 
 import pytest
 
@@ -25,6 +27,20 @@ def recorders(monkeypatch):
             yield name
 
     return each
+
+
+def within(seconds, fn, *args):
+    """``fn(*args)``, failing the test if it has not returned after ``seconds``."""
+    def timeout(*_):
+        pytest.fail(f"{fn.__name__}{args} did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def record_criterion(number: int, title: str, passed: bool, detail: str = "") -> None:

@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -17,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hetq
+from conftest import within
 from hetq.cli import _csv, _f, dispatch, main, rerun_manifest
 from hetq.core import CONFIG_KEYS
 
@@ -31,16 +31,7 @@ def sha(path):
 
 def main_within(args, seconds=30):
     """``main(args)``, failing the test if it has not returned after ``seconds``."""
-    def timeout(*_):
-        pytest.fail(f"{args} did not return")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(seconds)
-    try:
-        return main(args)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    return within(seconds, main, args)
 
 
 BASE_CFG = """

@@ -30,6 +30,7 @@ from hetq.diffusion import (
     stationary_no_aband,
 )
 from hetq.errors import ConfigError, DomainError
+from hetq.ssc import almost_lipschitz_check, hydro_scale
 from sde_oracle import simulate_sde
 
 # frozen from the mpmath scale-density oracle
@@ -266,6 +267,21 @@ class TestFarTail:
         assert prob_wait_aband(-1.0, math.sqrt(2.0), 1.0, 1e-3) == pytest.approx(
             prob_wait_aband(-1.0, math.sqrt(2.0), 1.0, 1e-4), rel=0.1
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call,message", [
+    (lambda v: halfin_whitt_delay(v), "theta must be finite"),
+    (lambda v: ql_eps(0.1, 1.0, 4.0, v, 2.0), "ql_eps needs theta finite"),
+    (lambda v: hydro_scale(None, 0, v), "window length must be finite"),  # before the path is read
+    (lambda v: hydro_scale(None, v, 1.0), "window index must be finite"),
+    (lambda v: almost_lipschitz_check([], 1.0, v), "n_const and eps must be finite"),
+    (lambda v: almost_lipschitz_check([], v, 0.1), "n_const and eps must be finite"),
+], ids=["halfin_whitt_delay", "ql_eps", "hydro_length", "hydro_index", "lipschitz_eps", "lipschitz_n_const"])
+def test_nan_and_inf_are_refused_by_name(call, message, bad):
+    # a check written as x <= 0.0 lets NaN through; the chained 0 < x < inf does not
+    with pytest.raises((ConfigError, DomainError), match=message):
+        call(bad)
 
 
 class TestQlEps:

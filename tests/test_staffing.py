@@ -11,10 +11,11 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 from scipy.stats import poisson
 
+from conftest import within
 from hetq import staffing
 from hetq.core import HalfinWhitt, Policy, RateDistribution, SystemConfig
 from hetq.diffusion import DiffusionParams, expected_positive_part, prob_wait_no_aband
-from hetq.errors import BracketError, DomainError, UnstableError
+from hetq.errors import BracketError, ConfigError, DomainError, UnstableError
 from hetq.staffing import (
     CostSpec,
     cost_aband,
@@ -105,6 +106,106 @@ class TestErlangA:
     def test_overloaded_still_converges(self):
         pw, mq, ab = erlang_a(50, 200.0, 1.0, 0.5)
         assert 0.0 < ab < 1.0 and mq > 0.0
+
+
+def mmn_reference(n, lam, mu, nu=0.0):
+    """(p_wait, mean_Q) of M/M/N (nu = 0) or M/M/N+M at 40 digits.
+
+    The weights up to N sum in closed form, sum_{j <= N} pi_j / pi_N =
+    e^a Q(N + 1, a) N! / a^N with a = lam / mu and Q the regularized upper
+    incomplete gamma. Above N: the geometric tail's closed form at nu = 0,
+    else the tail term by term until k pi_{N+k} is below 1e-45 of its sum.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam, mu, nu = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(nu)
+        a = lam / mu
+        upto_n = mpmath.gammainc(n + 1, a, regularized=True) * mpmath.exp(
+            a + mpmath.loggamma(n + 1) - n * mpmath.log(a)
+        )
+        if nu == 0:
+            tail = n * mu / (n * mu - lam)
+            tail_q = tail * lam / (n * mu - lam)
+        else:
+            tail, tail_q, w, k = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(1), 0
+            while True:
+                k += 1
+                ratio = lam / (n * mu + k * nu)
+                w *= ratio
+                tail, tail_q = tail + w, tail_q + k * w
+                if ratio < 1 and k * w < mpmath.mpf(10) ** -45 * tail:
+                    break
+        total = upto_n + tail - 1  # both sums hold pi_N / pi_N
+        return float(tail / total), float(tail_q / total)
+
+
+class TestErlangLaw:
+    """erlang_c and erlang_a share one M/M/N+M law: exact to 1e-13, refusing in time."""
+
+    @pytest.mark.parametrize("n,lam", [
+        (100, 90.0), (10_000, 9_900.0), (10_000, 9_950.0), (100_000, 99_000.0), (50, 1e-3),
+    ])
+    def test_erlang_c_matches_mpmath(self, n, lam):
+        got = erlang_c(n, lam, 1.0)[:2]
+        assert got == pytest.approx(mmn_reference(n, lam, 1.0), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n,lam,nu", [
+        (200, 185.0, 2.0), (1_000, 980.0, 0.5), (10_000, 9_900.0, 1.3), (10_000, 9_850.0, 0.7),
+        (50, 200.0, 0.5), (50, 1e-3, 0.5),
+    ])
+    def test_erlang_a_matches_mpmath(self, n, lam, nu):
+        got = erlang_a(n, lam, 1.0, nu)[:2]
+        assert got == pytest.approx(mmn_reference(n, lam, 1.0, nu), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("call,args", [
+        *[(erlang_c, args) for args in [
+            (10, math.nan, 1.0), (10, math.inf, 1.0), (10, 5.0, math.nan), (10, 5.0, math.inf),
+            (2.5, 1.0, 1.0), (0, 1.0, 1.0), (10**8, 1.0, 1.0), (10, 1e-310, 1.0),
+        ]],
+        *[(erlang_a, args) for args in [
+            (10, math.nan, 1.0, 1.0), (10, math.inf, 1.0, 1.0), (10, 8.0, math.nan, 1.0),
+            (10, 8.0, math.inf, 1.0), (10, 8.0, 1.0, math.nan), (10, 8.0, 1.0, math.inf),
+            (10, 8.0, 1.0, 0.0), (2.5, 1.0, 1.0, 1.0),
+        ]],
+    ])
+    def test_bad_input_is_a_config_error(self, call, args):
+        with pytest.raises(ConfigError):
+            within(2, call, *args)
+
+    @pytest.mark.parametrize("n,lam,nu", [(50, 200.0, 1e-9), (50, 50.0, 1e-12)])
+    def test_tail_past_the_state_cap_is_refused_naming_nu(self, n, lam, nu):
+        # the tail's mode, or its decay to e^-750, lies beyond 1e7 queue states
+        with pytest.raises(DomainError, match="nu = "):
+            within(2, erlang_a, n, lam, 1.0, nu)
+
+    @pytest.mark.parametrize("args", [(10, 8.0, 1.0, 1e308), (3, 1e308, 1e-300, 1e305)])
+    def test_abandonment_never_exceeds_the_wait_probability(self, args):
+        # nu E[Q] / lam rounds above p_wait here (above 1 in the second case)
+        p_wait, _, abandon = erlang_a(*args)
+        assert abandon <= p_wait <= 1.0
+
+    @given(
+        n=st.integers(1, 3_000),
+        log_rates=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
+        bad=st.sampled_from([None, "n", "lam", "mu", "nu"]),
+        value=st.sampled_from([0, -1.0, math.nan, math.inf, 2.5, 10**8]),
+    )
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    def test_fuzz_finite_or_refused(self, n, log_rates, bad, value):
+        # every argument from its domain (rates log-uniform in [1e-6, 1e6]),
+        # then at most one replaced by a value that may lie outside it
+        args = dict(n=n, **{key: 10.0**e for key, e in zip(("lam", "mu", "nu"), log_rates)})
+        if bad:
+            args[bad] = value
+        n, lam, mu, nu = args.values()
+        for call, call_args in ((erlang_c, (n, lam, mu)), (erlang_a, (n, lam, mu, nu))):
+            try:
+                p_wait, mean_q, third = within(2, call, *call_args)
+            except (ConfigError, DomainError):
+                continue
+            assert all(map(math.isfinite, (p_wait, mean_q, third))), (call.__name__, call_args)
+            assert 0.0 <= p_wait <= 1.0 and mean_q >= 0.0 and third >= 0.0, (call.__name__, call_args)
+            assert call is erlang_c or third <= 1.0, call_args
 
 
 def _config(r=100.0, lam=100.0, policy=Policy.LISF, nu=0.0):
