@@ -550,7 +550,7 @@ CONFIG_KEYS: dict = {
     "eps_steps": (int, _between(1, 10_000)),  # about 2 ms a step
     # ssc / fairness / coupling
     "r_values": (_parse_floats, Domain(
-        "each finite, > 0.5", lambda v: all(0.5 < x < math.inf for x in v)
+        "one or more, each finite, > 0.5", lambda v: bool(v) and all(0.5 < x < math.inf for x in v)
     )),
     "ssc_horizon": (float, _POSITIVE),
     "lambda_hat": (float, Domain("finite, < 0", lambda v: -math.inf < v < 0.0)),

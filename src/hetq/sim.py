@@ -45,12 +45,28 @@ patience, patience times. The order in which each stream is consumed is part
 of the determinism contract (``tests/test_sim.py::TestStreamPinning`` pins
 it). ``run``'s changed with the skeleton, and ``coupled_run``'s with its
 rejection pick; ``hetq.cli`` stamps both as stream layout 2.
+
+The loop is written once, in ``_simulate``, for every run shape: the policy,
+the abandonment mode, the recorder, one or several server groups, the
+customer record and validation, all fixed before the first event (at most
+144 shapes). ``run`` calls a copy compiled for its shape (``_loop``): the
+first time a process meets a shape, each flag in ``_simulate``'s source,
+read from this file once per process, is replaced by its constant, and
+CPython's compiler emits no code for the branches the constants rule out,
+so no pass tests a flag. The copy keeps this file's name and line numbers,
+runs in this module's globals and does the same operations in the same
+order, so no output depends on it. Reading the source costs about 2 ms
+once per process, and compiling a shape 5-7 ms (2-vCPU host). If the
+source cannot be read, ``_simulate`` itself runs.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import os
+import re
 from array import array
 from bisect import bisect_left
 from collections import deque
@@ -58,7 +74,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -338,32 +354,73 @@ def run(
             f"horizon {horizon:.6g} and lambda_r {config.lambda_r:.6g} give about {events:.3g} "
             f"events, over the {MAX_EXPECTED_EVENTS:.0e} a run may make; lower either"
         )
-    args = (config, system, horizon, mode, x0, grid_points, queue_cap, rep, validate, warmup)
-    path = _simulate(*args, warmup * horizon, record_customers)
+    shape = _shape(config, system, horizon, mode, grid_points, record_customers, validate)
+    loop = _loop(shape)
+    args = (config, system, horizon, mode, x0, grid_points, queue_cap, rep, warmup)
+    path = loop(*args, warmup * horizon, shape)
     if path.overflowed:
         t_warm, path = warmup * path.end_time, None  # free the first pass's grid first
-        path = _simulate(*args, t_warm, record_customers)
+        path = loop(*args, t_warm, shape)
     return path
 
 
+class _Shape(NamedTuple):
+    """The flags ``_simulate`` reads, as ``shape.<flag>``, and never changes.
+
+    They are fixed before the first event, so ``_loop`` folds them in.
+    """
+
+    lisf: bool
+    fsf: bool  # neither: RANDOM
+    none: bool  # none, per_customer, perturbed: the abandonment mode
+    per_customer: bool
+    perturbed: bool
+    track: bool  # keep the ids of waiting customers: record or per_customer
+    multi: bool  # several server groups; one group's busy count is min(X, N)
+    dense: bool  # the dense recorder, else the sparse one
+    record: bool
+    validate: bool
+
+
+def _shape(config, system, horizon, mode, grid_points, record, validate) -> _Shape:
+    """The shape of ``run``'s loop with these arguments."""
+    per_customer = mode is AbandonMode.PER_CUSTOMER
+    # below _DENSE expected events per grid point nearly every event crosses a
+    # grid time, so the dense recorder logs event times and tallies them; else
+    # the sparse one stages the state at crossings. A constant, not an option:
+    # both give the same grid, only the cost moves
+    expected = (config.lambda_r + math.fsum(system.mu.tolist())) * horizon
+    return _Shape(
+        lisf=config.policy is Policy.LISF,
+        fsf=config.policy is Policy.FSF,
+        none=mode is AbandonMode.NONE,
+        per_customer=per_customer,
+        perturbed=mode is AbandonMode.PERTURBED,
+        track=bool(record) or per_customer,
+        multi=system.n_pools > 1,
+        dense=expected < _DENSE * grid_points,
+        record=bool(record),
+        validate=bool(validate),
+    )
+
+
 def _simulate(
-    config, system, horizon, mode, x0, grid_points, queue_cap, rep, validate, warmup,
-    t_warm: float, record: bool,
+    config, system, horizon, mode, x0, grid_points, queue_cap, rep, warmup,
+    t_warm: float, shape: _Shape,
 ) -> PathRecord:
-    """One pass of ``run``'s event loop, counting arrivals at t >= ``t_warm``."""
+    """One pass of ``run``'s event loop, counting arrivals at t >= ``t_warm``.
+
+    Written for every shape at once. ``run`` calls the copy that
+    ``_loop(shape)`` compiles with the shape's flags as constants; this
+    function is the reference that copy is tested against.
+    """
     n = system.n_servers
     mu = system.mu.tolist()
     pool_of = system.pool_of.tolist()
     n_pools = system.n_pools
-    multi = n_pools > 1  # one group's busy count is filled from X after the loop
     lam = config.lambda_r
     nu = config.abandon_rate
-    lisf = config.policy is Policy.LISF
-    fsf = config.policy is Policy.FSF
     seed = config.seed
-    per_customer = mode is AbandonMode.PER_CUSTOMER
-    perturbed = mode is AbandonMode.PERTURBED
-    track = record or per_customer  # keep the ids of waiting customers
 
     # departure skeleton of rate sum mu, off while no server is busy; fsum is
     # exactly rounded, so the rate does not depend on a summation order
@@ -377,7 +434,9 @@ def _simulate(
     )
     skel_gap = _draws(seed, rep, Stream.SKELETON, std_exp, _over(sum_mu))
     pick = _draws(seed, rep, Stream.SERVICE, "random", _alias_pick(mu))
-    abandon_draw = _draws(seed, rep, Stream.ABANDON, std_exp, _over(nu) if per_customer else None)
+    abandon_draw = _draws(
+        seed, rep, Stream.ABANDON, std_exp, _over(nu) if shape.per_customer else None
+    )
     routing_u = _draws(seed, rep, Stream.ROUTING, "random")
 
     # initial state: x0 in system, lowest-index servers busy first
@@ -390,66 +449,77 @@ def _simulate(
     d_count = [0] * n
     # busy count per group; none kept for one group, staged rows then end at A,
     # and kept only by the sparse recorder
-    z = np.bincount(system.pool_of[:n_busy0], minlength=n_pools).tolist() if multi else []
+    z = np.bincount(system.pool_of[:n_busy0], minlength=n_pools).tolist() if shape.multi else []
     t_dep = skel_gap() if n_busy0 else _INF
 
     # idle set of the policy; the other two stay empty
     idle_ids = range(n_busy0, n)
-    lisf_q: deque = deque(idle_ids if lisf else ())
+    lisf_q: deque = deque(idle_ids if shape.lisf else ())
     # FSF's heap holds ranks in (-mu, k) order, so it compares ints: order[r]
     # is the server of rank r, rank[k] the rank of server k; equal rates give
     # the lowest index first
-    order = sorted(range(n), key=lambda k: (-mu[k], k)) if fsf else []
+    order = sorted(range(n), key=lambda k: (-mu[k], k)) if shape.fsf else []
     rank = np.argsort(order).tolist()
-    fsf_heap = sorted(rank[k] for k in idle_ids) if fsf else []  # sorted is a heap
-    rand_list = list(idle_ids) if not (lisf or fsf) else []
+    fsf_heap = sorted(rank[k] for k in idle_ids) if shape.fsf else []  # sorted is a heap
+    rand_list = list(idle_ids) if not (shape.lisf or shape.fsf) else []
 
     # customers are numbered in arrival order after the x0 - N seed customers,
     # who wait from time 0 and are left out of the arrival statistics
     n_seed = x - n_busy0
-    queue: deque = deque(range(n_seed) if track else ())
+    queue: deque = deque(range(n_seed) if shape.track else ())
     gone = set()  # ids that abandoned while queued and are still in `queue`
     served_upto = -1  # highest id taken from the queue
-    if record:
+    if shape.record:
         arr_t = array("d", [0.0]) * n_seed
         waited = bytearray(b"\x01") * n_seed
         waits = array("d", [math.nan]) * n_seed
         abandoned = bytearray(n_seed)
     # patience deadlines over a sentinel; FIFO service makes an entry stale
     # exactly when its id is at most served_upto
-    deadline_heap = [(abandon_draw(), cid) for cid in range(n_seed)] if per_customer else []
+    deadline_heap = [(abandon_draw(), cid) for cid in range(n_seed)] if shape.per_customer else []
     deadline_heap.append((_INF, _INF))
     heapify(deadline_heap)
 
     grid_t = np.linspace(0.0, horizon, grid_points)
     xraq = np.zeros((4, grid_points), dtype=np.int64)  # X, R, A, Q; rows are the outputs
     grid_z = np.zeros((grid_points, n_pools), dtype=np.int64)
-    # below _DENSE expected events per grid point nearly every event crosses a
-    # grid time, so the dense recorder logs event times and tallies them; else
-    # the sparse one stages the state at crossings. A constant, not an option:
-    # both give the same grid, only the cost moves
-    expected = (lam + sum_mu) * horizon
-    dense = expected < _DENSE * grid_points
-    if dense:
+    # the recorder works only at an event past t_mark <= horizon, so the loop
+    # tests the horizon there: the next grid time (sparse), or the next tally
+    gi = g0 = 0  # grid points below gi are passed, those below g0 written (sparse)
+    if shape.dense:
         skel_log, ab_log, arr_log, disc_log = (array("d") for _ in range(4))
-        log_event = (skel_log.append, ab_log.append, arr_log.append)  # by kind
         # X counts -1 per skeleton point, +1 per discard; +A - R come after the loop
         logs = [(skel_log, None, xraq[0], -1), (disc_log, None, xraq[0], 1),
                 (ab_log, None, xraq[1], 1), (arr_log, None, xraq[2], 1)]
-        if multi:  # busy and idle transitions, keyed by group
+        if shape.multi:  # busy and idle transitions, keyed by group
             up_t, up_g, down_t, down_g = array("d"), array("q"), array("d"), array("q")
             logs += [(up_t, up_g, grid_z, 1), (down_t, down_g, grid_z, -1)]
-        # the hook fires at every event; logs are tallied every ~_TALLY expected
-        # events, and the tally time never passes the horizon, which is tested there
-        t_grid = -_INF
+        # logs are tallied every ~_TALLY expected events
+        expected = (lam + sum_mu) * horizon
         tally_step = horizon * _TALLY / expected
-        t_tally = min(tally_step, horizon)
+        t_mark = min(tally_step, horizon)
     else:
         grid_list = grid_t.tolist() + [_INF]
-        t_grid = grid_list[0]
-        gi = g0 = 0  # grid points below gi are passed, those below g0 written
+        t_mark = grid_list[0]
         stage = []
         width = 4 + len(z)
+
+    def record_to(t: float, x: int, r: int, a: int) -> float:
+        """The recorder's work at an event at ``t`` past ``t_mark``; the next ``t_mark``.
+
+        Dense: tally the logs. Sparse: stage the state before the event,
+        X = ``x``, R = ``r``, A = ``a`` and the busy counts, for the grid
+        times below ``t``, writing staged rows every ~_STAGE values.
+        """
+        nonlocal gi, g0
+        if shape.dense:
+            _tally(grid_t, logs)
+            return min(t + tally_step, horizon)
+        gi = bisect_left(grid_list, t, gi)
+        stage.extend((gi, x, r, a, *z))
+        if len(stage) >= _STAGE:
+            g0 = _fill(xraq, grid_z, g0, stage, width)
+        return grid_list[gi]
 
     a_count = 0
     r_count = 0
@@ -457,51 +527,32 @@ def _simulate(
     win_a = win_w = 0  # arrivals, and waited arrivals, at t >= t_warm
     x_init = x
     next_arr = arrival_gap() if lam > 0.0 else _INF
-    hazard = abandon_draw() if perturbed else 0.0
+    hazard = abandon_draw() if shape.perturbed else 0.0
     t_cur = 0.0
     overflowed = False
     end_time = horizon
 
-    # per_customer keeps t_ab current, reading the heap only where the waiting set
-    # changes (a served head, an abandonment, a waiting arrival); none keeps INF
+    # per_customer keeps t_ab current, reading the heap only where the waiting
+    # set changes (a served head, an abandonment, a waiting arrival); perturbed
+    # recomputes it each pass, and none never compares it
     t_ab = deadline_heap[0][0]
     while True:
-        if perturbed:  # the hazard left is spent at rate nu * Q, so recompute each pass
+        if shape.perturbed:  # the hazard left is spent at rate nu * Q
             q = x - n  # Q where positive; the loop keeps X only
             t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
 
-        # tie order: departure, abandonment, arrival
-        if t_dep <= t_ab and t_dep <= next_arr:
-            t_next, kind = t_dep, 0
-        elif t_ab <= next_arr:
-            t_next, kind = t_ab, 1
-        else:
-            t_next, kind = next_arr, 2
-        # t_grid <= horizon always (linspace ends at it; gi stops at the first grid
-        # time >= t_next; the dense recorder keeps -inf, so every event logs), so a
-        # t_next past the horizon enters here too, and passes t_tally <= horizon
-        if t_grid < t_next:
-            if dense:
-                if t_next > t_tally:
-                    if t_next > horizon:
-                        break
-                    _tally(grid_t, logs)
-                    t_tally = min(t_next + tally_step, horizon)
-                log_event[kind](t_next)
-            else:
-                if t_next > horizon:
+        # one branch per event kind, in the tie order departure, abandonment,
+        # arrival; each first lets the recorder pass the grid up to its time
+        if (shape.none or t_dep <= t_ab) and t_dep <= next_arr:
+            if t_dep > t_mark:
+                if t_dep > horizon:
                     break
-                gi = bisect_left(grid_list, t_next, gi)
-                stage += (gi, x, r_count, a_count, *z)
-                if len(stage) >= _STAGE:
-                    g0 = _fill(xraq, grid_z, g0, stage, width)
-                t_grid = grid_list[gi]
-
-        if perturbed and q > 0:
-            hazard -= nu * q * (t_next - t_cur)
-        t_cur = t_next
-
-        if kind == 0:
+                t_mark = record_to(t_dep, x, r_count, a_count)
+            if shape.perturbed and q > 0:
+                hazard -= nu * q * (t_dep - t_cur)
+            t_cur = t_dep
+            if shape.dense:
+                skel_log.append(t_cur)
             # skeleton point naming server k: if k is busy it departs and takes
             # the queue's head if anyone waits (X >= N after it); if idle, nothing moves
             k = pick()
@@ -511,41 +562,49 @@ def _simulate(
                 t_busy[k] += t_cur - busy_since[k]
                 busy_since[k] = t_cur  # while idle: the time it went idle
                 if x >= n:
-                    if track:
+                    if shape.track:
                         cid = queue.popleft()
-                        while cid in gone:
-                            gone.remove(cid)
-                            cid = queue.popleft()
-                        served_upto = cid
-                        if record:
+                        if shape.per_customer:
+                            while cid in gone:
+                                gone.remove(cid)
+                                cid = queue.popleft()
+                            served_upto = cid
+                            while deadline_heap[0][1] <= served_upto:
+                                heappop(deadline_heap)  # already served
+                            t_ab = deadline_heap[0][0]
+                        if shape.record:
                             waits[cid] = t_cur - arr_t[cid]
-                        while deadline_heap[0][1] <= served_upto:
-                            heappop(deadline_heap)  # already served; only per_customer has any
-                        t_ab = deadline_heap[0][0]
                 else:
                     busy[k] = 0
-                    if multi:
-                        if dense:
+                    if shape.multi:
+                        if shape.dense:
                             down_t.append(t_cur)
                             down_g.append(pool_of[k])
                         else:
                             z[pool_of[k]] -= 1
-                    if lisf:
+                    if shape.lisf:
                         lisf_q.append(k)
-                    elif fsf:
+                    elif shape.fsf:
                         heappush(fsf_heap, rank[k])
                     else:
                         rand_list.append(k)
             else:
                 discards += 1
-                if dense:
+                if shape.dense:
                     disc_log.append(t_cur)
             t_dep = t_cur + skel_gap() if x else _INF
-        elif kind == 1:
-            # abandonment
-            if perturbed:
+        elif not shape.none and t_ab <= next_arr:
+            # abandonment; t_ab is finite here, so Q > 0
+            if t_ab > t_mark:
+                if t_ab > horizon:
+                    break
+                t_mark = record_to(t_ab, x, r_count, a_count)
+            t_cur = t_ab
+            if shape.dense:
+                ab_log.append(t_cur)
+            if shape.perturbed:  # a fresh hazard replaces the one spent
                 hazard = abandon_draw()
-                if record:
+                if shape.record:
                     cid = queue.popleft()  # perturbed customers leave only from the head
             else:
                 cid = heappop(deadline_heap)[1]
@@ -555,25 +614,34 @@ def _simulate(
                 t_ab = deadline_heap[0][0]
             x -= 1
             r_count += 1
-            if record:
+            if shape.record:
                 waits[cid] = t_cur - arr_t[cid]
                 abandoned[cid] = 1
         else:
             # arrival
+            if next_arr > t_mark:
+                if next_arr > horizon:
+                    break
+                t_mark = record_to(next_arr, x, r_count, a_count)
+            if shape.perturbed and q > 0:
+                hazard -= nu * q * (next_arr - t_cur)
+            t_cur = next_arr
+            if shape.dense:
+                arr_log.append(t_cur)
             a_count += 1
             x += 1
             if t_cur >= t_warm:
                 win_a += 1
-            if record:
+            if shape.record:
                 arr_t.append(t_cur)
                 abandoned.append(0)
                 waited.append(x > n)
                 waits.append(math.nan if x > n else 0.0)
             if x <= n:
                 # an idle server exists: busy count is min(x, N)
-                if lisf:
+                if shape.lisf:
                     k = lisf_q.popleft()
-                elif fsf:
+                elif shape.fsf:
                     k = order[heappop(fsf_heap)]
                 else:  # one routing uniform per pick
                     m = len(rand_list)
@@ -583,12 +651,12 @@ def _simulate(
                     k = rand_list[pos]
                     rand_list[pos] = rand_list[-1]
                     rand_list.pop()
-                if validate and lisf:
+                if shape.validate and shape.lisf:
                     oldest = min(busy_since[j] for j in range(n) if not busy[j])
                     assert busy_since[k] == oldest, "LISF selection rule broken"
                 busy[k] = 1
-                if multi:
-                    if dense:
+                if shape.multi:
+                    if shape.dense:
                         up_t.append(t_cur)
                         up_g.append(pool_of[k])
                     else:
@@ -599,10 +667,10 @@ def _simulate(
             else:
                 if t_cur >= t_warm:
                     win_w += 1
-                if track:
+                if shape.track:
                     cid = n_seed + a_count - 1
                     queue.append(cid)
-                    if per_customer:
+                    if shape.per_customer:
                         heappush(deadline_heap, (t_cur + abandon_draw(), cid))
                         t_ab = deadline_heap[0][0]  # the top was not stale before
                 if x > n + queue_cap:
@@ -611,41 +679,41 @@ def _simulate(
                     break
             next_arr = t_cur + arrival_gap()
 
-        if validate:
+        if shape.validate:
             idle_count = len(lisf_q) + len(fsf_heap) + len(rand_list)
             assert x == x_init + a_count - sum(d_count) - r_count, "flow conservation broken"
             assert not (x > n and idle_count > 0), "work conservation broken"
             assert idle_count == n - sum(busy), "idle set out of step with busy flags"
-            waiting = max(x - n, 0) if track else 0  # ids held only when tracked
+            waiting = max(x - n, 0) if shape.track else 0  # ids held only when tracked
             assert len(queue) - len(gone) == waiting, "queue ids out of step"
             assert (t_dep == _INF) == (x == 0), "skeleton on with no server busy"
-            if per_customer:  # the earliest deadline of a customer still waiting
+            if shape.per_customer:  # the earliest deadline of a customer still waiting
                 assert t_ab == min(d for d, c in deadline_heap if c > served_upto), "stale t_ab"
 
-    if dense:  # cumulate the counts: X = x0 + A - (S - discards) - R
+    if shape.dense:  # cumulate the counts: X = x0 + A - (S - discards) - R
         _tally(grid_t, logs)
         np.cumsum(xraq[:3], axis=1, out=xraq[:3])
         xraq[0] += xraq[2]  # in place, so no temporary row
         xraq[0] -= xraq[1]
         xraq[0] += x_init
-        if multi:
+        if shape.multi:
             np.cumsum(grid_z, axis=0, out=grid_z)
             grid_z += z  # still the initial counts: the loop logged the changes
     else:  # fill the remaining grid with the terminal state
         if stage:
             _fill(xraq, grid_z, g0, stage, width)
         xraq[:3, gi:] = [[x], [r_count], [a_count]]
-        if multi:
+        if shape.multi:
             grid_z[gi:] = z
     np.subtract(xraq[0], n, out=xraq[3])  # Q = (X - N)^+ in place, whichever recorder ran
     np.maximum(xraq[3], 0, out=xraq[3])
-    if not multi:  # work conservation: one group's busy count is min(X, N)
+    if not shape.multi:  # work conservation: one group's busy count is min(X, N)
         np.minimum(xraq[0], n, out=grid_z[:, 0])
     for k in range(n):
         if busy[k]:
             t_busy[k] += end_time - busy_since[k]
     customers = [None] * 4
-    if record:
+    if shape.record:
         customers = [
             np.frombuffer(buf, dtype=dtype)[n_seed:]
             for buf, dtype in ((arr_t, float), (waits, float), (waited, bool), (abandoned, bool))
@@ -678,6 +746,46 @@ def _simulate(
         overflowed=overflowed,
         discarded_points=discards,
     )
+
+
+# where _simulate reads a flag of its shape
+_FLAG = re.compile(r"\bshape\.(" + "|".join(_Shape._fields) + r")\b")
+
+
+@functools.cache
+def _loop_source() -> Optional[str]:
+    """``_simulate``'s source on its own lines of ``sim.py``, or None if it cannot be read.
+
+    Blank lines stand in for the lines above it, so code compiled from it
+    reports ``sim.py``'s line numbers.
+    """
+    code = _simulate.__code__
+    last = max((end for _, end, _, _ in code.co_positions() if end is not None), default=0)
+    # the module's loader finds the source inside a zip too
+    lines = linecache.getlines(code.co_filename, globals())[code.co_firstlineno - 1:last]
+    if not lines or not lines[0].startswith("def _simulate("):
+        return None
+    return "\n" * (code.co_firstlineno - 1) + "".join(lines)
+
+
+@functools.cache
+def _loop(shape: _Shape) -> Callable[..., PathRecord]:
+    """``_simulate`` with ``shape``'s flags as constants, compiled on the shape's first use.
+
+    It runs in this module's globals, so a patched ``_fill`` reaches it.
+    ``_simulate`` itself if the source cannot be read or no longer compiles.
+    """
+    source = _loop_source()
+    if source is None:
+        return _simulate
+    source = _FLAG.sub(lambda flag: str(getattr(shape, flag[1])), source)
+    try:
+        code = compile(source, _simulate.__code__.co_filename, "exec")
+    except SyntaxError:  # sim.py was edited since it was imported
+        return _simulate
+    defined: dict = {}
+    exec(code, globals(), defined)
+    return defined["_simulate"]
 
 
 @dataclass(frozen=True)
@@ -942,15 +1050,12 @@ def replicate(
 
 def path_to_csv(path: PathRecord) -> str:
     """Fixed-layout trajectory table: t,X,Q,Z_1..Z_I,R plus a trailing A."""
-    cols = ["t", "X", "Q"] + [f"Z_{i+1}" for i in range(path.system.n_pools)] + ["R", "A"]
-    z_cells = [",".join(map(str, row)) for row in path.grid_Z.tolist()]
-    rows = zip(
-        path.grid_t.tolist(), path.grid_X.tolist(), path.grid_Q.tolist(), z_cells,
-        path.grid_R.tolist(), path.grid_A.tolist(),
-    )
-    lines = [",".join(cols)]
-    lines += [f"{t!r},{x},{q},{z},{r},{a}" for t, x, q, z, r, a in rows]
-    return "\n".join(lines) + "\n"
+    groups = path.system.n_pools
+    cols = ["t", "X", "Q"] + [f"Z_{i+1}" for i in range(groups)] + ["R", "A"]
+    columns = (path.grid_t, path.grid_X, path.grid_Q, *path.grid_Z.T, path.grid_R, path.grid_A)
+    cells = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    row = "%r" + ",%d" * (4 + groups) + "\n"  # repr of t, then the counts
+    return ",".join(cols) + "\n" + (row * path.grid_t.size) % cells
 
 
 def path_summary(path: PathRecord) -> dict:

@@ -10,6 +10,7 @@ multiplicative ratio ||g||_T / (||Z_hat||_T v 1), medians over replications.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -173,6 +174,10 @@ def hydro_scale(path: PathRecord, m: int, length: float) -> HydroScaledPath:
     """
     if not 0 <= m < math.inf:  # false for NaN
         raise ConfigError(f"window index must be finite and >= 0, got {m!r}")
+    try:
+        m = operator.index(m)  # an int, or a numpy integer; not 1.5, nor 2.0
+    except TypeError:
+        raise ConfigError(f"window index must be an integer, got {m!r}") from None
     if not 0.0 < length < math.inf:  # false for NaN
         raise ConfigError(f"window length must be finite and > 0, got {length!r}")
     n_total = path.system.n_servers

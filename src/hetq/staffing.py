@@ -79,7 +79,16 @@ def _mmn_law(n: int, lam: float, mu: float, nu: float) -> Tuple[float, float]:
     if nu == 0.0:  # sum_k rho^k = 1/(1 - rho), sum_k k rho^k = rho/(1 - rho)^2
         tail *= cap / (cap - lam)
         return tail / (below + tail), tail * (lam / (cap - lam)) / (below + tail)
-    for start in range(0, _MAX_STATES, 4096):  # blocks of log(lam / (N mu + k nu)) above N
+    # log w_k = sum_{j <= k} log(lam / (cap + j nu)) is concave in k, so the loop below
+    # cannot stop within its last state K if the tail still climbs there, or if a lower
+    # bound on log w_K (log(1 + y) <= y) lies within 749 of an upper bound on the peak
+    # (the integral of log(lam / (cap + s nu)) up to its root): then it sums no block
+    last = 4096 * -(-_MAX_STATES // 4096)
+    x = (lam - cap) / cap
+    crest = cap * (x - math.log1p(x)) / nu if lam > cap else ref  # NaN if x overflows
+    low = last * (math.log(lam) - math.log(cap)) - nu * last * (last + 1.0) / (2.0 * cap)
+    refused = (lam - cap) / nu >= last or min(0.0, low) >= crest - 749.0
+    for start in range(0, 0 if refused else last, 4096):  # blocks of log(lam / (N mu + k nu))
         k = np.arange(start + 1.0, start + 4097.0)
         block = log_w + np.cumsum(np.log(lam / (cap + k * nu)))
         peak, log_w = max(ref, float(block.max())), float(block[-1])

@@ -5,10 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetq.cli import _DEFAULTS
 from hetq.core import (
     CONFIG_KEYS,
+    MAX_DENSITY_SPAN,
+    MAX_GRID_POINTS,
+    MAX_QUEUE_CAP,
+    HalfinWhitt,
+    Policy,
     RateDistribution,
     RealizedSystem,
     SystemConfig,
@@ -85,6 +92,75 @@ def test_defaults_lie_in_their_domains_and_round_trip():
         for key, value in defaults.items():
             assert CONFIG_KEYS[key][1].holds(value), (command, key)
         assert parse_config_text(format_config(defaults)) == defaults, command
+
+
+def _floats(lo=-math.inf, hi=math.inf, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+_POS = _floats(0.0, exclude_min=True)
+_NON_NEG = _floats(0.0)
+
+
+def _law(make, *args):
+    """``make(*args)``, or None where the constructor refuses the law (E[mu^2] overflows, say)."""
+    try:
+        return make(*args)
+    except ConfigError:
+        return None
+
+
+def _rates():
+    weighted = st.lists(st.tuples(_POS, _floats(1e-3, 1.0)), min_size=1, max_size=4)
+    atoms = weighted.map(lambda rw: [(r, w / math.fsum(w for _, w in rw)) for r, w in rw])
+    laws = st.one_of(
+        st.builds(_law, st.just(RateDistribution.point), _POS),
+        st.builds(_law, st.just(RateDistribution.uniform), _POS, _POS),
+        st.builds(_law, st.just(RateDistribution.discrete), atoms),
+    )
+    return laws.filter(lambda law: law is not None)
+
+
+def _pools():
+    weights = st.lists(_floats(1e-3, 1.0), min_size=1, max_size=4)
+    fractions = weights.map(lambda w: [x / math.fsum(w) for x in w])
+    rates = st.sets(_POS, min_size=4, max_size=4).map(sorted)
+    return st.tuples(fractions, rates).map(lambda fr: tuple(zip(*fr)))
+
+
+# key -> values drawn from its declared domain; a draw the constructor refuses
+# (a law whose E[mu^2] overflows, say) is filtered, so is one the domain refuses
+_INSIDE = {
+    "r": _POS, "lambda_r": _NON_NEG, "seed": st.integers(0), "arrival_scv": _NON_NEG,
+    "staffing": st.one_of(st.integers(1), st.builds(HalfinWhitt, _NON_NEG)),
+    "abandon_rate": _NON_NEG, "policy": st.sampled_from(Policy), "rates": _rates(),
+    "pools": _pools(), "horizon": _POS, "warmup": _floats(0.0, 1.0, exclude_max=True),
+    "abandon_mode": st.sampled_from(["none", "per_customer", "perturbed"]),
+    "x0": st.integers(0), "grid_points": st.integers(2, MAX_GRID_POINTS),
+    "queue_cap": st.integers(0, MAX_QUEUE_CAP), "record_idle": st.booleans(),
+    "reps": st.integers(1), "c_s": _NON_NEG, "c_w": _NON_NEG, "d": _NON_NEG, "c_un": _NON_NEG,
+    "cost_model": st.sampled_from(["waiting", "abandon"]), "bracket_lo": _POS,
+    "bracket_hi": _POS, "opt_tol": _POS, "beta": _floats(), "sigma": _NON_NEG, "gamma": _POS,
+    "nu": _NON_NEG, "theta": _floats(), "mu_bar": _POS,
+    "density_points": st.integers(2, MAX_GRID_POINTS),
+    "density_span": _floats(0.0, MAX_DENSITY_SPAN, exclude_min=True), "eps_min": _POS,
+    "eps_max": _POS, "eps_steps": st.integers(1, 10_000),
+    "r_values": st.lists(_floats(0.5, exclude_min=True), max_size=4).map(tuple),
+    "ssc_horizon": _POS, "lambda_hat": _floats(hi=0.0, exclude_max=True),
+    "bins": st.integers(1), "p_rate": _POS, "skeleton_events": st.integers(1, 1_000_000),
+}
+
+
+def test_every_key_has_a_fuzz_domain():
+    assert set(_INSIDE) == set(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+@given(data=st.data())
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_values_in_the_domain_round_trip(key, data):
+    value = data.draw(_INSIDE[key].filter(CONFIG_KEYS[key][1].holds), label=key)
+    assert parse_config_text(format_config({key: value})) == {key: value}
 
 
 def test_readme_key_list_gives_each_domain():

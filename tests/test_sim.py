@@ -1,6 +1,9 @@
 """Event-engine behavior: invariants, oracles, coupling, replication."""
 
+import dataclasses
 import hashlib
+import itertools
+import linecache
 import math
 import time
 import tracemalloc
@@ -267,6 +270,103 @@ class TestGridReference:
         calls = _count_flushes(monkeypatch)
         run(cfg, s, **kwargs)
         assert calls[recorder] >= 1 and sum(calls.values()) == calls[recorder]
+
+
+def _shape_case(policy, mode, dense, multi, record, validate):
+    """The arguments of a small seeded run of one shape, and the shape."""
+    nu = 0.0 if mode is AbandonMode.NONE else 0.8
+    pools = ((0.5, 0.8), (0.5, 1.3)) if multi else None
+    cfg = SystemConfig(r=12.0, lambda_r=12.5, seed=17, staffing=12, abandon_rate=nu,
+                       policy=policy, pools=pools)
+    s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5), rep=1)
+    # x0 = 16 > N: four seed customers wait from time 0
+    args = (cfg, s, 40.0, mode, 16, 400, 1_000_000, 1, 0.2)
+    shape = hetq.sim._shape(cfg, s, 40.0, mode, 400, record, validate)._replace(dense=dense)
+    assert shape.multi == multi
+    return args, shape
+
+
+_SHAPES = list(itertools.product(Policy, AbandonMode, *[(False, True)] * 4))
+
+
+def _assert_same_path(got, want):
+    for field in dataclasses.fields(hetq.sim.PathRecord):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=field.name, strict=True)  # NaN == NaN
+        else:
+            assert a == b, field.name
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            yield from _code_objects(const)
+
+
+def _lines(code):
+    return {line for c in _code_objects(code) for _, _, line in c.co_lines() if line}
+
+
+@pytest.fixture
+def fresh_loops():
+    """Empty the caches of compiled loops and of the loop's source before and after."""
+    caches = (hetq.sim._loop, hetq.sim._loop_source)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestCompiledLoop:
+    # run calls _simulate compiled once per shape with the shape's flags as
+    # constants; _simulate itself is the reference
+    @pytest.mark.parametrize("policy,mode", itertools.product(Policy, AbandonMode), ids=str)
+    def test_every_shape_equals_the_reference(self, policy, mode):
+        for flags in itertools.product((False, True), repeat=4):
+            args, shape = _shape_case(policy, mode, *flags)
+            loop = hetq.sim._loop(shape)
+            assert loop is not hetq.sim._simulate
+            _assert_same_path(loop(*args, 8.0, shape), hetq.sim._simulate(*args, 8.0, shape))
+
+    def test_compiled_loops_read_no_flag_and_keep_the_lines_of_sim_py(self):
+        ref = hetq.sim._simulate.__code__
+        flags = set(hetq.sim._Shape._fields)
+        for case in _SHAPES:
+            shape = _shape_case(*case)[1]
+            code = hetq.sim._loop(shape).__code__
+            for c in _code_objects(code):
+                assert not flags & set(c.co_varnames + c.co_names + c.co_cellvars + c.co_freevars)
+            assert (code.co_filename, code.co_firstlineno) == (ref.co_filename, ref.co_firstlineno)
+            assert _lines(code) <= _lines(ref), shape
+            assert len(code.co_code) < len(ref.co_code), shape  # the ruled-out branches are gone
+
+    def test_compiled_loop_runs_in_the_module_globals(self):
+        # so a patched _fill, _tally or _DENSE reaches it (TestGridReference patches them)
+        shape = _shape_case(*_SHAPES[0])[1]
+        assert hetq.sim._loop(shape).__globals__ is vars(hetq.sim)
+
+    @pytest.mark.parametrize("edit", ["unreadable", "shifted", "edited"])
+    def test_without_its_source_run_takes_the_reference(self, edit, fresh_loops, monkeypatch):
+        # no lines; sim.py's lines a line off, so _simulate's first line is not
+        # where its code says; or a line added inside it, which cuts off its end
+        getlines = linecache.getlines
+        first = hetq.sim._simulate.__code__.co_firstlineno
+
+        def lines(name, *rest):
+            real = getlines(name, *rest)
+            return {"unreadable": [], "shifted": ["\n"] + real,
+                    "edited": real[:first] + ["\n"] + real[first:]}[edit]
+
+        monkeypatch.setattr(linecache, "getlines", lines)
+        args, shape = _shape_case(Policy.FSF, AbandonMode.PER_CUSTOMER, False, True, True, True)
+        assert hetq.sim._loop(shape) is hetq.sim._simulate
+        cfg, s, horizon, mode, x0, grid_points = args[:6]
+        path = run(cfg, s, horizon, mode, x0, grid_points, rep=1, validate=True,
+                   record_customers=True)
+        _assert_same_path(path, hetq.sim._simulate(*args, 8.0, shape))
 
 
 # TestSkeleton's alias-table weights that are not all equal

@@ -1,6 +1,7 @@
 """Collapse function, hydrodynamic windows, fairness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,18 @@ class TestHydroScale:
             hydro_scale(path, 0, 100.0)
         with pytest.raises(WindowError):
             hydro_scale(path, 10_000, 1.0)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, np.float64(1.0)])
+    def test_window_index_must_be_an_integer(self, m):
+        # window m starts at m / sqrt(N); refused before the path is read
+        message = f"window index must be an integer, got {m!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            hydro_scale(None, m, 1.0)
+
+    def test_numpy_integer_window_index(self):
+        cfg, path = self._two_pool_path(horizon=2.0)
+        a, b = hydro_scale(path, np.int64(1), 1.0), hydro_scale(path, 1, 1.0)
+        assert a.m == b.m == 1 and a.x_rm == b.x_rm and np.array_equal(a.z, b.z)
 
 
 class TestAlmostLipschitz:

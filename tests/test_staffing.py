@@ -173,10 +173,15 @@ class TestErlangLaw:
             within(2, call, *args)
 
     @pytest.mark.parametrize("n,lam,nu", [(50, 200.0, 1e-9), (50, 50.0, 1e-12)])
-    def test_tail_past_the_state_cap_is_refused_naming_nu(self, n, lam, nu):
-        # the tail's mode, or its decay to e^-750, lies beyond 1e7 queue states
+    def test_tail_past_the_state_cap_is_refused_naming_nu(self, n, lam, nu, monkeypatch):
+        # the tail's mode, or its decay to e^-750, lies beyond 1e7 queue states; closed-form
+        # bounds refuse it before any block of the tail is summed
+        summed = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda a, *args: summed.append(len(a)) or cumsum(a, *args))
         with pytest.raises(DomainError, match="nu = "):
             within(2, erlang_a, n, lam, 1.0, nu)
+        assert summed == [n]  # the weights below N only
 
     @pytest.mark.parametrize("args", [(10, 8.0, 1.0, 1e308), (3, 1e308, 1e-300, 1e305)])
     def test_abandonment_never_exceeds_the_wait_probability(self, args):
