@@ -49,15 +49,17 @@ rejection pick; ``hetq.cli`` stamps both as stream layout 2.
 The loop is written once, in ``_simulate``, for every run shape: the policy,
 the abandonment mode, the recorder, one or several server groups, the
 customer record and validation, all fixed before the first event (at most
-144 shapes). ``run`` calls a copy compiled for its shape (``_loop``): the
-first time a process meets a shape, each flag in ``_simulate``'s source,
-read from this file once per process, is replaced by its constant, and
-CPython's compiler emits no code for the branches the constants rule out,
-so no pass tests a flag. The copy keeps this file's name and line numbers,
-runs in this module's globals and does the same operations in the same
-order, so no output depends on it. Reading the source costs about 2 ms
-once per process, and compiling a shape 5-7 ms (2-vCPU host). If the
-source cannot be read, ``_simulate`` itself runs.
+144 shapes). ``_simulate`` unpacks them into locals first, and ``run`` calls
+a copy compiled for its shape (``_loop``): the first time a process meets a
+shape, each flag's name in ``_simulate``'s source, read from this file once
+per process, is replaced by its constant, and CPython's compiler emits no
+code for the branches the constants rule out, so no pass tests a flag. The
+copy keeps this file's name and line numbers, runs in this module's globals
+and does the same operations in the same order, so no output depends on it.
+Reading the source, and checking that it compiles to ``_simulate``'s own
+code, costs about 5 ms once per process, and compiling a shape 4-7 ms
+(2-vCPU host). If the source cannot be read, or is not the one imported,
+``_simulate`` itself runs, testing its local flags in each pass.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from types import ModuleType
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -365,14 +368,14 @@ def run(
 
 
 class _Shape(NamedTuple):
-    """The flags ``_simulate`` reads, as ``shape.<flag>``, and never changes.
+    """The flags ``_simulate`` unpacks into locals of the same names, and never changes.
 
     They are fixed before the first event, so ``_loop`` folds them in.
     """
 
     lisf: bool
     fsf: bool  # neither: RANDOM
-    none: bool  # none, per_customer, perturbed: the abandonment mode
+    abandon: bool  # the abandonment mode is not none
     per_customer: bool
     perturbed: bool
     track: bool  # keep the ids of waiting customers: record or per_customer
@@ -393,7 +396,7 @@ def _shape(config, system, horizon, mode, grid_points, record, validate) -> _Sha
     return _Shape(
         lisf=config.policy is Policy.LISF,
         fsf=config.policy is Policy.FSF,
-        none=mode is AbandonMode.NONE,
+        abandon=mode is not AbandonMode.NONE,
         per_customer=per_customer,
         perturbed=mode is AbandonMode.PERTURBED,
         track=bool(record) or per_customer,
@@ -412,8 +415,10 @@ def _simulate(
 
     Written for every shape at once. ``run`` calls the copy that
     ``_loop(shape)`` compiles with the shape's flags as constants; this
-    function is the reference that copy is tested against.
+    function is the reference that copy is tested against, and what runs
+    when the source cannot be read.
     """
+    lisf, fsf, abandon, per_customer, perturbed, track, multi, dense, record, validate = shape
     n = system.n_servers
     mu = system.mu.tolist()
     pool_of = system.pool_of.tolist()
@@ -435,7 +440,7 @@ def _simulate(
     skel_gap = _draws(seed, rep, Stream.SKELETON, std_exp, _over(sum_mu))
     pick = _draws(seed, rep, Stream.SERVICE, "random", _alias_pick(mu))
     abandon_draw = _draws(
-        seed, rep, Stream.ABANDON, std_exp, _over(nu) if shape.per_customer else None
+        seed, rep, Stream.ABANDON, std_exp, _over(nu) if per_customer else None
     )
     routing_u = _draws(seed, rep, Stream.ROUTING, "random")
 
@@ -449,34 +454,34 @@ def _simulate(
     d_count = [0] * n
     # busy count per group; none kept for one group, staged rows then end at A,
     # and kept only by the sparse recorder
-    z = np.bincount(system.pool_of[:n_busy0], minlength=n_pools).tolist() if shape.multi else []
+    z = np.bincount(system.pool_of[:n_busy0], minlength=n_pools).tolist() if multi else []
     t_dep = skel_gap() if n_busy0 else _INF
 
     # idle set of the policy; the other two stay empty
     idle_ids = range(n_busy0, n)
-    lisf_q: deque = deque(idle_ids if shape.lisf else ())
+    lisf_q: deque = deque(idle_ids if lisf else ())
     # FSF's heap holds ranks in (-mu, k) order, so it compares ints: order[r]
     # is the server of rank r, rank[k] the rank of server k; equal rates give
     # the lowest index first
-    order = sorted(range(n), key=lambda k: (-mu[k], k)) if shape.fsf else []
+    order = sorted(range(n), key=lambda k: (-mu[k], k)) if fsf else []
     rank = np.argsort(order).tolist()
-    fsf_heap = sorted(rank[k] for k in idle_ids) if shape.fsf else []  # sorted is a heap
-    rand_list = list(idle_ids) if not (shape.lisf or shape.fsf) else []
+    fsf_heap = sorted(rank[k] for k in idle_ids) if fsf else []  # sorted is a heap
+    rand_list = list(idle_ids) if not (lisf or fsf) else []
 
     # customers are numbered in arrival order after the x0 - N seed customers,
     # who wait from time 0 and are left out of the arrival statistics
     n_seed = x - n_busy0
-    queue: deque = deque(range(n_seed) if shape.track else ())
+    queue: deque = deque(range(n_seed) if track else ())
     gone = set()  # ids that abandoned while queued and are still in `queue`
     served_upto = -1  # highest id taken from the queue
-    if shape.record:
+    if record:
         arr_t = array("d", [0.0]) * n_seed
         waited = bytearray(b"\x01") * n_seed
         waits = array("d", [math.nan]) * n_seed
         abandoned = bytearray(n_seed)
     # patience deadlines over a sentinel; FIFO service makes an entry stale
     # exactly when its id is at most served_upto
-    deadline_heap = [(abandon_draw(), cid) for cid in range(n_seed)] if shape.per_customer else []
+    deadline_heap = [(abandon_draw(), cid) for cid in range(n_seed)] if per_customer else []
     deadline_heap.append((_INF, _INF))
     heapify(deadline_heap)
 
@@ -486,12 +491,12 @@ def _simulate(
     # the recorder works only at an event past t_mark <= horizon, so the loop
     # tests the horizon there: the next grid time (sparse), or the next tally
     gi = g0 = 0  # grid points below gi are passed, those below g0 written (sparse)
-    if shape.dense:
+    if dense:
         skel_log, ab_log, arr_log, disc_log = (array("d") for _ in range(4))
         # X counts -1 per skeleton point, +1 per discard; +A - R come after the loop
         logs = [(skel_log, None, xraq[0], -1), (disc_log, None, xraq[0], 1),
                 (ab_log, None, xraq[1], 1), (arr_log, None, xraq[2], 1)]
-        if shape.multi:  # busy and idle transitions, keyed by group
+        if multi:  # busy and idle transitions, keyed by group
             up_t, up_g, down_t, down_g = array("d"), array("q"), array("d"), array("q")
             logs += [(up_t, up_g, grid_z, 1), (down_t, down_g, grid_z, -1)]
         # logs are tallied every ~_TALLY expected events
@@ -512,7 +517,7 @@ def _simulate(
         times below ``t``, writing staged rows every ~_STAGE values.
         """
         nonlocal gi, g0
-        if shape.dense:
+        if dense:
             _tally(grid_t, logs)
             return min(t + tally_step, horizon)
         gi = bisect_left(grid_list, t, gi)
@@ -527,31 +532,31 @@ def _simulate(
     win_a = win_w = 0  # arrivals, and waited arrivals, at t >= t_warm
     x_init = x
     next_arr = arrival_gap() if lam > 0.0 else _INF
-    hazard = abandon_draw() if shape.perturbed else 0.0
+    hazard = abandon_draw() if perturbed else 0.0
     t_cur = 0.0
     overflowed = False
     end_time = horizon
 
     # per_customer keeps t_ab current, reading the heap only where the waiting
     # set changes (a served head, an abandonment, a waiting arrival); perturbed
-    # recomputes it each pass, and none never compares it
+    # recomputes it each pass, and mode none never compares it
     t_ab = deadline_heap[0][0]
     while True:
-        if shape.perturbed:  # the hazard left is spent at rate nu * Q
+        if perturbed:  # the hazard left is spent at rate nu * Q
             q = x - n  # Q where positive; the loop keeps X only
             t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
 
         # one branch per event kind, in the tie order departure, abandonment,
         # arrival; each first lets the recorder pass the grid up to its time
-        if (shape.none or t_dep <= t_ab) and t_dep <= next_arr:
+        if (not abandon or t_dep <= t_ab) and t_dep <= next_arr:
             if t_dep > t_mark:
                 if t_dep > horizon:
                     break
                 t_mark = record_to(t_dep, x, r_count, a_count)
-            if shape.perturbed and q > 0:
+            if perturbed and q > 0:
                 hazard -= nu * q * (t_dep - t_cur)
             t_cur = t_dep
-            if shape.dense:
+            if dense:
                 skel_log.append(t_cur)
             # skeleton point naming server k: if k is busy it departs and takes
             # the queue's head if anyone waits (X >= N after it); if idle, nothing moves
@@ -562,9 +567,9 @@ def _simulate(
                 t_busy[k] += t_cur - busy_since[k]
                 busy_since[k] = t_cur  # while idle: the time it went idle
                 if x >= n:
-                    if shape.track:
+                    if track:
                         cid = queue.popleft()
-                        if shape.per_customer:
+                        if per_customer:
                             while cid in gone:
                                 gone.remove(cid)
                                 cid = queue.popleft()
@@ -572,39 +577,39 @@ def _simulate(
                             while deadline_heap[0][1] <= served_upto:
                                 heappop(deadline_heap)  # already served
                             t_ab = deadline_heap[0][0]
-                        if shape.record:
+                        if record:
                             waits[cid] = t_cur - arr_t[cid]
                 else:
                     busy[k] = 0
-                    if shape.multi:
-                        if shape.dense:
+                    if multi:
+                        if dense:
                             down_t.append(t_cur)
                             down_g.append(pool_of[k])
                         else:
                             z[pool_of[k]] -= 1
-                    if shape.lisf:
+                    if lisf:
                         lisf_q.append(k)
-                    elif shape.fsf:
+                    elif fsf:
                         heappush(fsf_heap, rank[k])
                     else:
                         rand_list.append(k)
             else:
                 discards += 1
-                if shape.dense:
+                if dense:
                     disc_log.append(t_cur)
             t_dep = t_cur + skel_gap() if x else _INF
-        elif not shape.none and t_ab <= next_arr:
+        elif abandon and t_ab <= next_arr:
             # abandonment; t_ab is finite here, so Q > 0
             if t_ab > t_mark:
                 if t_ab > horizon:
                     break
                 t_mark = record_to(t_ab, x, r_count, a_count)
             t_cur = t_ab
-            if shape.dense:
+            if dense:
                 ab_log.append(t_cur)
-            if shape.perturbed:  # a fresh hazard replaces the one spent
+            if perturbed:  # a fresh hazard replaces the one spent
                 hazard = abandon_draw()
-                if shape.record:
+                if record:
                     cid = queue.popleft()  # perturbed customers leave only from the head
             else:
                 cid = heappop(deadline_heap)[1]
@@ -614,7 +619,7 @@ def _simulate(
                 t_ab = deadline_heap[0][0]
             x -= 1
             r_count += 1
-            if shape.record:
+            if record:
                 waits[cid] = t_cur - arr_t[cid]
                 abandoned[cid] = 1
         else:
@@ -623,25 +628,25 @@ def _simulate(
                 if next_arr > horizon:
                     break
                 t_mark = record_to(next_arr, x, r_count, a_count)
-            if shape.perturbed and q > 0:
+            if perturbed and q > 0:
                 hazard -= nu * q * (next_arr - t_cur)
             t_cur = next_arr
-            if shape.dense:
+            if dense:
                 arr_log.append(t_cur)
             a_count += 1
             x += 1
             if t_cur >= t_warm:
                 win_a += 1
-            if shape.record:
+            if record:
                 arr_t.append(t_cur)
                 abandoned.append(0)
                 waited.append(x > n)
                 waits.append(math.nan if x > n else 0.0)
             if x <= n:
                 # an idle server exists: busy count is min(x, N)
-                if shape.lisf:
+                if lisf:
                     k = lisf_q.popleft()
-                elif shape.fsf:
+                elif fsf:
                     k = order[heappop(fsf_heap)]
                 else:  # one routing uniform per pick
                     m = len(rand_list)
@@ -651,12 +656,12 @@ def _simulate(
                     k = rand_list[pos]
                     rand_list[pos] = rand_list[-1]
                     rand_list.pop()
-                if shape.validate and shape.lisf:
+                if validate and lisf:
                     oldest = min(busy_since[j] for j in range(n) if not busy[j])
                     assert busy_since[k] == oldest, "LISF selection rule broken"
                 busy[k] = 1
-                if shape.multi:
-                    if shape.dense:
+                if multi:
+                    if dense:
                         up_t.append(t_cur)
                         up_g.append(pool_of[k])
                     else:
@@ -667,10 +672,10 @@ def _simulate(
             else:
                 if t_cur >= t_warm:
                     win_w += 1
-                if shape.track:
+                if track:
                     cid = n_seed + a_count - 1
                     queue.append(cid)
-                    if shape.per_customer:
+                    if per_customer:
                         heappush(deadline_heap, (t_cur + abandon_draw(), cid))
                         t_ab = deadline_heap[0][0]  # the top was not stale before
                 if x > n + queue_cap:
@@ -679,41 +684,41 @@ def _simulate(
                     break
             next_arr = t_cur + arrival_gap()
 
-        if shape.validate:
+        if validate:
             idle_count = len(lisf_q) + len(fsf_heap) + len(rand_list)
             assert x == x_init + a_count - sum(d_count) - r_count, "flow conservation broken"
             assert not (x > n and idle_count > 0), "work conservation broken"
             assert idle_count == n - sum(busy), "idle set out of step with busy flags"
-            waiting = max(x - n, 0) if shape.track else 0  # ids held only when tracked
+            waiting = max(x - n, 0) if track else 0  # ids held only when tracked
             assert len(queue) - len(gone) == waiting, "queue ids out of step"
             assert (t_dep == _INF) == (x == 0), "skeleton on with no server busy"
-            if shape.per_customer:  # the earliest deadline of a customer still waiting
+            if per_customer:  # the earliest deadline of a customer still waiting
                 assert t_ab == min(d for d, c in deadline_heap if c > served_upto), "stale t_ab"
 
-    if shape.dense:  # cumulate the counts: X = x0 + A - (S - discards) - R
+    if dense:  # cumulate the counts: X = x0 + A - (S - discards) - R
         _tally(grid_t, logs)
         np.cumsum(xraq[:3], axis=1, out=xraq[:3])
         xraq[0] += xraq[2]  # in place, so no temporary row
         xraq[0] -= xraq[1]
         xraq[0] += x_init
-        if shape.multi:
+        if multi:
             np.cumsum(grid_z, axis=0, out=grid_z)
             grid_z += z  # still the initial counts: the loop logged the changes
     else:  # fill the remaining grid with the terminal state
         if stage:
             _fill(xraq, grid_z, g0, stage, width)
         xraq[:3, gi:] = [[x], [r_count], [a_count]]
-        if shape.multi:
+        if multi:
             grid_z[gi:] = z
     np.subtract(xraq[0], n, out=xraq[3])  # Q = (X - N)^+ in place, whichever recorder ran
     np.maximum(xraq[3], 0, out=xraq[3])
-    if not shape.multi:  # work conservation: one group's busy count is min(X, N)
+    if not multi:  # work conservation: one group's busy count is min(X, N)
         np.minimum(xraq[0], n, out=grid_z[:, 0])
     for k in range(n):
         if busy[k]:
             t_busy[k] += end_time - busy_since[k]
     customers = [None] * 4
-    if shape.record:
+    if record:
         customers = [
             np.frombuffer(buf, dtype=dtype)[n_seed:]
             for buf, dtype in ((arr_t, float), (waits, float), (waited, bool), (abandoned, bool))
@@ -748,24 +753,40 @@ def _simulate(
     )
 
 
-# where _simulate reads a flag of its shape
-_FLAG = re.compile(r"\bshape\.(" + "|".join(_Shape._fields) + r")\b")
+# _simulate's first statement; the copies _loop compiles put a constant in
+# place of each name it binds
+_UNPACK = ", ".join(_Shape._fields) + " = shape"
+_FLAG = re.compile(r"(?<![.\w])(" + "|".join(_Shape._fields) + r")\b")
+# the modules this one imports; CPython compiles a call of a module's function
+# differently once it knows the name is an import
+_IMPORTS = "import " + ", ".join(
+    f"{module.__name__} as {name}"
+    for name, module in globals().items() if isinstance(module, ModuleType)
+)
 
 
 @functools.cache
 def _loop_source() -> Optional[str]:
     """``_simulate``'s source on its own lines of ``sim.py``, or None if it cannot be read.
 
-    Blank lines stand in for the lines above it, so code compiled from it
-    reports ``sim.py``'s line numbers.
+    ``_IMPORTS`` and blank lines stand in for the lines above it, so code
+    compiled from it reports ``sim.py``'s line numbers. The source must
+    compile to ``_simulate``'s own code, so a ``sim.py`` edited since import
+    is not read.
     """
     code = _simulate.__code__
-    last = max((end for _, end, _, _ in code.co_positions() if end is not None), default=0)
+    first = code.co_firstlineno
     # the module's loader finds the source inside a zip too
-    lines = linecache.getlines(code.co_filename, globals())[code.co_firstlineno - 1:last]
-    if not lines or not lines[0].startswith("def _simulate("):
+    lines = linecache.getlines(code.co_filename, globals())
+    last = max(line for _, _, line in code.co_lines() if line is not None)  # the last statement
+    while last < len(lines) and lines[last][:1].isspace():  # and the lines that continue it
+        last += 1
+    source = _IMPORTS + "\n" * (first - 1) + "".join(lines[first - 1:last])
+    try:
+        compiled = compile(source, code.co_filename, "exec")
+    except SyntaxError:
         return None
-    return "\n" * (code.co_firstlineno - 1) + "".join(lines)
+    return source if code in compiled.co_consts else None
 
 
 @functools.cache
@@ -773,18 +794,15 @@ def _loop(shape: _Shape) -> Callable[..., PathRecord]:
     """``_simulate`` with ``shape``'s flags as constants, compiled on the shape's first use.
 
     It runs in this module's globals, so a patched ``_fill`` reaches it.
-    ``_simulate`` itself if the source cannot be read or no longer compiles.
+    ``_simulate`` itself if the source cannot be read.
     """
     source = _loop_source()
-    if source is None:
+    if source is None or _UNPACK not in source:
         return _simulate
+    source = source.replace(_UNPACK, "pass", 1)
     source = _FLAG.sub(lambda flag: str(getattr(shape, flag[1])), source)
-    try:
-        code = compile(source, _simulate.__code__.co_filename, "exec")
-    except SyntaxError:  # sim.py was edited since it was imported
-        return _simulate
     defined: dict = {}
-    exec(code, globals(), defined)
+    exec(compile(source, _simulate.__code__.co_filename, "exec"), globals(), defined)
     return defined["_simulate"]
 
 

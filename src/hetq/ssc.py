@@ -10,6 +10,7 @@ multiplicative ratio ||g||_T / (||Z_hat||_T v 1), medians over replications.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -172,10 +173,10 @@ def hydro_scale(path: PathRecord, m: int, length: float) -> HydroScaledPath:
     The scaling factor is x_{r,m} = |Z(m/sqrt(|N|)) - N|^2 v |N| (max norm
     over pools, |N| the total server count), taken at the window start.
     """
-    if not 0 <= m < math.inf:  # false for NaN
+    if isinstance(m, numbers.Real) and not 0 <= m < math.inf:  # false for NaN
         raise ConfigError(f"window index must be finite and >= 0, got {m!r}")
     try:
-        m = operator.index(m)  # an int, or a numpy integer; not 1.5, nor 2.0
+        m = operator.index(m)  # an int, or a numpy integer; not 1.5, nor 2.0, nor "1"
     except TypeError:
         raise ConfigError(f"window index must be an integer, got {m!r}") from None
     if not 0.0 < length < math.inf:  # false for NaN

@@ -42,6 +42,8 @@ __all__ = [
 
 
 _MAX_STATES = 10_000_000  # states of the M/M/N(+M) law below N, and in its queue tail
+_BLOCK = 4096  # queue-tail states summed per array call
+_DECAY = 750.0  # the tail ends where k pi_{N+k} is e^-_DECAY of the largest weight
 
 
 def erlang_c(n: int, lam: float, mu: float) -> Tuple[float, float, float]:
@@ -79,22 +81,25 @@ def _mmn_law(n: int, lam: float, mu: float, nu: float) -> Tuple[float, float]:
     if nu == 0.0:  # sum_k rho^k = 1/(1 - rho), sum_k k rho^k = rho/(1 - rho)^2
         tail *= cap / (cap - lam)
         return tail / (below + tail), tail * (lam / (cap - lam)) / (below + tail)
-    # log w_k = sum_{j <= k} log(lam / (cap + j nu)) is concave in k, so the loop below
-    # cannot stop within its last state K if the tail still climbs there, or if a lower
-    # bound on log w_K (log(1 + y) <= y) lies within 749 of an upper bound on the peak
-    # (the integral of log(lam / (cap + s nu)) up to its root): then it sums no block
-    last = 4096 * -(-_MAX_STATES // 4096)
-    x = (lam - cap) / cap
+    # log w_k = k log(lam / cap) - sum_{j <= k} log1p(j t), t = nu / cap, climbs to the tail's
+    # mode, where the loop below cannot stop, and falls after it. So the loop cannot stop
+    # within its last state K if the mode lies past K, or if a lower bound on log w_K lies
+    # within _DECAY - 1 of an upper bound on the largest weight (the weights below N, or the
+    # integral of log(lam / (cap + s nu)) up to its root): then it sums no block. log1p(j t)
+    # rises with j, so the sum is at most the integral of log1p(s t) over [1, K + 1]
+    last = _BLOCK * -(-_MAX_STATES // _BLOCK)
+    x, t = (lam - cap) / cap, max(nu / cap, 1e-300)  # t > 0; a larger t only lowers the bound
     crest = cap * (x - math.log1p(x)) / nu if lam > cap else ref  # NaN if x overflows
-    low = last * (math.log(lam) - math.log(cap)) - nu * last * (last + 1.0) / (2.0 * cap)
-    refused = (lam - cap) / nu >= last or min(0.0, low) >= crest - 749.0
-    for start in range(0, 0 if refused else last, 4096):  # blocks of log(lam / (N mu + k nu))
-        k = np.arange(start + 1.0, start + 4097.0)
+    rise = lambda s: ((1.0 + s * t) * math.log1p(s * t) - s * t) / t  # NaN if s t overflows
+    low = last * (math.log(lam) - math.log(cap)) - (rise(last + 1.0) - rise(1.0))
+    refused = (lam - cap) / nu >= last or low >= crest - (_DECAY - 1.0)  # false for NaN
+    for start in range(0, 0 if refused else last, _BLOCK):  # blocks of log(lam / (cap + k nu))
+        k = np.arange(start + 1.0, start + _BLOCK + 1.0)
         block = log_w + np.cumsum(np.log(lam / (cap + k * nu)))
         peak, log_w = max(ref, float(block.max())), float(block[-1])
         w, shrink, ref = np.exp(block - peak), math.exp(ref - peak), peak  # 1 past the mode
         below, tail, tail_q = below * shrink, tail * shrink + w.sum(), tail_q * shrink + w @ k
-        if log_w + math.log1p(k[-1]) < ref - 750.0:  # k pi_{N+k} is e^-750 of the largest
+        if log_w + math.log1p(k[-1]) < ref - _DECAY:  # k pi_{N+k} is e^-_DECAY of the largest
             return float(tail / (below + tail)), float(tail_q / (below + tail))
     raise DomainError(f"nu = {nu!r} leaves queue weight past {_MAX_STATES} states "
                       f"at n = {n}, lam = {lam!r}, mu = {mu!r}")

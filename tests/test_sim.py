@@ -348,17 +348,28 @@ class TestCompiledLoop:
         shape = _shape_case(*_SHAPES[0])[1]
         assert hetq.sim._loop(shape).__globals__ is vars(hetq.sim)
 
-    @pytest.mark.parametrize("edit", ["unreadable", "shifted", "edited"])
+    def test_the_source_read_compiles_to_simulate_itself(self, fresh_loops):
+        # also once _simulate has run, and CPython has specialized its code in place
+        args, shape = _shape_case(Policy.LISF, AbandonMode.PERTURBED, True, True, True, True)
+        hetq.sim._simulate(*args, 8.0, shape)
+        source = hetq.sim._loop_source()
+        assert source is not None and hetq.sim._UNPACK in source
+
+    @pytest.mark.parametrize("edit", ["unreadable", "shifted", "lengthened", "changed"])
     def test_without_its_source_run_takes_the_reference(self, edit, fresh_loops, monkeypatch):
         # no lines; sim.py's lines a line off, so _simulate's first line is not
-        # where its code says; or a line added inside it, which cuts off its end
+        # where its code says; a line added inside it; or an edit that still
+        # compiles, in an operand: the source is not the one imported
         getlines = linecache.getlines
         first = hetq.sim._simulate.__code__.co_firstlineno
 
         def lines(name, *rest):
             real = getlines(name, *rest)
+            changed = list(real)
+            k = real.index("            a_count += 1\n", first)
+            changed[k] = changed[k].replace("+= 1", "+= 2")
             return {"unreadable": [], "shifted": ["\n"] + real,
-                    "edited": real[:first] + ["\n"] + real[first:]}[edit]
+                    "lengthened": real[:first] + ["\n"] + real[first:], "changed": changed}[edit]
 
         monkeypatch.setattr(linecache, "getlines", lines)
         args, shape = _shape_case(Policy.FSF, AbandonMode.PER_CUSTOMER, False, True, True, True)

@@ -157,7 +157,7 @@ class TestHydroScale:
         with pytest.raises(WindowError):
             hydro_scale(path, 10_000, 1.0)
 
-    @pytest.mark.parametrize("m", [1.5, 2.0, np.float64(1.0)])
+    @pytest.mark.parametrize("m", [1.5, 2.0, np.float64(1.0), "1", None, b"1"])
     def test_window_index_must_be_an_integer(self, m):
         # window m starts at m / sqrt(N); refused before the path is read
         message = f"window index must be an integer, got {m!r}"

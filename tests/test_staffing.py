@@ -172,10 +172,11 @@ class TestErlangLaw:
         with pytest.raises(ConfigError):
             within(2, call, *args)
 
-    @pytest.mark.parametrize("n,lam,nu", [(50, 200.0, 1e-9), (50, 50.0, 1e-12)])
+    @pytest.mark.parametrize("n,lam,nu", [(50, 200.0, 1e-9), (50, 50.0, 1e-12), (50, 200.0, 1.5e-5)])
     def test_tail_past_the_state_cap_is_refused_naming_nu(self, n, lam, nu, monkeypatch):
-        # the tail's mode, or its decay to e^-750, lies beyond 1e7 queue states; closed-form
-        # bounds refuse it before any block of the tail is summed
+        # the tail's mode, or its decay to e^-750, lies beyond 1e7 queue states (the last
+        # peaks at 1e7 states, within the last block); closed-form bounds refuse it before
+        # any block of the tail is summed
         summed = []
         cumsum = np.cumsum
         monkeypatch.setattr(np, "cumsum", lambda a, *args: summed.append(len(a)) or cumsum(a, *args))
