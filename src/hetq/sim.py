@@ -797,7 +797,7 @@ def _loop(shape: _Shape) -> Callable[..., PathRecord]:
     ``_simulate`` itself if the source cannot be read.
     """
     source = _loop_source()
-    if source is None or _UNPACK not in source:
+    if source is None:
         return _simulate
     source = source.replace(_UNPACK, "pass", 1)
     source = _FLAG.sub(lambda flag: str(getattr(shape, flag[1])), source)
