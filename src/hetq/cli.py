@@ -109,6 +109,9 @@ def _system_config(values: dict) -> SystemConfig:
 
 
 def _rates(values: dict) -> RateDistribution:
+    """The config's rate law: the pools' discrete law when pools are set, else ``rates``."""
+    if "pools" in values:
+        return RateDistribution.discrete(tuple((m, b) for b, m in values["pools"]))
     return values.get("rates", RateDistribution.point(1.0))
 
 
@@ -331,19 +334,13 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
     by_bin = system.grouped(ssc_mod.rate_bin(system.mu, edges), edges.size - 1)
     path = run(config, by_bin, float(values["horizon"]), grid_points=int(values["grid_points"]))
     fe = ssc_mod.fairness_estimate(path, edges, dist=dist)
-    rows = []
-    for b in range(edges.size - 1):
-        theory = _f(fe.eta_theory[b]) if fe.eta_theory is not None else ""
-        rows.append((_f(edges[b]), _f(edges[b + 1]), _f(fe.eta_hat[b]), theory))
+    cells = zip(edges, edges[1:], fe.eta_hat, fe.eta_theory)
+    rows = [tuple(map(_f, row)) for row in cells]
     info = {
         "policy": config.policy.value,
         "total_idle_time": fe.total_idle_time,
         "sup_discrepancy": fe.sup_discrepancy if values["record_idle"] else None,
-        "sup_abs_error": (
-            float(np.abs(fe.eta_hat - fe.eta_theory).max())
-            if fe.eta_theory is not None
-            else None
-        ),
+        "sup_abs_error": float(np.abs(fe.eta_hat - fe.eta_theory).max()),
     }
     return {
         "fairness.csv": _csv(rows, ["bin_lo", "bin_hi", "eta_hat", "eta_theory"]).encode(),
@@ -357,7 +354,7 @@ def _cmd_couple(values: dict) -> Dict[str, bytes]:
     dist = _rates(values)
     system = RealizedSystem.from_config(config, dist)
     p_rate = float(values.get("p_rate", dist.p))
-    q_rate = max(dist.q, float(system.mu.max()))
+    q_rate = dist.q  # every realized rate lies in the law's support
     horizon = events / (system.n_servers * q_rate)
     cp = coupled_run(config, p_rate, system, horizon, q_rate=q_rate)
     lines = ["t,D_hom,D_het"] + [
@@ -426,6 +423,8 @@ def dispatch(command: str, values: dict, out_dir, fmt: str = "csv") -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot use {out} as the output directory: {exc.strerror}") from None
     values = {**_DEFAULTS.get(command, {}), **values}
+    if "pools" in values and "rates" in values:
+        raise ConfigError("pools and rates both set the rate law; set one of them")
     artifacts = _HANDLERS[command](values)
     if fmt == "json":
         converted = {}

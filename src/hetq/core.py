@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 __all__ = [
     "Policy",
@@ -157,17 +157,16 @@ class RateDistribution:
         return m * m + self.variance()
 
     def idleness_coefficient(self, policy: Policy) -> float:
-        """gamma of the limit diffusion, derived for LISF and FSF routing only.
+        """gamma of the limit diffusion: the mean rate of the idle servers.
 
-        Under LISF it is the size-biased mean E[mu^2]/E[mu]; under FSF the
-        lower support bound, the rate that retains all idleness when the
-        fastest idle server is taken first.
+        FSF takes the fastest idle server first, which leaves all idleness at
+        the lower support bound. LISF and RANDOM share one product-form
+        idle-set law (Adan & Weiss 2014), under which idleness goes in
+        proportion to rate: gamma is the size-biased mean E[mu^2]/E[mu].
         """
-        if policy is Policy.LISF:
-            return self.second_moment() / self.mean()
         if policy is Policy.FSF:
             return self.p
-        raise DomainError(f"no idleness coefficient is derived for {policy.name} routing")
+        return self.second_moment() / self.mean()
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
@@ -263,9 +262,9 @@ class RealizedSystem:
     it is the finite-scale stand-in for the limit drift's random part.
 
     ``pool_of`` puts each server in a group whose busy servers the engine
-    counts, and ``pool_sizes`` holds the group sizes: the inverted-V pools,
-    rate bins (see ``grouped``) or one group per server. Left out, they
-    make all servers one group.
+    counts (all in one when left out), and ``pool_sizes`` counts each group's
+    servers (from ``pool_of`` when left out): the inverted-V pools, rate
+    bins (see ``grouped``) or one group per server.
     """
 
     n_servers: int
@@ -284,12 +283,16 @@ class RealizedSystem:
             raise ConfigError("all service rates must be positive and finite")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
-        if self.pool_of is None:
-            object.__setattr__(self, "pool_of", np.zeros(self.n_servers))
-            object.__setattr__(self, "pool_sizes", (self.n_servers,))
-        pool_of = np.asarray(self.pool_of, dtype=np.int64)
+        pool_of = np.zeros(self.n_servers) if self.pool_of is None else self.pool_of
+        pool_of = np.asarray(pool_of, dtype=np.int64)
+        if pool_of.shape != (self.n_servers,) or np.any(pool_of < 0):
+            raise ConfigError(f"pool_of needs a group >= 0 per server, {self.n_servers} in all")
+        sizes = tuple(np.bincount(pool_of, minlength=len(self.pool_sizes or ())).tolist())
+        if self.pool_sizes is not None and sizes != tuple(self.pool_sizes):
+            raise ConfigError(f"pool_of counts {sizes} per group, pool_sizes {self.pool_sizes}")
         pool_of.setflags(write=False)
         object.__setattr__(self, "pool_of", pool_of)
+        object.__setattr__(self, "pool_sizes", sizes)
 
     @property
     def sum_mu(self) -> float:
@@ -308,7 +311,10 @@ class RealizedSystem:
         return len(self.pool_sizes)
 
     def grouped(self, group_of, n_groups: int = 0) -> "RealizedSystem":
-        """The same servers, counted in groups: server k in ``group_of[k]``."""
+        """The same servers in at least ``n_groups`` groups, server k in ``group_of[k]``.
+
+        A top rate bin that no server falls in still counts as a group.
+        """
         sizes = np.bincount(group_of, minlength=n_groups)
         return replace(self, pool_of=group_of, pool_sizes=tuple(sizes.tolist()))
 
@@ -344,25 +350,14 @@ class RealizedSystem:
 
         Pool sizes use largest-remainder rounding so they sum to N exactly.
         """
-        if config.pools is None:
-            raise ConfigError("realize_pools needs a config with pools")
-        dist = config.pool_distribution()
-        mu_bar = dist.mean()
+        mu_bar = config.pool_distribution().mean()  # refuses a config without pools
         n = cls._server_count(config, mu_bar)
         sizes = pool_sizes(config.pools, n)
         if any(s < 1 for s in sizes):
             raise ConfigError(f"pool sizes {sizes} collapse at N={n}; increase the scale")
-        mu = np.concatenate([np.full(s, m) for s, (_, m) in zip(sizes, config.pools)])
-        pool_of = np.concatenate([np.full(s, i, dtype=np.int64) for i, s in enumerate(sizes)])
-        return cls(
-            n_servers=n,
-            mu=mu,
-            mu_bar=mu_bar,
-            r=config.r,
-            lambda_r=config.lambda_r,
-            pool_of=pool_of,
-            pool_sizes=sizes,
-        )
+        mu = np.repeat([m for _, m in config.pools], sizes)
+        pool_of = np.repeat(np.arange(len(sizes)), sizes)
+        return cls(n, mu, mu_bar, config.r, config.lambda_r, pool_of=pool_of)
 
     @classmethod
     def from_config(cls, config: SystemConfig, dist: RateDistribution, rep: int = 0):
@@ -523,7 +518,8 @@ CONFIG_KEYS: dict = {
     "grid_points": (int, _between(2, MAX_GRID_POINTS)),
     "queue_cap": (int, _between(0, MAX_QUEUE_CAP)),
     "record_idle": (_parse_bool, Domain("true or false")),
-    "reps": (int, _at_least(1)),
+    # a job and a result row per replication are held at once
+    "reps": (int, _between(1, 100_000)),
     # staffing costs
     "c_s": (float, _NON_NEGATIVE),
     "c_w": (float, _NON_NEGATIVE),

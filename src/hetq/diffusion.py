@@ -387,10 +387,10 @@ def ql_eps(
     """Expected scaled queue length when rates are uniform(mu_bar-eps, mu_bar+eps).
 
     The drift is N(-theta*mu_bar, Var mu) and gamma is the law's idleness
-    coefficient under ``policy`` (LISF or FSF). The inner integral over the
-    state is closed form; only the drift integral is numeric, with the node
-    count escalated from 64 to 256 until two successive Gauss-Hermite rules
-    agree to a relative 1e-6 (numpy's 512-node rule has NaN weights).
+    coefficient under ``policy``. The inner integral over the state is
+    closed form; only the drift integral is numeric, with the node count
+    escalated from 64 to 256 until two successive Gauss-Hermite rules agree
+    to a relative 1e-6 (numpy's 512-node rule has NaN weights).
     """
     if not 0.0 < mu_bar - eps < mu_bar + eps < math.inf:  # the law's support; false for NaN
         raise DomainError(

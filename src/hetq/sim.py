@@ -148,7 +148,11 @@ def _draws(
         size = _FIRST_BLOCK
         while True:
             block = sample(size)
-            yield (block if transform is None else transform(block)).tolist()
+            if transform is not None:
+                # a rate near 5e-324 gives gaps past 1e308: inf, an event that never comes
+                with np.errstate(over="ignore"):
+                    block = transform(block)
+            yield block.tolist()
             size = min(2 * size, _BLOCK)
 
     return chain.from_iterable(blocks()).__next__
@@ -235,6 +239,16 @@ def _alias_pick(weights: List[float]) -> _Transform:
 def _over(rate: float) -> _Transform:
     """Block transform E -> E / rate; a product with 1 / rate would round differently."""
     return lambda e: e / rate
+
+
+def _check_events(lam: float, rate_total: float, horizon: float) -> None:
+    """Refuse more than 1e9 expected arrivals (``lam``) and other events (``rate_total``)."""
+    events = (lam + rate_total) * horizon
+    if lam > 0.0 and events > MAX_EXPECTED_EVENTS:
+        raise ConfigError(
+            f"horizon {horizon:.6g} and lambda_r {lam:.6g} give about {events:.3g} "
+            f"events, over the {MAX_EXPECTED_EVENTS:.0e} a run may make; lower either"
+        )
 
 
 def _interarrival(lam: float, scv: float) -> _Transform:
@@ -351,12 +365,7 @@ def run(
     n = system.n_servers
     if x0 is not None and not 0 <= x0 <= n + queue_cap:
         raise ConfigError(f"x0 must be in [0, N + queue_cap] = [0, {n + queue_cap}], got {x0}")
-    events = (config.lambda_r + system.sum_mu) * horizon
-    if config.lambda_r > 0.0 and events > MAX_EXPECTED_EVENTS:
-        raise ConfigError(
-            f"horizon {horizon:.6g} and lambda_r {config.lambda_r:.6g} give about {events:.3g} "
-            f"events, over the {MAX_EXPECTED_EVENTS:.0e} a run may make; lower either"
-        )
+    _check_events(config.lambda_r, system.sum_mu, horizon)
     shape = _shape(config, system, horizon, mode, grid_points, record_customers, validate)
     loop = _loop(shape)
     args = (config, system, horizon, mode, x0, grid_points, queue_cap, rep, warmup)
@@ -901,6 +910,7 @@ def coupled_run(
     lam = config.lambda_r
     nu = config.abandon_rate
     master_rate = n * q_rate
+    _check_events(lam, master_rate, horizon)
 
     seed = config.seed
     arrival_gap = _draws(seed, rep, Stream.ARRIVAL, "standard_exponential", _over(lam))

@@ -48,10 +48,10 @@ _SSC_GRID_POINTS = 2_000
 _LIPSCHITZ_PAIRS = 200  # grid times probed per window
 
 
-def ssc_g(pools: Sequence[Tuple[float, float]], z) -> np.ndarray:
+def ssc_g(pools: Sequence[Tuple[float, float]], z, policy: Policy = Policy.LISF) -> np.ndarray:
     """|sum_i z_i mu_i - gamma(I) sum_i z_i| for pools ((beta_i, mu_i), ...).
 
-    gamma(I) is the LISF idleness coefficient of the pool law. ``z`` may be
+    gamma(I) is the pool law's idleness coefficient under ``policy``. ``z`` may be
     one pool vector or an array of them (last axis = pools); the queue does
     not enter. Homogeneous of degree one, and zero exactly on the kernel
     {z : sum_i z_i (mu_i - gamma(I)) = 0}.
@@ -60,7 +60,7 @@ def ssc_g(pools: Sequence[Tuple[float, float]], z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != len(pools):
         raise ConfigError(f"z has {z.shape[-1]} pools, pools has {len(pools)}")
-    gamma = RateDistribution.discrete([(m, b) for b, m in pools]).idleness_coefficient(Policy.LISF)
+    gamma = RateDistribution.discrete([(m, b) for b, m in pools]).idleness_coefficient(policy)
     mu = np.array([m for _, m in pools], dtype=float)
     val = np.abs(z @ mu - gamma * z.sum(axis=-1))
     return val if val.ndim else float(val)
@@ -103,7 +103,8 @@ def ssc_convergence(
 ) -> SSCTable:
     """Monte-Carlo table of the multiplicative collapse ratio per scale.
 
-    All configs must share the same pool structure. Each replication runs
+    All configs must share the same pool structure and policy, whose
+    idleness coefficient ``ssc_g`` reads. Each replication runs
     the inverted-V system from the fully-busy state on 2,000 grid points
     and records ||g(Z_hat)||_T, (||Z_hat||_T v 1), and their ratio, with
     T the horizon. Every scale's expected events are checked against
@@ -112,12 +113,14 @@ def ssc_convergence(
     check_domains(reps=n_reps)
     if not configs:
         raise ConfigError("need at least one config")
-    pools0 = configs[0].pools
+    pools0, policy = configs[0].pools, configs[0].policy
     if pools0 is None:
         raise ConfigError("ssc_convergence needs inverted-V configs (pools set)")
     for cfg in configs:
         if cfg.pools != pools0:
             raise ConfigError("pool structures differ across scales")
+        if cfg.policy is not policy:
+            raise ConfigError("policies differ across scales")
     systems = [RealizedSystem.realize_pools(cfg) for cfg in configs]
     # run() bounds its expected events too, but would name horizon and lambda_r,
     # and only once the smaller scales had run
@@ -134,7 +137,7 @@ def ssc_convergence(
         for rep in range(n_reps):
             path = run(cfg, system, horizon, grid_points=_SSC_GRID_POINTS, rep=rep)
             _, _, z_hat = diffusion_scaled(path)
-            g_sup = float(np.max(ssc_g(pools0, z_hat)))
+            g_sup = float(np.max(ssc_g(pools0, z_hat, policy)))
             z_sup = float(np.max(np.abs(z_hat)))
             denom = max(z_sup, 1.0)
             rows.append(
@@ -245,7 +248,7 @@ class FairnessEstimate:
 
     bin_edges: np.ndarray
     eta_hat: np.ndarray
-    eta_theory: Optional[np.ndarray]
+    eta_theory: np.ndarray
     sup_discrepancy: Optional[float]
     total_idle_time: float
 
@@ -267,49 +270,39 @@ def rate_bin(rates: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(edges, rates, side="right") - 1, 0, n_bins - 1)
 
 
-def eta_theory(dist: RateDistribution, edges: np.ndarray, policy: Policy) -> Optional[np.ndarray]:
-    """Fairness measure of each bin: size-biased law for LISF, min-rate atom for FSF."""
+def eta_theory(dist: RateDistribution, edges: np.ndarray, policy: Policy) -> np.ndarray:
+    """Fairness measure per bin: the min-rate atom under FSF, else the size-biased law.
+
+    Mass outside the edges goes to the end bins, where ``rate_bin`` puts rates.
+    """
     edges = np.asarray(edges, dtype=float)
-    n_bins = edges.size - 1
+    out = np.zeros(edges.size - 1)
     if policy is Policy.FSF:
-        out = np.zeros(n_bins)
         out[rate_bin(dist.p, edges)] = 1.0
-        return out
-    if policy is not Policy.LISF:
-        return None
-    out = np.zeros(n_bins)
-    if dist.kind == "uniform":
+    elif dist.kind == "uniform":
         lo, hi = dist.lo, dist.hi
-        total = (hi * hi - lo * lo) / 2.0
-        for b in range(n_bins):
-            a = max(edges[b], lo)
-            c = min(edges[b + 1], hi)
-            if c > a:
-                out[b] = (c * c - a * a) / 2.0 / total
-        return out
-    total = sum(r * p for r, p in dist.atoms)
-    for rate, prob in dist.atoms:
-        b = int(np.searchsorted(edges, rate, side="right") - 1)
-        if b == n_bins:  # rate sits on the top edge
-            b -= 1
-        if 0 <= b < n_bins:
-            out[b] += rate * prob / total
+        cuts = np.concatenate([[lo], np.clip(edges[1:-1], lo, hi), [hi]])
+        out = np.diff(cuts * cuts) / 2.0 / ((hi * hi - lo * lo) / 2.0)
+    else:
+        rates, probs = np.array(dist.atoms).T
+        np.add.at(out, rate_bin(rates, edges), rates * probs / dist.mean())
     return out
 
 
 def fairness_estimate(
     path: PathRecord,
     bins: np.ndarray,
-    dist: Optional[RateDistribution] = None,
+    dist: RateDistribution,
 ) -> FairnessEstimate:
     """Share of idleness mass per rate bin, plus the scaled sup-norm discrepancy.
 
     The share uses exact per-server idle-time integrals over the run, binned
-    by the realized rates ``path.system.mu``. The discrepancy statistic needs the
-    policy's theoretical measure (LISF and FSF) and a path whose server
-    groups are the rate bins (``system.grouped(rate_bin(system.mu, bins),
-    n_bins)``), so that the recorded busy counts per group give the idle
-    counts per bin; it is None otherwise.
+    by the realized rates ``path.system.mu``; the theory column is
+    ``eta_theory`` of ``dist`` under the path's policy. The discrepancy
+    statistic needs a path whose server groups are the rate bins
+    (``system.grouped(rate_bin(system.mu, bins), n_bins)``), so that the
+    recorded busy counts per group give the idle counts per bin; it is None
+    otherwise.
     """
     edges = np.asarray(bins, dtype=float)
     if edges.size < 2 or np.any(np.diff(edges) <= 0.0):
@@ -325,9 +318,9 @@ def fairness_estimate(
     np.add.at(eta_hat, which, idle_time)
     eta_hat /= total_idle
 
-    theory = eta_theory(dist, edges, path.config.policy) if dist is not None else None
+    theory = eta_theory(dist, edges, path.config.policy)
     sup = None
-    if theory is not None and system.n_pools == n_bins and np.array_equal(system.pool_of, which):
+    if system.n_pools == n_bins and np.array_equal(system.pool_of, which):
         # exact integer idle counts per bin
         per_bin = (np.array(system.pool_sizes) - path.grid_Z).astype(float)
         idle_tot = per_bin.sum(axis=1)
@@ -336,7 +329,7 @@ def fairness_estimate(
     return FairnessEstimate(
         bin_edges=edges,
         eta_hat=eta_hat,
-        eta_theory=None if theory is None else np.asarray(theory),
+        eta_theory=theory,
         sup_discrepancy=sup,
         total_idle_time=total_idle,
     )

@@ -90,12 +90,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "settings,failure",
         [
-            (["policy=RANDOM"],
-             "DomainError: no idleness coefficient is derived for RANDOM routing"),
             (["lambda_r=1e300", "cost_model=waiting"],
              "DomainError: needs capacity above the arrival rate, got 1e+300"),
         ],
-        ids=["random", "capacity"],
+        ids=["capacity"],
     )
     def test_curve_failing_everywhere_names_the_first_point(
         self, tmp_path, capsys, settings, failure
@@ -110,12 +108,16 @@ class TestExitCodes:
             f"first failure: {failure}\n"
         )
 
-    def test_analyze_random_needs_explicit_gamma(self, tmp_path, capsys):
-        args = ["analyze", "--set", "policy=RANDOM", "--set", "rates=uniform(0.5,1.5)"]
-        assert main([*args, "--out", str(tmp_path / "a")]) == 3
-        err = capsys.readouterr().err
-        assert "no idleness coefficient is derived for RANDOM routing" in err
-        assert main([*args, "--out", str(tmp_path / "b"), "--set", "gamma=1.2"]) == 0
+    def test_analyze_random_takes_the_lisf_gamma(self, tmp_path):
+        args = ["analyze", "--set", "rates=uniform(0.5,1.5)"]
+        assert main([*args, "--out", str(tmp_path / "lisf")]) == 0
+        assert main([*args, "--out", str(tmp_path / "a"), "--set", "policy=RANDOM"]) == 0
+        for name in ("analysis.json", "density.csv"):
+            assert read(tmp_path / "a" / name) == read(tmp_path / "lisf" / name)
+        info = json.loads((tmp_path / "a" / "analysis.json").read_text())
+        assert info["gamma"] == pytest.approx(13.0 / 12.0)  # E[mu^2]/E[mu]
+        args += ["--set", "policy=RANDOM", "--set", "gamma=1.2"]
+        assert main([*args, "--out", str(tmp_path / "b")]) == 0
         info = json.loads((tmp_path / "b" / "analysis.json").read_text())
         assert info["gamma"] == 1.2
 
@@ -752,6 +754,59 @@ class TestOtherCommands:
         assert lines[0] == "r,rep,g_supnorm,z_supnorm,ratio"
         assert len(lines) == 5
 
+    def test_staff_random_matches_lisf(self, tmp_path):
+        args = ["staff", "--set", "lambda_r=100", "--set", "rates=uniform(0.8,1.2)",
+                "--set", "nu=1"]
+        assert main([*args, "--out", str(tmp_path / "lisf")]) == 0
+        assert main([*args, "--out", str(tmp_path / "random"), "--set", "policy=RANDOM"]) == 0
+        for name in ("staffing.json", "curve.csv"):
+            assert read(tmp_path / "random" / name) == read(tmp_path / "lisf" / name)
+
+    def test_ssc_fsf_medians_decrease(self, tmp_path):
+        # g reads FSF's gamma (the slow pool's rate), so the collapse shows
+        rc = main([
+            "ssc", "--out", str(tmp_path / "o"), "--set", "pools=0.5:1.0,0.5:2.0",
+            "--set", "policy=FSF", "--set", "ssc_horizon=10", "--set", "reps=5",
+        ])
+        assert rc == 0
+        medians = json.loads((tmp_path / "o" / "ssc_summary.json").read_text())["medians"]
+        ratios = [m["median_ratio"] for m in sorted(medians, key=lambda m: m["r"])]
+        assert ratios[0] > ratios[1] > ratios[2]
+
+    def test_fairness_with_pools_bins_each_pool(self, tmp_path):
+        rc = main([
+            "fairness", "--out", str(tmp_path / "o"), "--set", "pools=0.5:1.0,0.5:2.0",
+            "--set", "lambda_r=140", "--set", "staffing=100", "--set", "horizon=50",
+        ])
+        assert rc == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "o" / "fairness.csv").read_text().splitlines()[1:]]
+        assert [(float(lo), float(hi)) for lo, hi, *_ in rows] == [(0.5, 1.5), (1.5, 2.5)]
+        # the size-biased pool shares 0.5*1 : 0.5*2
+        assert [float(row[3]) for row in rows] == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
+        assert all(abs(float(row[2]) - float(row[3])) < 0.05 for row in rows)
+
+    def test_couple_with_pools_takes_the_slowest_pool_rate(self, tmp_path):
+        rc = main([
+            "couple", "--out", str(tmp_path / "o"), "--set", "pools=0.5:0.5,0.5:2.0",
+            "--set", "lambda_r=100", "--set", "staffing=100", "--set", "skeleton_events=2000",
+        ])
+        assert rc == 0
+        info = json.loads((tmp_path / "o" / "couple.json").read_text())
+        assert (info["p_rate"], info["q_rate"]) == (0.5, 2.0)
+        assert info["ordered_everywhere"] is True
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "analyze", "staff", "ssc", "fairness", "couple"]
+    )
+    def test_pools_with_rates_exits_2(self, tmp_path, capsys, command):
+        rc = main([
+            command, "--out", str(tmp_path / "o"), "--set", "lambda_r=20",
+            "--set", "pools=0.5:1.0,0.5:2.0", "--set", "rates=point(1.0)",
+        ])
+        assert rc == 2
+        assert "config error: pools and rates both set the rate law" in capsys.readouterr().err
+
     def test_rerun_every_command(self, tmp_path):
         jobs = {
             "simulate": ["--set", "lambda_r=20.0", "--set", "horizon=5.0"],
@@ -921,6 +976,8 @@ _INTS = st.integers(-2, 64) | st.sampled_from([10_001, 1_000_001, 2**63])
 _WORDS = {
     "policy": ["LISF", "FSF", "RANDOM", "fastest"],
     "cost_model": ["waiting", "abandon", "none"],
+    "abandon_mode": ["none", "per_customer", "perturbed", "perturb"],
+    "record_idle": ["true", "false", "maybe"],
 }
 _TEXT = {
     "rates": st.one_of(
@@ -981,6 +1038,36 @@ def _assert_finite_artifacts(out):
             json.loads(text, parse_constant=_refuse_constant)
 
 
+def _fuzz(command, keys, base, examples, setting=_setting, also=st.just(())):
+    """Draw ``examples`` settings of 1-3 of ``keys`` (plus ``also``) over ``base``.
+
+    Each ends in exit 0, 2 or 3 within 10 s, with no RuntimeWarning from
+    hetq's own code; exit 0 writes only finite numbers.
+    """
+    @given(st.data())
+    @settings(
+        max_examples=examples, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    def case(data):
+        chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+        chosen += data.draw(also)
+        sets = [*base, *(data.draw(setting(key), label=key) for key in chosen)]
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            out = Path(tmp) / "o"
+            args = [arg for kv in sets for arg in ("--set", kv)]
+            rc = main_within([command, "--out", str(out), *args], seconds=10)
+            assert rc in (0, 2, 3), sets
+            ours = [str(w.message) for w in seen
+                    if w.category is RuntimeWarning and Path(w.filename).parent.name == "hetq"]
+            assert not ours, (sets, ours)
+            if rc == 0:
+                _assert_finite_artifacts(out)
+
+    case()
+
+
 class TestAnalyticsFuzz:
     """Every draw ends in exit 0, 2 or 3 within 10 s, with no RuntimeWarning from
     hetq's own code; exit 0 writes only finite numbers."""
@@ -989,26 +1076,66 @@ class TestAnalyticsFuzz:
         "command,examples", [("analyze", 250), ("staff", 200), ("ql-sweep", 250)]
     )
     def test_exit_code_and_finite_artifacts(self, command, examples):
-        keys, base = _FUZZ[command]
+        _fuzz(command, *_FUZZ[command], examples)
 
-        @given(st.data())
-        @settings(
-            max_examples=examples, derandomize=True, database=None, deadline=None,
-            suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-        )
-        def case(data):
-            chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
-            sets = [*base, *(data.draw(_setting(key), label=key) for key in chosen)]
-            with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                out = Path(tmp) / "o"
-                args = [arg for kv in sets for arg in ("--set", kv)]
-                rc = main_within([command, "--out", str(out), *args], seconds=10)
-                assert rc in (0, 2, 3), sets
-                ours = [str(w.message) for w in seen
-                        if w.category is RuntimeWarning and Path(w.filename).parent.name == "hetq"]
-                assert not ours, (sets, ours)
-                if rc == 0:
-                    _assert_finite_artifacts(out)
 
-        case()
+# The simulation commands: the keys each reads besides pools and rates, and
+# small runs to start from.
+_SIM_FUZZ = {
+    "simulate": (
+        ["lambda_r", "r", "seed", "staffing", "arrival_scv", "abandon_rate", "policy",
+         "horizon", "warmup", "abandon_mode", "x0", "grid_points", "queue_cap", "reps"],
+        ["lambda_r=20", "horizon=5", "grid_points=50"],
+    ),
+    "ssc": (
+        ["seed", "policy", "r_values", "lambda_hat", "ssc_horizon", "reps"],
+        ["pools=0.5:1.0,0.5:2.0", "r_values=16,25", "reps=2", "ssc_horizon=2"],
+    ),
+    "fairness": (
+        ["lambda_r", "r", "seed", "staffing", "arrival_scv", "abandon_rate", "policy",
+         "horizon", "bins", "grid_points", "record_idle"],
+        ["lambda_r=20", "staffing=25", "horizon=5", "grid_points=50"],
+    ),
+    "couple": (
+        ["lambda_r", "r", "seed", "staffing", "arrival_scv", "abandon_rate", "policy",
+         "p_rate", "skeleton_events"],
+        ["lambda_r=20", "staffing=25", "skeleton_events=300"],
+    ),
+}
+_SIM_TIME = st.sampled_from(_EXTREMES) | st.floats(0.0, 5.0)
+_SIM_DRAWS = {
+    # a run's time grows with these, so they are drawn small inside their
+    # domains, plus the values outside them
+    "horizon": _SIM_TIME,
+    "ssc_horizon": _SIM_TIME,
+    "lambda_r": st.sampled_from(_EXTREMES) | st.floats(0.0, 200.0),
+    "staffing": st.integers(-2, 200) | st.sampled_from([1_000_001, 2**63]),
+    "reps": st.integers(-2, 4) | st.sampled_from([100_001, 2**63]),
+    "skeleton_events": st.integers(-2, 2_000) | st.sampled_from([1_000_001, 2**63]),
+    "r_values": st.lists(
+        st.sampled_from(_EXTREMES) | st.floats(-10.0, 200.0), min_size=1, max_size=3
+    ).map(lambda vs: ",".join(map(repr, vs))),
+    # half of the laws are valid, so that pools and rates often reach a run together
+    "pools": st.sampled_from(["0.5:1.0,0.5:2.0", "0.3:0.5,0.7:1.5"]) | _TEXT["pools"],
+    "rates": st.sampled_from(["uniform(0.5,1.5)", "discrete(0.5:0.5,2.0:0.5)"]) | _TEXT["rates"],
+}
+
+
+def _sim_setting(key):
+    if key not in _SIM_DRAWS:
+        return _setting(key)
+    return _SIM_DRAWS[key].map(lambda v: f"{key}={v if isinstance(v, str) else repr(v)}")
+
+
+class TestSimulationFuzz:
+    """The analytics fuzz's contract for the commands that simulate. ``pools``
+    and ``rates`` are drawn together (neither, either or both), and the
+    event counts stay small: a run expects at most about 10^6 events."""
+
+    @pytest.mark.parametrize(
+        "command,examples", [("simulate", 300), ("ssc", 150), ("fairness", 250), ("couple", 250)]
+    )
+    def test_exit_code_and_finite_artifacts(self, command, examples):
+        keys, base = _SIM_FUZZ[command]
+        law = st.lists(st.sampled_from(["pools", "rates"]), max_size=2, unique=True)
+        _fuzz(command, keys, base, examples, setting=_sim_setting, also=law)

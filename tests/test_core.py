@@ -18,7 +18,7 @@ from hetq.core import (
     parse_config_text,
     rng_stream,
 )
-from hetq.errors import ConfigError, DomainError
+from hetq.errors import ConfigError
 
 
 class TestRateDistribution:
@@ -28,8 +28,8 @@ class TestRateDistribution:
         assert d.idleness_coefficient(Policy.LISF) == 2.0
         assert d.idleness_coefficient(Policy.FSF) == 2.0
         assert d.variance() == 0.0
-        with pytest.raises(DomainError, match="no idleness coefficient is derived for RANDOM"):
-            d.idleness_coefficient(Policy.RANDOM)
+        # RANDOM shares LISF's product-form idle-set law
+        assert d.idleness_coefficient(Policy.RANDOM) == 2.0
 
     def test_uniform_moments_match_eps_formula(self):
         # uniform(mu-eps, mu+eps): variance eps^2/3, gamma = mu + eps^2/(3 mu)
@@ -182,6 +182,21 @@ class TestSystemConfig:
         s = RealizedSystem(n_servers=3, mu=[1.0, 2.0, 3.0], mu_bar=2.0, r=3.0, lambda_r=2.0)
         assert s.pool_of.tolist() == [0, 0, 0] and s.pool_of.dtype == np.int64
         assert s.pool_sizes == (3,) and s.n_pools == 1
+
+    def test_pool_sizes_are_counted_from_pool_of(self):
+        s = RealizedSystem(n_servers=3, mu=np.ones(3), mu_bar=1.0, r=3.0, lambda_r=2.0,
+                           pool_of=[0, 1, 1])
+        assert s.pool_sizes == (1, 2) and s.n_pools == 2
+
+    @pytest.mark.parametrize(
+        "pool_of,pool_sizes",
+        [([0, 1], (1, 1)), ([0, 1, 2], (1, 1)), ([0, 0, 1], (1, 2)), ([0, -1, 1], None)],
+        ids=["too-short", "index-past-sizes", "wrong-counts", "negative"],
+    )
+    def test_inconsistent_groups_are_refused(self, pool_of, pool_sizes):
+        with pytest.raises(ConfigError, match="pool_of"):
+            RealizedSystem(n_servers=3, mu=np.ones(3), mu_bar=1.0, r=3.0, lambda_r=2.0,
+                           pool_of=pool_of, pool_sizes=pool_sizes)
 
 
 class TestConfigFormat:

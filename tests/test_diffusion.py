@@ -314,8 +314,9 @@ class TestQlEps:
             ql_eps(1.0, 1.0, 4.0, 2.0, 2.0)  # eps >= mu_bar
         with pytest.raises(DomainError):
             ql_eps(0.1, 1.0, 4.0, 2.0, 0.0)
-        with pytest.raises(DomainError):
-            ql_eps(0.1, 1.0, 4.0, 2.0, 2.0, policy=Policy.RANDOM)
+        # RANDOM routing is in the domain: it shares LISF's gamma
+        random = ql_eps(0.1, 1.0, 4.0, 2.0, 2.0, policy=Policy.RANDOM)
+        assert random == ql_eps(0.1, 1.0, 4.0, 2.0, 2.0, policy=Policy.LISF)
 
 
 class TestSimulateSde:

@@ -565,6 +565,16 @@ class TestExactOracle:
         assert p_wait == pytest.approx(want, abs=1e-9)
         assert 1.2 * util.sum() == pytest.approx(2.8 * (1.0 - abandon), abs=1e-9)
 
+    @pytest.mark.parametrize("nu", [0.0, 0.7])
+    def test_lisf_and_random_share_one_law(self, nu):
+        # the product-form idle-set law does not depend on the order of the
+        # idle servers, so RANDOM gives LISF's utilisation and p_wait
+        mu = (0.6, 0.9, 1.3, 2.1)
+        util, p_wait = ctmc_solve(mu, 3.5, Policy.LISF, nu)
+        util_r, p_wait_r = ctmc_solve(mu, 3.5, Policy.RANDOM, nu)
+        np.testing.assert_allclose(util_r, util, rtol=0.0, atol=1e-12)
+        assert p_wait_r == pytest.approx(p_wait, rel=0.0, abs=1e-12)
+
 
 class TestSteadyEstimates:
     def test_erlang_c_match(self):

@@ -70,6 +70,12 @@ class TestSSCFunction:
         # the pool-fraction direction itself does not null g for unequal rates
         assert ssc_g(POOLS, np.array([b for b, _ in POOLS])) > 0.1
 
+    def test_gamma_follows_the_policy(self):
+        # FSF's gamma is the slow pool's rate 1.0, so g vanishes on the slow pool's axis
+        assert ssc_g(POOLS, [1.0, 0.0], Policy.FSF) == 0.0
+        assert ssc_g(POOLS, [0.0, 1.0], Policy.FSF) == 1.0
+        assert ssc_g(POOLS, [1.0, 0.0], Policy.RANDOM) == ssc_g(POOLS, [1.0, 0.0])
+
 
 class TestSSCConvergence:
     def test_single_pool_ratio_zero(self):
@@ -87,6 +93,12 @@ class TestSSCConvergence:
         a = inverted_v_config(25, POOLS, -1.5, seed=1)
         b = inverted_v_config(100, ((0.4, 1.0), (0.6, 2.0)), -1.5, seed=1)
         with pytest.raises(ConfigError):
+            ssc_convergence([a, b], horizon=5.0, n_reps=2)
+
+    def test_policy_mismatch_rejected(self):
+        a = inverted_v_config(25, POOLS, -1.5, seed=1)
+        b = inverted_v_config(100, POOLS, -1.5, seed=1, policy=Policy.FSF)
+        with pytest.raises(ConfigError, match="policies differ"):
             ssc_convergence([a, b], horizon=5.0, n_reps=2)
 
     def test_event_bound_checked_at_every_scale_before_any_run(self, monkeypatch):
@@ -243,6 +255,33 @@ class TestFairness:
         assert fe.eta_theory[0] == 1.0
         assert fe.eta_hat[0] >= 0.95
 
+    def test_random_idle_shares_are_size_biased(self):
+        # criterion 8's LISF config under RANDOM routing, against the
+        # size-biased shares of the realized rates (the finite draw of rates
+        # dominates the error against the law itself)
+        d = RateDistribution.uniform(0.5, 1.5)
+        cfg = SystemConfig(r=400.0, lambda_r=380.0, seed=1, staffing=400, policy=Policy.RANDOM)
+        s = RealizedSystem.realize(cfg, d, rng_stream(1, 0, Stream.RATES))
+        edges = default_bins(d, 10)
+        fe = fairness_estimate(run(cfg, s, horizon=300.0), edges, dist=d)
+        shares = np.bincount(rate_bin(s.mu, edges), weights=s.mu, minlength=10) / s.sum_mu
+        assert np.abs(fe.eta_hat - shares).max() < 0.03
+
+    @pytest.mark.parametrize(
+        "d,want",
+        [
+            # mu dx over [0.5, 1.0] and [1.0, 1.5], the end bins taking what is outside
+            (RateDistribution.uniform(0.5, 1.5), [0.375, 0.625]),
+            (RateDistribution.discrete([(0.5, 0.5), (1.5, 0.5)]), [0.25, 0.75]),
+        ],
+        ids=["uniform", "discrete"],
+    )
+    def test_eta_theory_bins_outside_mass_like_rate_bin(self, d, want):
+        # edges narrower than the support, as eta_hat's rate_bin puts rates there
+        edges = np.array([0.6, 1.0, 1.4])
+        for policy in (Policy.LISF, Policy.RANDOM):
+            np.testing.assert_allclose(eta_theory(d, edges, policy), want, rtol=1e-15)
+
     def test_sup_discrepancy_equals_matmul_reference(self):
         d = RateDistribution.uniform(0.5, 1.5)
         cfg = SystemConfig(r=20.0, lambda_r=17.0, seed=6, staffing=20, policy=Policy.LISF)
@@ -273,14 +312,17 @@ class TestFairness:
         s = RealizedSystem(n_servers=3, mu=np.ones(3), mu_bar=1.0, r=3.0, lambda_r=50.0)
         path = run(cfg, s, horizon=5.0)
         with pytest.raises(NoIdlenessError):
-            fairness_estimate(path, np.array([0.5, 1.5]))
+            fairness_estimate(path, np.array([0.5, 1.5]), RateDistribution.point(1.0))
 
     def test_eta_theory_fsf_point_mass(self):
         d = RateDistribution.uniform(0.5, 1.5)
         edges = default_bins(d, 10)
         eta = eta_theory(d, edges, Policy.FSF)
         assert eta[0] == 1.0 and eta[1:].sum() == 0.0
-        assert eta_theory(d, edges, Policy.RANDOM) is None
+        # RANDOM shares LISF's size-biased law
+        np.testing.assert_array_equal(
+            eta_theory(d, edges, Policy.RANDOM), eta_theory(d, edges, Policy.LISF)
+        )
 
 
 class TestDiffusionScaled:
