@@ -29,17 +29,7 @@ from .diffusion import (
     stationary_aband,
     stationary_no_aband,
 )
-from .errors import (
-    BracketError,
-    ConfigError,
-    DegenerateError,
-    DomainError,
-    EmptyWindowError,
-    HetqError,
-    NoIdlenessError,
-    UnstableError,
-    WindowError,
-)
+from .errors import ConfigError, DomainError, HetqError
 from .sim import (
     AbandonMode,
     CoupledPaths,

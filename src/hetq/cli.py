@@ -37,7 +37,7 @@ from .core import (
     load_config_file,
     parse_config_text,
 )
-from .errors import ConfigError, DomainError, HetqError
+from .errors import ConfigError, DomainError
 from .sim import (
     AbandonMode,
     coupled_run,
@@ -111,7 +111,7 @@ def _system_config(values: dict) -> SystemConfig:
 def _rates(values: dict) -> RateDistribution:
     """The config's rate law: the pools' discrete law when pools are set, else ``rates``."""
     if "pools" in values:
-        return RateDistribution.discrete(tuple((m, b) for b, m in values["pools"]))
+        return RateDistribution.from_pools(values["pools"])
     return values.get("rates", RateDistribution.point(1.0))
 
 
@@ -475,9 +475,11 @@ def rerun_manifest(manifest_path, out_dir) -> dict:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"manifest {manifest_path} is not JSON: {exc}") from None
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
-            and isinstance(manifest.get("artifacts"), dict) and "command" in manifest):
+            and isinstance(manifest.get("artifacts"), dict)
+            and isinstance(manifest.get("command"), str)):
         raise ConfigError(
-            f"manifest {manifest_path} needs a 'command', a 'config' and an 'artifacts' object"
+            f"manifest {manifest_path} needs a 'command' string, a 'config' and an "
+            "'artifacts' object"
         )
     command = manifest["command"]
     layout = manifest.get("stream_layout", 1)
@@ -530,9 +532,6 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
-        return 3
-    except HetqError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
 

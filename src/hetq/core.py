@@ -9,6 +9,7 @@ threads. Randomness is handled through named streams derived from a single
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -125,6 +126,11 @@ class RateDistribution:
             merged[r] = merged.get(r, 0.0) + p
         return cls(kind="discrete", atoms=tuple(sorted(merged.items())))
 
+    @classmethod
+    def from_pools(cls, pools: Sequence[tuple]) -> "RateDistribution":
+        """The law of pools ((beta_i, mu_i), ...): rate mu_i with probability beta_i."""
+        return cls.discrete(tuple((m, b) for b, m in pools))
+
     @property
     def p(self) -> float:
         """Lower support bound (essential infimum)."""
@@ -240,12 +246,6 @@ class SystemConfig:
         if self.pools is not None:
             check_domains(pools=self.pools)
 
-    def pool_distribution(self) -> RateDistribution:
-        """Discrete rate law implied by the pool structure."""
-        if self.pools is None:
-            raise ConfigError("config has no pools")
-        return RateDistribution.discrete(tuple((m, b) for b, m in self.pools))
-
     def resolve_staffing(self, mu_bar: float) -> int:
         if isinstance(self.staffing, HalfinWhitt):
             if self.lambda_r <= 0.0:
@@ -350,7 +350,9 @@ class RealizedSystem:
 
         Pool sizes use largest-remainder rounding so they sum to N exactly.
         """
-        mu_bar = config.pool_distribution().mean()  # refuses a config without pools
+        if config.pools is None:
+            raise ConfigError("config has no pools")
+        mu_bar = RateDistribution.from_pools(config.pools).mean()
         n = cls._server_count(config, mu_bar)
         sizes = pool_sizes(config.pools, n)
         if any(s < 1 for s in sizes):
@@ -500,7 +502,7 @@ CONFIG_KEYS: dict = {
     "arrival_scv": (float, _NON_NEGATIVE),
     "staffing": (_parse_staffing, Domain(
         "an integer >= 1 or hw(theta), theta finite, >= 0",
-        lambda v: isinstance(v, HalfinWhitt) or (isinstance(v, int) and v >= 1),
+        lambda v: isinstance(v, HalfinWhitt) or (type(v) is int and v >= 1),  # not a bool
     )),
     "abandon_rate": (float, _NON_NEGATIVE),
     "policy": (_parse_policy, Domain("one of LISF/FSF/RANDOM")),
@@ -557,16 +559,30 @@ CONFIG_KEYS: dict = {
 }
 
 
+# the type a library argument needs for a key that parses with float or
+# int, as the parsers give; a bool is neither. The builtin types come first,
+# since isinstance tries them before the slower ABC check.
+_KINDS = {
+    float: ("a real number", (float, int, numbers.Real)),
+    int: ("an integer", (int, numbers.Integral)),
+}
+
+
 def check_domains(**values) -> None:
     """Refuse the first keyword value outside the domain of the key it names.
 
     The ``ConfigError`` is ``parse_config_text``'s, ``"<key> must be
-    <domain>, got <value>"``, with the value's repr.
+    <domain>, got <value>"``, with the value's repr. A value of the wrong
+    type for a ``float`` or ``int`` key adds ``" (not a real number)"`` or
+    ``" (not an integer)"``; an int is a real number.
     """
     for key, value in values.items():
-        domain = CONFIG_KEYS[key][1]
-        if not domain.holds(value):
-            raise ConfigError(f"{key} must be {domain.text}, got {value!r}")
+        parser, domain = CONFIG_KEYS[key]
+        kind = _KINDS.get(parser)
+        wrong = kind is not None and (isinstance(value, bool) or not isinstance(value, kind[1]))
+        if wrong or not domain.holds(value):
+            why = f" (not {kind[0]})" if wrong else ""
+            raise ConfigError(f"{key} must be {domain.text}, got {value!r}{why}")
 
 
 def parse_config_text(text: str) -> dict:

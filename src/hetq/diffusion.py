@@ -6,17 +6,10 @@ The limit process solves
 
 a two-sided Ornstein-Uhlenbeck-type diffusion: plain drift above zero when
 nu = 0, mean reversion at rate nu above zero otherwise, and mean reversion
-at rate gamma below zero. Everything here is closed form except the outer
-integral over the random drift, which uses Gauss-Hermite quadrature.
-
-All normal-CDF ratios are evaluated in log space (scipy's erf-based
-``ndtr``/``log_ndtr``), so the formulas stay accurate far into the tails.
-Those functions are read through ``special``, which imports
-``scipy.special`` on first use: the analytics load it, and importing hetq
-or running the simulator never does.
-The closed forms in the drift take a float or an array of drifts; a float
-gives a float. Each drift average is one numpy pass over its nodes, and a
-value that double precision cannot hold is refused, naming its coefficients.
+at rate gamma below zero. README.md's diffusion entry gives the account of
+the quadrature, the log-space tails and the refusals. scipy's functions
+are read through ``special``, so that importing hetq or running the
+simulator never loads ``scipy.special``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,16 @@
-"""Exception types shared across the package.
+"""The two refusals hetq makes, under one base class.
 
-Two broad families matter to callers: configuration problems (bad keys,
-inconsistent parameters) and numerical-domain problems (an operation was
-asked outside the region where its answer is defined). The CLI maps them
-to exit codes 2 and 3 respectively.
+``ConfigError``: an input is malformed or outside its domain (an unknown
+key, a value that does not parse, a combination that contradicts itself).
+The message names the key, or the manifest or artifact, at fault.
+
+``DomainError``: every input is valid, but the quantity asked for does not
+exist there, such as a stationary law without a stable drift, a waiting
+cost without stable drift mass, a fairness measure without idle servers,
+or a scaling window outside the recorded path. The message says which.
+
+The CLI exits 2 on the first and 3 on the second; no caller tells apart
+finer kinds, so there are none.
 """
 
 
@@ -17,27 +24,3 @@ class ConfigError(HetqError):
 
 class DomainError(HetqError):
     """Operation requested outside its mathematical domain."""
-
-
-class UnstableError(DomainError):
-    """Offered load meets or exceeds capacity where stability is required."""
-
-
-class DegenerateError(DomainError):
-    """Conditioning event has (numerically) zero probability."""
-
-
-class EmptyWindowError(DomainError):
-    """The post-warmup observation window contains no samples."""
-
-
-class NoIdlenessError(DomainError):
-    """A saturated path carries no idleness to build a fairness estimate on."""
-
-
-class WindowError(DomainError):
-    """A recorded path is too short for the requested scaling window."""
-
-
-class BracketError(DomainError):
-    """Optimizer could not evaluate the objective across its bracket."""

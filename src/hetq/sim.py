@@ -3,63 +3,17 @@
 One pool or several (inverted-V), FIFO non-preemptive service, LISF / FSF /
 RANDOM routing, and two abandonment constructions: independent patience per
 customer, or the head-of-queue process that abandons at rate nu * Q(t).
+README.md's simulator entry is the full account of the engine: the draws,
+the departure skeleton, the two grid recorders, the loop compiled per run
+shape, the window counters, memory and the stream layout.
 
-A run is single-threaded and deterministic in (config, seed, rep). Its
-counters (arrivals, departures, abandonments, busy time, and the arrivals
-and waited arrivals in the steady-state window [warmup * end_time,
-end_time]) are exact, and its memory does not depend on the horizon: the
-per-customer record is opt-in (``record_customers``; typed buffers, about 19
-bytes per arrival) and no estimator reads it. A run that overflows ends
-early, so ``run`` replays it once, counting from warmup * end_time. The
-trajectory is sampled on a uniform grid, occupancy as one busy count per
-server group (``RealizedSystem.pool_of``). The loop keeps the headcount X
-and no queue length: Q = (X - N)^+ is filled from X's grid after the loop,
-and so is one group's busy count, min(X, N) by work conservation. Two
-recorders fill the grid, bit for bit alike. A run that expects fewer than
-``_DENSE`` (4) events per grid point, as short runs on the default 10k-point
-grid do, would cross a grid time at almost every event: the dense recorder
-logs each event's time by kind (arrival, skeleton point, abandonment,
-discard, and with several groups each busy or idle change) in typed
-buffers, tallies them into per-point counts every ~2k expected events, and
-rebuilds X = x0 + A - departures - R and the busy counts from their sums.
-Other runs take the sparse recorder: a crossing stages X, R, A and several
-groups' busy counts in a flat list, and every ~4k staged values are written
-into the grid at once. The rule is a constant, not an option, since only
-the cost depends on it; it sits near the measured break-even. The last grid
-time is the horizon, so the loop tests the horizon only where a recorder
-does its work: at a crossing, or at a due tally.
-
-The event loop inlines the policy's idle set (a LISF deque, an FSF heap of
-int ranks in (-mu, k) order, a RANDOM swap list). Service is exponential, so
-it keeps no departure times: departures thin one Poisson skeleton of rate
-sum mu, whose points name a server through a Walker alias table and are
-discarded when it is idle. With per-customer patience the next abandonment
-time is kept current and read from the deadline heap only when the waiting
-set changes. Each random stream is read through ``_draws``, a C-level
-iterator over blocks that grow from 64 to 8192 draws; a stream's generator
-is built on its first draw, so unread streams cost nothing. The arithmetic
-on each draw is done once per block, in numpy, with the same IEEE operations
-in the same order as the scalar expression: the loop reads ready skeleton
-and inter-arrival gaps, alias-picked server ids and, with per-customer
-patience, patience times. The order in which each stream is consumed is part
-of the determinism contract (``tests/test_sim.py::TestStreamPinning`` pins
-it). ``run``'s changed with the skeleton, and ``coupled_run``'s with its
-rejection pick; ``hetq.cli`` stamps both as stream layout 2.
-
-The loop is written once, in ``_simulate``, for every run shape: the policy,
-the abandonment mode, the recorder, one or several server groups, the
-customer record and validation, all fixed before the first event (at most
-144 shapes). ``_simulate`` unpacks them into locals first, and ``run`` calls
-a copy compiled for its shape (``_loop``): the first time a process meets a
-shape, each flag's name in ``_simulate``'s source, read from this file once
-per process, is replaced by its constant, and CPython's compiler emits no
-code for the branches the constants rule out, so no pass tests a flag. The
-copy keeps this file's name and line numbers, runs in this module's globals
-and does the same operations in the same order, so no output depends on it.
-Reading the source, and checking that it compiles to ``_simulate``'s own
-code, costs about 5 ms once per process, and compiling a shape 4-7 ms
-(2-vCPU host). If the source cannot be read, or is not the one imported,
-``_simulate`` itself runs, testing its local flags in each pass.
+A run is single-threaded and a pure function of (config, seed, rep). The
+order in which each stream is consumed is part of that contract
+(``tests/test_sim.py::TestStreamPinning`` pins it), so a change to it is a
+new stream layout, which ``hetq.cli`` stamps into manifests. ``run`` calls a
+copy of ``_simulate`` compiled for its shape from this file's source, which
+keeps its name and line numbers; if that source cannot be read, or is not
+the one imported, ``_simulate`` itself runs.
 """
 
 from __future__ import annotations
@@ -90,7 +44,7 @@ from .core import (
     check_domains,
     rng_stream,
 )
-from .errors import ConfigError, DomainError, EmptyWindowError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "MAX_EXPECTED_EVENTS",
@@ -363,8 +317,10 @@ def run(
     if mode is not AbandonMode.NONE and config.abandon_rate <= 0.0:
         raise ConfigError(f"abandonment mode {mode.value} needs abandon_rate > 0")
     n = system.n_servers
-    if x0 is not None and not 0 <= x0 <= n + queue_cap:
-        raise ConfigError(f"x0 must be in [0, N + queue_cap] = [0, {n + queue_cap}], got {x0}")
+    if x0 is not None:
+        check_domains(x0=x0)
+        if x0 > n + queue_cap:
+            raise ConfigError(f"x0 must be in [0, N + queue_cap] = [0, {n + queue_cap}], got {x0}")
     _check_events(config.lambda_r, system.sum_mu, horizon)
     shape = _shape(config, system, horizon, mode, grid_points, record_customers, validate)
     loop = _loop(shape)
@@ -835,7 +791,7 @@ def steady_estimates(path: PathRecord) -> SteadyEstimates:
     t0 = path.warmup * path.end_time
     mask = (path.grid_t >= t0) & (path.grid_t <= path.end_time)
     if not mask.any():
-        raise EmptyWindowError(f"no samples in ({t0}, {path.end_time}]")
+        raise DomainError(f"no samples in ({t0}, {path.end_time}]")
     tw = path.grid_t[mask]
     n_arr = path.window_arrivals
     p_wait = path.window_waited / n_arr if n_arr else 0.0

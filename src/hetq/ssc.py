@@ -25,7 +25,7 @@ from .core import (
     check_domains,
     pool_sizes,
 )
-from .errors import ConfigError, DomainError, NoIdlenessError, WindowError
+from .errors import ConfigError, DomainError
 from .sim import MAX_EXPECTED_EVENTS, PathRecord, run
 
 __all__ = [
@@ -60,7 +60,7 @@ def ssc_g(pools: Sequence[Tuple[float, float]], z, policy: Policy = Policy.LISF)
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != len(pools):
         raise ConfigError(f"z has {z.shape[-1]} pools, pools has {len(pools)}")
-    gamma = RateDistribution.discrete([(m, b) for b, m in pools]).idleness_coefficient(policy)
+    gamma = RateDistribution.from_pools(pools).idleness_coefficient(policy)
     mu = np.array([m for _, m in pools], dtype=float)
     val = np.abs(z @ mu - gamma * z.sum(axis=-1))
     return val if val.ndim else float(val)
@@ -189,14 +189,14 @@ def hydro_scale(path: PathRecord, m: int, length: float) -> HydroScaledPath:
     root_n = math.sqrt(n_total)
     t_start = m / root_n
     if t_start > path.end_time:
-        raise WindowError(f"window start {t_start:.6g} beyond the path end {path.end_time:.6g}")
+        raise DomainError(f"window start {t_start:.6g} beyond the path end {path.end_time:.6g}")
     # state at the window start: last grid sample at or before t_start
     j0 = int(np.searchsorted(path.grid_t, t_start, side="right") - 1)
     dev = np.max(np.abs(path.grid_Z[j0] - sizes))
     x_rm = max(float(dev) ** 2, float(n_total))
     t_end = math.sqrt(x_rm) * length / n_total + t_start
     if t_end > path.end_time + 1e-12:
-        raise WindowError(
+        raise DomainError(
             f"path ends at {path.end_time:.6g} but window m={m} needs {t_end:.6g}"
         )
     sel = (path.grid_t >= t_start) & (path.grid_t <= t_end)
@@ -310,7 +310,7 @@ def fairness_estimate(
     idle_time = path.end_time - path.busy_time
     total_idle = float(idle_time.sum())
     if total_idle <= 0.0:
-        raise NoIdlenessError("path carries no idleness")
+        raise DomainError("path carries no idleness")
     n_bins = edges.size - 1
     system = path.system
     which = rate_bin(system.mu, edges)

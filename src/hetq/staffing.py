@@ -26,9 +26,7 @@ from .diffusion import (
     prob_wait_no_aband,
     special,
 )
-from .errors import (
-    BracketError, ConfigError, DegenerateError, DomainError, HetqError, UnstableError,
-)
+from .errors import ConfigError, DomainError, HetqError
 
 __all__ = [
     "CostSpec",
@@ -74,7 +72,7 @@ def _mmn_law(n: int, lam: float, mu: float, nu: float) -> Tuple[float, float]:
                           f"got (n, lam, mu) = {(n, lam, mu)}")
     cap = n * mu
     if nu == 0.0 and lam >= cap:
-        raise UnstableError(f"offered load {lam/mu:.6g} needs more than {n} servers")
+        raise DomainError(f"offered load {lam/mu:.6g} needs more than {n} servers")
     log_below = np.cumsum(np.log(np.arange(n, 0, -1) * mu / lam))  # pi_{N-1}, ..., pi_0
     ref = max(0.0, float(log_below.max()))  # the largest log weight so far; sums are scaled by it
     below, tail, tail_q, log_w = float(np.exp(log_below - ref).sum()), math.exp(-ref), 0.0, 0.0
@@ -181,7 +179,7 @@ def cost_no_aband(
     p_stable = special.ndtr((0.0 - m) / s)
     bad = p_stable < 1e-12
     if bad.any():
-        raise DegenerateError(
+        raise DomainError(
             f"P(beta < 0) = {_first(p_stable, bad):.3g}: all drift mass is unstable"
         )
     m_row = np.asarray(m)[..., None]  # one drift mean per row of nodes
@@ -194,7 +192,7 @@ def cost_no_aband(
     lo = m - 8.0 * s
     hi = np.minimum(0.0, m + 8.0 * s)
     if (hi <= lo).any():
-        raise DegenerateError("stable region lies outside the 8-sigma drift window")
+        raise DomainError("stable region lies outside the 8-sigma drift window")
     half = 0.5 * (hi - lo)  # Gauss-Legendre over [lo, hi], one interval per drift mean
     integral = half * _gauss_sum(
         integrand, 0.5 * (hi + lo), half, np.polynomial.legendre.leggauss, nodes
@@ -333,7 +331,7 @@ def optimize_staffing(
     bracket ends (the ``bracket_lo`` and ``bracket_hi`` config keys) must be
     finite with 0 < lo < hi; ``tol`` (``opt_tol``) must be finite and > 0.
     A ``HetqError`` from the coarse curve, or its first cost that is not
-    finite, becomes a ``BracketError`` naming it; any other exception is a
+    finite, becomes a ``DomainError`` naming it; any other exception is a
     defect and propagates.
     """
     lo, hi = bracket
@@ -344,7 +342,7 @@ def optimize_staffing(
     try:
         costs = np.array(cost_fn(xs), dtype=float)
     except HetqError as exc:
-        raise BracketError(
+        raise DomainError(
             f"cost evaluation failed across the bracket (bracket_lo, bracket_hi) = {bracket}; "
             f"first failure: {type(exc).__name__}: {exc}"
         ) from exc
@@ -352,7 +350,7 @@ def optimize_staffing(
         raise TypeError(f"cost_fn must return one cost per point, got shape {costs.shape}")
     bad = ~np.isfinite(costs)
     if bad.any():
-        raise BracketError(
+        raise DomainError(
             f"cost is not finite across the bracket (bracket_lo, bracket_hi) = {bracket}, "
             f"first at x = {_first(xs, bad)!r}"
         )

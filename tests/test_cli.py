@@ -12,13 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hetq
 from conftest import within
 from hetq.cli import _csv, _f, dispatch, main, rerun_manifest
-from hetq.core import CONFIG_KEYS
+from hetq.core import CONFIG_KEYS, parse_config_text
+from hetq.errors import ConfigError
 
 
 def read(path):
@@ -74,6 +75,11 @@ class TestExitCodes:
             "--set", "beta=1.0", "--set", "sigma=2.0", "--set", "gamma=1.0",
         ])
         assert rc == 3
+
+    def test_every_refusal_has_an_exit_code(self):
+        # main maps ConfigError to exit 2 and DomainError to 3, and nothing else
+        assert set(hetq.HetqError.__subclasses__()) == {hetq.ConfigError, hetq.DomainError}
+        assert hetq.DomainError.__subclasses__() == []
 
     @pytest.mark.parametrize("setting", ["beta=nan", "sigma=inf"])
     def test_non_finite_diffusion_coefficient_exits_2(self, tmp_path, capsys, setting):
@@ -653,6 +659,14 @@ class TestManifest:
         assert rc == 2
         assert "summary.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["couple"], {"couple": 1}, None])
+    def test_rerun_refuses_a_command_that_is_not_a_string(self, tmp_path, capsys, command):
+        # a list or an object ended in a TypeError from the stream layout lookup
+        args = ["couple", "--set", "lambda_r=5.0", "--set", "skeleton_events=50"]
+        rc = self._edited_rerun(tmp_path, args, lambda m: m.update(command=command))
+        assert rc == 2
+        assert "needs a 'command' string" in capsys.readouterr().err
+
     def test_overrides_recorded(self, cfg_file, tmp_path):
         out = tmp_path / "o"
         main([
@@ -1139,3 +1153,68 @@ class TestSimulationFuzz:
         keys, base = _SIM_FUZZ[command]
         law = st.lists(st.sampled_from(["pools", "rates"]), max_size=2, unique=True)
         _fuzz(command, keys, base, examples, setting=_sim_setting, also=law)
+
+
+# JSON values of another type than a manifest's config strings
+_JSON_TYPES = st.sampled_from([[5], None, {"a": 1}, True, 5, 2.5, "x"])
+
+
+def _in_domain(key, value) -> bool:
+    try:
+        parse_config_text(f"{key} = {value}")
+    except ConfigError:
+        return False
+    return True
+
+
+class TestRerunFuzz:
+    """``rerun`` of a manifest from a small exit-0 run, drawn as in
+    ``TestSimulationFuzz``, with one config value (inside its domain, outside
+    it, or of another JSON type) or one checksum changed. Each ends in exit 0,
+    2 or 3 within 10 s; a changed checksum exits 2 naming its artifact, and a
+    value outside its key's domain exits 2 naming the key."""
+
+    @pytest.mark.parametrize(
+        "command,examples", [("simulate", 25), ("ssc", 15), ("fairness", 20), ("couple", 20)]
+    )
+    def test_one_change_exits_by_name(self, command, examples, capsys):
+        keys, base = _SIM_FUZZ[command]
+
+        @given(st.data())
+        @settings(
+            max_examples=examples, derandomize=True, database=None, deadline=None,
+            suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+        )
+        def case(data):
+            chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+            law = st.lists(st.sampled_from(["pools", "rates"]), max_size=2, unique=True)
+            chosen += data.draw(law)
+            sets = [*base, *(data.draw(_sim_setting(key), label=key) for key in chosen)]
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp)
+                args = [arg for kv in sets for arg in ("--set", kv)]
+                rc = main_within([command, "--out", str(out / "a"), *args], seconds=10)
+                capsys.readouterr()
+                assume(rc == 0)
+                manifest = json.loads((out / "a" / "manifest.json").read_text(encoding="utf-8"))
+                config, artifacts = manifest["config"], manifest["artifacts"]
+                key = name = None
+                if data.draw(st.booleans(), label="checksum"):
+                    name = data.draw(st.sampled_from(sorted(artifacts)), label="artifact")
+                    old = artifacts[name]
+                    artifacts[name] = ("1" if old[0] == "0" else "0") + old[1:]
+                else:
+                    key = data.draw(st.sampled_from(sorted(config)), label="key")
+                    drawn = _sim_setting(key).map(lambda kv: kv.partition("=")[2])
+                    config[key] = data.draw(drawn | _JSON_TYPES, label="value")
+                (out / "m.json").write_text(json.dumps(manifest), encoding="utf-8")
+                rerun = ["rerun", str(out / "m.json"), "--out", str(out / "b")]
+                rc = main_within(rerun, seconds=10)
+                err = capsys.readouterr().err
+            assert rc in (0, 2, 3), (sets, err)
+            if name is not None:
+                assert rc == 2 and f"did not reproduce artifact {name}:" in err, (sets, err)
+            elif not _in_domain(key, config[key]):
+                assert rc == 2 and err.startswith(f"config error: {key} must be "), (sets, err)
+
+        case()

@@ -190,7 +190,7 @@ _ENTRY_POINTS = {
     ),
     "run": (
         lambda **kw: run(SystemConfig(**_SYSTEM), _two_servers(), **{"horizon": 1.0, **kw}),
-        ("horizon", "warmup", "grid_points", "queue_cap"),
+        ("horizon", "warmup", "grid_points", "queue_cap", "x0"),
     ),
     "coupled_run": (
         lambda p_rate=1.0, horizon=1.0: coupled_run(
@@ -234,13 +234,14 @@ _JUST_OUTSIDE = {
     "lambda_r": [-5e-324, math.inf],
     "seed": [-1],
     "arrival_scv": [-5e-324],
-    "staffing": [0, 2.5],
+    "staffing": [0, 2.5, True],
     "abandon_rate": [-5e-324],
     "pools": [((0.5, 1.0), (0.5, math.nan)), ((0.0, 1.0), (1.0, 2.0)), ((0.5, 2.0), (0.5, 1.0))],
     "horizon": [0.0, math.inf],
     "warmup": [1.0, -5e-324],
     "grid_points": [1, 1_000_001],
     "queue_cap": [-1, 10_000_001],
+    "x0": [-1],
     "p_rate": [0.0, math.inf],
     "reps": [0],
     "sigma": [-5e-324, math.inf],
@@ -257,6 +258,18 @@ _JUST_OUTSIDE = {
     "r_values": [(0.5,), (math.inf,), (math.nan,)],
 }
 
+# key -> values of the wrong type: a float key needs a real number, an int key
+# an integer, and a bool is neither. These raised TypeError from a comparison
+# or from numpy, or were accepted and later truncated by int().
+_WRONG_TYPE = {
+    "horizon": ["5", None, True],
+    "warmup": ["0.2"],
+    "grid_points": [10.5],
+    "queue_cap": [2.5],
+    "x0": [2.5, "3"],
+    "seed": [1.5, True],
+}
+
 
 @pytest.mark.parametrize(
     "entry,key",
@@ -271,3 +284,8 @@ def test_entry_points_refuse_values_outside_the_key_domain(entry, key):
         with pytest.raises(ConfigError) as err:
             call(**{key: value})
         assert str(err.value).startswith(f"{key} must be {text}, got "), (value, str(err.value))
+    kind = "an integer" if CONFIG_KEYS[key][0] is int else "a real number"
+    for value in _WRONG_TYPE.get(key, []):
+        with pytest.raises(ConfigError) as err:
+            call(**{key: value})
+        assert str(err.value) == f"{key} must be {text}, got {value!r} (not {kind})"

@@ -155,7 +155,7 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(r=100, lambda_r=90, seed=1, pools=((0.5, 2.0), (0.5, 1.0)))
         cfg = SystemConfig(r=100, lambda_r=90, seed=1, pools=((0.5, 1.0), (0.5, 2.0)))
-        assert cfg.pool_distribution().mean() == 1.5
+        assert RateDistribution.from_pools(cfg.pools).mean() == 1.5
 
     def test_realize(self):
         cfg = SystemConfig(r=100.0, lambda_r=100.0, seed=3, staffing=HalfinWhitt(1.0))

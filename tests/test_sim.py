@@ -22,7 +22,7 @@ from hetq.core import (
     SystemConfig,
     rng_stream,
 )
-from hetq.errors import ConfigError, DomainError, EmptyWindowError
+from hetq.errors import ConfigError, DomainError
 from hetq.sim import (
     AbandonMode,
     coupled_run,
@@ -622,7 +622,7 @@ class TestSteadyEstimates:
         cfg, s = homogeneous(2, 2000.0, seed=1)
         path = run(cfg, s, horizon=1000.0, queue_cap=3, warmup=0.5)
         assert path.overflowed
-        with pytest.raises(EmptyWindowError):
+        with pytest.raises(DomainError, match=r"^no samples in \("):
             steady_estimates(path)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetq.core import Policy, RateDistribution, RealizedSystem, Stream, SystemConfig, rng_stream
-from hetq.errors import ConfigError, NoIdlenessError, WindowError
+from hetq.errors import ConfigError, DomainError
 from hetq.sim import run
 from hetq.ssc import (
     almost_lipschitz_check,
@@ -164,9 +164,9 @@ class TestHydroScale:
 
     def test_window_error(self):
         cfg, path = self._two_pool_path(horizon=2.0)
-        with pytest.raises(WindowError):
+        with pytest.raises(DomainError, match="^path ends at .* but window m=0 needs "):
             hydro_scale(path, 0, 100.0)
-        with pytest.raises(WindowError):
+        with pytest.raises(DomainError, match="^window start .* beyond the path end "):
             hydro_scale(path, 10_000, 1.0)
 
     @pytest.mark.parametrize("m", [1.5, 2.0, np.float64(1.0), "1", None, b"1"])
@@ -311,7 +311,7 @@ class TestFairness:
         cfg = SystemConfig(r=3.0, lambda_r=50.0, seed=1, staffing=3)
         s = RealizedSystem(n_servers=3, mu=np.ones(3), mu_bar=1.0, r=3.0, lambda_r=50.0)
         path = run(cfg, s, horizon=5.0)
-        with pytest.raises(NoIdlenessError):
+        with pytest.raises(DomainError, match="^path carries no idleness$"):
             fairness_estimate(path, np.array([0.5, 1.5]), RateDistribution.point(1.0))
 
     def test_eta_theory_fsf_point_mass(self):
