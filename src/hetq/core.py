@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -239,6 +240,10 @@ class SystemConfig:
     pools: Optional[tuple] = None  # ((beta_i, mu_i), ...), mu strictly increasing
 
     def __post_init__(self):
+        for key in ("seed", "staffing"):  # a numpy integer is kept as the int it stands for
+            value = getattr(self, key)
+            if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+                object.__setattr__(self, key, operator.index(value))
         check_domains(
             r=self.r, lambda_r=self.lambda_r, seed=self.seed, arrival_scv=self.arrival_scv,
             staffing=self.staffing, abandon_rate=self.abandon_rate,

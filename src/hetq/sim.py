@@ -887,9 +887,7 @@ def coupled_run(
     hazard = abandon_exp() if nu > 0.0 else 0.0  # read only while nu > 0
     t_cur = 0.0
 
-    times: List[float] = []
-    hom_counts: List[int] = []
-    het_counts: List[int] = []
+    times, hom_counts, het_counts = array("d"), array("q"), array("q")
     d_hom = d_het = 0
 
     while True:
@@ -954,9 +952,9 @@ def coupled_run(
             next_arr = t_cur + arrival_gap()
 
     return CoupledPaths(
-        skeleton_t=np.asarray(times),
-        d_hom=np.asarray(hom_counts, dtype=np.int64),
-        d_het=np.asarray(het_counts, dtype=np.int64),
+        skeleton_t=np.frombuffer(times),
+        d_hom=np.frombuffer(hom_counts, dtype=np.int64),
+        d_het=np.frombuffer(het_counts, dtype=np.int64),
         departures=np.asarray(d_count, dtype=np.int64),
         p_rate=p_rate,
         q_rate=q_rate,

@@ -18,13 +18,17 @@ import numpy as np
 
 from .core import RateDistribution, SystemConfig, check_domains
 from .diffusion import (
+    _expit,
     _finite,
     _first,
     _gauss_sum,
+    _log_mills,
+    _logit_no_aband,
+    _ndtr,
+    _wait_arg_no_aband,
     expected_positive_part_aband,
     gauss_hermite_expectation,
     prob_wait_no_aband,
-    special,
 )
 from .errors import ConfigError, DomainError, HetqError
 
@@ -176,27 +180,33 @@ def cost_no_aband(
         total = f_term + config.lambda_r * p * (cost.c_w / (capacity - config.lambda_r))
         return _finite(total, "the cost at safety x", x, sigma=sigma, gamma=gamma)
 
-    p_stable = special.ndtr((0.0 - m) / s)
+    t = (0.0 - m) / s  # P(beta < 0) = Phi(t)
+    lo = m - 8.0 * s
+    hi = np.minimum(0.0, m + 8.0 * s)
+    if (hi <= lo).any():
+        raise DomainError("stable region lies outside the 8-sigma drift window")
+    m_row = np.asarray(m)[..., None]  # one drift mean per row of nodes
+    p_stable = []
+
+    def integrand(b):
+        dens = np.exp(-0.5 * ((b - m_row) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        g = cost.c_w / (-b * sqrt_r)
+        # prob_wait_no_aband at the nodes, and Phi(t), from one kernel call
+        a = _wait_arg_no_aband(b, sigma, gamma)
+        log_r = _log_mills(np.concatenate([-a.ravel(), np.abs(t).ravel()]))
+        p_stable.append(_ndtr(t, log_r[a.size:].reshape(np.shape(t))))
+        return _expit(-_logit_no_aband(a, log_r[:a.size].reshape(a.shape))) * g * dens
+
+    half = 0.5 * (hi - lo)  # Gauss-Legendre over [lo, hi], one interval per drift mean
+    integral = half * _gauss_sum(
+        integrand, 0.5 * (hi + lo), half, np.polynomial.legendre.leggauss, nodes
+    )
+    p_stable = p_stable[0]
     bad = p_stable < 1e-12
     if bad.any():
         raise DomainError(
             f"P(beta < 0) = {_first(p_stable, bad):.3g}: all drift mass is unstable"
         )
-    m_row = np.asarray(m)[..., None]  # one drift mean per row of nodes
-
-    def integrand(b):
-        dens = np.exp(-0.5 * ((b - m_row) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
-        g = cost.c_w / (-b * sqrt_r)
-        return prob_wait_no_aband(b, sigma, gamma) * g * dens
-
-    lo = m - 8.0 * s
-    hi = np.minimum(0.0, m + 8.0 * s)
-    if (hi <= lo).any():
-        raise DomainError("stable region lies outside the 8-sigma drift window")
-    half = 0.5 * (hi - lo)  # Gauss-Legendre over [lo, hi], one interval per drift mean
-    integral = half * _gauss_sum(
-        integrand, 0.5 * (hi + lo), half, np.polynomial.legendre.leggauss, nodes
-    )
     total = f_term + config.lambda_r * integral / p_stable + cost.c_un * (1.0 - p_stable)
     return _finite(total, "the cost at safety x", x, sigma=sigma, gamma=gamma)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import hetq
 from conftest import within
+from mills_oracle import positive_part_aband, wait_aband
 from hetq.cli import _csv, _f, dispatch, main, rerun_manifest
 from hetq.core import CONFIG_KEYS, parse_config_text
 from hetq.errors import ConfigError
@@ -283,13 +284,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "setting",
         [
-            "nu=1e-300", "sigma=1e-300", "gamma=1e-300", "beta=-1e300",
-            "sigma=1e-8,beta=3,gamma=3,nu=1e300",
+            "sigma=1e-300", "gamma=1e-300", "beta=-1e300",
         ],
     )
     def test_law_lost_in_double_precision_exits_3(self, tmp_path, capsys, setting):
-        # each value lies in its domain; the first four were an OverflowError or
-        # ZeroDivisionError traceback, and the last exited 0 with residual 0.084
+        # each value lies in its domain; each was an OverflowError or
+        # ZeroDivisionError traceback
         sets = [arg for kv in setting.split(",") for arg in ("--set", kv)]
         rc = main(["analyze", "--out", str(tmp_path / "o"), *sets])
         assert rc == 3
@@ -299,35 +299,76 @@ class TestExitCodes:
         assert not any((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize(
-        "command,settings,named",
-        [
-            ("staff", ["lambda_r=100", "rates=uniform(0.8,1.2)", "nu=1e-300"], "nu=1e-300"),
-            ("staff", ["lambda_r=100", "rates=uniform(0.8,1.2)", "nu=1", "bracket_hi=1e300"],
-             "bracket_hi"),
-            ("ql-sweep", ["sigma=1e-300"], "sigma=1e-300"),
-            ("ql-sweep", ["nu=1e-300"], "nu=1e-300"),
-            ("ql-sweep", ["theta=1e300"], "theta=1e+300"),
-        ],
-        ids=["staff-nu", "staff-bracket_hi", "ql-sweep-sigma", "ql-sweep-nu", "ql-sweep-theta"],
+        "setting",
+        ["nu=1e-300", "sigma=1e-8,beta=3,gamma=3,nu=1e300"],
     )
-    def test_drift_average_lost_in_double_precision_names_the_key(
-        self, tmp_path, capsys, command, settings, named
-    ):
-        # each value lies in its domain, and each drift average came out NaN: staff
-        # said only "cost evaluation failed across the bracket (0.05, 6.0)" or "at
-        # 63 bracket points", and ql-sweep "did not converge" after 512 nodes
+    def test_law_held_in_double_precision_exits_0(self, tmp_path, setting):
+        # the first exited 3 (its wait logit was a difference of two log-densities
+        # near -5e299), the second 3 with residual 0.084; the defaults give
+        # sigma = sqrt(2), beta = -1 and gamma = 1
+        values = {"sigma": math.sqrt(2.0), "beta": -1.0, "gamma": 1.0}
+        values.update((k, float(v)) for k, v in (kv.split("=") for kv in setting.split(",")))
+        sets = [arg for kv in setting.split(",") for arg in ("--set", kv)]
+        assert main(["analyze", "--out", str(tmp_path / "o"), *sets]) == 0
+        info = json.loads((tmp_path / "o" / "analysis.json").read_text(encoding="utf-8"))
+        law = [values[k] for k in ("beta", "sigma", "gamma", "nu")]
+        assert info["varrho"] == pytest.approx(float(wait_aband(*law)), rel=1e-13)
+        assert info["mean_positive_part"] == pytest.approx(float(positive_part_aband(*law)), rel=1e-13)
+        assert info["continuity_residual"] < 1e-12
+
+    @pytest.mark.parametrize(
+        "command,settings",
+        [
+            ("staff", ["lambda_r=100", "rates=uniform(0.8,1.2)", "nu=1e-300"]),
+            ("staff", ["lambda_r=100", "rates=uniform(0.8,1.2)", "nu=1", "bracket_hi=1e300"]),
+        ],
+        ids=["staff-nu", "staff-bracket_hi"],
+    )
+    def test_drift_average_held_in_double_precision_exits_0(self, tmp_path, command, settings):
+        # both exited 3: the wait logit was a difference of two log-densities near
+        # -5e299 (nu = 1e-300) or of two infinities (x = 1e300). The optimum is the
+        # bracket's lower end; its cost is checked against the same Gauss-Hermite
+        # sum with every node's E[xi+; xi >= 0] taken in mpmath
         sets = [arg for kv in settings for arg in ("--set", kv)]
-        rc = main_within([command, "--out", str(tmp_path / "o"), *sets])
+        assert main_within([command, "--out", str(tmp_path / "o"), *sets]) == 0
+        info = json.loads((tmp_path / "o" / "staffing.json").read_text(encoding="utf-8"))
+        nu = float(settings[2].split("=")[1])
+        sd = 0.4 / math.sqrt(12.0)  # uniform(0.8, 1.2)
+        gamma = 1.0 + sd * sd  # LISF: E[mu^2]/E[mu]
+        x_nodes, w = np.polynomial.hermite.hermgauss(128)
+        betas = -0.05 + math.sqrt(2.0) * sd * x_nodes
+        epp = sum(wk * positive_part_aband(b, math.sqrt(2.0), gamma, nu) for wk, b in zip(w, betas))
+        want = 0.05 * 10.0 + nu * 10.0 * epp / math.sqrt(math.pi)
+        assert info["x_star"] == 0.05
+        assert info["cost_at_optimum"] == pytest.approx(float(want), rel=1e-12)
+        # at the bracket's far end the abandonment term lies below the staffing
+        # term's last bit (at x = 1e300 the wait probability rounds to 0)
+        assert info["curve"]["cost"][-1] == info["curve"]["x"][-1] * 10.0
+
+    def test_ql_sweep_of_a_far_drift_is_zero(self, tmp_path):
+        # theta=1e300 exited 3 (the wait logit was a difference of two infinities);
+        # at beta = -2e300 the queue's mean rounds to 0
+        assert main_within(["ql-sweep", "--out", str(tmp_path / "o"), "--set", "theta=1e300"]) == 0
+        lines = (tmp_path / "o" / "ql.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert all(line.split(",")[1:] == ["0.0", "0.0"] for line in lines)
+        assert positive_part_aband(-2e300 + 1e299, 4.0, 1.0, 2.0) < 1e-300
+
+    @pytest.mark.parametrize("setting", ["sigma=1e-300", "nu=1e-300"])
+    def test_drift_average_without_convergence_names_the_law(self, tmp_path, capsys, setting):
+        # each was NaN and refused as not finite. The drift average is finite, but its
+        # integrand jumps at beta = 0 by 1/nu (or by a kink of slope 1/nu as sigma -> 0),
+        # and the Gauss-Hermite rules do not agree at eps = 0.2
+        rc = main_within(["ql-sweep", "--out", str(tmp_path / "o"), "--set", setting])
         assert rc == 3
         err = capsys.readouterr().err
-        assert named in err
-        assert "is not finite: the law with sigma=" in err
+        assert err.startswith("domain error: ql_eps quadrature did not converge")
+        assert setting in err and "the law with sigma=" in err
         assert not any((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize(
         "command,settings",
         [
-            ("staff", ["lambda_r=100", "rates=uniform(0.8,1.2)", "nu=1", "bracket_hi=1e300"]),
+            ("staff", ["lambda_r=100", "rates=uniform(0.8,1.2)", "nu=1", "bracket_hi=1e308"]),
             ("ql-sweep", ["sigma=1e-300"]),
             ("analyze", ["sigma=1e-300"]),
         ],
@@ -534,7 +575,19 @@ class TestExitCodes:
         assert all(key in err for key in keys)
 
 
-_IMPORT_BOUNDARY = """
+# the analytics commands: both stationary laws, both cost models and the sweep
+_ANALYTICS = """
+ANALYTICS = [
+    ["analyze"],
+    ["analyze", "--set", "nu=2"],
+    ["staff", "--set", "lambda_r=100", "--set", "rates=uniform(0.8,1.2)", "--set", "nu=1"],
+    ["staff", "--set", "lambda_r=100", "--set", "rates=uniform(0.8,1.2)",
+     "--set", "cost_model=waiting", "--set", "bracket_lo=0.5"],
+    ["ql-sweep", "--set", "eps_steps=2"],
+]
+"""
+
+_IMPORT_BOUNDARY = _ANALYTICS + """
 import sys
 import hetq, hetq.cli, hetq.staffing
 from hetq.cli import main
@@ -553,14 +606,15 @@ commands = [
 for i, args in enumerate(commands):
     assert main([args[0], "--out", f"{out}/{i}", *args[1:]]) == 0, args
 print("scipy.integrate" in sys.modules, "scipy.special" in sys.modules)
-assert main(["analyze", "--out", f"{out}/analyze"]) == 0
-print("scipy.special" in sys.modules)
+for i, args in enumerate(ANALYTICS):
+    assert main([args[0], "--out", f"{out}/a{i}", *args[1:]]) == 0, args
+print(any(name == "scipy" or name.startswith("scipy.") for name in sys.modules))
 """
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    # only the analytics load scipy.special; importing hetq and every
-    # simulation command leave it (and scipy.integrate) unloaded
+    # importing hetq, every simulation command and every analytics command
+    # leave scipy unloaded
     env = dict(os.environ)
     src = str(Path(hetq.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -568,7 +622,24 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
         [sys.executable, "-c", _IMPORT_BOUNDARY, str(tmp_path)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["False", "False", "True"]
+    assert out.stdout.split() == ["False", "False", "False"]
+
+
+_WITHOUT_SCIPY = _ANALYTICS + """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from hetq.cli import main
+
+for i, args in enumerate(ANALYTICS):
+    assert main([args[0], "--out", f"{sys.argv[1]}/{i}", *args[1:]]) == 0, args
+"""
+
+
+def test_analytics_run_without_scipy(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(hetq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env, check=True)
 
 
 class TestSimulateArtifacts:
@@ -889,11 +960,13 @@ _COMMAND_JOBS = {
     ],
 }
 
+# the analytics entries were taken when the normal tails moved from scipy.special
+# to the numpy log-Mills kernel, which moved no value by more than 8.8e-16 relative
 _COMMAND_PINS = {
     "analyze": {
-        "analysis.json": "9d6894477736190537835139842e1be20c91ef8f2adc0eda06f0d6eb7a5150fd",
-        "density.csv": "9afca5acf878d0989fcab0833e936917e561db83f900448128f789004248409e",
-        "manifest.json": "365379f0989172419c07cfdba8030a1474a4d1bc99142d6b4e52617e0de3ebef",
+        "analysis.json": "546cd709f43789b4d139a7c6d559ae67f63fd7efbef72fe735a9374f24b58cf0",
+        "density.csv": "016a607690824c900a3f2e58e265ea2a0ca8bbb3fd23e1ffa02087d8c8ca8596",
+        "manifest.json": "c11b079606a2df0a5beae6c2d983a89bc4a029b0fa0b6c7848d316678d116a51",
     },
     "couple": {
         "couple.csv": "8a9dbd5495505b32dff92ca39f664e0fa826d0e68c459f647777690e39613568",
@@ -911,8 +984,8 @@ _COMMAND_PINS = {
         "manifest.json": "4c346aa614cd100bdb15ab40c344e6b744a49e4c61661e1d0d42b730398f81d5",
     },
     "ql_sweep": {
-        "ql.csv": "2983a4302b782481846ce43d7923e2614060e11d2401f69521be744984a02292",
-        "manifest.json": "0a21c5fab175920a7db79d2dc6a6b49585493c2aac0ec2a4b14c73f7662364dd",
+        "ql.csv": "11b8d22d82c995270a2d77ff90f1c424a661c996eb022c5e641b4d81649767b7",
+        "manifest.json": "b464e354a989bdba215b0c81e2e0ce89de5d280cb00f7a98a622c5f3533245c9",
     },
     "simulate_discrete": {
         "path.csv": "8cd31a17018295d46f05ca38dcf3033c77dadd15ba9223312ef06d8ec672dc79",
@@ -945,14 +1018,14 @@ _COMMAND_PINS = {
         "manifest.json": "edc421037e65975e9c7c37e216efb358d2684b44ba93ca252e0986926344b603",
     },
     "staff_abandon": {
-        "curve.csv": "94defdb1246d5c50f0c74ac5386812e6c6dc0dcdbd89fd9c6ef8a9dfd8689bb2",
-        "staffing.json": "63f9ff1c56c4fef0d4fc76237416988663dec36ef4af7bade8afc457d4bf4656",
-        "manifest.json": "1ad3dc7e83120db6dc899ca9808524c088ae01d55441f934916a679a959b85f4",
+        "curve.csv": "086e34159f904d05ca784cbb28c17ea2df992110241de36d35ff6a0943a191e3",
+        "staffing.json": "d85ddc2a32cb991dde8e253a688fec901a52b8586afdb8e21e46f95dec620329",
+        "manifest.json": "100e8e705f381a03bb08b61f06e79746d6d7165acff143934c3c18ca9afcf120",
     },
     "staff_waiting": {
-        "curve.csv": "3c28eb4bfb8cc138f73c9cd9c18a460de71ccd20303f7b6ead4d418d1b174561",
-        "staffing.json": "3857c4693d0869b522c2516d11fbe396f98af3e9dc064acefefadde9f30e6523",
-        "manifest.json": "68b4f4c4cffddfb00d2a6debcc2d1dc764b88b4bba4b904b9eb4b9a722b77bce",
+        "curve.csv": "a01a43e975470083c6ee399b15e947c437dff41ea84516199796f65bd81ecb40",
+        "staffing.json": "65c0b5d5d1dd7a5a178062fcd573604b7356aa3cd89120213f082a2edce8b940",
+        "manifest.json": "b941a0598e5f857189633b9d2d36a0c1193e860ec0f69a3b664947f1ac5bb017",
     },
 }
 

@@ -1,5 +1,6 @@
 """Rate distributions, staffing arithmetic, seeding, and the config format."""
 
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from hetq.core import (
     rng_stream,
 )
 from hetq.errors import ConfigError
+from hetq.sim import path_summary, run
 
 
 class TestRateDistribution:
@@ -167,6 +169,21 @@ class TestSystemConfig:
         assert sys1.zeta_hat == pytest.approx((sys1.sum_mu - 110.0) / 10.0)
         assert sys1.stable == (sys1.sum_mu > 100.0)
         assert np.all(sys1.mu >= 0.5) and np.all(sys1.mu <= 1.5)
+
+    def test_numpy_integers_enter_as_ints(self, tmp_path):
+        # staffing=np.int64(3) was refused, and seed=np.int64(3) was kept as numpy.int64
+        cfg = SystemConfig(r=10.0, lambda_r=10.0, seed=np.int64(3), staffing=np.int64(3))
+        assert type(cfg.seed) is int and type(cfg.staffing) is int
+        system = RealizedSystem.from_config(cfg, RateDistribution.point(1.0))
+        assert type(system.n_servers) is int and system.n_servers == 3
+        path = run(cfg, system, 1.0, grid_points=10)
+        summary = json.loads(json.dumps(path_summary(path)))  # numpy integers are not JSON
+        assert (summary["seed"], summary["n_servers"]) == (3, 3)
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ConfigError, match="staffing must be"):
+                SystemConfig(r=10.0, lambda_r=10.0, seed=1, staffing=flag)
+            with pytest.raises(ConfigError, match="seed must be"):
+                SystemConfig(r=10.0, lambda_r=10.0, seed=flag)
 
     def test_realize_pools_sizes_sum(self):
         cfg = SystemConfig(

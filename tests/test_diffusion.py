@@ -7,15 +7,16 @@ exp((2/sigma^2) * int_0^x drift)), an independent route to the same object.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 from scipy.stats import norm
 
-from hetq import diffusion
-from hetq.core import Policy, RateDistribution
+from hetq import diffusion, staffing
+from hetq.core import Policy, RateDistribution, SystemConfig
 from hetq.diffusion import (
     ConditionedNormalPiece,
     DiffusionParams,
@@ -31,6 +32,7 @@ from hetq.diffusion import (
 )
 from hetq.errors import ConfigError, DomainError
 from hetq.ssc import almost_lipschitz_check, hydro_scale
+from mills_oracle import mills, wait_aband
 from sde_oracle import simulate_sde
 
 # frozen from the mpmath scale-density oracle
@@ -48,16 +50,113 @@ def quad_normalization(density):
     return val + val2
 
 
-class TestLazySpecial:
-    @pytest.mark.parametrize("name", ["expit", "log_ndtr", "ndtr", "gammaln"])
-    def test_same_functions_as_scipy(self, name):
-        import scipy.special
+_ULP = 2.0**-52
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-        assert getattr(diffusion.special, name) is getattr(scipy.special, name)
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(AttributeError, match="not_a_function"):
-            diffusion.special.not_a_function
+def _max_error(got, want, floor=0.0):
+    """max |got - want| / max(|want|, floor) over the points, in doubles."""
+    return max(float(abs(g - w) / max(abs(w), floor)) for g, w in zip(np.asarray(got).tolist(), want))
+
+
+# the grid: |t| up to 1e8, and L's zero crossing near t = 0.30 from both sides
+_GRID = np.concatenate([
+    np.linspace(-37.0, 37.0, 741), np.geomspace(37.0, 1e8, 40), -np.geomspace(37.0, 1e3, 10),
+    -np.geomspace(1e-8, 0.6, 20), np.geomspace(1e-8, 0.6, 20), np.linspace(0.29, 0.31, 21),
+])
+
+
+def _kernel_arguments():
+    """Every argument ``_log_mills`` meets in one array call of each cost at criterion 10's law."""
+    seen = []
+    kernel = diffusion._log_mills
+
+    def record(t):
+        seen.append(np.array(t, dtype=float).ravel())
+        return kernel(t)
+
+    cfg = SystemConfig(r=400.0, lambda_r=400.0, seed=0, abandon_rate=1.0)
+    dist = RateDistribution.uniform(0.8, 1.2)
+    xs = np.linspace(0.05, 6.0, 16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffusion, "_log_mills", record)
+        mp.setattr(staffing, "_log_mills", record)
+        staffing.cost_aband(xs, cfg, dist, staffing.CostSpec(d=5.0, nu=1.0))
+        staffing.cost_no_aband(xs, cfg, dist, staffing.CostSpec(c_w=1.0))
+    args = np.concatenate(seen)
+    return args[:: max(1, args.size // 1500)]  # every k-th one, about 1500
+
+
+class TestNormalKernel:
+    """The numpy kernel against 50-digit mpmath, and no worse than scipy.special.
+
+    L(t) = log(Phi(-t)/phi(t)) is held to a few ulps of max(|L|, 1): an
+    absolute error near its zero crossing at t = 0.30, a relative one
+    elsewhere. Every other bound is scipy.special's own error on the same
+    points, computed here.
+    """
+
+    @pytest.mark.parametrize("points", ["grid", "kernel arguments"])
+    def test_log_mills(self, points):
+        t = _GRID if points == "grid" else _kernel_arguments()
+        want = [mpmath.log(mills(v)) for v in t]
+        ours = _max_error(diffusion._log_mills(t), want, floor=1.0)
+        theirs = _max_error(special.log_ndtr(-t) + 0.5 * t * t + _LOG_SQRT_2PI, want, floor=1.0)
+        assert ours <= 4.0 * _ULP
+        assert ours <= theirs
+
+    def test_mills_ratio(self):
+        want = [mills(v) for v in _GRID]
+        with np.errstate(over="ignore"):  # R overflows far below zero, for both
+            ours = np.exp(diffusion._log_mills(_GRID))
+            theirs = np.exp(special.log_ndtr(-_GRID) + 0.5 * _GRID * _GRID + _LOG_SQRT_2PI)
+        keep = [i for i, w in enumerate(want) if w < 1e300]
+        ours, theirs = _max_error(ours[keep], [want[i] for i in keep]), _max_error(theirs[keep], [want[i] for i in keep])
+        assert ours <= theirs
+
+    def test_normal_cdf_and_its_log(self):
+        x = _GRID[(_GRID > -37.5) & (_GRID < 38.0)]  # Phi(-37.5) is subnormal
+        cdf = [mpmath.ncdf(mpmath.mpf(float(v))) for v in x]
+        # log1p keeps log Phi's digits where Phi is within 1e-50 of 1
+        log_cdf = [mpmath.log1p(-mpmath.ncdf(-mpmath.mpf(float(v)))) if v > 0 else mpmath.log(c)
+                   for v, c in zip(x, cdf)]
+        ours = diffusion._ndtr(x, diffusion._log_mills(np.abs(x)))
+        assert _max_error(ours, cdf) <= _max_error(special.ndtr(x), cdf)
+        assert _max_error(diffusion._log_ndtr(x), log_cdf) <= _max_error(special.log_ndtr(x), log_cdf)
+
+    @pytest.mark.parametrize("sigma,gamma", [(math.sqrt(2.0), 1.0), (4.0, 2.0), (0.3, 5.0)])
+    def test_wait_probability_without_abandonment(self, sigma, gamma):
+        beta = -np.geomspace(1e-6, 30.0, 200)
+        a = math.sqrt(2.0) * -beta / (math.sqrt(gamma) * sigma)
+        want = [1 / (1 + v * mills(-v)) for v in a]
+        keep = [i for i, w in enumerate(want) if w > 1e-300]
+        want = [want[i] for i in keep]
+        log_phi = -0.5 * a * a - _LOG_SQRT_2PI
+        theirs = special.expit(-(np.log(a) + special.log_ndtr(a) - log_phi))[keep]
+        ours = prob_wait_no_aband(beta, sigma, gamma)[keep]
+        assert _max_error(ours, want) <= _max_error(theirs, want)
+
+    @pytest.mark.parametrize(
+        "sigma,gamma,nu",
+        [(math.sqrt(2.0), 1.0, 1.0), (4.0, 2.0, 2.0), (1.0, 1.0, 1e-3), (1.0, 0.5, 50.0)],
+    )
+    def test_wait_probability_with_abandonment(self, sigma, gamma, nu):
+        beta = np.concatenate([-np.geomspace(1e-6, 30.0, 100), np.geomspace(1e-6, 30.0, 100)])
+        a_nu = math.sqrt(2.0) * beta / (math.sqrt(nu) * sigma)
+        a_ga = math.sqrt(2.0) * beta / (math.sqrt(gamma) * sigma)
+        # at the doubles a_gamma and a_nu the kernel is given, so that both sides
+        # are judged on the same arguments
+        root = math.sqrt(nu / gamma)
+        want = [1 / (1 + root * mills(g) / mills(-n)) for g, n in zip(a_ga, a_nu)]
+        keep = [i for i, w in enumerate(want) if w > 1e-300]
+        want = [want[i] for i in keep]
+        log_phi = lambda v: -0.5 * v * v - _LOG_SQRT_2PI  # noqa: E731
+        theirs = special.expit(-(
+            0.5 * (math.log(nu) - math.log(gamma)) + log_phi(a_nu) - log_phi(a_ga)
+            + special.log_ndtr(-a_ga) - special.log_ndtr(a_nu)
+        ))[keep]
+        ours = prob_wait_aband(beta, sigma, gamma, nu)[keep]
+        assert _max_error(ours, want) <= _max_error(theirs, want)
 
 
 class TestProbWaitNoAband:
@@ -260,10 +359,11 @@ class TestFarTail:
         # the wait probability underflows to 0, and the mean no longer overflows
         assert expected_positive_part_aband(-1.9e9, math.sqrt(2.0), 1.0, 1.0) == 0.0
 
-    def test_wait_probability_without_digits_is_nan(self):
-        # nu = 1e-300: log phi and log Phi near -5e299 should differ by about 345,
-        # their ulps are 1e284, so no digit of the probability is left
-        assert math.isnan(prob_wait_aband(-1.0, math.sqrt(2.0), 1.0, 1e-300))
+    def test_wait_probability_of_a_tiny_nu_matches_mpmath(self):
+        # nu = 1e-300 was NaN: log phi and log Phi near -5e299 differ by about 345,
+        # and their difference had no digit left; L(-a_nu) holds it
+        want = wait_aband(-1.0, math.sqrt(2.0), 1.0, 1e-300)
+        assert prob_wait_aband(-1.0, math.sqrt(2.0), 1.0, 1e-300) == pytest.approx(float(want), rel=1e-14)
         assert prob_wait_aband(-1.0, math.sqrt(2.0), 1.0, 1e-3) == pytest.approx(
             prob_wait_aband(-1.0, math.sqrt(2.0), 1.0, 1e-4), rel=0.1
         )

@@ -12,6 +12,7 @@ from scipy.sparse.linalg import spsolve
 from scipy.stats import poisson
 
 from conftest import within
+from mills_oracle import positive_part_aband
 from hetq import staffing
 from hetq.core import HalfinWhitt, Policy, RateDistribution, SystemConfig
 from hetq.diffusion import DiffusionParams, expected_positive_part, prob_wait_no_aband
@@ -313,16 +314,32 @@ class TestCostAband:
         want = x * math.sqrt(cfg.lambda_r) + 3.0 * 2.0 * math.sqrt(cfg.r) * epp
         assert cost_aband(x, cfg, dist, cost) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the NaN nodes
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the overflowing nodes
     def test_law_lost_in_double_precision_is_refused_by_name(self):
-        # every node gave NaN, and so did the cost, without an exception
+        # the staffing term x sqrt(lambda_r / mu_bar) overflows from x = 1.8e307
         cfg = _config(nu=1.0)
         dist = RateDistribution.uniform(0.8, 1.2)
-        with pytest.raises(DomainError, match=r"safety x = 1.0 is not finite: .*nu=1e-300"):
-            cost_aband(1.0, cfg, dist, CostSpec(nu=1e-300))
-        xs = np.array([1.0, 1e300, 2e300])
-        with pytest.raises(DomainError, match=r"safety x = 1e\+300 is not finite: .*nu=1.0"):
+        xs = np.array([1.0, 1e308, 1.7e308])
+        with pytest.raises(DomainError, match=r"safety x = 1e\+308 is not finite: .*nu=1.0"):
             cost_aband(xs, cfg, dist, CostSpec(nu=1.0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the overflowing nodes
+    def test_tiny_nu_and_far_safety_have_finite_costs(self):
+        # both were refused: nu = 1e-300 and x = 1e300 gave NaN nodes, since the wait
+        # logit was a difference of two log-densities near -5e299 (or of two infinities)
+        cfg = _config(nu=1.0)
+        dist = RateDistribution.uniform(0.8, 1.2)
+        # x = 0.05 puts a third of the drift mass above zero, where E[xi+] is about beta/nu
+        m, sd = -0.05 * dist.mean(), math.sqrt(dist.variance())
+        x_nodes, w = np.polynomial.hermite.hermgauss(128)
+        betas = m + math.sqrt(2.0) * sd * x_nodes  # the drift nodes, as cost_aband takes them
+        gamma, sigma = dist.idleness_coefficient(Policy.LISF), math.sqrt(2.0 * dist.mean())
+        epp = sum(wk * positive_part_aband(b, sigma, gamma, 1e-300) for wk, b in zip(w, betas))
+        want = 0.05 * math.sqrt(cfg.lambda_r / dist.mean()) + 1e-300 * math.sqrt(cfg.r) * epp / math.sqrt(math.pi)
+        assert cost_aband(0.05, cfg, dist, CostSpec(nu=1e-300)) == pytest.approx(float(want), rel=1e-12)
+        # far out the wait probability underflows to 0: the cost is the staffing term
+        xs = np.array([1e300, 2e300])
+        assert cost_aband(xs, cfg, dist, CostSpec(nu=1.0)).tolist() == (xs * math.sqrt(cfg.lambda_r / dist.mean())).tolist()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, building hermgauss(400)
     def test_quadrature_rule_with_nan_weights_is_refused_by_name(self):
@@ -438,11 +455,12 @@ _PIN_X = np.concatenate([
     [0.05 + 5.95 * ((k * 0.6180339887498949) % 1.0) for k in range(1, 26)],
 ])
 # sha256 of the float64 bytes of each cost over _PIN_X, one array call and then
-# one call per float, for every law, policy and r below; taken before the cost
-# kernels were flattened into one numpy pass per evaluation
+# one call per float, for every law, policy and r below; taken when the normal
+# tails moved from scipy.special to the numpy log-Mills kernel, which moved no
+# cost by more than 4.2e-16 relative
 _COST_PINS = {
-    "cost_aband": "57190e4a3954853b21fb65bb936e25db3088f742cfb19b3221ba190e16a3c7fb",
-    "cost_no_aband": "0f52bfc9fee069de31deeef18d893f93ea2694eb760f1d6568bd1938e0b114e3",
+    "cost_aband": "68d56b8620f1a62a6217dcb24838573727794f330ffccdb98678f3ba8d2304fb",
+    "cost_no_aband": "5ce4f53e7f549f0a21816a99bfe7e145273428934bb699a1bc1e34f651dd6444",
 }
 
 
