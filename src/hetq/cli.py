@@ -59,18 +59,22 @@ COMMANDS = ("simulate", "analyze", "staff", "ql-sweep", "ssc", "fairness", "coup
 # (SKELETON exponentials, SERVICE uniforms) instead of one SERVICE
 # exponential per customer.
 _STREAM_LAYOUT = {"simulate": 2, "ssc": 2, "fairness": 2, "couple": 2}
-_CSV_BLOCK = 4096  # rows of couple.csv formatted by one %
+_CSV_BLOCK = 4096  # rows of a CSV artifact formatted by one %
 
 
-def _f(x) -> str:
-    return repr(float(x))
+def _csv(header: str, fmt: str, *columns) -> bytes:
+    """The ``header`` line, then one line per row of ``columns``, formatted by ``fmt``.
 
-
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    ``fmt`` holds "%r" for a float column, whose cells are repr(float(x)),
+    and "%d" for an integer one. Each column becomes a list once, in blocks
+    of _CSV_BLOCK rows, and one ``%`` formats each block.
+    """
+    cols = [np.asarray(c, dtype=float if f == "%r" else None) for f, c in zip(fmt.split(","), columns)]
+    blocks = [header.encode() + b"\n"]
+    for start in range(0, len(cols[0]), _CSV_BLOCK):
+        rows = tuple(chain.from_iterable(zip(*(c[start:start + _CSV_BLOCK].tolist() for c in cols))))
+        blocks.append((((fmt + "\n") * (len(rows) // len(cols))) % rows).encode())
+    return b"".join(blocks)
 
 
 def _json_bytes(obj) -> bytes:
@@ -169,25 +173,16 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
             "mean_scaled_queue": est.mean_scaled_queue,
             "warmup_fraction": warmup,
         }
-        summary["realized_rates_head"] = [float(v) for v in system.mu[:32]]
+        summary["realized_rates_head"] = system.mu[:32].tolist()
         summary["zeta_hat"] = system.zeta_hat
         return {"path.csv": path_to_csv(path).encode(), "summary.json": _json_bytes(summary)}
     reps = replicate(
         config, dist, n_reps, horizon, mode=mode, warmup=warmup, grid_points=grid_points,
         x0=values.get("x0"), queue_cap=queue_cap,
     )
-    rows = [
-        (
-            str(rr.rep),
-            _f(rr.zeta_hat),
-            _f(rr.estimates.p_wait),
-            _f(rr.estimates.mean_Q),
-            _f(rr.estimates.abandon_rate),
-            _f(rr.estimates.mean_scaled_queue),
-        )
-        for rr in reps
-    ]
-    csv = _csv(rows, ["rep", "zeta_hat", "p_wait", "mean_Q", "abandon_rate", "mean_scaled_queue"])
+    csv = _csv("rep,zeta_hat,p_wait,mean_Q,abandon_rate,mean_scaled_queue", "%d,%r,%r,%r,%r,%r",
+               *zip(*((rr.rep, rr.zeta_hat, rr.estimates.p_wait, rr.estimates.mean_Q,
+                       rr.estimates.abandon_rate, rr.estimates.mean_scaled_queue) for rr in reps)))
     summary = {
         "reps": n_reps,
         "mean_p_wait": float(np.mean([rr.estimates.p_wait for rr in reps])),
@@ -195,7 +190,7 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
         "mean_abandon_rate": float(np.mean([rr.estimates.abandon_rate for rr in reps])),
         "stable_fraction": float(np.mean([rr.stable for rr in reps])),
     }
-    return {"reps.csv": csv.encode(), "summary.json": _json_bytes(summary)}
+    return {"reps.csv": csv, "summary.json": _json_bytes(summary)}
 
 
 @np.errstate(all="ignore")  # a law lost to overflow is refused by name, not warned about
@@ -218,7 +213,6 @@ def _cmd_analyze(values: dict) -> Dict[str, bytes]:
             )
     xs = np.linspace(-span, span, values["density_points"])
     pdf = dens.pdf(xs)
-    rows = [(_f(x), _f(v)) for x, v in zip(xs, pdf)]
     info = {
         "sigma": params.sigma,
         "beta": params.beta,
@@ -227,10 +221,10 @@ def _cmd_analyze(values: dict) -> Dict[str, bytes]:
         "varrho": dens.varrho,
         "mean_positive_part": epp,
         "continuity_residual": dens.continuity_residual(),
-        "density_grid": {"x": [float(v) for v in xs], "pdf": [float(v) for v in pdf]},
+        "density_grid": {"x": xs.tolist(), "pdf": pdf.tolist()},
     }
     return {
-        "density.csv": _csv(rows, ["x", "pdf"]).encode(),
+        "density.csv": _csv("x,pdf", "%r,%r", xs, pdf),
         "analysis.json": _json_bytes(info),
     }
 
@@ -260,14 +254,13 @@ def _cmd_staff(values: dict) -> Dict[str, bytes]:
         "used_grid_fallback": res.used_grid_fallback,
         "cost_model": model,
         "curve": {
-            "x": [float(v) for v in res.curve_x],
-            "cost": [float(v) for v in res.curve_cost],
+            "x": res.curve_x.tolist(),
+            "cost": res.curve_cost.tolist(),
         },
     }
-    rows = [(_f(x), _f(c)) for x, c in zip(res.curve_x, res.curve_cost)]
     return {
         "staffing.json": _json_bytes(info),
-        "curve.csv": _csv(rows, ["x", "cost"]).encode(),
+        "curve.csv": _csv("x,cost", "%r,%r", res.curve_x, res.curve_cost),
     }
 
 
@@ -284,12 +277,9 @@ def _cmd_ql_sweep(values: dict) -> Dict[str, bytes]:
                 f"doubles; mu_bar = {mu_bar!r}, got {eps!r}"
             )
     eps_grid = np.linspace(values["eps_min"], values["eps_max"], values["eps_steps"])
-    rows = []
-    for eps in eps_grid:
-        lisf = dfn.ql_eps(float(eps), mu_bar, sigma, theta, nu, policy=Policy.LISF)
-        fsf = dfn.ql_eps(float(eps), mu_bar, sigma, theta, nu, policy=Policy.FSF)
-        rows.append((_f(eps), _f(lisf), _f(fsf)))
-    return {"ql.csv": _csv(rows, ["eps", "QL_lisf", "QL_fsf"]).encode()}
+    ql = [[dfn.ql_eps(eps, mu_bar, sigma, theta, nu, policy=p) for p in (Policy.LISF, Policy.FSF)]
+          for eps in eps_grid.tolist()]
+    return {"ql.csv": _csv("eps,QL_lisf,QL_fsf", "%r,%r,%r", eps_grid, *zip(*ql))}
 
 
 def _cmd_ssc(values: dict) -> Dict[str, bytes]:
@@ -307,18 +297,9 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
         for rv in r_values
     ]
     table = ssc_mod.ssc_convergence(configs, horizon, n_reps=n_reps)
-    rows = [
-        (
-            _f(row["r"]),
-            str(row["rep"]),
-            _f(row["g_supnorm"]),
-            _f(row["z_supnorm"]),
-            _f(row["ratio"]),
-        )
-        for row in table.rows
-    ]
+    keys = ("r", "rep", "g_supnorm", "z_supnorm", "ratio")
     return {
-        "ssc.csv": _csv(rows, ["r", "rep", "g_supnorm", "z_supnorm", "ratio"]).encode(),
+        "ssc.csv": _csv(",".join(keys), "%r,%d,%r,%r,%r", *([row[k] for row in table.rows] for k in keys)),
         "ssc_summary.json": _json_bytes({"medians": table.medians()}),
     }
 
@@ -336,8 +317,6 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
     by_bin = system.grouped(ssc_mod.rate_bin(system.mu, edges), edges.size - 1)
     path = run(config, by_bin, float(values["horizon"]), grid_points=int(values["grid_points"]))
     fe = ssc_mod.fairness_estimate(path, edges, dist=dist)
-    cells = zip(edges, edges[1:], fe.eta_hat, fe.eta_theory)
-    rows = [tuple(map(_f, row)) for row in cells]
     info = {
         "policy": config.policy.value,
         "total_idle_time": fe.total_idle_time,
@@ -345,7 +324,8 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
         "sup_abs_error": float(np.abs(fe.eta_hat - fe.eta_theory).max()),
     }
     return {
-        "fairness.csv": _csv(rows, ["bin_lo", "bin_hi", "eta_hat", "eta_theory"]).encode(),
+        "fairness.csv": _csv("bin_lo,bin_hi,eta_hat,eta_theory", "%r,%r,%r,%r",
+                             edges[:-1], edges[1:], fe.eta_hat, fe.eta_theory),
         "fairness.json": _json_bytes(info),
     }
 
@@ -359,11 +339,7 @@ def _cmd_couple(values: dict) -> Dict[str, bytes]:
     q_rate = dist.q  # every realized rate lies in the law's support
     horizon = events / (system.n_servers * q_rate)
     cp = coupled_run(config, p_rate, system, horizon, q_rate=q_rate)
-    blocks = [b"t,D_hom,D_het\n"]
-    for start in range(0, cp.skeleton_t.size, _CSV_BLOCK):  # one % per block of rows
-        cells = zip(*(c[start:start + _CSV_BLOCK].tolist() for c in (cp.skeleton_t, cp.d_hom, cp.d_het)))
-        rows = tuple(chain.from_iterable(cells))
-        blocks.append((("%r,%d,%d\n" * (len(rows) // 3)) % rows).encode())  # repr of a float is _f
+    csv = _csv("t,D_hom,D_het", "%r,%d,%d", cp.skeleton_t, cp.d_hom, cp.d_het)
     info = {
         "ordered_everywhere": cp.ordered_everywhere(),
         "skeleton_points": int(cp.skeleton_t.size),
@@ -371,7 +347,7 @@ def _cmd_couple(values: dict) -> Dict[str, bytes]:
         "q_rate": cp.q_rate,
         "final_gap": int(cp.d_het[-1] - cp.d_hom[-1]) if cp.skeleton_t.size else 0,
     }
-    return {"couple.csv": b"".join(blocks), "couple.json": _json_bytes(info)}
+    return {"couple.csv": csv, "couple.json": _json_bytes(info)}
 
 
 _HANDLERS = {

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import RateDistribution, SystemConfig, check_domains
 from .diffusion import (
+    _aband_drift_average,
     _expit,
     _finite,
     _first,
@@ -27,7 +28,6 @@ from .diffusion import (
     _ndtr,
     _wait_arg_no_aband,
     expected_positive_part_aband,
-    gauss_hermite_expectation,
     prob_wait_no_aband,
 )
 from .errors import ConfigError, DomainError, HetqError
@@ -237,9 +237,7 @@ def cost_aband(
     if s == 0.0:
         epp = expected_positive_part_aband(m, sigma, gamma, nu)
     else:
-        epp = gauss_hermite_expectation(
-            lambda b: expected_positive_part_aband(b, sigma, gamma, nu), m, s, nodes
-        )
+        (epp,) = _aband_drift_average(m, s, sigma, gamma, nu, nodes)
     total = f_term + cost.d * nu * math.sqrt(config.r) * epp
     return _finite(total, "the cost at safety x", x, sigma=sigma, gamma=gamma, nu=nu)
 
@@ -365,21 +363,17 @@ def optimize_staffing(
             f"first at x = {_first(xs, bad)!r}"
         )
 
-    interior_maxima = [
-        i for i in range(1, _CURVE_POINTS - 1)
-        if costs[i] > costs[i - 1] and costs[i] > costs[i + 1]
-    ]
-    unimodal = not interior_maxima
+    grid, curve = xs.tolist(), costs.tolist()
+    unimodal = not any(a < b > c for a, b, c in zip(curve, curve[1:], curve[2:]))  # no interior maximum
 
     k = int(np.argmin(costs))
-    grid = xs.tolist()
     # grid-then-refine searches between the lowest curve point's neighbours
     sub = (lo, hi) if unimodal else (grid[max(k - 1, 0)], grid[min(k + 1, _CURVE_POINTS - 1)])
-    x_star, f_star = _prefetched_golden_section(cost_fn, *sub, tol, [*zip(grid, costs.tolist())])
+    x_star, f_star = _prefetched_golden_section(cost_fn, *sub, tol, [*zip(grid, curve)])
 
     # the reported optimum must never sit above any sampled curve value
-    if costs[k] < f_star:
-        x_star, f_star = float(xs[k]), float(costs[k])
+    if curve[k] < f_star:
+        x_star, f_star = grid[k], curve[k]
     return OptimizationResult(
         x_star=float(x_star),
         cost_at_optimum=float(f_star),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import hetq
 from conftest import within
 from mills_oracle import positive_part_aband, wait_aband
-from hetq.cli import _csv, _f, dispatch, main, rerun_manifest
+from hetq.cli import _csv, dispatch, main, rerun_manifest
 from hetq.core import CONFIG_KEYS, parse_config_text
 from hetq.errors import ConfigError
 
@@ -808,14 +808,28 @@ class TestOtherCommands:
         ])
         assert rc == 0
         (cp,) = runs
-        # reference: one tuple of _f/str cells per skeleton point, joined by _csv
-        rows = [
-            (_f(t), str(int(h)), str(int(g)))
+        # reference: repr(float(.)) and str(int(.)) cells, one line per skeleton point
+        lines = [
+            ",".join((repr(float(t)), str(int(h)), str(int(g))))
             for t, h, g in zip(cp.skeleton_t, cp.d_hom, cp.d_het)
         ]
-        expected = _csv(rows, ["t", "D_hom", "D_het"]).encode()
+        expected = "\n".join(["t,D_hom,D_het", *lines, ""]).encode()
         assert read(tmp_path / "o" / "couple.csv") == expected
-        assert len(rows) > 300
+        assert len(lines) > 300
+
+    def test_csv_cells_match_per_cell_repr(self, monkeypatch):
+        monkeypatch.setattr(hetq.cli, "_CSV_BLOCK", 3)  # three blocks, the last one short
+        floats = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -2.5])
+        ints = np.arange(-3, 5, dtype=np.int64)
+        scalars = [np.float64(v) for v in (1.0, 1 / 3, -1e-300, 2.0**60, 7.0, 0.5, 1e16, -0.0)]
+        whole = [25, 100, 400, -1, 0, 2**40, 3, 8]  # Python ints in a float column
+        got = _csv("f,i,s,w", "%r,%d,%r,%r", floats, ints, scalars, whole)
+        lines = [
+            ",".join((repr(float(f)), str(int(i)), repr(float(s)), repr(float(w))))
+            for f, i, s, w in zip(floats, ints, scalars, whole)
+        ]
+        assert got == "\n".join(["f,i,s,w", *lines, ""]).encode()
+        assert _csv("x,y", "%r,%r", np.array([]), []) == b"x,y\n"
 
     def test_fairness_outputs(self, tmp_path):
         rc = main([

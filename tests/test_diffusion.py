@@ -419,6 +419,68 @@ class TestQlEps:
         assert random == ql_eps(0.1, 1.0, 4.0, 2.0, 2.0, policy=Policy.LISF)
 
 
+def _full_rule(mean, sd, sigma, gamma, nu, nodes):
+    fn = lambda b: expected_positive_part_aband(b, sigma, gamma, nu)
+    return diffusion.gauss_hermite_expectation(fn, mean, sd, nodes)
+
+
+class TestPrunedDriftAverage:
+    """``_aband_drift_average`` drops the Hermite nodes of negligible weight."""
+
+    @given(
+        mu_bar=st.floats(0.1, 10.0), eps_share=st.floats(0.001, 0.999),
+        theta=st.floats(-1.0, 10.0), sigma=st.floats(0.01, 100.0), log_nu=st.floats(-3.0, 3.0),
+        policy=st.sampled_from([Policy.LISF, Policy.FSF]), nodes=st.sampled_from([64, 128]),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_matches_the_full_rule(self, mu_bar, eps_share, theta, sigma, log_nu, policy, nodes):
+        law = RateDistribution.uniform(mu_bar * (1.0 - eps_share), mu_bar * (1.0 + eps_share))
+        gamma, sd, nu = law.idleness_coefficient(policy), math.sqrt(law.variance()), 10.0**log_nu
+        with np.errstate(all="ignore"):
+            (got,) = diffusion._aband_drift_average(-theta * mu_bar, sd, sigma, gamma, nu, nodes)
+            want = _full_rule(-theta * mu_bar, sd, sigma, gamma, nu, nodes)
+        assert abs(got - want) <= 2.0**-52 * abs(want)
+
+    def test_positive_part_is_nondecreasing_and_bounded(self):
+        # the two facts the pruning bound rests on, on a grid out to beta = +-1e6
+        grid = np.sinh(np.linspace(-math.asinh(1e6), math.asinh(1e6), 4001))
+        beta = np.concatenate([[-1e6], grid[1:-1], [1e6]])
+        for sigma in (0.01, 1.0, 4.0, 100.0):
+            for gamma in (0.5, 1.0, 3.0):
+                for nu in (1e-300, 1e-3, 1.0, 2.0, 1e3):
+                    with np.errstate(all="ignore"):
+                        f = expected_positive_part_aband(beta, sigma, gamma, nu)
+                    assert np.isfinite(f).all() and (np.diff(f) >= 0.0).all(), (sigma, gamma, nu)
+                    assert (f <= np.maximum(beta, 0.0) / nu + sigma / math.sqrt(2.0 * nu)).all()
+
+    def test_row_failing_the_bound_is_the_full_rule(self, monkeypatch):
+        # at mean -12 the kept terms sum to about 2e-33, and the right-tail
+        # bound, the tail weight times sigma/sqrt(2 nu), is about 7e-37
+        calls = []
+        inner = diffusion.expected_positive_part_aband
+        monkeypatch.setattr(diffusion, "expected_positive_part_aband",
+                            lambda b, *law: calls.append(np.shape(b)) or inner(b, *law))
+        law = (0.2, 1.0, 2.0, 1.0)  # sd, sigma, gamma, nu
+        means = np.array([-1.0, -12.0])
+        got = diffusion._aband_drift_average(means, *law, 128)[0]
+        assert calls == [(2, 86), (1, 42)]  # the kept nodes, then the failing row's dropped ones
+        monkeypatch.setattr(diffusion, "expected_positive_part_aband", inner)
+        assert 0.0 < got[1] < 1e-30
+        assert got[1] == _full_rule(-12.0, *law, 128)
+        assert got.tolist() == [diffusion._aband_drift_average(m, *law, 128)[0] for m in means.tolist()]
+
+    def test_ql_eps_takes_its_first_two_rules_in_one_call(self, monkeypatch):
+        calls = []
+        average = diffusion._aband_drift_average
+        monkeypatch.setattr(diffusion, "_aband_drift_average",
+                            lambda *args: calls.append(args[5:]) or average(*args))
+        value = ql_eps(0.3, 1.0, 4.0, 2.0, 2.0)
+        assert calls == [(64, 128)]
+        law = RateDistribution.uniform(0.7, 1.3)
+        gamma, sd = law.idleness_coefficient(Policy.LISF), math.sqrt(law.variance())
+        assert value == _full_rule(-2.0, sd, 4.0, gamma, 2.0, 128)
+
+
 class TestSimulateSde:
     def test_deterministic_ramp(self):
         # sigma = 0, beta = -1, gamma = 1, nu = 0, from x0 = 1: slope -1 until 0 at t = 1
