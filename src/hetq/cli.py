@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -34,7 +34,7 @@ from .core import (
     RateDistribution,
     RealizedSystem,
     SystemConfig,
-    format_config,
+    config_texts,
     load_config_file,
     parse_config_text,
 )
@@ -42,6 +42,7 @@ from .errors import ConfigError, DomainError
 from .sim import (
     AbandonMode,
     coupled_run,
+    csv_table,
     path_summary,
     path_to_csv,
     replicate,
@@ -59,30 +60,42 @@ COMMANDS = ("simulate", "analyze", "staff", "ql-sweep", "ssc", "fairness", "coup
 # (SKELETON exponentials, SERVICE uniforms) instead of one SERVICE
 # exponential per customer.
 _STREAM_LAYOUT = {"simulate": 2, "ssc": 2, "fairness": 2, "couple": 2}
-_CSV_BLOCK = 4096  # rows of a CSV artifact formatted by one %
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
 
 
-def _csv(header: str, fmt: str, *columns) -> bytes:
-    """The ``header`` line, then one line per row of ``columns``, formatted by ``fmt``.
+class _Reprs(list):
+    """float.__repr__ of each value, rendered once for a CSV column and a JSON list."""
 
-    ``fmt`` holds "%r" for a float column, whose cells are repr(float(x)),
-    and "%d" for an integer one. Each column becomes a list once, in blocks
-    of _CSV_BLOCK rows, and one ``%`` formats each block.
-    """
-    cols = [np.asarray(c, dtype=float if f == "%r" else None) for f, c in zip(fmt.split(","), columns)]
-    blocks = [header.encode() + b"\n"]
-    for start in range(0, len(cols[0]), _CSV_BLOCK):
-        rows = tuple(chain.from_iterable(zip(*(c[start:start + _CSV_BLOCK].tolist() for c in cols))))
-        blocks.append((((fmt + "\n") * (len(rows) // len(cols))) % rows).encode())
-    return b"".join(blocks)
+
+def _reprs(values) -> _Reprs:
+    return _Reprs(map(float.__repr__, np.asarray(values, dtype=float).tolist()))
+
+
+def _json_text(obj, indent: str) -> str:
+    """``obj`` as json.dumps(obj, sort_keys=True, indent=2) writes it, ``indent`` deep; keys are str."""
+    if not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)  # a scalar, or a TypeError naming its type
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        return brackets
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        cells = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+    else:
+        try:  # a flat list of floats is one join
+            cells = obj if type(obj) is _Reprs else _Reprs(map(float.__repr__, obj))
+        except TypeError:
+            cells = [_json_text(v, inner) for v in obj]
+    sep = ",\n" + inner
+    body = sep.join(cells)
+    if type(cells) is _Reprs and "n" in body:  # a NaN or an infinity
+        body = sep.join(_NONFINITE.get(c, c) for c in cells)
+    return brackets[0] + "\n" + inner + body + "\n" + indent + brackets[1]
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) plus a newline."""
+    return (_json_text(obj, "") + "\n").encode()
 
 
 def _resolve_values(config_path: Optional[str], overrides, seed, reps) -> dict:
@@ -175,14 +188,14 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
         }
         summary["realized_rates_head"] = system.mu[:32].tolist()
         summary["zeta_hat"] = system.zeta_hat
-        return {"path.csv": path_to_csv(path).encode(), "summary.json": _json_bytes(summary)}
+        return {"path.csv": path_to_csv(path), "summary.json": _json_bytes(summary)}
     reps = replicate(
         config, dist, n_reps, horizon, mode=mode, warmup=warmup, grid_points=grid_points,
         x0=values.get("x0"), queue_cap=queue_cap,
     )
-    csv = _csv("rep,zeta_hat,p_wait,mean_Q,abandon_rate,mean_scaled_queue", "%d,%r,%r,%r,%r,%r",
-               *zip(*((rr.rep, rr.zeta_hat, rr.estimates.p_wait, rr.estimates.mean_Q,
-                       rr.estimates.abandon_rate, rr.estimates.mean_scaled_queue) for rr in reps)))
+    csv = csv_table("rep,zeta_hat,p_wait,mean_Q,abandon_rate,mean_scaled_queue", "%d,%r,%r,%r,%r,%r",
+                    *zip(*((rr.rep, rr.zeta_hat, rr.estimates.p_wait, rr.estimates.mean_Q,
+                            rr.estimates.abandon_rate, rr.estimates.mean_scaled_queue) for rr in reps)))
     summary = {
         "reps": n_reps,
         "mean_p_wait": float(np.mean([rr.estimates.p_wait for rr in reps])),
@@ -212,7 +225,7 @@ def _cmd_analyze(values: dict) -> Dict[str, bytes]:
                 f"exceeds {MAX_DENSITY_SPAN!r}; set density_span"
             )
     xs = np.linspace(-span, span, values["density_points"])
-    pdf = dens.pdf(xs)
+    x, pdf = _reprs(xs), _reprs(dens.pdf(xs))
     info = {
         "sigma": params.sigma,
         "beta": params.beta,
@@ -221,10 +234,10 @@ def _cmd_analyze(values: dict) -> Dict[str, bytes]:
         "varrho": dens.varrho,
         "mean_positive_part": epp,
         "continuity_residual": dens.continuity_residual(),
-        "density_grid": {"x": xs.tolist(), "pdf": pdf.tolist()},
+        "density_grid": {"x": x, "pdf": pdf},
     }
     return {
-        "density.csv": _csv("x,pdf", "%r,%r", xs, pdf),
+        "density.csv": csv_table("x,pdf", "%s,%s", x, pdf),
         "analysis.json": _json_bytes(info),
     }
 
@@ -244,6 +257,7 @@ def _cmd_staff(values: dict) -> Dict[str, bytes]:
     bracket = (float(values["bracket_lo"]), float(values["bracket_hi"]))
     tol = float(values["opt_tol"])
     res = optimize_staffing(lambda x: cost_fn(x, config, dist, cost), bracket, tol=tol)
+    curve = {"x": _reprs(res.curve_x), "cost": _reprs(res.curve_cost)}
     info = {
         "x_star": res.x_star,
         "N_star": HalfinWhitt(res.x_star).resolve(config.lambda_r, dist.mean()),
@@ -253,14 +267,11 @@ def _cmd_staff(values: dict) -> Dict[str, bytes]:
         "unimodal": res.unimodal,
         "used_grid_fallback": res.used_grid_fallback,
         "cost_model": model,
-        "curve": {
-            "x": res.curve_x.tolist(),
-            "cost": res.curve_cost.tolist(),
-        },
+        "curve": curve,
     }
     return {
         "staffing.json": _json_bytes(info),
-        "curve.csv": _csv("x,cost", "%r,%r", res.curve_x, res.curve_cost),
+        "curve.csv": csv_table("x,cost", "%s,%s", curve["x"], curve["cost"]),
     }
 
 
@@ -279,7 +290,7 @@ def _cmd_ql_sweep(values: dict) -> Dict[str, bytes]:
     eps_grid = np.linspace(values["eps_min"], values["eps_max"], values["eps_steps"])
     ql = [[dfn.ql_eps(eps, mu_bar, sigma, theta, nu, policy=p) for p in (Policy.LISF, Policy.FSF)]
           for eps in eps_grid.tolist()]
-    return {"ql.csv": _csv("eps,QL_lisf,QL_fsf", "%r,%r,%r", eps_grid, *zip(*ql))}
+    return {"ql.csv": csv_table("eps,QL_lisf,QL_fsf", "%r,%r,%r", eps_grid, *zip(*ql))}
 
 
 def _cmd_ssc(values: dict) -> Dict[str, bytes]:
@@ -299,7 +310,7 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
     table = ssc_mod.ssc_convergence(configs, horizon, n_reps=n_reps)
     keys = ("r", "rep", "g_supnorm", "z_supnorm", "ratio")
     return {
-        "ssc.csv": _csv(",".join(keys), "%r,%d,%r,%r,%r", *([row[k] for row in table.rows] for k in keys)),
+        "ssc.csv": csv_table(",".join(keys), "%r,%d,%r,%r,%r", *([row[k] for row in table.rows] for k in keys)),
         "ssc_summary.json": _json_bytes({"medians": table.medians()}),
     }
 
@@ -324,8 +335,8 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
         "sup_abs_error": float(np.abs(fe.eta_hat - fe.eta_theory).max()),
     }
     return {
-        "fairness.csv": _csv("bin_lo,bin_hi,eta_hat,eta_theory", "%r,%r,%r,%r",
-                             edges[:-1], edges[1:], fe.eta_hat, fe.eta_theory),
+        "fairness.csv": csv_table("bin_lo,bin_hi,eta_hat,eta_theory", "%r,%r,%r,%r",
+                                  edges[:-1], edges[1:], fe.eta_hat, fe.eta_theory),
         "fairness.json": _json_bytes(info),
     }
 
@@ -339,7 +350,7 @@ def _cmd_couple(values: dict) -> Dict[str, bytes]:
     q_rate = dist.q  # every realized rate lies in the law's support
     horizon = events / (system.n_servers * q_rate)
     cp = coupled_run(config, p_rate, system, horizon, q_rate=q_rate)
-    csv = _csv("t,D_hom,D_het", "%r,%d,%d", cp.skeleton_t, cp.d_hom, cp.d_het)
+    csv = csv_table("t,D_hom,D_het", "%r,%d,%d", cp.skeleton_t, cp.d_hom, cp.d_het)
     info = {
         "ordered_everywhere": cp.ordered_everywhere(),
         "skeleton_points": int(cp.skeleton_t.size),
@@ -402,32 +413,19 @@ def dispatch(command: str, values: dict, out_dir, fmt: str = "csv") -> dict:
     if "pools" in values and "rates" in values:
         raise ConfigError("pools and rates both set the rate law; set one of them")
     artifacts = _HANDLERS[command](values)
-    if fmt == "json":
-        converted = {}
-        for name, data in artifacts.items():
-            if name.endswith(".csv"):
-                lines = data.decode("utf-8").strip().splitlines()
-                table = {
-                    "header": lines[0].split(","),
-                    "rows": [line.split(",") for line in lines[1:]],
-                }
-                converted[name[:-4] + ".json"] = _json_bytes(table)
-            else:
-                converted[name] = data
-        artifacts = converted
+    if fmt == "json":  # each CSV table as its header and rows of string cells; a .json of the name wins
+        for name in [n for n in artifacts if n.endswith(".csv")]:
+            header, *rows = (line.split(",") for line in artifacts.pop(name).decode().strip().splitlines())
+            artifacts.setdefault(name[:-4] + ".json", _json_bytes({"header": header, "rows": rows}))
     checksums = {}
     for name, data in sorted(artifacts.items()):
         (out / name).write_bytes(data)
-        checksums[name] = _sha256(data)
-    config_map = {}
-    for line in format_config(values).strip().splitlines():
-        key, _, rendered = line.partition(" = ")
-        config_map[key] = rendered
+        checksums[name] = hashlib.sha256(data).hexdigest()
     manifest = {
         "command": command,
         "format": fmt,
         "seed": int(values.get("seed", 0)),
-        "config": config_map,
+        "config": config_texts(values),
         "artifacts": checksums,
     }
     if command in _STREAM_LAYOUT:

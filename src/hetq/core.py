@@ -31,6 +31,7 @@ __all__ = [
     "Stream",
     "parse_config_text",
     "load_config_file",
+    "config_texts",
     "format_config",
     "CONFIG_KEYS",
     "check_domains",
@@ -624,11 +625,16 @@ def load_config_file(path) -> dict:
         return parse_config_text(fh.read())
 
 
-def format_config(values: dict) -> str:
-    """Render a typed config dict back to the flat text format."""
-    lines = []
+def config_texts(values: dict) -> dict:
+    """Each key of a typed config dict, in sorted order, with its value in the flat text format."""
+    texts = {}
     for key in sorted(values):
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        lines.append(f"{key} = {_fmt(values[key])}")
-    return "\n".join(lines) + "\n"
+        texts[key] = _fmt(values[key])
+    return texts
+
+
+def format_config(values: dict) -> str:
+    """Render a typed config dict back to the flat text format."""
+    return "\n".join(f"{key} = {text}" for key, text in config_texts(values).items()) + "\n"

@@ -69,6 +69,7 @@ _STAGE = 4096  # staged grid values written at once (sparse recorder)
 # recorder; about where the two cost the same (BENCH_18.json)
 _DENSE = 4.0
 _TALLY = 2048  # expected events between two tallies of the dense recorder's logs
+_CSV_BLOCK = 4096  # rows of a CSV table formatted by one %
 # a run makes about (lambda_r + sum mu) * horizon loop passes; criterion 2's
 # largest run makes 5.2e7
 MAX_EXPECTED_EVENTS = 1e9
@@ -1030,14 +1031,29 @@ def replicate(
     return sorted(results, key=lambda rr: rr.rep)
 
 
-def path_to_csv(path: PathRecord) -> str:
+def csv_table(header: str, fmt: str, *columns) -> bytes:
+    """The ``header`` line, then one line per row of ``columns``, formatted by ``fmt``.
+
+    ``fmt`` holds "%r" for a float column (cells repr(float(x))), "%d" for an
+    integer one and "%s" for a list of rendered cells. One ``%`` formats each
+    block of _CSV_BLOCK rows, so a long table never holds all its cells at once.
+    """
+    cols = [c if f == "%s" else np.asarray(c, dtype=float if f == "%r" else None)
+            for f, c in zip(fmt.split(","), columns)]
+    blocks = [header.encode() + b"\n"]
+    for start in range(0, len(cols[0]), _CSV_BLOCK):
+        cells = (c[start:start + _CSV_BLOCK] for c in cols)
+        rows = tuple(chain.from_iterable(zip(*(c if isinstance(c, list) else c.tolist() for c in cells))))
+        blocks.append((((fmt + "\n") * (len(rows) // len(cols))) % rows).encode())
+    return b"".join(blocks)
+
+
+def path_to_csv(path: PathRecord) -> bytes:
     """Fixed-layout trajectory table: t,X,Q,Z_1..Z_I,R plus a trailing A."""
     groups = path.system.n_pools
     cols = ["t", "X", "Q"] + [f"Z_{i+1}" for i in range(groups)] + ["R", "A"]
     columns = (path.grid_t, path.grid_X, path.grid_Q, *path.grid_Z.T, path.grid_R, path.grid_A)
-    cells = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
-    row = "%r" + ",%d" * (4 + groups) + "\n"  # repr of t, then the counts
-    return ",".join(cols) + "\n" + (row * path.grid_t.size) % cells
+    return csv_table(",".join(cols), "%r" + ",%d" * (4 + groups), *columns)  # repr of t, then the counts
 
 
 def path_summary(path: PathRecord) -> dict:

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import hetq
 from conftest import within
 from mills_oracle import positive_part_aband, wait_aband
-from hetq.cli import _csv, dispatch, main, rerun_manifest
+from hetq.cli import _json_bytes, dispatch, main, rerun_manifest
 from hetq.core import CONFIG_KEYS, parse_config_text
 from hetq.errors import ConfigError
+from hetq.sim import csv_table
 
 
 def read(path):
@@ -818,18 +819,19 @@ class TestOtherCommands:
         assert len(lines) > 300
 
     def test_csv_cells_match_per_cell_repr(self, monkeypatch):
-        monkeypatch.setattr(hetq.cli, "_CSV_BLOCK", 3)  # three blocks, the last one short
+        monkeypatch.setattr(hetq.sim, "_CSV_BLOCK", 3)  # three blocks, the last one short
         floats = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -2.5])
         ints = np.arange(-3, 5, dtype=np.int64)
         scalars = [np.float64(v) for v in (1.0, 1 / 3, -1e-300, 2.0**60, 7.0, 0.5, 1e16, -0.0)]
         whole = [25, 100, 400, -1, 0, 2**40, 3, 8]  # Python ints in a float column
-        got = _csv("f,i,s,w", "%r,%d,%r,%r", floats, ints, scalars, whole)
+        texts = [repr(float(v)) for v in reversed(floats)]  # cells already rendered
+        got = csv_table("f,i,s,w,t", "%r,%d,%r,%r,%s", floats, ints, scalars, whole, texts)
         lines = [
-            ",".join((repr(float(f)), str(int(i)), repr(float(s)), repr(float(w))))
-            for f, i, s, w in zip(floats, ints, scalars, whole)
+            ",".join((repr(float(f)), str(int(i)), repr(float(s)), repr(float(w)), t))
+            for f, i, s, w, t in zip(floats, ints, scalars, whole, texts)
         ]
-        assert got == "\n".join(["f,i,s,w", *lines, ""]).encode()
-        assert _csv("x,y", "%r,%r", np.array([]), []) == b"x,y\n"
+        assert got == "\n".join(["f,i,s,w,t", *lines, ""]).encode()
+        assert csv_table("x,y", "%r,%r", np.array([]), []) == b"x,y\n"
 
     def test_fairness_outputs(self, tmp_path):
         rc = main([
@@ -928,6 +930,59 @@ class TestOtherCommands:
 
 
 # --------------------------------------------------------------------------
+# The JSON writer against json.dumps(sort_keys=True, indent=2), the oracle
+# --------------------------------------------------------------------------
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+_JSON_FLOATS = st.one_of(
+    st.floats(), st.sampled_from(_EDGE_FLOATS), st.floats().map(np.float64),
+)
+_JSON_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet=st.sampled_from('"\\/\x00\x08\n\t\x1f\x7f\u00e9\u20ac\ud800\U0001d11ea'), max_size=8),
+)
+_JSON_SCALARS = st.one_of(
+    _JSON_FLOATS, st.integers(), st.booleans(), st.just(2**70), st.none(), _JSON_TEXT,
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(_JSON_TEXT, kids, max_size=5),
+        st.lists(_JSON_FLOATS, max_size=8),  # the one-join path
+    ),
+    max_leaves=24,
+)
+
+
+def _dumps(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+class TestJsonWriter:
+    @given(_JSON_TREES)
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    def test_bytes_match_json_dumps(self, tree):
+        assert _json_bytes(tree) == _dumps(tree)
+
+    @given(st.lists(_JSON_FLOATS, max_size=12))
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    def test_rendered_floats_match_json_dumps(self, values):
+        # staff and analyze render each float once, for the CSV and the JSON
+        rendered = {"curve": {"x": hetq.cli._reprs(values)}}
+        assert _json_bytes(rendered) == _dumps({"curve": {"x": [float(v) for v in values]}})
+
+    @pytest.mark.parametrize("obj", [
+        {1: "a"}, {None: 1}, {1.5: 0}, {"a": {2: 0}},  # keys json would coerce to strings
+        np.int64(3), {1, 2}, [1.0, np.int64(1)], {"a": np.float32(0.5)}, [np.bool_(True)],
+    ], ids=repr)
+    def test_refuses_what_hetq_never_writes(self, obj):
+        with pytest.raises(TypeError):
+            _json_bytes(obj)
+
+
+# --------------------------------------------------------------------------
 # Command-output pins: the sha256 of every artifact, and of the manifest,
 # from small runs of all seven commands. A change that alters any of them
 # breaks the byte-identical rerun of earlier manifests.
@@ -973,6 +1028,9 @@ _COMMAND_JOBS = {
         "couple", *_SMALL, "--set", "rates=uniform(0.8,1.2)", "--set", "skeleton_events=300",
     ],
 }
+# --format json writes each CSV table as a header list and rows of string cells
+_COMMAND_JOBS["simulate_uniform_json"] = [*_COMMAND_JOBS["simulate_uniform"], "--format", "json"]
+_COMMAND_JOBS["staff_abandon_json"] = [*_COMMAND_JOBS["staff_abandon"], "--format", "json"]
 
 # the analytics entries were taken when the normal tails moved from scipy.special
 # to the numpy log-Mills kernel, which moved no value by more than 8.8e-16 relative
@@ -1026,6 +1084,11 @@ _COMMAND_PINS = {
         "summary.json": "ddacd182d05c7685d4538097555d770e114049a2aa577273ac9365f674f4b410",
         "manifest.json": "1f6e9014aecb54ddc062fd965d05742a2d828f9377dafcb7d5e9e8b637fa1a36",
     },
+    "simulate_uniform_json": {
+        "path.json": "2989d9853780e821b93a1a1d4b52347b9467dbc1236a425a063dc8af80dbb598",
+        "summary.json": "ddacd182d05c7685d4538097555d770e114049a2aa577273ac9365f674f4b410",
+        "manifest.json": "c2c81aed8a950e786a7267f5ab0ef3d0f9b36fddf5abb8cafa5283fad1cec785",
+    },
     "ssc": {
         "ssc.csv": "fbc3236d3eeab7f18db9f200b735d03b94c68ffe934d13d7a6a3dbc3de41eabd",
         "ssc_summary.json": "936e5cc3cd5f9a400caaf02e2e35c4ac321c04877032011685a1b5cf90b85f5e",
@@ -1035,6 +1098,11 @@ _COMMAND_PINS = {
         "curve.csv": "086e34159f904d05ca784cbb28c17ea2df992110241de36d35ff6a0943a191e3",
         "staffing.json": "d85ddc2a32cb991dde8e253a688fec901a52b8586afdb8e21e46f95dec620329",
         "manifest.json": "100e8e705f381a03bb08b61f06e79746d6d7165acff143934c3c18ca9afcf120",
+    },
+    "staff_abandon_json": {
+        "curve.json": "71fb63b7ddb01d7bc8fd81cacc422f2f18c949fa9c6251ee0ac73cbcf27f3f1a",
+        "staffing.json": "d85ddc2a32cb991dde8e253a688fec901a52b8586afdb8e21e46f95dec620329",
+        "manifest.json": "f7ff98a2778b7f23f6079c6e1d36efae36cc5e295c9809c7ece10cf174f7de8f",
     },
     "staff_waiting": {
         "curve.csv": "a01a43e975470083c6ee399b15e947c437dff41ea84516199796f65bd81ecb40",

@@ -928,26 +928,27 @@ class TestExports:
     def test_csv_header_and_zero_arrivals(self):
         cfg, s = homogeneous(4, 0.0)
         path = run(cfg, s, horizon=10.0)
-        text = path_to_csv(path)
+        text = path_to_csv(path).decode()
         header = text.splitlines()[0]
         assert header == "t,X,Q,Z_1,R,A"
         a_col = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
         assert set(a_col) == {"0"}
 
     @pytest.mark.parametrize("pools", [None, ((0.5, 1.0), (0.5, 2.0))])
-    def test_csv_matches_per_row_formatting(self, pools):
+    def test_csv_matches_per_row_formatting(self, pools, monkeypatch):
+        monkeypatch.setattr(hetq.sim, "_CSV_BLOCK", 1000)  # several blocks, the last one short
         cfg = SystemConfig(r=20.0, lambda_r=20.0, seed=3, staffing=20, pools=pools)
         s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.8, 1.2))
         path = run(cfg, s, horizon=30.0, grid_points=3000)
         # reference: one formatted line per grid row, cell by cell
-        lines = [path_to_csv(path).splitlines()[0]]
+        lines = [path_to_csv(path).decode().splitlines()[0]]
         for j in range(path.grid_t.size):
             z = ",".join(str(int(path.grid_Z[j, i])) for i in range(path.system.n_pools))
             lines.append(
                 f"{float(path.grid_t[j])!r},{int(path.grid_X[j])},{int(path.grid_Q[j])},"
                 f"{z},{int(path.grid_R[j])},{int(path.grid_A[j])}"
             )
-        assert path_to_csv(path) == "\n".join(lines) + "\n"
+        assert path_to_csv(path) == ("\n".join(lines) + "\n").encode()
 
     def test_csv_pools_columns(self):
         cfg = SystemConfig(
@@ -956,7 +957,7 @@ class TestExports:
         )
         s = RealizedSystem.realize_pools(cfg)
         path = run(cfg, s, horizon=20.0)
-        header = path_to_csv(path).splitlines()[0]
+        header = path_to_csv(path).decode().splitlines()[0]
         assert header == "t,X,Q,Z_1,Z_2,R,A"
         # per-pool busy counts sum to X ^ N at every sample time
         np.testing.assert_array_equal(
