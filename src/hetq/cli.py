@@ -31,12 +31,12 @@ from .core import (
     MAX_DENSITY_SPAN,
     HalfinWhitt,
     Policy,
-    RateDistribution,
     RealizedSystem,
     SystemConfig,
     config_texts,
     load_config_file,
     parse_config_text,
+    rate_law,
 )
 from .errors import ConfigError, DomainError
 from .sim import (
@@ -109,47 +109,39 @@ def _resolve_values(config_path: Optional[str], overrides, seed, reps) -> dict:
     return values
 
 
+_SYSTEM_KEYS = ("seed", "staffing", "arrival_scv", "abandon_rate", "policy", "pools", "rates")
+
+
 def _system_config(values: dict) -> SystemConfig:
+    """The system of the config's keys; SystemConfig's defaults stand for the keys not set."""
     try:
         lambda_r = float(values["lambda_r"])
     except KeyError:
         raise ConfigError("missing required key 'lambda_r'") from None
     r = float(values.get("r", lambda_r if lambda_r > 0 else 1.0))
-    return SystemConfig(
-        r=r,
-        lambda_r=lambda_r,
-        seed=int(values["seed"]),
-        staffing=values.get("staffing", HalfinWhitt(1.0)),
-        arrival_scv=float(values.get("arrival_scv", 1.0)),
-        abandon_rate=float(values.get("abandon_rate", 0.0)),
-        policy=values.get("policy", Policy.LISF),
-        pools=values.get("pools"),
-    )
+    return SystemConfig(r=r, lambda_r=lambda_r, **{k: values[k] for k in _SYSTEM_KEYS if k in values})
 
 
-def _rates(values: dict) -> RateDistribution:
-    """The config's rate law: the pools' discrete law when pools are set, else ``rates``."""
-    if "pools" in values:
-        return RateDistribution.from_pools(values["pools"])
-    return values.get("rates", RateDistribution.point(1.0))
+def _nu(values: dict) -> float:
+    """The analytics' abandonment rate: ``nu``, else the system's ``abandon_rate``."""
+    return float(values.get("nu", values.get("abandon_rate", SystemConfig.abandon_rate)))
 
 
 def _diffusion_params(values: dict) -> dfn.DiffusionParams:
-    dist = _rates(values)
+    dist = rate_law(values.get("pools"), values.get("rates"))
     mu_bar = float(values.get("mu_bar", dist.mean()))
-    scv = float(values.get("arrival_scv", 1.0))
+    scv = float(values.get("arrival_scv", SystemConfig.arrival_scv))
     sigma = float(values.get("sigma", math.sqrt(mu_bar * (scv + 1.0))))
     if "gamma" in values:
         gamma = float(values["gamma"])
     else:
-        gamma = dist.idleness_coefficient(values.get("policy", Policy.LISF))
+        gamma = dist.idleness_coefficient(values.get("policy", SystemConfig.policy))
     if "beta" in values:
         beta = float(values["beta"])
     else:
         theta = float(values.get("theta", 1.0))
         beta = -theta * mu_bar
-    nu = float(values.get("nu", values.get("abandon_rate", 0.0)))
-    return dfn.DiffusionParams(sigma=sigma, beta=beta, gamma=gamma, nu=nu)
+    return dfn.DiffusionParams(sigma=sigma, beta=beta, gamma=gamma, nu=_nu(values))
 
 
 # --------------------------------------------------------------------------
@@ -158,25 +150,15 @@ def _diffusion_params(values: dict) -> dfn.DiffusionParams:
 
 def _cmd_simulate(values: dict) -> Dict[str, bytes]:
     config = _system_config(values)
-    dist = _rates(values)
     horizon = float(values["horizon"])
-    warmup = float(values["warmup"])
-    mode = AbandonMode(values["abandon_mode"])
     n_reps = values["reps"]
-    grid_points = int(values["grid_points"])
-    queue_cap = int(values["queue_cap"])
+    run_args = dict(  # each run's, in run() and in replicate()
+        mode=AbandonMode(values["abandon_mode"]), x0=values.get("x0"), warmup=float(values["warmup"]),
+        grid_points=int(values["grid_points"]), queue_cap=int(values["queue_cap"]),
+    )
     if n_reps == 1:
-        system = RealizedSystem.from_config(config, dist)
-        path = run(
-            config,
-            system,
-            horizon,
-            mode=mode,
-            x0=values.get("x0"),
-            grid_points=grid_points,
-            queue_cap=queue_cap,
-            warmup=warmup,
-        )
+        system = RealizedSystem.from_config(config)
+        path = run(config, system, horizon, **run_args)
         est = steady_estimates(path)
         summary = path_summary(path)
         summary["estimates"] = {
@@ -184,15 +166,12 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
             "mean_Q": est.mean_Q,
             "abandon_rate": est.abandon_rate,
             "mean_scaled_queue": est.mean_scaled_queue,
-            "warmup_fraction": warmup,
+            "warmup_fraction": run_args["warmup"],
         }
         summary["realized_rates_head"] = system.mu[:32].tolist()
         summary["zeta_hat"] = system.zeta_hat
         return {"path.csv": path_to_csv(path), "summary.json": _json_bytes(summary)}
-    reps = replicate(
-        config, dist, n_reps, horizon, mode=mode, warmup=warmup, grid_points=grid_points,
-        x0=values.get("x0"), queue_cap=queue_cap,
-    )
+    reps = replicate(config, n_reps, horizon, **run_args)
     csv = csv_table("rep,zeta_hat,p_wait,mean_Q,abandon_rate,mean_scaled_queue", "%d,%r,%r,%r,%r,%r",
                     *zip(*((rr.rep, rr.zeta_hat, rr.estimates.p_wait, rr.estimates.mean_Q,
                             rr.estimates.abandon_rate, rr.estimates.mean_scaled_queue) for rr in reps)))
@@ -244,23 +223,22 @@ def _cmd_analyze(values: dict) -> Dict[str, bytes]:
 
 def _cmd_staff(values: dict) -> Dict[str, bytes]:
     config = _system_config(values)
-    dist = _rates(values)
     model = values["cost_model"]
     cost = CostSpec(
         c_s=float(values["c_s"]),
         c_w=float(values["c_w"]),
         d=float(values["d"]),
         c_un=float(values["c_un"]),
-        nu=float(values.get("nu", values.get("abandon_rate", 0.0))),
+        nu=_nu(values),
     )
     cost_fn = cost_aband if model == "abandon" else cost_no_aband
     bracket = (float(values["bracket_lo"]), float(values["bracket_hi"]))
     tol = float(values["opt_tol"])
-    res = optimize_staffing(lambda x: cost_fn(x, config, dist, cost), bracket, tol=tol)
+    res = optimize_staffing(lambda x: cost_fn(x, config, cost), bracket, tol=tol)
     curve = {"x": _reprs(res.curve_x), "cost": _reprs(res.curve_cost)}
     info = {
         "x_star": res.x_star,
-        "N_star": HalfinWhitt(res.x_star).resolve(config.lambda_r, dist.mean()),
+        "N_star": HalfinWhitt(res.x_star).resolve(config.lambda_r, config.rates.mean()),
         "cost_at_optimum": res.cost_at_optimum,
         "bracket": list(res.bracket),
         "tol": res.tol,
@@ -302,7 +280,7 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
     horizon = float(values["ssc_horizon"])
     n_reps = values["reps"]
     seed = int(values["seed"])
-    policy = values.get("policy", Policy.LISF)
+    policy = values.get("policy", SystemConfig.policy)
     configs = [
         ssc_mod.inverted_v_config(rv, pools, lambda_hat, seed=seed, policy=policy)
         for rv in r_values
@@ -317,17 +295,16 @@ def _cmd_ssc(values: dict) -> Dict[str, bytes]:
 
 def _cmd_fairness(values: dict) -> Dict[str, bytes]:
     config = _system_config(values)
-    dist = _rates(values)
     n_bins = int(values["bins"])
-    system = RealizedSystem.from_config(config, dist)
+    system = RealizedSystem.from_config(config)
     if n_bins > system.n_servers:
         raise ConfigError(f"bins must be at most the server count {system.n_servers}, got {n_bins}")
-    edges = ssc_mod.default_bins(dist, n_bins)
+    edges = ssc_mod.default_bins(config.rates, n_bins)
     # servers grouped by rate bin: the busy counts per group give the idle
     # counts per bin that the sup discrepancy needs
     by_bin = system.grouped(ssc_mod.rate_bin(system.mu, edges), edges.size - 1)
     path = run(config, by_bin, float(values["horizon"]), grid_points=int(values["grid_points"]))
-    fe = ssc_mod.fairness_estimate(path, edges, dist=dist)
+    fe = ssc_mod.fairness_estimate(path, edges)
     info = {
         "policy": config.policy.value,
         "total_idle_time": fe.total_idle_time,
@@ -344,10 +321,9 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
 def _cmd_couple(values: dict) -> Dict[str, bytes]:
     events = int(values["skeleton_events"])
     config = _system_config(values)
-    dist = _rates(values)
-    system = RealizedSystem.from_config(config, dist)
-    p_rate = float(values.get("p_rate", dist.p))
-    q_rate = dist.q  # every realized rate lies in the law's support
+    system = RealizedSystem.from_config(config)
+    p_rate = float(values.get("p_rate", config.rates.p))
+    q_rate = config.rates.q  # every realized rate lies in the law's support
     horizon = events / (system.n_servers * q_rate)
     cp = coupled_run(config, p_rate, system, horizon, q_rate=q_rate)
     csv = csv_table("t,D_hom,D_het", "%r,%d,%d", cp.skeleton_t, cp.d_hom, cp.d_het)
@@ -413,10 +389,13 @@ def dispatch(command: str, values: dict, out_dir, fmt: str = "csv") -> dict:
     if "pools" in values and "rates" in values:
         raise ConfigError("pools and rates both set the rate law; set one of them")
     artifacts = _HANDLERS[command](values)
-    if fmt == "json":  # each CSV table as its header and rows of string cells; a .json of the name wins
+    if fmt == "json":  # each CSV table as its header and rows of string cells
         for name in [n for n in artifacts if n.endswith(".csv")]:
             header, *rows = (line.split(",") for line in artifacts.pop(name).decode().strip().splitlines())
-            artifacts.setdefault(name[:-4] + ".json", _json_bytes({"header": header, "rows": rows}))
+            json_name = name[:-4] + ".json"
+            if json_name in artifacts:  # the command's own JSON artifact has that name
+                json_name = name[:-4] + "_table.json"
+            artifacts[json_name] = _json_bytes({"header": header, "rows": rows})
     checksums = {}
     for name, data in sorted(artifacts.items()):
         (out / name).write_bytes(data)

@@ -25,6 +25,7 @@ __all__ = [
     "RateDistribution",
     "HalfinWhitt",
     "SystemConfig",
+    "rate_law",
     "RealizedSystem",
     "pool_sizes",
     "rng_stream",
@@ -227,9 +228,31 @@ def _valid_pools(pools) -> bool:
     )
 
 
+def rate_law(pools=None, rates=None) -> RateDistribution:
+    """A system's rate law: ``rates``, else the law of ``pools``, else point(1.0).
+
+    The pools' law is ``discrete(mu_i:beta_i,...)``, and ``rates`` set beside
+    ``pools`` must be it: a ``ConfigError`` naming both keys refuses another.
+    """
+    if rates is not None:
+        check_domains(rates=rates)
+    if pools is None:
+        return RateDistribution.point(1.0) if rates is None else rates
+    check_domains(pools=pools)
+    law = RateDistribution.from_pools(pools)
+    if rates is not None and rates != law:
+        raise ConfigError(f"rates {_fmt(rates)} is not {_fmt(law)}, the law of pools; set one of them")
+    return law
+
+
 @dataclass(frozen=True)
 class SystemConfig:
-    """Scale index, arrival law, staffing rule, policy, and seed for one system."""
+    """Scale index, arrival law, staffing rule, policy, rate law and seed for one system.
+
+    ``rates``, the law of each server's i.i.d. rate, is what every library call
+    on a config reads; ``rate_law`` resolves it once. ``dataclasses.replace``
+    keeps it, so a copy with other pools passes ``rates=None``.
+    """
 
     r: float
     lambda_r: float
@@ -239,6 +262,7 @@ class SystemConfig:
     abandon_rate: float = 0.0
     policy: Policy = Policy.LISF
     pools: Optional[tuple] = None  # ((beta_i, mu_i), ...), mu strictly increasing
+    rates: Optional[RateDistribution] = None  # a RateDistribution once constructed
 
     def __post_init__(self):
         for key in ("seed", "staffing"):  # a numpy integer is kept as the int it stands for
@@ -249,8 +273,7 @@ class SystemConfig:
             r=self.r, lambda_r=self.lambda_r, seed=self.seed, arrival_scv=self.arrival_scv,
             staffing=self.staffing, abandon_rate=self.abandon_rate,
         )
-        if self.pools is not None:
-            check_domains(pools=self.pools)
+        object.__setattr__(self, "rates", rate_law(self.pools, self.rates))
 
     def resolve_staffing(self, mu_bar: float) -> int:
         if isinstance(self.staffing, HalfinWhitt):
@@ -358,7 +381,7 @@ class RealizedSystem:
         """
         if config.pools is None:
             raise ConfigError("config has no pools")
-        mu_bar = RateDistribution.from_pools(config.pools).mean()
+        mu_bar = config.rates.mean()
         n = cls._server_count(config, mu_bar)
         sizes = pool_sizes(config.pools, n)
         if any(s < 1 for s in sizes):
@@ -368,11 +391,11 @@ class RealizedSystem:
         return cls(n, mu, mu_bar, config.r, config.lambda_r, pool_of=pool_of)
 
     @classmethod
-    def from_config(cls, config: SystemConfig, dist: RateDistribution, rep: int = 0):
-        """System of replication ``rep``: the config's pools, else rates drawn from ``dist``."""
+    def from_config(cls, config: SystemConfig, rep: int = 0):
+        """System of replication ``rep``: the config's pools, else rates drawn from ``config.rates``."""
         if config.pools is not None:
             return cls.realize_pools(config)
-        return cls.realize(config, dist, rng_stream(config.seed, rep, Stream.RATES))
+        return cls.realize(config, config.rates, rng_stream(config.seed, rep, Stream.RATES))
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +536,8 @@ CONFIG_KEYS: dict = {
     "abandon_rate": (float, _NON_NEGATIVE),
     "policy": (_parse_policy, Domain("one of LISF/FSF/RANDOM")),
     "rates": (_parse_rates, Domain(
-        "point(mu), uniform(lo,hi) or discrete(mu:p,...), rates finite, > 0, E[mu^2] finite"
+        "point(mu), uniform(lo,hi) or discrete(mu:p,...), rates finite, > 0, E[mu^2] finite",
+        lambda v: isinstance(v, RateDistribution),  # what the parser makes; for library callers
     )),
     "pools": (_parse_pools, Domain(
         "beta:mu,... with beta > 0 summing to 1, mu finite, > 0, increasing", _valid_pools

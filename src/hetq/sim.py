@@ -37,7 +37,6 @@ import numpy as np
 
 from .core import (
     Policy,
-    RateDistribution,
     RealizedSystem,
     Stream,
     SystemConfig,
@@ -196,13 +195,18 @@ def _over(rate: float) -> _Transform:
     return lambda e: e / rate
 
 
-def _check_events(lam: float, rate_total: float, horizon: float) -> None:
-    """Refuse more than 1e9 expected arrivals (``lam``) and other events (``rate_total``)."""
+def _check_events(lam: float, rate_total: float, horizon: float,
+                  source="horizon {horizon:.6g} and lambda_r {lam:.6g} give", remedy="either", **names):
+    """Refuse more than 1e9 expected arrivals (``lam``) and other events (``rate_total``).
+
+    ``source`` (formatted with ``horizon``, ``lam`` and ``names``) and ``remedy`` name the keys.
+    """
     events = (lam + rate_total) * horizon
     if lam > 0.0 and events > MAX_EXPECTED_EVENTS:
+        source = source.format(horizon=horizon, lam=lam, **names)
         raise ConfigError(
-            f"horizon {horizon:.6g} and lambda_r {lam:.6g} give about {events:.3g} "
-            f"events, over the {MAX_EXPECTED_EVENTS:.0e} a run may make; lower either"
+            f"{source} about {events:.3g} events, over the {MAX_EXPECTED_EVENTS:.0e} "
+            f"a run may make; lower {remedy}"
         )
 
 
@@ -972,8 +976,8 @@ class Replication:
 
 
 def _replicate_one(args) -> Replication:
-    config, dist, rep, horizon, mode, warmup, grid_points, x0, queue_cap = args
-    system = RealizedSystem.from_config(config, dist, rep)
+    config, rep, horizon, mode, warmup, grid_points, x0, queue_cap = args
+    system = RealizedSystem.from_config(config, rep)
     path = run(
         config, system, horizon, mode=mode, x0=x0, grid_points=grid_points,
         queue_cap=queue_cap, rep=rep, warmup=warmup,
@@ -992,7 +996,6 @@ def _replicate_one(args) -> Replication:
 
 def replicate(
     config: SystemConfig,
-    dist: RateDistribution,
     n_reps: int,
     horizon: float,
     mode: AbandonMode = AbandonMode.NONE,
@@ -1001,7 +1004,7 @@ def replicate(
     x0: Optional[int] = None,
     queue_cap: int = 1_000_000,
 ) -> List[Replication]:
-    """Independent replications with fresh rate draws; streams split by rep.
+    """Independent replications with fresh draws from ``config.rates``; streams split by rep.
 
     Each replication is one ``run`` with these arguments. A replication
     whose queue exceeds ``queue_cap`` raises DomainError, since its
@@ -1011,7 +1014,7 @@ def replicate(
     """
     check_domains(reps=n_reps)
     jobs = [
-        (config, dist, rep, horizon, mode, warmup, grid_points, x0, queue_cap)
+        (config, rep, horizon, mode, warmup, grid_points, x0, queue_cap)
         for rep in range(n_reps)
     ]
     raw = os.environ.get("HETQ_THREADS", "1")

@@ -26,7 +26,7 @@ from .core import (
     pool_sizes,
 )
 from .errors import ConfigError, DomainError
-from .sim import MAX_EXPECTED_EVENTS, PathRecord, run
+from .sim import PathRecord, _check_events, run
 
 __all__ = [
     "HydroScaledPath",
@@ -108,7 +108,7 @@ def ssc_convergence(
     the inverted-V system from the fully-busy state on 2,000 grid points
     and records ||g(Z_hat)||_T, (||Z_hat||_T v 1), and their ratio, with
     T the horizon. Every scale's expected events are checked against
-    ``MAX_EXPECTED_EVENTS`` before the first run, naming the ``ssc`` keys.
+    ``sim.MAX_EXPECTED_EVENTS`` before the first run, naming the ``ssc`` keys.
     """
     check_domains(reps=n_reps)
     if not configs:
@@ -125,13 +125,10 @@ def ssc_convergence(
     # run() bounds its expected events too, but would name horizon and lambda_r,
     # and only once the smaller scales had run
     for cfg, system in zip(configs, systems):
-        events = (cfg.lambda_r + system.sum_mu) * horizon
-        if events > MAX_EXPECTED_EVENTS:
-            raise ConfigError(
-                f"ssc_horizon {horizon:.6g} at r = {cfg.r:.6g} gives about {events:.3g} "
-                f"events, over the {MAX_EXPECTED_EVENTS:.0e} a run may make; "
-                "lower ssc_horizon or r_values"
-            )
+        _check_events(
+            cfg.lambda_r, system.sum_mu, horizon,
+            "ssc_horizon {horizon:.6g} at r = {r:.6g} gives", "ssc_horizon or r_values", r=cfg.r,
+        )
     rows = []
     for cfg, system in zip(configs, systems):
         for rep in range(n_reps):
@@ -289,16 +286,12 @@ def eta_theory(dist: RateDistribution, edges: np.ndarray, policy: Policy) -> np.
     return out
 
 
-def fairness_estimate(
-    path: PathRecord,
-    bins: np.ndarray,
-    dist: RateDistribution,
-) -> FairnessEstimate:
+def fairness_estimate(path: PathRecord, bins: np.ndarray) -> FairnessEstimate:
     """Share of idleness mass per rate bin, plus the scaled sup-norm discrepancy.
 
     The share uses exact per-server idle-time integrals over the run, binned
     by the realized rates ``path.system.mu``; the theory column is
-    ``eta_theory`` of ``dist`` under the path's policy. The discrepancy
+    ``eta_theory`` of ``path.config.rates`` under its policy. The discrepancy
     statistic needs a path whose server groups are the rate bins
     (``system.grouped(rate_bin(system.mu, bins), n_bins)``), so that the
     recorded busy counts per group give the idle counts per bin; it is None
@@ -318,7 +311,7 @@ def fairness_estimate(
     np.add.at(eta_hat, which, idle_time)
     eta_hat /= total_idle
 
-    theory = eta_theory(dist, edges, path.config.policy)
+    theory = eta_theory(path.config.rates, edges, path.config.policy)
     sup = None
     if system.n_pools == n_bins and np.array_equal(system.pool_of, which):
         # exact integer idle counts per bin

@@ -16,7 +16,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import RateDistribution, SystemConfig, check_domains
+from .core import SystemConfig, check_domains
 from .diffusion import (
     _aband_drift_average,
     _expit,
@@ -125,12 +125,12 @@ class CostSpec:
     def __post_init__(self):
         check_domains(c_s=self.c_s, c_w=self.c_w, d=self.d, c_un=self.c_un, nu=self.nu)
 
-    def staffing_term(self, x, config: SystemConfig, dist: RateDistribution):
-        return self.c_s * x * math.sqrt(config.lambda_r / dist.mean())
+    def staffing_term(self, x, config: SystemConfig):
+        return self.c_s * x * math.sqrt(config.lambda_r / config.rates.mean())
 
 
-def _drift_law(x, config: SystemConfig, dist: RateDistribution):
-    """(gamma, sigma, drift mean, drift sd) of the limit diffusion at safety x.
+def _drift_law(x, config: SystemConfig):
+    """(gamma, sigma, drift mean, drift sd) of the limit diffusion at safety x, law ``config.rates``.
 
     ``x`` is a float or an array; the drift mean has its shape.
     """
@@ -138,22 +138,17 @@ def _drift_law(x, config: SystemConfig, dist: RateDistribution):
     ok = (x > 0.0) & (x < math.inf) if isinstance(x, np.ndarray) else np.bool_(0.0 < x < math.inf)
     if not ok.all():
         raise DomainError(f"safety coefficient must be finite and > 0, got {_first(x, ~ok)}")
+    dist = config.rates
     gamma = dist.idleness_coefficient(config.policy)
     mean = dist.mean()
     sigma = math.sqrt(mean * (config.arrival_scv + 1.0))
     return gamma, sigma, -x * mean, math.sqrt(dist.variance())
 
 
-def cost_no_aband(
-    x,
-    config: SystemConfig,
-    dist: RateDistribution,
-    cost: CostSpec,
-    nodes: int = 128,
-):
+def cost_no_aband(x, config: SystemConfig, cost: CostSpec, nodes: int = 128):
     """Approximate cost F(x) + lambda_r * E[P(beta) G(-beta sqrt(r)) | beta < 0].
 
-    The drift is beta ~ N(-x*mu_bar, Var of the rate law); only its stable
+    The drift is beta ~ N(-x*mu_bar, Var of ``config.rates``); only its stable
     (negative) region enters, normalized by P(beta < 0). The unstable mass
     contributes c_un * P(beta >= 0) additively.
 
@@ -165,9 +160,9 @@ def cost_no_aband(
     ``x`` is a float or a 1-D array of safety values; a float gives a float,
     and each entry of an array equals the call at that value, bit for bit.
     """
-    gamma, sigma, m, s = _drift_law(x, config, dist)
+    gamma, sigma, m, s = _drift_law(x, config)
     sqrt_r = math.sqrt(config.r)
-    f_term = cost.staffing_term(x, config, dist)
+    f_term = cost.staffing_term(x, config)
 
     if s == 0.0:
         p = prob_wait_no_aband(m, sigma, gamma)
@@ -211,17 +206,12 @@ def cost_no_aband(
     return _finite(total, "the cost at safety x", x, sigma=sigma, gamma=gamma)
 
 
-def cost_aband(
-    x,
-    config: SystemConfig,
-    dist: RateDistribution,
-    cost: CostSpec,
-    nodes: int = 128,
-):
+def cost_aband(x, config: SystemConfig, cost: CostSpec, nodes: int = 128):
     """Approximate cost F(x) + d * nu * sqrt(r) * E_beta[E[xi(infty)^+; xi >= 0]].
 
     The inner expectation over the stationary state is closed form; the
-    outer one over beta ~ N(-x*mu_bar, Var) uses Gauss-Hermite quadrature.
+    outer one over beta ~ N(-x*mu_bar, Var of ``config.rates``) uses
+    Gauss-Hermite quadrature.
     The sqrt(r) factor converts the scaled queue length into customers, so
     the variable term is an abandonment flow in customers per unit time.
     The abandonment rate is ``cost.nu``; ``config.abandon_rate`` is not read.
@@ -229,11 +219,11 @@ def cost_aband(
     ``x`` is a float or a 1-D array of safety values; a float gives a float,
     and each entry of an array equals the call at that value, bit for bit.
     """
-    gamma, sigma, m, s = _drift_law(x, config, dist)
+    gamma, sigma, m, s = _drift_law(x, config)
     nu = cost.nu
     if nu <= 0.0:
         raise DomainError("abandonment cost model needs nu > 0")
-    f_term = cost.staffing_term(x, config, dist)
+    f_term = cost.staffing_term(x, config)
     if s == 0.0:
         epp = expected_positive_part_aband(m, sigma, gamma, nu)
     else:

@@ -117,10 +117,10 @@ def test_criterion_3_diffusion_steady_state_match():
     gamma_lisf = dist.idleness_coefficient(Policy.LISF)
     sigma = math.sqrt(2.0)
     cfg = SystemConfig(
-        r=400.0, lambda_r=400.0, seed=10, staffing=HalfinWhitt(1.0), abandon_rate=1.0
+        r=400.0, lambda_r=400.0, seed=10, staffing=HalfinWhitt(1.0), abandon_rate=1.0, rates=dist
     )
     reps = replicate(
-        cfg, dist, 20, horizon=400.0, mode=AbandonMode.PERTURBED, warmup=0.25,
+        cfg, 20, horizon=400.0, mode=AbandonMode.PERTURBED, warmup=0.25,
         grid_points=4000,
     )
     sim_pool = float(np.mean([rr.estimates.mean_scaled_queue for rr in reps]))
@@ -211,18 +211,18 @@ def test_criterion_8_fairness():
     t0 = time.time()
     # LISF against the size-biased law over ten bins
     dist = RateDistribution.uniform(0.5, 1.5)
-    cfg = SystemConfig(r=400.0, lambda_r=380.0, seed=1, staffing=400, policy=Policy.LISF)
+    cfg = SystemConfig(r=400.0, lambda_r=380.0, seed=1, staffing=400, policy=Policy.LISF, rates=dist)
     s = RealizedSystem.realize(cfg, dist, rng_stream(1, 0, Stream.RATES))
     path = run(cfg, s, horizon=1500.0)
-    fe = fairness_estimate(path, default_bins(dist, 10), dist=dist)
+    fe = fairness_estimate(path, default_bins(dist, 10))
     lisf_sup = float(np.abs(fe.eta_hat - fe.eta_theory).max())
 
     # FSF: idleness concentrates on the slowest atom
     dd = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
-    cfg2 = SystemConfig(r=400.0, lambda_r=530.0, seed=1, staffing=400, policy=Policy.FSF)
+    cfg2 = SystemConfig(r=400.0, lambda_r=530.0, seed=1, staffing=400, policy=Policy.FSF, rates=dd)
     s2 = RealizedSystem.realize(cfg2, dd, rng_stream(1, 0, Stream.RATES))
     path2 = run(cfg2, s2, horizon=1000.0)
-    fe2 = fairness_estimate(path2, default_bins(dd), dist=dd)
+    fe2 = fairness_estimate(path2, default_bins(dd))
     slow_mass = float(fe2.eta_hat[0])
     detail = f"LISF sup {lisf_sup:.4f} (<=0.03), FSF slow mass {slow_mass:.4f} (>=0.95)"
     _check(8, "fairness", lisf_sup <= 0.03 and slow_mass >= 0.95, detail, 300.0, time.time() - t0)
@@ -246,11 +246,10 @@ def test_criterion_10_optimizer_regression():
     t0 = time.time()
     cfg = SystemConfig(
         r=400.0, lambda_r=400.0, seed=0, staffing=HalfinWhitt(1.0),
-        abandon_rate=1.0, policy=Policy.LISF,
+        abandon_rate=1.0, policy=Policy.LISF, rates=RateDistribution.uniform(0.8, 1.2),
     )
-    dist = RateDistribution.uniform(0.8, 1.2)
     cost = CostSpec(c_s=1.0, d=5.0, nu=1.0)
-    res = optimize_staffing(lambda x: cost_aband(x, cfg, dist, cost), (0.05, 6.0), tol=1e-4)
+    res = optimize_staffing(lambda x: cost_aband(x, cfg, cost), (0.05, 6.0), tol=1e-4)
     gap = abs(res.x_star - GOLDEN_X_STAR)
     detail = f"x* {res.x_star:.5f} vs grid-oracle {GOLDEN_X_STAR} (|gap| {gap:.2e})"
     _check(10, "optimizer regression", gap < 1e-3, detail, 30.0, time.time() - t0)

@@ -675,6 +675,24 @@ class TestSimulateArtifacts:
         assert table["header"][:3] == ["t", "X", "Q"]
         assert not (tmp_path / "o" / "path.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command,extra", [("fairness", []), ("couple", ["--set", "skeleton_events=300"])]
+    )
+    def test_json_format_keeps_the_table_beside_the_info_artifact(self, tmp_path, command, extra):
+        # the converted table took <command>.json, the info artifact's name, and was dropped
+        args = [command, *_SMALL, "--set", "rates=uniform(0.8,1.2)", *extra]
+        csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+        assert main([*args, "--out", str(csv_out)]) == 0
+        assert main([*args, "--out", str(json_out), "--format", "json"]) == 0
+        manifest = json.loads((json_out / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == [f"{command}.json", f"{command}_table.json"]
+        assert read(json_out / f"{command}.json") == read(csv_out / f"{command}.json")
+        lines = (csv_out / f"{command}.csv").read_text().splitlines()
+        header, *rows = (line.split(",") for line in lines)
+        table = json.loads((json_out / f"{command}_table.json").read_text())
+        assert table == {"header": header, "rows": rows}
+        assert main(["rerun", str(json_out / "manifest.json"), "--out", str(tmp_path / "again")]) == 0
+
 
 class TestManifest:
     def test_checksums_match_files(self, cfg_file, tmp_path):

@@ -199,7 +199,7 @@ _ENTRY_POINTS = {
         ("p_rate", "horizon"),
     ),
     "replicate": (
-        lambda reps: replicate(SystemConfig(**_SYSTEM), RateDistribution.point(1.0), reps, 1.0),
+        lambda reps: replicate(SystemConfig(**_SYSTEM), reps, 1.0),
         ("reps",),
     ),
     "ssc_convergence": (

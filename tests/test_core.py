@@ -174,7 +174,7 @@ class TestSystemConfig:
         # staffing=np.int64(3) was refused, and seed=np.int64(3) was kept as numpy.int64
         cfg = SystemConfig(r=10.0, lambda_r=10.0, seed=np.int64(3), staffing=np.int64(3))
         assert type(cfg.seed) is int and type(cfg.staffing) is int
-        system = RealizedSystem.from_config(cfg, RateDistribution.point(1.0))
+        system = RealizedSystem.from_config(cfg)
         assert type(system.n_servers) is int and system.n_servers == 3
         path = run(cfg, system, 1.0, grid_points=10)
         summary = json.loads(json.dumps(path_summary(path)))  # numpy integers are not JSON
@@ -214,6 +214,82 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match="pool_of"):
             RealizedSystem(n_servers=3, mu=np.ones(3), mu_bar=1.0, r=3.0, lambda_r=2.0,
                            pool_of=pool_of, pool_sizes=pool_sizes)
+
+
+class TestRateLaw:
+    """SystemConfig.rates is the one statement of a system's rate law."""
+
+    _POOLS = ((0.5, 1.0), (0.5, 2.0))
+    _POOLS_LAW = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
+
+    def _pooled(self, **kw):
+        return SystemConfig(r=40.0, lambda_r=56.0, seed=5, abandon_rate=1.0, pools=self._POOLS, **kw)
+
+    def test_default_law(self):
+        assert SystemConfig(r=1.0, lambda_r=1.0, seed=0).rates == RateDistribution.point(1.0)
+        assert self._pooled().rates == self._POOLS_LAW
+        u = RateDistribution.uniform(0.8, 1.2)
+        assert SystemConfig(r=1.0, lambda_r=1.0, seed=0, rates=u).rates is u
+
+    def test_law_other_than_the_pools_is_refused_naming_both_keys(self):
+        # with this law, cost_aband priced one system and from_config realized another
+        want = r"^rates uniform\(0.8,1.2\) is not discrete\(1.0:0.5,2.0:0.5\), the law of pools; set one of them$"
+        with pytest.raises(ConfigError, match=want):
+            self._pooled(rates=RateDistribution.uniform(0.8, 1.2))
+        with pytest.raises(ConfigError, match="^rates discrete"):
+            self._pooled(rates=RateDistribution.discrete([(1.0, 0.4), (2.0, 0.6)]))
+
+    @pytest.mark.parametrize("value", ["uniform(0.8,1.2)", 1.0, ((1.0, 1.0),), Policy.LISF])
+    def test_law_of_another_type_is_refused_naming_rates(self, value):
+        with pytest.raises(ConfigError) as err:
+            SystemConfig(r=1.0, lambda_r=1.0, seed=0, rates=value)
+        assert str(err.value) == (
+            "rates must be point(mu), uniform(lo,hi) or discrete(mu:p,...), rates finite, > 0, "
+            f"E[mu^2] finite, got {value!r}"
+        )
+
+    def test_pools_and_their_law_as_rates_are_one_system(self):
+        from hetq.ssc import default_bins, fairness_estimate, rate_bin
+        from hetq.staffing import CostSpec, cost_aband, cost_no_aband
+
+        pooled, both = self._pooled(), self._pooled(rates=self._POOLS_LAW)
+        xs = np.linspace(0.05, 6.0, 64)
+        for cost_fn, cost in ((cost_aband, CostSpec(d=5.0, nu=1.0)), (cost_no_aband, CostSpec())):
+            assert cost_fn(xs, pooled, cost).tobytes() == cost_fn(xs, both, cost).tobytes()
+        systems = [RealizedSystem.from_config(cfg) for cfg in (pooled, both)]
+        assert systems[0].mu.tobytes() == systems[1].mu.tobytes()
+        assert systems[0].pool_of.tolist() == systems[1].pool_of.tolist()
+        edges = default_bins(self._POOLS_LAW)
+        etas = [
+            fairness_estimate(run(cfg, s.grouped(rate_bin(s.mu, edges), 2), 20.0, grid_points=50), edges)
+            for cfg, s in zip((pooled, both), systems)
+        ]
+        assert etas[0].eta_theory.tobytes() == etas[1].eta_theory.tobytes()
+        assert etas[0].eta_hat.tobytes() == etas[1].eta_hat.tobytes()
+
+    def test_no_call_takes_a_law_beside_a_config(self):
+        # from_config, replicate, both costs and fairness_estimate each took a law
+        # that could disagree with the config's pools
+        import inspect
+
+        import hetq.core
+        import hetq.sim
+        import hetq.ssc
+        import hetq.staffing
+
+        takers = []
+        for module in (hetq.core, hetq.sim, hetq.ssc, hetq.staffing):
+            owners = [module, *(v for v in vars(module).values()
+                                if isinstance(v, type) and v.__module__ == module.__name__)]
+            for owner in owners:
+                for name, fn in vars(owner).items():
+                    fn = getattr(fn, "__func__", fn)
+                    if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                        continue
+                    kinds = [str(p.annotation) for p in inspect.signature(fn).parameters.values()]
+                    if {"SystemConfig", "PathRecord"} & set(kinds) and "RateDistribution" in kinds:
+                        takers.append(f"{owner.__name__}.{name}")
+        assert takers == ["RealizedSystem.realize"]
 
 
 class TestConfigFormat:

@@ -75,14 +75,14 @@ def _kernel_arguments():
         seen.append(np.array(t, dtype=float).ravel())
         return kernel(t)
 
-    cfg = SystemConfig(r=400.0, lambda_r=400.0, seed=0, abandon_rate=1.0)
-    dist = RateDistribution.uniform(0.8, 1.2)
+    cfg = SystemConfig(r=400.0, lambda_r=400.0, seed=0, abandon_rate=1.0,
+                       rates=RateDistribution.uniform(0.8, 1.2))
     xs = np.linspace(0.05, 6.0, 16)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diffusion, "_log_mills", record)
         mp.setattr(staffing, "_log_mills", record)
-        staffing.cost_aband(xs, cfg, dist, staffing.CostSpec(d=5.0, nu=1.0))
-        staffing.cost_no_aband(xs, cfg, dist, staffing.CostSpec(c_w=1.0))
+        staffing.cost_aband(xs, cfg, staffing.CostSpec(d=5.0, nu=1.0))
+        staffing.cost_no_aband(xs, cfg, staffing.CostSpec(c_w=1.0))
     args = np.concatenate(seen)
     return args[:: max(1, args.size // 1500)]  # every k-th one, about 1500
 

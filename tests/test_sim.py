@@ -154,8 +154,9 @@ class TestWindowCounters:
         cfg = SystemConfig(
             r=20.0, lambda_r=60.0 if variant == "overflow" else 19.0, seed=17, staffing=20,
             abandon_rate=nu, arrival_scv=0.0 if variant == "scv_zero" else 1.0,
+            rates=RateDistribution.uniform(0.5, 1.5),
         )
-        s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5))
+        s = RealizedSystem.from_config(cfg)
         kwargs = dict(
             horizon=300.0, mode=mode, warmup=0.3, grid_points=3000,
             x0=35 if variant == "x0_above_n" else None,
@@ -192,8 +193,9 @@ def _grid_case(name):
         r=20.0, lambda_r=lam, seed=31, staffing=20, abandon_rate=nu,
         arrival_scv=0.0 if name == "on_grid" else 1.0,
         policy=Policy.RANDOM if name.startswith("mode_") else Policy.LISF,
+        rates=RateDistribution.uniform(0.5, 1.5),
     )
-    s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5))
+    s = RealizedSystem.from_config(cfg)
     kwargs = dict(horizon=40.0, grid_points=500)
     if name == "dense":  # about 60 grid points per event
         kwargs.update(horizon=2.0, grid_points=5000)
@@ -277,8 +279,9 @@ def _shape_case(policy, mode, dense, multi, record, validate):
     nu = 0.0 if mode is AbandonMode.NONE else 0.8
     pools = ((0.5, 0.8), (0.5, 1.3)) if multi else None
     cfg = SystemConfig(r=12.0, lambda_r=12.5, seed=17, staffing=12, abandon_rate=nu,
-                       policy=policy, pools=pools)
-    s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5), rep=1)
+                       policy=policy, pools=pools,
+                       rates=None if multi else RateDistribution.uniform(0.5, 1.5))
+    s = RealizedSystem.from_config(cfg, rep=1)
     # x0 = 16 > N: four seed customers wait from time 0
     args = (cfg, s, 40.0, mode, 16, 400, 1_000_000, 1, 0.2)
     shape = hetq.sim._shape(cfg, s, 40.0, mode, 400, record, validate)._replace(dense=dense)
@@ -770,9 +773,9 @@ class TestMemory:
         nu = 0.0 if mode is AbandonMode.NONE else 0.5
         cfg = SystemConfig(
             r=100.0, lambda_r=100.0, seed=5, staffing=HalfinWhitt(0.5),
-            abandon_rate=nu, policy=policy,
+            abandon_rate=nu, policy=policy, rates=RateDistribution.uniform(0.5, 1.5),
         )
-        s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5))
+        s = RealizedSystem.from_config(cfg)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -792,9 +795,9 @@ class TestMemory:
         mode = AbandonMode.PER_CUSTOMER
         cfg = SystemConfig(
             r=100.0, lambda_r=100.0, seed=5, staffing=HalfinWhitt(0.5),
-            abandon_rate=0.5, policy=Policy.FSF,
+            abandon_rate=0.5, policy=Policy.FSF, rates=RateDistribution.uniform(0.5, 1.5),
         )
-        s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5))
+        s = RealizedSystem.from_config(cfg)
         peaks = []
         for horizon in (1000.0, 4000.0):
             tracemalloc.start()
@@ -870,9 +873,9 @@ class TestMemory:
 
 class TestReplicate:
     def test_single_rep_matches_direct_run(self):
-        cfg = SystemConfig(r=25.0, lambda_r=25.0, seed=15, staffing=HalfinWhitt(1.0))
         d = RateDistribution.uniform(0.8, 1.2)
-        reps = replicate(cfg, d, 1, horizon=200.0, warmup=0.2)
+        cfg = SystemConfig(r=25.0, lambda_r=25.0, seed=15, staffing=HalfinWhitt(1.0), rates=d)
+        reps = replicate(cfg, 1, horizon=200.0, warmup=0.2)
         s = RealizedSystem.realize(cfg, d, rng_stream(15, 0, Stream.RATES))
         path = run(cfg, s, horizon=200.0)
         est = steady_estimates(path)
@@ -881,24 +884,24 @@ class TestReplicate:
         assert reps[0].estimates.mean_Q == est.mean_Q
 
     def test_x0_and_queue_cap_reach_each_run(self):
-        cfg = SystemConfig(r=10.0, lambda_r=9.0, seed=3, staffing=HalfinWhitt(1.0))
         d = RateDistribution.uniform(0.8, 1.2)
-        reps = replicate(cfg, d, 2, horizon=10.0, x0=60, queue_cap=100)
+        cfg = SystemConfig(r=10.0, lambda_r=9.0, seed=3, staffing=HalfinWhitt(1.0), rates=d)
+        reps = replicate(cfg, 2, horizon=10.0, x0=60, queue_cap=100)
         for rr in reps:
-            s = RealizedSystem.from_config(cfg, d, rr.rep)
+            s = RealizedSystem.from_config(cfg, rr.rep)
             path = run(cfg, s, horizon=10.0, x0=60, queue_cap=100, rep=rr.rep)
             assert not path.overflowed
             assert rr.estimates.mean_Q == steady_estimates(path).mean_Q
-        default = replicate(cfg, d, 2, horizon=10.0)
+        default = replicate(cfg, 2, horizon=10.0)
         assert [rr.estimates.mean_Q for rr in default] != [rr.estimates.mean_Q for rr in reps]
         # x0 = N + queue_cap = 12 + 48 starts with the queue at its cap
         with pytest.raises(DomainError, match="replication 0: .*queue_cap=48"):
-            replicate(cfg, d, 2, horizon=10.0, x0=60, queue_cap=48)
+            replicate(cfg, 2, horizon=10.0, x0=60, queue_cap=48)
 
     def test_point_distribution_zero_zeta(self):
-        cfg = SystemConfig(r=16.0, lambda_r=16.0, seed=5, staffing=HalfinWhitt(1.0))
-        d = RateDistribution.point(1.0)
-        reps = replicate(cfg, d, 20, horizon=30.0, warmup=0.1)
+        cfg = SystemConfig(r=16.0, lambda_r=16.0, seed=5, staffing=HalfinWhitt(1.0),
+                           rates=RateDistribution.point(1.0))
+        reps = replicate(cfg, 20, horizon=30.0, warmup=0.1)
         assert all(rr.zeta_hat == 0.0 for rr in reps)
 
     def test_zeta_clt(self):
@@ -913,11 +916,11 @@ class TestReplicate:
         assert ks.statistic < 0.05
 
     def test_process_fanout_matches_sequential(self, monkeypatch):
-        cfg = SystemConfig(r=16.0, lambda_r=14.0, seed=5, staffing=HalfinWhitt(1.0))
-        d = RateDistribution.uniform(0.8, 1.2)
-        seq = replicate(cfg, d, 4, horizon=40.0)
+        cfg = SystemConfig(r=16.0, lambda_r=14.0, seed=5, staffing=HalfinWhitt(1.0),
+                           rates=RateDistribution.uniform(0.8, 1.2))
+        seq = replicate(cfg, 4, horizon=40.0)
         monkeypatch.setenv("HETQ_THREADS", "2")
-        par = replicate(cfg, d, 4, horizon=40.0)
+        par = replicate(cfg, 4, horizon=40.0)
         assert [rr.rep for rr in par] == [0, 1, 2, 3]
         for a, b in zip(seq, par):
             assert a.zeta_hat == b.zeta_hat
@@ -937,8 +940,9 @@ class TestExports:
     @pytest.mark.parametrize("pools", [None, ((0.5, 1.0), (0.5, 2.0))])
     def test_csv_matches_per_row_formatting(self, pools, monkeypatch):
         monkeypatch.setattr(hetq.sim, "_CSV_BLOCK", 1000)  # several blocks, the last one short
-        cfg = SystemConfig(r=20.0, lambda_r=20.0, seed=3, staffing=20, pools=pools)
-        s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.8, 1.2))
+        cfg = SystemConfig(r=20.0, lambda_r=20.0, seed=3, staffing=20, pools=pools,
+                           rates=None if pools else RateDistribution.uniform(0.8, 1.2))
+        s = RealizedSystem.from_config(cfg)
         path = run(cfg, s, horizon=30.0, grid_points=3000)
         # reference: one formatted line per grid row, cell by cell
         lines = [path_to_csv(path).decode().splitlines()[0]]
@@ -1011,8 +1015,9 @@ def _pinned_path(policy, mode, *, pools=None, scv=1.0, x0=None, horizon=60.0):
     cfg = SystemConfig(
         r=30.0, lambda_r=30.0, seed=2024, staffing=HalfinWhitt(0.3),
         arrival_scv=scv, abandon_rate=nu, policy=policy, pools=pools,
+        rates=None if pools else RateDistribution.uniform(0.5, 1.5),
     )
-    s = RealizedSystem.from_config(cfg, RateDistribution.uniform(0.5, 1.5), rep=3)
+    s = RealizedSystem.from_config(cfg, rep=3)
     return tuple(
         run(
             cfg, system, horizon=horizon, mode=mode, x0=x0, grid_points=301,

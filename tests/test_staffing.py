@@ -215,38 +215,37 @@ class TestErlangLaw:
             assert call is erlang_c or third <= 1.0, call_args
 
 
-def _config(r=100.0, lam=100.0, policy=Policy.LISF, nu=0.0):
+def _config(r=100.0, lam=100.0, policy=Policy.LISF, nu=0.0, rates=None):
     return SystemConfig(
-        r=r, lambda_r=lam, seed=0, staffing=HalfinWhitt(1.0), policy=policy, abandon_rate=nu
+        r=r, lambda_r=lam, seed=0, staffing=HalfinWhitt(1.0), policy=policy, abandon_rate=nu,
+        rates=rates,
     )
 
 
 class TestCostNoAband:
     def test_zero_waiting_cost_reduces_to_staffing(self):
-        cfg = _config()
         dist = RateDistribution.uniform(0.5, 1.5)
+        cfg = _config(rates=dist)
         cost = CostSpec(c_s=2.0, c_w=0.0)
         for x in (0.3, 1.0, 2.5):
             want = 2.0 * x * math.sqrt(cfg.lambda_r / dist.mean())
-            assert cost_no_aband(x, cfg, dist, cost) == pytest.approx(want, abs=1e-12)
+            assert cost_no_aband(x, cfg, cost) == pytest.approx(want, abs=1e-12)
 
     def test_point_distribution_reduction(self):
-        cfg = _config()
-        dist = RateDistribution.point(1.0)
+        cfg = _config(rates=RateDistribution.point(1.0))
         cost = CostSpec(c_s=1.0, c_w=1.0)
         x = 1.2
         sigma = math.sqrt(2.0)
         p = prob_wait_no_aband(-x, sigma, 1.0)
         g = 1.0 / (x * math.sqrt(cfg.r))
         want = x * math.sqrt(cfg.lambda_r) + cfg.lambda_r * p * g
-        assert cost_no_aband(x, cfg, dist, cost) == pytest.approx(want, rel=1e-12)
+        assert cost_no_aband(x, cfg, cost) == pytest.approx(want, rel=1e-12)
 
     def test_point_distribution_unimodal_on_grid(self):
-        cfg = _config()
-        dist = RateDistribution.point(1.0)
+        cfg = _config(rates=RateDistribution.point(1.0))
         cost = CostSpec(c_s=1.0, c_w=1.0)
         xs = np.linspace(0.1, 5.0, 60)
-        vals = np.array([cost_no_aband(float(x), cfg, dist, cost) for x in xs])
+        vals = np.array([cost_no_aband(float(x), cfg, cost) for x in xs])
         rising = np.flatnonzero(np.diff(vals) > 0)
         # decreasing then increasing: once the curve turns up it stays up
         assert rising.size > 0
@@ -255,11 +254,10 @@ class TestCostNoAband:
     def test_quadrature_self_convergence_away_from_boundary(self):
         # with the drift window clear of zero the integrand is smooth and
         # two node counts agree tightly
-        cfg = _config()
-        dist = RateDistribution.uniform(0.5, 1.5)
+        cfg = _config(rates=RateDistribution.uniform(0.5, 1.5))
         cost = CostSpec(c_s=1.0, c_w=1.0)
-        v64 = cost_no_aband(3.5, cfg, dist, cost, nodes=64)
-        v128 = cost_no_aband(3.5, cfg, dist, cost, nodes=128)
+        v64 = cost_no_aband(3.5, cfg, cost, nodes=64)
+        v128 = cost_no_aband(3.5, cfg, cost, nodes=128)
         assert abs(v64 - v128) <= 1e-6 * abs(v128)
 
     @pytest.mark.xfail(
@@ -268,18 +266,16 @@ class TestCostNoAband:
         strict=True,
     )
     def test_quadrature_self_convergence_at_boundary(self):
-        cfg = _config()
-        dist = RateDistribution.uniform(0.5, 1.5)
+        cfg = _config(rates=RateDistribution.uniform(0.5, 1.5))
         cost = CostSpec(c_s=1.0, c_w=1.0)
-        v64 = cost_no_aband(1.0, cfg, dist, cost, nodes=64)
-        v128 = cost_no_aband(1.0, cfg, dist, cost, nodes=128)
+        v64 = cost_no_aband(1.0, cfg, cost, nodes=64)
+        v128 = cost_no_aband(1.0, cfg, cost, nodes=128)
         assert abs(v64 - v128) <= 1e-6 * abs(v128)
 
     def test_deterministic_repeat(self):
-        cfg = _config()
-        dist = RateDistribution.uniform(0.8, 1.2)
+        cfg = _config(rates=RateDistribution.uniform(0.8, 1.2))
         cost = CostSpec(c_s=1.0, c_w=1.0)
-        assert cost_no_aband(1.0, cfg, dist, cost) == cost_no_aband(1.0, cfg, dist, cost)
+        assert cost_no_aband(1.0, cfg, cost) == cost_no_aband(1.0, cfg, cost)
 
     def test_narrow_uniform_law_takes_the_quadrature(self, monkeypatch):
         # its variance once cancelled to 0.0, so the point-law branch priced it
@@ -288,47 +284,44 @@ class TestCostNoAband:
         monkeypatch.setattr(
             staffing, "_gauss_sum", lambda *args: calls.append(args) or gauss_sum(*args)
         )
-        cfg = _config()
         cost = CostSpec(c_s=1.0, c_w=1.0)
-        narrow = cost_no_aband(1.0, cfg, RateDistribution.uniform(1.0 - 1e-8, 1.0 + 1e-8), cost)
+        narrow = cost_no_aband(1.0, _config(rates=RateDistribution.uniform(1.0 - 1e-8, 1.0 + 1e-8)), cost)
         assert calls
-        point = cost_no_aband(1.0, cfg, RateDistribution.point(1.0), cost)
+        point = cost_no_aband(1.0, _config(rates=RateDistribution.point(1.0)), cost)
         assert narrow == pytest.approx(point, rel=1e-8)
 
 
 class TestCostAband:
     def test_zero_d_reduces_to_staffing(self):
-        cfg = _config(nu=1.0)
         dist = RateDistribution.uniform(0.8, 1.2)
+        cfg = _config(nu=1.0, rates=dist)
         cost = CostSpec(c_s=1.5, d=0.0, nu=1.0)
-        assert cost_aband(2.0, cfg, dist, cost) == pytest.approx(
+        assert cost_aband(2.0, cfg, cost) == pytest.approx(
             1.5 * 2.0 * math.sqrt(cfg.lambda_r / dist.mean())
         )
 
     def test_point_rates_match_degenerate_drift(self):
-        cfg = _config(nu=2.0)
-        dist = RateDistribution.point(1.0)
+        cfg = _config(nu=2.0, rates=RateDistribution.point(1.0))
         cost = CostSpec(c_s=1.0, d=3.0, nu=2.0)
         x = 0.8
         epp = expected_positive_part(DiffusionParams(math.sqrt(2.0), -x, 1.0, 2.0))
         want = x * math.sqrt(cfg.lambda_r) + 3.0 * 2.0 * math.sqrt(cfg.r) * epp
-        assert cost_aband(x, cfg, dist, cost) == pytest.approx(want, rel=1e-12)
+        assert cost_aband(x, cfg, cost) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the overflowing nodes
     def test_law_lost_in_double_precision_is_refused_by_name(self):
         # the staffing term x sqrt(lambda_r / mu_bar) overflows from x = 1.8e307
-        cfg = _config(nu=1.0)
-        dist = RateDistribution.uniform(0.8, 1.2)
+        cfg = _config(nu=1.0, rates=RateDistribution.uniform(0.8, 1.2))
         xs = np.array([1.0, 1e308, 1.7e308])
         with pytest.raises(DomainError, match=r"safety x = 1e\+308 is not finite: .*nu=1.0"):
-            cost_aband(xs, cfg, dist, CostSpec(nu=1.0))
+            cost_aband(xs, cfg, CostSpec(nu=1.0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the overflowing nodes
     def test_tiny_nu_and_far_safety_have_finite_costs(self):
         # both were refused: nu = 1e-300 and x = 1e300 gave NaN nodes, since the wait
         # logit was a difference of two log-densities near -5e299 (or of two infinities)
-        cfg = _config(nu=1.0)
         dist = RateDistribution.uniform(0.8, 1.2)
+        cfg = _config(nu=1.0, rates=dist)
         # x = 0.05 puts a third of the drift mass above zero, where E[xi+] is about beta/nu
         m, sd = -0.05 * dist.mean(), math.sqrt(dist.variance())
         x_nodes, w = np.polynomial.hermite.hermgauss(128)
@@ -336,33 +329,31 @@ class TestCostAband:
         gamma, sigma = dist.idleness_coefficient(Policy.LISF), math.sqrt(2.0 * dist.mean())
         epp = sum(wk * positive_part_aband(b, sigma, gamma, 1e-300) for wk, b in zip(w, betas))
         want = 0.05 * math.sqrt(cfg.lambda_r / dist.mean()) + 1e-300 * math.sqrt(cfg.r) * epp / math.sqrt(math.pi)
-        assert cost_aband(0.05, cfg, dist, CostSpec(nu=1e-300)) == pytest.approx(float(want), rel=1e-12)
+        assert cost_aband(0.05, cfg, CostSpec(nu=1e-300)) == pytest.approx(float(want), rel=1e-12)
         # far out the wait probability underflows to 0: the cost is the staffing term
         xs = np.array([1e300, 2e300])
-        assert cost_aband(xs, cfg, dist, CostSpec(nu=1.0)).tolist() == (xs * math.sqrt(cfg.lambda_r / dist.mean())).tolist()
+        assert cost_aband(xs, cfg, CostSpec(nu=1.0)).tolist() == (xs * math.sqrt(cfg.lambda_r / dist.mean())).tolist()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, building hermgauss(400)
     def test_quadrature_rule_with_nan_weights_is_refused_by_name(self):
-        cfg = _config(nu=1.0)
+        cfg = _config(nu=1.0, rates=_LAWS["uniform"])
         cost = CostSpec(c_s=1.0, d=5.0, nu=1.0)
-        assert math.isfinite(cost_aband(1.0, cfg, _LAWS["uniform"], cost, nodes=364))
+        assert math.isfinite(cost_aband(1.0, cfg, cost, nodes=364))
         with pytest.raises(DomainError, match=r"^nodes = 400 is too many"):
-            cost_aband(1.0, cfg, _LAWS["uniform"], cost, nodes=400)
+            cost_aband(1.0, cfg, cost, nodes=400)
 
     def test_underflow_to_zero_passes(self):
         # far from the stability boundary the abandonment flow underflows to 0
-        cfg = _config(nu=1.0)
-        dist = RateDistribution.uniform(0.8, 1.2)
+        cfg = _config(nu=1.0, rates=RateDistribution.uniform(0.8, 1.2))
         cost = CostSpec(c_s=1.0, d=5.0, nu=1.0)
-        assert cost_aband(1e3, cfg, dist, cost) == cost.staffing_term(1e3, cfg, dist)
+        assert cost_aband(1e3, cfg, cost) == cost.staffing_term(1e3, cfg)
 
     def test_linear_in_d(self):
-        cfg = _config(nu=1.0)
-        dist = RateDistribution.uniform(0.8, 1.2)
+        cfg = _config(nu=1.0, rates=RateDistribution.uniform(0.8, 1.2))
         base = CostSpec(c_s=0.0, d=1.0, nu=1.0)
         double = CostSpec(c_s=0.0, d=2.0, nu=1.0)
-        assert cost_aband(1.0, cfg, dist, double) == pytest.approx(
-            2.0 * cost_aband(1.0, cfg, dist, base), rel=1e-12
+        assert cost_aband(1.0, cfg, double) == pytest.approx(
+            2.0 * cost_aband(1.0, cfg, base), rel=1e-12
         )
 
     def test_simulation_ties_to_analytics_at_optimum(self):
@@ -375,12 +366,12 @@ class TestCostAband:
         from hetq.core import RealizedSystem
         from hetq.sim import AbandonMode, run, steady_estimates
 
-        dist = RateDistribution.point(1.0)
         cost = CostSpec(c_s=1.0, d=5.0, nu=1.0)
         cfg = SystemConfig(
-            r=400.0, lambda_r=400.0, seed=0, staffing=HalfinWhitt(1.0), abandon_rate=1.0
+            r=400.0, lambda_r=400.0, seed=0, staffing=HalfinWhitt(1.0), abandon_rate=1.0,
+            rates=RateDistribution.point(1.0),
         )
-        res = optimize_staffing(lambda x: cost_aband(x, cfg, dist, cost), (0.05, 6.0), tol=1e-4)
+        res = optimize_staffing(lambda x: cost_aband(x, cfg, cost), (0.05, 6.0), tol=1e-4)
         n_star = math.ceil(400.0 + res.x_star * 20.0)
         cfg2 = SystemConfig(
             r=400.0, lambda_r=400.0, seed=9, staffing=n_star, abandon_rate=1.0
@@ -409,30 +400,29 @@ class TestArrayCurve:
     @pytest.mark.parametrize("policy", [Policy.LISF, Policy.FSF])
     @pytest.mark.parametrize("cost_fn", [cost_aband, cost_no_aband])
     def test_array_equals_scalar_calls(self, cost_fn, policy, law, r):
-        cfg = _config(r=r, lam=r, policy=policy, nu=1.0)
+        cfg = _config(r=r, lam=r, policy=policy, nu=1.0, rates=_LAWS[law])
         cost = CostSpec(c_s=1.3, c_w=0.7, d=2.5, c_un=0.4, nu=1.1)
         xs = np.linspace(0.05, 6.0, 64)
-        scalar = [cost_fn(float(x), cfg, _LAWS[law], cost) for x in xs]
+        scalar = [cost_fn(float(x), cfg, cost) for x in xs]
         assert all(type(v) is float for v in scalar)
-        assert np.array_equal(cost_fn(xs, cfg, _LAWS[law], cost), scalar)
+        assert np.array_equal(cost_fn(xs, cfg, cost), scalar)
 
     def test_curve_is_one_array_call_before_the_search(self):
-        cfg = _config(nu=1.0)
-        dist = RateDistribution.uniform(0.8, 1.2)
+        cfg = _config(nu=1.0, rates=RateDistribution.uniform(0.8, 1.2))
         cost = CostSpec(c_s=1.0, d=5.0, nu=1.0)
         calls = []
 
         def fn(x):
             calls.append(x)
-            return cost_aband(x, cfg, dist, cost)
+            return cost_aband(x, cfg, cost)
 
         res = optimize_staffing(fn, (0.05, 6.0), tol=1e-4)
         first, *search = calls
         assert isinstance(first, np.ndarray)
         assert np.array_equal(first, np.linspace(0.05, 6.0, 64))
         assert search and all(isinstance(x, np.ndarray) for x in search)
-        assert np.array_equal(res.curve_cost, cost_aband(first, cfg, dist, cost))
-        want = _sequential_golden_section(lambda x: cost_aband(x, cfg, dist, cost), 0.05, 6.0, 1e-4)
+        assert np.array_equal(res.curve_cost, cost_aband(first, cfg, cost))
+        want = _sequential_golden_section(lambda x: cost_aband(x, cfg, cost), 0.05, 6.0, 1e-4)
         assert (res.x_star, res.cost_at_optimum) == want
 
     def test_curve_needs_one_cost_per_point(self):
@@ -440,12 +430,11 @@ class TestArrayCurve:
             optimize_staffing(lambda x: 1.0, (0.1, 5.0))
 
     def test_safety_values_must_be_finite_and_positive(self):
-        cfg = _config(nu=1.0)
         cost = CostSpec(nu=1.0)
         for law in _LAWS.values():
             for x in (0.0, math.nan, math.inf, np.array([1.0, math.nan])):
                 with pytest.raises(DomainError, match="safety coefficient"):
-                    cost_aband(x, cfg, law, cost)
+                    cost_aband(x, _config(nu=1.0, rates=law), cost)
 
 
 # the 64 curve points of the default bracket and 25 floats off that grid, where
@@ -472,9 +461,9 @@ class TestCostBytes:
         for law in sorted(_LAWS):
             for policy in (Policy.LISF, Policy.FSF):
                 for r in (16.0, 6400.0):
-                    cfg = _config(r=r, lam=r, policy=policy, nu=1.0)
-                    curve = cost_fn(_PIN_X, cfg, _LAWS[law], cost)
-                    points = [cost_fn(float(x), cfg, _LAWS[law], cost) for x in _PIN_X]
+                    cfg = _config(r=r, lam=r, policy=policy, nu=1.0, rates=_LAWS[law])
+                    curve = cost_fn(_PIN_X, cfg, cost)
+                    points = [cost_fn(float(x), cfg, cost) for x in _PIN_X]
                     digest.update(np.asarray(curve, dtype=np.float64).tobytes())
                     digest.update(np.array(points, dtype=np.float64).tobytes())
         assert digest.hexdigest() == _COST_PINS[cost_fn.__name__]
@@ -578,7 +567,7 @@ class TestPrefetchedSearch:
 
         def fn(x):
             calls.append(x)
-            return cost_aband(x, _config(r=400.0, lam=400.0, nu=1.0), _LAWS["uniform"],
+            return cost_aband(x, _config(r=400.0, lam=400.0, nu=1.0, rates=_LAWS["uniform"]),
                               CostSpec(c_s=1.0, d=5.0, nu=1.0))
 
         optimize_staffing(fn, (0.05, 6.0), tol=1e-4)
@@ -592,10 +581,9 @@ class TestOptimizer:
         assert res.unimodal
 
     def test_expensive_servers_push_to_lower_end(self):
-        cfg = _config(nu=1.0)
-        dist = RateDistribution.uniform(0.8, 1.2)
+        cfg = _config(nu=1.0, rates=RateDistribution.uniform(0.8, 1.2))
         cost = CostSpec(c_s=500.0, d=0.01, nu=1.0)
-        res = optimize_staffing(lambda x: cost_aband(x, cfg, dist, cost), (0.05, 6.0), tol=1e-4)
+        res = optimize_staffing(lambda x: cost_aband(x, cfg, cost), (0.05, 6.0), tol=1e-4)
         assert res.x_star < 0.06
 
     def test_curve_error_outside_hetq_is_not_a_bracket_error(self):
@@ -637,10 +625,9 @@ class TestOptimizer:
     def test_golden_scenario_regression(self):
         cfg = SystemConfig(
             r=400.0, lambda_r=400.0, seed=0, staffing=HalfinWhitt(1.0),
-            abandon_rate=1.0, policy=Policy.LISF,
+            abandon_rate=1.0, policy=Policy.LISF, rates=RateDistribution.uniform(0.8, 1.2),
         )
-        dist = RateDistribution.uniform(0.8, 1.2)
         cost = CostSpec(c_s=1.0, d=5.0, nu=1.0)
-        res = optimize_staffing(lambda x: cost_aband(x, cfg, dist, cost), (0.05, 6.0), tol=1e-4)
+        res = optimize_staffing(lambda x: cost_aband(x, cfg, cost), (0.05, 6.0), tol=1e-4)
         assert abs(res.x_star - GOLDEN_X_STAR) < 1e-3
         assert res.cost_at_optimum == pytest.approx(GOLDEN_COST, rel=1e-7)
