@@ -152,8 +152,11 @@ def _cmd_simulate(values: dict) -> Dict[str, bytes]:
     config = _system_config(values)
     horizon = float(values["horizon"])
     n_reps = values["reps"]
+    mode = AbandonMode(values["abandon_mode"])
+    if mode is AbandonMode.NONE and config.abandon_rate > 0.0:  # a rate no run would read
+        raise ConfigError(f"abandon_rate {config.abandon_rate!r} needs abandon_mode per_customer or perturbed")
     run_args = dict(  # each run's, in run() and in replicate()
-        mode=AbandonMode(values["abandon_mode"]), x0=values.get("x0"), warmup=float(values["warmup"]),
+        mode=mode, x0=values.get("x0"), warmup=float(values["warmup"]),
         grid_points=int(values["grid_points"]), queue_cap=int(values["queue_cap"]),
     )
     if n_reps == 1:

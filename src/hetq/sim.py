@@ -4,8 +4,9 @@ One pool or several (inverted-V), FIFO non-preemptive service, LISF / FSF /
 RANDOM routing, and two abandonment constructions: independent patience per
 customer, or the head-of-queue process that abandons at rate nu * Q(t).
 README.md's simulator entry is the full account of the engine: the draws,
-the departure skeleton, the two grid recorders, the loop compiled per run
-shape, the window counters, memory and the stream layout.
+the departure skeleton, the grid recorder that reads arrival and skeleton
+times from the draw blocks, the loop compiled per run shape, the window
+counters, memory and the stream layout.
 
 A run is single-threaded and a pure function of (config, seed, rep). The
 order in which each stream is consumed is part of that contract
@@ -63,11 +64,6 @@ __all__ = [
 _INF = math.inf
 _FIRST_BLOCK = 64
 _BLOCK = 8192
-_STAGE = 4096  # staged grid values written at once (sparse recorder)
-# a run with fewer expected events than _DENSE per grid point takes the dense
-# recorder; about where the two cost the same (BENCH_18.json)
-_DENSE = 4.0
-_TALLY = 2048  # expected events between two tallies of the dense recorder's logs
 _CSV_BLOCK = 4096  # rows of a CSV table formatted by one %
 # a run makes about (lambda_r + sum mu) * horizon loop passes; criterion 2's
 # largest run makes 5.2e7
@@ -82,7 +78,8 @@ class AbandonMode(Enum):
 
 
 def _draws(
-    seed: int, rep: int, stream: Stream, method: str, transform: Optional[_Transform] = None
+    seed: int, rep: int, stream: Stream, method: str, transform: Optional[_Transform] = None,
+    hook: Optional[Callable[[np.ndarray], None]] = None,
 ) -> Callable[[], Union[float, int]]:
     """Next-draw function of one stream's ``method``, e.g. ``"random"``.
 
@@ -95,6 +92,7 @@ def _draws(
     ints) is done once per block and a draw stays one C-level call. Each
     transform does the same IEEE operations, in the same order, as the
     scalar expression it replaces, so the values are bit for bit the same.
+    ``hook``, if given, gets each mapped block before its first draw is read.
     """
 
     def blocks():
@@ -106,46 +104,123 @@ def _draws(
                 # a rate near 5e-324 gives gaps past 1e308: inf, an event that never comes
                 with np.errstate(over="ignore"):
                     block = transform(block)
+            if hook is not None:
+                hook(block)
             yield block.tolist()
             size = min(2 * size, _BLOCK)
 
     return chain.from_iterable(blocks()).__next__
 
 
-def _fill(xraq: np.ndarray, grid_z: np.ndarray, g0: int, stage: list, width: int) -> int:
-    """Write staged rows (hi, X, R, A, Z_1..) into ``xraq``, ``grid_z`` from ``g0``.
+def _tally(grid_t: np.ndarray, times: np.ndarray, counts: np.ndarray, sign: int) -> None:
+    """Add ``sign`` to ``counts[g]`` per time t, g the first grid point at or after t.
 
-    Rows hold ``width`` values; with one server group they stop at A, since
-    its busy count is filled from X after the loop. Q is not staged: it is
-    (X - N)^+, filled after the loop too. Each row's state fills the grids
-    up to, not including, its ``hi``, which is the next row's start.
-    Empties ``stage`` and returns the last ``hi``.
+    The grid samples the state after every event at or before its time.
+    Where the sorted ``times`` span fewer grid points than they number, one
+    search per grid point counts the times at or before it instead.
     """
-    rows = np.array(stage, dtype=np.int64).reshape(-1, width)
-    his = rows[:, 0]
-    counts = np.diff(his, prepend=g0)
-    xraq[:3, g0:his[-1]] = np.repeat(rows[:, 1:4].T, counts, axis=1)
-    if width > 4:
-        grid_z[g0:his[-1]] = np.repeat(rows[:, 4:], counts, axis=0)
-    stage.clear()
-    return int(his[-1])
+    lo, hi = grid_t.searchsorted(times[[0, -1]]) if len(times) else (0, 0)  # each g is in lo..hi
+    if hi - lo < len(times):
+        upto = times.searchsorted(grid_t[lo:hi], side="right") * sign  # at or before grid_t[lo:hi]
+        counts[lo:hi] += upto
+        counts[lo + 1:hi + 1] -= upto  # so counts[g] takes upto's increments, all of them by hi
+        counts[hi] += sign * len(times)
+    else:
+        np.add.at(counts, grid_t.searchsorted(times), sign)
 
 
-def _tally(grid_t: np.ndarray, logs: list) -> None:
-    """Add the dense recorder's logged events into grid counts; empties the logs.
+class _Sums:
+    """One stream's event times, the running sums of its gap blocks: the loop's t + gap,
+    bit for bit, as ``np.add.accumulate`` adds in order. A sum starts afresh from each
+    of ``restarts`` (draw index, time)."""
 
-    ``logs`` holds (times, keys, counts, sign). An event at time t adds
-    ``sign`` to ``counts[g]``, or to ``counts[g, key]`` when the log has
-    keys, where g is the first grid point at or after t: the grid samples
-    the state after every event at or before its time.
+    def __init__(self):
+        self.blocks: List[np.ndarray] = []  # not yet summed; the last one is being read
+        self.done = 0  # draws summed
+        self.last = 0.0  # the last time summed; the first gap counts from 0
+        self.restarts: List[Tuple[int, float]] = []
+
+    def take(self, upto: Optional[int] = None) -> np.ndarray:
+        """The times of the blocks read through, dropped; with ``upto``, of all up to it."""
+        done = self.blocks[:len(self.blocks) - (upto is None)]
+        del self.blocks[:len(done)]
+        times = (np.concatenate(done) if done else np.empty(0))[:None if upto is None else upto - self.done]
+        first, self.done = self.done, self.done + len(times)
+        cut = bisect_left(self.restarts, (self.done,))
+        starts = [(0, self.last)] + [(k - first, t) for k, t in self.restarts[:cut]]
+        del self.restarts[:cut]
+        for (lo, start), (hi, _) in zip(starts, starts[1:] + [(len(times), 0.0)]):
+            if lo < hi:
+                piece = times[lo:hi]
+                piece[0] += start
+                np.add.accumulate(piece, out=piece)
+        self.last = float(times[-1]) if len(times) else self.last
+        return times
+
+
+class _Recorder:
+    """The grid of one run, tallied from its arrival and skeleton blocks (``_Sums``) and logs.
+
+    The loop logs the skeleton's restarts and the times of discards,
+    abandonments and busy or idle changes by group. Whenever a stream
+    reaches a full block, the blocks the streams have moved past, all of
+    whose events have happened, are tallied, so nothing held grows with the
+    horizon; ``finish`` tallies the rest up to the run's counts.
     """
-    for times, keys, counts, sign in logs:
-        g = grid_t.searchsorted(np.frombuffer(times))
-        del times[:]
-        if keys is not None:
-            g = (g, np.array(keys))
-            del keys[:]
-        np.add.at(counts, g, sign)
+
+    def __init__(self, grid_t: np.ndarray, n_pools: int, t_warm: float):
+        self.grid_t, self.t_warm = grid_t, t_warm
+        self.early = 0  # arrivals tallied before t_warm
+        # counts until finish cumulates them: X (-1 per point, +1 per discard), R, A; then Q
+        self.xraq = np.zeros((4, len(grid_t)), dtype=np.int64)
+        self.grid_z = np.zeros((len(grid_t), n_pools), dtype=np.int64)
+        self.arrivals, self.points = _Sums(), _Sums()
+        # lists, which the loop appends to fastest if all are lists; the last group's
+        # busy and idle times are dropped, as its busy count is min(X, N) less the others'
+        self.discards, self.abandons = [], []
+        self.busy_logs: List[List[float]] = [[] for _ in range(n_pools)]
+        self.idle_logs: List[List[float]] = [[] for _ in range(n_pools)]
+
+    def read(self, sums: _Sums, block: np.ndarray) -> None:
+        """``_draws``'s hook, given ``sums`` by a partial: the recorder holds no reference to
+        it, so no cycle keeps a finished run's buffers alive until the next collection."""
+        sums.blocks.append(block)
+        if len(block) == _BLOCK:
+            self.tally()
+
+    def tally(self, arrivals: Optional[int] = None, points: Optional[int] = None) -> None:
+        """Tally the blocks read through and, once they hold a block's worth, the logs;
+        everything, at the end of the run, with its counts of arrivals and skeleton points."""
+        times = self.arrivals.take(arrivals)
+        self.early += int(times.searchsorted(self.t_warm))
+        _tally(self.grid_t, times, self.xraq[2], 1)
+        _tally(self.grid_t, self.points.take(points), self.xraq[0], -1)
+        logs = [(self.discards, self.xraq[0], 1), (self.abandons, self.xraq[1], 1)]
+        for group, column in enumerate(self.grid_z.T):
+            logs += [(self.busy_logs[group], column, 1), (self.idle_logs[group], column, -1)]
+        if arrivals is None and sum(len(log) for log, _, _ in logs) < _BLOCK:
+            return  # a tally's fixed cost per log is spread over many entries
+        for k, (log, counts, sign) in enumerate(logs):
+            if k < len(logs) - 2:  # the last two, the last group's, are dropped
+                _tally(self.grid_t, np.fromiter(log, float, len(log)), counts, sign)
+            log.clear()
+
+    def finish(self, x_init: int, n: int, z0: np.ndarray, arrivals: int, points: int):
+        """The grid rows (X, R, A, Q) and busy counts, from the run's final counts."""
+        self.tally(arrivals, points)
+        xraq, grid_z = self.xraq, self.grid_z
+        np.cumsum(xraq[:3], axis=1, out=xraq[:3])
+        xraq[0] += xraq[2]  # X = x0 + A - (points - discards) - R, in place
+        xraq[0] -= xraq[1]
+        xraq[0] += x_init
+        np.subtract(xraq[0], n, out=xraq[3])  # Q = (X - N)^+
+        np.maximum(xraq[3], 0, out=xraq[3])
+        logged = grid_z[:, :-1]
+        np.cumsum(logged, axis=0, out=logged)
+        logged += z0[:-1]
+        np.minimum(xraq[0], n, out=grid_z[:, -1])  # work conservation: min(X, N) are busy
+        grid_z[:, -1] -= logged.sum(axis=1)
+        return xraq, grid_z
 
 
 def _alias_table(weights: List[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -327,7 +402,7 @@ def run(
         if x0 > n + queue_cap:
             raise ConfigError(f"x0 must be in [0, N + queue_cap] = [0, {n + queue_cap}], got {x0}")
     _check_events(config.lambda_r, system.sum_mu, horizon)
-    shape = _shape(config, system, horizon, mode, grid_points, record_customers, validate)
+    shape = _shape(config, system, mode, record_customers, validate)
     loop = _loop(shape)
     args = (config, system, horizon, mode, x0, grid_points, queue_cap, rep, warmup)
     path = loop(*args, warmup * horizon, shape)
@@ -350,19 +425,13 @@ class _Shape(NamedTuple):
     perturbed: bool
     track: bool  # keep the ids of waiting customers: record or per_customer
     multi: bool  # several server groups; one group's busy count is min(X, N)
-    dense: bool  # the dense recorder, else the sparse one
     record: bool
     validate: bool
 
 
-def _shape(config, system, horizon, mode, grid_points, record, validate) -> _Shape:
+def _shape(config, system, mode, record, validate) -> _Shape:
     """The shape of ``run``'s loop with these arguments."""
     per_customer = mode is AbandonMode.PER_CUSTOMER
-    # below _DENSE expected events per grid point nearly every event crosses a
-    # grid time, so the dense recorder logs event times and tallies them; else
-    # the sparse one stages the state at crossings. A constant, not an option:
-    # both give the same grid, only the cost moves
-    expected = (config.lambda_r + math.fsum(system.mu.tolist())) * horizon
     return _Shape(
         lisf=config.policy is Policy.LISF,
         fsf=config.policy is Policy.FSF,
@@ -371,7 +440,6 @@ def _shape(config, system, horizon, mode, grid_points, record, validate) -> _Sha
         perturbed=mode is AbandonMode.PERTURBED,
         track=bool(record) or per_customer,
         multi=system.n_pools > 1,
-        dense=expected < _DENSE * grid_points,
         record=bool(record),
         validate=bool(validate),
     )
@@ -388,7 +456,7 @@ def _simulate(
     function is the reference that copy is tested against, and what runs
     when the source cannot be read.
     """
-    lisf, fsf, abandon, per_customer, perturbed, track, multi, dense, record, validate = shape
+    lisf, fsf, abandon, per_customer, perturbed, track, multi, record, validate = shape
     n = system.n_servers
     mu = system.mu.tolist()
     pool_of = system.pool_of.tolist()
@@ -400,14 +468,15 @@ def _simulate(
     # departure skeleton of rate sum mu, off while no server is busy; fsum is
     # exactly rounded, so the rate does not depend on a summation order
     sum_mu = math.fsum(mu)
+    rec = _Recorder(np.linspace(0.0, horizon, grid_points), n_pools, t_warm)
     # each stream's arithmetic is done once per block: arrival and skeleton
     # gaps, the server a skeleton point names, and per-customer patience;
     # perturbed abandonment reads unit hazards
     std_exp = "standard_exponential"
-    arrival_gap = _draws(
-        seed, rep, Stream.ARRIVAL, std_exp, _interarrival(lam, config.arrival_scv)
-    )
-    skel_gap = _draws(seed, rep, Stream.SKELETON, std_exp, _over(sum_mu))
+    arrival_gap = _draws(seed, rep, Stream.ARRIVAL, std_exp, _interarrival(lam, config.arrival_scv),
+                         functools.partial(rec.read, rec.arrivals))
+    skel_gap = _draws(seed, rep, Stream.SKELETON, std_exp, _over(sum_mu),
+                      functools.partial(rec.read, rec.points))
     pick = _draws(seed, rep, Stream.SERVICE, "random", _alias_pick(mu))
     abandon_draw = _draws(
         seed, rep, Stream.ABANDON, std_exp, _over(nu) if per_customer else None
@@ -422,9 +491,7 @@ def _simulate(
     busy_since = [0.0] * n
     t_busy = [0.0] * n
     d_count = [0] * n
-    # busy count per group; none kept for one group, staged rows then end at A,
-    # and kept only by the sparse recorder
-    z = np.bincount(system.pool_of[:n_busy0], minlength=n_pools).tolist() if multi else []
+    z0 = np.bincount(system.pool_of[:n_busy0], minlength=n_pools)  # initial busy count per group
     t_dep = skel_gap() if n_busy0 else _INF
 
     # idle set of the policy; the other two stay empty
@@ -455,51 +522,15 @@ def _simulate(
     deadline_heap.append((_INF, _INF))
     heapify(deadline_heap)
 
-    grid_t = np.linspace(0.0, horizon, grid_points)
-    xraq = np.zeros((4, grid_points), dtype=np.int64)  # X, R, A, Q; rows are the outputs
-    grid_z = np.zeros((grid_points, n_pools), dtype=np.int64)
-    # the recorder works only at an event past t_mark <= horizon, so the loop
-    # tests the horizon there: the next grid time (sparse), or the next tally
-    gi = g0 = 0  # grid points below gi are passed, those below g0 written (sparse)
-    if dense:
-        skel_log, ab_log, arr_log, disc_log = (array("d") for _ in range(4))
-        # X counts -1 per skeleton point, +1 per discard; +A - R come after the loop
-        logs = [(skel_log, None, xraq[0], -1), (disc_log, None, xraq[0], 1),
-                (ab_log, None, xraq[1], 1), (arr_log, None, xraq[2], 1)]
-        if multi:  # busy and idle transitions, keyed by group
-            up_t, up_g, down_t, down_g = array("d"), array("q"), array("d"), array("q")
-            logs += [(up_t, up_g, grid_z, 1), (down_t, down_g, grid_z, -1)]
-        # logs are tallied every ~_TALLY expected events
-        expected = (lam + sum_mu) * horizon
-        tally_step = horizon * _TALLY / expected
-        t_mark = min(tally_step, horizon)
-    else:
-        grid_list = grid_t.tolist() + [_INF]
-        t_mark = grid_list[0]
-        stage = []
-        width = 4 + len(z)
-
-    def record_to(t: float, x: int, r: int, a: int) -> float:
-        """The recorder's work at an event at ``t`` past ``t_mark``; the next ``t_mark``.
-
-        Dense: tally the logs. Sparse: stage the state before the event,
-        X = ``x``, R = ``r``, A = ``a`` and the busy counts, for the grid
-        times below ``t``, writing staged rows every ~_STAGE values.
-        """
-        nonlocal gi, g0
-        if dense:
-            _tally(grid_t, logs)
-            return min(t + tally_step, horizon)
-        gi = bisect_left(grid_list, t, gi)
-        stage.extend((gi, x, r, a, *z))
-        if len(stage) >= _STAGE:
-            g0 = _fill(xraq, grid_z, g0, stage, width)
-        return grid_list[gi]
+    discard_log, abandon_log, restart_log = rec.discards, rec.abandons, rec.points.restarts
+    if multi:  # each server's group's logs
+        busy_log = [rec.busy_logs[g] for g in pool_of]
+        idle_log = [rec.idle_logs[g] for g in pool_of]
 
     a_count = 0
     r_count = 0
     discards = 0
-    win_a = win_w = 0  # arrivals, and waited arrivals, at t >= t_warm
+    win_w = 0  # arrivals at t >= t_warm that waited; the recorder counts all of them
     x_init = x
     next_arr = arrival_gap() if lam > 0.0 else _INF
     hazard = abandon_draw() if perturbed else 0.0
@@ -517,17 +548,13 @@ def _simulate(
             t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
 
         # one branch per event kind, in the tie order departure, abandonment,
-        # arrival; each first lets the recorder pass the grid up to its time
+        # arrival; each first ends the run at an event past the horizon
         if (not abandon or t_dep <= t_ab) and t_dep <= next_arr:
-            if t_dep > t_mark:
-                if t_dep > horizon:
-                    break
-                t_mark = record_to(t_dep, x, r_count, a_count)
+            if t_dep > horizon:
+                break
             if perturbed and q > 0:
                 hazard -= nu * q * (t_dep - t_cur)
             t_cur = t_dep
-            if dense:
-                skel_log.append(t_cur)
             # skeleton point naming server k: if k is busy it departs and takes
             # the queue's head if anyone waits (X >= N after it); if idle, nothing moves
             k = pick()
@@ -552,11 +579,7 @@ def _simulate(
                 else:
                     busy[k] = 0
                     if multi:
-                        if dense:
-                            down_t.append(t_cur)
-                            down_g.append(pool_of[k])
-                        else:
-                            z[pool_of[k]] -= 1
+                        idle_log[k].append(t_cur)
                     if lisf:
                         lisf_q.append(k)
                     elif fsf:
@@ -565,18 +588,14 @@ def _simulate(
                         rand_list.append(k)
             else:
                 discards += 1
-                if dense:
-                    disc_log.append(t_cur)
+                discard_log.append(t_cur)
             t_dep = t_cur + skel_gap() if x else _INF
         elif abandon and t_ab <= next_arr:
             # abandonment; t_ab is finite here, so Q > 0
-            if t_ab > t_mark:
-                if t_ab > horizon:
-                    break
-                t_mark = record_to(t_ab, x, r_count, a_count)
+            if t_ab > horizon:
+                break
             t_cur = t_ab
-            if dense:
-                ab_log.append(t_cur)
+            abandon_log.append(t_cur)
             if perturbed:  # a fresh hazard replaces the one spent
                 hazard = abandon_draw()
                 if record:
@@ -594,19 +613,13 @@ def _simulate(
                 abandoned[cid] = 1
         else:
             # arrival
-            if next_arr > t_mark:
-                if next_arr > horizon:
-                    break
-                t_mark = record_to(next_arr, x, r_count, a_count)
+            if next_arr > horizon:
+                break
             if perturbed and q > 0:
                 hazard -= nu * q * (next_arr - t_cur)
             t_cur = next_arr
-            if dense:
-                arr_log.append(t_cur)
             a_count += 1
             x += 1
-            if t_cur >= t_warm:
-                win_a += 1
             if record:
                 arr_t.append(t_cur)
                 abandoned.append(0)
@@ -631,13 +644,11 @@ def _simulate(
                     assert busy_since[k] == oldest, "LISF selection rule broken"
                 busy[k] = 1
                 if multi:
-                    if dense:
-                        up_t.append(t_cur)
-                        up_g.append(pool_of[k])
-                    else:
-                        z[pool_of[k]] += 1
+                    busy_log[k].append(t_cur)
                 busy_since[k] = t_cur
                 if x == 1:  # the first busy server restarts the skeleton
+                    # at its next gap, whose index is departures + discards
+                    restart_log.append((x_init + a_count - r_count - 1 + discards, t_cur))
                     t_dep = t_cur + skel_gap()
             else:
                 if t_cur >= t_warm:
@@ -665,25 +676,9 @@ def _simulate(
             if per_customer:  # the earliest deadline of a customer still waiting
                 assert t_ab == min(d for d, c in deadline_heap if c > served_upto), "stale t_ab"
 
-    if dense:  # cumulate the counts: X = x0 + A - (S - discards) - R
-        _tally(grid_t, logs)
-        np.cumsum(xraq[:3], axis=1, out=xraq[:3])
-        xraq[0] += xraq[2]  # in place, so no temporary row
-        xraq[0] -= xraq[1]
-        xraq[0] += x_init
-        if multi:
-            np.cumsum(grid_z, axis=0, out=grid_z)
-            grid_z += z  # still the initial counts: the loop logged the changes
-    else:  # fill the remaining grid with the terminal state
-        if stage:
-            _fill(xraq, grid_z, g0, stage, width)
-        xraq[:3, gi:] = [[x], [r_count], [a_count]]
-        if multi:
-            grid_z[gi:] = z
-    np.subtract(xraq[0], n, out=xraq[3])  # Q = (X - N)^+ in place, whichever recorder ran
-    np.maximum(xraq[3], 0, out=xraq[3])
-    if not multi:  # work conservation: one group's busy count is min(X, N)
-        np.minimum(xraq[0], n, out=grid_z[:, 0])
+    del arrival_gap, skel_gap  # their listed blocks, before the last tally
+    # the skeleton's points are its departures and discards
+    xraq, grid_z = rec.finish(x_init, n, z0, a_count, x_init + a_count - r_count - x + discards)
     for k in range(n):
         if busy[k]:
             t_busy[k] += end_time - busy_since[k]
@@ -701,7 +696,7 @@ def _simulate(
         end_time=end_time,
         rep=rep,
         abandon_mode=mode,
-        grid_t=grid_t,
+        grid_t=rec.grid_t,
         grid_X=xraq[0],
         grid_Q=xraq[3],
         grid_Z=grid_z,
@@ -709,7 +704,7 @@ def _simulate(
         grid_A=xraq[2],
         warmup=warmup,
         arrivals_total=a_count,
-        window_arrivals=win_a,
+        window_arrivals=a_count - rec.early,
         window_waited=win_w,
         arrival_t=customers[0],
         waits=customers[1],
@@ -763,7 +758,7 @@ def _loop_source() -> Optional[str]:
 def _loop(shape: _Shape) -> Callable[..., PathRecord]:
     """``_simulate`` with ``shape``'s flags as constants, compiled on the shape's first use.
 
-    It runs in this module's globals, so a patched ``_fill`` reaches it.
+    It runs in this module's globals, so a patched ``_tally`` reaches it.
     ``_simulate`` itself if the source cannot be read.
     """
     source = _loop_source()
@@ -794,17 +789,18 @@ def steady_estimates(path: PathRecord) -> SteadyEstimates:
     averages over the same window.
     """
     t0 = path.warmup * path.end_time
-    mask = (path.grid_t >= t0) & (path.grid_t <= path.end_time)
-    if not mask.any():
+    # the grid is sorted, so the window is one slice
+    lo = int(path.grid_t.searchsorted(t0))
+    hi = int(path.grid_t.searchsorted(path.end_time, side="right"))
+    if lo >= hi:
         raise DomainError(f"no samples in ({t0}, {path.end_time}]")
-    tw = path.grid_t[mask]
     n_arr = path.window_arrivals
     p_wait = path.window_waited / n_arr if n_arr else 0.0
-    mean_q = float(path.grid_Q[mask].mean())
-    r_window = path.grid_R[mask]
-    span = float(tw[-1] - tw[0])
-    ab_rate = float(r_window[-1] - r_window[0]) / span if span > 0.0 else 0.0
-    scaled_q = path.grid_Q[mask] / math.sqrt(path.config.r)
+    q_window = path.grid_Q[lo:hi]
+    mean_q = float(q_window.mean())
+    span = float(path.grid_t[hi - 1] - path.grid_t[lo])
+    ab_rate = float(path.grid_R[hi - 1] - path.grid_R[lo]) / span if span > 0.0 else 0.0
+    scaled_q = q_window / math.sqrt(path.config.r)
     return SteadyEstimates(
         p_wait=p_wait,
         mean_Q=mean_q,

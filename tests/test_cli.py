@@ -542,6 +542,17 @@ class TestExitCodes:
         assert rc == 2
         assert "bins must" in capsys.readouterr().err
 
+    def test_simulate_abandon_rate_without_mode_exits_2(self, tmp_path, capsys):
+        # ran with "abandonments": 0, since mode none reads no abandonment rate
+        rc = main([
+            "simulate", "--out", str(tmp_path / "o"), "--set", "lambda_r=20",
+            "--set", "horizon=5", "--set", "abandon_rate=5",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "abandon_rate" in err and "abandon_mode" in err
+        assert not (tmp_path / "o" / "summary.json").exists()
+
     @pytest.mark.parametrize(
         "args,keys",
         [
@@ -1141,14 +1152,6 @@ class TestCommandPins:
     @pytest.mark.parametrize("job", sorted(_COMMAND_JOBS))
     def test_artifact_bytes(self, tmp_path, job):
         assert _artifact_shas(job, tmp_path) == _COMMAND_PINS[job]
-
-    @pytest.mark.parametrize(
-        "job", sorted(j for j, (cmd, *_) in _COMMAND_JOBS.items()
-                      if cmd in ("simulate", "ssc", "fairness"))
-    )
-    def test_artifact_bytes_with_each_recorder(self, tmp_path, job, recorders):
-        for recorder in recorders():
-            assert _artifact_shas(job, tmp_path / recorder) == _COMMAND_PINS[job], recorder
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Event-engine behavior: invariants, oracles, coupling, replication."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import linecache
@@ -148,12 +149,16 @@ class TestWindowCounters:
     # the window counters give the per-customer record's statistics bit for
     # bit, over [warmup * end_time, end_time] also when the run overflows
     @pytest.mark.parametrize("mode", list(AbandonMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("variant", ["plain", "x0_above_n", "scv_zero", "overflow"])
+    @pytest.mark.parametrize(
+        "variant", ["plain", "x0_above_n", "scv_zero", "overflow", "arrival_at_warmup"]
+    )
     def test_counters_match_record(self, mode, variant):
         nu = 0.0 if mode is AbandonMode.NONE else 0.8
+        # arrivals every 1/16 put one exactly at the window's start, 90
+        lam = {"overflow": 60.0, "arrival_at_warmup": 16.0}.get(variant, 19.0)
         cfg = SystemConfig(
-            r=20.0, lambda_r=60.0 if variant == "overflow" else 19.0, seed=17, staffing=20,
-            abandon_rate=nu, arrival_scv=0.0 if variant == "scv_zero" else 1.0,
+            r=20.0, lambda_r=lam, seed=17, staffing=20, abandon_rate=nu,
+            arrival_scv=0.0 if variant in ("scv_zero", "arrival_at_warmup") else 1.0,
             rates=RateDistribution.uniform(0.5, 1.5),
         )
         s = RealizedSystem.from_config(cfg)
@@ -175,6 +180,8 @@ class TestWindowCounters:
         # oracle: the record over the window, which starts at 90 unless the run overflowed
         window = recorded.arrival_t >= 0.3 * recorded.end_time
         assert a.n_arrivals == int(window.sum())
+        if variant == "arrival_at_warmup":
+            assert 0.3 * recorded.end_time in recorded.arrival_t
         assert a.p_wait == float(recorded.waited[window].mean())
 
     @pytest.mark.parametrize("warmup", [math.nan, math.inf, -0.1, 1.0])
@@ -187,13 +194,16 @@ class TestWindowCounters:
 def _grid_case(name):
     """(config, system, run kwargs) of one reference-grid case."""
     nu = 0.0 if name in ("dense", "sparse", "flushes", "sparse_flushes", "overflow",
-                         "no_arrivals", "on_grid") else 0.7
-    lam = {"overflow": 60.0, "no_arrivals": 0.0, "on_grid": 16.0}.get(name, 19.0)
+                         "no_arrivals", "on_grid", "restarts") else 0.7
+    lam = {"overflow": 60.0, "overflow_pools": 60.0, "no_arrivals": 0.0, "on_grid": 16.0,
+           "restarts": 0.4}.get(name, 19.0)
+    scv = {"on_grid": 0.0, "scv_zero": 0.0, "scv_half": 0.5}.get(name, 1.0)
+    pools = ((0.5, 0.8), (0.5, 1.3)) if name in ("pools_blocks", "overflow_pools") else None
+    n = 3 if name == "restarts" else 20
     cfg = SystemConfig(
-        r=20.0, lambda_r=lam, seed=31, staffing=20, abandon_rate=nu,
-        arrival_scv=0.0 if name == "on_grid" else 1.0,
-        policy=Policy.RANDOM if name.startswith("mode_") else Policy.LISF,
-        rates=RateDistribution.uniform(0.5, 1.5),
+        r=float(n), lambda_r=lam, seed=31, staffing=n, abandon_rate=nu, arrival_scv=scv,
+        policy=Policy.RANDOM if name.startswith("mode_") or name == "scv_zero" else Policy.LISF,
+        pools=pools, rates=None if pools else RateDistribution.uniform(0.5, 1.5),
     )
     s = RealizedSystem.from_config(cfg)
     kwargs = dict(horizon=40.0, grid_points=500)
@@ -201,12 +211,15 @@ def _grid_case(name):
         kwargs.update(horizon=2.0, grid_points=5000)
     elif name == "sparse":  # about 150 events per grid point
         kwargs.update(horizon=200.0, grid_points=50)
-    elif name == "flushes":  # about 1.5 events per grid point: the dense recorder
-        kwargs.update(horizon=300.0, grid_points=8000)
-    elif name == "sparse_flushes":  # about 7.8 events per grid point: the sparse one
+    elif name == "flushes":  # about 1.5 events per grid point, over several tallies
+        kwargs.update(horizon=1500.0, grid_points=40_000)
+    elif name == "sparse_flushes":  # about 7.8 events per grid point, over several tallies
         kwargs.update(horizon=1000.0, grid_points=5000)
     elif name == "overflow":
         kwargs.update(queue_cap=15, horizon=100.0, grid_points=2000)
+    elif name == "overflow_pools":  # the replay of a run that starts empty
+        kwargs.update(x0=0, queue_cap=40, horizon=100.0, grid_points=2000,
+                      mode=AbandonMode.PERTURBED)
     elif name == "on_grid":  # arrivals every 1/16 land exactly on grid times k/16
         kwargs.update(grid_points=641)
     elif name == "x0_above_n":
@@ -214,6 +227,14 @@ def _grid_case(name):
     elif name == "per_server":
         s = s.grouped(np.arange(s.n_servers))
         kwargs.update(mode=AbandonMode.PERTURBED, grid_points=2000)
+    elif name == "restarts":  # thousands of busy periods, which cross skeleton blocks
+        kwargs.update(x0=0, horizon=60_000.0, grid_points=3000)
+    elif name == "scv_zero":
+        kwargs.update(mode=AbandonMode.PERTURBED)
+    elif name == "scv_half":
+        kwargs.update(mode=AbandonMode.PER_CUSTOMER)
+    elif name == "pools_blocks":  # busy and idle logs over several tallies
+        kwargs.update(x0=0, horizon=1000.0, grid_points=3000, mode=AbandonMode.PER_CUSTOMER)
     elif name.startswith("mode_"):
         kwargs.update(mode=AbandonMode(name[5:]))
     return cfg, s, kwargs
@@ -222,59 +243,39 @@ def _grid_case(name):
 _GRID_CASES = [
     "dense", "sparse", "flushes", "sparse_flushes", "overflow", "no_arrivals", "on_grid",
     "x0_above_n", "per_server", "mode_none", "mode_per_customer", "mode_perturbed",
+    "overflow_pools", "restarts", "scv_zero", "scv_half", "pools_blocks",
 ]
-
-
-def _count_flushes(monkeypatch):
-    """Count the calls of each recorder's flush: ``_fill`` (sparse), ``_tally`` (dense)."""
-    calls = {"_fill": 0, "_tally": 0}
-    for name in calls:
-        flush = getattr(hetq.sim, name)
-
-        def counted(*args, name=name, flush=flush):
-            calls[name] += 1
-            return flush(*args)
-
-        monkeypatch.setattr(hetq.sim, name, counted)
-    return calls
+# cases whose arrival and skeleton streams run past several full draw blocks
+_BLOCK_CASES = ("flushes", "sparse_flushes", "restarts", "pools_blocks")
 
 
 class TestGridReference:
-    # both recorders, staged rows and tallied event logs, give the grid of one
-    # slice write per crossing
+    # the recorder, which takes arrival and skeleton times from the draw
+    # blocks, gives the grid of one slice write per crossing
     @pytest.mark.parametrize("name", _GRID_CASES)
-    def test_grid_matches_slice_fill(self, name, monkeypatch, recorders):
+    def test_grid_matches_slice_fill(self, name, monkeypatch):
         cfg, s, kwargs = _grid_case(name)
         ref = reference_grid(cfg, s, **kwargs)
-        calls = _count_flushes(monkeypatch)
-        for recorder in recorders():
-            calls.update(_fill=0, _tally=0)
-            path = run(cfg, s, **kwargs)
-            assert path.overflowed == (name == "overflow"), recorder
-            assert np.array_equal(path.grid_X, ref[:, 0]), recorder
-            assert np.array_equal(path.grid_Q, ref[:, 1]), recorder
-            assert np.array_equal(path.grid_R, ref[:, 2]), recorder
-            assert np.array_equal(path.grid_A, ref[:, 3]), recorder
-            assert np.array_equal(path.grid_Z, ref[:, 4:]), recorder
-            if name.endswith("flushes"):  # several flushes, so their joins are tested
-                assert calls["_fill" if recorder == "sparse" else "_tally"] >= 5, recorder
+        tallies = []
+        tally = hetq.sim._Recorder.tally
+        monkeypatch.setattr(hetq.sim._Recorder, "tally",
+                            lambda rec, *counts: tallies.append(counts) or tally(rec, *counts))
+        path = run(cfg, s, **kwargs)
+        assert path.overflowed == name.startswith("overflow")
+        assert np.array_equal(path.grid_X, ref[:, 0])
+        assert np.array_equal(path.grid_Q, ref[:, 1])
+        assert np.array_equal(path.grid_R, ref[:, 2])
+        assert np.array_equal(path.grid_A, ref[:, 3])
+        assert np.array_equal(path.grid_Z, ref[:, 4:])
+        if name in _BLOCK_CASES:  # blocks tallied before the end, so their joins are tested
+            assert len(tallies) >= 4
         if name == "no_arrivals":
             assert path.arrivals_total == 0 and ref[-1, 0] == 0
-
-    @pytest.mark.parametrize(
-        "name,recorder",
-        [("dense", "_tally"), ("flushes", "_tally"), ("sparse", "_fill"),
-         ("sparse_flushes", "_fill")],
-    )
-    def test_density_rule_picks_the_recorder(self, name, recorder, monkeypatch):
-        # fewer than _DENSE expected events per grid point log event times
-        cfg, s, kwargs = _grid_case(name)
-        calls = _count_flushes(monkeypatch)
-        run(cfg, s, **kwargs)
-        assert calls[recorder] >= 1 and sum(calls.values()) == calls[recorder]
+        if name == "restarts":
+            assert path.arrivals_total > 20_000 and ref[:, 0].min() == 0
 
 
-def _shape_case(policy, mode, dense, multi, record, validate):
+def _shape_case(policy, mode, multi, record, validate):
     """The arguments of a small seeded run of one shape, and the shape."""
     nu = 0.0 if mode is AbandonMode.NONE else 0.8
     pools = ((0.5, 0.8), (0.5, 1.3)) if multi else None
@@ -284,12 +285,12 @@ def _shape_case(policy, mode, dense, multi, record, validate):
     s = RealizedSystem.from_config(cfg, rep=1)
     # x0 = 16 > N: four seed customers wait from time 0
     args = (cfg, s, 40.0, mode, 16, 400, 1_000_000, 1, 0.2)
-    shape = hetq.sim._shape(cfg, s, 40.0, mode, 400, record, validate)._replace(dense=dense)
+    shape = hetq.sim._shape(cfg, s, mode, record, validate)
     assert shape.multi == multi
     return args, shape
 
 
-_SHAPES = list(itertools.product(Policy, AbandonMode, *[(False, True)] * 4))
+_SHAPES = list(itertools.product(Policy, AbandonMode, *[(False, True)] * 3))
 
 
 def _assert_same_path(got, want):
@@ -328,7 +329,7 @@ class TestCompiledLoop:
     # constants; _simulate itself is the reference
     @pytest.mark.parametrize("policy,mode", itertools.product(Policy, AbandonMode), ids=str)
     def test_every_shape_equals_the_reference(self, policy, mode):
-        for flags in itertools.product((False, True), repeat=4):
+        for flags in itertools.product((False, True), repeat=3):
             args, shape = _shape_case(policy, mode, *flags)
             loop = hetq.sim._loop(shape)
             assert loop is not hetq.sim._simulate
@@ -347,13 +348,13 @@ class TestCompiledLoop:
             assert len(code.co_code) < len(ref.co_code), shape  # the ruled-out branches are gone
 
     def test_compiled_loop_runs_in_the_module_globals(self):
-        # so a patched _fill, _tally or _DENSE reaches it (TestGridReference patches them)
+        # so a patched _tally reaches it
         shape = _shape_case(*_SHAPES[0])[1]
         assert hetq.sim._loop(shape).__globals__ is vars(hetq.sim)
 
     def test_the_source_read_compiles_to_simulate_itself(self, fresh_loops):
         # also once _simulate has run, and CPython has specialized its code in place
-        args, shape = _shape_case(Policy.LISF, AbandonMode.PERTURBED, True, True, True, True)
+        args, shape = _shape_case(Policy.LISF, AbandonMode.PERTURBED, True, True, True)
         hetq.sim._simulate(*args, 8.0, shape)
         source = hetq.sim._loop_source()
         assert source is not None and hetq.sim._UNPACK in source
@@ -375,7 +376,7 @@ class TestCompiledLoop:
                     "lengthened": real[:first] + ["\n"] + real[first:], "changed": changed}[edit]
 
         monkeypatch.setattr(linecache, "getlines", lines)
-        args, shape = _shape_case(Policy.FSF, AbandonMode.PER_CUSTOMER, False, True, True, True)
+        args, shape = _shape_case(Policy.FSF, AbandonMode.PER_CUSTOMER, True, True, True)
         assert hetq.sim._loop(shape) is hetq.sim._simulate
         cfg, s, horizon, mode, x0, grid_points = args[:6]
         path = run(cfg, s, horizon, mode, x0, grid_points, rep=1, validate=True,
@@ -857,6 +858,27 @@ class TestMemory:
         assert max(peaks) <= 1.3 * grid_bytes
         assert peaks[1] <= 1.05 * peaks[0]
 
+    @pytest.mark.parametrize("pools,mode", [
+        (None, AbandonMode.NONE),
+        (((0.5, 1.0), (0.5, 2.0)), AbandonMode.PERTURBED),
+        (None, AbandonMode.PER_CUSTOMER),
+    ], ids=["one_group", "pools", "per_customer"])
+    def test_run_leaves_no_reference_cycle(self, pools, mode):
+        # a finished run's buffers go with its path, not at the next
+        # collection: a cycle through the recorder held a replications
+        # pass's runs until then, and raised its peak RSS by about 11 MiB
+        cfg = SystemConfig(r=20.0, lambda_r=19.0, seed=3, staffing=20, abandon_rate=0.5,
+                           pools=pools, rates=None if pools else RateDistribution.uniform(0.5, 1.5))
+        s = RealizedSystem.from_config(cfg)
+        run(cfg, s, 500.0, mode=mode)  # compiles the shape first
+        gc.collect()
+        gc.disable()
+        try:
+            run(cfg, s, 500.0, mode=mode, record_customers=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_default_run_peak_bounded(self):
         # the default 10k-point grid holds busy counts per group, not a
         # (grid, N) matrix of per-server flags (20 MB at N=2000)
@@ -1082,15 +1104,13 @@ def _coupled_digest(n):
 
 class TestStreamPinning:
     @pytest.mark.parametrize("policy,mode", sorted(_RUN_PINS), ids=lambda v: v)
-    def test_run_policy_mode(self, policy, mode, recorders):
-        for recorder in recorders():
-            path = _pinned_path(Policy[policy], AbandonMode(mode))
-            assert _path_digest(path) == _RUN_PINS[(policy, mode)], recorder
+    def test_run_policy_mode(self, policy, mode):
+        path = _pinned_path(Policy[policy], AbandonMode(mode))
+        assert _path_digest(path) == _RUN_PINS[(policy, mode)]
 
     @pytest.mark.parametrize("name", sorted(_VARIANT_PINS))
-    def test_run_variant(self, name, recorders):
-        for recorder in recorders():
-            assert _path_digest(_variant_path(name)) == _VARIANT_PINS[name], recorder
+    def test_run_variant(self, name):
+        assert _path_digest(_variant_path(name)) == _VARIANT_PINS[name]
 
     @pytest.mark.parametrize("n", sorted(_COUPLED_PINS))
     def test_coupled_run(self, n):
