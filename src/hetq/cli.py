@@ -306,7 +306,8 @@ def _cmd_fairness(values: dict) -> Dict[str, bytes]:
     # servers grouped by rate bin: the busy counts per group give the idle
     # counts per bin that the sup discrepancy needs
     by_bin = system.grouped(ssc_mod.rate_bin(system.mu, edges), edges.size - 1)
-    path = run(config, by_bin, float(values["horizon"]), grid_points=int(values["grid_points"]))
+    path = run(config, by_bin, float(values["horizon"]), grid_points=int(values["grid_points"]),
+               record_servers=True)
     fe = ssc_mod.fairness_estimate(path, edges)
     info = {
         "policy": config.policy.value,

@@ -247,6 +247,12 @@ def _alias_table(weights: List[float]) -> Tuple[np.ndarray, np.ndarray]:
     return np.array(cut), np.array(alias, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=4)  # ssc runs one system 30 times, then the next
+def _alias_cache(weights: bytes) -> Tuple[np.ndarray, np.ndarray]:
+    """``_alias_table`` of float64 ``weights`` bytes, built once for every run of them."""
+    return _alias_table(np.frombuffer(weights).tolist())
+
+
 def _alias_pick(weights: List[float]) -> _Transform:
     """Block transform of uniforms into the indices ``_alias_table`` picks.
 
@@ -254,7 +260,7 @@ def _alias_pick(weights: List[float]) -> _Transform:
     i if u - i < cut[i] else alias[i]: the product and the difference are
     the same IEEE operations, and U < 1 truncates like ``int``.
     """
-    cut, alias = _alias_table(weights)
+    cut, alias = _alias_cache(np.asarray(weights, dtype=float).tobytes())
     n = len(weights)
 
     def pick(block: np.ndarray) -> np.ndarray:
@@ -309,9 +315,9 @@ class PathRecord:
     [warmup * end_time, end_time], and ``window_waited`` those of them who
     found every server busy; ``end_time`` is the horizon unless the run
     overflowed. The per-customer arrays are None unless the run recorded
-    customers. ``config`` and ``system`` are the ones the run was given.
-    ``discarded_points`` counts the departure skeleton's points that named
-    an idle server.
+    customers, the per-server ones unless it recorded servers. ``config``
+    and ``system`` are the ones the run was given. ``discarded_points``
+    counts the departure skeleton's points that named an idle server.
     """
 
     config: SystemConfig
@@ -335,14 +341,11 @@ class PathRecord:
     waited: Optional[np.ndarray]
     abandoned: Optional[np.ndarray]
     abandon_total: int
-    departures: np.ndarray
-    busy_time: np.ndarray
+    departures_total: int  # x0 + arrivals - abandonments - final X
+    departures: Optional[np.ndarray]  # per server
+    busy_time: Optional[np.ndarray]  # per server
     overflowed: bool
     discarded_points: int
-
-    @property
-    def departures_total(self) -> int:
-        return int(self.departures.sum())
 
 
 def run(
@@ -357,6 +360,7 @@ def run(
     validate: bool = False,
     warmup: float = 0.2,
     record_customers: bool = False,
+    record_servers: bool = False,
 ) -> PathRecord:
     """Simulate one path on [0, horizon].
 
@@ -385,8 +389,10 @@ def run(
     ``steady_estimates``. A run that overflows ends before the horizon, so
     its window is not known while counting: it is replayed once, counting
     from warmup * end_time, and since the streams are deterministic the
-    replay is the same run. The per-customer record is kept only with
-    ``record_customers``; it is an output, not an input to any estimate.
+    replay is the same run. The per-customer record, an output no estimate
+    reads, is kept only with ``record_customers``; each server's departures
+    and busy time, which ``fairness_estimate`` reads, only with
+    ``record_servers`` or ``validate``.
 
     Arrivals form a renewal stream with inter-arrival d + m_e*E, E unit
     exponential: SCV 1 is exponential, SCV in [0, 1) takes
@@ -402,7 +408,7 @@ def run(
         if x0 > n + queue_cap:
             raise ConfigError(f"x0 must be in [0, N + queue_cap] = [0, {n + queue_cap}], got {x0}")
     _check_events(config.lambda_r, system.sum_mu, horizon)
-    shape = _shape(config, system, mode, record_customers, validate)
+    shape = _shape(config, system, mode, record_customers, record_servers, validate)
     loop = _loop(shape)
     args = (config, system, horizon, mode, x0, grid_points, queue_cap, rep, warmup)
     path = loop(*args, warmup * horizon, shape)
@@ -426,10 +432,11 @@ class _Shape(NamedTuple):
     track: bool  # keep the ids of waiting customers: record or per_customer
     multi: bool  # several server groups; one group's busy count is min(X, N)
     record: bool
+    per_server: bool  # each server's departures and busy time; validate reads them
     validate: bool
 
 
-def _shape(config, system, mode, record, validate) -> _Shape:
+def _shape(config, system, mode, record, per_server, validate) -> _Shape:
     """The shape of ``run``'s loop with these arguments."""
     per_customer = mode is AbandonMode.PER_CUSTOMER
     return _Shape(
@@ -441,6 +448,7 @@ def _shape(config, system, mode, record, validate) -> _Shape:
         track=bool(record) or per_customer,
         multi=system.n_pools > 1,
         record=bool(record),
+        per_server=bool(per_server or validate),
         validate=bool(validate),
     )
 
@@ -456,14 +464,11 @@ def _simulate(
     function is the reference that copy is tested against, and what runs
     when the source cannot be read.
     """
-    lisf, fsf, abandon, per_customer, perturbed, track, multi, record, validate = shape
-    n = system.n_servers
+    lisf, fsf, abandon, per_customer, perturbed, track, multi, record, per_server, validate = shape
+    n, n_pools = system.n_servers, system.n_pools
     mu = system.mu.tolist()
     pool_of = system.pool_of.tolist()
-    n_pools = system.n_pools
-    lam = config.lambda_r
-    nu = config.abandon_rate
-    seed = config.seed
+    lam, nu, seed = config.lambda_r, config.abandon_rate, config.seed
 
     # departure skeleton of rate sum mu, off while no server is busy; fsum is
     # exactly rounded, so the rate does not depend on a summation order
@@ -477,7 +482,7 @@ def _simulate(
                          functools.partial(rec.read, rec.arrivals))
     skel_gap = _draws(seed, rep, Stream.SKELETON, std_exp, _over(sum_mu),
                       functools.partial(rec.read, rec.points))
-    pick = _draws(seed, rep, Stream.SERVICE, "random", _alias_pick(mu))
+    pick = _draws(seed, rep, Stream.SERVICE, "random", _alias_pick(system.mu))
     abandon_draw = _draws(
         seed, rep, Stream.ABANDON, std_exp, _over(nu) if per_customer else None
     )
@@ -488,9 +493,8 @@ def _simulate(
     n_busy0 = min(x, n)
     busy = bytearray(n)  # 1 = busy
     busy[:n_busy0] = b"\x01" * n_busy0
-    busy_since = [0.0] * n
-    t_busy = [0.0] * n
-    d_count = [0] * n
+    if per_server:  # while idle, busy_since is the time the server went idle
+        busy_since, t_busy, d_count = [0.0] * n, [0.0] * n, [0] * n
     z0 = np.bincount(system.pool_of[:n_busy0], minlength=n_pools)  # initial busy count per group
     t_dep = skel_gap() if n_busy0 else _INF
 
@@ -560,9 +564,10 @@ def _simulate(
             k = pick()
             if busy[k]:
                 x -= 1
-                d_count[k] += 1
-                t_busy[k] += t_cur - busy_since[k]
-                busy_since[k] = t_cur  # while idle: the time it went idle
+                if per_server:
+                    d_count[k] += 1
+                    t_busy[k] += t_cur - busy_since[k]
+                    busy_since[k] = t_cur
                 if x >= n:
                     if track:
                         cid = queue.popleft()
@@ -645,7 +650,8 @@ def _simulate(
                 busy[k] = 1
                 if multi:
                     busy_log[k].append(t_cur)
-                busy_since[k] = t_cur
+                if per_server:
+                    busy_since[k] = t_cur
                 if x == 1:  # the first busy server restarts the skeleton
                     # at its next gap, whose index is departures + discards
                     restart_log.append((x_init + a_count - r_count - 1 + discards, t_cur))
@@ -677,11 +683,11 @@ def _simulate(
                 assert t_ab == min(d for d, c in deadline_heap if c > served_upto), "stale t_ab"
 
     del arrival_gap, skel_gap  # their listed blocks, before the last tally
+    d_total = x_init + a_count - r_count - x  # by flow conservation
     # the skeleton's points are its departures and discards
-    xraq, grid_z = rec.finish(x_init, n, z0, a_count, x_init + a_count - r_count - x + discards)
-    for k in range(n):
-        if busy[k]:
-            t_busy[k] += end_time - busy_since[k]
+    xraq, grid_z = rec.finish(x_init, n, z0, a_count, d_total + discards)
+    if per_server:  # the busy periods still open end at end_time
+        t_busy = [t + (end_time - s) if b else t for t, s, b in zip(t_busy, busy_since, busy)]
     customers = [None] * 4
     if record:
         customers = [
@@ -711,8 +717,9 @@ def _simulate(
         waited=customers[2],
         abandoned=customers[3],
         abandon_total=r_count,
-        departures=np.asarray(d_count, dtype=np.int64),
-        busy_time=np.asarray(t_busy, dtype=float),
+        departures_total=d_total,
+        departures=np.asarray(d_count, dtype=np.int64) if per_server else None,
+        busy_time=np.asarray(t_busy, dtype=float) if per_server else None,
         overflowed=overflowed,
         discarded_points=discards,
     )

@@ -300,6 +300,8 @@ def fairness_estimate(path: PathRecord, bins: np.ndarray) -> FairnessEstimate:
     edges = np.asarray(bins, dtype=float)
     if edges.size < 2 or np.any(np.diff(edges) <= 0.0):
         raise ConfigError("bins must be strictly increasing edges")
+    if path.busy_time is None:
+        raise ConfigError("fairness_estimate needs a path run with record_servers=True")
     idle_time = path.end_time - path.busy_time
     total_idle = float(idle_time.sum())
     if total_idle <= 0.0:

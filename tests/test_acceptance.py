@@ -213,7 +213,7 @@ def test_criterion_8_fairness():
     dist = RateDistribution.uniform(0.5, 1.5)
     cfg = SystemConfig(r=400.0, lambda_r=380.0, seed=1, staffing=400, policy=Policy.LISF, rates=dist)
     s = RealizedSystem.realize(cfg, dist, rng_stream(1, 0, Stream.RATES))
-    path = run(cfg, s, horizon=1500.0)
+    path = run(cfg, s, horizon=1500.0, record_servers=True)
     fe = fairness_estimate(path, default_bins(dist, 10))
     lisf_sup = float(np.abs(fe.eta_hat - fe.eta_theory).max())
 
@@ -221,7 +221,7 @@ def test_criterion_8_fairness():
     dd = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
     cfg2 = SystemConfig(r=400.0, lambda_r=530.0, seed=1, staffing=400, policy=Policy.FSF, rates=dd)
     s2 = RealizedSystem.realize(cfg2, dd, rng_stream(1, 0, Stream.RATES))
-    path2 = run(cfg2, s2, horizon=1000.0)
+    path2 = run(cfg2, s2, horizon=1000.0, record_servers=True)
     fe2 = fairness_estimate(path2, default_bins(dd))
     slow_mass = float(fe2.eta_hat[0])
     detail = f"LISF sup {lisf_sup:.4f} (<=0.03), FSF slow mass {slow_mass:.4f} (>=0.95)"

@@ -261,7 +261,9 @@ class TestRateLaw:
         assert systems[0].pool_of.tolist() == systems[1].pool_of.tolist()
         edges = default_bins(self._POOLS_LAW)
         etas = [
-            fairness_estimate(run(cfg, s.grouped(rate_bin(s.mu, edges), 2), 20.0, grid_points=50), edges)
+            fairness_estimate(
+                run(cfg, s.grouped(rate_bin(s.mu, edges), 2), 20.0, grid_points=50, record_servers=True), edges
+            )
             for cfg, s in zip((pooled, both), systems)
         ]
         assert etas[0].eta_theory.tobytes() == etas[1].eta_theory.tobytes()

@@ -101,7 +101,7 @@ class TestRunBasics:
 
     def test_busy_time_bounded_by_horizon(self):
         cfg, s = homogeneous(7, 6.0, seed=2)
-        path = run(cfg, s, horizon=100.0)
+        path = run(cfg, s, horizon=100.0, record_servers=True)
         assert np.all(path.busy_time <= 100.0 + 1e-9)
         assert np.all(path.busy_time >= 0.0)
 
@@ -143,6 +143,30 @@ class TestRunBasics:
         path = run(cfg, s, horizon=100.0, x0=0, validate=True, record_customers=True)
         gaps = np.diff(path.arrival_t)
         np.testing.assert_allclose(gaps, 0.5, rtol=1e-12)
+
+
+class TestServerRecord:
+    # each server's departures and busy time are kept only when asked for;
+    # the departure total comes from flow conservation either way
+    def test_default_run_keeps_no_per_server_record(self):
+        cfg, s = homogeneous(7, 6.0, seed=2)
+        path = run(cfg, s, horizon=100.0)
+        assert path.departures is None and path.busy_time is None
+        assert path.departures_total == 7 + path.arrivals_total - int(path.grid_X[-1])
+
+    @pytest.mark.parametrize("case", ["overflow_replay", "drained", "x0_above_n"])
+    def test_departures_total_equals_the_record_sum(self, case):
+        lam = {"overflow_replay": 60.0, "drained": 0.0}.get(case, 19.0)
+        cfg, s = homogeneous(20, lam, seed=12)
+        kwargs = dict(horizon=300.0, grid_points=300, x0=35 if case == "x0_above_n" else 20,
+                      queue_cap=25 if case == "overflow_replay" else 1_000_000)
+        bare = run(cfg, s, **kwargs)
+        kept = run(cfg, s, record_servers=True, **kwargs)
+        assert bare.overflowed == kept.overflowed == (case == "overflow_replay")
+        assert bare.departures_total == kept.departures_total == int(kept.departures.sum())
+        assert kept.departures_total == kwargs["x0"] + kept.arrivals_total - int(kept.grid_X[-1])
+        if case == "drained":
+            assert kept.departures_total == 20 and kept.grid_X[-1] == 0
 
 
 class TestWindowCounters:
@@ -275,7 +299,7 @@ class TestGridReference:
             assert path.arrivals_total > 20_000 and ref[:, 0].min() == 0
 
 
-def _shape_case(policy, mode, multi, record, validate):
+def _shape_case(policy, mode, multi, record, validate, per_server=False):
     """The arguments of a small seeded run of one shape, and the shape."""
     nu = 0.0 if mode is AbandonMode.NONE else 0.8
     pools = ((0.5, 0.8), (0.5, 1.3)) if multi else None
@@ -285,12 +309,13 @@ def _shape_case(policy, mode, multi, record, validate):
     s = RealizedSystem.from_config(cfg, rep=1)
     # x0 = 16 > N: four seed customers wait from time 0
     args = (cfg, s, 40.0, mode, 16, 400, 1_000_000, 1, 0.2)
-    shape = hetq.sim._shape(cfg, s, mode, record, validate)
-    assert shape.multi == multi
+    shape = hetq.sim._shape(cfg, s, mode, record, per_server, validate)
+    assert shape.multi == multi and shape.per_server == (per_server or validate)
     return args, shape
 
 
-_SHAPES = list(itertools.product(Policy, AbandonMode, *[(False, True)] * 3))
+_SHAPES = list(itertools.product(Policy, AbandonMode, *[(False, True)] * 4))
+_PER_SERVER = ("departures", "busy_time")
 
 
 def _assert_same_path(got, want):
@@ -329,11 +354,22 @@ class TestCompiledLoop:
     # constants; _simulate itself is the reference
     @pytest.mark.parametrize("policy,mode", itertools.product(Policy, AbandonMode), ids=str)
     def test_every_shape_equals_the_reference(self, policy, mode):
-        for flags in itertools.product((False, True), repeat=3):
+        # with and without the per-server record, which validate turns on
+        for flags in itertools.product((False, True), repeat=4):
             args, shape = _shape_case(policy, mode, *flags)
             loop = hetq.sim._loop(shape)
             assert loop is not hetq.sim._simulate
             _assert_same_path(loop(*args, 8.0, shape), hetq.sim._simulate(*args, 8.0, shape))
+
+    @pytest.mark.parametrize("policy,mode", itertools.product(Policy, AbandonMode), ids=str)
+    def test_per_server_record_changes_no_other_field(self, policy, mode):
+        for multi, record in itertools.product((False, True), repeat=2):
+            args, bare = _shape_case(policy, mode, multi, record, False)
+            kept = _shape_case(policy, mode, multi, record, False, per_server=True)[1]
+            got, want = (hetq.sim._loop(shape)(*args, 8.0, shape) for shape in (bare, kept))
+            assert got.departures is None and got.busy_time is None
+            assert got.departures_total == int(want.departures.sum())
+            _assert_same_path(dataclasses.replace(got, **{f: getattr(want, f) for f in _PER_SERVER}), want)
 
     def test_compiled_loops_read_no_flag_and_keep_the_lines_of_sim_py(self):
         ref = hetq.sim._simulate.__code__
@@ -507,6 +543,23 @@ class TestSkeleton:
             got[alias[i]] += (1.0 - cut[i]) / n
         np.testing.assert_allclose(got, np.asarray(weights) / sum(weights), rtol=0, atol=1e-12)
 
+    def test_alias_table_built_once_per_rate_vector(self):
+        # the cached table is the fresh one bit for bit, and a second run of
+        # the same rates reads it instead of building another
+        weights = _PICK_WEIGHTS["n1640"]
+        cache = hetq.sim._alias_cache
+        cache.cache_clear()
+        cached = cache(np.asarray(weights).tobytes())
+        for got, want in zip(cached, hetq.sim._alias_table(weights)):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        cfg = SystemConfig(r=30.0, lambda_r=25.0, seed=4, staffing=30,
+                           rates=RateDistribution.uniform(0.5, 1.5))
+        s = RealizedSystem.from_config(cfg)
+        cache.cache_clear()
+        for rep in (0, 1):
+            run(cfg, s, horizon=20.0, rep=rep)
+        assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 1)
+
     def test_discards_match_idle_capacity(self):
         # criterion 2's shape: the skeleton names an idle server at rate
         # sum over idle k of mu_k, so the discards are a Poisson count whose
@@ -515,7 +568,7 @@ class TestSkeleton:
         r, n = 1600, 1640
         cfg = SystemConfig(r=float(r), lambda_r=float(r), seed=29, staffing=n)
         s = RealizedSystem(n_servers=n, mu=np.ones(n), mu_bar=1.0, r=float(r), lambda_r=float(r))
-        path = run(cfg, s, horizon=200.0, grid_points=2000)
+        path = run(cfg, s, horizon=200.0, grid_points=2000, record_servers=True)
         compensator = float(np.dot(s.mu, path.end_time - path.busy_time))
         assert abs(path.discarded_points - compensator) < 4.0 * math.sqrt(compensator)
         assert path.discarded_points / path.departures_total == pytest.approx(0.025, rel=0.3)
@@ -528,7 +581,7 @@ class TestSkeleton:
             cfg, RateDistribution.uniform(0.5, 1.5), rng_stream(8, 0, Stream.RATES)
         )
         t0 = time.perf_counter()
-        path = run(cfg, s, horizon=1e12, x0=50, validate=True)
+        path = run(cfg, s, horizon=1e12, x0=50, validate=True, record_servers=True)
         assert time.perf_counter() - t0 < 1.0
         assert path.departures_total == 50 and path.grid_X[-1] == 0
         assert path.end_time == 1e12 and np.all(path.busy_time < 100.0)
@@ -553,7 +606,8 @@ class TestExactOracle:
         util, p_wait = ctmc_solve(_ORACLE_MU, 2.8, policy, nu)
         reps = []
         for rep in range(16):
-            path = run(cfg, s, horizon=10_000.0, mode=mode, rep=rep, grid_points=2)
+            path = run(cfg, s, horizon=10_000.0, mode=mode, rep=rep, grid_points=2,
+                       record_servers=True)
             reps.append([*(path.busy_time / path.end_time), steady_estimates(path).p_wait])
         reps = np.asarray(reps)
         se = reps.std(axis=0, ddof=1) / 4.0
@@ -641,7 +695,7 @@ class TestPolicies:
         d = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
         cfg = SystemConfig(r=40.0, lambda_r=40.0, seed=4, staffing=40, policy=Policy.FSF)
         s = RealizedSystem.realize(cfg, d, rng_stream(4, 0, Stream.RATES))
-        path = run(cfg, s, horizon=400.0, validate=True)
+        path = run(cfg, s, horizon=400.0, validate=True, record_servers=True)
         idle_time = path.end_time - path.busy_time
         slow = idle_time[s.mu == 1.0].sum()
         fast = idle_time[s.mu == 2.0].sum()
@@ -667,7 +721,7 @@ class TestPolicies:
 
     def test_random_policy_runs_and_spreads(self):
         cfg, s = homogeneous(25, 20.0, seed=6, policy=Policy.RANDOM)
-        path = run(cfg, s, horizon=400.0, validate=True)
+        path = run(cfg, s, horizon=400.0, validate=True, record_servers=True)
         idle_time = path.end_time - path.busy_time
         assert (idle_time > 0).sum() == 25  # every server idles at some point
 
@@ -1043,7 +1097,7 @@ def _pinned_path(policy, mode, *, pools=None, scv=1.0, x0=None, horizon=60.0):
     return tuple(
         run(
             cfg, system, horizon=horizon, mode=mode, x0=x0, grid_points=301,
-            rep=3, validate=True, record_customers=True,
+            rep=3, validate=True, record_customers=True, record_servers=True,
         )
         for system in (s, s.grouped(np.arange(s.n_servers)))
     )

@@ -217,7 +217,7 @@ class TestFairness:
         d = RateDistribution.uniform(0.5, 1.5)
         cfg = SystemConfig(r=50.0, lambda_r=45.0, seed=2, staffing=50, rates=d)
         s = RealizedSystem.realize(cfg, d, rng_stream(2, 0, Stream.RATES))
-        path = run(cfg, s, horizon=100.0)
+        path = run(cfg, s, horizon=100.0, record_servers=True)
         fe = fairness_estimate(path, np.array([0.5, 1.5]))
         assert fe.eta_hat[0] == pytest.approx(1.0)
 
@@ -225,7 +225,7 @@ class TestFairness:
         d = RateDistribution.uniform(0.5, 1.5)
         cfg = SystemConfig(r=100.0, lambda_r=92.0, seed=4, staffing=100, rates=d)
         s = RealizedSystem.realize(cfg, d, rng_stream(4, 0, Stream.RATES))
-        path = run(cfg, s, horizon=150.0)
+        path = run(cfg, s, horizon=150.0, record_servers=True)
         coarse = fairness_estimate(path, default_bins(d, 5))
         fine = fairness_estimate(path, default_bins(d, 20))
         assert coarse.eta_hat.sum() == pytest.approx(1.0, abs=1e-9)
@@ -238,7 +238,7 @@ class TestFairness:
         cfg = SystemConfig(r=400.0, lambda_r=380.0, seed=1, staffing=400, policy=Policy.LISF, rates=d)
         s = RealizedSystem.realize(cfg, d, rng_stream(1, 0, Stream.RATES))
         edges = default_bins(d, 10)
-        path = run(cfg, s.grouped(rate_bin(s.mu, edges), 10), horizon=1200.0)
+        path = run(cfg, s.grouped(rate_bin(s.mu, edges), 10), horizon=1200.0, record_servers=True)
         fe = fairness_estimate(path, edges)
         assert np.abs(fe.eta_hat - fe.eta_theory).max() < 0.03
         # the [1.0, 1.5] half carries int_1^1.5 x dx / int_0.5^1.5 x dx = 0.625
@@ -250,7 +250,7 @@ class TestFairness:
         d = RateDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
         cfg = SystemConfig(r=400.0, lambda_r=530.0, seed=1, staffing=400, policy=Policy.FSF, rates=d)
         s = RealizedSystem.realize(cfg, d, rng_stream(1, 0, Stream.RATES))
-        path = run(cfg, s, horizon=600.0)
+        path = run(cfg, s, horizon=600.0, record_servers=True)
         fe = fairness_estimate(path, default_bins(d))
         assert fe.eta_theory[0] == 1.0
         assert fe.eta_hat[0] >= 0.95
@@ -263,7 +263,7 @@ class TestFairness:
         cfg = SystemConfig(r=400.0, lambda_r=380.0, seed=1, staffing=400, policy=Policy.RANDOM, rates=d)
         s = RealizedSystem.realize(cfg, d, rng_stream(1, 0, Stream.RATES))
         edges = default_bins(d, 10)
-        fe = fairness_estimate(run(cfg, s, horizon=300.0), edges)
+        fe = fairness_estimate(run(cfg, s, horizon=300.0, record_servers=True), edges)
         shares = np.bincount(rate_bin(s.mu, edges), weights=s.mu, minlength=10) / s.sum_mu
         assert np.abs(fe.eta_hat - shares).max() < 0.03
 
@@ -290,7 +290,7 @@ class TestFairness:
         n_bins = edges.size - 1
         which = np.clip(np.searchsorted(edges, s.mu, side="right") - 1, 0, n_bins - 1)
         assert np.bincount(which, minlength=n_bins).min() == 0  # an empty bin
-        path = run(cfg, s.grouped(which, n_bins), horizon=80.0, grid_points=400)
+        path = run(cfg, s.grouped(which, n_bins), horizon=80.0, grid_points=400, record_servers=True)
         fe = fairness_estimate(path, edges)
         # reference: a float copy of the per-server idle flags, taken from the
         # same run with one group per server, times a bin-membership matrix
@@ -304,13 +304,19 @@ class TestFairness:
         assert fe.sup_discrepancy == float(dev.max() / math.sqrt(path.system.n_servers))
         assert fe.sup_discrepancy > 0.0
         # servers not grouped by bin carry no per-bin idle counts
-        ungrouped = run(cfg, s, horizon=80.0, grid_points=400)
+        ungrouped = run(cfg, s, horizon=80.0, grid_points=400, record_servers=True)
         assert fairness_estimate(ungrouped, edges).sup_discrepancy is None
+
+    def test_path_without_the_server_record_refused(self):
+        cfg = SystemConfig(r=20.0, lambda_r=17.0, seed=6, staffing=20)
+        path = run(cfg, RealizedSystem.from_config(cfg), horizon=20.0)
+        with pytest.raises(ConfigError, match="record_servers"):
+            fairness_estimate(path, np.array([0.5, 1.5]))
 
     def test_no_idleness(self):
         cfg = SystemConfig(r=3.0, lambda_r=50.0, seed=1, staffing=3)
         s = RealizedSystem(n_servers=3, mu=np.ones(3), mu_bar=1.0, r=3.0, lambda_r=50.0)
-        path = run(cfg, s, horizon=5.0)
+        path = run(cfg, s, horizon=5.0, record_servers=True)
         with pytest.raises(DomainError, match="^path carries no idleness$"):
             fairness_estimate(path, np.array([0.5, 1.5]))
 
