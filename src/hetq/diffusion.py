@@ -440,63 +440,63 @@ def _gauss_sum(fn, centre, half, rule, nodes: int):
     return np.vecdot(fn(np.asarray(centre)[..., None] + np.asarray(half)[..., None] * x), w)
 
 
-def gauss_hermite_expectation(fn, mean, sd: float, nodes: int):
-    """E[fn(X)] for X ~ N(mean, sd^2) by Gauss-Hermite quadrature.
+_LADDER = (16, 32, 64, 128, 256)  # Gauss-Hermite rules tried in turn (hermgauss(512) has NaN weights)
+_REL_TOL = 1e-6  # the two successive rules a drift average is taken from agree to this
 
-    ``mean`` is a float or an array; each entry equals the expectation at
-    that mean alone, bit for bit, and a float gives a float.
+
+@lru_cache(maxsize=8)
+def _hermite(nodes: tuple):
+    """The nodes of the Gauss-Hermite rules ``nodes`` side by side, and each rule's (weights, slice)."""
+    rules = [_gauss_rule(np.polynomial.hermite.hermgauss, n) for n in nodes]
+    ends = np.cumsum([0, *nodes]).tolist()
+    cuts = [(w, slice(a, b)) for (_, w), a, b in zip(rules, ends, ends[1:])]
+    return np.concatenate([x for x, _ in rules]), cuts
+
+
+def _aband_drift_average(mean, sd: float, sigma: float, gamma: float, nu: float, name: str, var: str,
+                         points, **coefs):
+    """E[f(beta)], f = ``expected_positive_part_aband``, beta ~ N(mean, sd^2), by Gauss-Hermite rules.
+
+    ``mean`` is a float or an array, with ``points`` (the values of ``var``)
+    of its shape. Each entry climbs ``_LADDER`` until two successive rules
+    agree to ``_REL_TOL`` relative (two zeros agree), and is the finer rule's
+    sum, bit for bit: the 16- and 32-node rules share one kernel call, and
+    each later rule runs only on the entries still open. An entry stops on
+    its own values, so it equals the float call at that mean, bit for bit.
+    A sum that is not finite, then an entry whose 128- and 256-node rules
+    still disagree, is refused, naming ``name``, the point, sigma, gamma, nu
+    and ``coefs``.
+
+    One limit is structural. Where gamma sigma^2 < 2 sd^2, f falls off to the
+    left faster than the drift density, so far below zero the average comes
+    from drift mass beyond the coarser rule's outermost node (about 6.6 sd
+    out for 16 nodes, 21.6 sd for 128), and two rules can agree on a
+    near-zero value, 0 among them, that misses it.
     """
-    sums = _gauss_sum(fn, mean, math.sqrt(2.0) * sd, np.polynomial.hermite.hermgauss, nodes)
-    return _float_or_array(sums / math.sqrt(math.pi))
+    centre, half = np.asarray(mean, dtype=float).reshape(-1, 1), math.sqrt(2.0) * sd
+    law = dict(sigma=sigma, gamma=gamma, nu=nu, **coefs)
 
+    def sums(*nodes):  # each rule's sums at the open entries' means, from one kernel call
+        x, rules = _hermite(nodes)
+        vals = expected_positive_part_aband(centre[rows] + half * x, sigma, gamma, nu)
+        return [np.vecdot(vals[:, cut], w) / math.sqrt(math.pi) for w, cut in rules]
 
-_PRUNE_WEIGHT = 1e-35  # a Hermite node weighted below this share of the largest weight is dropped...
-_PRUNE_TOL = 2.0**-80  # ...where its row's dropped terms are bounded below this share of its sum
-
-
-@lru_cache(maxsize=16)
-def _pruned_hermite(nodes: int):
-    """(x, w, c, kept x, dropped indices, _PRUNE_TOL/W) of ``nodes`` Hermite nodes: c of weight W per end."""
-    x, w = _gauss_rule(np.polynomial.hermite.hermgauss, nodes)
-    c = int(np.argmax(w >= _PRUNE_WEIGHT * w.max()))
-    return x, w, c, x[c:nodes - c], np.r_[:c, nodes - c:nodes], _PRUNE_TOL / w[:c].sum() if c else 0.0
-
-
-def _aband_drift_average(mean, sd: float, sigma: float, gamma: float, nu: float, *rules: int):
-    """E[f(beta)], f = ``expected_positive_part_aband``, beta ~ N(mean, sd^2), for each Gauss-Hermite rule.
-
-    ``mean`` is a float or an array; each value matches ``gauss_hermite_expectation``
-    to 2^-52. All ``rules`` share one kernel call, made only where w_k >=
-    _PRUNE_WEIGHT max w (58 of 64 nodes, 86 of 128). The c nodes dropped at
-    each end (the weights are symmetric), of weight W, stay in the row as
-    zeros, so ``np.vecdot`` sums in the full rule's order. A row keeps them
-    where W (f(b_c) + b_max^+/nu + sigma/sqrt(2 nu)) < _PRUNE_TOL times its
-    sum, b_c being its outermost kept node and b_max its last: f is
-    nondecreasing, so a dropped left term is at most w_k f(b_c), and f <=
-    beta^+/nu + sigma/sqrt(2 nu), as N(beta/nu, sigma^2/(2 nu)) conditioned to
-    be positive has a mean at most its mean's positive part plus its sd. Other
-    rows, an infinite or NaN bound among them, take their dropped nodes in
-    one more kernel call, and so are the full rule bit for bit.
-    """
-    centre, half, out = np.asarray(mean, dtype=float).reshape(-1, 1), math.sqrt(2.0) * sd, []
-    rules = [_pruned_hermite(n) for n in rules]
-    vals = expected_positive_part_aband(
-        np.concatenate([centre + half * kept for _, _, _, kept, _, _ in rules], axis=1), sigma, gamma, nu)
-    for x, w, c, kept, drop, scale in rules:
-        row = np.zeros((centre.shape[0], x.size))
-        row[:, c:c + kept.size], vals = vals[:, :kept.size], vals[:, kept.size:]
-        sums = np.vecdot(row, w)
-        edge = np.maximum(centre[:, 0] + half * x[-1], 0.0) / nu + sigma / math.sqrt(2.0 * nu)
-        bad = ~(row[:, c] + edge < scale * sums)  # true for NaN and inf
-        if c and bad.any():
-            betas = centre[bad] + half * x[drop]
-            row[np.ix_(bad, drop)] = expected_positive_part_aband(betas, sigma, gamma, nu)
-            sums[bad] = np.vecdot(row[bad], w)
-        out.append(_float_or_array((sums / math.sqrt(math.pi)).reshape(np.shape(mean))))
+    rows = np.arange(centre.shape[0])
+    prev, out = sums(*_LADDER[:2])
+    cur = out
+    for nodes in (*_LADDER[2:], None):
+        open_ = ~(np.abs(cur - prev) <= _REL_TOL * np.maximum(np.abs(cur), 1e-300))  # true for NaN
+        rows, prev = rows[open_], cur[open_]
+        if not rows.size or nodes is None:
+            break
+        (cur,) = sums(nodes)
+        out[rows] = cur
+    out = _finite(out.reshape(np.shape(mean)), f"{name} at {var}", points, **law)
+    if rows.size:
+        raise DomainError(f"{name} quadrature did not converge to {_REL_TOL} at {var} = "
+                          f"{float(np.ravel(points)[rows[0]])!r}: the law with "
+                          + ", ".join(f"{key}={v!r}" for key, v in law.items()))
     return out
-
-
-_QL_REL_TOL = 1e-6  # successive Gauss-Hermite rules agree to this
 
 
 @np.errstate(all="ignore")  # a law lost to overflow is refused by name, not warned about
@@ -512,9 +512,9 @@ def ql_eps(
 
     The drift is N(-theta*mu_bar, Var mu) and gamma is the law's idleness
     coefficient under ``policy``. The inner integral over the state is
-    closed form; only the drift integral is numeric, with the node count
-    escalated from 64 to 256 until two successive Gauss-Hermite rules agree
-    to a relative 1e-6 (numpy's 512-node rule has NaN weights).
+    closed form; only the drift integral is numeric, taken by
+    ``_aband_drift_average``, which ``cost_aband`` shares. A law whose rules
+    do not agree is refused: "ql_eps quadrature did not converge".
     """
     if not 0.0 < mu_bar - eps < mu_bar + eps < math.inf:  # the law's support; false for NaN
         raise DomainError(
@@ -527,21 +527,7 @@ def ql_eps(
     gamma = law.idleness_coefficient(policy)
     mean = -theta * mu_bar
     sd = math.sqrt(law.variance())
-
-    def rules():  # the 64- and 128-node rules in one kernel call; 256 only if they disagree
-        yield from _aband_drift_average(mean, sd, sigma, gamma, nu, 64, 128)
-        yield from _aband_drift_average(mean, sd, sigma, gamma, nu, 256)
-
-    prev = math.nan  # agrees with no rule, so the 64-node one is never returned
-    for value in rules():
-        cur = _finite(value, "ql_eps at eps", eps, sigma=sigma, theta=theta, nu=nu, gamma=gamma)
-        if abs(cur - prev) <= _QL_REL_TOL * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise DomainError(
-        f"ql_eps quadrature did not converge to {_QL_REL_TOL} at eps={eps}: the law with "
-        f"sigma={sigma!r}, theta={theta!r}, nu={nu!r}, gamma={gamma!r}"
-    )
+    return _aband_drift_average(mean, sd, sigma, gamma, nu, "ql_eps", "eps", eps, theta=theta)
 
 
 def halfin_whitt_delay(theta: float) -> float:

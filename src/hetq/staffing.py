@@ -206,12 +206,13 @@ def cost_no_aband(x, config: SystemConfig, cost: CostSpec, nodes: int = 128):
     return _finite(total, "the cost at safety x", x, sigma=sigma, gamma=gamma)
 
 
-def cost_aband(x, config: SystemConfig, cost: CostSpec, nodes: int = 128):
+def cost_aband(x, config: SystemConfig, cost: CostSpec):
     """Approximate cost F(x) + d * nu * sqrt(r) * E_beta[E[xi(infty)^+; xi >= 0]].
 
     The inner expectation over the stationary state is closed form; the
-    outer one over beta ~ N(-x*mu_bar, Var of ``config.rates``) uses
-    Gauss-Hermite quadrature.
+    outer one over beta ~ N(-x*mu_bar, Var of ``config.rates``) is
+    ``diffusion._aband_drift_average``'s Gauss-Hermite ladder, which
+    ``ql_eps`` shares: a safety x whose rules do not agree is refused.
     The sqrt(r) factor converts the scaled queue length into customers, so
     the variable term is an abandonment flow in customers per unit time.
     The abandonment rate is ``cost.nu``; ``config.abandon_rate`` is not read.
@@ -227,7 +228,7 @@ def cost_aband(x, config: SystemConfig, cost: CostSpec, nodes: int = 128):
     if s == 0.0:
         epp = expected_positive_part_aband(m, sigma, gamma, nu)
     else:
-        (epp,) = _aband_drift_average(m, s, sigma, gamma, nu, nodes)
+        epp = _aband_drift_average(m, s, sigma, gamma, nu, "the cost", "safety x", x)
     total = f_term + cost.d * nu * math.sqrt(config.r) * epp
     return _finite(total, "the cost at safety x", x, sigma=sigma, gamma=gamma, nu=nu)
 

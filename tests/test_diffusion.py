@@ -400,13 +400,9 @@ class TestQlEps:
         assert all(a - b > 1e-8 for a, b in zip(fsf, fsf[1:]))
 
     def test_node_convergence(self):
-        from hetq.diffusion import expected_positive_part_aband, gauss_hermite_expectation
-
         law = RateDistribution.uniform(1.0 - 0.3, 1.0 + 0.3)
         gamma, sd = law.idleness_coefficient(Policy.LISF), math.sqrt(law.variance())
-        fn = lambda b: expected_positive_part_aband(b, 4.0, gamma, 2.0)
-        v64 = gauss_hermite_expectation(fn, -2.0, sd, 64)
-        v128 = gauss_hermite_expectation(fn, -2.0, sd, 128)
+        v64, v128 = _full_rule(-2.0, sd, 4.0, gamma, 2.0, 64), _full_rule(-2.0, sd, 4.0, gamma, 2.0, 128)
         assert abs(v64 - v128) <= 1e-6 * abs(v128)
 
     def test_domain_errors(self):
@@ -420,29 +416,77 @@ class TestQlEps:
 
 
 def _full_rule(mean, sd, sigma, gamma, nu, nodes):
-    fn = lambda b: expected_positive_part_aband(b, sigma, gamma, nu)
-    return diffusion.gauss_hermite_expectation(fn, mean, sd, nodes)
+    """The drift average under numpy's ``nodes``-node Gauss-Hermite rule, at one float mean."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    values = expected_positive_part_aband(mean + math.sqrt(2.0) * sd * x, sigma, gamma, nu)
+    return float(np.vecdot(values, w) / math.sqrt(math.pi))
 
 
-class TestPrunedDriftAverage:
-    """``_aband_drift_average`` drops the Hermite nodes of negligible weight."""
+def _stop(mean, sd, sigma, gamma, nu):
+    """(nodes, value) of the finer rule of the first successive pair on the ladder that
+    agrees to 1e-6 relative, two zeros agreeing; None if no pair agrees."""
+    sums = [(n, _full_rule(mean, sd, sigma, gamma, nu, n)) for n in (16, 32, 64, 128, 256)]
+    return next(((n, cur) for (_, prev), (n, cur) in zip(sums, sums[1:])
+                 if abs(cur - prev) <= 1e-6 * max(abs(cur), 1e-300)), None)
+
+
+def _quad_reference(mean, sd, sigma, gamma, nu):
+    """The drift average by scipy's adaptive quad, to 1e-13 relative, in z = (beta - mean)/sd,
+    split at beta = 0 and at the mean."""
+    f = lambda z: expected_positive_part_aband(mean + sd * z, sigma, gamma, nu) * math.exp(-0.5 * z * z)
+    ends = [-math.inf, *sorted({0.0, -mean / sd}), math.inf]
+    parts = [integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(ends, ends[1:])]
+    return math.fsum(parts) / math.sqrt(2.0 * math.pi)
+
+
+def _uniform(eps):
+    return RateDistribution.uniform(1.0 - eps, 1.0 + eps)
+
+
+# (law, policy, safety values, nu, r) of the abandonment costs compared with
+# _quad_reference, fixed before any was compared: perfbench's analytics laws
+# with eight safety values across each bracket, criterion 10's curve, and two
+# small nu; lambda_r = r, c_s = 1 and d = 5 (criterion 10's costs)
+_COST_GRID = {
+    "perfbench": [
+        (_uniform(eps), policy, np.linspace(round(max(0.05, 5.0 * eps / math.sqrt(3.0)), 3), 6.0, 8), nu, r)
+        for eps in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3) for policy in (Policy.LISF, Policy.FSF)
+        for nu in (0.5, 1.0, 2.0) for r in (100.0, 6400.0)
+    ],
+    "criterion_10": [(_uniform(0.2), Policy.LISF, np.linspace(0.05, 6.0, 64), 1.0, 400.0)],
+    "small_nu": [
+        (RateDistribution.uniform(lo, hi), Policy.LISF, np.array([0.05, 0.5]), nu, 400.0)
+        for nu in (1e-3, 1e-2) for lo, hi in ((0.8, 1.2), (0.5, 1.5))
+    ],
+}
+# the grid points refused: the rules do not agree at the bend of E[xi+] across beta = 0
+_COST_REFUSED = {"small_nu": [(0.5, 1e-3, 0.05), (0.5, 1e-3, 0.5)]}  # (law's eps, nu, x)
+
+
+class TestDriftAverage:
+    """``_aband_drift_average``: one Gauss-Hermite ladder for ``cost_aband`` and ``ql_eps``."""
 
     @given(
         mu_bar=st.floats(0.1, 10.0), eps_share=st.floats(0.001, 0.999),
         theta=st.floats(-1.0, 10.0), sigma=st.floats(0.01, 100.0), log_nu=st.floats(-3.0, 3.0),
-        policy=st.sampled_from([Policy.LISF, Policy.FSF]), nodes=st.sampled_from([64, 128]),
+        policy=st.sampled_from([Policy.LISF, Policy.FSF]),
     )
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    def test_matches_the_full_rule(self, mu_bar, eps_share, theta, sigma, log_nu, policy, nodes):
+    def test_value_is_the_full_rule_it_stopped_at(self, mu_bar, eps_share, theta, sigma, log_nu, policy):
         law = RateDistribution.uniform(mu_bar * (1.0 - eps_share), mu_bar * (1.0 + eps_share))
         gamma, sd, nu = law.idleness_coefficient(policy), math.sqrt(law.variance()), 10.0**log_nu
         with np.errstate(all="ignore"):
-            (got,) = diffusion._aband_drift_average(-theta * mu_bar, sd, sigma, gamma, nu, nodes)
-            want = _full_rule(-theta * mu_bar, sd, sigma, gamma, nu, nodes)
-        assert abs(got - want) <= 2.0**-52 * abs(want)
+            stop = _stop(-theta * mu_bar, sd, sigma, gamma, nu)
+            if stop is None or not math.isfinite(stop[1]):
+                with pytest.raises(DomainError, match=r"^t (at x = 1\.0 is not finite|quadrature did not converge)"):
+                    diffusion._aband_drift_average(-theta * mu_bar, sd, sigma, gamma, nu, "t", "x", 1.0)
+            else:
+                got = diffusion._aband_drift_average(-theta * mu_bar, sd, sigma, gamma, nu, "t", "x", 1.0)
+                assert got == stop[1]
 
     def test_positive_part_is_nondecreasing_and_bounded(self):
-        # the two facts the pruning bound rests on, on a grid out to beta = +-1e6
+        # facts of the kernel itself, on a grid out to beta = +-1e6: E[xi+] rises
+        # with beta and is at most beta+/nu + sigma/sqrt(2 nu)
         grid = np.sinh(np.linspace(-math.asinh(1e6), math.asinh(1e6), 4001))
         beta = np.concatenate([[-1e6], grid[1:-1], [1e6]])
         for sigma in (0.01, 1.0, 4.0, 100.0):
@@ -453,32 +497,66 @@ class TestPrunedDriftAverage:
                     assert np.isfinite(f).all() and (np.diff(f) >= 0.0).all(), (sigma, gamma, nu)
                     assert (f <= np.maximum(beta, 0.0) / nu + sigma / math.sqrt(2.0 * nu)).all()
 
-    def test_row_failing_the_bound_is_the_full_rule(self, monkeypatch):
-        # at mean -12 the kept terms sum to about 2e-33, and the right-tail
-        # bound, the tail weight times sigma/sqrt(2 nu), is about 7e-37
-        calls = []
-        inner = diffusion.expected_positive_part_aband
-        monkeypatch.setattr(diffusion, "expected_positive_part_aband",
-                            lambda b, *law: calls.append(np.shape(b)) or inner(b, *law))
-        law = (0.2, 1.0, 2.0, 1.0)  # sd, sigma, gamma, nu
-        means = np.array([-1.0, -12.0])
-        got = diffusion._aband_drift_average(means, *law, 128)[0]
-        assert calls == [(2, 86), (1, 42)]  # the kept nodes, then the failing row's dropped ones
-        monkeypatch.setattr(diffusion, "expected_positive_part_aband", inner)
-        assert 0.0 < got[1] < 1e-30
-        assert got[1] == _full_rule(-12.0, *law, 128)
-        assert got.tolist() == [diffusion._aband_drift_average(m, *law, 128)[0] for m in means.tolist()]
-
-    def test_ql_eps_takes_its_first_two_rules_in_one_call(self, monkeypatch):
-        calls = []
-        average = diffusion._aband_drift_average
-        monkeypatch.setattr(diffusion, "_aband_drift_average",
-                            lambda *args: calls.append(args[5:]) or average(*args))
-        value = ql_eps(0.3, 1.0, 4.0, 2.0, 2.0)
-        assert calls == [(64, 128)]
-        law = RateDistribution.uniform(0.7, 1.3)
+    def test_rows_stopping_at_different_rules_equal_the_float_calls(self):
+        # at nu = 0.01, uniform(0.5, 1.5) and r = 400, x = 0.05 needs the
+        # 128-node rule (E[xi+] bends across beta = 0) and x = 3 stops at 32
+        law = RateDistribution.uniform(0.5, 1.5)
         gamma, sd = law.idleness_coefficient(Policy.LISF), math.sqrt(law.variance())
-        assert value == _full_rule(-2.0, sd, 4.0, gamma, 2.0, 128)
+        assert [_stop(-x, sd, math.sqrt(2.0), gamma, 0.01)[0] for x in (0.05, 3.0)] == [128, 32]
+        cfg = SystemConfig(r=400.0, lambda_r=400.0, seed=0, abandon_rate=0.01, rates=law)
+        cost = staffing.CostSpec(d=5.0, nu=0.01)
+        xs = np.array([0.05, 3.0])
+        assert staffing.cost_aband(xs, cfg, cost).tolist() == [staffing.cost_aband(x, cfg, cost) for x in xs.tolist()]
+        got = diffusion._aband_drift_average(-xs, sd, math.sqrt(2.0), gamma, 0.01, "t", "x", xs)
+        assert got.tolist() == [_stop(-x, sd, math.sqrt(2.0), gamma, 0.01)[1] for x in xs.tolist()]
+
+    @pytest.mark.parametrize("grid", sorted(_COST_GRID))
+    def test_cost_matches_an_adaptive_reference(self, grid):
+        refused, references = [], {}
+        for law, policy, xs, nu, r in _COST_GRID[grid]:
+            cfg = SystemConfig(r=r, lambda_r=r, seed=0, policy=policy, abandon_rate=nu, rates=law)
+            cost = staffing.CostSpec(c_s=1.0, d=5.0, nu=nu)
+            gamma, sigma, sd = law.idleness_coefficient(policy), math.sqrt(2.0 * law.mean()), math.sqrt(law.variance())
+            for x in xs.tolist():
+                key = (law, policy, x, nu)
+                if key not in references:
+                    references[key] = _quad_reference(-x * law.mean(), sd, sigma, gamma, nu)
+                want = cost.staffing_term(x, cfg) + 5.0 * nu * math.sqrt(r) * references[key]
+                try:
+                    got = staffing.cost_aband(x, cfg, cost)
+                except DomainError as exc:
+                    assert str(exc) == (
+                        f"the cost quadrature did not converge to 1e-06 at safety x = {x!r}: "
+                        f"the law with sigma={sigma!r}, gamma={gamma!r}, nu={nu!r}"
+                    )
+                    refused.append((round(law.hi - 1.0, 12), nu, x))
+                    continue
+                assert abs(got - want) <= 1e-9 * want, (grid, law, policy, x, nu, r)
+        assert sorted(set(refused)) == _COST_REFUSED.get(grid, [])
+
+    def test_ql_sweep_matches_an_adaptive_reference(self):
+        # the ql-sweep defaults (sigma 4, theta 2, nu 2, mu_bar 1) with eps up to 0.9
+        for eps in np.linspace(0.05, 0.9, 18).tolist():
+            for policy in (Policy.LISF, Policy.FSF):
+                law = _uniform(eps)
+                want = _quad_reference(-2.0, math.sqrt(law.variance()), 4.0, law.idleness_coefficient(policy), 2.0)
+                assert abs(ql_eps(eps, 1.0, 4.0, 2.0, 2.0, policy=policy) - want) <= 1e-9 * want, (eps, policy)
+
+    def test_cost_aband_and_ql_eps_share_the_routine(self, monkeypatch):
+        assert staffing._aband_drift_average is diffusion._aband_drift_average
+        callers, kernel = [], []
+        average, inner = diffusion._aband_drift_average, diffusion.expected_positive_part_aband
+        spy = lambda *args, **coefs: callers.append(args[5]) or average(*args, **coefs)
+        monkeypatch.setattr(diffusion, "_aband_drift_average", spy)
+        monkeypatch.setattr(staffing, "_aband_drift_average", spy)
+        monkeypatch.setattr(diffusion, "expected_positive_part_aband",
+                            lambda b, *law: kernel.append(np.shape(b)) or inner(b, *law))
+        cfg = SystemConfig(r=400.0, lambda_r=400.0, seed=0, abandon_rate=1.0,
+                           rates=RateDistribution.uniform(0.8, 1.2))
+        staffing.cost_aband(np.array([0.5, 1.0, 2.0]), cfg, staffing.CostSpec(d=5.0, nu=1.0))
+        ql_eps(0.3, 1.0, 4.0, 2.0, 2.0)
+        assert callers == ["the cost", "ql_eps"]
+        assert kernel == [(3, 48), (1, 48)]  # the 16 and 32 nodes of each mean, in one call
 
 
 class TestSimulateSde:
