@@ -4,9 +4,9 @@ One pool or several (inverted-V), FIFO non-preemptive service, LISF / FSF /
 RANDOM routing, and two abandonment constructions: independent patience per
 customer, or the head-of-queue process that abandons at rate nu * Q(t).
 README.md's simulator entry is the full account of the engine: the draws,
-the departure skeleton, the grid recorder that reads arrival and skeleton
-times from the draw blocks, the loop compiled per run shape, the window
-counters, memory and the stream layout.
+the departure skeleton, the schedule that hands the loop its arrivals and
+skeleton points in time order, the grid recorder, the loop compiled per run
+shape, the window counters, memory and the stream layout.
 
 A run is single-threaded and a pure function of (config, seed, rep). The
 order in which each stream is consumed is part of that contract
@@ -25,14 +25,13 @@ import math
 import os
 import re
 from array import array
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, repeat
 from types import ModuleType
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +62,11 @@ __all__ = [
 
 _INF = math.inf
 _FIRST_BLOCK = 64
-_BLOCK = 8192
+_BLOCK = 4096
+_MIN_CHUNK, _CHUNK = 16, 2048  # entries per stream in a chunk: after a short busy period, at most
+_COMPARED = 128  # a restart after fewer entries than this starts Schedule._compared
+_EMPTY = np.empty(0)
+_ARRIVAL = np.full(_BLOCK, -1, dtype=np.int8)  # an arrival's mark
 _CSV_BLOCK = 4096  # rows of a CSV table formatted by one %
 # a run makes about (lambda_r + sum mu) * horizon loop passes; criterion 2's
 # largest run makes 5.2e7
@@ -77,39 +80,40 @@ class AbandonMode(Enum):
     PERTURBED = "perturbed"
 
 
-def _draws(
+def _blocks(
     seed: int, rep: int, stream: Stream, method: str, transform: Optional[_Transform] = None,
-    hook: Optional[Callable[[np.ndarray], None]] = None,
-) -> Callable[[], Union[float, int]]:
-    """Next-draw function of one stream's ``method``, e.g. ``"random"``.
+) -> Iterator[np.ndarray]:
+    """One stream's draws of ``method``, e.g. ``"random"``, in blocks of 64, 128, ... up to 4096.
 
-    The stream's generator is built on the first draw. Blocks of 64, 128,
-    ... up to 8192 draws follow on demand and in order; numpy's ``random``
+    The stream's generator is built on the first block. numpy's ``random``
     and ``standard_exponential`` give the same values however the draws are
     split into calls, so the values are those of one long call.
-    ``transform``, if given, maps each block before it is listed, so the
-    arithmetic a draw needs (a scale, a shift, an alias pick, which gives
-    ints) is done once per block and a draw stays one C-level call. Each
-    transform does the same IEEE operations, in the same order, as the
-    scalar expression it replaces, so the values are bit for bit the same.
-    ``hook``, if given, gets each mapped block before its first draw is read.
+    ``transform``, if given, maps each block, so the arithmetic a draw needs
+    (a scale, a shift, an alias pick, which gives ints) is done once per
+    block. Each transform does the same IEEE operations, in the same order,
+    as the scalar expression it replaces, so the values are bit for bit the same.
     """
+    sample = getattr(rng_stream(seed, rep, stream), method)
+    size = _FIRST_BLOCK
+    while True:
+        yield _mapped(sample(size), transform)  # the frame keeps no block while it waits
+        size = min(2 * size, _BLOCK)
 
-    def blocks():
-        sample = getattr(rng_stream(seed, rep, stream), method)
-        size = _FIRST_BLOCK
-        while True:
-            block = sample(size)
-            if transform is not None:
-                # a rate near 5e-324 gives gaps past 1e308: inf, an event that never comes
-                with np.errstate(over="ignore"):
-                    block = transform(block)
-            if hook is not None:
-                hook(block)
-            yield block.tolist()
-            size = min(2 * size, _BLOCK)
 
-    return chain.from_iterable(blocks()).__next__
+def _mapped(block: np.ndarray, transform: Optional[_Transform]) -> np.ndarray:
+    if transform is None:
+        return block
+    # a rate near 5e-324 gives gaps past 1e308: inf, an event that never comes
+    with np.errstate(over="ignore"):
+        return transform(block)
+
+
+def _draws(
+    seed: int, rep: int, stream: Stream, method: str, transform: Optional[_Transform] = None,
+) -> Callable[[], Union[float, int]]:
+    """Next-draw function of ``_blocks``'s draws: one C-level call per draw."""
+    blocks = _blocks(seed, rep, stream, method, transform)
+    return chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
 
 
 def _tally(grid_t: np.ndarray, times: np.ndarray, counts: np.ndarray, sign: int) -> None:
@@ -119,7 +123,9 @@ def _tally(grid_t: np.ndarray, times: np.ndarray, counts: np.ndarray, sign: int)
     Where the sorted ``times`` span fewer grid points than they number, one
     search per grid point counts the times at or before it instead.
     """
-    lo, hi = grid_t.searchsorted(times[[0, -1]]) if len(times) else (0, 0)  # each g is in lo..hi
+    if not len(times):
+        return
+    lo, hi = grid_t.searchsorted(times[[0, -1]])  # each g is in lo..hi
     if hi - lo < len(times):
         upto = times.searchsorted(grid_t[lo:hi], side="right") * sign  # at or before grid_t[lo:hi]
         counts[lo:hi] += upto
@@ -129,43 +135,197 @@ def _tally(grid_t: np.ndarray, times: np.ndarray, counts: np.ndarray, sign: int)
         np.add.at(counts, grid_t.searchsorted(times), sign)
 
 
-class _Sums:
-    """One stream's event times, the running sums of its gap blocks: the loop's t + gap,
-    bit for bit, as ``np.add.accumulate`` adds in order. A sum starts afresh from each
-    of ``restarts`` (draw index, time)."""
+class _Stream:
+    """One stream of event times, the running sums of its gap blocks, each time with a mark.
 
-    def __init__(self):
-        self.blocks: List[np.ndarray] = []  # not yet summed; the last one is being read
-        self.done = 0  # draws summed
-        self.last = 0.0  # the last time summed; the first gap counts from 0
-        self.restarts: List[Tuple[int, float]] = []
+    A window holds the events from the first one not yet read, topped up
+    from the next blocks of (gaps, marks). Times are summed only as far as
+    a read reaches, since a restart sums them afresh from a new start. The
+    times read go to ``tally`` once they are a quarter block's worth.
+    """
 
-    def take(self, upto: Optional[int] = None) -> np.ndarray:
-        """The times of the blocks read through, dropped; with ``upto``, of all up to it."""
-        done = self.blocks[:len(self.blocks) - (upto is None)]
-        del self.blocks[:len(done)]
-        times = (np.concatenate(done) if done else np.empty(0))[:None if upto is None else upto - self.done]
-        first, self.done = self.done, self.done + len(times)
-        cut = bisect_left(self.restarts, (self.done,))
-        starts = [(0, self.last)] + [(k - first, t) for k, t in self.restarts[:cut]]
-        del self.restarts[:cut]
-        for (lo, start), (hi, _) in zip(starts, starts[1:] + [(len(times), 0.0)]):
-            if lo < hi:
-                piece = times[lo:hi]
-                piece[0] += start
-                np.add.accumulate(piece, out=piece)
-        self.last = float(times[-1]) if len(times) else self.last
-        return times
+    def __init__(self, blocks: Iterator[Tuple[np.ndarray, np.ndarray]],
+                 tally: Callable[[np.ndarray], None]):
+        self.blocks, self.tally = blocks, tally
+        self.base = 0  # the index of the window's first event
+        self.gap, self.mark, self.t = _EMPTY, _ARRIVAL[:0], _EMPTY  # int8 marks take any blocks' type
+        self.valid = 0  # t[:valid] are summed
+        self.last = 0.0  # the time gap[valid] counts from; the first gap counts from 0
+
+    def fill(self, done: int, need: int) -> int:
+        """Top the window up to hold the ``need`` events after the first ``done``; their index."""
+        i = done - self.base
+        if len(self.gap) - i < need:
+            if i >= _BLOCK // 4:  # the times read are tallied and freed before the next blocks come
+                self.tally(self.t[:i])
+                self.gap, self.mark, self.t = (a[i:].copy() for a in (self.gap, self.mark, self.t))
+                self.base, self.valid, i = self.base + i, self.valid - i, 0
+            gaps, marks = [self.gap], [self.mark]
+            while sum(map(len, gaps)) - i < need:
+                gap, mark = next(self.blocks)
+                gaps.append(gap)
+                marks.append(mark)
+            self.gap, self.mark = np.concatenate(gaps), np.concatenate(marks)
+            self.t = np.concatenate((self.t, np.empty(len(self.gap) - len(self.t))))
+        return i
+
+    def read(self, done: int, need: int, start: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """The times and marks of the ``need`` events after the first ``done``; with
+        ``start``, the sums start afresh there."""
+        i = self.fill(done, need)
+        if start is not None:
+            self.valid, self.last = i, start
+        end = i + need
+        if self.valid < end:
+            summed = self.t[self.valid:end]
+            summed[:] = self.gap[self.valid:end]
+            summed[0] += self.last
+            with np.errstate(over="ignore"):  # gaps near 1e308 sum to inf, an event that never comes
+                np.add.accumulate(summed, out=summed)
+            self.valid, self.last = end, summed[-1]
+        return self.t[i:end], self.mark[i:end]
+
+    def read_through(self, done: int) -> np.ndarray:
+        """The times of the events read, up to the first ``done``, that are not yet tallied."""
+        return self.t[:done - self.base]
+
+
+class _Schedule:
+    """A run's arrivals and skeleton points in time order, handed to the loop a chunk at a time.
+
+    Arrival times are running sums of the inter-arrival gaps, and
+    skeleton-point times running sums of the skeleton's gaps from the start
+    of each busy period (``_Stream``), so each is the loop's t + gap bit for
+    bit. ``tally(arrivals, points)`` gets the times read, the last of them
+    with ``end`` from ``finish``.
+    """
+
+    def __init__(self, arrivals: Optional[Iterator[np.ndarray]],
+                 points: Iterator[Tuple[np.ndarray, np.ndarray]], horizon: float,
+                 tally: Callable[..., None], servers: int = 0):
+        """``arrivals`` yields inter-arrival gap blocks (None: no arrivals), ``points``
+        skeleton gap blocks and each point's mark, a server index below ``servers`` if
+        that is given."""
+        self.horizon, self.tally = horizon, tally
+        # with servers, each mark is listed as one shared int object: listing a block of
+        # indices would make an int per entry
+        self.names = np.array([*range(servers), -2, -1], dtype=object) if servers else None
+        blocks = ((gaps, _ARRIVAL[:len(gaps)]) for gaps in arrivals) if arrivals is not None else (
+            repeat((np.full(_CHUNK + 1, _INF), _ARRIVAL[:_CHUNK + 1])))  # arrivals that never come
+        self.arrivals = _Stream(blocks, lambda times: tally(times, _EMPTY))
+        self.points = _Stream(points, lambda times: tally(_EMPTY, times))
+        self.cap = 4 * _FIRST_BLOCK  # entries per stream in a chunk
+        self.sent = (0, 0, 0)  # arrivals and points before the last chunk, and its entries
+        self.compared: Optional[Iterator] = None  # the live _compared generator
+        self.off = False  # set for _compared when the loop has stopped the skeleton
+
+    def chunk(self, arrivals: int, points: int, on: bool) -> Iterable[Tuple[object, float]]:
+        """The (mark, time) entries that follow ``arrivals`` arrivals and ``points`` points.
+
+        A point's mark is its mark from the draw blocks, an arrival's -1. The
+        entries are the arrivals and points whose order no later draw can
+        change, points first at equal times; a chunk that reaches the horizon
+        ends with the mark -2 at the horizon. The skeleton is off unless
+        ``on``; then the next arrival restarts it with the next gap, and
+        leads the chunk. A chunk cut short by a restart sizes the next one to
+        the entries used, and one used in full doubles it, so short busy
+        periods build short chunks.
+        """
+        if not on and self.compared is not None:
+            self.off = True
+            return self.compared
+        horizon = self.horizon
+        before_a, before_p, sent = self.sent
+        used = arrivals - before_a + points - before_p
+        if not on and used < _COMPARED:
+            self.compared = self._compared(arrivals, points)
+            return self.compared
+        cap = self.cap = min(2 * self.cap, _CHUNK) if used == sent else max(_MIN_CHUNK, used)
+        head = 0 if on else 1  # the arrival that restarts the skeleton
+        a_t, a_mark = self.arrivals.read(arrivals, head + cap)
+        if head and a_t[0] > horizon:
+            return ((-2, horizon),)
+        p_t, p_mark = self.points.read(points, cap, None if on else float(a_t[0]))
+        last_a, last_p = float(a_t[-1]), float(p_t[-1])
+        # a point is placed once no unread arrival can precede it, an arrival
+        # once no unread point can precede or tie it
+        n_p = int(p_t.searchsorted(min(last_a, horizon), "right"))
+        n_a = int(a_t[head:].searchsorted(last_p, "left") if last_p <= horizon
+                  else a_t[head:].searchsorted(horizon, "right")) + head
+        # the head first, then by time, points before arrivals at equal times
+        times = np.concatenate((a_t[:head], p_t[:n_p], a_t[head:n_a]))
+        marks = np.concatenate((a_mark[:head], p_mark[:n_p], a_mark[head:n_a]))
+        if n_p and n_a > head:
+            order = times.argsort(kind="stable")
+            times, marks = times.take(order), marks.take(order)
+        self.sent = (arrivals, points, n_a + n_p)
+        marks, times = (marks if self.names is None else self.names.take(marks)).tolist(), times.tolist()
+        if last_a > horizon and last_p > horizon:
+            marks.append(-2)
+            times.append(horizon)
+        return zip(marks, times)
+
+    def _compared(self, arrivals: int, points: int) -> Iterator[Tuple[object, float]]:
+        """The entries one at a time, each the earlier of the next point and arrival.
+
+        For short busy periods, where a chunk's arrays cost more than they
+        save: a restart costs no numpy call, since ``chunk`` hands this
+        generator back with ``off`` set, and the next arrival restarts the
+        skeleton here. It starts at a restart, sums its point times as it
+        goes, and ends when it has read ``_CHUNK`` arrivals or points.
+        """
+        horizon, stream = self.horizon, self.points
+        arrival_t = self.arrivals.read(arrivals, _CHUNK)[0].tolist()
+        i = stream.fill(points, _CHUNK)
+        gaps = stream.gap[i:i + _CHUNK].tolist()
+        marks = stream.mark[i:i + _CHUNK]
+        marks = (marks if self.names is None else self.names.take(marks)).tolist()
+        times = memoryview(stream.t)[i:]
+        ia = j = 0
+        t_from = 0.0  # the time point j counts from
+        self.off = True
+        while ia < len(arrival_t) and j < len(gaps):
+            t_a = arrival_t[ia]
+            if self.off:  # the next arrival restarts the skeleton
+                if t_a > horizon:
+                    break
+                self.off = False
+                yield -1, t_a
+                ia += 1
+                t_from = t_a
+                t_p = times[j] = t_from + gaps[j]
+            elif t_p <= t_a:
+                if t_p > horizon:
+                    break
+                yield marks[j], t_p
+                j += 1
+                t_from = t_p
+                if j < len(gaps) and not self.off:
+                    t_p = times[j] = t_from + gaps[j]
+            else:
+                if t_a > horizon:
+                    break
+                yield -1, t_a
+                ia += 1
+        else:  # a list ran out: chunks take over, summing on from point j
+            stream.valid, stream.last = i + j, t_from
+            self.compared, self.cap, self.sent = None, _COMPARED // 2, (arrivals + ia, points + j, 0)
+            return
+        yield -2, horizon
+
+    def finish(self, arrivals: int, points: int) -> None:
+        """Tally the times read up to ``arrivals`` arrivals and ``points`` points."""
+        self.compared = None  # its frame refers to the schedule
+        self.tally(self.arrivals.read_through(arrivals), self.points.read_through(points), True)
 
 
 class _Recorder:
-    """The grid of one run, tallied from its arrival and skeleton blocks (``_Sums``) and logs.
+    """The grid of one run, tallied from its schedule's time blocks and the loop's logs.
 
-    The loop logs the skeleton's restarts and the times of discards,
-    abandonments and busy or idle changes by group. Whenever a stream
-    reaches a full block, the blocks the streams have moved past, all of
-    whose events have happened, are tallied, so nothing held grows with the
-    horizon; ``finish`` tallies the rest up to the run's counts.
+    The loop logs the times of discards, abandonments and busy or idle
+    changes by group. Each block of arrival and skeleton-point times the
+    schedule hands over is tallied, and the logs once they hold a block's
+    worth, so nothing held grows with the horizon.
     """
 
     def __init__(self, grid_t: np.ndarray, n_pools: int, t_warm: float):
@@ -174,40 +334,30 @@ class _Recorder:
         # counts until finish cumulates them: X (-1 per point, +1 per discard), R, A; then Q
         self.xraq = np.zeros((4, len(grid_t)), dtype=np.int64)
         self.grid_z = np.zeros((len(grid_t), n_pools), dtype=np.int64)
-        self.arrivals, self.points = _Sums(), _Sums()
         # lists, which the loop appends to fastest if all are lists; the last group's
         # busy and idle times are dropped, as its busy count is min(X, N) less the others'
         self.discards, self.abandons = [], []
         self.busy_logs: List[List[float]] = [[] for _ in range(n_pools)]
         self.idle_logs: List[List[float]] = [[] for _ in range(n_pools)]
 
-    def read(self, sums: _Sums, block: np.ndarray) -> None:
-        """``_draws``'s hook, given ``sums`` by a partial: the recorder holds no reference to
-        it, so no cycle keeps a finished run's buffers alive until the next collection."""
-        sums.blocks.append(block)
-        if len(block) == _BLOCK:
-            self.tally()
-
-    def tally(self, arrivals: Optional[int] = None, points: Optional[int] = None) -> None:
-        """Tally the blocks read through and, once they hold a block's worth, the logs;
-        everything, at the end of the run, with its counts of arrivals and skeleton points."""
-        times = self.arrivals.take(arrivals)
-        self.early += int(times.searchsorted(self.t_warm))
-        _tally(self.grid_t, times, self.xraq[2], 1)
-        _tally(self.grid_t, self.points.take(points), self.xraq[0], -1)
+    def tally(self, arrivals: np.ndarray, points: np.ndarray, end: bool = False) -> None:
+        """Tally arrival and skeleton-point times, and the logs once they hold a block's
+        worth or at the ``end`` of the run."""
+        self.early += int(arrivals.searchsorted(self.t_warm))
+        _tally(self.grid_t, arrivals, self.xraq[2], 1)
+        _tally(self.grid_t, points, self.xraq[0], -1)
         logs = [(self.discards, self.xraq[0], 1), (self.abandons, self.xraq[1], 1)]
         for group, column in enumerate(self.grid_z.T):
             logs += [(self.busy_logs[group], column, 1), (self.idle_logs[group], column, -1)]
-        if arrivals is None and sum(len(log) for log, _, _ in logs) < _BLOCK:
+        if not end and sum(len(log) for log, _, _ in logs) < _BLOCK:
             return  # a tally's fixed cost per log is spread over many entries
         for k, (log, counts, sign) in enumerate(logs):
             if k < len(logs) - 2:  # the last two, the last group's, are dropped
                 _tally(self.grid_t, np.fromiter(log, float, len(log)), counts, sign)
             log.clear()
 
-    def finish(self, x_init: int, n: int, z0: np.ndarray, arrivals: int, points: int):
-        """The grid rows (X, R, A, Q) and busy counts, from the run's final counts."""
-        self.tally(arrivals, points)
+    def finish(self, x_init: int, n: int, z0: np.ndarray):
+        """The grid rows (X, R, A, Q) and busy counts, once everything is tallied."""
         xraq, grid_z = self.xraq, self.grid_z
         np.cumsum(xraq[:3], axis=1, out=xraq[:3])
         xraq[0] += xraq[2]  # X = x0 + A - (points - discards) - R, in place
@@ -372,8 +522,9 @@ def run(
     each waiting customer holds an id in the queue, and per-customer
     patience a deadline entry as well, about 160 bytes in all (about 60
     with the record alone), so a full queue stays near 1.6 GB.
-    With ``validate`` every event asserts flow conservation, work
-    conservation, and the LISF selection rule. ``grid_points`` is at most
+    With ``validate`` the state before every arrival and skeleton point
+    asserts flow conservation, work conservation and a compact deadline
+    heap, and every assignment the LISF selection rule. ``grid_points`` is at most
     10^6. With arrivals, (lambda_r + sum mu) * horizon, about the number of
     events, is at most 10^9; without them the run ends once it drains.
 
@@ -453,6 +604,13 @@ def _shape(config, system, mode, record, per_server, validate) -> _Shape:
     )
 
 
+def _live(deadlines: list, served_upto: int) -> list:
+    """The entries of a patience deadline heap whose customer is still waiting, as a heap."""
+    live = [entry for entry in deadlines if entry[1] > served_upto]
+    heapify(live)
+    return live
+
+
 def _simulate(
     config, system, horizon, mode, x0, grid_points, queue_cap, rep, warmup,
     t_warm: float, shape: _Shape,
@@ -462,7 +620,8 @@ def _simulate(
     Written for every shape at once. ``run`` calls the copy that
     ``_loop(shape)`` compiles with the shape's flags as constants; this
     function is the reference that copy is tested against, and what runs
-    when the source cannot be read.
+    when the source cannot be read. No comprehension in it reads a name the
+    loop reads, which would make that name a cell, slower in every pass.
     """
     lisf, fsf, abandon, per_customer, perturbed, track, multi, record, per_server, validate = shape
     n, n_pools = system.n_servers, system.n_pools
@@ -478,11 +637,10 @@ def _simulate(
     # gaps, the server a skeleton point names, and per-customer patience;
     # perturbed abandonment reads unit hazards
     std_exp = "standard_exponential"
-    arrival_gap = _draws(seed, rep, Stream.ARRIVAL, std_exp, _interarrival(lam, config.arrival_scv),
-                         functools.partial(rec.read, rec.arrivals))
-    skel_gap = _draws(seed, rep, Stream.SKELETON, std_exp, _over(sum_mu),
-                      functools.partial(rec.read, rec.points))
-    pick = _draws(seed, rep, Stream.SERVICE, "random", _alias_pick(system.mu))
+    arrivals = _blocks(seed, rep, Stream.ARRIVAL, std_exp, _interarrival(lam, config.arrival_scv))
+    points = zip(_blocks(seed, rep, Stream.SKELETON, std_exp, _over(sum_mu)),
+                 _blocks(seed, rep, Stream.SERVICE, "random", _alias_pick(system.mu)))
+    schedule = _Schedule(arrivals if lam > 0.0 else None, points, horizon, rec.tally, n)
     abandon_draw = _draws(
         seed, rep, Stream.ABANDON, std_exp, _over(nu) if per_customer else None
     )
@@ -496,7 +654,6 @@ def _simulate(
     if per_server:  # while idle, busy_since is the time the server went idle
         busy_since, t_busy, d_count = [0.0] * n, [0.0] * n, [0] * n
     z0 = np.bincount(system.pool_of[:n_busy0], minlength=n_pools)  # initial busy count per group
-    t_dep = skel_gap() if n_busy0 else _INF
 
     # idle set of the policy; the other two stay empty
     idle_ids = range(n_busy0, n)
@@ -506,7 +663,7 @@ def _simulate(
     # the lowest index first
     order = sorted(range(n), key=lambda k: (-mu[k], k)) if fsf else []
     rank = np.argsort(order).tolist()
-    fsf_heap = sorted(rank[k] for k in idle_ids) if fsf else []  # sorted is a heap
+    fsf_heap = sorted(map(rank.__getitem__, idle_ids)) if fsf else []  # sorted is a heap
     rand_list = list(idle_ids) if not (lisf or fsf) else []
 
     # customers are numbered in arrival order after the x0 - N seed customers,
@@ -521,12 +678,14 @@ def _simulate(
         waits = array("d", [math.nan]) * n_seed
         abandoned = bytearray(n_seed)
     # patience deadlines over a sentinel; FIFO service makes an entry stale
-    # exactly when its id is at most served_upto
-    deadline_heap = [(abandon_draw(), cid) for cid in range(n_seed)] if per_customer else []
+    # exactly when its id is at most served_upto, and the heap is rebuilt from
+    # its live entries (_live) whenever the stale ones outnumber them
+    patience = iter(abandon_draw, None)
+    deadline_heap = [(d, cid) for cid, d in zip(range(n_seed), patience)] if per_customer else []
     deadline_heap.append((_INF, _INF))
     heapify(deadline_heap)
 
-    discard_log, abandon_log, restart_log = rec.discards, rec.abandons, rec.points.restarts
+    discard_log, abandon_log = rec.discards, rec.abandons
     if multi:  # each server's group's logs
         busy_log = [rec.busy_logs[g] for g in pool_of]
         idle_log = [rec.idle_logs[g] for g in pool_of]
@@ -536,164 +695,165 @@ def _simulate(
     discards = 0
     win_w = 0  # arrivals at t >= t_warm that waited; the recorder counts all of them
     x_init = x
-    next_arr = arrival_gap() if lam > 0.0 else _INF
     hazard = abandon_draw() if perturbed else 0.0
-    t_cur = 0.0
+    t_cur = 0.0  # the last event's time, from which perturbed abandonment spends its hazard
     overflowed = False
     end_time = horizon
 
     # per_customer keeps t_ab current, reading the heap only where the waiting
     # set changes (a served head, an abandonment, a waiting arrival); perturbed
-    # recomputes it each pass, and mode none never compares it
+    # recomputes it before each entry, and mode none never compares it
     t_ab = deadline_heap[0][0]
     while True:
-        if perturbed:  # the hazard left is spent at rate nu * Q
-            q = x - n  # Q where positive; the loop keeps X only
-            t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q) if q > 0 else _INF
+        # one entry per arrival (k = -1) or skeleton point naming server k, in
+        # time order, and k = -2 at the horizon; the schedule restarts the
+        # skeleton at the next arrival after the loop leaves it at X = 0
+        for k, t in schedule.chunk(a_count, x_init + a_count - r_count - x + discards, x):
+            if validate:  # the state after the events before t
+                idle_count = len(lisf_q) + len(fsf_heap) + len(rand_list)
+                assert x == x_init + a_count - sum(d_count) - r_count, "flow conservation broken"
+                assert not (x > n and idle_count > 0), "work conservation broken"
+                assert idle_count == n - sum(busy), "idle set out of step with busy flags"
+                waiting = max(x - n, 0) if track else 0  # ids held only when tracked
+                assert len(queue) - len(gone) == waiting, "queue ids out of step"
+                if per_customer:  # the earliest deadline of a customer still waiting
+                    assert t_ab == _live(deadline_heap, served_upto)[0][0], "stale t_ab"
+                    assert len(deadline_heap) <= 2 * waiting + 1, "stale deadlines outnumber live"
 
-        # one branch per event kind, in the tie order departure, abandonment,
-        # arrival; each first ends the run at an event past the horizon
-        if (not abandon or t_dep <= t_ab) and t_dep <= next_arr:
-            if t_dep > horizon:
-                break
-            if perturbed and q > 0:
-                hazard -= nu * q * (t_dep - t_cur)
-            t_cur = t_dep
-            # skeleton point naming server k: if k is busy it departs and takes
-            # the queue's head if anyone waits (X >= N after it); if idle, nothing moves
-            k = pick()
-            if busy[k]:
-                x -= 1
-                if per_server:
-                    d_count[k] += 1
-                    t_busy[k] += t_cur - busy_since[k]
-                    busy_since[k] = t_cur
-                if x >= n:
-                    if track:
-                        cid = queue.popleft()
-                        if per_customer:
-                            while cid in gone:
-                                gone.remove(cid)
-                                cid = queue.popleft()
-                            served_upto = cid
-                            while deadline_heap[0][1] <= served_upto:
-                                heappop(deadline_heap)  # already served
-                            t_ab = deadline_heap[0][0]
-                        if record:
-                            waits[cid] = t_cur - arr_t[cid]
-                else:
-                    busy[k] = 0
-                    if multi:
-                        idle_log[k].append(t_cur)
-                    if lisf:
-                        lisf_q.append(k)
-                    elif fsf:
-                        heappush(fsf_heap, rank[k])
-                    else:
-                        rand_list.append(k)
-            else:
-                discards += 1
-                discard_log.append(t_cur)
-            t_dep = t_cur + skel_gap() if x else _INF
-        elif abandon and t_ab <= next_arr:
-            # abandonment; t_ab is finite here, so Q > 0
-            if t_ab > horizon:
-                break
-            t_cur = t_ab
-            abandon_log.append(t_cur)
-            if perturbed:  # a fresh hazard replaces the one spent
-                hazard = abandon_draw()
-                if record:
-                    cid = queue.popleft()  # perturbed customers leave only from the head
-            else:
-                cid = heappop(deadline_heap)[1]
-                gone.add(cid)
-                while deadline_heap[0][1] <= served_upto:
-                    heappop(deadline_heap)
-                t_ab = deadline_heap[0][0]
-            x -= 1
-            r_count += 1
-            if record:
-                waits[cid] = t_cur - arr_t[cid]
-                abandoned[cid] = 1
-        else:
-            # arrival
-            if next_arr > horizon:
-                break
-            if perturbed and q > 0:
-                hazard -= nu * q * (next_arr - t_cur)
-            t_cur = next_arr
-            a_count += 1
-            x += 1
-            if record:
-                arr_t.append(t_cur)
-                abandoned.append(0)
-                waited.append(x > n)
-                waits.append(math.nan if x > n else 0.0)
-            if x <= n:
-                # an idle server exists: busy count is min(x, N)
-                if lisf:
-                    k = lisf_q.popleft()
-                elif fsf:
-                    k = order[heappop(fsf_heap)]
-                else:  # one routing uniform per pick
-                    m = len(rand_list)
-                    pos = math.trunc(routing_u() * m)
-                    if pos == m:
-                        pos -= 1
-                    k = rand_list[pos]
-                    rand_list[pos] = rand_list[-1]
-                    rand_list.pop()
-                if validate and lisf:
-                    oldest = min(busy_since[j] for j in range(n) if not busy[j])
-                    assert busy_since[k] == oldest, "LISF selection rule broken"
-                busy[k] = 1
-                if multi:
-                    busy_log[k].append(t_cur)
-                if per_server:
-                    busy_since[k] = t_cur
-                if x == 1:  # the first busy server restarts the skeleton
-                    # at its next gap, whose index is departures + discards
-                    restart_log.append((x_init + a_count - r_count - 1 + discards, t_cur))
-                    t_dep = t_cur + skel_gap()
-            else:
-                if t_cur >= t_warm:
-                    win_w += 1
-                if track:
-                    cid = n_seed + a_count - 1
-                    queue.append(cid)
-                    if per_customer:
-                        heappush(deadline_heap, (t_cur + abandon_draw(), cid))
-                        t_ab = deadline_heap[0][0]  # the top was not stale before
-                if x > n + queue_cap:
-                    overflowed = True
-                    end_time = t_cur
+            # abandonments come first, in the tie order point, abandonment, arrival
+            while abandon:
+                if perturbed:  # the hazard left is spent at rate nu * Q
+                    q = x - n  # Q where positive; the loop keeps X only
+                    if q <= 0:
+                        break
+                    t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q)
+                if t_ab > t or t_ab == t and k >= 0:
                     break
-            next_arr = t_cur + arrival_gap()
+                t_cur = t_ab
+                abandon_log.append(t_cur)
+                if perturbed:  # a fresh hazard replaces the one spent
+                    hazard = abandon_draw()
+                    if record:
+                        cid = queue.popleft()  # perturbed customers leave only from the head
+                else:
+                    cid = heappop(deadline_heap)[1]
+                    gone.add(cid)
+                    while deadline_heap[0][1] <= served_upto:
+                        heappop(deadline_heap)
+                    if len(deadline_heap) > 2 * (x - n) - 1:  # stale outnumber the x - 1 - n live
+                        deadline_heap = _live(deadline_heap, served_upto)
+                    t_ab = deadline_heap[0][0]
+                x -= 1
+                r_count += 1
+                if record:
+                    waits[cid] = t_cur - arr_t[cid]
+                    abandoned[cid] = 1
 
-        if validate:
-            idle_count = len(lisf_q) + len(fsf_heap) + len(rand_list)
-            assert x == x_init + a_count - sum(d_count) - r_count, "flow conservation broken"
-            assert not (x > n and idle_count > 0), "work conservation broken"
-            assert idle_count == n - sum(busy), "idle set out of step with busy flags"
-            waiting = max(x - n, 0) if track else 0  # ids held only when tracked
-            assert len(queue) - len(gone) == waiting, "queue ids out of step"
-            assert (t_dep == _INF) == (x == 0), "skeleton on with no server busy"
-            if per_customer:  # the earliest deadline of a customer still waiting
-                assert t_ab == min(d for d, c in deadline_heap if c > served_upto), "stale t_ab"
+            if perturbed:
+                if q > 0:
+                    hazard -= nu * q * (t - t_cur)
+                t_cur = t
+            if k >= 0:
+                # skeleton point naming server k: if k is busy it departs and takes
+                # the queue's head if anyone waits (X >= N after it); if idle, nothing moves
+                if busy[k]:
+                    x -= 1
+                    if per_server:
+                        d_count[k] += 1
+                        t_busy[k] += t - busy_since[k]
+                        busy_since[k] = t
+                    if x >= n:
+                        if track:
+                            cid = queue.popleft()
+                            if per_customer:
+                                while cid in gone:
+                                    gone.remove(cid)
+                                    cid = queue.popleft()
+                                served_upto = cid
+                                while deadline_heap[0][1] <= served_upto:
+                                    heappop(deadline_heap)  # already served
+                                if len(deadline_heap) > 2 * (x - n) + 1:  # stale outnumber live
+                                    deadline_heap = _live(deadline_heap, served_upto)
+                                t_ab = deadline_heap[0][0]
+                            if record:
+                                waits[cid] = t - arr_t[cid]
+                    else:
+                        busy[k] = 0
+                        if multi:
+                            idle_log[k].append(t)
+                        if lisf:
+                            lisf_q.append(k)
+                        elif fsf:
+                            heappush(fsf_heap, rank[k])
+                        else:
+                            rand_list.append(k)
+                        if not x:
+                            break  # the skeleton stops
+                else:
+                    discards += 1
+                    discard_log.append(t)
+            elif k == -1:
+                # arrival
+                a_count += 1
+                x += 1
+                if record:
+                    arr_t.append(t)
+                    abandoned.append(0)
+                    waited.append(x > n)
+                    waits.append(math.nan if x > n else 0.0)
+                if x <= n:
+                    # an idle server exists: busy count is min(x, N)
+                    if lisf:
+                        k = lisf_q.popleft()
+                    elif fsf:
+                        k = order[heappop(fsf_heap)]
+                    else:  # one routing uniform per pick
+                        m = len(rand_list)
+                        pos = math.trunc(routing_u() * m)
+                        if pos == m:
+                            pos -= 1
+                        k = rand_list[pos]
+                        rand_list[pos] = rand_list[-1]
+                        rand_list.pop()
+                    if validate and lisf:
+                        oldest = min(s for s, b in zip(busy_since, busy) if not b)
+                        assert busy_since[k] == oldest, "LISF selection rule broken"
+                    busy[k] = 1
+                    if multi:
+                        busy_log[k].append(t)
+                    if per_server:
+                        busy_since[k] = t
+                else:
+                    if t >= t_warm:
+                        win_w += 1
+                    if track:
+                        cid = n_seed + a_count - 1
+                        queue.append(cid)
+                        if per_customer:
+                            heappush(deadline_heap, (t + abandon_draw(), cid))
+                            t_ab = deadline_heap[0][0]  # the top was not stale before
+                    if x > n + queue_cap:
+                        overflowed = True
+                        end_time = t
+                        break
+            else:
+                break  # the horizon
+        else:
+            continue  # the chunk is done
+        if k < 0:
+            break  # the horizon, or an overflow; else the skeleton stopped
 
-    del arrival_gap, skel_gap  # their listed blocks, before the last tally
     d_total = x_init + a_count - r_count - x  # by flow conservation
     # the skeleton's points are its departures and discards
-    xraq, grid_z = rec.finish(x_init, n, z0, a_count, d_total + discards)
+    schedule.finish(a_count, d_total + discards)
+    xraq, grid_z = rec.finish(x_init, n, z0)
     if per_server:  # the busy periods still open end at end_time
         t_busy = [t + (end_time - s) if b else t for t, s, b in zip(t_busy, busy_since, busy)]
     customers = [None] * 4
     if record:
-        customers = [
-            np.frombuffer(buf, dtype=dtype)[n_seed:]
-            for buf, dtype in ((arr_t, float), (waits, float), (waited, bool), (abandoned, bool))
-        ]
+        customers = [np.frombuffer(arr_t)[n_seed:], np.frombuffer(waits)[n_seed:],
+                     np.frombuffer(waited, dtype=bool)[n_seed:],
+                     np.frombuffer(abandoned, dtype=bool)[n_seed:]]
 
     return PathRecord(
         config=config,
@@ -856,7 +1016,10 @@ def coupled_run(
     driven by the heterogeneous queue) are shared, so the homogeneous
     departure count can never overtake the heterogeneous one. Arrivals are
     Poisson and idle servers are taken in LISF order, so a config with
-    another ``arrival_scv`` or ``policy`` is refused.
+    another ``arrival_scv`` or ``policy`` is refused. The skeleton and the
+    arrivals come from ``run``'s schedule, each point marked with its
+    uniform, and each point logs one code byte: bit 1 if the homogeneous
+    twin departs, bit 2 if the heterogeneous one does.
     """
     mu = system.mu
     n = system.n_servers
@@ -877,11 +1040,15 @@ def coupled_run(
     _check_events(lam, master_rate, horizon)
 
     seed = config.seed
-    arrival_gap = _draws(seed, rep, Stream.ARRIVAL, "standard_exponential", _over(lam))
-    skel_gap = _draws(seed, rep, Stream.SKELETON, "standard_exponential", _over(master_rate))
-    skel_u = _draws(seed, rep, Stream.SERVICE, "random")
+    std_exp = "standard_exponential"
+    arrivals = _blocks(seed, rep, Stream.ARRIVAL, std_exp, _over(lam)) if lam > 0.0 else None
+    # the skeleton runs throughout; each point is marked with its SERVICE uniform
+    points = zip(_blocks(seed, rep, Stream.SKELETON, std_exp, _over(master_rate)),
+                 _blocks(seed, rep, Stream.SERVICE, "random"))
+    kept: List[np.ndarray] = []  # the point times
+    schedule = _Schedule(arrivals, points, horizon, lambda _, times, end=False: kept.append(times))
     pick_u = _draws(seed, rep, Stream.ROUTING, "random")
-    abandon_exp = _draws(seed, rep, Stream.ABANDON, "standard_exponential")
+    abandon_exp = _draws(seed, rep, Stream.ABANDON, std_exp)
 
     mu_l = mu.tolist()
     busy = list(range(n))  # swap list of the heterogeneous twin's busy servers
@@ -889,80 +1056,80 @@ def coupled_run(
     x_het = x_hom = n  # both systems start full: X(0) = N
     sum_busy_mu = float(mu.sum())
     idle: deque = deque()  # LISF order for the heterogeneous twin
+    # the homogeneous twin accepts a point when U <= (X_hom ^ N) * p / (N q); none at X_hom = 0
+    hom_cut = [-1.0] + [(x * p_rate) / master_rate for x in range(1, n + 1)]
 
-    next_arr = arrival_gap() if lam > 0.0 else _INF
-    next_skel = skel_gap()
     hazard = abandon_exp() if nu > 0.0 else 0.0  # read only while nu > 0
     t_cur = 0.0
-
-    times, hom_counts, het_counts = array("d"), array("q"), array("q")
-    d_hom = d_het = 0
+    a_count = 0
+    codes = bytearray()  # per point: 1 if the homogeneous twin departs, + 2 if the heterogeneous one
 
     while True:
-        q_het = x_het - n if nu > 0.0 and x_het > n else 0
-        t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q_het) if q_het else _INF
-        # tie order: skeleton point, abandonment, arrival
-        if next_skel <= t_ab and next_skel <= next_arr:
-            t_next, kind = next_skel, 0
-        elif t_ab <= next_arr:
-            t_next, kind = t_ab, 1
-        else:
-            t_next, kind = next_arr, 2
-        if t_next > horizon:
-            break
-        if q_het:
-            hazard -= nu * q_het * (t_next - t_cur)
-        t_cur = t_next
-
-        if kind == 0:
-            u = skel_u()
-            # homogeneous acceptance: all busy servers work at rate p
-            if x_hom > 0 and u <= ((x_hom if x_hom < n else n) * p_rate) / master_rate:
-                x_hom -= 1
-                d_hom += 1
-            # heterogeneous acceptance: realized busy rates; an empty system frees none
-            if u <= sum_busy_mu / master_rate and x_het > 0:
-                m = len(busy)
-                while True:  # a uniform busy server, kept with probability mu_k/q
-                    i = math.trunc(pick_u() * m)
-                    if i == m:  # u * m can round up to m
-                        i -= 1
-                    k = busy[i]
-                    if pick_u() * q_rate <= mu_l[k]:
-                        break
+        # one entry per point (its uniform u) or arrival (u = -1), and u = -2 at the horizon
+        for u, t in schedule.chunk(a_count, len(codes), True):
+            while True:  # shared abandonment epochs first; tie order: point, abandonment, arrival
+                q_het = x_het - n if nu > 0.0 and x_het > n else 0
+                if not q_het:
+                    break
+                t_ab = t_cur + (hazard if hazard > 0.0 else 0.0) / (nu * q_het)
+                if t_ab > t or t_ab == t and u >= 0.0:
+                    break
+                # the heterogeneous queue loses its head, the (longer) homogeneous queue one as well
+                t_cur = t_ab
                 x_het -= 1
-                d_het += 1
-                d_count[k] += 1
-                if x_het < n:
-                    busy[i] = busy[-1]
-                    busy.pop()
-                    sum_busy_mu -= mu_l[k]
-                    idle.append(k)
-                # else: a queued customer takes the freed server immediately
-            times.append(t_cur)
-            hom_counts.append(d_hom)
-            het_counts.append(d_het)
-            next_skel = t_cur + skel_gap()
-        elif kind == 1:
-            # shared abandonment epoch: heterogeneous queue loses its head,
-            # the (longer) homogeneous queue loses one as well
-            x_het -= 1
-            if x_hom > n:  # always true while the ordering holds
-                x_hom -= 1
-            hazard = abandon_exp()
-        else:
-            x_het += 1
-            x_hom += 1
-            if x_het <= n:
-                k = idle.popleft()
-                busy.append(k)
-                sum_busy_mu += mu_l[k]
-            next_arr = t_cur + arrival_gap()
+                if x_hom > n:  # always true while the ordering holds
+                    x_hom -= 1
+                hazard = abandon_exp()
+            if q_het:
+                hazard -= nu * q_het * (t - t_cur)
+            t_cur = t
 
+            if u >= 0.0:
+                code = 0
+                # homogeneous acceptance: all busy servers work at rate p
+                if u <= hom_cut[x_hom if x_hom < n else n]:
+                    x_hom -= 1
+                    code = 1
+                # heterogeneous acceptance: realized busy rates; an empty system frees none
+                if u <= sum_busy_mu / master_rate and x_het > 0:
+                    m = len(busy)
+                    while True:  # a uniform busy server, kept with probability mu_k/q
+                        i = math.trunc(pick_u() * m)
+                        if i == m:  # u * m can round up to m
+                            i -= 1
+                        k = busy[i]
+                        if pick_u() * q_rate <= mu_l[k]:
+                            break
+                    x_het -= 1
+                    d_count[k] += 1
+                    code += 2
+                    if x_het < n:
+                        busy[i] = busy[-1]
+                        busy.pop()
+                        sum_busy_mu -= mu_l[k]
+                        idle.append(k)
+                    # else: a queued customer takes the freed server immediately
+                codes.append(code)
+            elif u == -1.0:
+                x_het += 1
+                x_hom += 1
+                a_count += 1
+                if x_het <= n:
+                    k = idle.popleft()
+                    busy.append(k)
+                    sum_busy_mu += mu_l[k]
+            else:
+                break  # the horizon
+        else:
+            continue  # the chunk is done
+        break
+
+    schedule.finish(a_count, len(codes))
+    code_arr = np.frombuffer(codes, dtype=np.uint8)
     return CoupledPaths(
-        skeleton_t=np.frombuffer(times),
-        d_hom=np.frombuffer(hom_counts, dtype=np.int64),
-        d_het=np.frombuffer(het_counts, dtype=np.int64),
+        skeleton_t=np.concatenate(kept),
+        d_hom=np.cumsum(code_arr & 1, dtype=np.int64),
+        d_het=np.cumsum(code_arr >> 1, dtype=np.int64),
         departures=np.asarray(d_count, dtype=np.int64),
         p_rate=p_rate,
         q_rate=q_rate,

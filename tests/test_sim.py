@@ -406,7 +406,7 @@ class TestCompiledLoop:
         def lines(name, *rest):
             real = getlines(name, *rest)
             changed = list(real)
-            k = real.index("            a_count += 1\n", first)
+            k = real.index("                a_count += 1\n", first)
             changed[k] = changed[k].replace("+= 1", "+= 2")
             return {"unreadable": [], "shifted": ["\n"] + real,
                     "lengthened": real[:first] + ["\n"] + real[first:], "changed": changed}[edit]
@@ -1169,3 +1169,156 @@ class TestStreamPinning:
     @pytest.mark.parametrize("n", sorted(_COUPLED_PINS))
     def test_coupled_run(self, n):
         assert _coupled_digest(n) == _COUPLED_PINS[n]
+
+
+# --------------------------------------------------------------------------
+# The event schedule's edges: runs whose arrival and skeleton streams stop,
+# restart or end early, pinned at lengths the pins above do not reach.
+# --------------------------------------------------------------------------
+
+_EDGE_FIELDS = tuple(f for f in _PATH_FIELDS if f != "idle_grid")
+
+
+def _edge_path(name, policy=Policy.LISF, mode=AbandonMode.NONE):
+    """One seeded run that stops, restarts or ends its skeleton or arrivals."""
+    nu = 0.0 if mode is AbandonMode.NONE else 0.6
+    n, lam, kwargs = 20, 19.0, dict(horizon=60.0)
+    if name == "restarts":  # N = 3 at load about 0.5: thousands of empty spells
+        n, lam = 3, 1.5
+        kwargs.update(x0=0, horizon=6000.0)
+    elif name == "drained":  # no arrivals: the queue empties, then the servers
+        lam = 0.0
+        kwargs.update(x0=45, horizon=1e9)
+    elif name == "x0_above_n":
+        kwargs.update(x0=70)
+    elif name == "overflow_replay":  # ends at the arrival that overflows, then replays
+        lam, nu = 22.0, min(nu, 0.01)
+        kwargs.update(x0=0, queue_cap=120, horizon=2000.0, warmup=0.3)
+    cfg = SystemConfig(
+        r=float(n), lambda_r=lam, seed=977, staffing=n, abandon_rate=nu, policy=policy,
+        rates=RateDistribution.uniform(0.5, 1.5),
+    )
+    s = RealizedSystem.from_config(cfg, rep=2)
+    return run(cfg, s, mode=mode, grid_points=301, rep=2, validate=True,
+               record_customers=True, record_servers=True, **kwargs)
+
+
+def _edge_digest(path) -> str:
+    scalars = (path.end_time, path.abandon_total, path.overflowed, path.arrivals_total,
+               path.departures_total, path.discarded_points, path.window_arrivals,
+               path.window_waited)
+    return _digest([(name, getattr(path, name)) for name in _EDGE_FIELDS], scalars)
+
+
+_EDGE_PINS = {
+    ('restarts', 'LISF', 'none'): "b3e17e51ed894220ce138798c3503f975dbe2743f91c6d4c06726be4a3984438",
+    ('restarts', 'LISF', 'per_customer'): "af1f5a119e4396925202a1b5db5845ab9186a8f374fffc3f79ef1df2ed9330ee",
+    ('restarts', 'LISF', 'perturbed'): "e3b4c16d07f54fa4c9892e610a585516b9dbe150258505cfdf3609b9129e72ae",
+    ('restarts', 'FSF', 'none'): "c8039ffed41820e9b07e3da976fdf32e3e2352af341b8c67203a5e600b266a79",
+    ('restarts', 'FSF', 'per_customer'): "6bed9270f4602fedd562215b0415f0bb03bd19ecff1f278d974167e0fab59b3f",
+    ('restarts', 'FSF', 'perturbed'): "4a1ebb955de69f10d0566e358dbe078cfc2ca1bdf1e43971eb6fee505f13f5a0",
+    ('restarts', 'RANDOM', 'none'): "db5f05029daa409f21f22ba47ba68044a014003a15f1f4dc7309f5273bd167da",
+    ('restarts', 'RANDOM', 'per_customer'): "102bd7c54ac016c1f55f114a2fa5cbb0734219bfdb9ec718ddcc26d8e4b0ee15",
+    ('restarts', 'RANDOM', 'perturbed'): "76ca25400e23c5d81219b414d01896f7a807d3f85f3f88e6e8a83211b3d9f2c9",
+    ('drained', 'LISF', 'none'): "730366895c916c94c01cf6c8b3d2b080a45b3b86e7ea31c878b4e8d1442457bb",
+    ('drained', 'FSF', 'per_customer'): "04be3ece473e222e18e0b6f48e9e782ceac601388430bb7e93a5e06a42f14756",
+    ('drained', 'RANDOM', 'perturbed'): "9807af1093ee30d102990d62095a306cccfc1ec4fa977f64789fee265017ceda",
+    ('x0_above_n', 'FSF', 'none'): "1575e57355ac71c0f5697bf0b5ea54a1f77026819fae776af8d71afa9ec1147b",
+    ('x0_above_n', 'RANDOM', 'per_customer'): "4f93d522f8b14e1d8829e19de4b90a8bfe24bfd321281235818a07d385801c2f",
+    ('x0_above_n', 'LISF', 'perturbed'): "78e9abccad30bb6e1b564183138ec81da338edbe2fb009121f4ca6f3ffe32d5b",
+    ('overflow_replay', 'LISF', 'none'): "9934877c676183279f734b362cb73efeac5dbb535a0ab407d0cafae1ff69585f",
+    ('overflow_replay', 'FSF', 'per_customer'): "4606e8123cc974bb0c8f681af6238ce02c660f45fd098eea551787104d4ab760",
+    ('overflow_replay', 'RANDOM', 'perturbed'): "c738b40650e42f67d3264e77329a6a203216a689d56ff6cb3709146edf21d3d3",
+}
+
+
+def _gap_blocks(first, fill=100.0, size=600):
+    """One long block of gaps that starts with ``first`` and then lands past any horizon."""
+    return itertools.repeat(np.array(list(first) + [fill] * (size - len(first))))
+
+
+def _entries(schedule, arrivals=0, points=0, on=True):
+    return list(schedule.chunk(arrivals, points, on))
+
+
+class TestScheduleEdges:
+    @pytest.mark.parametrize("compared", [0, 10**9], ids=["arrays", "compared"])
+    def test_points_merge_before_arrivals_at_equal_times(self, compared, monkeypatch):
+        # both ways of merging: the chunk's arrays, and the one-at-a-time
+        # comparison that short busy periods take after a restart
+        monkeypatch.setattr(hetq.sim, "_COMPARED", compared)
+        marks = np.arange(600)
+        schedule = hetq.sim._Schedule(_gap_blocks([1.0, 1.0, 1.0]),
+                                      zip(_gap_blocks([0.5, 0.5, 1.0]), itertools.repeat(marks)),
+                                      10.0, lambda *times: None, servers=600)
+        if not compared:  # the skeleton runs from time 0
+            assert _entries(schedule) == [
+                (0, 0.5), (1, 1.0), (-1, 1.0), (2, 2.0), (-1, 2.0), (-1, 3.0), (-2, 10.0)]
+        # off: the first arrival restarts the skeleton, whose first point ties
+        # the second arrival
+        schedule = hetq.sim._Schedule(_gap_blocks([1.0, 0.5, 0.5]),
+                                      zip(_gap_blocks([0.5, 0.5]), itertools.repeat(marks)),
+                                      10.0, lambda *times: None, servers=600)
+        assert _entries(schedule, on=False) == [
+            (-1, 1.0), (0, 1.5), (-1, 1.5), (1, 2.0), (-1, 2.0), (-2, 10.0)]
+
+    def test_times_are_the_scalar_running_sums(self):
+        # chunk after chunk, every point and arrival time is the scalar t + gap
+        horizon, seed, rep = 3000.0, 7, 2
+        std_exp = "standard_exponential"
+        arrivals = hetq.sim._blocks(seed, rep, Stream.ARRIVAL, std_exp, hetq.sim._over(3.0))
+        points = zip(hetq.sim._blocks(seed, rep, Stream.SKELETON, std_exp, hetq.sim._over(5.0)),
+                     hetq.sim._blocks(seed, rep, Stream.SERVICE, "random"))
+        tallied = []
+        schedule = hetq.sim._Schedule(arrivals, points, horizon,
+                                      lambda a, p, end=False: tallied.append((a.copy(), p.copy())))
+        got = {True: [], False: []}
+        while True:
+            entries = _entries(schedule, len(got[False]), len(got[True]))
+            for mark, t in entries:
+                if mark != -2:
+                    got[mark >= 0].append(t)
+            if entries[-1][0] == -2:
+                break
+        schedule.finish(len(got[False]), len(got[True]))
+        for stream, rate, key in ((Stream.ARRIVAL, 3.0, False), (Stream.SKELETON, 5.0, True)):
+            t, want = 0.0, []
+            for e in rng_stream(seed, rep, stream).standard_exponential(len(got[key]) + 1).tolist():
+                t += e / rate
+                want.append(t)
+            assert got[key] == want[:-1] and want[-1] > horizon
+            assert np.concatenate([pair[key] for pair in tallied]).tolist() == got[key]
+        assert len(got[False]) > 8000 and len(got[True]) > 14_000  # several blocks each
+
+    def test_compiled_loop_test_covers_every_shape(self):
+        # TestCompiledLoop's cases reach each of the 108 shapes, each compiled
+        shapes = {_shape_case(p, m, *flags)[1]
+                  for p, m in itertools.product(Policy, AbandonMode)
+                  for flags in itertools.product((False, True), repeat=4)}
+        assert len(shapes) == 108
+        assert all(hetq.sim._loop(shape) is not hetq.sim._simulate for shape in shapes)
+
+    @pytest.mark.parametrize("policy,mode", itertools.product(Policy, AbandonMode), ids=str)
+    def test_restart_heavy_run(self, policy, mode):
+        path = _edge_path("restarts", policy, mode)
+        assert path.grid_X.min() == 0
+        assert _edge_digest(path) == _EDGE_PINS[("restarts", policy.value, mode.value)]
+
+    @pytest.mark.parametrize("name,policy,mode", [
+        ("drained", Policy.LISF, AbandonMode.NONE),
+        ("drained", Policy.FSF, AbandonMode.PER_CUSTOMER),
+        ("drained", Policy.RANDOM, AbandonMode.PERTURBED),
+        ("x0_above_n", Policy.FSF, AbandonMode.NONE),
+        ("x0_above_n", Policy.RANDOM, AbandonMode.PER_CUSTOMER),
+        ("x0_above_n", Policy.LISF, AbandonMode.PERTURBED),
+        ("overflow_replay", Policy.LISF, AbandonMode.NONE),
+        ("overflow_replay", Policy.FSF, AbandonMode.PER_CUSTOMER),
+        ("overflow_replay", Policy.RANDOM, AbandonMode.PERTURBED),
+    ], ids=str)
+    def test_edge_run(self, name, policy, mode):
+        path = _edge_path(name, policy, mode)
+        if name == "drained":
+            assert path.grid_X[-1] == 0 and path.end_time == 1e9
+        if name == "overflow_replay":
+            assert path.overflowed and path.end_time < 2000.0
+        assert _edge_digest(path) == _EDGE_PINS[(name, policy.value, mode.value)]
