@@ -63,7 +63,7 @@ __all__ = [
 _INF = math.inf
 _FIRST_BLOCK = 64
 _BLOCK = 4096
-_MIN_CHUNK, _CHUNK = 16, 2048  # entries per stream in a chunk: after a short busy period, at most
+_CHUNK = 2048  # entries per stream in a chunk, at most
 _COMPARED = 128  # a restart after fewer entries than this starts Schedule._compared
 _EMPTY = np.empty(0)
 _ARRIVAL = np.full(_BLOCK, -1, dtype=np.int8)  # an arrival's mark
@@ -185,10 +185,6 @@ class _Stream:
             self.valid, self.last = end, summed[-1]
         return self.t[i:end], self.mark[i:end]
 
-    def read_through(self, done: int) -> np.ndarray:
-        """The times of the events read, up to the first ``done``, that are not yet tallied."""
-        return self.t[:done - self.base]
-
 
 class _Schedule:
     """A run's arrivals and skeleton points in time order, handed to the loop a chunk at a time.
@@ -211,7 +207,7 @@ class _Schedule:
         # indices would make an int per entry
         self.names = np.array([*range(servers), -2, -1], dtype=object) if servers else None
         blocks = ((gaps, _ARRIVAL[:len(gaps)]) for gaps in arrivals) if arrivals is not None else (
-            repeat((np.full(_CHUNK + 1, _INF), _ARRIVAL[:_CHUNK + 1])))  # arrivals that never come
+            repeat((np.full(_BLOCK, _INF), _ARRIVAL)))  # arrivals that never come
         self.arrivals = _Stream(blocks, lambda times: tally(times, _EMPTY))
         self.points = _Stream(points, lambda times: tally(_EMPTY, times))
         self.cap = 4 * _FIRST_BLOCK  # entries per stream in a chunk
@@ -228,8 +224,8 @@ class _Schedule:
         ends with the mark -2 at the horizon. The skeleton is off unless
         ``on``; then the next arrival restarts it with the next gap, and
         leads the chunk. A chunk cut short by a restart sizes the next one to
-        the entries used, and one used in full doubles it, so short busy
-        periods build short chunks.
+        the entries used, and one used in full doubles it. After fewer than
+        ``_COMPARED`` entries, ``_compared`` takes over instead.
         """
         if not on and self.compared is not None:
             self.off = True
@@ -240,7 +236,7 @@ class _Schedule:
         if not on and used < _COMPARED:
             self.compared = self._compared(arrivals, points)
             return self.compared
-        cap = self.cap = min(2 * self.cap, _CHUNK) if used == sent else max(_MIN_CHUNK, used)
+        cap = self.cap = min(2 * self.cap, _CHUNK) if used == sent else used
         head = 0 if on else 1  # the arrival that restarts the skeleton
         a_t, a_mark = self.arrivals.read(arrivals, head + cap)
         if head and a_t[0] > horizon:
@@ -316,7 +312,8 @@ class _Schedule:
     def finish(self, arrivals: int, points: int) -> None:
         """Tally the times read up to ``arrivals`` arrivals and ``points`` points."""
         self.compared = None  # its frame refers to the schedule
-        self.tally(self.arrivals.read_through(arrivals), self.points.read_through(points), True)
+        a, p = self.arrivals, self.points
+        self.tally(a.t[:arrivals - a.base], p.t[:points - p.base], True)
 
 
 class _Recorder:

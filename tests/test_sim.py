@@ -1182,7 +1182,7 @@ _EDGE_FIELDS = tuple(f for f in _PATH_FIELDS if f != "idle_grid")
 def _edge_path(name, policy=Policy.LISF, mode=AbandonMode.NONE):
     """One seeded run that stops, restarts or ends its skeleton or arrivals."""
     nu = 0.0 if mode is AbandonMode.NONE else 0.6
-    n, lam, kwargs = 20, 19.0, dict(horizon=60.0)
+    n, lam, rates, kwargs = 20, 19.0, RateDistribution.uniform(0.5, 1.5), dict(horizon=60.0)
     if name == "restarts":  # N = 3 at load about 0.5: thousands of empty spells
         n, lam = 3, 1.5
         kwargs.update(x0=0, horizon=6000.0)
@@ -1191,12 +1191,14 @@ def _edge_path(name, policy=Policy.LISF, mode=AbandonMode.NONE):
         kwargs.update(x0=45, horizon=1e9)
     elif name == "x0_above_n":
         kwargs.update(x0=70)
+    elif name == "slow_server":  # thousands of arrivals after the first, before the first point
+        n, lam, rates = 1, 10.0, RateDistribution.point(0.004)
+        kwargs.update(x0=0, horizon=600.0)
     elif name == "overflow_replay":  # ends at the arrival that overflows, then replays
         lam, nu = 22.0, min(nu, 0.01)
         kwargs.update(x0=0, queue_cap=120, horizon=2000.0, warmup=0.3)
     cfg = SystemConfig(
-        r=float(n), lambda_r=lam, seed=977, staffing=n, abandon_rate=nu, policy=policy,
-        rates=RateDistribution.uniform(0.5, 1.5),
+        r=float(n), lambda_r=lam, seed=977, staffing=n, abandon_rate=nu, policy=policy, rates=rates,
     )
     s = RealizedSystem.from_config(cfg, rep=2)
     return run(cfg, s, mode=mode, grid_points=301, rep=2, validate=True,
@@ -1226,6 +1228,8 @@ _EDGE_PINS = {
     ('x0_above_n', 'FSF', 'none'): "1575e57355ac71c0f5697bf0b5ea54a1f77026819fae776af8d71afa9ec1147b",
     ('x0_above_n', 'RANDOM', 'per_customer'): "4f93d522f8b14e1d8829e19de4b90a8bfe24bfd321281235818a07d385801c2f",
     ('x0_above_n', 'LISF', 'perturbed'): "78e9abccad30bb6e1b564183138ec81da338edbe2fb009121f4ca6f3ffe32d5b",
+    ('slow_server', 'LISF', 'none'): "148d30492f7fa0d2c10c580b8d7ec73122c4981eafca66c7dd16f2b7e8e1bde1",
+    ('slow_server', 'FSF', 'perturbed'): "fab6a3aaf639d3038186117e957a38eeeac54f409d5fd0c60530e8fb829c2ee2",
     ('overflow_replay', 'LISF', 'none'): "9934877c676183279f734b362cb73efeac5dbb535a0ab407d0cafae1ff69585f",
     ('overflow_replay', 'FSF', 'per_customer'): "4606e8123cc974bb0c8f681af6238ce02c660f45fd098eea551787104d4ab760",
     ('overflow_replay', 'RANDOM', 'perturbed'): "c738b40650e42f67d3264e77329a6a203216a689d56ff6cb3709146edf21d3d3",
@@ -1311,6 +1315,8 @@ class TestScheduleEdges:
         ("x0_above_n", Policy.FSF, AbandonMode.NONE),
         ("x0_above_n", Policy.RANDOM, AbandonMode.PER_CUSTOMER),
         ("x0_above_n", Policy.LISF, AbandonMode.PERTURBED),
+        ("slow_server", Policy.LISF, AbandonMode.NONE),
+        ("slow_server", Policy.FSF, AbandonMode.PERTURBED),
         ("overflow_replay", Policy.LISF, AbandonMode.NONE),
         ("overflow_replay", Policy.FSF, AbandonMode.PER_CUSTOMER),
         ("overflow_replay", Policy.RANDOM, AbandonMode.PERTURBED),
@@ -1321,4 +1327,6 @@ class TestScheduleEdges:
             assert path.grid_X[-1] == 0 and path.end_time == 1e9
         if name == "overflow_replay":
             assert path.overflowed and path.end_time < 2000.0
+        if name == "slow_server":
+            assert path.arrivals_total > 5000 and 0 < path.departures_total < 10
         assert _edge_digest(path) == _EDGE_PINS[(name, policy.value, mode.value)]
