@@ -1173,7 +1173,9 @@ class TestStreamPinning:
 
 # --------------------------------------------------------------------------
 # The event schedule's edges: runs whose arrival and skeleton streams stop,
-# restart or end early, pinned at lengths the pins above do not reach.
+# restart or end early, pinned at lengths the pins above do not reach. The
+# digests were frozen with the engine that compared its next arrival and
+# next skeleton point per event, before the merged schedule replaced it.
 # --------------------------------------------------------------------------
 
 _EDGE_FIELDS = tuple(f for f in _PATH_FIELDS if f != "idle_grid")
