@@ -64,7 +64,6 @@ _INF = math.inf
 _FIRST_BLOCK = 64
 _BLOCK = 4096
 _CHUNK = 2048  # entries per stream in a chunk, at most
-_COMPARED = 128  # a restart after fewer entries than this starts Schedule._compared
 _EMPTY = np.empty(0)
 _ARRIVAL = np.full(_BLOCK, -1, dtype=np.int8)  # an arrival's mark
 _CSV_BLOCK = 4096  # rows of a CSV table formatted by one %
@@ -141,7 +140,8 @@ class _Stream:
     A window holds the events from the first one not yet read, topped up
     from the next blocks of (gaps, marks). Times are summed only as far as
     a read reaches, since a restart sums them afresh from a new start. The
-    times read go to ``tally`` once they are a quarter block's worth.
+    times read go to ``tally`` once they are a quarter block's worth, and
+    the rest at ``finish``.
     """
 
     def __init__(self, blocks: Iterator[Tuple[np.ndarray, np.ndarray]],
@@ -185,6 +185,10 @@ class _Stream:
             self.valid, self.last = end, summed[-1]
         return self.t[i:end], self.mark[i:end]
 
+    def finish(self, done: int) -> None:
+        """Tally the times read up to the first ``done`` events."""
+        self.tally(self.t[:done - self.base])
+
 
 class _Schedule:
     """A run's arrivals and skeleton points in time order, handed to the loop a chunk at a time.
@@ -192,30 +196,25 @@ class _Schedule:
     Arrival times are running sums of the inter-arrival gaps, and
     skeleton-point times running sums of the skeleton's gaps from the start
     of each busy period (``_Stream``), so each is the loop's t + gap bit for
-    bit. ``tally(arrivals, points)`` gets the times read, the last of them
-    with ``end`` from ``finish``.
+    bit.
     """
 
     def __init__(self, arrivals: Optional[Iterator[np.ndarray]],
                  points: Iterator[Tuple[np.ndarray, np.ndarray]], horizon: float,
-                 tally: Callable[..., None], servers: int = 0):
+                 tally_arrivals: Callable[[np.ndarray], None],
+                 tally_points: Callable[[np.ndarray], None], names: Optional[np.ndarray] = None):
         """``arrivals`` yields inter-arrival gap blocks (None: no arrivals), ``points``
-        skeleton gap blocks and each point's mark, a server index below ``servers`` if
-        that is given."""
-        self.horizon, self.tally = horizon, tally
-        # with servers, each mark is listed as one shared int object: listing a block of
-        # indices would make an int per entry
-        self.names = np.array([*range(servers), -2, -1], dtype=object) if servers else None
+        skeleton gap blocks and each point's mark; each stream's times read go to its
+        tally. With ``names``, a chunk lists each mark m as the object ``names[m]``."""
+        self.horizon, self.names = horizon, names
         blocks = ((gaps, _ARRIVAL[:len(gaps)]) for gaps in arrivals) if arrivals is not None else (
             repeat((np.full(_BLOCK, _INF), _ARRIVAL)))  # arrivals that never come
-        self.arrivals = _Stream(blocks, lambda times: tally(times, _EMPTY))
-        self.points = _Stream(points, lambda times: tally(_EMPTY, times))
+        self.arrivals = _Stream(blocks, tally_arrivals)
+        self.points = _Stream(points, tally_points)
         self.cap = 4 * _FIRST_BLOCK  # entries per stream in a chunk
         self.sent = (0, 0, 0)  # arrivals and points before the last chunk, and its entries
-        self.compared: Optional[Iterator] = None  # the live _compared generator
-        self.off = False  # set for _compared when the loop has stopped the skeleton
 
-    def chunk(self, arrivals: int, points: int, on: bool) -> Iterable[Tuple[object, float]]:
+    def chunk(self, arrivals: int, points: int, on: bool = True) -> Iterable[Tuple[object, float]]:
         """The (mark, time) entries that follow ``arrivals`` arrivals and ``points`` points.
 
         A point's mark is its mark from the draw blocks, an arrival's -1. The
@@ -224,18 +223,11 @@ class _Schedule:
         ends with the mark -2 at the horizon. The skeleton is off unless
         ``on``; then the next arrival restarts it with the next gap, and
         leads the chunk. A chunk cut short by a restart sizes the next one to
-        the entries used, and one used in full doubles it. After fewer than
-        ``_COMPARED`` entries, ``_compared`` takes over instead.
+        the entries used, and one used in full doubles it, up to ``_CHUNK``.
         """
-        if not on and self.compared is not None:
-            self.off = True
-            return self.compared
         horizon = self.horizon
         before_a, before_p, sent = self.sent
         used = arrivals - before_a + points - before_p
-        if not on and used < _COMPARED:
-            self.compared = self._compared(arrivals, points)
-            return self.compared
         cap = self.cap = min(2 * self.cap, _CHUNK) if used == sent else used
         head = 0 if on else 1  # the arrival that restarts the skeleton
         a_t, a_mark = self.arrivals.read(arrivals, head + cap)
@@ -261,59 +253,10 @@ class _Schedule:
             times.append(horizon)
         return zip(marks, times)
 
-    def _compared(self, arrivals: int, points: int) -> Iterator[Tuple[object, float]]:
-        """The entries one at a time, each the earlier of the next point and arrival.
-
-        For short busy periods, where a chunk's arrays cost more than they
-        save: a restart costs no numpy call, since ``chunk`` hands this
-        generator back with ``off`` set, and the next arrival restarts the
-        skeleton here. It starts at a restart, sums its point times as it
-        goes, and ends when it has read ``_CHUNK`` arrivals or points.
-        """
-        horizon, stream = self.horizon, self.points
-        arrival_t = self.arrivals.read(arrivals, _CHUNK)[0].tolist()
-        i = stream.fill(points, _CHUNK)
-        gaps = stream.gap[i:i + _CHUNK].tolist()
-        marks = stream.mark[i:i + _CHUNK]
-        marks = (marks if self.names is None else self.names.take(marks)).tolist()
-        times = memoryview(stream.t)[i:]
-        ia = j = 0
-        t_from = 0.0  # the time point j counts from
-        self.off = True
-        while ia < len(arrival_t) and j < len(gaps):
-            t_a = arrival_t[ia]
-            if self.off:  # the next arrival restarts the skeleton
-                if t_a > horizon:
-                    break
-                self.off = False
-                yield -1, t_a
-                ia += 1
-                t_from = t_a
-                t_p = times[j] = t_from + gaps[j]
-            elif t_p <= t_a:
-                if t_p > horizon:
-                    break
-                yield marks[j], t_p
-                j += 1
-                t_from = t_p
-                if j < len(gaps) and not self.off:
-                    t_p = times[j] = t_from + gaps[j]
-            else:
-                if t_a > horizon:
-                    break
-                yield -1, t_a
-                ia += 1
-        else:  # a list ran out: chunks take over, summing on from point j
-            stream.valid, stream.last = i + j, t_from
-            self.compared, self.cap, self.sent = None, _COMPARED // 2, (arrivals + ia, points + j, 0)
-            return
-        yield -2, horizon
-
     def finish(self, arrivals: int, points: int) -> None:
         """Tally the times read up to ``arrivals`` arrivals and ``points`` points."""
-        self.compared = None  # its frame refers to the schedule
-        a, p = self.arrivals, self.points
-        self.tally(a.t[:arrivals - a.base], p.t[:points - p.base], True)
+        self.arrivals.finish(arrivals)
+        self.points.finish(points)
 
 
 class _Recorder:
@@ -337,12 +280,15 @@ class _Recorder:
         self.busy_logs: List[List[float]] = [[] for _ in range(n_pools)]
         self.idle_logs: List[List[float]] = [[] for _ in range(n_pools)]
 
-    def tally(self, arrivals: np.ndarray, points: np.ndarray, end: bool = False) -> None:
-        """Tally arrival and skeleton-point times, and the logs once they hold a block's
-        worth or at the ``end`` of the run."""
+    def tally(self, arrivals: np.ndarray, points: np.ndarray = _EMPTY) -> None:
+        """Tally arrival and skeleton-point times, then the logs if they hold a block's worth."""
         self.early += int(arrivals.searchsorted(self.t_warm))
         _tally(self.grid_t, arrivals, self.xraq[2], 1)
         _tally(self.grid_t, points, self.xraq[0], -1)
+        self.logs()
+
+    def logs(self, end: bool = False) -> None:
+        """Tally the loop's logs once they hold a block's worth, or at the ``end`` of the run."""
         logs = [(self.discards, self.xraq[0], 1), (self.abandons, self.xraq[1], 1)]
         for group, column in enumerate(self.grid_z.T):
             logs += [(self.busy_logs[group], column, 1), (self.idle_logs[group], column, -1)]
@@ -354,7 +300,8 @@ class _Recorder:
             log.clear()
 
     def finish(self, x_init: int, n: int, z0: np.ndarray):
-        """The grid rows (X, R, A, Q) and busy counts, once everything is tallied."""
+        """The grid rows (X, R, A, Q) and busy counts, once the schedule's times are tallied."""
+        self.logs(end=True)
         xraq, grid_z = self.xraq, self.grid_z
         np.cumsum(xraq[:3], axis=1, out=xraq[:3])
         xraq[0] += xraq[2]  # X = x0 + A - (points - discards) - R, in place
@@ -519,9 +466,10 @@ def run(
     each waiting customer holds an id in the queue, and per-customer
     patience a deadline entry as well, about 160 bytes in all (about 60
     with the record alone), so a full queue stays near 1.6 GB.
-    With ``validate`` the state before every arrival and skeleton point
-    asserts flow conservation, work conservation and a compact deadline
-    heap, and every assignment the LISF selection rule. ``grid_points`` is at most
+    With ``validate`` the state before every arrival and skeleton point,
+    and after every abandonment, asserts flow conservation, work
+    conservation and a compact deadline heap, every skeleton point a busy
+    server, and every assignment the LISF selection rule. ``grid_points`` is at most
     10^6. With arrivals, (lambda_r + sum mu) * horizon, about the number of
     events, is at most 10^9; without them the run ends once it drains.
 
@@ -637,7 +585,11 @@ def _simulate(
     arrivals = _blocks(seed, rep, Stream.ARRIVAL, std_exp, _interarrival(lam, config.arrival_scv))
     points = zip(_blocks(seed, rep, Stream.SKELETON, std_exp, _over(sum_mu)),
                  _blocks(seed, rep, Stream.SERVICE, "random", _alias_pick(system.mu)))
-    schedule = _Schedule(arrivals if lam > 0.0 else None, points, horizon, rec.tally, n)
+    # a listed chunk names each server, and the arrival mark -1, by one shared int
+    # object: listing the marks' int64s would make an int per entry
+    servers = np.array([*range(n), -1], dtype=object)
+    schedule = _Schedule(arrivals if lam > 0.0 else None, points, horizon,
+                         rec.tally, functools.partial(rec.tally, _EMPTY), servers)
     abandon_draw = _draws(
         seed, rep, Stream.ABANDON, std_exp, _over(nu) if per_customer else None
     )
@@ -713,6 +665,7 @@ def _simulate(
                 assert idle_count == n - sum(busy), "idle set out of step with busy flags"
                 waiting = max(x - n, 0) if track else 0  # ids held only when tracked
                 assert len(queue) - len(gone) == waiting, "queue ids out of step"
+                assert x > 0 or k < 0, "skeleton on with no server busy"
                 if per_customer:  # the earliest deadline of a customer still waiting
                     assert t_ab == _live(deadline_heap, served_upto)[0][0], "stale t_ab"
                     assert len(deadline_heap) <= 2 * waiting + 1, "stale deadlines outnumber live"
@@ -745,6 +698,12 @@ def _simulate(
                 if record:
                     waits[cid] = t_cur - arr_t[cid]
                     abandoned[cid] = 1
+                if validate:  # the state after each abandonment
+                    idle_count = len(lisf_q) + len(fsf_heap) + len(rand_list)
+                    assert x == x_init + a_count - sum(d_count) - r_count, "flow conservation broken"
+                    assert not (x > n and idle_count > 0), "work conservation broken"
+                    if per_customer:
+                        assert len(deadline_heap) <= 2 * (x - n) + 1, "stale deadlines outnumber live"
 
             if perturbed:
                 if q > 0:
@@ -1043,7 +1002,7 @@ def coupled_run(
     points = zip(_blocks(seed, rep, Stream.SKELETON, std_exp, _over(master_rate)),
                  _blocks(seed, rep, Stream.SERVICE, "random"))
     kept: List[np.ndarray] = []  # the point times
-    schedule = _Schedule(arrivals, points, horizon, lambda _, times, end=False: kept.append(times))
+    schedule = _Schedule(arrivals, points, horizon, lambda times: None, kept.append)
     pick_u = _draws(seed, rep, Stream.ROUTING, "random")
     abandon_exp = _draws(seed, rep, Stream.ABANDON, std_exp)
 
@@ -1063,7 +1022,7 @@ def coupled_run(
 
     while True:
         # one entry per point (its uniform u) or arrival (u = -1), and u = -2 at the horizon
-        for u, t in schedule.chunk(a_count, len(codes), True):
+        for u, t in schedule.chunk(a_count, len(codes)):
             while True:  # shared abandonment epochs first; tie order: point, abandonment, arrival
                 q_het = x_het - n if nu > 0.0 and x_het > n else 0
                 if not q_het:

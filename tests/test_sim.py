@@ -1248,23 +1248,19 @@ def _entries(schedule, arrivals=0, points=0, on=True):
 
 
 class TestScheduleEdges:
-    @pytest.mark.parametrize("compared", [0, 10**9], ids=["arrays", "compared"])
-    def test_points_merge_before_arrivals_at_equal_times(self, compared, monkeypatch):
-        # both ways of merging: the chunk's arrays, and the one-at-a-time
-        # comparison that short busy periods take after a restart
-        monkeypatch.setattr(hetq.sim, "_COMPARED", compared)
-        marks = np.arange(600)
+    def test_points_merge_before_arrivals_at_equal_times(self):
+        marks, ignore = np.arange(600), lambda times: None
+        # the skeleton runs from time 0
         schedule = hetq.sim._Schedule(_gap_blocks([1.0, 1.0, 1.0]),
                                       zip(_gap_blocks([0.5, 0.5, 1.0]), itertools.repeat(marks)),
-                                      10.0, lambda *times: None, servers=600)
-        if not compared:  # the skeleton runs from time 0
-            assert _entries(schedule) == [
-                (0, 0.5), (1, 1.0), (-1, 1.0), (2, 2.0), (-1, 2.0), (-1, 3.0), (-2, 10.0)]
+                                      10.0, ignore, ignore)
+        assert _entries(schedule) == [
+            (0, 0.5), (1, 1.0), (-1, 1.0), (2, 2.0), (-1, 2.0), (-1, 3.0), (-2, 10.0)]
         # off: the first arrival restarts the skeleton, whose first point ties
         # the second arrival
         schedule = hetq.sim._Schedule(_gap_blocks([1.0, 0.5, 0.5]),
                                       zip(_gap_blocks([0.5, 0.5]), itertools.repeat(marks)),
-                                      10.0, lambda *times: None, servers=600)
+                                      10.0, ignore, ignore)
         assert _entries(schedule, on=False) == [
             (-1, 1.0), (0, 1.5), (-1, 1.5), (1, 2.0), (-1, 2.0), (-2, 10.0)]
 
@@ -1275,9 +1271,10 @@ class TestScheduleEdges:
         arrivals = hetq.sim._blocks(seed, rep, Stream.ARRIVAL, std_exp, hetq.sim._over(3.0))
         points = zip(hetq.sim._blocks(seed, rep, Stream.SKELETON, std_exp, hetq.sim._over(5.0)),
                      hetq.sim._blocks(seed, rep, Stream.SERVICE, "random"))
-        tallied = []
+        tallied = {False: [], True: []}  # each stream's times as its tally gets them
         schedule = hetq.sim._Schedule(arrivals, points, horizon,
-                                      lambda a, p, end=False: tallied.append((a.copy(), p.copy())))
+                                      lambda a: tallied[False].append(a.copy()),
+                                      lambda p: tallied[True].append(p.copy()))
         got = {True: [], False: []}
         while True:
             entries = _entries(schedule, len(got[False]), len(got[True]))
@@ -1293,7 +1290,7 @@ class TestScheduleEdges:
                 t += e / rate
                 want.append(t)
             assert got[key] == want[:-1] and want[-1] > horizon
-            assert np.concatenate([pair[key] for pair in tallied]).tolist() == got[key]
+            assert np.concatenate(tallied[key]).tolist() == got[key]
         assert len(got[False]) > 8000 and len(got[True]) > 14_000  # several blocks each
 
     def test_compiled_loop_test_covers_every_shape(self):
