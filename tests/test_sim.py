@@ -384,7 +384,7 @@ class TestCompiledLoop:
             assert len(code.co_code) < len(ref.co_code), shape  # the ruled-out branches are gone
 
     def test_compiled_loop_runs_in_the_module_globals(self):
-        # so a patched _tally reaches it
+        # so a name patched in the module reaches it
         shape = _shape_case(*_SHAPES[0])[1]
         assert hetq.sim._loop(shape).__globals__ is vars(hetq.sim)
 
@@ -1251,14 +1251,14 @@ class TestScheduleEdges:
     def test_points_merge_before_arrivals_at_equal_times(self):
         marks, ignore = np.arange(600), lambda times: None
         # the skeleton runs from time 0
-        schedule = hetq.sim._Schedule(_gap_blocks([1.0, 1.0, 1.0]),
+        schedule = hetq.schedule._Schedule(_gap_blocks([1.0, 1.0, 1.0]),
                                       zip(_gap_blocks([0.5, 0.5, 1.0]), itertools.repeat(marks)),
                                       10.0, ignore, ignore)
         assert _entries(schedule) == [
             (0, 0.5), (1, 1.0), (-1, 1.0), (2, 2.0), (-1, 2.0), (-1, 3.0), (-2, 10.0)]
         # off: the first arrival restarts the skeleton, whose first point ties
         # the second arrival
-        schedule = hetq.sim._Schedule(_gap_blocks([1.0, 0.5, 0.5]),
+        schedule = hetq.schedule._Schedule(_gap_blocks([1.0, 0.5, 0.5]),
                                       zip(_gap_blocks([0.5, 0.5]), itertools.repeat(marks)),
                                       10.0, ignore, ignore)
         assert _entries(schedule, on=False) == [
@@ -1272,7 +1272,7 @@ class TestScheduleEdges:
         points = zip(hetq.sim._blocks(seed, rep, Stream.SKELETON, std_exp, hetq.sim._over(5.0)),
                      hetq.sim._blocks(seed, rep, Stream.SERVICE, "random"))
         tallied = {False: [], True: []}  # each stream's times as its tally gets them
-        schedule = hetq.sim._Schedule(arrivals, points, horizon,
+        schedule = hetq.schedule._Schedule(arrivals, points, horizon,
                                       lambda a: tallied[False].append(a.copy()),
                                       lambda p: tallied[True].append(p.copy()))
         got = {True: [], False: []}
